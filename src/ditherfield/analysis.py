@@ -310,12 +310,15 @@ class RateFitResult:
                 "mse_values": list(self.mse_values)}
 
 
+RATE_FIT_MIN_POINTS = 4
+
+
 def rate_fit(n_grid: Sequence[int], mse_values: Sequence[float]) -> RateFitResult:
     """Ordinary least squares of log(mse) on log(n)."""
     n_grid = tuple(int(n) for n in n_grid)
     mse_values = tuple(float(v) for v in mse_values)
-    if len(n_grid) != len(mse_values) or len(n_grid) < 4:
-        raise ValueError("need at least 4 (n, mse) points")
+    if len(n_grid) != len(mse_values) or len(n_grid) < RATE_FIT_MIN_POINTS:
+        raise ValueError(f"need at least {RATE_FIT_MIN_POINTS} (n, mse) points")
     if any(v <= 0 for v in mse_values):
         raise ValueError("mse values must be positive for a log-log fit")
     lx = np.log(np.asarray(n_grid, dtype=float))

@@ -17,9 +17,6 @@ import numpy as np
 from .fields import Basis, synthesize
 from .sensing import Deployment, SensorBatch
 
-_CHUNK = 1 << 16
-
-
 class EstimationError(RuntimeError):
     pass
 
@@ -147,44 +144,38 @@ class ReconstructionCoefficients:
 
 def weighted_basis_sums(basis: Basis, m: int, x: np.ndarray,
                         w: np.ndarray) -> np.ndarray:
-    """sum_i w_i * conj(phi_j(x_i)) for j < m, compensated across chunks.
-
-    Chunk partials come from the basis's dedicated reduction (or a BLAS
-    product as fallback); a Kahan correction across chunk totals keeps
-    the accumulated rounding O(1) in n.
-    """
-    fast = getattr(basis, "weighted_conj_sums", None)
-    chunk = _CHUNK if fast else max(1, min(_CHUNK, (1 << 21) // max(m, 1)))
-    acc = np.zeros(m, dtype=np.complex128)
-    comp = np.zeros(m, dtype=np.complex128)
-    for lo in range(0, len(x), chunk):
-        xs, ws = x[lo:lo + chunk], w[lo:lo + chunk]
-        if fast is not None:
-            part = fast(m, xs, ws)
-        elif np.iscomplexobj(ws):
-            part = ws @ np.conj(basis.block(m, xs))
-        else:
-            part = np.conj(ws @ basis.block(m, xs))
-        y = part - comp
-        t = acc + y
-        comp = (t - acc) - y
-        acc = t
-    return acc
+    """sum_i w_i * conj(phi_j(x_i)) for j < m, from the basis's own
+    reduction: a type-1 nonuniform Fourier sum (`spectral.conj_sums`) for
+    the Fourier basis, per-cell totals for the step basis."""
+    return basis.weighted_conj_sums(m, x, w)
 
 
 def estimate_coefficients(batch: SensorBatch, cfg: EstimatorConfig,
                           m: int) -> ReconstructionCoefficients:
-    """First m coefficient estimates from one sensor batch."""
+    """First m coefficient estimates from one sensor batch.
+
+    Raises EstimationError, naming the first offending sensor, for a
+    location that is NaN or outside [0, 1], a bit other than -1 or +1, or
+    a location where the deployment density vanishes.
+    """
     if m < 1:
         raise ValueError("need at least one coefficient")
     if batch.n < 1:
         raise ValueError("empty batch")
-    p = np.asarray(cfg.density.pdf(batch.x), dtype=float)
+    x, bits = batch.x, batch.bits
+    if not (x.min() >= 0.0 and x.max() <= 1.0):  # NaN fails both
+        i = int(np.argmax(~((x >= 0.0) & (x <= 1.0))))
+        raise EstimationError(f"sensor location x[{i}]={float(x[i])!r} is not in [0, 1]")
+    off = np.abs(bits) != 1.0
+    if off.any():
+        i = int(np.argmax(off))
+        raise EstimationError(f"sensor bit bits[{i}]={float(bits[i])!r} is not -1 or +1")
+    p = np.asarray(cfg.density.pdf(x), dtype=float)
     if np.any(p <= 0.0):
-        where = batch.x[np.argmax(p <= 0.0)]
+        where = x[np.argmax(p <= 0.0)]
         raise EstimationError(
             f"deployment density vanishes at observed location x={where!r}")
-    sums = weighted_basis_sums(cfg.basis, m, batch.x, batch.bits / p)
+    sums = weighted_basis_sums(cfg.basis, m, x, bits / p)
     return ReconstructionCoefficients(values=(cfg.c / batch.n) * sums,
                                       n_used=batch.n)
 

@@ -15,6 +15,8 @@ from typing import Callable, ClassVar, Sequence
 import numpy as np
 from scipy.integrate import quad
 
+from .spectral import conj_sums, series
+
 # Coefficient horizon standing in for the infinite expansion of a
 # non-synthesized field. Must keep the Parseval residual of every shipped
 # shape under TAIL_REL_TOL * ||f||^2 (the sawtooth is the binding case).
@@ -86,28 +88,18 @@ class FourierBasis:
 
     def weighted_conj_sums(self, count: int, x: np.ndarray,
                            w: np.ndarray) -> np.ndarray:
-        """sum_i w_i * conj(phi_j(x_i)) for j < count, without materializing
-        the basis block.
+        """sum_i w_i * conj(phi_j(x_i)) for j < count, from one type-1 sum
+        over frequencies 0..count//2.
 
         For real weights the odd-index (negative-frequency) sums are the
         conjugates of the even-index ones, so only the positive-frequency
-        powers are accumulated: one in-place multiply and one reduction
-        per frequency.
+        sums are taken.
         """
         if np.iscomplexobj(w):
             return (self.weighted_conj_sums(count, x, np.real(w))
                     + 1j * self.weighted_conj_sums(count, x, np.imag(w)))
-        x = np.asarray(x, dtype=float)
         k_max = count // 2
-        s_pos = np.empty(k_max + 1, dtype=np.complex128)
-        s_pos[0] = np.sum(w)
-        if k_max:
-            step = np.exp(-2j * np.pi * x)  # conj(phi) at frequency +1
-            cur = w * step
-            s_pos[1] = cur.sum()
-            for k in range(2, k_max + 1):
-                cur *= step
-                s_pos[k] = cur.sum()
+        s_pos = conj_sums(x, w, k_max)
         out = np.empty(count, dtype=np.complex128)
         out[0::2] = s_pos[:(count + 1) // 2]
         out[1::2] = np.conj(s_pos[1:k_max + 1])
@@ -264,32 +256,14 @@ def _conjugate_symmetric(values: np.ndarray) -> bool:
     return len(odd) <= k or abs(odd[k]) <= 1e-13
 
 
-def _real_fourier_series(values: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """alpha_0 + 2*sum_k Re(alpha_{+k} e^{2*pi*i*k*x}): half the work of the
-    full synthesis, valid only for conjugate-symmetric coefficients."""
-    pos = values[2::2]
-    out = np.empty(x.shape)
-    chunk = 1 << 16
-    for lo in range(0, x.size, chunk):
-        seg = x[lo:lo + chunk]
-        acc = np.full(seg.shape, values[0].real)
-        if len(pos):
-            rot = np.exp(2j * np.pi * seg)
-            cur = rot.copy()
-            acc += 2.0 * (pos[0] * cur).real
-            for a in pos[1:]:
-                cur *= rot
-                acc += 2.0 * (a * cur).real
-        out[lo:lo + seg.size] = acc
-    return out
-
-
-def _real_synthesis(basis: Basis, values: np.ndarray, x) -> np.ndarray:
+def _real_synthesis(basis: Basis, values: np.ndarray, symmetric: bool, x) -> np.ndarray:
+    """Real part of sum_j values[j] phi_j(x). `symmetric` says the basis is
+    Fourier and the values conjugate-symmetric, so the positive-frequency
+    half gives the whole (real) sum."""
     x_arr = np.asarray(x, dtype=float)
-    if isinstance(basis, FourierBasis) and _conjugate_symmetric(values):
-        flat = np.atleast_1d(x_arr).ravel()
-        res = _real_fourier_series(values, flat).reshape(np.atleast_1d(x_arr).shape)
-        return res[0] if x_arr.ndim == 0 else res
+    if symmetric:
+        res = series(values[0].real, values[2::2], x_arr)
+        return res[()] if x_arr.ndim == 0 else res
     return np.real(synthesize(basis, values, x_arr))
 
 
@@ -316,6 +290,8 @@ class FiniteDimField(FieldSpec):
         if self.amplitude_bound <= 0:
             raise ValueError("amplitude bound must be positive")
         object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "_symmetric", isinstance(self.basis, FourierBasis)
+                           and _conjugate_symmetric(vals))
 
     @property
     def k(self) -> int:
@@ -326,7 +302,7 @@ class FiniteDimField(FieldSpec):
         return float(np.sum(np.abs(self.values) ** 2))
 
     def eval(self, x) -> np.ndarray:
-        return _real_synthesis(self.basis, self.values, x)
+        return _real_synthesis(self.basis, self.values, self._symmetric, x)
 
     def fourier_coefficients(self, freqs: np.ndarray) -> np.ndarray | None:
         if not isinstance(self.basis, FourierBasis):
@@ -453,15 +429,16 @@ class SobolevField(FieldSpec):
     def __post_init__(self):
         if self.s <= 0.5:
             raise ValueError("smoothness order must exceed 1/2")
-        object.__setattr__(self, "values",
-                           np.asarray(self.values, dtype=np.complex128))
+        vals = np.asarray(self.values, dtype=np.complex128)
+        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "_symmetric", _conjugate_symmetric(vals))
 
     @property
     def norm_sq(self) -> float:
         return float(np.sum(np.abs(self.values) ** 2))
 
     def eval(self, x) -> np.ndarray:
-        return _real_synthesis(FourierBasis(), self.values, x)
+        return _real_synthesis(FourierBasis(), self.values, self._symmetric, x)
 
     def fourier_coefficients(self, freqs: np.ndarray) -> np.ndarray:
         by_freq = {FourierBasis.frequency(j): v for j, v in enumerate(self.values)}
@@ -583,7 +560,7 @@ def make_sobolev_field(s: float, seed: int, amplitude_bound: float = 1.0,
     values[1::2] = np.conj(pos)   # odd j: frequency -(j+1)/2
 
     probe = np.linspace(0.0, 1.0, (1 << 16) + 1)
-    sup = float(np.max(np.abs(_real_synthesis(FourierBasis(), values, probe))))
+    sup = float(np.max(np.abs(series(values[0].real, pos, probe))))
     values *= amplitude_bound * SOBOLEV_SUP_HEADROOM / sup
     return SobolevField(s=s, seed=seed, amplitude_bound=amplitude_bound,
                         values=values)

@@ -18,10 +18,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .analysis import (BoundReport, RateFitResult, as_error_trace,
-                       basis_deployment_integral, check_consistency_conditions,
-                       monte_carlo_mse, mse_upper_bound, rate_fit,
-                       validate_as_schedule)
+from .analysis import (RATE_FIT_MIN_POINTS, BoundReport, RateFitResult,
+                       as_error_trace, basis_deployment_integral,
+                       check_consistency_conditions, monte_carlo_mse,
+                       mse_upper_bound, rate_fit, validate_as_schedule)
 from .estimator import (EstimatorConfig, TruncationSchedule,
                         estimate_coefficients)
 from .fields import (Basis, FieldSpec, field_from_json, make_basis,
@@ -145,6 +145,12 @@ def parse_experiment_config(doc: dict, seed_override: int | None = None) -> Expe
         except (TypeError, ValueError):
             problems.append("trials: must be an integer or list of integers")
 
+    acceptance = doc.get("acceptance", {})
+    fitted = sorted({"slope_range", "r2_min"} & set(acceptance))
+    if fitted and n_grid and len(n_grid) < RATE_FIT_MIN_POINTS:
+        problems.append(f"acceptance: {', '.join(fitted)} need a rate fit, which "
+                        f"needs at least {RATE_FIT_MIN_POINTS} n_grid points")
+
     if "seed" not in doc:
         problems.append("seed: required (no implicit entropy)")
         seed = 0
@@ -161,7 +167,7 @@ def parse_experiment_config(doc: dict, seed_override: int | None = None) -> Expe
         experiment_id=experiment_id, field=field, deployment=deployment,
         noise=noise, basis=basis, schedule=schedule, n_grid=n_grid,
         trials=trials, seed=seed, outputs=doc.get("outputs"),
-        acceptance=dict(doc.get("acceptance", {})), raw=doc)
+        acceptance=dict(acceptance), raw=doc)
 
 
 def load_experiment_config(path, seed_override: int | None = None) -> ExperimentConfig:
@@ -265,7 +271,7 @@ def run_experiment(config: ExperimentConfig, out_dir, workers: int = 1) -> Exper
                      if mean > b.total + 3.0 * ci)
 
     fit = (rate_fit(config.n_grid, sweep.means)
-           if len(config.n_grid) >= 4 else None)
+           if len(config.n_grid) >= RATE_FIT_MIN_POINTS else None)
 
     checks: list[str] = []
     accept = config.acceptance

@@ -166,6 +166,26 @@ def test_vanishing_density_raises_with_location():
         estimate_coefficients(batch, cfg, 2)
 
 
+@pytest.mark.parametrize("x, bits, message", [
+    ([0.1, np.nan, 0.3, np.nan], [1.0, -1.0, 1.0, 1.0], r"x\[1\]=nan is not in \[0, 1\]"),
+    ([0.1, 0.2, 1.5, -0.2], [1.0, -1.0, 1.0, 1.0], r"x\[2\]=1.5 is not in"),
+    ([-1e-12, 0.2, 0.3, 0.4], [1.0, -1.0, 1.0, 1.0], r"x\[0\]=-1e-12 is not in"),
+    ([0.1, 0.2, 0.3, 0.4], [1.0, -1.0, 0.0, 1.0], r"bits\[2\]=0.0 is not -1 or \+1"),
+    ([0.1, 0.2, 0.3, 0.4], [1.0, np.nan, 1.0, 2.0], r"bits\[1\]=nan is not"),
+])
+def test_bad_sensor_data_raises_with_the_first_bad_index(x, bits, message):
+    batch = SensorBatch(x=np.array(x), y=np.zeros(4), t=np.zeros(4),
+                        bits=np.array(bits), c=1.0)
+    with pytest.raises(EstimationError, match=message):
+        estimate_coefficients(batch, make_cfg(c=1.0), 4)
+
+
+def test_unit_interval_endpoints_are_valid_locations():
+    batch = SensorBatch(x=np.array([0.0, 1.0]), y=np.zeros(2), t=np.zeros(2),
+                        bits=np.array([1.0, -1.0]), c=1.0)
+    assert np.all(np.isfinite(estimate_coefficients(batch, make_cfg(c=1.0), 4).values))
+
+
 # ---------------------------------------------------------------------------
 # reconstruction
 # ---------------------------------------------------------------------------

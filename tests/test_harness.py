@@ -41,6 +41,13 @@ def test_validation_reports_every_problem():
         assert token in text
 
 
+@pytest.mark.parametrize("keys", [{"slope_range": [-1.0, 0.0]}, {"r2_min": 0.9}])
+def test_rate_acceptance_needs_four_grid_points(keys):
+    doc = dict(MINI_CONFIG, n_grid=[256, 512, 1024], acceptance=keys)
+    with pytest.raises(ConfigValidationError, match="at least 4 n_grid points"):
+        parse_experiment_config(doc)
+
+
 def test_seed_override_changes_the_hash():
     a = parse_experiment_config(MINI_CONFIG)
     b = parse_experiment_config(MINI_CONFIG, seed_override=1234)
