@@ -10,12 +10,11 @@ from .analysis import (ASTraceResult, BoundReport, ConsistencyReport,
                        validate_as_schedule)
 from .estimator import (EstimationError, EstimatorConfig,
                         ReconstructionCoefficients, TruncationSchedule,
-                        estimate_coefficients, reconstruct,
-                        truncation_schedule)
+                        estimate_coefficients, reconstruct)
 from .fields import (CoefficientVector, FieldSpec, FiniteDimField,
                      FourierBasis, PiecewiseConstantField, QuadratureError,
                      SawtoothField, SobolevField, StepBasis, field_from_json,
-                     field_to_json, m_term_approximation, m_term_error,
+                     m_term_approximation, m_term_error,
                      make_basis, make_bv_field, make_finite_dim_field,
                      make_sobolev_field, true_coefficients, zero_field)
 from .harness import (ConfigValidationError, ExperimentConfig,
@@ -25,7 +24,7 @@ from .harness import (ConfigValidationError, ExperimentConfig,
 from .sensing import (AffineFloorDeployment, Linear2xDeployment, SensorBatch,
                       TabulatedDeployment, TruncGaussNoise, TwoPointNoise,
                       UniformDeployment, UniformSymNoise, ZeroNoise,
-                      extend_batch, make_deployment, make_noise, quantize_one,
+                      make_deployment, make_noise, quantize_one,
                       simulate_batch, substream, tabulate_deployment,
                       trial_seed)
 

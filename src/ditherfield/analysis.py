@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -94,7 +95,6 @@ class BoundReport:
     c: float
     variance_term: float
     bias_term: float
-    reduced_total: float
     per_j_integrals: tuple[float, ...]
     divergent_js: tuple[int, ...]
 
@@ -121,11 +121,8 @@ def mse_upper_bound(field: FieldSpec, basis: Basis, deploy: Deployment,
     else:
         bias = m_term_error(true_coefficients(field, basis, m), field, m)
     variance = math.inf if divergent else (c * c / n) * float(np.sum(integrals))
-    nu = deploy.infimum
-    reduced = (c * c * m) / (n * nu) + bias if nu > 0 else math.inf
     return BoundReport(n=n, m=m, c=c, variance_term=variance, bias_term=bias,
-                       reduced_total=reduced, per_j_integrals=integrals,
-                       divergent_js=divergent)
+                       per_j_integrals=integrals, divergent_js=divergent)
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +211,50 @@ def integrated_squared_error(coeffs_hat: ReconstructionCoefficients,
 # Monte-Carlo distortion sweep
 # ---------------------------------------------------------------------------
 
-_TRIAL_CHUNK = 25  # fixed chunking keeps results identical across worker counts
+@dataclass(frozen=True, eq=False)
+class TrialCell:
+    """`trials` independent simulate -> estimate pipelines: n sensors, m coefficients."""
+
+    field: FieldSpec
+    deploy: Deployment
+    noise: Noise
+    cfg: EstimatorConfig
+    n: int
+    m: int
+    trials: int
+
+
+def _trial_chunk(payload) -> np.ndarray:
+    cell, seed, cell_index, t0, t1 = payload
+    out = np.empty((t1 - t0, cell.m), dtype=np.complex128)
+    for t in range(t0, t1):
+        batch = simulate_batch(cell.field, cell.deploy, cell.noise, cell.n,
+                               trial_seed(seed, cell_index, t))
+        out[t - t0] = estimate_coefficients(batch, cell.cfg, cell.m).values
+    return out
+
+
+def map_trials(cells: Sequence[TrialCell], seed: int, chunk: int,
+               workers: int = 1) -> list[np.ndarray]:
+    """Coefficient estimates of every trial: one (trials, m) array per cell.
+
+    Trial t of cell i draws from trial_seed(seed, i, t), so neither the
+    worker count nor the chunk size changes a byte; `chunk` (trials per pool
+    task) only trades pool overhead against memory traffic.
+    """
+    payloads = [(cell, seed, i, t0, min(t0 + chunk, cell.trials))
+                for i, cell in enumerate(cells)
+                for t0 in range(0, cell.trials, chunk)]
+    out = [np.empty((cell.trials, cell.m), dtype=np.complex128) for cell in cells]
+    # chunks are copied out as they arrive, so no second copy of the
+    # estimates is ever held
+    with (ProcessPoolExecutor(max_workers=workers) if workers > 1
+          else nullcontext()) as pool:
+        parts = (pool.map(_trial_chunk, payloads) if pool
+                 else map(_trial_chunk, payloads))
+        for (_, _, i, t0, t1), part in zip(payloads, parts):
+            out[i][t0:t1] = part
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -226,17 +266,6 @@ class MseSweep:
     stds: tuple[float, ...]
     ci_half: tuple[float, ...]
     trial_values: tuple[np.ndarray, ...]
-
-
-def _mse_trial_chunk(payload) -> np.ndarray:
-    (field, deploy, noise, cfg, n, m, true_cv, master_seed, n_index, t0, t1) = payload
-    out = np.empty(t1 - t0)
-    for t in range(t0, t1):
-        batch = simulate_batch(field, deploy, noise, n,
-                               trial_seed(master_seed, n_index, t))
-        hat = estimate_coefficients(batch, cfg, m)
-        out[t - t0] = integrated_squared_error(hat, true_cv, field)
-    return out
 
 
 def monte_carlo_mse(field: FieldSpec, deploy: Deployment, noise: Noise,
@@ -257,37 +286,21 @@ def monte_carlo_mse(field: FieldSpec, deploy: Deployment, noise: Noise,
     if any(t < 2 for t in trials_per_n):
         raise ValueError("need at least two trials per n")
 
-    payloads = []
-    m_values = []
-    for n_index, (n, t_count) in enumerate(zip(n_grid, trials_per_n)):
-        m = cfg.schedule.resolve(n)
-        m_values.append(m)
-        true_cv = true_coefficients(field, cfg.basis, m)
-        for t0 in range(0, t_count, _TRIAL_CHUNK):
-            payloads.append((field, deploy, noise, cfg, n, m, true_cv,
-                             seed, n_index, t0, min(t0 + _TRIAL_CHUNK, t_count)))
+    m_values = tuple(cfg.schedule.resolve(n) for n in n_grid)
+    cells = [TrialCell(field, deploy, noise, cfg, n, m, t)
+             for n, m, t in zip(n_grid, m_values, trials_per_n)]
+    estimates = map_trials(cells, seed, chunk=25, workers=workers)
 
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_mse_trial_chunk, payloads))
-    else:
-        chunks = [_mse_trial_chunk(p) for p in payloads]
-
-    per_n: list[np.ndarray] = []
-    pos = 0
-    for t_count in trials_per_n:
-        parts = []
-        got = 0
-        while got < t_count:
-            parts.append(chunks[pos])
-            got += len(chunks[pos])
-            pos += 1
-        per_n.append(np.concatenate(parts))
+    per_n = []
+    for cell, rows in zip(cells, estimates):
+        true_cv = true_coefficients(field, cfg.basis, cell.m)
+        per_n.append(np.array([integrated_squared_error(
+            ReconstructionCoefficients(row, cell.n), true_cv, field) for row in rows]))
 
     means = tuple(float(np.mean(v)) for v in per_n)
     stds = tuple(float(np.std(v, ddof=1)) for v in per_n)
     ci = tuple(1.96 * s / math.sqrt(t) for s, t in zip(stds, trials_per_n))
-    return MseSweep(n_grid=n_grid, m_values=tuple(m_values), trials=trials_per_n,
+    return MseSweep(n_grid=n_grid, m_values=m_values, trials=trials_per_n,
                     means=means, stds=stds, ci_half=ci,
                     trial_values=tuple(per_n))
 

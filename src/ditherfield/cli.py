@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from pathlib import Path
 
-from .analysis import as_error_trace, check_consistency_conditions
-from .harness import (SUITE_NAMES, load_experiment_config, run_experiment,
+from .analysis import check_consistency_conditions
+from .harness import (SUITE_NAMES, ConfigValidationError,
+                      load_experiment_config, run_as_trace, run_experiment,
                       run_suite)
 
 
@@ -44,7 +43,7 @@ def main(argv=None) -> int:
                              help="record one nested-sample-path error trace")
     p_trace.add_argument("config")
     p_trace.add_argument("--seed", type=int, default=None)
-    _add_common(p_trace)
+    p_trace.add_argument("--out", default="out", help="output directory")
 
     args = parser.parse_args(argv)
 
@@ -81,22 +80,16 @@ def main(argv=None) -> int:
 
     if args.command == "trace-as":
         config = load_experiment_config(args.config, seed_override=args.seed)
-        if config.schedule.schedule_kind != "power":
-            print("trace-as needs a power schedule (its exponent is the "
-                  "truncation growth rate)", file=sys.stderr)
+        try:
+            trace, path = run_as_trace(config, args.out)
+        except ConfigValidationError as exc:
+            print(f"trace-as: {exc}", file=sys.stderr)
             return 2
-        trace = as_error_trace(config.field, config.deployment, config.noise,
-                               psi=config.schedule.param, seed=config.seed,
-                               n_checkpoints=config.n_grid)
         for n, m, s in zip(trace.checkpoints, trace.m_values, trace.sup_error):
             print(f"n={n} m={m} sup|S_n|={s:.6e}")
         ratio = trace.sup_error[-1] / trace.sup_error[0]
         print(f"first-to-last ratio {ratio:.4f} "
               "(single-path regression, not a proof of convergence)")
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        path = out / f"{config.experiment_id}_trace.json"
-        path.write_text(json.dumps(trace.to_json(), sort_keys=True, indent=2) + "\n")
         print(f"wrote {path}")
         return 0
 

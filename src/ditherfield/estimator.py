@@ -37,6 +37,8 @@ class TruncationSchedule:
     param: float | None = None
 
     _KINDS: ClassVar[tuple[str, ...]] = ("fixed", "finite_dim", "bv", "sobolev", "power")
+    _PARAM_KEYS: ClassVar[dict[str, str]] = {"fixed": "m", "finite_dim": "k",
+                                             "sobolev": "s", "power": "psi"}
 
     def __post_init__(self):
         if self.schedule_kind not in self._KINDS:
@@ -91,20 +93,21 @@ class TruncationSchedule:
     def to_json(self) -> dict:
         doc = {"kind": self.schedule_kind}
         if self.param is not None:
-            key = {"fixed": "m", "finite_dim": "k", "sobolev": "s", "power": "psi"}
-            doc[key[self.schedule_kind]] = self.param
+            doc[self._PARAM_KEYS[self.schedule_kind]] = self.param
         return doc
 
     @classmethod
     def from_json(cls, doc: dict) -> "TruncationSchedule":
+        """Inverse of `to_json`: the kind's own parameter key and no other."""
         kind = doc["kind"]
-        param = doc.get("m", doc.get("k", doc.get("s", doc.get("psi"))))
-        return cls(kind, param)
-
-
-def truncation_schedule(schedule: TruncationSchedule, n: int) -> int:
-    """Resolved truncation point m(n)."""
-    return schedule.resolve(n)
+        if kind not in cls._KINDS:
+            raise ValueError(f"unknown schedule kind {kind!r}")
+        key = cls._PARAM_KEYS.get(kind)
+        extra = sorted(set(doc) - {"kind", key})
+        if extra:
+            takes = f"only {key!r}" if key else "no parameter"
+            raise ValueError(f"{kind} schedule takes {takes}, got {extra}")
+        return cls(kind, doc.get(key) if key else None)
 
 
 # ---------------------------------------------------------------------------

@@ -446,7 +446,8 @@ class SobolevField(FieldSpec):
 
     def to_json(self) -> dict:
         return {"class": "sobolev", "s": self.s, "seed": self.seed,
-                "amplitude_bound": self.amplitude_bound}
+                "amplitude_bound": self.amplitude_bound,
+                "n_freqs": len(self.values) // 2}
 
 
 # ---------------------------------------------------------------------------
@@ -640,16 +641,15 @@ def m_term_error(coeffs: CoefficientVector, field: FieldSpec, m: int) -> float:
 # JSON round trip (harness config documents)
 # ---------------------------------------------------------------------------
 
-def field_to_json(field: FieldSpec) -> dict:
-    return field.to_json()
+def basis_from_json(doc) -> Basis:
+    """A basis from its kind ("fourier") or its fields ({"kind": "step", "cells": 16})."""
+    return make_basis(doc) if isinstance(doc, str) else make_basis(**doc)
 
 
 def field_from_json(doc: dict) -> FieldSpec:
     cls = doc.get("class")
     if cls == "finite_dim":
-        basis_doc = doc.get("basis", "fourier")
-        basis = (make_basis(basis_doc) if isinstance(basis_doc, str)
-                 else make_basis(**basis_doc))
+        basis = basis_from_json(doc.get("basis", "fourier"))
         coeffs = [complex(re, im) for re, im in doc["coefficients"]]
         return make_finite_dim_field(basis, coeffs, doc["amplitude_bound"])
     if cls == "bv":

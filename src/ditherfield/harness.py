@@ -10,25 +10,23 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
-from .analysis import (RATE_FIT_MIN_POINTS, BoundReport, RateFitResult,
-                       as_error_trace, basis_deployment_integral,
-                       check_consistency_conditions, monte_carlo_mse,
-                       mse_upper_bound, rate_fit, validate_as_schedule)
-from .estimator import (EstimatorConfig, TruncationSchedule,
-                        estimate_coefficients)
-from .fields import (Basis, FieldSpec, field_from_json, make_basis,
-                     make_bv_field, make_finite_dim_field, make_sobolev_field,
-                     true_coefficients, FourierBasis)
-from .sensing import (Deployment, Noise, make_deployment, make_noise,
-                      simulate_batch, trial_seed)
+from .analysis import (RATE_FIT_MIN_POINTS, ASTraceResult, BoundReport,
+                       RateFitResult, TrialCell, as_error_trace,
+                       basis_deployment_integral, check_consistency_conditions,
+                       map_trials, monte_carlo_mse, mse_upper_bound, rate_fit,
+                       validate_as_schedule)
+from .estimator import EstimatorConfig, TruncationSchedule
+from .fields import (Basis, FieldSpec, FourierBasis, basis_from_json,
+                     field_from_json, make_bv_field, make_finite_dim_field,
+                     make_sobolev_field, true_coefficients)
+from .sensing import Deployment, Noise, make_deployment, make_noise
 
 CSV_HEADER = ["experiment_id", "n", "m", "trials", "mse_mean", "mse_std",
               "ci_lo", "ci_hi", "bound_total", "bound_var_term",
@@ -39,6 +37,11 @@ SUITE_NAMES = ("rates", "lemma1", "as_traces", "conditions", "all")
 _RATE_CONFIGS = ("finite_dim_k5", "bv_sawtooth", "sobolev_s1")
 _MISMATCH_CONFIGS = ("mismatch_linear2x", "mismatch_affine_floor")
 _TRACE_CONFIGS = ("as_trace_zero", "as_trace_sawtooth")
+
+_CONFIG_KEYS = ("experiment_id", "field", "basis", "deployment", "noise",
+                "schedule", "n_grid", "trials", "seed", "acceptance")
+_ACCEPTANCE_KEYS = ("slope_range", "r2_min", "bound_dominance",
+                    "expect_rejected", "trace_ratio_max")
 
 
 class ConfigValidationError(ValueError):
@@ -64,7 +67,6 @@ class ExperimentConfig:
     n_grid: tuple[int, ...]
     trials: tuple[int, ...]
     seed: int
-    outputs: str | None
     acceptance: dict
     raw: dict
 
@@ -78,19 +80,15 @@ class ExperimentConfig:
         return hashlib.sha256(canon.encode()).hexdigest()[:12]
 
 
-def _parse_basis(doc) -> Basis:
-    if doc is None or doc == "fourier":
-        return make_basis("fourier")
-    if isinstance(doc, str):
-        return make_basis(doc)
-    return make_basis(**doc)
-
-
 def parse_experiment_config(doc: dict, seed_override: int | None = None) -> ExperimentConfig:
     problems: list[str] = []
     doc = dict(doc)
     if seed_override is not None:
         doc["seed"] = int(seed_override)
+
+    unknown = sorted(set(doc) - set(_CONFIG_KEYS))
+    if unknown:
+        problems.append(f"unknown keys {unknown}; expected some of {list(_CONFIG_KEYS)}")
 
     experiment_id = doc.get("experiment_id")
     if not isinstance(experiment_id, str) or not experiment_id:
@@ -113,7 +111,7 @@ def parse_experiment_config(doc: dict, seed_override: int | None = None) -> Expe
     noise = _build("noise", lambda d: make_noise(
         d["kind"], **{k: v for k, v in d.items() if k != "kind"}))
     schedule = _build("schedule", TruncationSchedule.from_json)
-    basis = _parse_basis(doc.get("basis"))
+    basis = _build("basis", basis_from_json, required=False) or FourierBasis()
 
     n_grid: tuple[int, ...] = ()
     raw_grid = doc.get("n_grid")
@@ -145,7 +143,21 @@ def parse_experiment_config(doc: dict, seed_override: int | None = None) -> Expe
         except (TypeError, ValueError):
             problems.append("trials: must be an integer or list of integers")
 
+    if (schedule is not None and basis.size is not None and n_grid
+            and min(n_grid) >= 1):
+        m_max = max(schedule.resolve(n) for n in n_grid)
+        if m_max > basis.size:
+            problems.append(f"schedule: m(n) reaches {m_max} on n_grid, but the "
+                            f"{basis.kind} basis has only {basis.size} functions")
+
     acceptance = doc.get("acceptance", {})
+    if not isinstance(acceptance, dict):
+        problems.append("acceptance: must be an object")
+        acceptance = {}
+    unknown = sorted(set(acceptance) - set(_ACCEPTANCE_KEYS))
+    if unknown:
+        problems.append(f"acceptance: unknown keys {unknown}; expected some of "
+                        f"{list(_ACCEPTANCE_KEYS)}")
     fitted = sorted({"slope_range", "r2_min"} & set(acceptance))
     if fitted and n_grid and len(n_grid) < RATE_FIT_MIN_POINTS:
         problems.append(f"acceptance: {', '.join(fitted)} need a rate fit, which "
@@ -166,8 +178,7 @@ def parse_experiment_config(doc: dict, seed_override: int | None = None) -> Expe
     return ExperimentConfig(
         experiment_id=experiment_id, field=field, deployment=deployment,
         noise=noise, basis=basis, schedule=schedule, n_grid=n_grid,
-        trials=trials, seed=seed, outputs=doc.get("outputs"),
-        acceptance=dict(acceptance), raw=doc)
+        trials=trials, seed=seed, acceptance=dict(acceptance), raw=doc)
 
 
 def load_experiment_config(path, seed_override: int | None = None) -> ExperimentConfig:
@@ -273,28 +284,20 @@ def run_experiment(config: ExperimentConfig, out_dir, workers: int = 1) -> Exper
     fit = (rate_fit(config.n_grid, sweep.means)
            if len(config.n_grid) >= RATE_FIT_MIN_POINTS else None)
 
-    checks: list[str] = []
+    # parsing guarantees a rate fit wherever slope_range or r2_min is declared
     accept = config.acceptance
-    status = "PASS"
+    verdicts: list[tuple[str, bool]] = []
     if "slope_range" in accept:
         lo, hi = accept["slope_range"]
-        ok = fit is not None and lo <= fit.slope <= hi
-        checks.append(f"slope {fit.slope:+.4f} in [{lo}, {hi}]: "
-                      f"{'ok' if ok else 'VIOLATED'}")
-        if not ok:
-            status = "FAIL"
+        verdicts.append((f"slope {fit.slope:+.4f} in [{lo}, {hi}]",
+                         lo <= fit.slope <= hi))
     if "r2_min" in accept:
-        ok = fit is not None and fit.r_squared >= accept["r2_min"]
-        checks.append(f"r2 {fit.r_squared:.5f} >= {accept['r2_min']}: "
-                      f"{'ok' if ok else 'VIOLATED'}")
-        if not ok:
-            status = "FAIL"
+        verdicts.append((f"r2 {fit.r_squared:.5f} >= {accept['r2_min']}",
+                         fit.r_squared >= accept["r2_min"]))
     if accept.get("bound_dominance"):
-        ok = violations == 0
-        checks.append(f"bound dominance violations {violations}: "
-                      f"{'ok' if ok else 'VIOLATED'}")
-        if not ok:
-            status = "FAIL"
+        verdicts.append((f"bound dominance violations {violations}", violations == 0))
+    checks = [f"{text}: {'ok' if ok else 'VIOLATED'}" for text, ok in verdicts]
+    status = "PASS" if all(ok for _, ok in verdicts) else "FAIL"
 
     rows = []
     for i, n in enumerate(config.n_grid):
@@ -334,6 +337,23 @@ def run_experiment(config: ExperimentConfig, out_dir, workers: int = 1) -> Exper
                              artifacts=artifacts)
 
 
+def run_as_trace(config: ExperimentConfig, out_dir) -> tuple[ASTraceResult, Path]:
+    """One sample-path trace at the config's n_grid, growing m(n) = n^psi by
+    its power schedule; writes `<experiment_id>_trace.json`."""
+    if config.schedule.schedule_kind != "power":
+        raise ConfigValidationError(["schedule: a sample-path trace needs a power "
+                                     "schedule (its exponent is the truncation "
+                                     "growth rate)"])
+    trace = as_error_trace(config.field, config.deployment, config.noise,
+                           psi=config.schedule.param, seed=config.seed,
+                           n_checkpoints=config.n_grid)
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    path = out / f"{config.experiment_id}_trace.json"
+    _write_json(path, trace.to_json())
+    return trace, path
+
+
 # ---------------------------------------------------------------------------
 # statistical battery for the coefficient estimator
 # ---------------------------------------------------------------------------
@@ -341,16 +361,6 @@ def run_experiment(config: ExperimentConfig, out_dir, workers: int = 1) -> Exper
 LEMMA_CELL_HEADER = ["cell", "field", "deployment", "noise", "j",
                      "alpha_re", "alpha_im", "mean_re", "mean_im",
                      "dev_sigmas", "var_emp", "var_bound", "var_ratio"]
-
-
-def _coef_trial_chunk(payload) -> np.ndarray:
-    (field, deploy, noise, cfg, n, j_count, master_seed, cell_index, t0, t1) = payload
-    out = np.empty((t1 - t0, j_count), dtype=np.complex128)
-    for t in range(t0, t1):
-        batch = simulate_batch(field, deploy, noise, n,
-                               trial_seed(master_seed, cell_index, t))
-        out[t - t0] = estimate_coefficients(batch, cfg, j_count).values
-    return out
 
 
 def lemma_battery_menu() -> list[tuple[str, FieldSpec]]:
@@ -371,13 +381,19 @@ class LemmaBatteryResult:
     max_dev_sigmas: float
     max_var_ratio: float
 
+    WITHIN_SIGMAS: ClassVar[float] = 4.0
+    FRAC_WITHIN_MIN: ClassVar[float] = 0.95
+    DEV_SIGMAS_MAX: ClassVar[float] = 6.0
+    VAR_RATIO_MAX: ClassVar[float] = 1.1
+
     @property
     def unbiasedness_ok(self) -> bool:
-        return self.frac_within_4sigma >= 0.95 and self.max_dev_sigmas <= 6.0
+        return (self.frac_within_4sigma >= self.FRAC_WITHIN_MIN
+                and self.max_dev_sigmas <= self.DEV_SIGMAS_MAX)
 
     @property
     def variance_ok(self) -> bool:
-        return self.max_var_ratio <= 1.1
+        return self.max_var_ratio <= self.VAR_RATIO_MAX
 
 
 def run_lemma_battery(n: int = 1000, trials: int = 10_000, j_count: int = 8,
@@ -399,26 +415,15 @@ def run_lemma_battery(n: int = 1000, trials: int = 10_000, j_count: int = 8,
              for dname, d in deployments
              for zname, z in noises]
 
-    payloads = []
-    for ci, (_, f, _, d, _, z) in enumerate(cells):
-        cfg = EstimatorConfig(basis=basis, density=d,
-                              c=f.amplitude_bound + z.b,
+    trial_cells = []
+    for _, f, _, d, _, z in cells:
+        cfg = EstimatorConfig(basis=basis, density=d, c=f.amplitude_bound + z.b,
                               schedule=TruncationSchedule.fixed(j_count))
-        chunk = 250
-        for t0 in range(0, trials, chunk):
-            payloads.append((f, d, z, cfg, n, j_count, seed, ci, t0,
-                             min(t0 + chunk, trials)))
+        trial_cells.append(TrialCell(f, d, z, cfg, n, j_count, trials))
+    estimates = map_trials(trial_cells, seed, chunk=250, workers=workers)
 
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_coef_trial_chunk, payloads))
-    else:
-        results = [_coef_trial_chunk(p) for p in payloads]
-
-    chunks_per_cell = math.ceil(trials / 250)
     rows: list[dict] = []
-    for ci, (fname, f, dname, d, zname, z) in enumerate(cells):
-        mat = np.vstack(results[ci * chunks_per_cell:(ci + 1) * chunks_per_cell])
+    for (fname, f, dname, d, zname, z), mat in zip(cells, estimates):
         c = f.amplitude_bound + z.b
         alpha = true_coefficients(f, basis, j_count).values
         mean = mat.mean(axis=0)
@@ -440,7 +445,8 @@ def run_lemma_battery(n: int = 1000, trials: int = 10_000, j_count: int = 8,
     devs = np.array([r["dev_sigmas"] for r in rows])
     ratios = np.array([r["var_ratio"] for r in rows])
     return LemmaBatteryResult(rows=tuple(rows),
-                              frac_within_4sigma=float(np.mean(devs <= 4.0)),
+                              frac_within_4sigma=float(np.mean(
+                                  devs <= LemmaBatteryResult.WITHIN_SIGMAS)),
                               max_dev_sigmas=float(devs.max()),
                               max_var_ratio=float(ratios.max()))
 
@@ -516,15 +522,16 @@ def _run_lemma1_suite(out: Path, workers: int, trials: int = 10_000) -> SuiteRes
     csv_path = out / "lemma1_cells.csv"
     _write_csv(csv_path, LEMMA_CELL_HEADER, csv_rows)
     rows = [
-        SuiteRow("unbiasedness: >=95% of cells within 4 sigma",
-                 battery.frac_within_4sigma >= 0.95,
+        SuiteRow(f"unbiasedness: >={battery.FRAC_WITHIN_MIN:.0%} of cells within "
+                 f"{battery.WITHIN_SIGMAS:g} sigma",
+                 battery.frac_within_4sigma >= battery.FRAC_WITHIN_MIN,
                  f"fraction={battery.frac_within_4sigma:.4f}"),
-        SuiteRow("unbiasedness: no cell beyond 6 sigma",
-                 battery.max_dev_sigmas <= 6.0,
+        SuiteRow(f"unbiasedness: no cell beyond {battery.DEV_SIGMAS_MAX:g} sigma",
+                 battery.max_dev_sigmas <= battery.DEV_SIGMAS_MAX,
                  f"max_dev={battery.max_dev_sigmas:.3f} sigma"),
-        SuiteRow("variance bound: empirical var <= 1.1 * bound in every cell",
-                 battery.max_var_ratio <= 1.1,
-                 f"max_ratio={battery.max_var_ratio:.4f}"),
+        SuiteRow(f"variance bound: empirical var <= {battery.VAR_RATIO_MAX:g} * "
+                 f"bound in every cell",
+                 battery.variance_ok, f"max_ratio={battery.max_var_ratio:.4f}"),
     ]
     artifacts = [str(csv_path)]
     artifacts.extend(_suite_artifacts(out, "lemma1", rows))
@@ -537,12 +544,7 @@ def _run_traces_suite(out: Path, workers: int) -> SuiteResult:
     extra = {}
     for name in _TRACE_CONFIGS:
         config = load_shipped_config(name)
-        psi = config.schedule.param
-        trace = as_error_trace(config.field, config.deployment, config.noise,
-                               psi=psi, seed=config.seed,
-                               n_checkpoints=config.n_grid)
-        trace_path = out / f"{name}_trace.json"
-        _write_json(trace_path, trace.to_json())
+        trace, trace_path = run_as_trace(config, out)
         artifacts.append(str(trace_path))
         ratio_max = config.acceptance.get("trace_ratio_max", 0.3)
         ratio = trace.sup_error[-1] / trace.sup_error[0]
@@ -597,9 +599,9 @@ def _run_conditions_suite(out: Path, workers: int) -> SuiteResult:
                    f"kernel_ratio={validation.kernel_ratio_max}"))
         extra[f"schedule_{psi}_{gamma}"] = validation.to_json()
 
-    for name, expect_rejected in (("mismatch_linear2x", True),
-                                  ("mismatch_affine_floor", False)):
+    for name in _MISMATCH_CONFIGS:
         config = load_shipped_config(name)
+        expect_rejected = config.acceptance["expect_rejected"]
         outcome = run_experiment(config, out, workers=workers)
         ok = outcome.rejected == expect_rejected
         integral = basis_deployment_integral(basis, config.deployment, 0)

@@ -308,14 +308,3 @@ def simulate_batch(field: FieldSpec, deploy: Deployment, noise: Noise,
     t = (2.0 * substream(seed, STREAM_THRESHOLDS).random(n) - 1.0) * c
     y = field.eval(x) + z
     return SensorBatch(x=x, y=y, t=t, bits=_quantize(y, t), c=c)
-
-
-def extend_batch(batch: SensorBatch, field: FieldSpec, deploy: Deployment,
-                 noise: Noise, n: int, seed) -> SensorBatch:
-    """Same sample path as `batch`, grown to n sensors."""
-    if n < batch.n:
-        raise ValueError("extension must not shrink the batch")
-    grown = simulate_batch(field, deploy, noise, n, seed)
-    if not np.array_equal(grown.x[:batch.n], batch.x):
-        raise ValueError("seed does not reproduce the original draws")
-    return grown

@@ -7,8 +7,7 @@ from ditherfield import (EstimationError, EstimatorConfig, FourierBasis,
                          Linear2xDeployment, SensorBatch, TruncationSchedule,
                          UniformDeployment, UniformSymNoise, ZeroNoise,
                          estimate_coefficients, reconstruct, simulate_batch,
-                         trial_seed, true_coefficients, truncation_schedule,
-                         zero_field)
+                         trial_seed, true_coefficients, zero_field)
 
 
 def make_cfg(c, schedule=None, density=None, basis=None):
@@ -22,19 +21,19 @@ def make_cfg(c, schedule=None, density=None, basis=None):
 # ---------------------------------------------------------------------------
 
 def test_schedule_examples():
-    assert truncation_schedule(TruncationSchedule.bv(), 10_000) == 100
-    assert truncation_schedule(TruncationSchedule.sobolev(1.0), 1000) == 10
+    assert TruncationSchedule.bv().resolve(10_000) == 100
+    assert TruncationSchedule.sobolev(1.0).resolve(1000) == 10
     for n in (1, 7, 10_000, 123_456):
-        assert truncation_schedule(TruncationSchedule.finite_dim(5), n) == 5
-    assert truncation_schedule(TruncationSchedule.power(0.4), 1000) == 16
-    assert truncation_schedule(TruncationSchedule.power(1.0), 777) == 777
-    assert truncation_schedule(TruncationSchedule.fixed(3), 10) == 3
+        assert TruncationSchedule.finite_dim(5).resolve(n) == 5
+    assert TruncationSchedule.power(0.4).resolve(1000) == 16
+    assert TruncationSchedule.power(1.0).resolve(777) == 777
+    assert TruncationSchedule.fixed(3).resolve(10) == 3
 
 
 def test_schedule_integerization_does_not_overshoot_exact_roots():
-    assert truncation_schedule(TruncationSchedule.sobolev(1.0), 27) == 3
-    assert truncation_schedule(TruncationSchedule.sobolev(1.0), 8) == 2
-    assert truncation_schedule(TruncationSchedule.bv(), 49) == 7
+    assert TruncationSchedule.sobolev(1.0).resolve(27) == 3
+    assert TruncationSchedule.sobolev(1.0).resolve(8) == 2
+    assert TruncationSchedule.bv().resolve(49) == 7
 
 
 @given(st.sampled_from(["bv", "sobolev", "power", "fixed", "finite_dim"]),

@@ -4,9 +4,9 @@ import sys
 
 import pytest
 
-from ditherfield import (ConfigValidationError, load_shipped_config,
-                         parse_experiment_config, run_experiment,
-                         run_lemma_battery, run_suite)
+from ditherfield import (ConfigValidationError, TruncationSchedule,
+                         load_shipped_config, parse_experiment_config,
+                         run_experiment, run_lemma_battery, run_suite)
 from ditherfield.harness import _MISMATCH_CONFIGS, _RATE_CONFIGS, _TRACE_CONFIGS
 
 MINI_CONFIG = {
@@ -45,6 +45,41 @@ def test_validation_reports_every_problem():
 def test_rate_acceptance_needs_four_grid_points(keys):
     doc = dict(MINI_CONFIG, n_grid=[256, 512, 1024], acceptance=keys)
     with pytest.raises(ConfigValidationError, match="at least 4 n_grid points"):
+        parse_experiment_config(doc)
+
+
+@pytest.mark.parametrize("schedule", [{"kind": "fixed", "s": 3},
+                                      {"kind": "sobolev", "m": 3},
+                                      {"kind": "bv", "psi": 0.5},
+                                      {"kind": "power", "psi": 0.4, "k": 2}])
+def test_schedule_takes_only_its_own_parameter_key(schedule):
+    with pytest.raises(ValueError, match="schedule takes"):
+        TruncationSchedule.from_json(schedule)
+    with pytest.raises(ConfigValidationError, match="schedule:"):
+        parse_experiment_config(dict(MINI_CONFIG, schedule=schedule))
+
+
+@pytest.mark.parametrize("schedule", [TruncationSchedule.fixed(3),
+                                      TruncationSchedule.bv(),
+                                      TruncationSchedule.sobolev(1.5),
+                                      TruncationSchedule.power(0.4)])
+def test_schedule_json_round_trip(schedule):
+    assert TruncationSchedule.from_json(schedule.to_json()) == schedule
+
+
+def test_step_basis_smaller_than_the_schedule_is_rejected_at_parse():
+    doc = dict(MINI_CONFIG, basis={"kind": "step", "cells": 16},
+               n_grid=[100, 1000], acceptance={})
+    with pytest.raises(ConfigValidationError,
+                       match="reaches 32 on n_grid, but the step basis has only 16"):
+        parse_experiment_config(doc)
+
+
+@pytest.mark.parametrize("doc", [dict(MINI_CONFIG, outputs="out"),
+                                 dict(MINI_CONFIG, n_gird=[1, 2]),
+                                 dict(MINI_CONFIG, acceptance={"r2min": 0.9})])
+def test_unknown_config_keys_are_rejected(doc):
+    with pytest.raises(ConfigValidationError, match="unknown keys"):
         parse_experiment_config(doc)
 
 
@@ -134,6 +169,12 @@ def test_lemma_battery_smoke():
     assert len(cells) == 18
 
 
+def test_lemma_battery_rows_do_not_depend_on_the_worker_count():
+    serial = run_lemma_battery(n=500, trials=200, j_count=4, workers=1)
+    parallel = run_lemma_battery(n=500, trials=200, j_count=4, workers=2)
+    assert serial.rows == parallel.rows
+
+
 def test_cli_run_and_check_conditions(tmp_path):
     config_path = tmp_path / "mini.json"
     config_path.write_text(json.dumps(MINI_CONFIG))
@@ -165,3 +206,15 @@ def test_cli_trace(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "out" / "mini_trace_trace.json").exists()
+
+
+def test_cli_trace_rejects_a_non_power_schedule(tmp_path):
+    config_path = tmp_path / "mini.json"
+    config_path.write_text(json.dumps(MINI_CONFIG))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ditherfield.cli", "trace-as", str(config_path),
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert "power schedule" in proc.stderr
+    assert not (tmp_path / "out").exists()
