@@ -340,10 +340,10 @@ def run_experiment(config: ExperimentConfig, out_dir, workers: int = 1) -> Exper
 def run_as_trace(config: ExperimentConfig, out_dir) -> tuple[ASTraceResult, Path]:
     """One sample-path trace at the config's n_grid, growing m(n) = n^psi by
     its power schedule; writes `<experiment_id>_trace.json`."""
-    if config.schedule.schedule_kind != "power":
+    if config.schedule.schedule_kind != "power" or not config.schedule.param < 1.0:
         raise ConfigValidationError(["schedule: a sample-path trace needs a power "
-                                     "schedule (its exponent is the truncation "
-                                     "growth rate)"])
+                                     "schedule with psi < 1 (its exponent is the "
+                                     "truncation growth rate)"])
     trace = as_error_trace(config.field, config.deployment, config.noise,
                            psi=config.schedule.param, seed=config.seed,
                            n_checkpoints=config.n_grid)
@@ -546,7 +546,7 @@ def _run_traces_suite(out: Path, workers: int) -> SuiteResult:
         config = load_shipped_config(name)
         trace, trace_path = run_as_trace(config, out)
         artifacts.append(str(trace_path))
-        ratio_max = config.acceptance.get("trace_ratio_max", 0.3)
+        ratio_max = config.acceptance["trace_ratio_max"]
         ratio = trace.sup_error[-1] / trace.sup_error[0]
         rows.append(SuiteRow(
             name=f"trace {name}: sup error shrinks along one sample path",

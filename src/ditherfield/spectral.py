@@ -19,7 +19,7 @@ alone for type 2, which goes gridded only where that wins at every n. So a
 point's synthesized value never depends on the other points of the call,
 and simulated sample paths stay prefix-stable to the bit. Both paths agree
 to about 1e-12 relative to sum|w_i| (type 1) or |a0| + 2 sum|pos_k|
-(type 2).
+(type 2), above the range where gradual underflow takes bits.
 """
 
 from __future__ import annotations

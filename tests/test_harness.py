@@ -208,13 +208,20 @@ def test_cli_trace(tmp_path):
     assert (tmp_path / "out" / "mini_trace_trace.json").exists()
 
 
-def test_cli_trace_rejects_a_non_power_schedule(tmp_path):
+@pytest.mark.parametrize("schedule", [None, {"kind": "power", "psi": 1.0}])
+def test_cli_trace_rejects_a_non_power_schedule(tmp_path, schedule):
+    """A trace needs a power schedule with psi < 1; anything else is a config
+    error (exit 2), not a traceback."""
+    doc = dict(MINI_CONFIG)
+    if schedule is not None:
+        doc["schedule"] = schedule
     config_path = tmp_path / "mini.json"
-    config_path.write_text(json.dumps(MINI_CONFIG))
+    config_path.write_text(json.dumps(doc))
     proc = subprocess.run(
         [sys.executable, "-m", "ditherfield.cli", "trace-as", str(config_path),
          "--out", str(tmp_path / "out")],
         capture_output=True, text=True)
-    assert proc.returncode == 2
+    assert proc.returncode == 2, proc.stderr
     assert "power schedule" in proc.stderr
+    assert "Traceback" not in proc.stderr
     assert not (tmp_path / "out").exists()

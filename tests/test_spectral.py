@@ -100,15 +100,20 @@ def test_type2_paths_agree(n, K, seed, pinned):
         assert _rel_err(direct, _exp_series(a0, pos, x)) <= RTOL
 
 
-# Weights and coefficients are normal floats: a subnormal value carries
-# fewer significant bits than the 1e-11 relative bound asks for (w = 2.2e-313
-# spaces its results 5e-324 apart, above 1e-11 * |w|).
-NORMAL_UNIT = st.floats(-1.0, 1.0, allow_subnormal=False)
+# Absolute slack at the bottom of the float range, where the relative bound
+# alone is unattainable: 1e-11 times a subnormal l1 norm is below one
+# representable step (w = 2.2e-313 gives results 5e-324 apart), and the
+# gridded type-2 path divides each coefficient by the kernel transform (up
+# to 2.8e13) before its FFT, so coefficients within that factor of the
+# normal range lose bits to gradual underflow (all-subnormal ones flush to
+# 0). The largest excess measured over the relative bound, for K <= 300
+# and scales 1e-323 to 1e-285, was 5.5 times the smallest normal float.
+UNDERFLOW_FLOOR = 64 * np.finfo(float).tiny
 
 
 @given(x=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40),
-       w=st.lists(NORMAL_UNIT, min_size=40, max_size=40),
-       coeffs=st.lists(NORMAL_UNIT, min_size=1, max_size=120),
+       w=st.lists(st.floats(-1.0, 1.0), min_size=40, max_size=40),
+       coeffs=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=120),
        K=K_VALUES)
 @settings(max_examples=60, deadline=None)
 def test_gridded_error_is_bounded_by_the_l1_norm(x, w, coeffs, K):
@@ -119,11 +124,12 @@ def test_gridded_error_is_bounded_by_the_l1_norm(x, w, coeffs, K):
     w = np.array(w[:len(x)])
     diff = (_on_path(True, spectral.conj_sums, x, w, K)
             - _on_path(False, spectral.conj_sums, x, w, K))
-    assert np.max(np.abs(diff)) <= 1e-11 * np.sum(np.abs(w))
+    assert np.max(np.abs(diff)) <= 1e-11 * np.sum(np.abs(w)) + UNDERFLOW_FLOOR
     a0, pos = coeffs[0], np.array(coeffs[1:]) * (1.0 - 0.5j)
     diff = (_on_path(True, spectral.series, a0, pos, x)
             - _on_path(False, spectral.series, a0, pos, x))
-    assert np.max(np.abs(diff)) <= 1e-11 * (abs(a0) + 2.0 * np.sum(np.abs(pos)))
+    assert (np.max(np.abs(diff))
+            <= 1e-11 * (abs(a0) + 2.0 * np.sum(np.abs(pos))) + UNDERFLOW_FLOOR)
 
 
 def test_points_outside_the_unit_interval_use_periodicity():
