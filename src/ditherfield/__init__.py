@@ -14,8 +14,7 @@ from .estimator import (EstimationError, EstimatorConfig,
 from .fields import (CoefficientVector, FieldSpec, FiniteDimField,
                      FourierBasis, PiecewiseConstantField, QuadratureError,
                      SawtoothField, SobolevField, StepBasis, field_from_json,
-                     m_term_approximation, m_term_error,
-                     make_basis, make_bv_field, make_finite_dim_field,
+                     m_term_error, make_basis, make_bv_field, make_finite_dim_field,
                      make_sobolev_field, true_coefficients, zero_field)
 from .harness import (ConfigValidationError, ExperimentConfig,
                       ExperimentOutcome, SuiteResult, load_experiment_config,

@@ -22,8 +22,7 @@ from .estimator import (EstimatorConfig, ReconstructionCoefficients,
                         TruncationSchedule, estimate_coefficients,
                         weighted_basis_sums)
 from .fields import (Basis, CoefficientVector, FieldSpec, FourierBasis,
-                     StepBasis, m_term_error, make_bv_field, synthesize,
-                     true_coefficients)
+                     m_term_error, make_bv_field, synthesize, true_coefficients)
 from .sensing import Deployment, Noise, simulate_batch, trial_seed
 
 # ---------------------------------------------------------------------------
@@ -34,9 +33,15 @@ _PROBE_DELTAS = (1e-3, 1e-6, 1e-9)
 
 
 def _plain_quad(fn, lo: float, hi: float) -> float:
+    """Integral of fn over [lo, hi]; +inf when quad samples a point where
+    the density in fn vanishes (a tabulated density is linear between its
+    nodes, so a zero there makes 1/p_X unintegrable)."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IntegrationWarning)
-        val, _ = quad(fn, lo, hi, epsabs=1e-10, epsrel=1e-10, limit=600)
+        try:
+            val, _ = quad(fn, lo, hi, epsabs=1e-10, epsrel=1e-10, limit=600)
+        except ZeroDivisionError:
+            return math.inf
     return val
 
 
@@ -53,12 +58,9 @@ def _integral_with_probe(fn, lo: float, hi: float, probe: bool) -> float:
     probes = [_plain_quad(fn, lo + d * span, hi - d * span) for d in _PROBE_DELTAS]
     inc1 = probes[1] - probes[0]
     inc2 = probes[2] - probes[1]
-    if probes[2] > 1e9 or (inc2 > 1e-9 and inc2 >= 0.5 * inc1):
+    if max(probes) > 1e9 or (inc2 > 1e-9 and inc2 >= 0.5 * inc1):
         return math.inf
-    try:
-        return _plain_quad(fn, lo, hi)
-    except Exception:
-        return probes[2]
+    return _plain_quad(fn, lo, hi)
 
 
 @lru_cache(maxsize=256)
@@ -72,14 +74,11 @@ def basis_deployment_integral(basis: Basis, deploy: Deployment, j: int) -> float
     if basis.constant_modulus:
         # |phi_j| == 1 for every j, so one cached integral serves all of them
         return _inverse_density_integral(deploy)
-    if isinstance(basis, StepBasis):
-        lo, hi = j / basis.cells, (j + 1) / basis.cells
-        dens = basis.cells
-        return _integral_with_probe(lambda x: dens / float(deploy.pdf(x)),
-                                    lo, hi, probe=deploy.infimum <= 0.0)
-    return _integral_with_probe(
-        lambda x: float(np.abs(basis.eval(j, x)) ** 2) / float(deploy.pdf(x)),
-        0.0, 1.0, probe=deploy.infimum <= 0.0)
+    # step basis: |phi_j|^2 is `cells` on cell j and 0 elsewhere
+    lo, hi = j / basis.cells, (j + 1) / basis.cells
+    dens = basis.cells
+    return _integral_with_probe(lambda x: dens / float(deploy.pdf(x)),
+                                lo, hi, probe=deploy.infimum <= 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -438,19 +437,19 @@ def validate_as_schedule(psi: float, gamma: float, basis: Basis,
         if basis.size is not None:
             m_grid = tuple(m for m in m_grid if m <= basis.size) or (basis.size,)
             m_max = max(m_grid)
-        block = basis.block(m_max, xg)
+        phi = np.column_stack([basis.eval(j, xg) for j in range(m_max)])
         inv_p = 1.0 / np.asarray(deploy.pdf(xg), dtype=float)
 
         kernel_ratio = 0.0
         for m in m_grid:
-            kernel = np.abs(block[:, :m] @ block[:, :m].conj().T) * inv_p[None, :]
+            kernel = np.abs(phi[:, :m] @ phi[:, :m].conj().T) * inv_p[None, :]
             kernel_ratio = max(kernel_ratio, float(kernel.max()) / (c1 * m))
 
         projection_ratio = 0.0
         for f in menu:
             coeffs = true_coefficients(f, basis, m_max).values
             for m in m_grid:
-                fm = np.abs(block[:, :m] @ coeffs[:m])
+                fm = np.abs(phi[:, :m] @ coeffs[:m])
                 projection_ratio = max(projection_ratio, float(fm.max()) / (c2 * m))
 
     return ScheduleValidation(psi=psi, gamma=gamma, gamma_in_range=gamma_ok,

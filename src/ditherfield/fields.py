@@ -8,6 +8,7 @@ truncation error can be evaluated through Parseval instead of quadrature.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Callable, ClassVar, Sequence
@@ -63,29 +64,6 @@ class FourierBasis:
         x = np.asarray(x, dtype=float)
         return np.exp(2j * np.pi * self.frequency(j) * x)
 
-    def block(self, count: int, x) -> np.ndarray:
-        """Matrix [phi_j(x_i)] of shape (len(x), count).
-
-        Columns come from cumulative in-place multiplication of
-        exp(+-2*pi*i*x) — one complex multiply per entry instead of one
-        exp; the unit-modulus rounding drift is ~count*eps, irrelevant
-        below 1e4 columns. Column-major layout keeps the writes contiguous.
-        """
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.empty((x.shape[0], count), dtype=np.complex128, order="F")
-        if count == 0:
-            return out
-        out[:, 0] = 1.0
-        if count == 1:
-            return out
-        pos = np.exp(2j * np.pi * x)
-        out[:, 1] = np.conj(pos)
-        if count > 2:
-            out[:, 2] = pos
-        for j in range(3, count):
-            np.multiply(out[:, j - 2], out[:, 2 - (j % 2)], out=out[:, j])
-        return out
-
     def weighted_conj_sums(self, count: int, x: np.ndarray,
                            w: np.ndarray) -> np.ndarray:
         """sum_i w_i * conj(phi_j(x_i)) for j < count, from one type-1 sum
@@ -140,16 +118,6 @@ class StepBasis:
             raise IndexError(f"step basis has {self.cells} functions, got j={j}")
         x = np.asarray(x, dtype=float)
         return np.where(self._cell_index(x) == j, self.bound, 0.0).astype(np.complex128)
-
-    def block(self, count: int, x) -> np.ndarray:
-        if count > self.cells:
-            raise IndexError(f"step basis has {self.cells} functions, got count={count}")
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.zeros((x.shape[0], count), dtype=np.complex128)
-        idx = self._cell_index(x)
-        hit = idx < count
-        out[np.nonzero(hit)[0], idx[hit]] = self.bound
-        return out
 
     def weighted_conj_sums(self, count: int, x: np.ndarray,
                            w: np.ndarray) -> np.ndarray:
@@ -227,49 +195,35 @@ class FieldSpec:
 
 
 def synthesize(basis: Basis, values: np.ndarray, x) -> np.ndarray:
-    """sum_j values[j] * phi_j(x), chunked over x to cap block memory."""
+    """sum_j values[j] * phi_j(x), shaped like x (a scalar for a scalar x).
+
+    Step basis: one table lookup per point. Fourier basis: with P_k and N_k
+    the coefficients of frequencies +k and -k, the sum is  S(A) + i S(B)
+    for the halves A = (P + conj N) / 2 and B = (P - conj N) / 2i, where
+    S(A) = Re v_0 + 2 Re sum_k A_k e^{2 pi i k x} is one `spectral.series`
+    call (and S(B) likewise, with Im v_0).
+    """
     values = np.asarray(values, dtype=np.complex128)
     x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    flat = np.atleast_1d(x).ravel()
-    out = np.empty(flat.shape, dtype=np.complex128)
-    if len(values) == 0:
-        out[:] = 0.0
-    else:
-        chunk = max(1, (1 << 21) // len(values))
-        for lo in range(0, flat.size, chunk):
-            seg = flat[lo:lo + chunk]
-            out[lo:lo + seg.size] = basis.block(len(values), seg) @ values
-    res = out.reshape(np.atleast_1d(x).shape)
-    return res[0] if scalar else res
-
-
-def _conjugate_symmetric(values: np.ndarray) -> bool:
-    if abs(values[0].imag) > 1e-13:
-        return False
-    odd = values[1::2]
-    even = values[2::2]
-    k = min(len(odd), len(even))
-    if k and not np.allclose(np.conj(odd[:k]), even[:k], rtol=0.0, atol=1e-13):
-        return False
-    # an unpaired trailing negative-frequency coefficient must vanish
-    return len(odd) <= k or abs(odd[k]) <= 1e-13
-
-
-def _real_synthesis(basis: Basis, values: np.ndarray, symmetric: bool, x) -> np.ndarray:
-    """Real part of sum_j values[j] phi_j(x). `symmetric` says the basis is
-    Fourier and the values conjugate-symmetric, so the positive-frequency
-    half gives the whole (real) sum."""
-    x_arr = np.asarray(x, dtype=float)
-    if symmetric:
-        res = series(values[0].real, values[2::2], x_arr)
-        return res[()] if x_arr.ndim == 0 else res
-    return np.real(synthesize(basis, values, x_arr))
+    if isinstance(basis, StepBasis):
+        if len(values) > basis.cells:
+            raise IndexError(f"step basis has {basis.cells} functions, got {len(values)}")
+        table = np.zeros(basis.cells, dtype=np.complex128)
+        table[:len(values)] = basis.bound * values
+        return table[basis._cell_index(x)][()]
+    # v_0, then (N_k, P_k) for k = 1..K, zero-padded to 2K + 1 entries
+    v = np.zeros(len(values) // 2 * 2 + 1, dtype=np.complex128)
+    v[:len(values)] = values
+    pos, neg = v[2::2], np.conj(v[1::2])
+    return (series(v[0].real, (pos + neg) / 2, x)
+            + 1j * series(v[0].imag, (pos - neg) / 2j, x))[()]
 
 
 @dataclass(frozen=True, eq=False)
 class FiniteDimField(FieldSpec):
-    """Exact k-term combination of the leading basis functions."""
+    """Exact k-term combination of the leading basis functions, real by
+    construction: Fourier coefficients come in conjugate pairs, step-basis
+    ones are real."""
 
     basis: Basis
     values: np.ndarray
@@ -287,11 +241,27 @@ class FiniteDimField(FieldSpec):
         vals = np.asarray(self.values, dtype=np.complex128)
         if vals.ndim != 1 or len(vals) < 1:
             raise ValueError("need at least one coefficient")
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("coefficients must be finite")
         if self.amplitude_bound <= 0:
             raise ValueError("amplitude bound must be positive")
+        if isinstance(self.basis, FourierBasis):
+            if abs(vals[0].imag) > 1e-12:
+                raise ValueError("coefficient of the constant function must be real")
+            # odd j pairs with j + 1, so the synthesis is real; an unpaired
+            # trailing odd j pairs with 0
+            mates = np.zeros(len(vals) // 2, dtype=np.complex128)
+            mates[:(len(vals) - 1) // 2] = vals[2::2]
+            broken = np.abs(np.conj(vals[1::2]) - mates) > 1e-12
+            if broken.any():
+                j = 2 * int(np.argmax(broken)) + 1
+                raise ValueError(f"coefficients {j} and {j + 1} are not conjugate partners")
+        else:
+            if np.max(np.abs(vals.imag)) > 1e-12:
+                raise ValueError("step-basis coefficients must be real")
+            if len(vals) > self.basis.cells:
+                raise ValueError("more coefficients than basis functions")
         object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "_symmetric", isinstance(self.basis, FourierBasis)
-                           and _conjugate_symmetric(vals))
 
     @property
     def k(self) -> int:
@@ -302,7 +272,10 @@ class FiniteDimField(FieldSpec):
         return float(np.sum(np.abs(self.values) ** 2))
 
     def eval(self, x) -> np.ndarray:
-        return _real_synthesis(self.basis, self.values, self._symmetric, x)
+        if isinstance(self.basis, StepBasis):
+            return np.real(synthesize(self.basis, self.values, x))
+        # conjugate pairs: the positive-frequency half gives the whole sum
+        return series(self.values[0].real, self.values[2::2], x)[()]
 
     def fourier_coefficients(self, freqs: np.ndarray) -> np.ndarray | None:
         if not isinstance(self.basis, FourierBasis):
@@ -415,34 +388,20 @@ class PiecewiseConstantField(FieldSpec):
 
 
 @dataclass(frozen=True, eq=False)
-class SobolevField(FieldSpec):
-    """Real field with power-law Fourier decay, synthesized by `make_sobolev_field`."""
+class SobolevField(FiniteDimField):
+    """Fourier-basis field with power-law coefficient decay, synthesized by
+    `make_sobolev_field`."""
 
     s: float
     seed: int
-    amplitude_bound: float
-    values: np.ndarray  # coefficients in the interleaved index order
+    basis: Basis = dataclasses.field(default=FourierBasis(), init=False)
 
     kind: ClassVar[str] = "sobolev"
-    jump_points: ClassVar[tuple[float, ...]] = ()
 
     def __post_init__(self):
         if self.s <= 0.5:
             raise ValueError("smoothness order must exceed 1/2")
-        vals = np.asarray(self.values, dtype=np.complex128)
-        object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "_symmetric", _conjugate_symmetric(vals))
-
-    @property
-    def norm_sq(self) -> float:
-        return float(np.sum(np.abs(self.values) ** 2))
-
-    def eval(self, x) -> np.ndarray:
-        return _real_synthesis(FourierBasis(), self.values, self._symmetric, x)
-
-    def fourier_coefficients(self, freqs: np.ndarray) -> np.ndarray:
-        by_freq = {FourierBasis.frequency(j): v for j, v in enumerate(self.values)}
-        return np.array([by_freq.get(int(w), 0.0) for w in freqs], dtype=np.complex128)
+        super().__post_init__()
 
     def to_json(self) -> dict:
         return {"class": "sobolev", "s": self.s, "seed": self.seed,
@@ -478,26 +437,9 @@ def _check_tail_residual(field: FieldSpec) -> None:
 
 def make_finite_dim_field(basis: Basis, coefficients: Sequence[complex],
                           amplitude_bound: float) -> FiniteDimField:
-    """Validated finite-dimensional field.
-
-    For the Fourier basis the coefficients must be conjugate-symmetric
-    across (odd j, j+1) pairs so the synthesis is real-valued.
-    """
-    vals = np.asarray(coefficients, dtype=np.complex128)
-    if isinstance(basis, FourierBasis):
-        if abs(vals[0].imag) > 1e-12:
-            raise ValueError("coefficient of the constant function must be real")
-        for j in range(1, len(vals), 2):
-            mate = vals[j + 1] if j + 1 < len(vals) else 0.0
-            if abs(np.conj(vals[j]) - mate) > 1e-12:
-                raise ValueError(
-                    f"coefficients {j} and {j + 1} are not conjugate partners")
-    else:
-        if np.max(np.abs(vals.imag)) > 1e-12:
-            raise ValueError("step-basis coefficients must be real")
-        if len(vals) > basis.cells:
-            raise ValueError("more coefficients than basis functions")
-    field = FiniteDimField(basis=basis, values=vals, amplitude_bound=amplitude_bound)
+    """A `FiniteDimField` whose synthesis stays within its amplitude bound."""
+    field = FiniteDimField(basis=basis, values=coefficients,
+                           amplitude_bound=amplitude_bound)
     _check_amplitude(field, grid_size=20_001)
     return field
 
@@ -616,17 +558,6 @@ def true_coefficients(field: FieldSpec, basis: Basis, count: int) -> Coefficient
                            points=pts)
              for j in range(count)], dtype=np.complex128)
     return CoefficientVector(values=values, basis_kind=basis.kind)
-
-
-def m_term_approximation(coeffs: CoefficientVector, basis: Basis, m: int, x):
-    """Partial synthesis sum_{j<m} alpha_j phi_j(x); m = 0 gives 0."""
-    if m < 0 or m > len(coeffs):
-        raise ValueError(f"m must be in [0, {len(coeffs)}]")
-    x_arr = np.asarray(x, dtype=float)
-    if m == 0:
-        out = np.zeros(np.atleast_1d(x_arr).shape, dtype=np.complex128)
-        return out[0] if x_arr.ndim == 0 else out
-    return synthesize(basis, coeffs.values[:m], x_arr)
 
 
 def m_term_error(coeffs: CoefficientVector, field: FieldSpec, m: int) -> float:

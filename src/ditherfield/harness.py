@@ -401,6 +401,8 @@ def run_lemma_battery(n: int = 1000, trials: int = 10_000, j_count: int = 8,
     """Across-trials mean and variance of the coefficient estimates versus
     their exact values and variance bounds, over the shipped field /
     deployment / noise menu."""
+    if trials < 2:
+        raise ValueError("need at least two trials per cell")
     from .sensing import (AffineFloorDeployment, TwoPointNoise,
                           UniformDeployment, UniformSymNoise, ZeroNoise)
 

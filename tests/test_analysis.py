@@ -6,14 +6,14 @@ from scipy.integrate import quad
 
 from ditherfield import (AffineFloorDeployment, EstimatorConfig, FourierBasis,
                          Linear2xDeployment, ReconstructionCoefficients,
-                         TruncationSchedule, UniformDeployment,
-                         UniformSymNoise, ZeroNoise, as_error_trace,
-                         basis_deployment_integral, check_consistency_conditions,
-                         estimate_coefficients, integrated_squared_error,
-                         make_finite_dim_field, make_sobolev_field,
-                         monte_carlo_mse, mse_upper_bound, rate_fit,
-                         simulate_batch, trial_seed, true_coefficients,
-                         validate_as_schedule, zero_field)
+                         TabulatedDeployment, TruncationSchedule,
+                         UniformDeployment, UniformSymNoise, ZeroNoise,
+                         as_error_trace, basis_deployment_integral,
+                         check_consistency_conditions, estimate_coefficients,
+                         integrated_squared_error, make_finite_dim_field,
+                         make_sobolev_field, monte_carlo_mse, mse_upper_bound,
+                         rate_fit, simulate_batch, trial_seed,
+                         true_coefficients, validate_as_schedule, zero_field)
 from ditherfield.analysis import TrialCell, map_trials
 from ditherfield.fields import synthesize
 
@@ -61,6 +61,15 @@ def test_step_basis_integral_picks_up_its_cell(step64):
     expected = 64 * (np.log(hi) - np.log(lo)) / 2.0
     assert value == pytest.approx(expected, rel=1e-9)
     assert math.isinf(basis_deployment_integral(step64, deploy, 0))
+
+
+@pytest.mark.parametrize("pdf_values", [[1, 0, 1], [0, 0, 1, 1], [1, 0, 0, 1]])
+def test_tabulated_density_with_a_zero_diverges(fourier, step64, pdf_values):
+    # quad samples points where p_X is exactly 0; 1/p_X is unintegrable there
+    deploy = TabulatedDeployment(np.asarray(pdf_values, dtype=float))
+    assert math.isinf(basis_deployment_integral(fourier, deploy, 0))
+    zero_cell = 10 if pdf_values == [0, 0, 1, 1] else 32
+    assert math.isinf(basis_deployment_integral(step64, deploy, zero_cell))
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from ditherfield import (FieldSpec, FourierBasis, StepBasis,
-                         field_from_json, m_term_approximation,
+from ditherfield import (FieldSpec, FiniteDimField, FourierBasis,
+                         SobolevField, StepBasis, field_from_json,
                          m_term_error, make_bv_field, make_finite_dim_field,
                          make_sobolev_field, true_coefficients, zero_field)
-from ditherfield.fields import J_TAIL
+from ditherfield.fields import J_TAIL, synthesize
 
 from conftest import SHIPPED_K5_COEFFS, midpoint_grid
 
@@ -36,7 +36,7 @@ def test_fourier_indexing_matches_the_interleaved_convention(fourier):
 def test_orthonormality_up_to_64(basis_name):
     basis = FourierBasis() if basis_name == "fourier" else StepBasis(cells=128)
     xg = midpoint_grid()
-    block = basis.block(65, xg)
+    block = np.column_stack([basis.eval(j, xg) for j in range(65)])
     gram = block.conj().T @ block / len(xg)
     assert np.max(np.abs(gram - np.eye(65))) < 1e-8
 
@@ -51,12 +51,16 @@ def test_uniform_amplitude_bounds(fourier, step64):
     assert step64.bound == pytest.approx(8.0)
 
 
-def test_block_matches_scalar_eval(fourier, step64):
+def test_unit_vector_synthesis_matches_scalar_eval(fourier, step64):
     x = np.linspace(0.0, 1.0, 101)
     for basis, count in ((fourier, 12), (step64, 10)):
-        block = basis.block(count, x)
         for j in range(count):
-            assert np.allclose(block[:, j], basis.eval(j, x), atol=1e-12)
+            unit = np.zeros(count)
+            unit[j] = 1.0
+            assert np.allclose(synthesize(basis, unit, x), basis.eval(j, x),
+                               rtol=0.0, atol=1e-12)
+            assert synthesize(basis, unit, 0.3) == pytest.approx(
+                complex(basis.eval(j, 0.3)), abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -148,14 +152,14 @@ def test_conjugate_pairing_for_real_fields(fourier, shipped_fields):
 def test_m_zero_is_the_empty_sum(fourier, sawtooth):
     cv = true_coefficients(sawtooth, fourier, 8)
     x = np.linspace(0.0, 1.0, 11)
-    assert np.array_equal(m_term_approximation(cv, fourier, 0, x),
+    assert np.array_equal(synthesize(fourier, cv.values[:0], x),
                           np.zeros(11, dtype=complex))
 
 
 def test_finite_dim_truncation_is_exact_at_k(fourier, finite_dim_k5):
     cv = true_coefficients(finite_dim_k5, fourier, 5)
     x = np.linspace(0.0, 1.0, 2001)
-    approx = m_term_approximation(cv, fourier, 5, x)
+    approx = synthesize(fourier, cv.values[:5], x)
     assert np.max(np.abs(approx - finite_dim_k5.eval(x))) < 1e-10
     assert m_term_error(cv, finite_dim_k5, 5) == 0.0
 
@@ -163,8 +167,8 @@ def test_finite_dim_truncation_is_exact_at_k(fourier, finite_dim_k5):
 def test_approximation_improves_with_m(fourier, sawtooth):
     cv = true_coefficients(sawtooth, fourier, 64)
     x = 0.25
-    err2 = abs(m_term_approximation(cv, fourier, 2, x) - sawtooth.eval(x))
-    err64 = abs(m_term_approximation(cv, fourier, 64, x) - sawtooth.eval(x))
+    err2 = abs(synthesize(fourier, cv.values[:2], x) - sawtooth.eval(x))
+    err64 = abs(synthesize(fourier, cv.values[:64], x) - sawtooth.eval(x))
     assert err64 < err2
 
 
@@ -222,8 +226,8 @@ def test_sobolev_field_is_deterministic_and_real():
     f2 = make_sobolev_field(1.5, seed=11)
     assert np.array_equal(f1.values, f2.values)
     x = np.linspace(0.0, 1.0, 4096)
-    full = np.sum(f1.values[None, :] * FourierBasis().block(len(f1.values), x),
-                  axis=1)
+    freqs = [FourierBasis.frequency(j) for j in range(len(f1.values))]
+    full = np.exp(2j * np.pi * np.outer(x, freqs)) @ f1.values
     assert np.max(np.abs(full.imag)) < 1e-12
 
 
@@ -235,6 +239,34 @@ def test_sobolev_rejects_low_smoothness():
 def test_finite_dim_rejects_broken_conjugate_pairs(fourier):
     with pytest.raises(ValueError):
         make_finite_dim_field(fourier, [0.1, 0.2 + 0.1j, 0.5], amplitude_bound=1.0)
+
+
+@pytest.mark.parametrize("values", [[0.0, 1.0, 0.0],           # phi_1 without its partner
+                                    [0.1j, 0.5, 0.5],           # complex constant
+                                    [0.0, 0.5, 0.5, 0.25],      # unpaired trailing term
+                                    [np.nan, 0.5, 0.5]])        # not finite
+def test_directly_built_fields_reject_broken_pairs(fourier, values):
+    with pytest.raises(ValueError):
+        FiniteDimField(fourier, values, 1.0)
+    with pytest.raises(ValueError):
+        SobolevField(s=1.0, seed=0, amplitude_bound=1.0, values=values)
+
+
+def test_step_field_rejects_complex_or_surplus_coefficients():
+    with pytest.raises(ValueError, match="real"):
+        FiniteDimField(StepBasis(cells=4), [0.5, 0.5j], 1.0)
+    with pytest.raises(ValueError, match="more coefficients"):
+        FiniteDimField(StepBasis(cells=4), np.ones(5), 1.0)
+
+
+def test_sobolev_field_is_a_fourier_finite_dim_field():
+    field = make_sobolev_field(1.0, seed=7, n_freqs=32)
+    assert isinstance(field, FiniteDimField) and field.kind == "sobolev"
+    assert field.basis == FourierBasis()
+    assert "eval" not in vars(SobolevField)
+    x = np.linspace(0.0, 1.0, 257)
+    assert np.allclose(field.eval(x), synthesize(FourierBasis(), field.values, x).real,
+                       rtol=0.0, atol=1e-12)
 
 
 def test_finite_dim_rejects_amplitude_violation(fourier):

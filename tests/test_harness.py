@@ -169,6 +169,12 @@ def test_lemma_battery_smoke():
     assert len(cells) == 18
 
 
+def test_lemma_battery_needs_two_trials():
+    # one trial has no sample variance (it divided by zero into NaN rows)
+    with pytest.raises(ValueError, match="two trials"):
+        run_lemma_battery(n=100, trials=1, j_count=2)
+
+
 def test_lemma_battery_rows_do_not_depend_on_the_worker_count():
     serial = run_lemma_battery(n=500, trials=200, j_count=4, workers=1)
     parallel = run_lemma_battery(n=500, trials=200, j_count=4, workers=2)
@@ -225,3 +231,25 @@ def test_cli_trace_rejects_a_non_power_schedule(tmp_path, schedule):
     assert "power schedule" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("pdf_values", [[1, 0, 1], [0, 0, 1, 1], [1, 0, 0, 1]])
+@pytest.mark.parametrize("basis", ["fourier", {"kind": "step", "cells": 64}],
+                         ids=["fourier", "step64"])
+def test_cli_rejects_a_tabulated_density_with_a_zero(tmp_path, pdf_values, basis):
+    """A density that vanishes where quad samples it makes the variance
+    integral infinite: `run` reports FAILED-PRECONDITION and
+    `check-conditions` fails, both without a traceback."""
+    doc = dict(MINI_CONFIG, basis=basis,
+               deployment={"kind": "tabulated", "pdf_values": pdf_values})
+    config_path = tmp_path / "mini.json"
+    config_path.write_text(json.dumps(doc))
+    for command, expected in ((["run", "--out", str(tmp_path / "out")],
+                               "mini: FAILED-PRECONDITION"),
+                              (["check-conditions"], "overall: FAIL")):
+        proc = subprocess.run(
+            [sys.executable, "-m", "ditherfield.cli", command[0], str(config_path)]
+            + command[1:], capture_output=True, text=True)
+        assert proc.returncode == 1, proc.stderr
+        assert expected in proc.stdout
+        assert "Traceback" not in proc.stderr

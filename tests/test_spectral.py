@@ -14,7 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ditherfield import spectral
+from ditherfield import FourierBasis, StepBasis, spectral
+from ditherfield.fields import synthesize
 
 RTOL = 1e-10
 # small K, which the cost model keeps direct at every n, and large K,
@@ -57,6 +58,15 @@ def _exp_series(a0, pos, x) -> np.ndarray:
     for lo in range(0, len(x), 2048):
         terms = np.exp(2j * np.pi * np.outer(x[lo:lo + 2048], k)) @ pos
         out[lo:lo + 2048] = a0 + 2.0 * terms.real
+    return out
+
+
+def _exp_synthesis(values, x) -> np.ndarray:
+    """sum_j values_j phi_j(x) over interleaved frequencies, one exponential per term."""
+    freqs = [FourierBasis.frequency(j) for j in range(len(values))]
+    out = np.empty(len(x), dtype=np.complex128)
+    for lo in range(0, len(x), 2048):
+        out[lo:lo + 2048] = np.exp(2j * np.pi * np.outer(x[lo:lo + 2048], freqs)) @ values
     return out
 
 
@@ -179,3 +189,26 @@ def test_public_functions_match_exponential_sums(n, K):
     pos = (rng.standard_normal(K) + 1j * rng.standard_normal(K)) / np.arange(1, K + 1) ** 1.5
     assert _rel_err(spectral.conj_sums(x, w, K), _exp_sums(x, w, K)) <= RTOL
     assert _rel_err(spectral.series(0.3, pos, x), _exp_series(0.3, pos, x)) <= RTOL
+    # complex coefficients, no conjugate pairs; odd and even lengths on both
+    # sides of the series crossover at K = 54
+    xs = x[:4096]
+    for length in (9, 10, 257, 258):
+        values = rng.standard_normal(length) + 1j * rng.standard_normal(length)
+        assert _rel_err(synthesize(FourierBasis(), values, xs),
+                        _exp_synthesis(values, xs)) <= RTOL
+
+
+@given(n=st.integers(1, 3000), m=st.integers(1, 300), seed=st.integers(0, 2 ** 32 - 1),
+       step=st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_synthesis_is_the_adjoint_of_the_weighted_sums(n, m, seed, step):
+    """sum_i w_i f_v(x_i) = sum_j v_j conj(sum_i w_i conj(phi_j(x_i))) for real w:
+    the synthesis and analysis kernels are one pair."""
+    basis = StepBasis(cells=m) if step else FourierBasis()
+    rng = np.random.default_rng(seed)
+    x = _points(n, m // 2, seed, 4)
+    w = rng.uniform(-1.0, 1.0, n)
+    v = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    lhs = np.sum(w * synthesize(basis, v, x))
+    rhs = np.sum(v * np.conj(basis.weighted_conj_sums(m, x, w)))
+    assert abs(lhs - rhs) <= 1e-10 * np.sum(np.abs(w)) * np.sum(np.abs(v))
