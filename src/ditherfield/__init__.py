@@ -12,9 +12,9 @@ from .estimator import (EstimationError, EstimatorConfig,
                         ReconstructionCoefficients, TruncationSchedule,
                         estimate_coefficients, reconstruct)
 from .fields import (CoefficientVector, FieldSpec, FiniteDimField,
-                     FourierBasis, PiecewiseConstantField, QuadratureError,
-                     SawtoothField, SobolevField, StepBasis, field_from_json,
-                     m_term_error, make_basis, make_bv_field, make_finite_dim_field,
+                     FourierBasis, PiecewiseConstantField, SawtoothField,
+                     SobolevField, StepBasis, field_from_json, m_term_error,
+                     make_basis, make_bv_field, make_finite_dim_field,
                      make_sobolev_field, true_coefficients, zero_field)
 from .harness import (ConfigValidationError, ExperimentConfig,
                       ExperimentOutcome, SuiteResult, load_experiment_config,

@@ -8,15 +8,12 @@ orthonormality), so the Monte-Carlo loops never need quadrature.
 from __future__ import annotations
 
 import math
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
 
 from .estimator import (EstimatorConfig, ReconstructionCoefficients,
                         TruncationSchedule, estimate_coefficients,
@@ -26,59 +23,15 @@ from .fields import (Basis, CoefficientVector, FieldSpec, FourierBasis,
 from .sensing import Deployment, Noise, simulate_batch, trial_seed
 
 # ---------------------------------------------------------------------------
-# deployment-weighted basis integrals, with endpoint-divergence detection
+# deployment-weighted basis integrals
 # ---------------------------------------------------------------------------
 
-_PROBE_DELTAS = (1e-3, 1e-6, 1e-9)
-
-
-def _plain_quad(fn, lo: float, hi: float) -> float:
-    """Integral of fn over [lo, hi]; +inf when quad samples a point where
-    the density in fn vanishes (a tabulated density is linear between its
-    nodes, so a zero there makes 1/p_X unintegrable)."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        try:
-            val, _ = quad(fn, lo, hi, epsabs=1e-10, epsrel=1e-10, limit=600)
-        except ZeroDivisionError:
-            return math.inf
-    return val
-
-
-def _integral_with_probe(fn, lo: float, hi: float, probe: bool) -> float:
-    """Integral of fn over [lo, hi]; +inf when the shrinking-margin probe
-    shows non-collapsing growth toward an endpoint.
-
-    Finite endpoint singularities (x^-1/2 style) produce probe increments
-    that collapse geometrically; log and power divergences do not.
-    """
-    if not probe:
-        return _plain_quad(fn, lo, hi)
-    span = hi - lo
-    probes = [_plain_quad(fn, lo + d * span, hi - d * span) for d in _PROBE_DELTAS]
-    inc1 = probes[1] - probes[0]
-    inc2 = probes[2] - probes[1]
-    if max(probes) > 1e9 or (inc2 > 1e-9 and inc2 >= 0.5 * inc1):
-        return math.inf
-    return _plain_quad(fn, lo, hi)
-
-
-@lru_cache(maxsize=256)
-def _inverse_density_integral(deploy: Deployment) -> float:
-    return _integral_with_probe(lambda x: 1.0 / float(deploy.pdf(x)),
-                                0.0, 1.0, probe=deploy.infimum <= 0.0)
-
-
 def basis_deployment_integral(basis: Basis, deploy: Deployment, j: int) -> float:
-    """Integral of |phi_j|^2 / p_X over [0,1]; +inf flags divergence."""
+    """Integral of |phi_j|^2 / p_X over [0,1], in closed form; +inf flags divergence."""
     if basis.constant_modulus:
-        # |phi_j| == 1 for every j, so one cached integral serves all of them
-        return _inverse_density_integral(deploy)
+        return deploy.inverse_integral(0.0, 1.0)
     # step basis: |phi_j|^2 is `cells` on cell j and 0 elsewhere
-    lo, hi = j / basis.cells, (j + 1) / basis.cells
-    dens = basis.cells
-    return _integral_with_probe(lambda x: dens / float(deploy.pdf(x)),
-                                lo, hi, probe=deploy.infimum <= 0.0)
+    return basis.cells * deploy.inverse_integral(j / basis.cells, (j + 1) / basis.cells)
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +300,9 @@ def rate_fit(n_grid: Sequence[int], mse_values: Sequence[float]) -> RateFitResul
 # almost-sure-convergence machinery: schedule validation and path traces
 # ---------------------------------------------------------------------------
 
-_DEFAULT_M_GRID = tuple(2 ** k for k in range(1, 9))  # 2, 4, ..., 256
+# truncation points (2, 4, ..., 256) and grid of the kernel / projection checks
+SCHEDULE_M_GRID = tuple(2 ** k for k in range(1, 9))
+SCHEDULE_GRID_POINTS = 193
 
 
 @dataclass(frozen=True)
@@ -409,9 +364,7 @@ def _shipped_field_menu() -> list[FieldSpec]:
 
 def validate_as_schedule(psi: float, gamma: float, basis: Basis,
                          deploy: Deployment, amplitude: float | None = None,
-                         fields: Sequence[FieldSpec] | None = None,
-                         m_grid: Sequence[int] = _DEFAULT_M_GRID,
-                         grid_points: int = 193) -> ScheduleValidation:
+                         fields: Sequence[FieldSpec] | None = None) -> ScheduleValidation:
     """Validate (m(n) = n^psi, envelope m^(gamma/2)) for pathwise convergence,
     and numerically exercise the bounded-basis kernel/projection bounds
     with envelope m and constants beta^2/nu and a*beta."""
@@ -431,12 +384,11 @@ def validate_as_schedule(psi: float, gamma: float, basis: Basis,
         c1 = beta * beta / nu
         c2 = a * beta  # * sqrt(vol([0,1])) == 1
 
-        xg = np.linspace(0.0, 1.0, grid_points)
-        m_grid = tuple(int(m) for m in m_grid)
-        m_max = max(m_grid)
+        xg = np.linspace(0.0, 1.0, SCHEDULE_GRID_POINTS)
+        m_grid = SCHEDULE_M_GRID
         if basis.size is not None:
             m_grid = tuple(m for m in m_grid if m <= basis.size) or (basis.size,)
-            m_max = max(m_grid)
+        m_max = max(m_grid)
         phi = np.column_stack([basis.eval(j, xg) for j in range(m_max)])
         inv_p = 1.0 / np.asarray(deploy.pdf(xg), dtype=float)
 
@@ -460,6 +412,7 @@ def validate_as_schedule(psi: float, gamma: float, basis: Basis,
 
 
 JUMP_EXCLUSION_RADIUS = 0.02
+TRACE_GRID_POINTS = 513
 
 
 @dataclass(frozen=True, eq=False)
@@ -493,14 +446,13 @@ class ASTraceResult:
 
 def as_error_trace(field: FieldSpec, deploy: Deployment, noise: Noise,
                    psi: float, seed: int, n_checkpoints: Sequence[int],
-                   eval_grid: np.ndarray | None = None,
-                   basis: Basis | None = None,
-                   gamma: float | None = None,
                    schedule: TruncationSchedule | None = None) -> ASTraceResult:
     """Grow one sample path of sensors and record sup-norm errors at the
     checkpoints. A single realization: the asymptotic statement itself is
     not falsifiable by finite simulation, so callers should treat this as
-    a fixed-seed regression trace, not a proof.
+    a fixed-seed regression trace, not a proof. The trace runs on the
+    Fourier basis and validates the schedule with gamma = (1 + 1/psi) / 2,
+    the middle of the summability range (1, 1/psi).
 
     `schedule` overrides the default power-law truncation growth n^psi
     (a frozen schedule reduces the trace to scalar coefficient paths).
@@ -510,10 +462,9 @@ def as_error_trace(field: FieldSpec, deploy: Deployment, noise: Noise,
     checkpoints = tuple(int(n) for n in n_checkpoints)
     if any(b <= a for a, b in zip(checkpoints, checkpoints[1:])) or not checkpoints:
         raise ValueError("checkpoints must be strictly increasing and nonempty")
-    basis = basis if basis is not None else FourierBasis()
-    gamma = gamma if gamma is not None else 0.5 * (1.0 + 1.0 / psi)
-    grid = (np.asarray(eval_grid, dtype=float) if eval_grid is not None
-            else np.linspace(0.0, 1.0, 513))
+    basis = FourierBasis()
+    gamma = 0.5 * (1.0 + 1.0 / psi)
+    grid = np.linspace(0.0, 1.0, TRACE_GRID_POINTS)
 
     schedule = schedule if schedule is not None else TruncationSchedule.power(psi)
     m_values = tuple(schedule.resolve(n) for n in checkpoints)

@@ -1,9 +1,9 @@
 """Orthonormal bases on [0,1], concrete test fields, and series truncation error.
 
-Everything here is exact-by-construction where possible: the shipped field
-shapes carry closed-form inner products against the complex exponential
-system, so coefficient horizons of 10^4+ terms cost microseconds and the
-truncation error can be evaluated through Parseval instead of quadrature.
+Everything here is exact by construction: every field carries closed-form
+inner products against the complex exponential system and closed-form cell
+integrals, so coefficient horizons of 10^4+ terms cost microseconds and the
+truncation error is evaluated through Parseval, never by quadrature.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Callable, ClassVar, Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
 from .spectral import conj_sums, series
 
@@ -23,17 +22,9 @@ from .spectral import conj_sums, series
 # shape under TAIL_REL_TOL * ||f||^2 (the sawtooth is the binding case).
 J_TAIL = 16384
 TAIL_REL_TOL = 1e-4
-QUAD_ABS_TOL = 1e-10
+AMPLITUDE_CHECK_POINTS = 20_001  # grid of the finite-dim sup-norm check
 
 _TWO_PI = 2.0 * np.pi
-
-
-class QuadratureError(RuntimeError):
-    """Adaptive quadrature stopped short of the requested tolerance."""
-
-    def __init__(self, message: str, achieved_tol: float):
-        super().__init__(f"{message} (achieved tolerance {achieved_tol:.3e})")
-        self.achieved_tol = achieved_tol
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +102,8 @@ class StepBasis:
         return self.cells
 
     def _cell_index(self, x: np.ndarray) -> np.ndarray:
-        return np.minimum((x * self.cells).astype(np.int64), self.cells - 1)
+        """Cell of each point; x < 0 reads the first cell, x >= 1 the last."""
+        return np.clip((x * self.cells).astype(np.int64), 0, self.cells - 1)
 
     def eval(self, j: int, x) -> np.ndarray:
         if not 0 <= j < self.cells:
@@ -171,7 +163,8 @@ class FieldSpec:
 
     Subclasses provide `eval`, exact `norm_sq`, `amplitude_bound`, the
     locations of discontinuities (`jump_points`, including periodic-wrap
-    jumps at 0/1), and closed-form coefficient routes where they exist.
+    jumps at 0/1), and the closed-form integrals behind the true
+    coefficients: `fourier_coefficients` and `integral`.
     """
 
     kind: str = "abstract"
@@ -182,13 +175,13 @@ class FieldSpec:
     def eval(self, x) -> np.ndarray:
         raise NotImplementedError
 
-    def fourier_coefficients(self, freqs: np.ndarray) -> np.ndarray | None:
-        """<f, e^{2*pi*i*w*x}> for signed integer frequencies w, or None."""
-        return None
+    def fourier_coefficients(self, freqs: np.ndarray) -> np.ndarray:
+        """<f, e^{2*pi*i*w*x}> for signed integer frequencies w."""
+        raise NotImplementedError
 
-    def integral(self, lo: float, hi: float) -> float | None:
-        """Closed-form of the plain integral of f over [lo, hi], or None."""
-        return None
+    def integral(self, lo: float, hi: float) -> float:
+        """The plain integral of f over [lo, hi]."""
+        raise NotImplementedError
 
     def to_json(self) -> dict:
         raise NotImplementedError
@@ -277,11 +270,29 @@ class FiniteDimField(FieldSpec):
         # conjugate pairs: the positive-frequency half gives the whole sum
         return series(self.values[0].real, self.values[2::2], x)[()]
 
-    def fourier_coefficients(self, freqs: np.ndarray) -> np.ndarray | None:
-        if not isinstance(self.basis, FourierBasis):
-            return None
+    def _piecewise(self) -> PiecewiseConstantField:
+        """A step-basis field as levels bound * v_j on the basis cells."""
+        levels = np.zeros(self.basis.cells)
+        levels[:len(self.values)] = self.basis.bound * self.values.real
+        return PiecewiseConstantField(
+            edges=tuple(np.linspace(0.0, 1.0, self.basis.cells + 1)),
+            levels=tuple(levels))
+
+    def fourier_coefficients(self, freqs: np.ndarray) -> np.ndarray:
+        if isinstance(self.basis, StepBasis):
+            return self._piecewise().fourier_coefficients(freqs)
         by_freq = {FourierBasis.frequency(j): v for j, v in enumerate(self.values)}
         return np.array([by_freq.get(int(w), 0.0) for w in freqs], dtype=np.complex128)
+
+    def integral(self, lo: float, hi: float) -> float:
+        if isinstance(self.basis, StepBasis):
+            return self._piecewise().integral(lo, hi)
+        # a0 (hi - lo) + 2 Re sum_k pos_k (e^{2 pi i k hi} - e^{2 pi i k lo}) / (2 pi i k)
+        pos = self.values[2::2]
+        k = np.arange(1, len(pos) + 1)
+        rise = np.exp(2j * np.pi * k * hi) - np.exp(2j * np.pi * k * lo)
+        return float(self.values[0].real * (hi - lo)
+                     + 2.0 * np.sum(pos * rise / (2j * np.pi * k)).real)
 
     def to_json(self) -> dict:
         return {
@@ -413,8 +424,8 @@ class SobolevField(FiniteDimField):
 # constructors / factories
 # ---------------------------------------------------------------------------
 
-def _check_amplitude(field: FieldSpec, grid_size: int = 100_001) -> None:
-    x = np.linspace(0.0, 1.0, grid_size)
+def _check_amplitude(field: FieldSpec) -> None:
+    x = np.linspace(0.0, 1.0, AMPLITUDE_CHECK_POINTS)
     worst = float(np.max(np.abs(field.eval(x))))
     if worst > field.amplitude_bound * (1 + 1e-12):
         raise ValueError(
@@ -426,8 +437,6 @@ def _check_tail_residual(field: FieldSpec) -> None:
     """Reject fields whose energy is not captured by the J_TAIL horizon."""
     freqs = np.array([FourierBasis.frequency(j) for j in range(J_TAIL)])
     coeffs = field.fourier_coefficients(freqs)
-    if coeffs is None:
-        return
     residual = field.norm_sq - float(np.sum(np.abs(coeffs) ** 2))
     if residual > TAIL_REL_TOL * field.norm_sq:
         raise ValueError(
@@ -440,7 +449,7 @@ def make_finite_dim_field(basis: Basis, coefficients: Sequence[complex],
     """A `FiniteDimField` whose synthesis stays within its amplitude bound."""
     field = FiniteDimField(basis=basis, values=coefficients,
                            amplitude_bound=amplitude_bound)
-    _check_amplitude(field, grid_size=20_001)
+    _check_amplitude(field)
     return field
 
 
@@ -513,50 +522,21 @@ def make_sobolev_field(s: float, seed: int, amplitude_bound: float = 1.0,
 # operations
 # ---------------------------------------------------------------------------
 
-def _quad_complex(f, epsabs: float = QUAD_ABS_TOL,
-                  points: Sequence[float] | None = None) -> complex:
-    pts = None
-    if points:
-        pts = sorted({p for p in points if 0.0 < p < 1.0})
-        pts = pts or None
-    kw = dict(epsabs=epsabs, epsrel=0.0, limit=600, points=pts, full_output=1)
-    re = quad(lambda x: f(x).real, 0.0, 1.0, **kw)
-    im = quad(lambda x: f(x).imag, 0.0, 1.0, **kw)
-    for r in (re, im):
-        if len(r) > 3 or r[1] > 100 * epsabs:
-            raise QuadratureError("inner-product quadrature did not converge",
-                                  achieved_tol=max(re[1], im[1]))
-    return complex(re[0], im[0])
-
-
 def true_coefficients(field: FieldSpec, basis: Basis, count: int) -> CoefficientVector:
-    """<f, phi_j> for j < count: closed form where available, else quadrature."""
+    """<f, phi_j> for j < count, in closed form: the field's Fourier
+    coefficients, or its integral over cell j scaled by the step height."""
     if count < 1:
         raise ValueError("count must be >= 1")
     if basis.size is not None and count > basis.size:
         raise ValueError(f"basis has only {basis.size} functions")
-
-    values: np.ndarray | None = None
     if isinstance(basis, FourierBasis):
-        freqs = np.array([basis.frequency(j) for j in range(count)])
-        values = field.fourier_coefficients(freqs)
-    elif isinstance(basis, StepBasis):
+        values = field.fourier_coefficients(
+            np.array([basis.frequency(j) for j in range(count)]))
+    else:
         cell = 1.0 / basis.cells
-        ints = [field.integral(j * cell, (j + 1) * cell) for j in range(count)]
-        if all(v is not None for v in ints):
-            values = basis.bound * np.asarray(ints, dtype=np.complex128)
-        elif isinstance(field, FiniteDimField) and field.basis == basis:
-            values = np.zeros(count, dtype=np.complex128)
-            values[:len(field.values)] = field.values[:count]
-
-    if values is None:
-        pts = list(field.jump_points)
-        if isinstance(basis, StepBasis):
-            pts += [k / basis.cells for k in range(1, basis.cells)]
-        values = np.array(
-            [_quad_complex(lambda x, j=j: field.eval(x) * np.conj(basis.eval(j, x)),
-                           points=pts)
-             for j in range(count)], dtype=np.complex128)
+        values = basis.bound * np.array(
+            [field.integral(j * cell, (j + 1) * cell) for j in range(count)],
+            dtype=np.complex128)
     return CoefficientVector(values=values, basis_kind=basis.kind)
 
 

@@ -12,6 +12,7 @@ convergence experiments).
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -56,6 +57,9 @@ class UniformDeployment:
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return rng.random(n)
 
+    def inverse_integral(self, lo: float, hi: float) -> float:
+        return hi - lo
+
 
 @dataclass(frozen=True)
 class Linear2xDeployment:
@@ -73,6 +77,10 @@ class Linear2xDeployment:
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return np.sqrt(rng.random(n))
+
+    def inverse_integral(self, lo: float, hi: float) -> float:
+        """Integral of 1/p over [lo, hi]: (1/2) log(hi/lo), divergent from 0."""
+        return math.inf if lo <= 0.0 else 0.5 * math.log(hi / lo)
 
 
 @dataclass(frozen=True)
@@ -105,6 +113,16 @@ class AffineFloorDeployment:
         a = 1.0 - self.nu
         return (-self.nu + np.sqrt(self.nu * self.nu + 4.0 * a * u)) / (2.0 * a)
 
+    def inverse_integral(self, lo: float, hi: float) -> float:
+        """Integral of 1/p over [lo, hi]: log(p(hi)/p(lo)) / slope."""
+        slope = 2.0 * (1.0 - self.nu)
+        if slope == 0.0:
+            return (hi - lo) / self.nu
+        p_lo, rise = self.nu + slope * lo, slope * (hi - lo)
+        if rise / p_lo == math.inf:  # subnormal p(lo): log1p(r) is log(r) there
+            return (math.log(rise) - math.log(p_lo)) / slope
+        return math.log1p(rise / p_lo) / slope
+
 
 TABULATION_CELLS = 1 << 12
 
@@ -126,6 +144,8 @@ class TabulatedDeployment:
         vals = np.asarray(self.pdf_values, dtype=float)
         if vals.ndim != 1 or len(vals) < 2:
             raise ValueError("need densities on at least two nodes")
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("density values must be finite")
         if np.any(vals < 0):
             raise ValueError("density values must be nonnegative")
         nodes = np.linspace(0.0, 1.0, len(vals))
@@ -150,6 +170,22 @@ class TabulatedDeployment:
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return np.interp(rng.random(n), self._cdf_values, self._nodes)
+
+    def inverse_integral(self, lo: float, hi: float) -> float:
+        """Integral of 1/p over [lo, hi], exact on each linear piece:
+        h log(p1/p0) / (p1 - p0) = h log1p(d) / (d p0) with d = p1/p0 - 1.
+        A flat piece (d = 0) gives h / p0; a zero of p at any breakpoint
+        makes 1/p unintegrable (+inf)."""
+        inner = self._nodes[np.searchsorted(self._nodes, lo, side="right"):
+                            np.searchsorted(self._nodes, hi, side="left")]
+        x = np.concatenate([[lo], inner, [hi]])
+        p = self.pdf(x)
+        if np.any(p <= 0.0):
+            return math.inf
+        p0 = p[:-1]
+        d = p[1:] / p0 - 1.0
+        ratio = np.divide(np.log1p(d), d, out=np.ones_like(d), where=d != 0.0)
+        return float(np.sum(np.diff(x) * ratio / p0))
 
 
 Deployment = UniformDeployment | Linear2xDeployment | AffineFloorDeployment | TabulatedDeployment

@@ -12,8 +12,9 @@ from ditherfield import (AffineFloorDeployment, EstimatorConfig, FourierBasis,
                          check_consistency_conditions, estimate_coefficients,
                          integrated_squared_error, make_finite_dim_field,
                          make_sobolev_field, monte_carlo_mse, mse_upper_bound,
-                         rate_fit, simulate_batch, trial_seed,
-                         true_coefficients, validate_as_schedule, zero_field)
+                         rate_fit, simulate_batch, tabulate_deployment,
+                         trial_seed, true_coefficients, validate_as_schedule,
+                         zero_field)
 from ditherfield.analysis import TrialCell, map_trials
 from ditherfield.fields import synthesize
 
@@ -40,19 +41,6 @@ def test_affine_floor_integral_is_log3(fourier):
     assert value == pytest.approx(LN3, abs=1e-9)
 
 
-def test_integrable_endpoint_singularity_is_not_flagged(fourier):
-    class SqrtDensity:
-        # p(x) = 1.5 sqrt(x): integrates to 1, vanishes at 0, but 1/p is
-        # integrable — the probe increments collapse geometrically
-        infimum = 0.0
-
-        def pdf(self, x):
-            return 1.5 * np.sqrt(np.asarray(x, dtype=float))
-
-    value = basis_deployment_integral(fourier, SqrtDensity(), 0)
-    assert value == pytest.approx(4.0 / 3.0, rel=1e-6)
-
-
 def test_step_basis_integral_picks_up_its_cell(step64):
     # cells away from the vanishing endpoint stay finite under p(x) = 2x
     deploy = Linear2xDeployment()
@@ -65,11 +53,36 @@ def test_step_basis_integral_picks_up_its_cell(step64):
 
 @pytest.mark.parametrize("pdf_values", [[1, 0, 1], [0, 0, 1, 1], [1, 0, 0, 1]])
 def test_tabulated_density_with_a_zero_diverges(fourier, step64, pdf_values):
-    # quad samples points where p_X is exactly 0; 1/p_X is unintegrable there
+    # p_X is linear between nodes, so a zero node makes 1/p_X unintegrable
     deploy = TabulatedDeployment(np.asarray(pdf_values, dtype=float))
     assert math.isinf(basis_deployment_integral(fourier, deploy, 0))
     zero_cell = 10 if pdf_values == [0, 0, 1, 1] else 32
     assert math.isinf(basis_deployment_integral(step64, deploy, zero_cell))
+
+
+def node_by_node_inverse_integral(pdf_values) -> float:
+    """Sum over the linear pieces of h (log p1 - log p0) / (p1 - p0), with a
+    Taylor series in d = p1/p0 - 1 where the log difference would cancel."""
+    p = np.asarray(pdf_values, dtype=float)
+    h = 1.0 / (len(p) - 1)
+    pieces = []
+    for p0, p1 in zip(p[:-1], p[1:]):
+        d = (p1 - p0) / p0
+        if abs(d) < 1e-3:
+            ratio = sum((-d) ** k / (k + 1) for k in range(6))
+            pieces.append(h * ratio / p0)
+        else:
+            pieces.append(h * (math.log(p1) - math.log(p0)) / (p1 - p0))
+    return math.fsum(pieces)
+
+
+@pytest.mark.parametrize("pdf", [lambda x: 1.0 + 0.5 * np.sin(2 * np.pi * x),
+                                 lambda x: 0.01 + x * x], ids=["sine", "quadratic"])
+def test_tabulated_integral_is_exact_on_a_4096_node_table(fourier, pdf):
+    deploy = tabulate_deployment(pdf)
+    expected = node_by_node_inverse_integral(deploy.pdf_values)
+    assert basis_deployment_integral(fourier, deploy, 0) == \
+        pytest.approx(expected, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

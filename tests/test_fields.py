@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from ditherfield import (FieldSpec, FiniteDimField, FourierBasis,
-                         SobolevField, StepBasis, field_from_json,
-                         m_term_error, make_bv_field, make_finite_dim_field,
-                         make_sobolev_field, true_coefficients, zero_field)
+from scipy.integrate import quad
+
+from ditherfield import (FiniteDimField, FourierBasis, SobolevField, StepBasis,
+                         field_from_json, m_term_error, make_bv_field,
+                         make_finite_dim_field, make_sobolev_field,
+                         true_coefficients, zero_field)
 from ditherfield.fields import J_TAIL, synthesize
 
 from conftest import SHIPPED_K5_COEFFS, midpoint_grid
@@ -63,6 +65,13 @@ def test_unit_vector_synthesis_matches_scalar_eval(fourier, step64):
                 complex(basis.eval(j, 0.3)), abs=1e-12)
 
 
+def test_step_synthesis_matches_eval_outside_the_unit_interval():
+    basis, values = StepBasis(4), np.array([1.0, 2.0, 3.0, 4.0])
+    for x in (-0.3, -1e-9, 0.0, 1.0, 1.3):
+        direct = sum(v * basis.eval(j, x) for j, v in enumerate(values))
+        assert synthesize(basis, values, x) == direct, x
+
+
 # ---------------------------------------------------------------------------
 # true coefficients
 # ---------------------------------------------------------------------------
@@ -96,37 +105,6 @@ def test_step_and_staircase_coefficients(step_field, staircase, fourier):
     cv2 = true_coefficients(staircase, fourier, 6)
     assert cv2.values[0] == pytest.approx(0.0, abs=1e-12)
     assert cv2.values[3] == pytest.approx(STAIRCASE_ALPHA_3, abs=1e-12)
-
-
-def test_quadrature_fallback_agrees_with_closed_form(fourier, sawtooth):
-    class OpaqueSawtooth(FieldSpec):
-        kind = "opaque"
-        amplitude_bound = 0.5
-        norm_sq = 1.0 / 12.0
-
-        def eval(self, x):
-            return np.asarray(x, dtype=float) - 0.5
-
-    cv_quad = true_coefficients(OpaqueSawtooth(), fourier, 5)
-    cv_closed = true_coefficients(sawtooth, fourier, 5)
-    assert np.allclose(cv_quad.values, cv_closed.values, atol=1e-9)
-
-
-def test_quadrature_failure_carries_the_achieved_tolerance(fourier):
-    from ditherfield import QuadratureError
-
-    class HostileField(FieldSpec):
-        # oscillates far beyond any subdivision budget
-        kind = "hostile"
-        amplitude_bound = 1.0
-        norm_sq = 0.5
-
-        def eval(self, x):
-            return np.sin(3.7e7 * np.asarray(x, dtype=float))
-
-    with pytest.raises(QuadratureError) as err:
-        true_coefficients(HostileField(), fourier, 1)
-    assert err.value.achieved_tol > 1e-10
 
 
 def test_step_basis_coefficients_are_scaled_cell_averages(step64, sawtooth):
@@ -326,3 +304,41 @@ def test_synthesis_analysis_round_trip_randomized(values):
                                   amplitude_bound=2.0 * sum(abs(v) for v in values) + 1.0)
     cv = true_coefficients(field, FourierBasis(), len(values))
     assert np.allclose(cv.values, np.asarray(values, dtype=complex), atol=1e-12)
+
+
+@st.composite
+def real_finite_dim_fields(draw):
+    """A real field on the Fourier basis or on a step basis of 1-16 cells."""
+    if draw(st.booleans()):
+        values = draw(conjugate_symmetric_coeffs())
+        basis = FourierBasis()
+    else:
+        basis = StepBasis(draw(st.integers(min_value=1, max_value=16)))
+        values = draw(st.lists(st.floats(min_value=-1.0, max_value=1.0),
+                               min_size=1, max_size=basis.cells))
+    bound = basis.bound * sum(abs(v) for v in values) + 1.0
+    return FiniteDimField(basis=basis, values=values, amplitude_bound=bound)
+
+
+def quad_parts(fn, lo, hi, points):
+    inner = sorted(p for p in points if lo < p < hi) or None
+    kw = dict(points=inner, epsabs=1e-13, epsrel=0.0, limit=400)
+    return complex(quad(lambda x: fn(x).real, lo, hi, **kw)[0],
+                   quad(lambda x: fn(x).imag, lo, hi, **kw)[0])
+
+
+@given(real_finite_dim_fields(),
+       st.floats(min_value=0.0, max_value=1.0), st.floats(min_value=0.0, max_value=1.0))
+@settings(max_examples=40, deadline=None)
+def test_finite_dim_closed_forms_match_quad(field, a, b):
+    lo, hi = min(a, b), max(a, b)
+    edges = ([j / field.basis.cells for j in range(1, field.basis.cells)]
+             if isinstance(field.basis, StepBasis) else [])
+    f = lambda x: complex(field.eval(x))
+    assert field.integral(lo, hi) == pytest.approx(
+        quad_parts(f, lo, hi, edges).real, rel=0.0, abs=1e-12)
+    freqs = np.arange(-4, 5)
+    coeffs = field.fourier_coefficients(freqs)
+    for w, c in zip(freqs, coeffs):
+        direct = quad_parts(lambda x: f(x) * np.exp(-2j * np.pi * w * x), 0.0, 1.0, edges)
+        assert abs(c - direct) <= 1e-12, w

@@ -237,8 +237,8 @@ def test_cli_trace_rejects_a_non_power_schedule(tmp_path, schedule):
 @pytest.mark.parametrize("basis", ["fourier", {"kind": "step", "cells": 64}],
                          ids=["fourier", "step64"])
 def test_cli_rejects_a_tabulated_density_with_a_zero(tmp_path, pdf_values, basis):
-    """A density that vanishes where quad samples it makes the variance
-    integral infinite: `run` reports FAILED-PRECONDITION and
+    """A tabulated density with a zero node makes the variance integral
+    infinite: `run` reports FAILED-PRECONDITION and
     `check-conditions` fails, both without a traceback."""
     doc = dict(MINI_CONFIG, basis=basis,
                deployment={"kind": "tabulated", "pdf_values": pdf_values})
@@ -253,3 +253,19 @@ def test_cli_rejects_a_tabulated_density_with_a_zero(tmp_path, pdf_values, basis
         assert proc.returncode == 1, proc.stderr
         assert expected in proc.stdout
         assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_a_non_finite_tabulated_density_is_a_config_error(bad):
+    doc = dict(MINI_CONFIG, deployment={"kind": "tabulated", "pdf_values": [1.0, bad, 1.0]})
+    with pytest.raises(ConfigValidationError, match="deployment: density values must be finite"):
+        parse_experiment_config(doc)
+
+
+def test_import_leaves_scipy_integrate_unloaded():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, ditherfield; print('scipy.integrate' in sys.modules)"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

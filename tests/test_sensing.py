@@ -2,13 +2,13 @@ import csv
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from ditherfield import (AffineFloorDeployment, Linear2xDeployment,
-                         TruncGaussNoise, TwoPointNoise, UniformDeployment,
-                         UniformSymNoise, ZeroNoise,
+                         TabulatedDeployment, TruncGaussNoise, TwoPointNoise,
+                         UniformDeployment, UniformSymNoise, ZeroNoise,
                          quantize_one, simulate_batch, substream,
                          tabulate_deployment, zero_field)
 from ditherfield.sensing import (STREAM_LOCATIONS, STREAM_NOISE,
@@ -54,6 +54,69 @@ def test_infimum_matches_dense_grid_minimum(deploy):
 def test_affine_floor_requires_positive_floor():
     with pytest.raises(ValueError):
         AffineFloorDeployment(nu=0.0)
+
+
+# ---------------------------------------------------------------------------
+# closed-form inverse-density integrals, against scipy quad
+# ---------------------------------------------------------------------------
+
+def quad_inverse(deploy, lo, hi, points=None):
+    inner = sorted(p for p in (() if points is None else points) if lo < p < hi)
+    value, _ = quad(lambda x: 1.0 / float(deploy.pdf(x)), lo, hi, points=inner or None,
+                    epsabs=0.0, epsrel=1e-13, limit=1000)
+    return value
+
+
+@st.composite
+def sub_intervals(draw, lo_min=0.0):
+    a = draw(st.floats(min_value=lo_min, max_value=1.0))
+    b = draw(st.floats(min_value=lo_min, max_value=1.0))
+    assume(abs(b - a) > 1e-6)
+    return min(a, b), max(a, b)
+
+
+@given(st.lists(st.floats(min_value=0.01, max_value=10.0), min_size=2, max_size=33),
+       sub_intervals())
+@settings(max_examples=60, deadline=None)
+def test_tabulated_inverse_integral_matches_quad(values, interval):
+    deploy = TabulatedDeployment(np.asarray(values))
+    nodes = np.linspace(0.0, 1.0, len(values))
+    for lo, hi in (interval, (0.0, 1.0)):
+        assert deploy.inverse_integral(lo, hi) == pytest.approx(
+            quad_inverse(deploy, lo, hi, points=nodes), rel=1e-10)
+
+
+@given(st.floats(min_value=1e-6, max_value=1.0), sub_intervals())
+@settings(max_examples=60, deadline=None)
+def test_affine_inverse_integral_matches_quad(nu, interval):
+    deploy = AffineFloorDeployment(nu=nu)
+    for lo, hi in (interval, (0.0, 1.0)):
+        assert deploy.inverse_integral(lo, hi) == pytest.approx(
+            quad_inverse(deploy, lo, hi), rel=1e-10)
+
+
+@pytest.mark.parametrize("nu", [1e-300, 1e-310, 5e-324])
+def test_affine_inverse_integral_with_a_vanishing_floor_stays_finite(nu):
+    # log(1 + 2(1 - nu)/nu) / (2(1 - nu)), where 2/nu overflows a float;
+    # quad cannot resolve the near-singularity at 0, so it is no reference here
+    expected = 0.5 * (np.log(2.0) - np.log(nu))
+    assert AffineFloorDeployment(nu=nu).inverse_integral(0.0, 1.0) == \
+        pytest.approx(expected, rel=1e-12)
+
+
+@given(sub_intervals(lo_min=1e-3))
+@settings(max_examples=60, deadline=None)
+def test_linear_inverse_integral_matches_quad(interval):
+    lo, hi = interval
+    deploy = Linear2xDeployment()
+    assert deploy.inverse_integral(lo, hi) == pytest.approx(
+        quad_inverse(deploy, lo, hi), rel=1e-10)
+    assert deploy.inverse_integral(0.0, hi) == np.inf
+
+
+def test_uniform_inverse_integral_is_the_length():
+    assert UniformDeployment().inverse_integral(0.0, 1.0) == 1.0
+    assert UniformDeployment().inverse_integral(0.25, 0.75) == 0.5
 
 
 # ---------------------------------------------------------------------------
