@@ -8,14 +8,13 @@ from .analysis import (ASTraceResult, BoundReport, ConsistencyReport,
                        check_consistency_conditions, integrated_squared_error,
                        monte_carlo_mse, mse_upper_bound, rate_fit,
                        validate_as_schedule)
-from .estimator import (EstimationError, EstimatorConfig,
-                        ReconstructionCoefficients, TruncationSchedule,
+from .estimator import (EstimationError, EstimatorConfig, TruncationSchedule,
                         estimate_coefficients, reconstruct)
-from .fields import (CoefficientVector, FieldSpec, FiniteDimField,
-                     FourierBasis, PiecewiseConstantField, SawtoothField,
-                     SobolevField, StepBasis, field_from_json, m_term_error,
-                     make_basis, make_bv_field, make_finite_dim_field,
-                     make_sobolev_field, true_coefficients, zero_field)
+from .fields import (FieldSpec, FiniteDimField, FourierBasis,
+                     PiecewiseConstantField, ReconstructionCoefficients,
+                     SawtoothField, SobolevField, StepBasis, field_from_json,
+                     m_term_error, make_bv_field, make_finite_dim_field,
+                     make_sobolev_field, true_coefficients)
 from .harness import (ConfigValidationError, ExperimentConfig,
                       ExperimentOutcome, SuiteResult, load_experiment_config,
                       load_shipped_config, parse_experiment_config,
@@ -23,8 +22,7 @@ from .harness import (ConfigValidationError, ExperimentConfig,
 from .sensing import (AffineFloorDeployment, Linear2xDeployment, SensorBatch,
                       TabulatedDeployment, TruncGaussNoise, TwoPointNoise,
                       UniformDeployment, UniformSymNoise, ZeroNoise,
-                      make_deployment, make_noise, quantize_one,
-                      simulate_batch, substream, tabulate_deployment,
+                      make_deployment, make_noise, simulate_batch, substream,
                       trial_seed)
 
 __version__ = "0.1.0"

@@ -15,10 +15,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .estimator import (EstimatorConfig, ReconstructionCoefficients,
-                        TruncationSchedule, estimate_coefficients,
+from .estimator import (EstimatorConfig, TruncationSchedule,
+                        estimate_coefficients, sensor_weights,
                         weighted_basis_sums)
-from .fields import (Basis, CoefficientVector, FieldSpec, FourierBasis,
+from .fields import (Basis, FieldSpec, FourierBasis, ReconstructionCoefficients,
                      m_term_error, make_bv_field, synthesize, true_coefficients)
 from .sensing import Deployment, Noise, simulate_batch, trial_seed
 
@@ -148,15 +148,15 @@ def check_consistency_conditions(schedule: TruncationSchedule, basis: Basis,
 # ---------------------------------------------------------------------------
 
 def integrated_squared_error(coeffs_hat: ReconstructionCoefficients,
-                             true_coeffs: CoefficientVector,
-                             field: FieldSpec) -> float:
-    """||f - f_hat||^2 = sum_{j<m} |a_hat_j - a_j|^2 + tail energy past m."""
-    m = len(coeffs_hat)
+                             true_coeffs: ReconstructionCoefficients,
+                             field: FieldSpec) -> float | np.ndarray:
+    """||f - f_hat||^2 = sum_{j<m} |a_hat_j - a_j|^2 + tail energy past m;
+    one error per row when `coeffs_hat` holds a (trials, m) array."""
+    m = coeffs_hat.values.shape[-1]
     if len(true_coeffs) < m:
         raise ValueError(f"need at least {m} true coefficients, got {len(true_coeffs)}")
-    head = float(np.sum(np.abs(coeffs_hat.values - true_coeffs.values[:m]) ** 2))
-    tail = max(field.norm_sq - float(np.sum(np.abs(true_coeffs.values[:m]) ** 2)), 0.0)
-    return head + tail
+    head = np.sum(np.abs(coeffs_hat.values - true_coeffs.values[:m]) ** 2, axis=-1)
+    return head + m_term_error(true_coeffs, field, m)
 
 
 # ---------------------------------------------------------------------------
@@ -243,18 +243,17 @@ def monte_carlo_mse(field: FieldSpec, deploy: Deployment, noise: Noise,
              for n, m, t in zip(n_grid, m_values, trials_per_n)]
     estimates = map_trials(cells, seed, chunk=25, workers=workers)
 
-    per_n = []
-    for cell, rows in zip(cells, estimates):
-        true_cv = true_coefficients(field, cfg.basis, cell.m)
-        per_n.append(np.array([integrated_squared_error(
-            ReconstructionCoefficients(row, cell.n), true_cv, field) for row in rows]))
+    per_n = tuple(integrated_squared_error(ReconstructionCoefficients(rows, cell.n),
+                                           true_coefficients(field, cfg.basis, cell.m),
+                                           field)
+                  for cell, rows in zip(cells, estimates))
 
     means = tuple(float(np.mean(v)) for v in per_n)
     stds = tuple(float(np.std(v, ddof=1)) for v in per_n)
     ci = tuple(1.96 * s / math.sqrt(t) for s, t in zip(stds, trials_per_n))
     return MseSweep(n_grid=n_grid, m_values=m_values, trials=trials_per_n,
                     means=means, stds=stds, ci_half=ci,
-                    trial_values=tuple(per_n))
+                    trial_values=per_n)
 
 
 # ---------------------------------------------------------------------------
@@ -472,10 +471,7 @@ def as_error_trace(field: FieldSpec, deploy: Deployment, noise: Noise,
 
     n_max = checkpoints[-1]
     batch = simulate_batch(field, deploy, noise, n_max, seed)
-    p = np.asarray(deploy.pdf(batch.x), dtype=float)
-    if np.any(p <= 0):
-        raise ValueError("deployment density vanishes at an observed location")
-    w = batch.bits / p
+    w = sensor_weights(batch, deploy)
 
     true_cv = true_coefficients(field, basis, m_max)
     f_grid = np.asarray(field.eval(grid), dtype=float)

@@ -14,7 +14,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .fields import Basis, synthesize
+from .fields import Basis, ReconstructionCoefficients, synthesize
 from .sensing import Deployment, SensorBatch
 
 class EstimationError(RuntimeError):
@@ -43,6 +43,8 @@ class TruncationSchedule:
     def __post_init__(self):
         if self.schedule_kind not in self._KINDS:
             raise ValueError(f"unknown schedule kind {self.schedule_kind!r}")
+        if self.param is not None and not math.isfinite(self.param):
+            raise ValueError(f"{self.schedule_kind} schedule parameter must be finite")
         if self.schedule_kind == "bv":
             if self.param is not None:
                 raise ValueError("bv schedule takes no parameter")
@@ -129,22 +131,6 @@ class EstimatorConfig:
             raise ValueError("dynamic range must be positive")
 
 
-@dataclass(frozen=True, eq=False)
-class ReconstructionCoefficients:
-    values: np.ndarray
-    n_used: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=np.complex128))
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def to_json(self) -> dict:
-        return {"n_used": self.n_used,
-                "values": [[v.real, v.imag] for v in self.values]}
-
-
 def weighted_basis_sums(basis: Basis, m: int, x: np.ndarray,
                         w: np.ndarray) -> np.ndarray:
     """sum_i w_i * conj(phi_j(x_i)) for j < m, from the basis's own
@@ -153,16 +139,13 @@ def weighted_basis_sums(basis: Basis, m: int, x: np.ndarray,
     return basis.weighted_conj_sums(m, x, w)
 
 
-def estimate_coefficients(batch: SensorBatch, cfg: EstimatorConfig,
-                          m: int) -> ReconstructionCoefficients:
-    """First m coefficient estimates from one sensor batch.
+def sensor_weights(batch: SensorBatch, density: Deployment) -> np.ndarray:
+    """Importance weights B_i / p_X(X_i) of every sensor in the batch.
 
     Raises EstimationError, naming the first offending sensor, for a
     location that is NaN or outside [0, 1], a bit other than -1 or +1, or
     a location where the deployment density vanishes.
     """
-    if m < 1:
-        raise ValueError("need at least one coefficient")
     if batch.n < 1:
         raise ValueError("empty batch")
     x, bits = batch.x, batch.bits
@@ -173,12 +156,21 @@ def estimate_coefficients(batch: SensorBatch, cfg: EstimatorConfig,
     if off.any():
         i = int(np.argmax(off))
         raise EstimationError(f"sensor bit bits[{i}]={float(bits[i])!r} is not -1 or +1")
-    p = np.asarray(cfg.density.pdf(x), dtype=float)
+    p = np.asarray(density.pdf(x), dtype=float)
     if np.any(p <= 0.0):
         where = x[np.argmax(p <= 0.0)]
         raise EstimationError(
             f"deployment density vanishes at observed location x={where!r}")
-    sums = weighted_basis_sums(cfg.basis, m, x, bits / p)
+    return bits / p
+
+
+def estimate_coefficients(batch: SensorBatch, cfg: EstimatorConfig,
+                          m: int) -> ReconstructionCoefficients:
+    """First m coefficient estimates from one sensor batch. Raises
+    EstimationError where `sensor_weights` does."""
+    if m < 1:
+        raise ValueError("need at least one coefficient")
+    sums = weighted_basis_sums(cfg.basis, m, batch.x, sensor_weights(batch, cfg.density))
     return ReconstructionCoefficients(values=(cfg.c / batch.n) * sums,
                                       n_used=batch.n)
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, ClassVar, Sequence
 
@@ -90,8 +91,8 @@ class StepBasis:
     constant_modulus: ClassVar[bool] = False
 
     def __post_init__(self):
-        if self.cells < 1:
-            raise ValueError("cells must be >= 1")
+        if not isinstance(self.cells, numbers.Integral) or self.cells < 1:
+            raise ValueError(f"cells must be a positive integer, got {self.cells!r}")
 
     @property
     def bound(self) -> float:
@@ -128,24 +129,18 @@ class StepBasis:
 Basis = FourierBasis | StepBasis
 
 
-def make_basis(kind: str, **params) -> Basis:
-    if kind == "fourier":
-        return FourierBasis()
-    if kind == "step":
-        return StepBasis(**params)
-    raise ValueError(f"unknown basis kind {kind!r}")
-
-
 # ---------------------------------------------------------------------------
 # coefficient vectors
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True, eq=False)
-class CoefficientVector:
-    """Leading expansion coefficients of a field in a given basis."""
+class ReconstructionCoefficients:
+    """Leading expansion coefficients alpha_j, j < m: exact ones
+    (`n_used` 0) or estimates from `n_used` sensors. `values` is one
+    vector of length m, or a (trials, m) array holding one per row."""
 
     values: np.ndarray
-    basis_kind: str
+    n_used: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "values", np.asarray(self.values, dtype=np.complex128))
@@ -236,8 +231,8 @@ class FiniteDimField(FieldSpec):
             raise ValueError("need at least one coefficient")
         if not np.all(np.isfinite(vals)):
             raise ValueError("coefficients must be finite")
-        if self.amplitude_bound <= 0:
-            raise ValueError("amplitude bound must be positive")
+        if not 0.0 < self.amplitude_bound < math.inf:
+            raise ValueError("amplitude bound must be positive and finite")
         if isinstance(self.basis, FourierBasis):
             if abs(vals[0].imag) > 1e-12:
                 raise ValueError("coefficient of the constant function must be real")
@@ -343,6 +338,8 @@ class PiecewiseConstantField(FieldSpec):
     def __post_init__(self):
         if len(self.edges) != len(self.levels) + 1:
             raise ValueError("need len(edges) == len(levels) + 1")
+        if not (np.all(np.isfinite(self.edges)) and np.all(np.isfinite(self.levels))):
+            raise ValueError("edges and levels must be finite")
         if self.edges[0] != 0.0 or self.edges[-1] != 1.0:
             raise ValueError("edges must span [0, 1]")
         if any(b <= a for a, b in zip(self.edges, self.edges[1:])):
@@ -410,8 +407,8 @@ class SobolevField(FiniteDimField):
     kind: ClassVar[str] = "sobolev"
 
     def __post_init__(self):
-        if self.s <= 0.5:
-            raise ValueError("smoothness order must exceed 1/2")
+        if not 0.5 < self.s < math.inf:
+            raise ValueError("smoothness order must be finite and exceed 1/2")
         super().__post_init__()
 
     def to_json(self) -> dict:
@@ -453,11 +450,6 @@ def make_finite_dim_field(basis: Basis, coefficients: Sequence[complex],
     return field
 
 
-def zero_field(amplitude_bound: float = 1.0) -> FiniteDimField:
-    return FiniteDimField(basis=FourierBasis(), values=np.zeros(1),
-                          amplitude_bound=amplitude_bound)
-
-
 _BV_SHAPES: dict[str, Callable[[], FieldSpec]] = {
     "sawtooth": SawtoothField,
     "step": lambda: PiecewiseConstantField(edges=(0.0, 0.5, 1.0),
@@ -495,10 +487,10 @@ def make_sobolev_field(s: float, seed: int, amplitude_bound: float = 1.0,
     synthesis real. Deterministic in `seed`; rescaled so sup|f| stays
     just under the amplitude bound.
     """
-    if s <= 0.5:
-        raise ValueError("smoothness order must exceed 1/2")
-    if amplitude_bound <= 0:
-        raise ValueError("amplitude bound must be positive")
+    if not 0.5 < s < math.inf:
+        raise ValueError("smoothness order must be finite and exceed 1/2")
+    if not 0.0 < amplitude_bound < math.inf:
+        raise ValueError("amplitude bound must be positive and finite")
     rng = np.random.default_rng(seed)
     decay = s + 0.5 + SOBOLEV_DECAY_MARGIN
     mags = (1.0 + np.arange(1, n_freqs + 1)) ** (-decay)
@@ -522,7 +514,8 @@ def make_sobolev_field(s: float, seed: int, amplitude_bound: float = 1.0,
 # operations
 # ---------------------------------------------------------------------------
 
-def true_coefficients(field: FieldSpec, basis: Basis, count: int) -> CoefficientVector:
+def true_coefficients(field: FieldSpec, basis: Basis,
+                      count: int) -> ReconstructionCoefficients:
     """<f, phi_j> for j < count, in closed form: the field's Fourier
     coefficients, or its integral over cell j scaled by the step height."""
     if count < 1:
@@ -537,10 +530,10 @@ def true_coefficients(field: FieldSpec, basis: Basis, count: int) -> Coefficient
         values = basis.bound * np.array(
             [field.integral(j * cell, (j + 1) * cell) for j in range(count)],
             dtype=np.complex128)
-    return CoefficientVector(values=values, basis_kind=basis.kind)
+    return ReconstructionCoefficients(values=values)
 
 
-def m_term_error(coeffs: CoefficientVector, field: FieldSpec, m: int) -> float:
+def m_term_error(coeffs: ReconstructionCoefficients, field: FieldSpec, m: int) -> float:
     """Energy past the first m coefficients, via Parseval; clamped at 0."""
     if m < 0:
         raise ValueError("m must be >= 0")
@@ -552,9 +545,16 @@ def m_term_error(coeffs: CoefficientVector, field: FieldSpec, m: int) -> float:
 # JSON round trip (harness config documents)
 # ---------------------------------------------------------------------------
 
+_BASES: dict[str, Callable[..., Basis]] = {"fourier": FourierBasis, "step": StepBasis}
+
+
 def basis_from_json(doc) -> Basis:
     """A basis from its kind ("fourier") or its fields ({"kind": "step", "cells": 16})."""
-    return make_basis(doc) if isinstance(doc, str) else make_basis(**doc)
+    params = {"kind": doc} if isinstance(doc, str) else dict(doc)
+    kind = params.pop("kind")
+    if kind not in _BASES:
+        raise ValueError(f"unknown basis kind {kind!r}")
+    return _BASES[kind](**params)
 
 
 def field_from_json(doc: dict) -> FieldSpec:

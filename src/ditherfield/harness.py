@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -55,6 +56,14 @@ class ConfigValidationError(ValueError):
 # ---------------------------------------------------------------------------
 # config documents
 # ---------------------------------------------------------------------------
+
+def _count(value) -> int:
+    """An integer, or an integral float such as 64.0, as an int."""
+    if isinstance(value, numbers.Integral) or (isinstance(value, float)
+                                               and value.is_integer()):
+        return int(value)
+    raise ValueError(f"{value!r} is not an integer")
+
 
 @dataclass(frozen=True, eq=False)
 class ExperimentConfig:
@@ -119,12 +128,12 @@ def parse_experiment_config(doc: dict, seed_override: int | None = None) -> Expe
         problems.append("n_grid: required non-empty list")
     else:
         try:
-            n_grid = tuple(int(n) for n in raw_grid)
+            n_grid = tuple(_count(n) for n in raw_grid)
             if any(n < 1 for n in n_grid):
                 problems.append("n_grid: entries must be positive")
             if any(b <= a for a, b in zip(n_grid, n_grid[1:])):
                 problems.append("n_grid: must be strictly increasing")
-        except (TypeError, ValueError):
+        except ValueError:
             problems.append("n_grid: entries must be integers")
 
     trials: tuple[int, ...] = ()
@@ -133,14 +142,14 @@ def parse_experiment_config(doc: dict, seed_override: int | None = None) -> Expe
         problems.append("trials: required")
     else:
         try:
-            trials = (tuple(int(t) for t in raw_trials)
+            trials = (tuple(_count(t) for t in raw_trials)
                       if isinstance(raw_trials, (list, tuple))
-                      else (int(raw_trials),) * max(len(n_grid), 1))
+                      else (_count(raw_trials),) * max(len(n_grid), 1))
             if n_grid and len(trials) != len(n_grid):
                 problems.append("trials: need one count per n_grid entry")
             if any(t < 2 for t in trials):
                 problems.append("trials: every count must be >= 2")
-        except (TypeError, ValueError):
+        except ValueError:
             problems.append("trials: must be an integer or list of integers")
 
     if (schedule is not None and basis.size is not None and n_grid
@@ -168,10 +177,12 @@ def parse_experiment_config(doc: dict, seed_override: int | None = None) -> Expe
         seed = 0
     else:
         try:
-            seed = int(doc["seed"])
-        except (TypeError, ValueError):
+            seed = _count(doc["seed"])
+        except ValueError:
             problems.append("seed: must be an integer")
             seed = 0
+        if seed < 0:
+            problems.append("seed: must be >= 0")
 
     if problems:
         raise ConfigValidationError(problems)
@@ -278,8 +289,9 @@ def run_experiment(config: ExperimentConfig, out_dir, workers: int = 1) -> Exper
                                    n, m, config.c)
                    for n, m in zip(config.n_grid, m_values))
 
+    # a NaN mean or bound is a violation: dominance must be shown, not assumed
     violations = sum(1 for mean, ci, b in zip(sweep.means, sweep.ci_half, bounds)
-                     if mean > b.total + 3.0 * ci)
+                     if not mean <= b.total + 3.0 * ci)
 
     fit = (rate_fit(config.n_grid, sweep.means)
            if len(config.n_grid) >= RATE_FIT_MIN_POINTS else None)

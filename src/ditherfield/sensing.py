@@ -11,7 +11,6 @@ convergence experiments).
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import ClassVar
@@ -124,9 +123,6 @@ class AffineFloorDeployment:
         return math.log1p(rise / p_lo) / slope
 
 
-TABULATION_CELLS = 1 << 12
-
-
 @dataclass(frozen=True, eq=False)
 class TabulatedDeployment:
     """Density given by values on a uniform node grid, linearly interpolated.
@@ -203,11 +199,6 @@ def make_deployment(kind: str, **params) -> Deployment:
     raise ValueError(f"unknown deployment kind {kind!r}")
 
 
-def tabulate_deployment(pdf, cells: int = TABULATION_CELLS) -> TabulatedDeployment:
-    nodes = np.linspace(0.0, 1.0, cells + 1)
-    return TabulatedDeployment(np.asarray(pdf(nodes), dtype=float))
-
-
 # ---------------------------------------------------------------------------
 # noise models
 # ---------------------------------------------------------------------------
@@ -229,8 +220,8 @@ class UniformSymNoise:
     kind: ClassVar[str] = "uniform_sym"
 
     def __post_init__(self):
-        if self.b <= 0:
-            raise ValueError("amplitude bound must be positive")
+        if not 0.0 < self.b < math.inf:
+            raise ValueError("amplitude bound must be positive and finite")
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return (2.0 * rng.random(n) - 1.0) * self.b
@@ -246,8 +237,8 @@ class TruncGaussNoise:
     kind: ClassVar[str] = "trunc_gauss"
 
     def __post_init__(self):
-        if self.sigma <= 0 or self.b <= 0:
-            raise ValueError("sigma and amplitude bound must be positive")
+        if not (0.0 < self.sigma < math.inf and 0.0 < self.b < math.inf):
+            raise ValueError("sigma and amplitude bound must be positive and finite")
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         lo = ndtr(-self.b / self.sigma)
@@ -263,8 +254,8 @@ class TwoPointNoise:
     kind: ClassVar[str] = "two_point"
 
     def __post_init__(self):
-        if self.b <= 0:
-            raise ValueError("amplitude bound must be positive")
+        if not 0.0 < self.b < math.inf:
+            raise ValueError("amplitude bound must be positive and finite")
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return np.where(rng.random(n) < 0.5, -self.b, self.b)
@@ -289,12 +280,8 @@ def make_noise(kind: str, **params) -> Noise:
 # quantization and batch simulation
 # ---------------------------------------------------------------------------
 
-def quantize_one(y: float, t: float) -> int:
-    """Sign of y - t with ties going to -1."""
-    return 1 if y > t else -1
-
-
 def _quantize(y: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Sign of y - t with ties going to -1."""
     return np.where(y > t, 1.0, -1.0)
 
 
@@ -318,14 +305,6 @@ class SensorBatch:
             raise ValueError(f"prefix length must be in [1, {self.n}]")
         return SensorBatch(x=self.x[:n], y=self.y[:n], t=self.t[:n],
                            bits=self.bits[:n], c=self.c)
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["i", "x", "y", "t", "b"])
-            for i in range(self.n):
-                writer.writerow([i, repr(float(self.x[i])), repr(float(self.y[i])),
-                                 repr(float(self.t[i])), int(self.bits[i])])
 
 
 def simulate_batch(field: FieldSpec, deploy: Deployment, noise: Noise,

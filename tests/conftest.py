@@ -1,11 +1,24 @@
 import numpy as np
 import pytest
 
-from ditherfield import (AffineFloorDeployment, FourierBasis, StepBasis,
-                         UniformDeployment, make_bv_field,
-                         make_finite_dim_field, make_sobolev_field)
+from ditherfield import (AffineFloorDeployment, FiniteDimField, FourierBasis,
+                         StepBasis, TabulatedDeployment, UniformDeployment,
+                         make_bv_field, make_finite_dim_field,
+                         make_sobolev_field)
 
 SHIPPED_K5_COEFFS = [0.2, 0.15 + 0.1j, 0.15 - 0.1j, -0.1 + 0.05j, -0.1 - 0.05j]
+TABULATION_CELLS = 1 << 12
+
+
+def zero_field(amplitude_bound: float = 1.0) -> FiniteDimField:
+    return FiniteDimField(basis=FourierBasis(), values=np.zeros(1),
+                          amplitude_bound=amplitude_bound)
+
+
+def tabulate_deployment(pdf, cells: int = TABULATION_CELLS) -> TabulatedDeployment:
+    """A tabulated deployment holding `pdf` on a uniform grid of cells + 1 nodes."""
+    nodes = np.linspace(0.0, 1.0, cells + 1)
+    return TabulatedDeployment(np.asarray(pdf(nodes), dtype=float))
 
 
 @pytest.fixture(scope="session")

@@ -12,11 +12,12 @@ from ditherfield import (AffineFloorDeployment, EstimatorConfig, FourierBasis,
                          check_consistency_conditions, estimate_coefficients,
                          integrated_squared_error, make_finite_dim_field,
                          make_sobolev_field, monte_carlo_mse, mse_upper_bound,
-                         rate_fit, simulate_batch, tabulate_deployment,
-                         trial_seed, true_coefficients, validate_as_schedule,
-                         zero_field)
+                         rate_fit, simulate_batch, trial_seed,
+                         true_coefficients, validate_as_schedule)
 from ditherfield.analysis import TrialCell, map_trials
 from ditherfield.fields import synthesize
+
+from conftest import tabulate_deployment, zero_field
 
 LN3 = 1.0986122886681098
 
@@ -256,6 +257,22 @@ def test_chunk_size_does_not_change_trial_estimates(sawtooth):
     batch = simulate_batch(sobolev, deploy, noise, 700, trial_seed(17, 1, 3))
     assert np.array_equal(runs[0][1][3],
                           estimate_coefficients(batch, cells[1].cfg, 8).values)
+
+
+@pytest.mark.parametrize("m", [1, 8, 512])
+def test_sweep_scores_each_trial_as_its_own_row(sawtooth, m):
+    """Scoring the (trials, m) array at once gives, bitwise, the error of
+    each trial scored on its own."""
+    deploy, noise = UniformDeployment(), UniformSymNoise(b=1.0)
+    cfg = EstimatorConfig(basis=FourierBasis(), density=deploy, c=1.5,
+                          schedule=TruncationSchedule.fixed(m))
+    sweep = monte_carlo_mse(sawtooth, deploy, noise, cfg, [1024], trials=12, seed=41)
+    rows = map_trials([TrialCell(sawtooth, deploy, noise, cfg, 1024, m, 12)],
+                      seed=41, chunk=25)[0]
+    true_cv = true_coefficients(sawtooth, FourierBasis(), m)
+    per_row = [integrated_squared_error(ReconstructionCoefficients(row, 1024),
+                                        true_cv, sawtooth) for row in rows]
+    assert np.array_equal(sweep.trial_values[0], per_row)
 
 
 def test_zero_field_mse_tracks_the_variance_bound():

@@ -7,7 +7,9 @@ from ditherfield import (EstimationError, EstimatorConfig, FourierBasis,
                          Linear2xDeployment, SensorBatch, TruncationSchedule,
                          UniformDeployment, UniformSymNoise, ZeroNoise,
                          estimate_coefficients, reconstruct, simulate_batch,
-                         trial_seed, true_coefficients, zero_field)
+                         trial_seed, true_coefficients)
+
+from conftest import zero_field
 
 
 def make_cfg(c, schedule=None, density=None, basis=None):
@@ -59,6 +61,13 @@ def test_invalid_schedules_rejected():
         TruncationSchedule.sobolev(0.5)
     with pytest.raises(ValueError):
         TruncationSchedule.fixed(0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("kind", ["fixed", "finite_dim", "sobolev", "power"])
+def test_non_finite_schedule_parameters_rejected(kind, bad):
+    with pytest.raises(ValueError, match="finite"):
+        TruncationSchedule(kind, bad)
 
 
 # ---------------------------------------------------------------------------

@@ -4,13 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from ditherfield import (FiniteDimField, FourierBasis, SobolevField, StepBasis,
-                         field_from_json, m_term_error, make_bv_field,
-                         make_finite_dim_field, make_sobolev_field,
-                         true_coefficients, zero_field)
+from ditherfield import (FiniteDimField, FourierBasis, PiecewiseConstantField,
+                         SobolevField, StepBasis, field_from_json, m_term_error,
+                         make_bv_field, make_finite_dim_field,
+                         make_sobolev_field, true_coefficients)
 from ditherfield.fields import J_TAIL, synthesize
 
-from conftest import SHIPPED_K5_COEFFS, midpoint_grid
+from conftest import SHIPPED_K5_COEFFS, midpoint_grid, zero_field
 
 # oracle values from independent Gauss-Kronrod quadrature at 1e-12
 SAWTOOTH_ALPHA_2 = 0.15915494309189535j          # <x - 1/2, e^{2 pi i x}>
@@ -212,6 +212,39 @@ def test_sobolev_field_is_deterministic_and_real():
 def test_sobolev_rejects_low_smoothness():
     with pytest.raises(ValueError):
         make_sobolev_field(0.5, seed=1)
+
+
+@pytest.mark.parametrize("s", [np.inf, np.nan])
+def test_sobolev_rejects_non_finite_smoothness(s):
+    with pytest.raises(ValueError, match="smoothness"):
+        make_sobolev_field(s, seed=1)
+    with pytest.raises(ValueError, match="smoothness"):
+        SobolevField(s=s, seed=1, amplitude_bound=1.0, values=[0.1])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_amplitude_bound_must_be_finite(fourier, bad):
+    with pytest.raises(ValueError, match="amplitude bound"):
+        FiniteDimField(fourier, [0.1], bad)
+    with pytest.raises(ValueError, match="amplitude bound"):
+        SobolevField(s=1.0, seed=1, amplitude_bound=bad, values=[0.1])
+    with pytest.raises(ValueError, match="amplitude bound"):
+        make_sobolev_field(1.0, seed=1, amplitude_bound=bad)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("which", ["edges", "levels"])
+def test_piecewise_field_rejects_non_finite_edges_or_levels(which, bad):
+    doc = {"edges": [0.0, 0.25, 0.5, 1.0], "levels": [0.1, -0.2, 0.3]}
+    doc[which][1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        PiecewiseConstantField(edges=tuple(doc["edges"]), levels=tuple(doc["levels"]))
+
+
+@pytest.mark.parametrize("cells", [0, 2.5, 16.0, np.nan, np.inf])
+def test_step_basis_needs_a_positive_integer_cell_count(cells):
+    with pytest.raises(ValueError, match="positive integer"):
+        StepBasis(cells=cells)
 
 
 def test_finite_dim_rejects_broken_conjugate_pairs(fourier):

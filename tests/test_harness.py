@@ -1,10 +1,13 @@
+import dataclasses
 import json
+import math
 import subprocess
 import sys
+from importlib import resources
 
 import pytest
 
-from ditherfield import (ConfigValidationError, TruncationSchedule,
+from ditherfield import (ConfigValidationError, TruncationSchedule, harness,
                          load_shipped_config, parse_experiment_config,
                          run_experiment, run_lemma_battery, run_suite)
 from ditherfield.harness import _MISMATCH_CONFIGS, _RATE_CONFIGS, _TRACE_CONFIGS
@@ -260,6 +263,73 @@ def test_a_non_finite_tabulated_density_is_a_config_error(bad):
     doc = dict(MINI_CONFIG, deployment={"kind": "tabulated", "pdf_values": [1.0, bad, 1.0]})
     with pytest.raises(ConfigValidationError, match="deployment: density values must be finite"):
         parse_experiment_config(doc)
+
+
+def _numeric_leaves(doc, path=()):
+    """Paths of every number in a config document outside `acceptance`."""
+    if isinstance(doc, dict):
+        items = doc.items()
+    elif isinstance(doc, list):
+        items = enumerate(doc)
+    else:
+        return [path] if isinstance(doc, (int, float)) and not isinstance(doc, bool) else []
+    return [leaf for key, value in items if key != "acceptance"
+            for leaf in _numeric_leaves(value, path + (key,))]
+
+
+def _shipped_doc(name):
+    return json.loads((resources.files("ditherfield") / "configs" / f"{name}.json").read_text())
+
+
+_LEAF_CASES = [(name, path) for name in _RATE_CONFIGS + _TRACE_CONFIGS + _MISMATCH_CONFIGS
+               for path in _numeric_leaves(_shipped_doc(name))]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name, path", _LEAF_CASES,
+                         ids=[f"{n}:{'.'.join(map(str, p))}" for n, p in _LEAF_CASES])
+def test_a_non_finite_number_anywhere_is_a_config_error(name, path, bad):
+    doc = _shipped_doc(name)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = bad
+    with pytest.raises(ConfigValidationError, match=f"{path[0]}:"):
+        parse_experiment_config(doc)
+
+
+@pytest.mark.parametrize("key, value", [("n_grid", [256, 512.5, 1024, 2048]),
+                                        ("trials", 2.7),
+                                        ("trials", [12, 12, 12.5, 12]),
+                                        ("seed", 1.5),
+                                        ("seed", -1),
+                                        ("seed", "99")])
+def test_counts_must_be_integral_and_the_seed_nonnegative(key, value):
+    with pytest.raises(ConfigValidationError, match=f"{key}:"):
+        parse_experiment_config(dict(MINI_CONFIG, **{key: value}))
+
+
+def test_integral_floats_are_counts():
+    config = parse_experiment_config(dict(MINI_CONFIG, n_grid=[256.0, 512, 1024, 2048],
+                                          trials=12.0, seed=99.0))
+    assert config.n_grid == (256, 512, 1024, 2048) and config.trials == (12,) * 4
+    assert config.seed == 99 and type(config.seed) is int
+
+
+def test_fourier_basis_takes_no_parameters():
+    with pytest.raises(ConfigValidationError, match="basis:"):
+        parse_experiment_config(dict(MINI_CONFIG, basis={"kind": "fourier", "cells": 16}))
+
+
+def test_a_nan_bound_is_a_dominance_violation(tmp_path, monkeypatch):
+    """Bound dominance holds only where mean <= bound + 3 ci is true; a NaN
+    bound is not evidence of dominance."""
+    real = harness.mse_upper_bound
+    monkeypatch.setattr(harness, "mse_upper_bound", lambda *args: dataclasses.replace(
+        real(*args), bias_term=math.nan))
+    outcome = run_experiment(parse_experiment_config(MINI_CONFIG), tmp_path)
+    assert outcome.status == "FAIL"
+    assert outcome.dominance_violations == len(MINI_CONFIG["n_grid"])
 
 
 def test_import_leaves_scipy_integrate_unloaded():

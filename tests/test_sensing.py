@@ -1,5 +1,3 @@
-import csv
-
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -9,10 +7,11 @@ from scipy.integrate import quad
 from ditherfield import (AffineFloorDeployment, Linear2xDeployment,
                          TabulatedDeployment, TruncGaussNoise, TwoPointNoise,
                          UniformDeployment, UniformSymNoise, ZeroNoise,
-                         quantize_one, simulate_batch, substream,
-                         tabulate_deployment, zero_field)
+                         simulate_batch, substream)
 from ditherfield.sensing import (STREAM_LOCATIONS, STREAM_NOISE,
-                                 STREAM_THRESHOLDS)
+                                 STREAM_THRESHOLDS, _quantize)
+
+from conftest import tabulate_deployment, zero_field
 
 DEPLOYMENTS = [UniformDeployment(), Linear2xDeployment(),
                AffineFloorDeployment(nu=0.5), AffineFloorDeployment(nu=0.9),
@@ -54,6 +53,18 @@ def test_infimum_matches_dense_grid_minimum(deploy):
 def test_affine_floor_requires_positive_floor():
     with pytest.raises(ValueError):
         AffineFloorDeployment(nu=0.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+@pytest.mark.parametrize("make", [lambda v: UniformSymNoise(b=v),
+                                  lambda v: TwoPointNoise(b=v),
+                                  lambda v: TruncGaussNoise(sigma=0.5, b=v),
+                                  lambda v: TruncGaussNoise(sigma=v, b=1.0)],
+                         ids=["uniform_sym_b", "two_point_b", "trunc_gauss_b",
+                              "trunc_gauss_sigma"])
+def test_noise_scales_must_be_positive_and_finite(make, bad):
+    with pytest.raises(ValueError, match="positive and finite"):
+        make(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -142,15 +153,9 @@ def test_noise_prefix_stability():
 # ---------------------------------------------------------------------------
 
 def test_ties_quantize_to_minus_one():
-    assert quantize_one(0.5, 0.5) == -1
-    assert quantize_one(1.0, 0.999) == 1
-    assert quantize_one(-1.0, -1.0) == -1
-
-
-@given(st.floats(min_value=-2.0, max_value=2.0),
-       st.floats(min_value=-2.0, max_value=2.0))
-def test_quantize_sign_convention(y, t):
-    assert quantize_one(y, t) == (1 if y > t else -1)
+    y = np.array([0.5, 1.0, -1.0, 0.0, -0.0])
+    t = np.array([0.5, 0.999, -1.0, -0.0, 0.0])
+    assert np.array_equal(_quantize(y, t), [-1.0, 1.0, -1.0, -1.0, -1.0])
 
 
 def test_dither_makes_the_bit_unbiased():
@@ -218,15 +223,3 @@ def test_substreams_are_labeled_and_independent():
     c = substream(40, STREAM_THRESHOLDS).random(8)
     assert not np.array_equal(a, b) and not np.array_equal(b, c)
     assert np.array_equal(a, substream(40, STREAM_LOCATIONS).random(8))
-
-
-def test_batch_csv_dump(tmp_path, sawtooth):
-    batch = simulate_batch(sawtooth, UniformDeployment(), ZeroNoise(), 16, seed=3)
-    path = tmp_path / "batch.csv"
-    batch.to_csv(path)
-    with open(path) as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["i", "x", "y", "t", "b"]
-    assert len(rows) == 17
-    assert float(rows[1][1]) == batch.x[0]
-    assert int(rows[1][4]) in (-1, 1)
