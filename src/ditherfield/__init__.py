@@ -22,7 +22,7 @@ from .harness import (ConfigValidationError, ExperimentConfig,
 from .sensing import (AffineFloorDeployment, Linear2xDeployment, SensorBatch,
                       TabulatedDeployment, TruncGaussNoise, TwoPointNoise,
                       UniformDeployment, UniformSymNoise, ZeroNoise,
-                      make_deployment, make_noise, simulate_batch, substream,
+                      make_deployment, make_noise, simulate_batch, stream_keys,
                       trial_seed)
 
 __version__ = "0.1.0"

@@ -20,7 +20,7 @@ from .estimator import (EstimatorConfig, TruncationSchedule,
                         weighted_basis_sums)
 from .fields import (Basis, FieldSpec, FourierBasis, ReconstructionCoefficients,
                      m_term_error, make_bv_field, synthesize, true_coefficients)
-from .sensing import Deployment, Noise, simulate_batch, trial_seed
+from .sensing import Deployment, Noise, simulate_batch, stream_keys
 
 # ---------------------------------------------------------------------------
 # deployment-weighted basis integrals
@@ -176,13 +176,20 @@ class TrialCell:
     trials: int
 
 
+# sensors per simulate -> estimate block: blocks of max(1, BLOCK_SENSORS // n)
+# trials share the per-call costs and keep the block's arrays cache-sized
+BLOCK_SENSORS = 1 << 14
+
+
 def _trial_chunk(payload) -> np.ndarray:
     cell, seed, cell_index, t0, t1 = payload
+    keys = stream_keys(seed, [(cell_index, t) for t in range(t0, t1)])
     out = np.empty((t1 - t0, cell.m), dtype=np.complex128)
-    for t in range(t0, t1):
+    size = max(1, BLOCK_SENSORS // cell.n)
+    for lo in range(0, t1 - t0, size):
         batch = simulate_batch(cell.field, cell.deploy, cell.noise, cell.n,
-                               trial_seed(seed, cell_index, t))
-        out[t - t0] = estimate_coefficients(batch, cell.cfg, cell.m).values
+                               keys[lo:lo + size])
+        out[lo:lo + size] = estimate_coefficients(batch, cell.cfg, cell.m).values
     return out
 
 
@@ -190,9 +197,12 @@ def map_trials(cells: Sequence[TrialCell], seed: int, chunk: int,
                workers: int = 1) -> list[np.ndarray]:
     """Coefficient estimates of every trial: one (trials, m) array per cell.
 
-    Trial t of cell i draws from trial_seed(seed, i, t), so neither the
-    worker count nor the chunk size changes a byte; `chunk` (trials per pool
-    task) only trades pool overhead against memory traffic.
+    Trial t of cell i draws from trial_seed(seed, i, t), whose stream keys
+    each chunk derives in one pass (`stream_keys`); the chunk then runs in
+    blocks of trials, one simulate and one estimate call per block. A
+    trial's row never depends on the other trials of its block or chunk,
+    so neither the worker count nor the chunk size changes a byte; `chunk`
+    (trials per pool task) only trades pool overhead against memory traffic.
     """
     payloads = [(cell, seed, i, t0, min(t0 + chunk, cell.trials))
                 for i, cell in enumerate(cells)

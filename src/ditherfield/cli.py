@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 
 from .analysis import check_consistency_conditions
@@ -47,8 +48,16 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
 
+    if args.command in ("run", "check-conditions", "trace-as"):
+        try:
+            config = load_experiment_config(args.config,
+                                            seed_override=getattr(args, "seed", None))
+        except (ConfigValidationError, OSError, json.JSONDecodeError) as exc:
+            # exit 1 is a FAIL verdict; a config that cannot run is a usage error
+            print(f"{args.command}: {exc}", file=sys.stderr)
+            return 2
+
     if args.command == "run":
-        config = load_experiment_config(args.config, seed_override=args.seed)
         outcome = run_experiment(config, args.out, workers=args.workers)
         print(f"{config.experiment_id}: {outcome.status}")
         print(outcome.detail)
@@ -64,7 +73,6 @@ def main(argv=None) -> int:
         return 0 if result.all_pass else 1
 
     if args.command == "check-conditions":
-        config = load_experiment_config(args.config)
         report = check_consistency_conditions(config.schedule, config.basis,
                                               config.deployment, config.n_grid)
         print(f"truncation grows: {'ok' if report.truncation_ok else 'FAIL'} "
@@ -79,7 +87,6 @@ def main(argv=None) -> int:
         return 0 if report.all_pass else 1
 
     if args.command == "trace-as":
-        config = load_experiment_config(args.config, seed_override=args.seed)
         try:
             trace, path = run_as_trace(config, args.out)
         except ConfigValidationError as exc:

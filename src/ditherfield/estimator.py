@@ -133,10 +133,20 @@ class EstimatorConfig:
 
 def weighted_basis_sums(basis: Basis, m: int, x: np.ndarray,
                         w: np.ndarray) -> np.ndarray:
-    """sum_i w_i * conj(phi_j(x_i)) for j < m, from the basis's own
-    reduction: a type-1 nonuniform Fourier sum (`spectral.conj_sums`) for
-    the Fourier basis, per-cell totals for the step basis."""
+    """sum_i w_i * conj(phi_j(x_i)) for j < m over the last axis, from the
+    basis's own reduction: a type-1 nonuniform Fourier sum
+    (`spectral.conj_sums`) for the Fourier basis, per-cell totals for the
+    step basis."""
     return basis.weighted_conj_sums(m, x, w)
+
+
+def _first(mask: np.ndarray) -> tuple:
+    """Index of the first True entry of a 1-D or (R, n) mask."""
+    return tuple(int(i) for i in np.unravel_index(np.argmax(mask), mask.shape))
+
+
+def _subscript(index: tuple) -> str:
+    return ", ".join(map(str, index))
 
 
 def sensor_weights(batch: SensorBatch, density: Deployment) -> np.ndarray:
@@ -150,24 +160,26 @@ def sensor_weights(batch: SensorBatch, density: Deployment) -> np.ndarray:
         raise ValueError("empty batch")
     x, bits = batch.x, batch.bits
     if not (x.min() >= 0.0 and x.max() <= 1.0):  # NaN fails both
-        i = int(np.argmax(~((x >= 0.0) & (x <= 1.0))))
-        raise EstimationError(f"sensor location x[{i}]={float(x[i])!r} is not in [0, 1]")
+        i = _first(~((x >= 0.0) & (x <= 1.0)))
+        raise EstimationError(
+            f"sensor location x[{_subscript(i)}]={float(x[i])!r} is not in [0, 1]")
     off = np.abs(bits) != 1.0
     if off.any():
-        i = int(np.argmax(off))
-        raise EstimationError(f"sensor bit bits[{i}]={float(bits[i])!r} is not -1 or +1")
+        i = _first(off)
+        raise EstimationError(
+            f"sensor bit bits[{_subscript(i)}]={float(bits[i])!r} is not -1 or +1")
     p = np.asarray(density.pdf(x), dtype=float)
     if np.any(p <= 0.0):
-        where = x[np.argmax(p <= 0.0)]
-        raise EstimationError(
-            f"deployment density vanishes at observed location x={where!r}")
+        raise EstimationError(f"deployment density vanishes at observed "
+                              f"location x={float(x[_first(p <= 0.0)])!r}")
     return bits / p
 
 
 def estimate_coefficients(batch: SensorBatch, cfg: EstimatorConfig,
                           m: int) -> ReconstructionCoefficients:
-    """First m coefficient estimates from one sensor batch. Raises
-    EstimationError where `sensor_weights` does."""
+    """First m coefficient estimates from one sensor batch: a vector, or a
+    (R, m) array for a batch of R realizations. Raises EstimationError
+    where `sensor_weights` does."""
     if m < 1:
         raise ValueError("need at least one coefficient")
     sums = weighted_basis_sums(cfg.basis, m, batch.x, sensor_weights(batch, cfg.density))

@@ -58,8 +58,8 @@ class FourierBasis:
 
     def weighted_conj_sums(self, count: int, x: np.ndarray,
                            w: np.ndarray) -> np.ndarray:
-        """sum_i w_i * conj(phi_j(x_i)) for j < count, from one type-1 sum
-        over frequencies 0..count//2.
+        """sum_i w_i * conj(phi_j(x_i)) for j < count over the last axis,
+        from one type-1 sum over frequencies 0..count//2.
 
         For real weights the odd-index (negative-frequency) sums are the
         conjugates of the even-index ones, so only the positive-frequency
@@ -70,9 +70,9 @@ class FourierBasis:
                     + 1j * self.weighted_conj_sums(count, x, np.imag(w)))
         k_max = count // 2
         s_pos = conj_sums(x, w, k_max)
-        out = np.empty(count, dtype=np.complex128)
-        out[0::2] = s_pos[:(count + 1) // 2]
-        out[1::2] = np.conj(s_pos[1:k_max + 1])
+        out = np.empty(s_pos.shape[:-1] + (count,), dtype=np.complex128)
+        out[..., 0::2] = s_pos[..., :(count + 1) // 2]
+        out[..., 1::2] = np.conj(s_pos[..., 1:k_max + 1])
         return out
 
 
@@ -114,16 +114,25 @@ class StepBasis:
 
     def weighted_conj_sums(self, count: int, x: np.ndarray,
                            w: np.ndarray) -> np.ndarray:
-        """Per-cell weight totals, scaled by the indicator height."""
+        """Per-cell weight totals over the last axis, scaled by the
+        indicator height. Rows of a 2-D input go to disjoint bins of one
+        `bincount`, which adds each bin's weights in input order, so a
+        row's totals equal those of the row alone, bit for bit."""
         if count > self.cells:
             raise IndexError(f"step basis has {self.cells} functions, got count={count}")
-        idx = self._cell_index(np.asarray(x, dtype=float))
-        if np.iscomplexobj(w):
-            sums = (np.bincount(idx, weights=np.real(w), minlength=self.cells)
-                    + 1j * np.bincount(idx, weights=np.imag(w), minlength=self.cells))
-        else:
-            sums = np.bincount(idx, weights=w, minlength=self.cells)
-        return self.bound * sums[:count].astype(np.complex128)
+        x = np.asarray(x, dtype=float)
+        lead = x.shape[:-1]
+        idx = self._cell_index(x)
+        idx += self.cells * np.arange(math.prod(lead)).reshape(lead + (1,))
+        bins = self.cells * math.prod(lead)
+
+        def totals(weights):
+            return np.bincount(idx.ravel(), weights=np.ravel(weights),
+                               minlength=bins).reshape(lead + (self.cells,))
+
+        sums = (totals(np.real(w)) + 1j * totals(np.imag(w)) if np.iscomplexobj(w)
+                else totals(w))
+        return self.bound * sums[..., :count].astype(np.complex128)
 
 
 Basis = FourierBasis | StepBasis

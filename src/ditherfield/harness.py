@@ -44,6 +44,13 @@ _CONFIG_KEYS = ("experiment_id", "field", "basis", "deployment", "noise",
 _ACCEPTANCE_KEYS = ("slope_range", "r2_min", "bound_dominance",
                     "expect_rejected", "trace_ratio_max")
 
+# Largest sensor count a config may ask for: 16x the shipped 10^6 of the
+# trace configs, and a bound on the arrays one realization allocates.
+N_GRID_MAX = 1 << 24
+# Trial indices are spawn-key entries, which the bulk stream keys take as
+# single 32-bit words.
+TRIALS_MAX = (1 << 32) - 1
+
 
 class ConfigValidationError(ValueError):
     """Raised with the full list of violated config fields."""
@@ -90,6 +97,9 @@ class ExperimentConfig:
 
 
 def parse_experiment_config(doc: dict, seed_override: int | None = None) -> ExperimentConfig:
+    if not isinstance(doc, dict):
+        raise ConfigValidationError([f"config must be a JSON object, got "
+                                     f"{type(doc).__name__}"])
     problems: list[str] = []
     doc = dict(doc)
     if seed_override is not None:
@@ -131,6 +141,8 @@ def parse_experiment_config(doc: dict, seed_override: int | None = None) -> Expe
             n_grid = tuple(_count(n) for n in raw_grid)
             if any(n < 1 for n in n_grid):
                 problems.append("n_grid: entries must be positive")
+            if any(n > N_GRID_MAX for n in n_grid):
+                problems.append(f"n_grid: entries must be at most {N_GRID_MAX}")
             if any(b <= a for a, b in zip(n_grid, n_grid[1:])):
                 problems.append("n_grid: must be strictly increasing")
         except ValueError:
@@ -149,6 +161,8 @@ def parse_experiment_config(doc: dict, seed_override: int | None = None) -> Expe
                 problems.append("trials: need one count per n_grid entry")
             if any(t < 2 for t in trials):
                 problems.append("trials: every count must be >= 2")
+            if any(t > TRIALS_MAX for t in trials):
+                problems.append(f"trials: every count must be at most {TRIALS_MAX}")
         except ValueError:
             problems.append("trials: must be an integer or list of integers")
 
@@ -308,6 +322,15 @@ def run_experiment(config: ExperimentConfig, out_dir, workers: int = 1) -> Exper
                          fit.r_squared >= accept["r2_min"]))
     if accept.get("bound_dominance"):
         verdicts.append((f"bound dominance violations {violations}", violations == 0))
+    # a NaN or infinite number is no evidence, whatever the declared tolerances
+    reported = {"mse": sweep.means + sweep.stds, "ci": sweep.ci_half,
+                "bound": tuple(v for b in bounds
+                               for v in (b.total, b.variance_term, b.bias_term)),
+                "fit": (fit.slope, fit.intercept, fit.r_squared) if fit else ()}
+    non_finite = [name for name, values in reported.items()
+                  if not all(math.isfinite(v) for v in values)]
+    if non_finite:
+        verdicts.append((f"non-finite {', '.join(non_finite)} values", False))
     checks = [f"{text}: {'ok' if ok else 'VIOLATED'}" for text, ok in verdicts]
     status = "PASS" if all(ok for _, ok in verdicts) else "FAIL"
 

@@ -95,6 +95,17 @@ def _offsets(xs: np.ndarray, m: int):
     return first.astype(np.intp) + W, first - t
 
 
+def _rotate(cur: np.ndarray, step: np.ndarray) -> np.ndarray:
+    """cur * step, in place where that rounds like the vector loop: numpy
+    runs an in-place complex product of a single element through its
+    scalar reduce loop, which rounds differently. So a point's terms never
+    depend on how many points share the call."""
+    if cur.size == 1:
+        return cur * step
+    cur *= step
+    return cur
+
+
 def _kernel(s: np.ndarray, out: np.ndarray) -> np.ndarray:
     """phi at grid distance s, |s| <= W/2: exp(beta sqrt(1 - (s / (W/2))^2)).
 
@@ -114,33 +125,40 @@ def _kernel(s: np.ndarray, out: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def conj_sums(x: np.ndarray, w: np.ndarray, K: int) -> np.ndarray:
-    """S_k = sum_i w_i exp(-2 pi i k x_i) for k = 0..K (K + 1 values).
+    """S_k = sum_i w_i exp(-2 pi i k x_i) for k = 0..K (K + 1 values), over
+    the last axis: an (R, n) input gives one row of sums per row.
 
     Real or complex weights; complex ones are split into their real and
-    imaginary parts (the sum is linear in w)."""
+    imaginary parts (the sum is linear in w). The direct path takes every
+    row at once; the gridded one runs row by row. The path is picked from
+    (n, K), so it is the same for every row, and a row's sums equal, bit
+    for bit, those of the row alone."""
     x = np.asarray(x, dtype=float)
     if np.iscomplexobj(w):
         return conj_sums(x, np.real(w), K) + 1j * conj_sums(x, np.imag(w), K)
     w = np.asarray(w, dtype=float)
-    if len(x) and _gridded(len(x), K, 1):
-        xu = _unit_points(x)
-        if xu is not None:
-            return _spread_sums(xu, w, K)
-    return _direct_sums(x, w, K)
+    if not (x.shape[-1] and _gridded(x.shape[-1], K, 1)):
+        return _direct_sums(x, w, K)
+    out = np.empty(x.shape[:-1] + (K + 1,), dtype=np.complex128)
+    for row in np.ndindex(x.shape[:-1]):
+        xu = _unit_points(x[row])
+        out[row] = (_spread_sums(xu, w[row], K) if xu is not None
+                    else _direct_sums(x[row], w[row], K))
+    return out
 
 
 def _direct_sums(x: np.ndarray, w: np.ndarray, K: int) -> np.ndarray:
-    out = np.zeros(K + 1, dtype=np.complex128)
-    for lo in range(0, len(x), _DIRECT_CHUNK):
-        xs, ws = x[lo:lo + _DIRECT_CHUNK], w[lo:lo + _DIRECT_CHUNK]
-        out[0] += np.sum(ws)
+    out = np.zeros(x.shape[:-1] + (K + 1,), dtype=np.complex128)
+    for lo in range(0, x.shape[-1], _DIRECT_CHUNK):
+        xs, ws = x[..., lo:lo + _DIRECT_CHUNK], w[..., lo:lo + _DIRECT_CHUNK]
+        out[..., 0] += np.sum(ws, axis=-1)
         if K:
             step = np.exp(-2j * np.pi * xs)
             cur = ws * step
-            out[1] += cur.sum()
+            out[..., 1] += cur.sum(axis=-1)
             for k in range(2, K + 1):
-                cur *= step
-                out[k] += cur.sum()
+                cur = _rotate(cur, step)
+                out[..., k] += cur.sum(axis=-1)
     return out
 
 
@@ -196,7 +214,7 @@ def _direct_series(a0: float, pos: np.ndarray, x: np.ndarray) -> np.ndarray:
             cur = rot.copy()
             acc += 2.0 * (pos[0] * cur).real
             for a in pos[1:]:
-                cur *= rot
+                cur = _rotate(cur, rot)
                 acc += 2.0 * (a * cur).real
         out[lo:lo + seg.size] = acc
     return out

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from ditherfield import (AffineFloorDeployment, FiniteDimField, FourierBasis,
-                         StepBasis, TabulatedDeployment, UniformDeployment,
-                         make_bv_field, make_finite_dim_field,
-                         make_sobolev_field)
+                         SensorBatch, StepBasis, TabulatedDeployment,
+                         UniformDeployment, make_bv_field,
+                         make_finite_dim_field, make_sobolev_field)
+from ditherfield.sensing import (STREAM_LOCATIONS, STREAM_NOISE,
+                                 STREAM_THRESHOLDS)
 
 SHIPPED_K5_COEFFS = [0.2, 0.15 + 0.1j, 0.15 - 0.1j, -0.1 + 0.05j, -0.1 - 0.05j]
 TABULATION_CELLS = 1 << 12
@@ -13,6 +15,27 @@ TABULATION_CELLS = 1 << 12
 def zero_field(amplitude_bound: float = 1.0) -> FiniteDimField:
     return FiniteDimField(basis=FourierBasis(), values=np.zeros(1),
                           amplitude_bound=amplitude_bound)
+
+
+def substream(seed, label: int) -> np.random.Generator:
+    """Stream `label` of a realization, built the way numpy builds it: a
+    child SeedSequence whose spawn key ends in the label, seeding a fresh
+    Philox. The oracle for the engine's bulk keys and reused generator."""
+    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    child = np.random.SeedSequence(entropy=ss.entropy,
+                                   spawn_key=tuple(ss.spawn_key) + (label,))
+    return np.random.Generator(np.random.Philox(child))
+
+
+def reference_batch(field, deploy, noise, n: int, seed) -> SensorBatch:
+    """One realization simulated from `substream` generators, one trial at
+    a time: what a block row of `simulate_batch` must equal, bit for bit."""
+    c = field.amplitude_bound + noise.b
+    x = deploy.sample(substream(seed, STREAM_LOCATIONS).random(n))
+    z = noise.sample(substream(seed, STREAM_NOISE).random(n))
+    t = (2.0 * substream(seed, STREAM_THRESHOLDS).random(n) - 1.0) * c
+    y = field.eval(x) + z
+    return SensorBatch(x=x, y=y, t=t, bits=np.where(y > t, 1.0, -1.0), c=c)
 
 
 def tabulate_deployment(pdf, cells: int = TABULATION_CELLS) -> TabulatedDeployment:

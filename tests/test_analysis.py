@@ -241,6 +241,9 @@ def test_worker_count_does_not_change_results(sawtooth):
 
 
 def test_chunk_size_does_not_change_trial_estimates(sawtooth):
+    """Chunks of 7 and 250 split blocks (54, 23 and 16384 trials at n = 300,
+    700 and 1), and chunks of 1 make one-trial blocks; two workers run the
+    chunks out of order."""
     deploy, noise = AffineFloorDeployment(nu=0.5), UniformSymNoise(b=1.0)
     sobolev = make_sobolev_field(1.0, seed=7, n_freqs=32)
     cells = [TrialCell(f, deploy, noise,
@@ -248,9 +251,11 @@ def test_chunk_size_does_not_change_trial_estimates(sawtooth):
                                        c=f.amplitude_bound + noise.b,
                                        schedule=TruncationSchedule.fixed(m)),
                        n, m, trials)
-             for f, n, m, trials in ((sawtooth, 300, 5, 23), (sobolev, 700, 8, 9))]
-    runs = [map_trials(cells, seed=17, chunk=chunk) for chunk in (1, 7, 250)]
-    assert [a.shape for a in runs[0]] == [(23, 5), (9, 8)]
+             for f, n, m, trials in ((sawtooth, 300, 5, 123), (sobolev, 700, 8, 9),
+                                     (sobolev, 1, 8, 12))]
+    runs = [map_trials(cells, seed=17, chunk=chunk, workers=workers)
+            for workers in (1, 2) for chunk in (1, 7, 250)]
+    assert [a.shape for a in runs[0]] == [(123, 5), (9, 8), (12, 8)]
     for other in runs[1:]:
         assert all(np.array_equal(a, b) for a, b in zip(runs[0], other))
     # trial t of cell i draws from trial_seed(seed, i, t)

@@ -1,0 +1,212 @@
+"""The trial-block engine: bulk stream keys, block simulation and block
+estimation against the one-trial-at-a-time oracle in conftest."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ditherfield import (AffineFloorDeployment, EstimationError, EstimatorConfig,
+                         FourierBasis, Linear2xDeployment, SensorBatch,
+                         StepBasis, TruncGaussNoise,
+                         TruncationSchedule, TwoPointNoise, UniformDeployment,
+                         UniformSymNoise, ZeroNoise, estimate_coefficients,
+                         make_bv_field, make_finite_dim_field,
+                         make_sobolev_field, simulate_batch, stream_keys,
+                         trial_seed)
+from ditherfield.analysis import TrialCell, map_trials
+from ditherfield.estimator import weighted_basis_sums
+from ditherfield.sensing import seed_keys
+from ditherfield.spectral import conj_sums
+
+from conftest import SHIPPED_K5_COEFFS, reference_batch, tabulate_deployment
+
+DEPLOYMENTS = [UniformDeployment(), Linear2xDeployment(),
+               AffineFloorDeployment(nu=0.5),
+               tabulate_deployment(lambda x: 1.0 + 0.5 * np.sin(2 * np.pi * x))]
+NOISES = [ZeroNoise(), UniformSymNoise(b=1.0), TruncGaussNoise(sigma=0.5, b=1.0),
+          TwoPointNoise(b=0.7)]
+FIELDS = {"finite_dim": make_finite_dim_field(FourierBasis(), SHIPPED_K5_COEFFS,
+                                              amplitude_bound=0.8),
+          "sobolev": make_sobolev_field(1.0, seed=7),
+          "sawtooth": make_bv_field("sawtooth"),
+          "piecewise": make_bv_field("staircase")}
+BASES = [FourierBasis(), StepBasis(cells=64)]
+# 1 and 7 sensors make blocks of thousands of trials, 20000 a block of one;
+# with m = 64 (frequencies up to 32) the type-1 sum is direct up to n = 1000
+# and gridded at n = 20000
+SENSOR_COUNTS = (1, 7, 1000, 20_000)
+M = 64
+
+
+def cell_for(field, deploy, noise, basis, n, trials):
+    cfg = EstimatorConfig(basis=basis, density=deploy, c=field.amplitude_bound + noise.b,
+                          schedule=TruncationSchedule.fixed(M))
+    return TrialCell(field, deploy, noise, cfg, n, M, trials)
+
+
+# ---------------------------------------------------------------------------
+# bulk stream keys
+# ---------------------------------------------------------------------------
+
+entropies = st.integers(min_value=0, max_value=2 ** 128)
+
+
+@given(st.one_of(entropies, st.lists(entropies, min_size=1, max_size=4)),
+       st.integers(min_value=0, max_value=3).flatmap(lambda width: st.lists(
+           st.lists(st.integers(min_value=0, max_value=2 ** 32 - 1),
+                    min_size=width, max_size=width), min_size=1, max_size=4)))
+@settings(max_examples=200, deadline=None)
+def test_bulk_keys_equal_seed_sequence_keys(entropy, spawn_keys):
+    got = seed_keys(entropy, np.array(spawn_keys, dtype=np.int64).reshape(len(spawn_keys), -1))
+    for row, key in zip(got, spawn_keys):
+        want = np.random.SeedSequence(entropy, spawn_key=tuple(key)).generate_state(
+            2, np.uint64)
+        assert np.array_equal(row, want)
+
+
+def test_stream_keys_append_the_label():
+    keys = stream_keys(7_102_030, [(4, t) for t in range(5)])
+    assert keys.shape == (5, 3, 2) and keys.dtype == np.uint64
+    for t in range(5):
+        for label in range(3):
+            want = np.random.SeedSequence(7_102_030, spawn_key=(4, t, label))
+            assert np.array_equal(keys[t, label], want.generate_state(2, np.uint64))
+
+
+@pytest.mark.parametrize("spawn_keys", [[(-1,)], [(2 ** 32,)]])
+def test_spawn_key_entries_must_be_single_words(spawn_keys):
+    with pytest.raises(ValueError, match=r"\[0, 2\^32\)"):
+        stream_keys(1, spawn_keys)
+
+
+def test_block_seed_must_be_a_key_array(sawtooth):
+    keys = stream_keys(3, [(0,), (1,)])
+    with pytest.raises(ValueError, match="uint64 array"):
+        simulate_batch(sawtooth, UniformDeployment(), ZeroNoise(), 10, keys[:, :2])
+
+
+# ---------------------------------------------------------------------------
+# block rows against the one-trial oracle
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("noise", NOISES, ids=lambda z: z.kind)
+@pytest.mark.parametrize("deploy", DEPLOYMENTS, ids=lambda d: d.kind)
+def test_block_rows_equal_the_one_trial_oracle(deploy, noise):
+    seed, trials = 515, 3
+    for field in FIELDS.values():
+        for basis in BASES:
+            for n in SENSOR_COUNTS:
+                cell = cell_for(field, deploy, noise, basis, n, trials)
+                rows = map_trials([cell], seed, chunk=250)[0]
+                for t in range(trials):
+                    batch = reference_batch(field, deploy, noise, n, trial_seed(seed, 0, t))
+                    want = estimate_coefficients(batch, cell.cfg, M).values
+                    assert np.array_equal(rows[t], want), (field.kind, basis.kind, n, t)
+
+
+@pytest.mark.parametrize("n", SENSOR_COUNTS + (70_000,))
+def test_block_batch_rows_equal_single_batches(n):
+    """Every array of a block batch, row by row, and the estimate of the
+    block, including a block wider than the direct path's point chunk."""
+    field, deploy, noise = FIELDS["sobolev"], AffineFloorDeployment(nu=0.5), UniformSymNoise()
+    keys = stream_keys(88, [(2, t) for t in range(3)])
+    block = simulate_batch(field, deploy, noise, n, keys)
+    assert block.x.shape == (3, n) and block.n == n
+    for basis in BASES:
+        cfg = cell_for(field, deploy, noise, basis, n, 3).cfg
+        estimates = estimate_coefficients(block, cfg, M).values
+        for t in range(3):
+            single = simulate_batch(field, deploy, noise, n, trial_seed(88, 2, t))
+            for name in ("x", "y", "t", "bits"):
+                assert np.array_equal(getattr(block, name)[t], getattr(single, name)), name
+            assert np.array_equal(estimates[t], estimate_coefficients(single, cfg, M).values)
+
+
+@pytest.mark.parametrize("n", SENSOR_COUNTS + (70_000,))
+@pytest.mark.parametrize("K", [0, 3, 40])
+def test_conj_sums_rows_equal_the_row_alone(n, K):
+    rng = np.random.default_rng(n + K)
+    x, w = rng.random((3, n)), rng.standard_normal((3, n))
+    rows = conj_sums(x, w, K)
+    assert rows.shape == (3, K + 1)
+    for r in range(3):
+        assert np.array_equal(rows[r], conj_sums(x[r], w[r], K))
+
+
+def test_a_bad_sensor_in_a_block_is_named_by_row_and_column(sawtooth):
+    block = simulate_batch(sawtooth, UniformDeployment(), ZeroNoise(), 5,
+                           stream_keys(1, [(0,), (1,)]))
+    block.bits[1, 3] = 0.0
+    cfg = cell_for(sawtooth, UniformDeployment(), ZeroNoise(), FourierBasis(), 5, 2).cfg
+    with pytest.raises(EstimationError, match=r"bits\[1, 3\]=0.0"):
+        estimate_coefficients(block, cfg, 4)
+
+
+# ---------------------------------------------------------------------------
+# prefix stability
+# ---------------------------------------------------------------------------
+
+def test_the_engine_is_prefix_stable(sawtooth):
+    """More trials keep the first trials' rows; more sensors keep the first
+    sensors of every row of a block."""
+    deploy, noise = UniformDeployment(), UniformSymNoise(b=1.0)
+    short = map_trials([cell_for(sawtooth, deploy, noise, FourierBasis(), 500, 40)],
+                       seed=9, chunk=25)[0]
+    long = map_trials([cell_for(sawtooth, deploy, noise, FourierBasis(), 500, 90)],
+                      seed=9, chunk=25)[0]
+    assert np.array_equal(short, long[:40])
+
+    keys = stream_keys(9, [(0, t) for t in range(4)])
+    small = simulate_batch(sawtooth, deploy, noise, 300, keys)
+    grown = simulate_batch(sawtooth, deploy, noise, 3000, keys).prefix(300)
+    for name in ("x", "y", "t", "bits"):
+        assert np.array_equal(getattr(small, name), getattr(grown, name)), name
+
+
+# ---------------------------------------------------------------------------
+# estimator properties
+# ---------------------------------------------------------------------------
+
+# scale factors away from the subnormal range, where relative error is unbounded
+factors = st.floats(min_value=-3.0, max_value=3.0).filter(lambda v: v == 0.0 or abs(v) > 1e-6)
+
+
+# at 3000 sensors and m > 40 the type-1 sum goes gridded
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1), st.sampled_from([1, 7, 40, 3000]),
+       st.sampled_from(BASES), st.integers(min_value=1, max_value=64), factors, factors)
+@settings(max_examples=60, deadline=None)
+def test_the_estimate_is_linear_in_the_bits(seed, n, basis, m, a, b):
+    rng = np.random.default_rng(seed)
+    x = rng.random(n)
+    bits1, bits2 = (np.where(rng.random(n) < 0.5, -1.0, 1.0) for _ in range(2))
+    p = AffineFloorDeployment(nu=0.5).pdf(x)
+    s1, s2 = (weighted_basis_sums(basis, m, x, bits / p) for bits in (bits1, bits2))
+    mixed = weighted_basis_sums(basis, m, x, (a * bits1 + b * bits2) / p)
+    scale = (abs(a) + abs(b)) * np.sum(1.0 / p) * basis.bound
+    assert np.max(np.abs(mixed - (a * s1 + b * s2))) <= 1e-12 * scale
+
+
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1), st.sampled_from(BASES))
+@settings(max_examples=30, deadline=None)
+def test_flipping_every_bit_negates_the_estimate(seed, basis):
+    field, deploy, noise = FIELDS["sawtooth"], UniformDeployment(), UniformSymNoise(b=1.0)
+    batch = simulate_batch(field, deploy, noise, 700, stream_keys(seed, [(0,), (1,)]))
+    cfg = cell_for(field, deploy, noise, basis, 700, 2).cfg
+    flipped = SensorBatch(x=batch.x, y=batch.y, t=batch.t, bits=-batch.bits, c=batch.c)
+    assert np.array_equal(estimate_coefficients(flipped, cfg, M).values,
+                          -estimate_coefficients(batch, cfg, M).values)
+
+
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1),
+       st.sampled_from(SENSOR_COUNTS), st.integers(min_value=1, max_value=99))
+@settings(max_examples=40, deadline=None)
+def test_real_weight_estimates_are_conjugate_symmetric(seed, n, m):
+    """phi_{2k-1} = conj(phi_{2k}), so real weights give alpha_{2k-1} =
+    conj(alpha_{2k}), row by row."""
+    rng = np.random.default_rng(seed)
+    x, w = rng.random((2, n)), rng.standard_normal((2, n))
+    sums = weighted_basis_sums(FourierBasis(), m, x, w)
+    pairs = (m - 1) // 2
+    assert np.array_equal(sums[:, 1:1 + 2 * pairs:2], np.conj(sums[:, 2:2 + 2 * pairs:2]))
+    assert np.all(sums[:, 0].imag == 0.0)

@@ -339,3 +339,79 @@ def test_import_leaves_scipy_integrate_unloaded():
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("command", ["run", "check-conditions", "trace-as"])
+@pytest.mark.parametrize("change", [{"seed": -1}, {"n_grid": [256, 1e18]}],
+                         ids=["negative_seed", "huge_n"])
+def test_cli_config_errors_exit_2_without_a_traceback(tmp_path, command, change):
+    """Exit 1 is a FAIL verdict; a config that does not parse is exit 2 and
+    one line on stderr, for every subcommand that reads a config."""
+    config_path = tmp_path / "bad.json"
+    config_path.write_text(json.dumps(dict(MINI_CONFIG, **change)))
+    out = [] if command == "check-conditions" else ["--out", str(tmp_path / "out")]
+    proc = subprocess.run(
+        [sys.executable, "-m", "ditherfield.cli", command, str(config_path)] + out,
+        capture_output=True, text=True)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.count("\n") == 1
+    assert proc.stderr.startswith(f"{command}: invalid experiment config")
+    assert proc.stdout == ""
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_unreadable_config_exits_2(tmp_path):
+    config_path = tmp_path / "broken.json"
+    config_path.write_text("{not json")
+    for path in (config_path, tmp_path / "missing.json"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "ditherfield.cli", "check-conditions", str(path)],
+            capture_output=True, text=True)
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
+def test_a_config_must_be_an_object():
+    with pytest.raises(ConfigValidationError, match="JSON object"):
+        parse_experiment_config([MINI_CONFIG])
+
+
+@pytest.mark.parametrize("key, value, ok", [
+    ("n_grid", [256, harness.N_GRID_MAX], True),
+    ("n_grid", [256, harness.N_GRID_MAX + 1], False),
+    ("n_grid", [256, 1e18], False),
+    ("trials", (1 << 32) - 1, True),
+    ("trials", 1 << 32, False),
+    ("trials", [12, 12, 12, 1 << 40], False)])
+def test_counts_are_capped_at_parse_time(key, value, ok):
+    """Parsed only: a config at a cap is never run here."""
+    assert harness.N_GRID_MAX >= 10 ** 6  # the shipped trace checkpoints
+    doc = dict(MINI_CONFIG, **{key: value})
+    if ok:
+        assert parse_experiment_config(doc) is not None
+    else:
+        with pytest.raises(ConfigValidationError, match=f"{key}: .* at most"):
+            parse_experiment_config(doc)
+
+
+def test_a_non_finite_bound_fails_without_declared_tolerances(tmp_path, monkeypatch):
+    real = harness.mse_upper_bound
+    monkeypatch.setattr(harness, "mse_upper_bound", lambda *args: dataclasses.replace(
+        real(*args), variance_term=math.inf))
+    outcome = run_experiment(parse_experiment_config(dict(MINI_CONFIG, acceptance={})),
+                             tmp_path)
+    assert outcome.status == "FAIL"
+    assert "non-finite bound values: VIOLATED" in outcome.detail
+
+
+def test_a_non_finite_rate_fit_fails(tmp_path, monkeypatch):
+    real = harness.rate_fit
+    monkeypatch.setattr(harness, "rate_fit", lambda *args: dataclasses.replace(
+        real(*args), slope=math.nan))
+    outcome = run_experiment(parse_experiment_config(dict(MINI_CONFIG, acceptance={})),
+                             tmp_path)
+    assert outcome.status == "FAIL"
+    assert "non-finite fit values: VIOLATED" in outcome.detail
+    report = json.loads((tmp_path / "mini_report.json").read_text())
+    assert report["status"] == "FAIL"

@@ -7,11 +7,11 @@ from scipy.integrate import quad
 from ditherfield import (AffineFloorDeployment, Linear2xDeployment,
                          TabulatedDeployment, TruncGaussNoise, TwoPointNoise,
                          UniformDeployment, UniformSymNoise, ZeroNoise,
-                         simulate_batch, substream)
+                         simulate_batch, stream_keys)
 from ditherfield.sensing import (STREAM_LOCATIONS, STREAM_NOISE,
                                  STREAM_THRESHOLDS, _quantize)
 
-from conftest import tabulate_deployment, zero_field
+from conftest import substream, tabulate_deployment, zero_field
 
 DEPLOYMENTS = [UniformDeployment(), Linear2xDeployment(),
                AffineFloorDeployment(nu=0.5), AffineFloorDeployment(nu=0.9),
@@ -34,7 +34,7 @@ def test_pdf_integrates_to_one(deploy):
 @pytest.mark.parametrize("deploy", DEPLOYMENTS, ids=lambda d: d.kind)
 def test_sampler_matches_cdf(deploy):
     rng = substream(314, STREAM_LOCATIONS)
-    x = deploy.sample(rng, 100_000)
+    x = deploy.sample(rng.random(100_000))
     assert x.min() >= 0.0 and x.max() <= 1.0
     xs = np.sort(x)
     ecdf_hi = np.arange(1, len(xs) + 1) / len(xs)
@@ -136,15 +136,15 @@ def test_uniform_inverse_integral_is_the_length():
 
 @pytest.mark.parametrize("noise", NOISES, ids=lambda z: z.kind)
 def test_noise_bounded_and_zero_mean(noise):
-    z = noise.sample(substream(2718, STREAM_NOISE), 1_000_000)
+    z = noise.sample(substream(2718, STREAM_NOISE).random(1_000_000))
     assert np.max(np.abs(z)) <= noise.b + 1e-12
     assert abs(z.mean()) <= 4.0 * max(noise.b, 1e-12) / 1000.0
 
 
 def test_noise_prefix_stability():
     for noise in NOISES:
-        short = noise.sample(substream(99, STREAM_NOISE), 1000)
-        long = noise.sample(substream(99, STREAM_NOISE), 5000)
+        short = noise.sample(substream(99, STREAM_NOISE).random(1000))
+        long = noise.sample(substream(99, STREAM_NOISE).random(5000))
         assert np.array_equal(short, long[:1000])
 
 
@@ -218,8 +218,11 @@ def test_nested_sample_paths(sawtooth):
 
 
 def test_substreams_are_labeled_and_independent():
-    a = substream(40, STREAM_LOCATIONS).random(8)
-    b = substream(40, STREAM_NOISE).random(8)
-    c = substream(40, STREAM_THRESHOLDS).random(8)
-    assert not np.array_equal(a, b) and not np.array_equal(b, c)
-    assert np.array_equal(a, substream(40, STREAM_LOCATIONS).random(8))
+    keys = stream_keys(40, [()])[0]
+    assert len({tuple(k) for k in keys}) == 3
+    for label in (STREAM_LOCATIONS, STREAM_NOISE, STREAM_THRESHOLDS):
+        want = np.random.SeedSequence(40, spawn_key=(label,)).generate_state(2, np.uint64)
+        assert np.array_equal(keys[label], want)
+    batch = simulate_batch(zero_field(1.0), UniformDeployment(), UniformSymNoise(b=1.0),
+                           8, seed=40)
+    assert np.array_equal(batch.x, substream(40, STREAM_LOCATIONS).random(8))
