@@ -50,6 +50,9 @@ N_GRID_MAX = 1 << 24
 # Trial indices are spawn-key entries, which the bulk stream keys take as
 # single 32-bit words.
 TRIALS_MAX = (1 << 32) - 1
+# Largest dynamic range c = amplitude bound + noise b: squared errors and
+# bounds scale as c^2 times the coefficient count, which must stay finite.
+DYNAMIC_RANGE_MAX = 1e100
 
 
 class ConfigValidationError(ValueError):
@@ -70,6 +73,11 @@ def _count(value) -> int:
                                                and value.is_integer()):
         return int(value)
     raise ValueError(f"{value!r} is not an integer")
+
+
+def _finite_number(value) -> bool:
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,12 +174,21 @@ def parse_experiment_config(doc: dict, seed_override: int | None = None) -> Expe
         except ValueError:
             problems.append("trials: must be an integer or list of integers")
 
-    if (schedule is not None and basis.size is not None and n_grid
-            and min(n_grid) >= 1):
-        m_max = max(schedule.resolve(n) for n in n_grid)
-        if m_max > basis.size:
-            problems.append(f"schedule: m(n) reaches {m_max} on n_grid, but the "
+    if schedule is not None and n_grid and min(n_grid) >= 1:
+        m_values = [schedule.resolve(n) for n in n_grid]
+        if basis.size is not None and max(m_values) > basis.size:
+            problems.append(f"schedule: m(n) reaches {max(m_values)} on n_grid, but the "
                             f"{basis.kind} basis has only {basis.size} functions")
+        over = [(n, m) for n, m in zip(n_grid, m_values) if m > n]
+        if over:
+            problems.append(f"schedule: m(n) must not exceed n, but m({over[0][0]}) "
+                            f"= {over[0][1]:.6g}")
+
+    if field is not None and noise is not None:
+        c = field.amplitude_bound + noise.b
+        if not c <= DYNAMIC_RANGE_MAX:
+            problems.append(f"field, noise: the dynamic range c = amplitude bound + "
+                            f"noise b = {c:g} must be at most {DYNAMIC_RANGE_MAX:g}")
 
     acceptance = doc.get("acceptance", {})
     if not isinstance(acceptance, dict):
@@ -181,6 +198,18 @@ def parse_experiment_config(doc: dict, seed_override: int | None = None) -> Expe
     if unknown:
         problems.append(f"acceptance: unknown keys {unknown}; expected some of "
                         f"{list(_ACCEPTANCE_KEYS)}")
+    slope_range = acceptance.get("slope_range", (0.0, 0.0))
+    if not (isinstance(slope_range, (list, tuple)) and len(slope_range) == 2
+            and all(map(_finite_number, slope_range))
+            and slope_range[0] <= slope_range[1]):
+        problems.append("acceptance: slope_range must be [lo, hi], finite numbers "
+                        "with lo <= hi")
+    for key in ("r2_min", "trace_ratio_max"):
+        if key in acceptance and not _finite_number(acceptance[key]):
+            problems.append(f"acceptance: {key} must be a finite number")
+    for key in ("bound_dominance", "expect_rejected"):
+        if key in acceptance and not isinstance(acceptance[key], bool):
+            problems.append(f"acceptance: {key} must be true or false")
     fitted = sorted({"slope_range", "r2_min"} & set(acceptance))
     if fitted and n_grid and len(n_grid) < RATE_FIT_MIN_POINTS:
         problems.append(f"acceptance: {', '.join(fitted)} need a rate fit, which "

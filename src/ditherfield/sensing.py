@@ -378,8 +378,11 @@ def make_noise(kind: str, **params) -> Noise:
 # ---------------------------------------------------------------------------
 
 def _quantize(y: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Sign of y - t with ties going to -1."""
-    return np.where(y > t, 1.0, -1.0)
+    """Sign of y - t with ties (and NaN) going to -1: 2 [y > t] - 1."""
+    bits = np.greater(y, t).astype(float)
+    bits *= 2.0
+    bits -= 1.0
+    return bits
 
 
 @dataclass(frozen=True, eq=False)
@@ -450,8 +453,11 @@ def simulate_batch(field: FieldSpec, deploy: Deployment, noise: Noise,
     gen = np.random.Generator(np.random.Philox(0))
     shape = (len(keys), n)
     x = deploy.sample(_fill_uniforms(gen, keys[:, STREAM_LOCATIONS], np.empty(shape)))
-    y = noise.sample(_fill_uniforms(gen, keys[:, STREAM_NOISE], np.empty(shape)))
-    y += field.eval(x)
+    if noise.b == 0.0:  # zero noise draws nothing from its stream
+        y = field.eval(x) + 0.0  # the sum the noisy branch forms, bit for bit
+    else:
+        y = noise.sample(_fill_uniforms(gen, keys[:, STREAM_NOISE], np.empty(shape)))
+        y += field.eval(x)
     t = _fill_uniforms(gen, keys[:, STREAM_THRESHOLDS], np.empty(shape))
     t *= 2.0  # (2u - 1) c, in place
     t -= 1.0

@@ -5,8 +5,15 @@ which the estimator needs; `series` is the real type-2 sum
 a0 + 2 Re sum_{k=1..K} pos_k exp(2 pi i k x),  which field synthesis needs.
 Each has two paths:
 
-- direct: one complex exponential per point, then one in-place multiply and
-  one reduction per frequency; O(n K).
+- direct: one unit phase z = exp(+-2 pi i x) per point, then per frequency
+  one in-place complex multiply and one reduction (type 1), or one scalar
+  add and one multiply of the Horner form
+  z (pos_1 + z (pos_2 + ... + z pos_K))  (type 2); O(n K). The phase does
+  not call numpy's complex exponential (a scalar libm loop, 40-60 ns a
+  point): it takes exp(2 pi i j / N) from a table of N = 4096 roots of
+  unity and rotates it by the residual angle with a short Taylor series,
+  in real arithmetic (Tang, ACM TOMS 15(2), 1989), within 2e-16 of the
+  exact value.
 - gridded: spread the points onto (type 1) or interpolate them from
   (type 2) a periodic grid of M >= 2 (2K + 1) nodes, with one `numpy.fft`
   transform and a division by the kernel's Fourier transform
@@ -14,12 +21,14 @@ Each has two paths:
   the exponential of semicircle  exp(beta sqrt(1 - z^2))  on W nodes of
   Barnett et al., FINUFFT, SIAM J. Sci. Comput. 41 (2019).
 
-A fixed cost model picks the path: from (n, K) for type 1, and from K
-alone for type 2, which goes gridded only where that wins at every n. So a
-point's synthesized value never depends on the other points of the call,
-and simulated sample paths stay prefix-stable to the bit. Both paths agree
-to about 1e-12 relative to sum|w_i| (type 1) or |a0| + 2 sum|pos_k|
-(type 2), above the range where gradual underflow takes bits.
+Both paths work on blocks of 16384 points. A fixed cost model picks the
+path: from (n, K) for type 1, and from K alone for type 2, which goes
+gridded only where that wins at every n. The direct path works point by
+point (type 1 then reduces each row), so a point's synthesized value never
+depends on the other points of the call, and simulated sample paths stay
+prefix-stable to the bit. Both paths agree to about 1e-12 relative to sum|w_i| (type 1) or
+|a0| + 2 sum|pos_k| (type 2), above the range where gradual underflow
+takes bits.
 """
 
 from __future__ import annotations
@@ -33,13 +42,23 @@ BETA = 2.30 * W           # kernel shape for a 2x oversampled grid
 _HALF = W / 2.0
 _QUAD_NODES = 64          # Gauss-Legendre nodes for the kernel transform
 
-_DIRECT_CHUNK = 1 << 16   # points per direct-path block
-_GRID_CHUNK = 1 << 14     # points per spreading/interpolation block
+_CHUNK = 1 << 14          # points per block, on either path
 
-# Cost model in ns, fitted on a 2-core Xeon (numpy 2.4, one thread). The
-# direct path pays a complex exponential per point and, per frequency, a
-# few numpy calls plus one multiply-reduce per point (type 2 also takes a
-# real part); the gridded path pays a fixed overhead (W rounds of numpy
+_PHASE_N = 1 << 12        # roots of unity in the phase table
+# f + _ROUND rounds |f| <= 1 to a multiple of 1/_PHASE_N (its ulp) and
+# holds the multiple in the low mantissa bits. The constants are arrays:
+# numpy converts a Python float operand anew on every call.
+_ROUND = np.array(1.5 * 2.0 ** 40)
+# Taylor coefficients in r of cos 2 pi r - 1 = r^2 (_ROT_LO[0] + r^2 _ROT_HI[0])
+# and of sin 2 pi r = r (_ROT_LO[1] + r^2 _ROT_HI[1])
+_ROT_LO = np.array([[-2.0 * np.pi ** 2], [2.0 * np.pi]])
+_ROT_HI = np.array([[2.0 * np.pi ** 4 / 3.0], [-4.0 * np.pi ** 3 / 3.0]])
+
+# Cost model in ns, fitted on a 2-core Xeon (numpy 2.4, one thread) when
+# the direct path still took numpy's complex exponential, and kept so that
+# every (n, K) takes the path it took then. The direct path pays a phase
+# per point and, per frequency, a few numpy calls plus one multiply-reduce
+# per point; the gridded path pays a fixed overhead (W rounds of numpy
 # calls per chunk, the FFT) plus W kernel terms per point.
 _DIRECT_PER_POINT = 70.0
 _DIRECT_PER_FREQ = 3000.0
@@ -93,6 +112,57 @@ def _offsets(xs: np.ndarray, m: int):
     t = xs * m
     first = np.ceil(t - _HALF)
     return first.astype(np.intp) + W, first - t
+
+
+def _phase_table() -> np.ndarray:
+    """Rows -sin, cos, sin of 2 pi j / _PHASE_N, j < _PHASE_N: 96 KB,
+    read-only. Evaluated in long double where the platform has one, so
+    each entry is the correctly rounded value or within one ulp of it."""
+    turn = 8 * np.arctan(np.longdouble(1))
+    angle = turn * np.arange(_PHASE_N, dtype=np.longdouble) / _PHASE_N
+    sin = np.sin(angle)
+    table = np.stack([-sin, np.cos(angle), sin]).astype(float)
+    table.flags.writeable = False
+    return table
+
+
+_TABLE = _phase_table()
+
+
+def _unit_phase(x: np.ndarray, sign: int) -> np.ndarray:
+    """exp(sign 2 pi i x) for sign = +1 or -1, shaped like x.
+
+    The fraction f = x - rint(x) (exact, so any finite x works) is a table
+    node j / N plus a residual r, |r| <= 1 / 2N, both exact. exp(2 pi i f)
+    is the entry c + i s times the rotation 1 + (cos 2 pi r - 1) + i sin 2 pi r,
+    with cos - 1 to r^4 and sin to r^3 (truncation below 1e-17):
+    (c, s) + (c, s) (cos - 1) + (-s, c) sin, in real arithmetic and
+    elementwise, so a point rounds alike whatever else shares the call.
+    A non-finite x gives NaN."""
+    # All temporaries share one block, rows f, node, u, r, -s, c, s and
+    # two spare: as separate arrays they made the allocator hand the heap
+    # back and fault it in again on every call.
+    ws = np.empty((9, x.size))
+    f, node, ur, t = ws[0], ws[1], ws[2:4], ws[4:7]
+    fx = f.reshape(x.shape)
+    np.rint(x, out=fx)
+    with np.errstate(invalid="ignore"):  # x = +-inf: inf - inf is NaN
+        np.subtract(x, fx, out=fx) if sign > 0 else np.subtract(fx, x, out=fx)
+    np.add(f, _ROUND, out=node)         # f rounded to a multiple j / N
+    np.subtract(node, _ROUND, out=ur[1])
+    np.subtract(f, ur[1], out=ur[1])    # r = f - j / N, exact
+    idx = node.view(np.int64)
+    idx &= _PHASE_N - 1                 # j mod N, negative j too
+    _TABLE.take(idx, axis=1, out=t, mode="clip")  # in range; "raise" copies
+    np.multiply(ur[1], ur[1], out=ur[0])
+    rot = np.multiply(ur[0], _ROT_HI, out=ws[7:])
+    rot += _ROT_LO
+    ur *= rot                           # rows: cos 2 pi r - 1, sin 2 pi r
+    re_im = np.multiply(t[1:], ur[0], out=ws[:2])   # (c, s) (cos - 1)
+    re_im += np.multiply(t[:2], ur[1], out=ws[7:])  # (-s, c) sin
+    out = np.empty(x.shape, dtype=np.complex128)
+    np.add(re_im, t[1:], out=out.view(float).reshape(-1, 2).T)
+    return out
 
 
 def _rotate(cur: np.ndarray, step: np.ndarray) -> np.ndarray:
@@ -149,26 +219,29 @@ def conj_sums(x: np.ndarray, w: np.ndarray, K: int) -> np.ndarray:
 
 def _direct_sums(x: np.ndarray, w: np.ndarray, K: int) -> np.ndarray:
     out = np.zeros(x.shape[:-1] + (K + 1,), dtype=np.complex128)
-    for lo in range(0, x.shape[-1], _DIRECT_CHUNK):
-        xs, ws = x[..., lo:lo + _DIRECT_CHUNK], w[..., lo:lo + _DIRECT_CHUNK]
-        out[..., 0] += np.sum(ws, axis=-1)
+    for lo in range(0, x.shape[-1], _CHUNK):
+        xs, ws = x[..., lo:lo + _CHUNK], w[..., lo:lo + _CHUNK]
+        part = np.empty_like(out) if lo else out  # block sums, added to out
+        part[..., 0] = np.add.reduce(ws, axis=-1)
         if K:
-            step = np.exp(-2j * np.pi * xs)
+            step = _unit_phase(xs, -1)
             cur = ws * step
-            out[..., 1] += cur.sum(axis=-1)
+            np.add.reduce(cur, axis=-1, out=part[..., 1])
             for k in range(2, K + 1):
                 cur = _rotate(cur, step)
-                out[..., k] += cur.sum(axis=-1)
+                np.add.reduce(cur, axis=-1, out=part[..., k])
+        if lo:
+            out += part
     return out
 
 
 def _spread_sums(x: np.ndarray, w: np.ndarray, K: int) -> np.ndarray:
     m = _grid_size(K)
     padded = np.zeros(m + 2 * W)
-    buf = np.empty(min(len(x), _GRID_CHUNK))
-    for lo in range(0, len(x), _GRID_CHUNK):
-        idx, s = _offsets(x[lo:lo + _GRID_CHUNK], m)
-        ws = w[lo:lo + _GRID_CHUNK]
+    buf = np.empty(min(len(x), _CHUNK))
+    for lo in range(0, len(x), _CHUNK):
+        idx, s = _offsets(x[lo:lo + _CHUNK], m)
+        ws = w[lo:lo + _CHUNK]
         ker = buf[:len(ws)]
         for _ in range(W):
             _kernel(s, ker)
@@ -205,18 +278,19 @@ def series(a0: float, pos: np.ndarray, x) -> np.ndarray:
 
 
 def _direct_series(a0: float, pos: np.ndarray, x: np.ndarray) -> np.ndarray:
-    out = np.empty(x.shape)
-    for lo in range(0, x.size, _DIRECT_CHUNK):
-        seg = x[lo:lo + _DIRECT_CHUNK]
-        acc = np.full(seg.shape, a0)
-        if len(pos):
-            rot = np.exp(2j * np.pi * seg)
-            cur = rot.copy()
-            acc += 2.0 * (pos[0] * cur).real
-            for a in pos[1:]:
-                cur = _rotate(cur, rot)
-                acc += 2.0 * (a * cur).real
-        out[lo:lo + seg.size] = acc
+    """Horner form: 2 Re z (pos_1 + z (pos_2 + ... + z pos_K)) + a0, z = e^{2 pi i x}."""
+    out = np.full(x.shape, a0)
+    if not len(pos):
+        return out
+    for lo in range(0, x.size, _CHUNK):
+        z = _unit_phase(x[lo:lo + _CHUNK], 1)
+        acc = pos[-1] * z
+        for a in pos[-2::-1]:
+            acc += a
+            acc = _rotate(acc, z)
+        seg = out[lo:lo + _CHUNK]
+        np.multiply(acc.real, 2.0, out=seg)
+        seg += a0
     return out
 
 
@@ -230,10 +304,10 @@ def _interpolate_series(a0: float, pos: np.ndarray, x: np.ndarray) -> np.ndarray
     grid = np.fft.irfft(spectrum, m) * m
     padded = np.concatenate([grid[m - W:], grid, grid[:W]])
     out = np.empty(x.shape)
-    buf = np.empty(min(len(x), _GRID_CHUNK))
-    for lo in range(0, len(x), _GRID_CHUNK):
-        idx, s = _offsets(x[lo:lo + _GRID_CHUNK], m)
-        acc = out[lo:lo + _GRID_CHUNK]
+    buf = np.empty(min(len(x), _CHUNK))
+    for lo in range(0, len(x), _CHUNK):
+        idx, s = _offsets(x[lo:lo + _CHUNK], m)
+        acc = out[lo:lo + _CHUNK]
         acc[:] = 0.0
         ker = buf[:len(acc)]
         for _ in range(W):

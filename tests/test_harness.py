@@ -5,10 +5,14 @@ import subprocess
 import sys
 from importlib import resources
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ditherfield import (ConfigValidationError, TruncationSchedule, harness,
-                         load_shipped_config, parse_experiment_config,
+from ditherfield import (ConfigValidationError, EstimatorConfig,
+                         TruncationSchedule, harness, load_shipped_config,
+                         monte_carlo_mse, parse_experiment_config,
                          run_experiment, run_lemma_battery, run_suite)
 from ditherfield.harness import _MISMATCH_CONFIGS, _RATE_CONFIGS, _TRACE_CONFIGS
 
@@ -415,3 +419,94 @@ def test_a_non_finite_rate_fit_fails(tmp_path, monkeypatch):
     assert "non-finite fit values: VIOLATED" in outcome.detail
     report = json.loads((tmp_path / "mini_report.json").read_text())
     assert report["status"] == "FAIL"
+
+
+def test_a_schedule_may_not_ask_for_more_coefficients_than_sensors():
+    doc = dict(MINI_CONFIG, schedule={"kind": "fixed", "m": 300})
+    with pytest.raises(ConfigValidationError, match=r"schedule: m\(n\) must not exceed n, "
+                                                    r"but m\(256\) = 300"):
+        parse_experiment_config(doc)
+    doc["schedule"] = {"kind": "finite_dim", "k": 1e308}
+    with pytest.raises(ConfigValidationError, match="schedule: m"):
+        parse_experiment_config(doc)
+    assert parse_experiment_config(dict(doc, schedule={"kind": "fixed", "m": 256}))
+
+
+@pytest.mark.parametrize("key, change", [
+    ("noise", {"kind": "uniform_sym", "b": 1e308}),
+    ("field", {"class": "finite_dim", "basis": "fourier", "coefficients": [[0.1, 0.0]],
+               "amplitude_bound": 1e308}),
+    ("field", {"class": "sobolev", "s": 1.0, "seed": 7, "amplitude_bound": 1e101})])
+def test_the_dynamic_range_is_capped_at_parse_time(key, change):
+    """c = 1e308 parsed, and every squared error overflowed to inf."""
+    with pytest.raises(ConfigValidationError, match="field, noise: the dynamic range"):
+        parse_experiment_config(dict(MINI_CONFIG, **{key: change}))
+    widest = {"kind": "uniform_sym", "b": harness.DYNAMIC_RANGE_MAX - 1}
+    config = parse_experiment_config(dict(MINI_CONFIG, noise=widest))
+    assert config.c <= harness.DYNAMIC_RANGE_MAX
+
+
+# ---------------------------------------------------------------------------
+# config fuzzer: one leaf of a shipped config replaced, or one key dropped
+# ---------------------------------------------------------------------------
+
+_SHIPPED = _RATE_CONFIGS + _TRACE_CONFIGS + _MISMATCH_CONFIGS
+_DROP = "<drop the key>"
+_FUZZ_VALUES = (0, -1, 1e308, 2.5, "text", None, _DROP)
+
+
+def _every_path(doc, path=()):
+    """Paths of every dict entry and list element, nested ones included."""
+    items = (doc.items() if isinstance(doc, dict)
+             else enumerate(doc) if isinstance(doc, list) else ())
+    return [p for key, value in items
+            for p in [path + (key,)] + _every_path(value, path + (key,))]
+
+
+_FUZZ_TARGETS = [(name, path) for name in _SHIPPED
+                 for path in _every_path(_shipped_doc(name))]
+
+
+@given(st.sampled_from(_FUZZ_TARGETS), st.sampled_from(_FUZZ_VALUES))
+@settings(max_examples=300, deadline=None)
+def test_a_fuzzed_config_is_rejected_or_runs_to_finite_errors(target, value):
+    """Either parsing raises ConfigValidationError, or a 2-trial sweep on
+    n <= 512 finishes with finite means and standard deviations."""
+    name, path = target
+    doc = _shipped_doc(name)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if value == _DROP:
+        if isinstance(parent, list):
+            return
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    try:
+        config = parse_experiment_config(doc)
+    except ConfigValidationError:
+        return
+    cfg = EstimatorConfig(basis=config.basis, density=config.deployment, c=config.c,
+                          schedule=config.schedule)
+    sweep = monte_carlo_mse(config.field, config.deployment, config.noise, cfg,
+                            (64, 128, 256, 512), 2, seed=config.seed)
+    assert np.all(np.isfinite(sweep.means)) and np.all(np.isfinite(sweep.stds))
+
+
+@pytest.mark.parametrize("key, value", [("slope_range", "text"), ("slope_range", None),
+                                        ("slope_range", [-0.5]), ("slope_range", 2.5),
+                                        ("slope_range", [-0.35, -0.65]),
+                                        ("slope_range", ["x", 1.0]),
+                                        ("slope_range", [-1.0, math.nan]),
+                                        ("r2_min", "0.9"), ("r2_min", None),
+                                        ("r2_min", True),
+                                        ("trace_ratio_max", math.inf),
+                                        ("bound_dominance", 0),
+                                        ("expect_rejected", "false")])
+def test_acceptance_values_are_checked_at_parse_time(key, value):
+    """A malformed verdict rule used to parse and then end a finished sweep
+    with a TypeError or ValueError."""
+    doc = dict(MINI_CONFIG, acceptance={key: value})
+    with pytest.raises(ConfigValidationError, match=f"acceptance: {key} must"):
+        parse_experiment_config(doc)

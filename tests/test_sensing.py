@@ -153,9 +153,27 @@ def test_noise_prefix_stability():
 # ---------------------------------------------------------------------------
 
 def test_ties_quantize_to_minus_one():
-    y = np.array([0.5, 1.0, -1.0, 0.0, -0.0])
-    t = np.array([0.5, 0.999, -1.0, -0.0, 0.0])
-    assert np.array_equal(_quantize(y, t), [-1.0, 1.0, -1.0, -1.0, -1.0])
+    y = np.array([0.5, 1.0, -1.0, 0.0, -0.0, np.nan, 0.3, np.nan])
+    t = np.array([0.5, 0.999, -1.0, -0.0, 0.0, 0.3, np.nan, np.nan])
+    assert np.array_equal(_quantize(y, t), [-1.0, 1.0, -1.0, -1.0, -1.0, -1.0, -1.0, -1.0])
+
+
+@pytest.mark.parametrize("noise", NOISES, ids=lambda z: z.kind)
+def test_zero_noise_skips_its_stream(noise, sawtooth, monkeypatch):
+    from ditherfield import sensing
+
+    calls = []
+
+    def counted(gen, keys, out):
+        calls.append(len(keys))
+        return fill(gen, keys, out)
+
+    fill = sensing._fill_uniforms
+    monkeypatch.setattr(sensing, "_fill_uniforms", counted)
+    keys = stream_keys(21, [(0, t) for t in range(4)])
+    batch = simulate_batch(sawtooth, UniformDeployment(), noise, 50, keys)
+    assert calls == [4] * (2 if noise.b == 0.0 else 3)
+    assert batch.y.flags.c_contiguous and batch.y.base is None
 
 
 def test_dither_makes_the_bit_unbiased():

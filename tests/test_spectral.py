@@ -212,3 +212,90 @@ def test_synthesis_is_the_adjoint_of_the_weighted_sums(n, m, seed, step):
     lhs = np.sum(w * synthesize(basis, v, x))
     rhs = np.sum(v * np.conj(basis.weighted_conj_sums(m, x, w)))
     assert abs(lhs - rhs) <= 1e-10 * np.sum(np.abs(w)) * np.sum(np.abs(v))
+
+
+# ---------------------------------------------------------------------------
+# the direct paths: table-driven unit phases and Horner synthesis
+# ---------------------------------------------------------------------------
+
+TURN = 8 * np.arctan(np.longdouble(1))  # 2 pi in long double
+
+
+def _phase_reference(x: np.ndarray, sign: int) -> np.ndarray:
+    """exp(sign 2 pi i x) in extended precision, from the exact fraction
+    x - rint(x), so the argument itself carries no rounding."""
+    frac = (x - np.rint(x)).astype(np.longdouble)
+    return np.exp(sign * 1j * TURN * frac.astype(np.clongdouble))
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_unit_phase_is_accurate_on_the_unit_interval(sign):
+    nodes = np.arange(spectral._PHASE_N + 1) / spectral._PHASE_N
+    x = np.concatenate([nodes, [0.0, 1.0, 0.5 / spectral._PHASE_N],
+                        np.random.default_rng(8).random(200_000)])
+    err = np.abs(spectral._unit_phase(x, sign) - _phase_reference(x, sign))
+    assert float(err.max()) <= 2e-15
+
+
+@pytest.mark.parametrize("scale", [5.0, 1e3, 1e12])
+def test_unit_phase_of_large_points_uses_periodicity(scale):
+    # any RuntimeWarning fails the test (pytest's filterwarnings)
+    x = np.random.default_rng(9).uniform(-scale, scale, 50_000)
+    for sign in (1, -1):
+        err = np.abs(spectral._unit_phase(x, sign) - _phase_reference(x, sign))
+        assert float(err.max()) <= 2e-15
+
+
+def test_unit_phase_of_extreme_and_non_finite_points():
+    x = np.array([1e308, -1e308, 5e-324, -5e-324, np.nan, np.inf, -np.inf])
+    z = spectral._unit_phase(x, 1)
+    assert np.all(z[:2] == 1.0)
+    assert np.allclose(z[2:4], 1.0, rtol=0, atol=1e-300)
+    assert np.all(np.isnan(z[4:].real) & np.isnan(z[4:].imag))
+
+
+@pytest.mark.parametrize("K", [1, 4, 32, 53])
+def test_one_point_equals_that_point_inside_a_long_call(K):
+    """Bit for bit: the direct paths compute each point on its own, so the
+    other points of a call never change its terms."""
+    assert not spectral._gridded(1, K, 1) and not spectral._gridded(1, K, 2)
+    rng = np.random.default_rng(K)
+    x = np.concatenate([rng.uniform(-2.0, 3.0, 10_000 - 3), [0.0, 1.0, 0.25]])
+    w = rng.standard_normal(10_000)
+    pos = rng.standard_normal(K) + 1j * rng.standard_normal(K)
+    # a (10^4, 1) call: one phase pass over all points, one row per point
+    rows = spectral.conj_sums(x[:, None], w[:, None], K)
+    values = spectral.series(0.4, pos, x)
+    for i in rng.choice(10_000, 40, replace=False).tolist() + [9997, 9998, 9999]:
+        assert np.array_equal(spectral.conj_sums(x[i:i + 1], w[i:i + 1], K), rows[i])
+        assert np.array_equal(spectral.series(0.4, pos, x[i:i + 1]), values[i:i + 1])
+
+
+@pytest.mark.parametrize("K", [1, 2, 17, 53])
+def test_horner_series_against_extended_precision(K):
+    rng = np.random.default_rng(100 + K)
+    x = rng.random(5000)
+    a0 = rng.uniform(-1.0, 1.0)
+    pos = rng.standard_normal(K) + 1j * rng.standard_normal(K)
+    k = np.arange(1, K + 1, dtype=np.longdouble)
+    terms = np.exp(1j * TURN * np.outer(x.astype(np.longdouble), k).astype(np.clongdouble))
+    want = a0 + 2.0 * (terms @ pos.astype(np.clongdouble)).real
+    got = spectral.series(a0, pos, x)
+    scale = abs(a0) + 2.0 * np.sum(np.abs(pos))
+    assert float(np.max(np.abs(got - want))) <= 4 * K * np.finfo(float).eps * scale
+
+
+def test_direct_paths_take_no_complex_exponential():
+    real_exp = np.exp
+
+    def real_only(a, *args, **kwargs):
+        assert not np.iscomplexobj(a), "complex np.exp on a direct path"
+        return real_exp(a, *args, **kwargs)
+
+    rng = np.random.default_rng(4)
+    x, w = rng.random((3, 700)), rng.standard_normal((3, 700))
+    pos = rng.standard_normal(20) + 1j * rng.standard_normal(20)
+    with mock.patch.object(np, "exp", real_only):
+        sums = _on_path(False, spectral.conj_sums, x, w + 1j * w, 20)
+        values = _on_path(False, spectral.series, 0.1, pos, x)
+    assert sums.shape == (3, 21) and values.shape == x.shape
