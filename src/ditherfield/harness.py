@@ -502,8 +502,8 @@ def run_lemma_battery(n: int = 1000, trials: int = 10_000, j_count: int = 8,
             rows.append({
                 "cell": f"{fname}/{dname}/{zname}", "field": fname,
                 "deployment": dname, "noise": zname, "j": j,
-                "alpha_re": alpha[j].real, "alpha_im": alpha[j].imag,
-                "mean_re": mean[j].real, "mean_im": mean[j].imag,
+                "alpha_re": float(alpha[j].real), "alpha_im": float(alpha[j].imag),
+                "mean_re": float(mean[j].real), "mean_im": float(mean[j].imag),
                 "dev_sigmas": float(dev), "var_emp": float(var_emp[j]),
                 "var_bound": float(bound),
                 "var_ratio": float(var_emp[j] / bound)})

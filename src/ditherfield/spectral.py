@@ -14,33 +14,36 @@ Each has two paths:
   unity and rotates it by the residual angle with a short Taylor series,
   in real arithmetic (Tang, ACM TOMS 15(2), 1989), within 2e-16 of the
   exact value.
-- gridded: spread the points onto (type 1) or interpolate them from
-  (type 2) a periodic grid of M >= 2 (2K + 1) nodes, with one `numpy.fft`
-  transform and a division by the kernel's Fourier transform
-  (Greengard & Lee, SIAM Rev. 46, 2004); O(n W + M log M). The kernel is
-  the exponential of semicircle  exp(beta sqrt(1 - z^2))  on W nodes of
-  Barnett et al., FINUFFT, SIAM J. Sci. Comput. 41 (2019).
+- gridded: a point x lies in cell c = rint(x M) mod M of M cells, the
+  smallest power of two >= max(64, 32 K), at the exact offset
+  u = x M - rint(x M) in [-1/2, 1/2] from the cell's node c / M, and
+  exp(2 pi i k x) = exp(2 pi i k c / M) sum_q (2 pi i k u / M)^q / q!
+  (Anderson & Dahleh, SIAM J. Sci. Comput. 17(4), 1996). With
+  |k u / M| <= 1/64 the terms q = 0..8 leave at most (pi / 32)^9 / 9!
+  = 2.3e-15 of the l1 norm. Type 1 takes the power moments
+  sum_{i in c} w_i u_i^q of each cell (one `bincount` per q), one `rfft`
+  over them, and per frequency a Horner sum over q; type 2 builds the
+  tables T_q[c] = M irfft(pos_k (2 pi i k / M)^q / q!) with one batched
+  `irfft`, then per point a Horner sum over q of T_q[c] in u.
+  O(9 n + 9 M log M).
 
-Both paths work on blocks of 16384 points. A fixed cost model picks the
-path: from (n, K) for type 1, and from K alone for type 2, which goes
-gridded only where that wins at every n. The direct path works point by
-point (type 1 then reduces each row), so a point's synthesized value never
-depends on the other points of the call, and simulated sample paths stay
-prefix-stable to the bit. Both paths agree to about 1e-12 relative to sum|w_i| (type 1) or
-|a0| + 2 sum|pos_k| (type 2), above the range where gradual underflow
-takes bits.
+Both paths work on blocks of 16384 points. A cost model fitted to both
+paths picks one: from (n, K) for type 1, and from K alone for type 2,
+priced at a 16384-point call, so that a point's path never depends on the
+other points of its call. Both paths are pointwise (type 1 then reduces
+each row), so a point's synthesized value never depends on the other
+points of the call either, and simulated sample paths stay prefix-stable
+to the bit. The gridded paths are within about 1e-16 of sum|w_i| (type 1)
+or |a0| + 2 sum|pos_k| (type 2) of the exact sums, the direct ones, whose
+rounding grows with K, within 2e-15 at K = 256; both above the range where
+gradual underflow takes bits.
 """
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
-W = 13                    # kernel width in grid nodes
-BETA = 2.30 * W           # kernel shape for a 2x oversampled grid
-_HALF = W / 2.0
-_QUAD_NODES = 64          # Gauss-Legendre nodes for the kernel transform
+_TERMS = 9                # Taylor terms q = 0..8 of the gridded paths
 
 _CHUNK = 1 << 14          # points per block, on either path
 
@@ -54,45 +57,27 @@ _ROUND = np.array(1.5 * 2.0 ** 40)
 _ROT_LO = np.array([[-2.0 * np.pi ** 2], [2.0 * np.pi]])
 _ROT_HI = np.array([[2.0 * np.pi ** 4 / 3.0], [-4.0 * np.pi ** 3 / 3.0]])
 
-# Cost model in ns, fitted on a 2-core Xeon (numpy 2.4, one thread) when
-# the direct path still took numpy's complex exponential, and kept so that
-# every (n, K) takes the path it took then. The direct path pays a phase
-# per point and, per frequency, a few numpy calls plus one multiply-reduce
-# per point; the gridded path pays a fixed overhead (W rounds of numpy
-# calls per chunk, the FFT) plus W kernel terms per point.
-_DIRECT_PER_POINT = 70.0
-_DIRECT_PER_FREQ = 3000.0
-_DIRECT_PER_TERM = {1: 2.2, 2: 4.9}
-_GRID_FIXED = 160_000.0
-_GRID_PER_POINT = 103.0
+# Cost model in ns: direct (per call, point, frequency, term) and gridded
+# (per call, point, cell), least-squares fits to best-of-9 timings of both
+# paths on a 2-core Xeon (numpy 2.4, one thread; n = 1-65536, K = 1-256).
+# Type 1 is timed as the block engine calls it, max(1, 16384 // n) rows of
+# n points at once: the direct path shares its per-call and per-frequency
+# costs among the rows (they fit to 0), the gridded one runs row by row.
+_DIRECT = {1: (0.0, 18.4, 0.0, 1.47), 2: (30_000.0, 13.5, 1700.0, 1.07)}
+_GRIDDED = {1: (41_000.0, 21.2, 57.0), 2: (58_000.0, 12.9, 60.0)}
 
 
 def _gridded(n: int, K: int, kind: int) -> bool:
     """Whether the gridded path is predicted to beat the direct one."""
-    direct = n * _DIRECT_PER_POINT + K * (_DIRECT_PER_FREQ + n * _DIRECT_PER_TERM[kind])
-    return _GRID_FIXED + n * _GRID_PER_POINT < direct
+    call, point, freq, term = _DIRECT[kind]
+    direct = call + n * point + K * (freq + n * term)
+    call, point, cell = _GRIDDED[kind]
+    return call + n * point + _cells(K) * cell < direct
 
 
-def _grid_size(K: int) -> int:
-    """Smallest power of two >= 2W that holds frequencies -K..K twice over."""
-    m = 32
-    while m < 2 * (2 * K + 1):
-        m *= 2
-    return m
-
-
-@functools.lru_cache(maxsize=None)
-def _kernel_transform(m: int) -> np.ndarray:
-    """M * psi_hat(k) for k = 0..M/2, psi the kernel at grid spacing 1/M.
-
-    psi_hat(k) = (W / 2M) * integral_{-1}^{1} phi(z) cos(pi k W z / M) dz,
-    by Gauss-Legendre quadrature. Read-only: the cache shares it."""
-    z, weights = np.polynomial.legendre.leggauss(_QUAD_NODES)
-    phi = np.exp(BETA * np.sqrt(1.0 - z * z))
-    k = np.arange(m // 2 + 1)
-    out = _HALF * (np.cos(np.pi * W / m * np.outer(k, z)) @ (weights * phi))
-    out.flags.writeable = False
-    return out
+def _cells(K: int) -> int:
+    """M, the smallest power of two >= max(64, 32 K)."""
+    return 1 << max(6, (32 * K - 1).bit_length())
 
 
 def _unit_points(x: np.ndarray) -> np.ndarray | None:
@@ -106,12 +91,16 @@ def _unit_points(x: np.ndarray) -> np.ndarray | None:
     return x
 
 
-def _offsets(xs: np.ndarray, m: int):
-    """Per point: the padded index of its first grid node, and the signed
-    distance (in grid spacings) from the point to that node, in [-W/2, 1 - W/2)."""
-    t = xs * m
-    first = np.ceil(t - _HALF)
-    return first.astype(np.intp) + W, first - t
+def _cell_offsets(x: np.ndarray, m: int):
+    """Per point of x in [0, 1]: its cell rint(x m) mod m, and its offset
+    x m - rint(x m) in [-1/2, 1/2] from the cell's node; both exact, since
+    m is a power of two."""
+    u = x * m
+    node = np.rint(u)
+    u -= node
+    cell = node.astype(np.intp)
+    cell &= m - 1
+    return cell, u
 
 
 def _phase_table() -> np.ndarray:
@@ -176,20 +165,6 @@ def _rotate(cur: np.ndarray, step: np.ndarray) -> np.ndarray:
     return cur
 
 
-def _kernel(s: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """phi at grid distance s, |s| <= W/2: exp(beta sqrt(1 - (s / (W/2))^2)).
-
-    That is e^beta times the kernel exp(beta (sqrt(1 - z^2) - 1)); the
-    factor cancels against `_kernel_transform`, which uses the same phi.
-    Written as sqrt(h^2 - s^2) with h = W/2: s^2 never rounds above h^2,
-    so the root never sees a negative argument."""
-    np.multiply(s, s, out=out)
-    np.subtract(_HALF * _HALF, out, out=out)
-    np.sqrt(out, out=out)
-    out *= BETA / _HALF
-    return np.exp(out, out=out)
-
-
 # ---------------------------------------------------------------------------
 # type 1: S_k = sum_i w_i exp(-2 pi i k x_i)
 # ---------------------------------------------------------------------------
@@ -212,7 +187,7 @@ def conj_sums(x: np.ndarray, w: np.ndarray, K: int) -> np.ndarray:
     out = np.empty(x.shape[:-1] + (K + 1,), dtype=np.complex128)
     for row in np.ndindex(x.shape[:-1]):
         xu = _unit_points(x[row])
-        out[row] = (_spread_sums(xu, w[row], K) if xu is not None
+        out[row] = (_moment_sums(xu, w[row], K) if xu is not None
                     else _direct_sums(x[row], w[row], K))
     return out
 
@@ -235,24 +210,23 @@ def _direct_sums(x: np.ndarray, w: np.ndarray, K: int) -> np.ndarray:
     return out
 
 
-def _spread_sums(x: np.ndarray, w: np.ndarray, K: int) -> np.ndarray:
-    m = _grid_size(K)
-    padded = np.zeros(m + 2 * W)
-    buf = np.empty(min(len(x), _CHUNK))
+def _moment_sums(x: np.ndarray, w: np.ndarray, K: int) -> np.ndarray:
+    """S_k = sum_q (-2 pi i k / M)^q / q! F_q[k], F_q the DFT of the
+    moments sum_{i in c} w_i u_i^q over the cells c."""
+    m = _cells(K)
+    moments = np.zeros((_TERMS, m))
     for lo in range(0, len(x), _CHUNK):
-        idx, s = _offsets(x[lo:lo + _CHUNK], m)
-        ws = w[lo:lo + _CHUNK]
-        ker = buf[:len(ws)]
-        for _ in range(W):
-            _kernel(s, ker)
-            ker *= ws
-            padded += np.bincount(idx, weights=ker, minlength=m + 2 * W)
-            idx += 1
-            s += 1.0
-    grid = padded[W:W + m]
-    grid[m - W:] += padded[:W]       # fold the periodic overhang back
-    grid[:W] += padded[m + W:]
-    return np.fft.rfft(grid)[:K + 1] / _kernel_transform(m)[:K + 1]
+        cell, u = _cell_offsets(x[lo:lo + _CHUNK], m)
+        wu = w[lo:lo + _CHUNK].copy()
+        for row in moments:
+            row += np.bincount(cell, weights=wu, minlength=m)
+            wu *= u
+    f = np.fft.rfft(moments)[:, :K + 1]
+    a = np.arange(K + 1) * (-2j * np.pi / m)
+    acc = f[-1]
+    for q in range(_TERMS - 1, 0, -1):
+        acc = f[q - 1] + acc * (a / q)
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -268,12 +242,12 @@ def series(a0: float, pos: np.ndarray, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     flat = x.ravel()
     K = len(pos)
-    # gridded when it wins even for one point, hence for any count: the
-    # direct cost per point grows with K, the gridded one does not
-    if flat.size and K and _gridded(1, K, 2):
+    # the path depends on K alone, priced at one block, so a point's value
+    # never depends on how many points share its call
+    if flat.size and K and _gridded(_CHUNK, K, 2):
         xu = _unit_points(flat)
         if xu is not None:
-            return _interpolate_series(float(a0), pos, xu).reshape(x.shape)
+            return _table_series(float(a0), pos, xu).reshape(x.shape)
     return _direct_series(float(a0), pos, flat).reshape(x.shape)
 
 
@@ -294,26 +268,26 @@ def _direct_series(a0: float, pos: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _interpolate_series(a0: float, pos: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _table_series(a0: float, pos: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """sum_q T_q[c] u^q per point, by Horner in u."""
     K = len(pos)
-    m = _grid_size(K)
-    khat = _kernel_transform(m)
-    spectrum = np.zeros(m // 2 + 1, dtype=np.complex128)
-    spectrum[0] = a0 / khat[0]
-    spectrum[1:K + 1] = pos / khat[1:K + 1]
-    grid = np.fft.irfft(spectrum, m) * m
-    padded = np.concatenate([grid[m - W:], grid, grid[:W]])
+    m = _cells(K)
+    spectrum = np.zeros((_TERMS, m // 2 + 1), dtype=np.complex128)
+    spectrum[0, 0] = a0
+    spectrum[0, 1:K + 1] = pos
+    b = np.arange(1, K + 1) * (2j * np.pi / m)
+    for q in range(1, _TERMS):
+        spectrum[q, 1:K + 1] = spectrum[q - 1, 1:K + 1] * (b / q)
+    tables = np.fft.irfft(spectrum, m, norm="forward")
+    del spectrum  # as large as the tables; free it before the point loop
     out = np.empty(x.shape)
     buf = np.empty(min(len(x), _CHUNK))
     for lo in range(0, len(x), _CHUNK):
-        idx, s = _offsets(x[lo:lo + _CHUNK], m)
+        cell, u = _cell_offsets(x[lo:lo + _CHUNK], m)
         acc = out[lo:lo + _CHUNK]
-        acc[:] = 0.0
-        ker = buf[:len(acc)]
-        for _ in range(W):
-            _kernel(s, ker)
-            ker *= padded[idx]
-            acc += ker
-            idx += 1
-            s += 1.0
+        tables[-1].take(cell, out=acc, mode="clip")  # in range; "raise" copies
+        term = buf[:len(acc)]
+        for table in tables[-2::-1]:
+            acc *= u
+            acc += table.take(cell, out=term, mode="clip")
     return out

@@ -172,7 +172,7 @@ def test_the_engine_is_prefix_stable(sawtooth):
 factors = st.floats(min_value=-3.0, max_value=3.0).filter(lambda v: v == 0.0 or abs(v) > 1e-6)
 
 
-# at 3000 sensors and m > 40 the type-1 sum goes gridded
+# at 3000 sensors and m >= 50 the type-1 sum goes gridded
 @given(st.integers(min_value=0, max_value=2 ** 32 - 1), st.sampled_from([1, 7, 40, 3000]),
        st.sampled_from(BASES), st.integers(min_value=1, max_value=64), factors, factors)
 @settings(max_examples=60, deadline=None)

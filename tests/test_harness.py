@@ -188,6 +188,20 @@ def test_lemma_battery_rows_do_not_depend_on_the_worker_count():
     assert serial.rows == parallel.rows
 
 
+def test_lemma_cells_csv_holds_plain_numbers(tmp_path):
+    # numpy scalars would print as np.float64(...) under repr()
+    harness._run_lemma1_suite(tmp_path, workers=1, trials=20)
+    lines = (tmp_path / "lemma1_cells.csv").read_text().splitlines()
+    header = lines[0].split(",")
+    assert header == harness.LEMMA_CELL_HEADER and len(lines) == 1 + 18 * 8
+    numeric = header.index("j")
+    for line in lines[1:]:
+        fields = line.split(",")
+        assert len(fields) == len(header)
+        for value in fields[numeric:]:
+            float(value)
+
+
 def test_cli_run_and_check_conditions(tmp_path):
     config_path = tmp_path / "mini.json"
     config_path.write_text(json.dumps(MINI_CONFIG))

@@ -2,9 +2,9 @@
 
 The measure is the benchmark's: max |gridded - direct| / max |direct|,
 which must stay within 1e-10. Points and weights come from a seeded
-generator, with some points pinned to 0.0, 1.0 and nodes of the
-oversampled grid, where the kernel support wraps or lands exactly on a
-node.
+generator, with some points pinned to 0.0, 1.0, cell nodes c / M (offset
+0, and c = M wraps to cell 0) and half-cell points (c + 1/2) / M, where
+rint ties to even and the offset is -1/2 or +1/2.
 """
 
 from unittest import mock
@@ -16,10 +16,11 @@ from hypothesis import strategies as st
 
 from ditherfield import FourierBasis, StepBasis, spectral
 from ditherfield.fields import synthesize
+from ditherfield.harness import (_RATE_CONFIGS, _TRACE_CONFIGS,
+                                 lemma_battery_menu, load_shipped_config)
 
 RTOL = 1e-10
-# small K, which the cost model keeps direct at every n, and large K,
-# which it sends to the gridded path for most n in [1, 5000]
+# small K (M = 64 to 1024 cells) as often as large K (up to M = 16384)
 K_VALUES = st.one_of(st.integers(0, 24), st.integers(25, 300))
 
 
@@ -36,8 +37,9 @@ def _rel_err(got, want) -> float:
 def _points(n: int, K: int, seed: int, pinned: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     x = rng.random(n)
-    m = spectral._grid_size(K)
-    special = np.concatenate([[0.0, 1.0], rng.integers(0, m + 1, 8) / m])
+    m = spectral._cells(K)
+    cells = rng.integers(0, m + 1, 8)
+    special = np.concatenate([[0.0, 1.0], cells / m, (cells + 0.5) / m])
     k = min(pinned, n)
     x[rng.choice(n, k, replace=False)] = rng.choice(special, k)
     return x
@@ -113,11 +115,13 @@ def test_type2_paths_agree(n, K, seed, pinned):
 # Absolute slack at the bottom of the float range, where the relative bound
 # alone is unattainable: 1e-11 times a subnormal l1 norm is below one
 # representable step (w = 2.2e-313 gives results 5e-324 apart), and the
-# gridded type-2 path divides each coefficient by the kernel transform (up
-# to 2.8e13) before its FFT, so coefficients within that factor of the
-# normal range lose bits to gradual underflow (all-subnormal ones flush to
-# 0). The largest excess measured over the relative bound, for K <= 300
-# and scales 1e-323 to 1e-285, was 5.5 times the smallest normal float.
+# gridded paths scale the moments and coefficients by up to
+# (2 pi K / M)^8 / 8! = 5.5e-11, so terms near the normal range lose bits
+# to gradual underflow (subnormal ones flush to 0). Each rounding there is
+# at most half a subnormal step. The largest excess measured over the
+# relative bound, for K <= 300 and scales 1e-323 to 1e-285, was 6e-14
+# times the smallest normal float (about 270 subnormal steps, mostly the
+# direct path's own rounding); the floor keeps its earlier, wider value.
 UNDERFLOW_FLOOR = 64 * np.finfo(float).tiny
 
 
@@ -181,6 +185,80 @@ def test_full_size_type1_against_exponential_sums():
     assert _rel_err(spectral.conj_sums(x, w, K), _exp_sums(x, w, K)) <= RTOL
 
 
+@pytest.mark.parametrize("kind, K", [(1, 256), (2, 128), (2, 256)])
+def test_full_size_gridded_paths_within_1e13_of_the_l1_norm(kind, K):
+    """262144 points, the largest calls of the BV and Sobolev sweeps: the
+    Taylor paths against the direct ones, within 1e-13 of sum|w_i| or
+    |a0| + 2 sum|pos_k|."""
+    n = 262144
+    rng = np.random.default_rng(kind * 1000 + K)
+    x = rng.random(n)
+    if kind == 1:
+        w = rng.standard_normal(n)
+        args, scale = (spectral.conj_sums, x, w, K), np.sum(np.abs(w))
+    else:
+        pos = (rng.standard_normal(K) + 1j * rng.standard_normal(K)) / np.arange(1, K + 1)
+        args, scale = (spectral.series, -0.7, pos, x), 0.7 + 2.0 * np.sum(np.abs(pos))
+    diff = _on_path(True, *args) - _on_path(False, *args)
+    assert np.max(np.abs(diff)) <= 1e-13 * scale
+
+
+# The path the cost model picks for every call of the shipped workloads:
+# type 1 by (sensors per row, K), type 2 by K alone. A refit of the model
+# shows up as a diff of these tables.
+TYPE1_GRIDDED = {
+    # bv_sawtooth: m = sqrt(n), K = m // 2
+    (1024, 16): False, (4096, 32): True, (16384, 64): True,
+    (65536, 128): True, (262144, 256): True,
+    # sobolev_s1: m = ceil(n^(1/3))
+    (1024, 5): False, (4096, 8): False, (16384, 13): True,
+    (65536, 20): True, (262144, 32): True,
+    # finite_dim_k5: m = 5
+    (1024, 2): False, (4096, 2): False, (16384, 2): False,
+    (65536, 2): False, (262144, 2): False,
+    # lemma battery: n = 1000, m = 8
+    (1000, 4): False,
+    # as_trace_*: the sensors between checkpoints, m = 252 (n = 10^6, psi = 0.4)
+    (1000, 126): False, (9000, 126): True, (90000, 126): True, (900000, 126): True,
+}
+TYPE2_GRIDDED = {
+    1: False,    # no shipped call; the last K below the crossover
+    2: True,     # finite_dim_k5 field
+    8: True, 20: True, 50: True, 126: True,  # trace synthesis, m = 16 to 252
+    32: True,    # the battery's Sobolev field
+    128: True,   # sobolev_s1 field
+}
+
+
+def _workload_calls():
+    """(n, K) of the type-1 calls and K of the type-2 calls of the three
+    rate sweeps, the lemma battery and the two trace configs."""
+    type1, type2 = {(1000, 4)}, set()
+    fields = [f for _, f in lemma_battery_menu()]
+    for name in _RATE_CONFIGS:
+        cfg = load_shipped_config(name)
+        type1 |= {(n, cfg.schedule.resolve(n) // 2) for n in cfg.n_grid}
+        fields.append(cfg.field)
+    for name in _TRACE_CONFIGS:
+        cfg = load_shipped_config(name)
+        ms = [cfg.schedule.resolve(n) for n in cfg.n_grid]
+        type1 |= {(n - prev, max(ms) // 2) for prev, n in zip((0,) + cfg.n_grid, cfg.n_grid)}
+        type2 |= {m // 2 for m in ms}
+        fields.append(cfg.field)
+    # fields with stored coefficients synthesize them; the others have a
+    # closed form, and an empty series (K = 0) is its constant
+    type2 |= {len(f.values) // 2 for f in fields if hasattr(f, "values")}
+    return type1, type2 - {0}
+
+
+def test_cost_model_paths_of_the_shipped_workloads():
+    type1, type2 = _workload_calls()
+    assert set(TYPE1_GRIDDED) == type1
+    assert set(TYPE2_GRIDDED) - {1} == type2
+    assert {nk: spectral._gridded(*nk, 1) for nk in TYPE1_GRIDDED} == TYPE1_GRIDDED
+    assert {K: spectral._gridded(spectral._CHUNK, K, 2) for K in TYPE2_GRIDDED} == TYPE2_GRIDDED
+
+
 @pytest.mark.parametrize("n, K", [(1000, 4), (262144, 128)])
 def test_public_functions_match_exponential_sums(n, K):
     rng = np.random.default_rng(n + K)
@@ -189,10 +267,11 @@ def test_public_functions_match_exponential_sums(n, K):
     pos = (rng.standard_normal(K) + 1j * rng.standard_normal(K)) / np.arange(1, K + 1) ** 1.5
     assert _rel_err(spectral.conj_sums(x, w, K), _exp_sums(x, w, K)) <= RTOL
     assert _rel_err(spectral.series(0.3, pos, x), _exp_series(0.3, pos, x)) <= RTOL
-    # complex coefficients, no conjugate pairs; odd and even lengths on both
-    # sides of the series crossover at K = 54
+    # complex coefficients, no conjugate pairs; odd and even lengths, K = 1
+    # to 129, on both sides of the series crossover (K = 1 direct, K = 2 gridded)
     xs = x[:4096]
-    for length in (9, 10, 257, 258):
+    assert not spectral._gridded(spectral._CHUNK, 1, 2) and spectral._gridded(spectral._CHUNK, 2, 2)
+    for length in (3, 4, 9, 10, 257, 258):
         values = rng.standard_normal(length) + 1j * rng.standard_normal(length)
         assert _rel_err(synthesize(FourierBasis(), values, xs),
                         _exp_synthesis(values, xs)) <= RTOL
@@ -254,11 +333,14 @@ def test_unit_phase_of_extreme_and_non_finite_points():
     assert np.all(np.isnan(z[4:].real) & np.isnan(z[4:].imag))
 
 
-@pytest.mark.parametrize("K", [1, 4, 32, 53])
+@pytest.mark.parametrize("K", [1, 2, 4, 32, 53, 128])
 def test_one_point_equals_that_point_inside_a_long_call(K):
-    """Bit for bit: the direct paths compute each point on its own, so the
+    """Bit for bit: either path computes each point on its own, so the
     other points of a call never change its terms."""
-    assert not spectral._gridded(1, K, 1) and not spectral._gridded(1, K, 2)
+    # one-point rows take the direct type-1 path; the series takes the
+    # direct path at K = 1 and the table path from K = 2, whatever the count
+    assert not spectral._gridded(1, K, 1)
+    assert spectral._gridded(spectral._CHUNK, K, 2) == (K >= 2)
     rng = np.random.default_rng(K)
     x = np.concatenate([rng.uniform(-2.0, 3.0, 10_000 - 3), [0.0, 1.0, 0.25]])
     w = rng.standard_normal(10_000)
