@@ -8,7 +8,6 @@ orthonormality), so the Monte-Carlo loops never need quadrature.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Sequence
@@ -208,11 +207,15 @@ def map_trials(cells: Sequence[TrialCell], seed: int, chunk: int,
                 for i, cell in enumerate(cells)
                 for t0 in range(0, cell.trials, chunk)]
     out = [np.empty((cell.trials, cell.m), dtype=np.complex128) for cell in cells]
+    pool = nullcontext()
+    if workers > 1:
+        # imported here, so a one-worker run never loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        pool = ProcessPoolExecutor(max_workers=workers)
     # chunks are copied out as they arrive, so no second copy of the
     # estimates is ever held
-    with (ProcessPoolExecutor(max_workers=workers) if workers > 1
-          else nullcontext()) as pool:
-        parts = (pool.map(_trial_chunk, payloads) if pool
+    with pool as executor:
+        parts = (executor.map(_trial_chunk, payloads) if executor
                  else map(_trial_chunk, payloads))
         for (_, _, i, t0, t1), part in zip(payloads, parts):
             out[i][t0:t1] = part

@@ -16,7 +16,7 @@ from typing import Callable, ClassVar, Sequence
 
 import numpy as np
 
-from .spectral import conj_sums, series
+from .spectral import RealSeries, conj_sums, series
 
 # Coefficient horizon standing in for the infinite expansion of a
 # non-synthesized field. Must keep the Parseval residual of every shipped
@@ -51,6 +51,13 @@ class FourierBasis:
     @staticmethod
     def frequency(j: int) -> int:
         return j // 2 if j % 2 == 0 else -(j + 1) // 2
+
+    @staticmethod
+    def frequencies(count: int) -> np.ndarray:
+        """frequency(j) for j < count, as one integer array."""
+        freqs = (np.arange(count) + 1) // 2
+        freqs[1::2] *= -1
+        return freqs
 
     def eval(self, j: int, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -253,6 +260,10 @@ class FiniteDimField(FieldSpec):
             if broken.any():
                 j = 2 * int(np.argmax(broken)) + 1
                 raise ValueError(f"coefficients {j} and {j + 1} are not conjugate partners")
+            # conjugate pairs: the positive-frequency half gives the whole
+            # sum; its synthesis tables are built here, once per field, and
+            # travel with the field when it is pickled to a pool worker
+            object.__setattr__(self, "_series", RealSeries(vals[0].real, vals[2::2]))
         else:
             if np.max(np.abs(vals.imag)) > 1e-12:
                 raise ValueError("step-basis coefficients must be real")
@@ -271,8 +282,7 @@ class FiniteDimField(FieldSpec):
     def eval(self, x) -> np.ndarray:
         if isinstance(self.basis, StepBasis):
             return np.real(synthesize(self.basis, self.values, x))
-        # conjugate pairs: the positive-frequency half gives the whole sum
-        return series(self.values[0].real, self.values[2::2], x)[()]
+        return self._series(x)[()]
 
     def _piecewise(self) -> PiecewiseConstantField:
         """A step-basis field as levels bound * v_j on the basis cells."""
@@ -441,8 +451,7 @@ def _check_amplitude(field: FieldSpec) -> None:
 
 def _check_tail_residual(field: FieldSpec) -> None:
     """Reject fields whose energy is not captured by the J_TAIL horizon."""
-    freqs = np.array([FourierBasis.frequency(j) for j in range(J_TAIL)])
-    coeffs = field.fourier_coefficients(freqs)
+    coeffs = field.fourier_coefficients(FourierBasis.frequencies(J_TAIL))
     residual = field.norm_sq - float(np.sum(np.abs(coeffs) ** 2))
     if residual > TAIL_REL_TOL * field.norm_sq:
         raise ValueError(
@@ -532,8 +541,7 @@ def true_coefficients(field: FieldSpec, basis: Basis,
     if basis.size is not None and count > basis.size:
         raise ValueError(f"basis has only {basis.size} functions")
     if isinstance(basis, FourierBasis):
-        values = field.fourier_coefficients(
-            np.array([basis.frequency(j) for j in range(count)]))
+        values = field.fourier_coefficients(basis.frequencies(count))
     else:
         cell = 1.0 / basis.cells
         values = basis.bound * np.array(

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .fields import FieldSpec
 
@@ -336,8 +335,13 @@ class TruncGaussNoise:
     def __post_init__(self):
         if not (0.0 < self.sigma < math.inf and 0.0 < self.b < math.inf):
             raise ValueError("sigma and amplitude bound must be positive and finite")
+        # scipy is loaded when the first such noise is built, not when the
+        # package is imported; a pool forked afterwards inherits it
+        import scipy.special  # noqa: F401
 
     def sample(self, u: np.ndarray) -> np.ndarray:
+        # an unpickled noise skips __post_init__, so sample imports too
+        from scipy.special import ndtr, ndtri
         lo = ndtr(-self.b / self.sigma)
         hi = ndtr(self.b / self.sigma)
         z = self.sigma * ndtri(lo + (hi - lo) * u)

@@ -25,7 +25,9 @@ Each has two paths:
   over them, and per frequency a Horner sum over q; type 2 builds the
   tables T_q[c] = M irfft(pos_k (2 pi i k / M)^q / q!) with one batched
   `irfft`, then per point a Horner sum over q of T_q[c] in u.
-  O(9 n + 9 M log M).
+  O(9 n + 9 M log M). A `RealSeries` builds its tables once, when it is
+  made, so a field that keeps one pays the O(9 M log M) once per field;
+  `series` makes a fresh one per call.
 
 Both paths work on blocks of 16384 points. A cost model fitted to both
 paths picks one: from (n, K) for type 1, and from K alone for type 2,
@@ -233,22 +235,36 @@ def _moment_sums(x: np.ndarray, w: np.ndarray, K: int) -> np.ndarray:
 # type 2: a0 + 2 Re sum_k pos_k exp(2 pi i k x)
 # ---------------------------------------------------------------------------
 
-def series(a0: float, pos: np.ndarray, x) -> np.ndarray:
-    """a0 + 2 Re sum_{k=1..K} pos[k-1] exp(2 pi i k x), shaped like x.
+class RealSeries:
+    """x -> a0 + 2 Re sum_{k=1..K} pos[k-1] exp(2 pi i k x), shaped like x.
 
     The real synthesis of a conjugate-symmetric Fourier expansion: a0 is
-    the constant coefficient and pos the positive-frequency ones."""
-    pos = np.asarray(pos, dtype=np.complex128)
-    x = np.asarray(x, dtype=float)
-    flat = x.ravel()
-    K = len(pos)
-    # the path depends on K alone, priced at one block, so a point's value
-    # never depends on how many points share its call
-    if flat.size and K and _gridded(_CHUNK, K, 2):
-        xu = _unit_points(flat)
-        if xu is not None:
-            return _table_series(float(a0), pos, xu).reshape(x.shape)
-    return _direct_series(float(a0), pos, flat).reshape(x.shape)
+    the constant coefficient and pos the positive-frequency ones. The
+    path depends on K alone, priced at one block, so a point's value never
+    depends on how many points share its call; when the gridded path is
+    picked, its tables are built here, once, and every call reads them."""
+
+    def __init__(self, a0: float, pos: np.ndarray):
+        self.a0 = float(a0)
+        self.pos = np.asarray(pos, dtype=np.complex128)
+        K = len(self.pos)
+        self.tables = (_series_tables(self.a0, self.pos)
+                       if K and _gridded(_CHUNK, K, 2) else None)
+
+    def __call__(self, x) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        flat = x.ravel()
+        if flat.size and self.tables is not None:
+            xu = _unit_points(flat)
+            if xu is not None:
+                return _table_series(self.tables, xu).reshape(x.shape)
+        return _direct_series(self.a0, self.pos, flat).reshape(x.shape)
+
+
+def series(a0: float, pos: np.ndarray, x) -> np.ndarray:
+    """a0 + 2 Re sum_{k=1..K} pos[k-1] exp(2 pi i k x), shaped like x: one
+    `RealSeries` call, for coefficients that are synthesized once."""
+    return RealSeries(a0, pos)(x)
 
 
 def _direct_series(a0: float, pos: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -268,8 +284,9 @@ def _direct_series(a0: float, pos: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _table_series(a0: float, pos: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """sum_q T_q[c] u^q per point, by Horner in u."""
+def _series_tables(a0: float, pos: np.ndarray) -> np.ndarray:
+    """T_q[c] = M irfft(pos_k (2 pi i k / M)^q / q!), q < _TERMS, with a0
+    in T_0: a read-only (_TERMS, M) array."""
     K = len(pos)
     m = _cells(K)
     spectrum = np.zeros((_TERMS, m // 2 + 1), dtype=np.complex128)
@@ -279,7 +296,13 @@ def _table_series(a0: float, pos: np.ndarray, x: np.ndarray) -> np.ndarray:
     for q in range(1, _TERMS):
         spectrum[q, 1:K + 1] = spectrum[q - 1, 1:K + 1] * (b / q)
     tables = np.fft.irfft(spectrum, m, norm="forward")
-    del spectrum  # as large as the tables; free it before the point loop
+    tables.flags.writeable = False
+    return tables
+
+
+def _table_series(tables: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """sum_q T_q[c] u^q per point, by Horner in u."""
+    m = tables.shape[1]
     out = np.empty(x.shape)
     buf = np.empty(min(len(x), _CHUNK))
     for lo in range(0, len(x), _CHUNK):

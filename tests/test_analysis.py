@@ -6,8 +6,9 @@ from scipy.integrate import quad
 
 from ditherfield import (AffineFloorDeployment, EstimatorConfig, FourierBasis,
                          Linear2xDeployment, ReconstructionCoefficients,
-                         TabulatedDeployment, TruncationSchedule,
-                         UniformDeployment, UniformSymNoise, ZeroNoise,
+                         TabulatedDeployment, TruncGaussNoise,
+                         TruncationSchedule, UniformDeployment,
+                         UniformSymNoise, ZeroNoise,
                          as_error_trace, basis_deployment_integral,
                          check_consistency_conditions, estimate_coefficients,
                          integrated_squared_error, make_finite_dim_field,
@@ -236,6 +237,19 @@ def test_worker_count_does_not_change_results(sawtooth):
     parallel = monte_carlo_mse(sawtooth, deploy, noise, cfg, [400, 1600],
                                trials=60, seed=31, workers=2)
     assert serial.means == parallel.means
+    assert all(np.array_equal(x, y)
+               for x, y in zip(serial.trial_values, parallel.trial_values))
+
+
+def test_worker_count_does_not_change_trunc_gauss_results(sawtooth):
+    """The pool workers sample the truncated Gaussian with the scipy that
+    the parent loaded when it built the noise."""
+    deploy, noise = UniformDeployment(), TruncGaussNoise(sigma=0.5, b=1.0)
+    cfg = EstimatorConfig(basis=FourierBasis(), density=deploy, c=1.5,
+                          schedule=TruncationSchedule.bv())
+    serial, parallel = (monte_carlo_mse(sawtooth, deploy, noise, cfg, [300, 900],
+                                        trials=30, seed=37, workers=workers)
+                        for workers in (1, 2))
     assert all(np.array_equal(x, y)
                for x, y in zip(serial.trial_values, parallel.trial_values))
 

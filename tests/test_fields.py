@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from ditherfield import (FiniteDimField, FourierBasis, PiecewiseConstantField,
                          make_bv_field, make_finite_dim_field,
                          make_sobolev_field, true_coefficients)
 from ditherfield.fields import J_TAIL, synthesize
+from ditherfield.spectral import series
 
 from conftest import SHIPPED_K5_COEFFS, midpoint_grid, zero_field
 
@@ -375,3 +378,66 @@ def test_finite_dim_closed_forms_match_quad(field, a, b):
     for w, c in zip(freqs, coeffs):
         direct = quad_parts(lambda x: f(x) * np.exp(-2j * np.pi * w * x), 0.0, 1.0, edges)
         assert abs(c - direct) <= 1e-12, w
+
+
+# ---------------------------------------------------------------------------
+# kept synthesis tables
+# ---------------------------------------------------------------------------
+
+def fourier_field(K: int, seed: int = 3) -> FiniteDimField:
+    """A real Fourier-basis field with K random frequency pairs."""
+    rng = np.random.default_rng(seed)
+    pos = rng.uniform(-1, 1, K) + 1j * rng.uniform(-1, 1, K)
+    values = np.empty(2 * K + 1, dtype=np.complex128)
+    values[0] = rng.uniform(-1, 1)
+    values[2::2], values[1::2] = pos, np.conj(pos)
+    return FiniteDimField(basis=FourierBasis(), values=values,
+                          amplitude_bound=1.0 + 2.0 * np.sum(np.abs(values)))
+
+
+def table_probe_points() -> np.ndarray:
+    return np.concatenate([np.linspace(-0.5, 1.5, 4097),
+                           np.random.default_rng(9).random(5000)])
+
+
+def test_fourier_frequencies_follow_the_interleave_rule():
+    for count in (1, 2, 7, 64, J_TAIL):
+        assert np.array_equal(FourierBasis.frequencies(count),
+                              [FourierBasis.frequency(j) for j in range(count)])
+
+
+@pytest.mark.parametrize("K", [2, 32, 128])
+def test_field_eval_reuses_its_synthesis_tables(monkeypatch, K):
+    field = fourier_field(K)
+    x = table_probe_points()
+    first = field.eval(x)
+    calls = []
+    irfft = np.fft.irfft
+    monkeypatch.setattr(np.fft, "irfft", lambda *a, **kw: calls.append(1) or irfft(*a, **kw))
+    assert np.array_equal(field.eval(x), first)
+    assert calls == []
+
+
+@pytest.mark.parametrize("K", [1, 2, 32, 128])
+@pytest.mark.parametrize("non_finite", [False, True])
+def test_field_eval_equals_a_fresh_series_bitwise(K, non_finite):
+    """Non-finite points send the whole call down the direct path, where
+    they read NaN."""
+    field = fourier_field(K)
+    x = table_probe_points()
+    if non_finite:
+        x[[10, 500, 4000]] = [np.nan, np.inf, -np.inf]
+    got = field.eval(x)
+    assert np.array_equal(got, series(field.values[0].real, field.values[2::2], x),
+                          equal_nan=True)
+    assert np.isnan(got).sum() == 3 * non_finite
+
+
+@pytest.mark.parametrize("K", [1, 32, 128])
+def test_pickled_field_evaluates_bitwise_alike(monkeypatch, K):
+    field = fourier_field(K)
+    x = table_probe_points()
+    restored = pickle.loads(pickle.dumps(field))
+    # the tables travel with the field: the copy builds none
+    monkeypatch.setattr(np.fft, "irfft", None)
+    assert np.array_equal(restored.eval(x), field.eval(x))

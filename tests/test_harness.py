@@ -351,12 +351,22 @@ def test_a_nan_bound_is_a_dominance_violation(tmp_path, monkeypatch):
 
 
 def test_import_leaves_scipy_integrate_unloaded():
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, ditherfield; print('scipy.integrate' in sys.modules)"],
-        capture_output=True, text=True)
+    """A fresh import loads neither scipy nor the process pool; building a
+    truncated-Gaussian noise loads scipy.special."""
+    probe = ("import json, sys, ditherfield\n"
+             "names = ['scipy', 'scipy.integrate', 'scipy.special',\n"
+             "         'concurrent.futures.process', 'multiprocessing']\n"
+             "loaded = [{m: m in sys.modules for m in names}]\n"
+             "ditherfield.TruncGaussNoise(sigma=0.5, b=1.0)\n"
+             "loaded.append({m: m in sys.modules for m in names})\n"
+             "print(json.dumps(loaded))\n")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    at_import, after_noise = json.loads(proc.stdout)
+    assert not at_import["scipy.integrate"]
+    assert not any(at_import.values()), at_import
+    assert after_noise["scipy.special"]
+    assert not after_noise["scipy.integrate"]
 
 
 @pytest.mark.parametrize("command", ["run", "check-conditions", "trace-as"])

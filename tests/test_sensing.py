@@ -3,6 +3,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import ndtr, ndtri
 
 from ditherfield import (AffineFloorDeployment, Linear2xDeployment,
                          TabulatedDeployment, TruncGaussNoise, TwoPointNoise,
@@ -65,6 +66,17 @@ def test_affine_floor_requires_positive_floor():
 def test_noise_scales_must_be_positive_and_finite(make, bad):
     with pytest.raises(ValueError, match="positive and finite"):
         make(bad)
+
+
+@pytest.mark.parametrize("sigma, b", [(0.5, 1.0), (2.0, 0.3), (1e-3, 1.0)])
+def test_trunc_gauss_samples_are_the_clipped_inverse_cdf(sigma, b):
+    """Bitwise: clip(sigma ndtri(lo + (hi - lo) u), -b, b), lo and hi the
+    normal cdf at -b / sigma and b / sigma, computed here with scipy."""
+    u = substream(808, STREAM_NOISE).random(10_000)
+    u[:3] = [0.0, 0.5, 1.0 - 2.0 ** -53]
+    lo, hi = ndtr(-b / sigma), ndtr(b / sigma)
+    want = np.clip(sigma * ndtri(lo + (hi - lo) * u), -b, b)
+    assert np.array_equal(TruncGaussNoise(sigma=sigma, b=b).sample(u), want)
 
 
 # ---------------------------------------------------------------------------
