@@ -9,7 +9,7 @@ import sys
 from .analysis import check_consistency_conditions
 from .harness import (SUITE_NAMES, ConfigValidationError,
                       load_experiment_config, run_as_trace, run_experiment,
-                      run_suite)
+                      run_suite, trace_verdict)
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -98,7 +98,11 @@ def main(argv=None) -> int:
         print(f"first-to-last ratio {ratio:.4f} "
               "(single-path regression, not a proof of convergence)")
         print(f"wrote {path}")
-        return 0
+        if "trace_ratio_max" not in config.acceptance:
+            return 0
+        passed, detail = trace_verdict(trace, config.acceptance["trace_ratio_max"])
+        print(f"{'PASS' if passed else 'FAIL'}  trace_ratio_max  [{detail}]")
+        return 0 if passed else 1
 
     return 2
 

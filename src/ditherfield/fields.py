@@ -205,7 +205,8 @@ def synthesize(basis: Basis, values: np.ndarray, x) -> np.ndarray:
     the coefficients of frequencies +k and -k, the sum is  S(A) + i S(B)
     for the halves A = (P + conj N) / 2 and B = (P - conj N) / 2i, where
     S(A) = Re v_0 + 2 Re sum_k A_k e^{2 pi i k x} is one `spectral.series`
-    call (and S(B) likewise, with Im v_0).
+    call (and S(B) likewise, with Im v_0): the one table path at any
+    length of values, where a non-finite x reads NaN.
     """
     values = np.asarray(values, dtype=np.complex128)
     x = np.asarray(x, dtype=float)

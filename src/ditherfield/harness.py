@@ -418,6 +418,14 @@ def run_as_trace(config: ExperimentConfig, out_dir) -> tuple[ASTraceResult, Path
     return trace, path
 
 
+def trace_verdict(trace: ASTraceResult, ratio_max: float) -> tuple[bool, str]:
+    """Whether the trace's last-to-first sup-error ratio is below
+    `trace_ratio_max`, and the detail line that reports it."""
+    ratio = trace.sup_error[-1] / trace.sup_error[0]
+    return ratio < ratio_max, (f"sup|S| {trace.sup_error[0]:.4e} -> "
+                               f"{trace.sup_error[-1]:.4e} (ratio {ratio:.4f} < {ratio_max})")
+
+
 # ---------------------------------------------------------------------------
 # statistical battery for the coefficient estimator
 # ---------------------------------------------------------------------------
@@ -612,13 +620,10 @@ def _run_traces_suite(out: Path, workers: int) -> SuiteResult:
         config = load_shipped_config(name)
         trace, trace_path = run_as_trace(config, out)
         artifacts.append(str(trace_path))
-        ratio_max = config.acceptance["trace_ratio_max"]
-        ratio = trace.sup_error[-1] / trace.sup_error[0]
+        passed, detail = trace_verdict(trace, config.acceptance["trace_ratio_max"])
         rows.append(SuiteRow(
             name=f"trace {name}: sup error shrinks along one sample path",
-            passed=ratio < ratio_max,
-            detail=f"sup|S| {trace.sup_error[0]:.4e} -> {trace.sup_error[-1]:.4e} "
-                   f"(ratio {ratio:.4f} < {ratio_max})"))
+            passed=passed, detail=detail))
         extra[name] = trace.to_json()
     artifacts.extend(_suite_artifacts(out, "as_traces", rows, extra))
     return SuiteResult(suite="as_traces", rows=tuple(rows), artifacts=tuple(artifacts))

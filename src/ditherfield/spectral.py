@@ -3,51 +3,49 @@
 `conj_sums` is the type-1 sum  S_k = sum_i w_i exp(-2 pi i k x_i),  k = 0..K,
 which the estimator needs; `series` is the real type-2 sum
 a0 + 2 Re sum_{k=1..K} pos_k exp(2 pi i k x),  which field synthesis needs.
-Each has two paths:
 
-- direct: one unit phase z = exp(+-2 pi i x) per point, then per frequency
-  one in-place complex multiply and one reduction (type 1), or one scalar
-  add and one multiply of the Horner form
-  z (pos_1 + z (pos_2 + ... + z pos_K))  (type 2); O(n K). The phase does
-  not call numpy's complex exponential (a scalar libm loop, 40-60 ns a
-  point): it takes exp(2 pi i j / N) from a table of N = 4096 roots of
-  unity and rotates it by the residual angle with a short Taylor series,
-  in real arithmetic (Tang, ACM TOMS 15(2), 1989), within 2e-16 of the
-  exact value.
-- gridded: a point x lies in cell c = rint(x M) mod M of M cells, the
-  smallest power of two >= max(64, 32 K), at the exact offset
-  u = x M - rint(x M) in [-1/2, 1/2] from the cell's node c / M, and
-  exp(2 pi i k x) = exp(2 pi i k c / M) sum_q (2 pi i k u / M)^q / q!
-  (Anderson & Dahleh, SIAM J. Sci. Comput. 17(4), 1996). With
-  |k u / M| <= 1/64 the terms q = 0..8 leave at most (pi / 32)^9 / 9!
-  = 2.3e-15 of the l1 norm. Type 1 takes the power moments
+Both rest on one cell expansion: a point x lies in cell c = rint(x M) mod M
+of M cells, the smallest power of two >= max(64, 32 K), at the exact
+offset u = x M - rint(x M) in [-1/2, 1/2] from the cell's node c / M, and
+exp(2 pi i k x) = exp(2 pi i k c / M) sum_q (2 pi i k u / M)^q / q!
+(Anderson & Dahleh, SIAM J. Sci. Comput. 17(4), 1996). With
+|k u / M| <= 1/64 the terms q = 0..8 leave at most (pi / 32)^9 / 9!
+= 2.3e-15 of the l1 norm.
+
+- type 2 has this one path. A `RealSeries` builds the tables
+  T_q[c] = M irfft(pos_k (2 pi i k / M)^q / q!) with one batched `irfft`
+  once, when it is made, for any K >= 0 (at K = 0 they hold a0), and per
+  point takes a Horner sum over q of T_q[c] in u: O(9 n + 9 M log M).
+  A field that keeps one pays the O(9 M log M) once per field; `series`
+  makes a fresh one per call. The sum is pointwise, so a point's value
+  never depends on the other points of its call, and simulated sample
+  paths stay prefix-stable to the bit; a non-finite point reads NaN.
+- type 1 has two paths. The gridded one takes the power moments
   sum_{i in c} w_i u_i^q of each cell (one `bincount` per q), one `rfft`
-  over them, and per frequency a Horner sum over q; type 2 builds the
-  tables T_q[c] = M irfft(pos_k (2 pi i k / M)^q / q!) with one batched
-  `irfft`, then per point a Horner sum over q of T_q[c] in u.
-  O(9 n + 9 M log M). A `RealSeries` builds its tables once, when it is
-  made, so a field that keeps one pays the O(9 M log M) once per field;
-  `series` makes a fresh one per call.
+  over them, and per frequency a Horner sum over q. The direct one, for
+  short rows and small K (the estimator's battery rows), takes one unit
+  phase z = exp(-2 pi i x) per point, then per frequency one in-place
+  complex multiply and one reduction; O(n K). The phase does not call
+  numpy's complex exponential (a scalar libm loop, 40-60 ns a point): it
+  takes exp(2 pi i j / N) from a table of N = 4096 roots of unity and
+  rotates it by the residual angle with a short Taylor series, in real
+  arithmetic (Tang, ACM TOMS 15(2), 1989), within 2e-16 of the exact
+  value. A cost model fitted to both paths picks one from (n, K).
 
-Both paths work on blocks of 16384 points. A cost model fitted to both
-paths picks one: from (n, K) for type 1, and from K alone for type 2,
-priced at a 16384-point call, so that a point's path never depends on the
-other points of its call. Both paths are pointwise (type 1 then reduces
-each row), so a point's synthesized value never depends on the other
-points of the call either, and simulated sample paths stay prefix-stable
-to the bit. The gridded paths are within about 1e-16 of sum|w_i| (type 1)
-or |a0| + 2 sum|pos_k| (type 2) of the exact sums, the direct ones, whose
-rounding grows with K, within 2e-15 at K = 256; both above the range where
-gradual underflow takes bits.
+Both sums work on blocks of 16384 points. The table and moment sums are
+within about 1e-16 of |a0| + 2 sum|pos_k| (type 2) or sum|w_i| (type 1)
+of the exact sums, the direct type-1 sum, whose rounding grows with K,
+within 2e-15 at K = 256; all above the range where gradual underflow
+takes bits.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-_TERMS = 9                # Taylor terms q = 0..8 of the gridded paths
+_TERMS = 9                # Taylor terms q = 0..8 of the cell expansion
 
-_CHUNK = 1 << 14          # points per block, on either path
+_CHUNK = 1 << 14          # points per block, on every path
 
 _PHASE_N = 1 << 12        # roots of unity in the phase table
 # f + _ROUND rounds |f| <= 1 to a multiple of 1/_PHASE_N (its ulp) and
@@ -59,21 +57,22 @@ _ROUND = np.array(1.5 * 2.0 ** 40)
 _ROT_LO = np.array([[-2.0 * np.pi ** 2], [2.0 * np.pi]])
 _ROT_HI = np.array([[2.0 * np.pi ** 4 / 3.0], [-4.0 * np.pi ** 3 / 3.0]])
 
-# Cost model in ns: direct (per call, point, frequency, term) and gridded
-# (per call, point, cell), least-squares fits to best-of-9 timings of both
-# paths on a 2-core Xeon (numpy 2.4, one thread; n = 1-65536, K = 1-256).
-# Type 1 is timed as the block engine calls it, max(1, 16384 // n) rows of
-# n points at once: the direct path shares its per-call and per-frequency
-# costs among the rows (they fit to 0), the gridded one runs row by row.
-_DIRECT = {1: (0.0, 18.4, 0.0, 1.47), 2: (30_000.0, 13.5, 1700.0, 1.07)}
-_GRIDDED = {1: (41_000.0, 21.2, 57.0), 2: (58_000.0, 12.9, 60.0)}
+# Type-1 cost model in ns: direct (per call, point, frequency, term) and
+# gridded (per call, point, cell), least-squares fits to best-of-9 timings
+# of both paths on a 2-core Xeon (numpy 2.4, one thread; n = 1-65536,
+# K = 1-256), timed as the block engine calls them, max(1, 16384 // n) rows
+# of n points at once: the direct path shares its per-call and
+# per-frequency costs among the rows (they fit to 0), the gridded one runs
+# row by row.
+_DIRECT = (0.0, 18.4, 0.0, 1.47)
+_GRIDDED = (41_000.0, 21.2, 57.0)
 
 
-def _gridded(n: int, K: int, kind: int) -> bool:
-    """Whether the gridded path is predicted to beat the direct one."""
-    call, point, freq, term = _DIRECT[kind]
+def _gridded(n: int, K: int) -> bool:
+    """Whether the gridded type-1 path is predicted to beat the direct one."""
+    call, point, freq, term = _DIRECT
     direct = call + n * point + K * (freq + n * term)
-    call, point, cell = _GRIDDED[kind]
+    call, point, cell = _GRIDDED
     return call + n * point + _cells(K) * cell < direct
 
 
@@ -83,8 +82,9 @@ def _cells(K: int) -> int:
 
 
 def _unit_points(x: np.ndarray) -> np.ndarray | None:
-    """x folded into [0, 1] (both sums are 1-periodic in x), or None when
-    x holds a non-finite value, which only the direct path propagates."""
+    """x folded into [0, 1] (the sums are 1-periodic in x), or None when
+    x holds a non-finite value, which only the direct type-1 path
+    propagates."""
     lo, hi = x.min(), x.max()
     if not np.isfinite(lo + hi):
         return None
@@ -120,10 +120,10 @@ def _phase_table() -> np.ndarray:
 _TABLE = _phase_table()
 
 
-def _unit_phase(x: np.ndarray, sign: int) -> np.ndarray:
-    """exp(sign 2 pi i x) for sign = +1 or -1, shaped like x.
+def _unit_phase(x: np.ndarray) -> np.ndarray:
+    """exp(-2 pi i x), shaped like x.
 
-    The fraction f = x - rint(x) (exact, so any finite x works) is a table
+    The fraction f = rint(x) - x (exact, so any finite x works) is a table
     node j / N plus a residual r, |r| <= 1 / 2N, both exact. exp(2 pi i f)
     is the entry c + i s times the rotation 1 + (cos 2 pi r - 1) + i sin 2 pi r,
     with cos - 1 to r^4 and sin to r^3 (truncation below 1e-17):
@@ -138,7 +138,7 @@ def _unit_phase(x: np.ndarray, sign: int) -> np.ndarray:
     fx = f.reshape(x.shape)
     np.rint(x, out=fx)
     with np.errstate(invalid="ignore"):  # x = +-inf: inf - inf is NaN
-        np.subtract(x, fx, out=fx) if sign > 0 else np.subtract(fx, x, out=fx)
+        np.subtract(fx, x, out=fx)
     np.add(f, _ROUND, out=node)         # f rounded to a multiple j / N
     np.subtract(node, _ROUND, out=ur[1])
     np.subtract(f, ur[1], out=ur[1])    # r = f - j / N, exact
@@ -184,7 +184,7 @@ def conj_sums(x: np.ndarray, w: np.ndarray, K: int) -> np.ndarray:
     if np.iscomplexobj(w):
         return conj_sums(x, np.real(w), K) + 1j * conj_sums(x, np.imag(w), K)
     w = np.asarray(w, dtype=float)
-    if not (x.shape[-1] and _gridded(x.shape[-1], K, 1)):
+    if not (x.shape[-1] and _gridded(x.shape[-1], K)):
         return _direct_sums(x, w, K)
     out = np.empty(x.shape[:-1] + (K + 1,), dtype=np.complex128)
     for row in np.ndindex(x.shape[:-1]):
@@ -201,7 +201,7 @@ def _direct_sums(x: np.ndarray, w: np.ndarray, K: int) -> np.ndarray:
         part = np.empty_like(out) if lo else out  # block sums, added to out
         part[..., 0] = np.add.reduce(ws, axis=-1)
         if K:
-            step = _unit_phase(xs, -1)
+            step = _unit_phase(xs)
             cur = ws * step
             np.add.reduce(cur, axis=-1, out=part[..., 1])
             for k in range(2, K + 1):
@@ -239,49 +239,31 @@ class RealSeries:
     """x -> a0 + 2 Re sum_{k=1..K} pos[k-1] exp(2 pi i k x), shaped like x.
 
     The real synthesis of a conjugate-symmetric Fourier expansion: a0 is
-    the constant coefficient and pos the positive-frequency ones. The
-    path depends on K alone, priced at one block, so a point's value never
-    depends on how many points share its call; when the gridded path is
-    picked, its tables are built here, once, and every call reads them."""
+    the constant coefficient and pos the positive-frequency ones. Its
+    tables are built here, once, for any K, and every call reads them.
+    Each point is summed on its own, so its value never depends on the
+    other points of its call; a non-finite point reads NaN."""
 
     def __init__(self, a0: float, pos: np.ndarray):
         self.a0 = float(a0)
         self.pos = np.asarray(pos, dtype=np.complex128)
-        K = len(self.pos)
-        self.tables = (_series_tables(self.a0, self.pos)
-                       if K and _gridded(_CHUNK, K, 2) else None)
+        self.tables = _series_tables(self.a0, self.pos)
 
     def __call__(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         flat = x.ravel()
-        if flat.size and self.tables is not None:
-            xu = _unit_points(flat)
-            if xu is not None:
-                return _table_series(self.tables, xu).reshape(x.shape)
-        return _direct_series(self.a0, self.pos, flat).reshape(x.shape)
+        with np.errstate(invalid="ignore"):  # non-finite points give NaN
+            # fold into [0, 1] only when some point lies outside (NaN fails
+            # both tests): x - floor(x) is x itself on [0, 1)
+            if flat.size and not (flat.min() >= 0.0 and flat.max() <= 1.0):
+                flat = flat - np.floor(flat)
+            return _table_series(self.tables, flat).reshape(x.shape)
 
 
 def series(a0: float, pos: np.ndarray, x) -> np.ndarray:
     """a0 + 2 Re sum_{k=1..K} pos[k-1] exp(2 pi i k x), shaped like x: one
     `RealSeries` call, for coefficients that are synthesized once."""
     return RealSeries(a0, pos)(x)
-
-
-def _direct_series(a0: float, pos: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Horner form: 2 Re z (pos_1 + z (pos_2 + ... + z pos_K)) + a0, z = e^{2 pi i x}."""
-    out = np.full(x.shape, a0)
-    if not len(pos):
-        return out
-    for lo in range(0, x.size, _CHUNK):
-        z = _unit_phase(x[lo:lo + _CHUNK], 1)
-        acc = pos[-1] * z
-        for a in pos[-2::-1]:
-            acc += a
-            acc = _rotate(acc, z)
-        seg = out[lo:lo + _CHUNK]
-        np.multiply(acc.real, 2.0, out=seg)
-        seg += a0
-    return out
 
 
 def _series_tables(a0: float, pos: np.ndarray) -> np.ndarray:

@@ -418,19 +418,23 @@ def test_field_eval_reuses_its_synthesis_tables(monkeypatch, K):
     assert calls == []
 
 
-@pytest.mark.parametrize("K", [1, 2, 32, 128])
+@pytest.mark.parametrize("K", [0, 1, 2, 32, 128])
 @pytest.mark.parametrize("non_finite", [False, True])
 def test_field_eval_equals_a_fresh_series_bitwise(K, non_finite):
-    """Non-finite points send the whole call down the direct path, where
-    they read NaN."""
+    """Every point reads the field's tables on its own: a non-finite one
+    reads NaN (at K = 0 too), and the finite points of its call, 1e308
+    among them, keep the values they have without it."""
     field = fourier_field(K)
     x = table_probe_points()
     if non_finite:
-        x[[10, 500, 4000]] = [np.nan, np.inf, -np.inf]
+        x[[10, 500, 4000, 4500]] = [np.nan, np.inf, -np.inf, 1e308]
     got = field.eval(x)
     assert np.array_equal(got, series(field.values[0].real, field.values[2::2], x),
                           equal_nan=True)
     assert np.isnan(got).sum() == 3 * non_finite
+    finite = np.isfinite(x)
+    assert np.array_equal(got[finite], field.eval(x[finite]))
+    assert np.array_equal(got[4500], field.eval(x[4500]))
 
 
 @pytest.mark.parametrize("K", [1, 32, 128])

@@ -235,6 +235,25 @@ def test_cli_trace(tmp_path):
     assert (tmp_path / "out" / "mini_trace_trace.json").exists()
 
 
+def test_cli_trace_exits_1_when_the_declared_ratio_is_missed(tmp_path):
+    """trace-as holds a declared trace_ratio_max like the as_traces suite:
+    a miss is a FAIL verdict (exit 1), and the trace is still written."""
+    doc = dict(MINI_CONFIG)
+    doc.update({"experiment_id": "mini_trace",
+                "schedule": {"kind": "power", "psi": 0.4},
+                "n_grid": [500, 5000],
+                "acceptance": {"trace_ratio_max": 1e-9}})
+    config_path = tmp_path / "trace.json"
+    config_path.write_text(json.dumps(doc))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ditherfield.cli", "trace-as", str(config_path),
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True)
+    assert proc.returncode == 1, proc.stderr
+    assert "FAIL  trace_ratio_max" in proc.stdout
+    assert (tmp_path / "out" / "mini_trace_trace.json").exists()
+
+
 @pytest.mark.parametrize("schedule", [None, {"kind": "power", "psi": 1.0}])
 def test_cli_trace_rejects_a_non_power_schedule(tmp_path, schedule):
     """A trace needs a power schedule with psi < 1; anything else is a config

@@ -1,6 +1,7 @@
-"""Agreement of the gridded and direct paths of the nonuniform Fourier sums.
+"""Accuracy of the nonuniform Fourier sums: the two type-1 paths against
+each other, and both sums against one exponential per term.
 
-The measure is the benchmark's: max |gridded - direct| / max |direct|,
+The measure is the benchmark's: max |got - reference| / max |reference|,
 which must stay within 1e-10. Points and weights come from a seeded
 generator, with some points pinned to 0.0, 1.0, cell nodes c / M (offset
 0, and c = M wraps to cell 0) and half-cell points (c + 1/2) / M, where
@@ -15,9 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ditherfield import FourierBasis, StepBasis, spectral
-from ditherfield.fields import synthesize
-from ditherfield.harness import (_RATE_CONFIGS, _TRACE_CONFIGS,
-                                 lemma_battery_menu, load_shipped_config)
+from ditherfield.fields import FiniteDimField, synthesize
+from ditherfield.harness import _RATE_CONFIGS, _TRACE_CONFIGS, load_shipped_config
 
 RTOL = 1e-10
 # small K (M = 64 to 1024 cells) as often as large K (up to M = 16384)
@@ -25,8 +25,8 @@ K_VALUES = st.one_of(st.integers(0, 24), st.integers(25, 300))
 
 
 def _on_path(gridded: bool, fn, *args):
-    """fn(*args) with the cost model overridden to pick one path."""
-    with mock.patch.object(spectral, "_gridded", lambda n, K, kind: gridded):
+    """fn(*args) with the type-1 cost model overridden to pick one path."""
+    with mock.patch.object(spectral, "_gridded", lambda n, K: gridded):
         return fn(*args)
 
 
@@ -63,6 +63,20 @@ def _exp_series(a0, pos, x) -> np.ndarray:
     return out
 
 
+TURN = 8 * np.arctan(np.longdouble(1))  # 2 pi in long double
+
+
+def _long_series(a0, pos, x) -> np.ndarray:
+    """a0 + 2 Re sum_k pos_k exp(2 pi i k x) in extended precision."""
+    k = np.arange(1, len(pos) + 1, dtype=np.longdouble)
+    out = np.empty(len(x), dtype=np.longdouble)
+    for lo in range(0, len(x), 1024):
+        phase = np.outer(x[lo:lo + 1024].astype(np.longdouble), k)
+        terms = np.exp(1j * TURN * phase.astype(np.clongdouble))
+        out[lo:lo + 1024] = a0 + 2.0 * (terms @ pos.astype(np.clongdouble)).real
+    return out
+
+
 def _exp_synthesis(values, x) -> np.ndarray:
     """sum_j values_j phi_j(x) over interleaved frequencies, one exponential per term."""
     freqs = [FourierBasis.frequency(j) for j in range(len(values))]
@@ -96,20 +110,17 @@ def test_type1_paths_agree(n, K, seed, pinned, complex_weights):
 @given(n=st.integers(1, 5000), K=K_VALUES, seed=st.integers(0, 2 ** 32 - 1),
        pinned=st.integers(0, 10))
 @settings(max_examples=40, deadline=None)
-def test_type2_paths_agree(n, K, seed, pinned):
+def test_type2_series_matches_exponential_sums(n, K, seed, pinned):
     # 1024 equispaced probe points join the drawn ones; they resolve every
-    # K <= 300, so max |direct| is at least the series' L2 norm rather than
-    # its value at one unlucky point
+    # K <= 300, so max |reference| is at least the series' L2 norm rather
+    # than its value at one unlucky point
     x = np.concatenate([_points(n, K, seed, pinned), np.linspace(0.0, 1.0, 1025)])
     rng = np.random.default_rng(seed + 1)
     a0 = rng.uniform(-1.0, 1.0)
     pos = rng.uniform(-1.0, 1.0, K) + 1j * rng.uniform(-1.0, 1.0, K)
-    direct = _on_path(False, spectral.series, a0, pos, x)
-    gridded = _on_path(True, spectral.series, a0, pos, x)
-    assert direct.shape == gridded.shape == x.shape
-    assert _rel_err(gridded, direct) <= RTOL
-    if len(x) * (K + 1) <= 200_000:
-        assert _rel_err(direct, _exp_series(a0, pos, x)) <= RTOL
+    got = spectral.series(a0, pos, x)
+    assert got.shape == x.shape
+    assert _rel_err(got, _exp_series(a0, pos, x)) <= RTOL
 
 
 # Absolute slack at the bottom of the float range, where the relative bound
@@ -121,7 +132,7 @@ def test_type2_paths_agree(n, K, seed, pinned):
 # at most half a subnormal step. The largest excess measured over the
 # relative bound, for K <= 300 and scales 1e-323 to 1e-285, was 6e-14
 # times the smallest normal float (about 270 subnormal steps, mostly the
-# direct path's own rounding); the floor keeps its earlier, wider value.
+# direct paths' own rounding); the floor keeps its earlier, wider value.
 UNDERFLOW_FLOOR = 64 * np.finfo(float).tiny
 
 
@@ -131,18 +142,18 @@ UNDERFLOW_FLOOR = 64 * np.finfo(float).tiny
        K=K_VALUES)
 @settings(max_examples=60, deadline=None)
 def test_gridded_error_is_bounded_by_the_l1_norm(x, w, coeffs, K):
-    """The accuracy guarantee behind both paths, on arbitrary inputs: an
+    """The accuracy guarantee behind every path, on arbitrary inputs: an
     absolute error within 1e-11 times the l1 norm of the weights or of the
-    coefficients, which holds even where the sums cancel."""
+    coefficients, which holds even where the sums cancel. The series is
+    held to the extended-precision sum."""
     x = np.array(x)
     w = np.array(w[:len(x)])
     diff = (_on_path(True, spectral.conj_sums, x, w, K)
             - _on_path(False, spectral.conj_sums, x, w, K))
     assert np.max(np.abs(diff)) <= 1e-11 * np.sum(np.abs(w)) + UNDERFLOW_FLOOR
     a0, pos = coeffs[0], np.array(coeffs[1:]) * (1.0 - 0.5j)
-    diff = (_on_path(True, spectral.series, a0, pos, x)
-            - _on_path(False, spectral.series, a0, pos, x))
-    assert (np.max(np.abs(diff))
+    diff = spectral.series(a0, pos, x) - _long_series(a0, pos, x)
+    assert (float(np.max(np.abs(diff)))
             <= 1e-11 * (abs(a0) + 2.0 * np.sum(np.abs(pos))) + UNDERFLOW_FLOOR)
 
 
@@ -153,16 +164,14 @@ def test_points_outside_the_unit_interval_use_periodicity():
     pos = rng.uniform(-1.0, 1.0, 40) + 1j * rng.uniform(-1.0, 1.0, 40)
     assert _rel_err(_on_path(True, spectral.conj_sums, x, w, 100),
                     _on_path(False, spectral.conj_sums, x, w, 100)) <= RTOL
-    assert _rel_err(_on_path(True, spectral.series, 0.2, pos, x),
-                    _on_path(False, spectral.series, 0.2, pos, x)) <= RTOL
+    assert _rel_err(spectral.series(0.2, pos, x), _exp_series(0.2, pos, x)) <= RTOL
 
 
-def test_non_finite_points_propagate_on_either_path():
+def test_non_finite_points_propagate_on_every_path():
     x = np.array([0.25, np.nan, 0.5])
-    pos = np.ones(64, dtype=np.complex128)
+    values = spectral.series(1.0, np.ones(64, dtype=np.complex128), x)
+    assert np.isnan(values[1]) and np.all(np.isfinite(values[[0, 2]]))
     for gridded in (False, True):
-        values = _on_path(gridded, spectral.series, 1.0, pos, x)
-        assert np.isnan(values[1]) and np.all(np.isfinite(values[[0, 2]]))
         sums = _on_path(gridded, spectral.conj_sums, x, np.ones(3), 64)
         assert np.all(np.isnan(sums[1:]))
 
@@ -178,7 +187,7 @@ def test_full_size_type1_against_exponential_sums():
     """n = 262144, m = 512 (frequencies 0..256): the estimator's largest
     call on the BV sweep, on the gridded path, against one exp per term."""
     n, K = 262144, 256
-    assert spectral._gridded(n, K, 1)
+    assert spectral._gridded(n, K)
     rng = np.random.default_rng(11)
     x = rng.random(n)
     w = np.where(rng.random(n) < 0.5, -1.0, 1.0) / (0.5 + x)
@@ -188,24 +197,27 @@ def test_full_size_type1_against_exponential_sums():
 @pytest.mark.parametrize("kind, K", [(1, 256), (2, 128), (2, 256)])
 def test_full_size_gridded_paths_within_1e13_of_the_l1_norm(kind, K):
     """262144 points, the largest calls of the BV and Sobolev sweeps: the
-    Taylor paths against the direct ones, within 1e-13 of sum|w_i| or
-    |a0| + 2 sum|pos_k|."""
+    Taylor paths within 1e-13 of sum|w_i| or |a0| + 2 sum|pos_k|, type 1
+    against the direct path, type 2 against one exponential per term on
+    every 16th point (the series is pointwise, so the subset's values are
+    those of the full call)."""
     n = 262144
     rng = np.random.default_rng(kind * 1000 + K)
     x = rng.random(n)
     if kind == 1:
         w = rng.standard_normal(n)
         args, scale = (spectral.conj_sums, x, w, K), np.sum(np.abs(w))
+        diff = _on_path(True, *args) - _on_path(False, *args)
     else:
         pos = (rng.standard_normal(K) + 1j * rng.standard_normal(K)) / np.arange(1, K + 1)
-        args, scale = (spectral.series, -0.7, pos, x), 0.7 + 2.0 * np.sum(np.abs(pos))
-    diff = _on_path(True, *args) - _on_path(False, *args)
+        scale = 0.7 + 2.0 * np.sum(np.abs(pos))
+        diff = spectral.series(-0.7, pos, x)[::16] - _exp_series(-0.7, pos, x[::16])
     assert np.max(np.abs(diff)) <= 1e-13 * scale
 
 
-# The path the cost model picks for every call of the shipped workloads:
-# type 1 by (sensors per row, K), type 2 by K alone. A refit of the model
-# shows up as a diff of these tables.
+# The path the type-1 cost model picks for every call of the shipped
+# workloads, by (sensors per row, K). A refit of the model shows up as a
+# diff of this table.
 TYPE1_GRIDDED = {
     # bv_sawtooth: m = sqrt(n), K = m // 2
     (1024, 16): False, (4096, 32): True, (16384, 64): True,
@@ -221,42 +233,25 @@ TYPE1_GRIDDED = {
     # as_trace_*: the sensors between checkpoints, m = 252 (n = 10^6, psi = 0.4)
     (1000, 126): False, (9000, 126): True, (90000, 126): True, (900000, 126): True,
 }
-TYPE2_GRIDDED = {
-    1: False,    # no shipped call; the last K below the crossover
-    2: True,     # finite_dim_k5 field
-    8: True, 20: True, 50: True, 126: True,  # trace synthesis, m = 16 to 252
-    32: True,    # the battery's Sobolev field
-    128: True,   # sobolev_s1 field
-}
 
 
 def _workload_calls():
-    """(n, K) of the type-1 calls and K of the type-2 calls of the three
-    rate sweeps, the lemma battery and the two trace configs."""
-    type1, type2 = {(1000, 4)}, set()
-    fields = [f for _, f in lemma_battery_menu()]
+    """(n, K) of the type-1 calls of the three rate sweeps, the lemma
+    battery and the two trace configs."""
+    calls = {(1000, 4)}
     for name in _RATE_CONFIGS:
         cfg = load_shipped_config(name)
-        type1 |= {(n, cfg.schedule.resolve(n) // 2) for n in cfg.n_grid}
-        fields.append(cfg.field)
+        calls |= {(n, cfg.schedule.resolve(n) // 2) for n in cfg.n_grid}
     for name in _TRACE_CONFIGS:
         cfg = load_shipped_config(name)
-        ms = [cfg.schedule.resolve(n) for n in cfg.n_grid]
-        type1 |= {(n - prev, max(ms) // 2) for prev, n in zip((0,) + cfg.n_grid, cfg.n_grid)}
-        type2 |= {m // 2 for m in ms}
-        fields.append(cfg.field)
-    # fields with stored coefficients synthesize them; the others have a
-    # closed form, and an empty series (K = 0) is its constant
-    type2 |= {len(f.values) // 2 for f in fields if hasattr(f, "values")}
-    return type1, type2 - {0}
+        K = max(cfg.schedule.resolve(n) for n in cfg.n_grid) // 2
+        calls |= {(n - prev, K) for prev, n in zip((0,) + cfg.n_grid, cfg.n_grid)}
+    return calls
 
 
 def test_cost_model_paths_of_the_shipped_workloads():
-    type1, type2 = _workload_calls()
-    assert set(TYPE1_GRIDDED) == type1
-    assert set(TYPE2_GRIDDED) - {1} == type2
-    assert {nk: spectral._gridded(*nk, 1) for nk in TYPE1_GRIDDED} == TYPE1_GRIDDED
-    assert {K: spectral._gridded(spectral._CHUNK, K, 2) for K in TYPE2_GRIDDED} == TYPE2_GRIDDED
+    assert set(TYPE1_GRIDDED) == _workload_calls()
+    assert {nk: spectral._gridded(*nk) for nk in TYPE1_GRIDDED} == TYPE1_GRIDDED
 
 
 @pytest.mark.parametrize("n, K", [(1000, 4), (262144, 128)])
@@ -267,11 +262,12 @@ def test_public_functions_match_exponential_sums(n, K):
     pos = (rng.standard_normal(K) + 1j * rng.standard_normal(K)) / np.arange(1, K + 1) ** 1.5
     assert _rel_err(spectral.conj_sums(x, w, K), _exp_sums(x, w, K)) <= RTOL
     assert _rel_err(spectral.series(0.3, pos, x), _exp_series(0.3, pos, x)) <= RTOL
-    # complex coefficients, no conjugate pairs; odd and even lengths, K = 1
-    # to 129, on both sides of the series crossover (K = 1 direct, K = 2 gridded)
+    # complex coefficients, no conjugate pairs; odd and even lengths, K = 0
+    # to 129, every one read from its tables (64 cells up to K = 2)
     xs = x[:4096]
-    assert not spectral._gridded(spectral._CHUNK, 1, 2) and spectral._gridded(spectral._CHUNK, 2, 2)
-    for length in (3, 4, 9, 10, 257, 258):
+    for k in (0, 1, 2):
+        assert spectral.RealSeries(0.3, pos[:k]).tables.shape == (spectral._TERMS, 64)
+    for length in (1, 2, 3, 4, 9, 10, 257, 258):
         values = rng.standard_normal(length) + 1j * rng.standard_normal(length)
         assert _rel_err(synthesize(FourierBasis(), values, xs),
                         _exp_synthesis(values, xs)) <= RTOL
@@ -294,25 +290,21 @@ def test_synthesis_is_the_adjoint_of_the_weighted_sums(n, m, seed, step):
 
 
 # ---------------------------------------------------------------------------
-# the direct paths: table-driven unit phases and Horner synthesis
+# the direct type-1 path's table-driven unit phase; pointwise synthesis
 # ---------------------------------------------------------------------------
 
-TURN = 8 * np.arctan(np.longdouble(1))  # 2 pi in long double
+def _phase_reference(x: np.ndarray) -> np.ndarray:
+    """exp(-2 pi i x) in extended precision, from the exact fraction
+    rint(x) - x, so the argument itself carries no rounding."""
+    frac = (np.rint(x) - x).astype(np.longdouble)
+    return np.exp(1j * TURN * frac.astype(np.clongdouble))
 
 
-def _phase_reference(x: np.ndarray, sign: int) -> np.ndarray:
-    """exp(sign 2 pi i x) in extended precision, from the exact fraction
-    x - rint(x), so the argument itself carries no rounding."""
-    frac = (x - np.rint(x)).astype(np.longdouble)
-    return np.exp(sign * 1j * TURN * frac.astype(np.clongdouble))
-
-
-@pytest.mark.parametrize("sign", [1, -1])
-def test_unit_phase_is_accurate_on_the_unit_interval(sign):
+def test_unit_phase_is_accurate_on_the_unit_interval():
     nodes = np.arange(spectral._PHASE_N + 1) / spectral._PHASE_N
     x = np.concatenate([nodes, [0.0, 1.0, 0.5 / spectral._PHASE_N],
                         np.random.default_rng(8).random(200_000)])
-    err = np.abs(spectral._unit_phase(x, sign) - _phase_reference(x, sign))
+    err = np.abs(spectral._unit_phase(x) - _phase_reference(x))
     assert float(err.max()) <= 2e-15
 
 
@@ -320,37 +312,45 @@ def test_unit_phase_is_accurate_on_the_unit_interval(sign):
 def test_unit_phase_of_large_points_uses_periodicity(scale):
     # any RuntimeWarning fails the test (pytest's filterwarnings)
     x = np.random.default_rng(9).uniform(-scale, scale, 50_000)
-    for sign in (1, -1):
-        err = np.abs(spectral._unit_phase(x, sign) - _phase_reference(x, sign))
-        assert float(err.max()) <= 2e-15
+    err = np.abs(spectral._unit_phase(x) - _phase_reference(x))
+    assert float(err.max()) <= 2e-15
 
 
 def test_unit_phase_of_extreme_and_non_finite_points():
     x = np.array([1e308, -1e308, 5e-324, -5e-324, np.nan, np.inf, -np.inf])
-    z = spectral._unit_phase(x, 1)
+    z = spectral._unit_phase(x)
     assert np.all(z[:2] == 1.0)
     assert np.allclose(z[2:4], 1.0, rtol=0, atol=1e-300)
     assert np.all(np.isnan(z[4:].real) & np.isnan(z[4:].imag))
 
 
-@pytest.mark.parametrize("K", [1, 2, 4, 32, 53, 128])
-def test_one_point_equals_that_point_inside_a_long_call(K):
-    """Bit for bit: either path computes each point on its own, so the
-    other points of a call never change its terms."""
-    # one-point rows take the direct type-1 path; the series takes the
-    # direct path at K = 1 and the table path from K = 2, whatever the count
-    assert not spectral._gridded(1, K, 1)
-    assert spectral._gridded(spectral._CHUNK, K, 2) == (K >= 2)
+EXTREME_POINTS = [np.nan, np.inf, -np.inf, 1e308, -3.75]
+
+
+@pytest.mark.parametrize("K", [0, 1, 2, 4, 32, 53, 128])
+@pytest.mark.parametrize("non_finite", [False, True])
+def test_one_point_equals_that_point_inside_a_long_call(K, non_finite):
+    """Bit for bit: every path computes each point on its own, so the
+    other points of a call, NaN and +-inf among them, never change its
+    terms; the non-finite ones read NaN."""
+    # one-point rows take the direct type-1 path; the series reads its
+    # tables at every K
+    assert not spectral._gridded(1, K)
     rng = np.random.default_rng(K)
-    x = np.concatenate([rng.uniform(-2.0, 3.0, 10_000 - 3), [0.0, 1.0, 0.25]])
-    w = rng.standard_normal(10_000)
     pos = rng.standard_normal(K) + 1j * rng.standard_normal(K)
+    assert spectral.RealSeries(0.4, pos).tables.shape == (spectral._TERMS, spectral._cells(K))
+    tail = EXTREME_POINTS if non_finite else [0.25, -3.75, 0.5, 2.0, 0.75]
+    x = np.concatenate([rng.uniform(-2.0, 3.0, 10_000 - 7), [0.0, 1.0], tail])
+    w = rng.standard_normal(10_000)
     # a (10^4, 1) call: one phase pass over all points, one row per point
     rows = spectral.conj_sums(x[:, None], w[:, None], K)
     values = spectral.series(0.4, pos, x)
-    for i in rng.choice(10_000, 40, replace=False).tolist() + [9997, 9998, 9999]:
-        assert np.array_equal(spectral.conj_sums(x[i:i + 1], w[i:i + 1], K), rows[i])
-        assert np.array_equal(spectral.series(0.4, pos, x[i:i + 1]), values[i:i + 1])
+    assert np.isnan(values).sum() == 3 * non_finite
+    for i in rng.choice(10_000, 40, replace=False).tolist() + list(range(9993, 10_000)):
+        assert np.array_equal(spectral.conj_sums(x[i:i + 1], w[i:i + 1], K), rows[i],
+                              equal_nan=True)
+        assert np.array_equal(spectral.series(0.4, pos, x[i:i + 1]), values[i:i + 1],
+                              equal_nan=True)
 
 
 @pytest.mark.parametrize("K", [1, 2, 17, 53])
@@ -359,9 +359,7 @@ def test_horner_series_against_extended_precision(K):
     x = rng.random(5000)
     a0 = rng.uniform(-1.0, 1.0)
     pos = rng.standard_normal(K) + 1j * rng.standard_normal(K)
-    k = np.arange(1, K + 1, dtype=np.longdouble)
-    terms = np.exp(1j * TURN * np.outer(x.astype(np.longdouble), k).astype(np.clongdouble))
-    want = a0 + 2.0 * (terms @ pos.astype(np.clongdouble)).real
+    want = _long_series(a0, pos, x)
     got = spectral.series(a0, pos, x)
     scale = abs(a0) + 2.0 * np.sum(np.abs(pos))
     assert float(np.max(np.abs(got - want))) <= 4 * K * np.finfo(float).eps * scale
@@ -376,8 +374,24 @@ def test_direct_paths_take_no_complex_exponential():
 
     rng = np.random.default_rng(4)
     x, w = rng.random((3, 700)), rng.standard_normal((3, 700))
-    pos = rng.standard_normal(20) + 1j * rng.standard_normal(20)
     with mock.patch.object(np, "exp", real_only):
         sums = _on_path(False, spectral.conj_sums, x, w + 1j * w, 20)
-        values = _on_path(False, spectral.series, 0.1, pos, x)
-    assert sums.shape == (3, 21) and values.shape == x.shape
+    assert sums.shape == (3, 21)
+
+
+def test_synthesis_never_reaches_the_unit_phase(monkeypatch):
+    """Type 2 has one path, its tables: no call reaches the phase of the
+    direct type-1 path, whatever K and whatever its points."""
+    def no_phase(x):
+        raise AssertionError("type-2 synthesis reached the unit phase")
+
+    monkeypatch.setattr(spectral, "_unit_phase", no_phase)
+    rng = np.random.default_rng(5)
+    x = np.concatenate([rng.uniform(-1.0, 2.0, 3000), EXTREME_POINTS])
+    for K in (0, 1, 2, 128):
+        pos = rng.standard_normal(K) + 1j * rng.standard_normal(K)
+        assert np.all(np.isfinite(spectral.series(0.2, pos, x[:3000])))
+        assert np.isnan(spectral.series(0.2, pos, x)).sum() == 3
+    values = np.array([0.5, 0.25 + 0.1j, 0.25 - 0.1j])  # K = 1, real
+    field = FiniteDimField(basis=FourierBasis(), values=values, amplitude_bound=2.0)
+    assert np.isnan(field.eval(x)).sum() == 3
