@@ -14,9 +14,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .estimator import (EstimatorConfig, TruncationSchedule,
-                        estimate_coefficients, sensor_weights,
-                        weighted_basis_sums)
+from .estimator import (EstimatorConfig, TruncationSchedule, add_sensors,
+                        finish_estimates, sensor_weights, weighted_basis_sums)
 from .fields import (Basis, FieldSpec, FourierBasis, ReconstructionCoefficients,
                      m_term_error, make_bv_field, synthesize, true_coefficients)
 from .sensing import Deployment, Noise, simulate_batch, stream_keys
@@ -175,8 +174,10 @@ class TrialCell:
     trials: int
 
 
-# sensors per simulate -> estimate block: blocks of max(1, BLOCK_SENSORS // n)
-# trials share the per-call costs and keep the block's arrays cache-sized
+# sensors per simulate -> estimate tile: a block of max(1, BLOCK_SENSORS // n)
+# trials shares the per-call costs, and a trial of more sensors runs in
+# tiles of BLOCK_SENSORS, so every tile's arrays stay cache-sized and no
+# array of n sensors exists. A multiple of the type-1 sums' point block.
 BLOCK_SENSORS = 1 << 14
 
 
@@ -186,9 +187,13 @@ def _trial_chunk(payload) -> np.ndarray:
     out = np.empty((t1 - t0, cell.m), dtype=np.complex128)
     size = max(1, BLOCK_SENSORS // cell.n)
     for lo in range(0, t1 - t0, size):
-        batch = simulate_batch(cell.field, cell.deploy, cell.noise, cell.n,
-                               keys[lo:lo + size])
-        out[lo:lo + size] = estimate_coefficients(batch, cell.cfg, cell.m).values
+        block = keys[lo:lo + size]
+        sums = cell.cfg.basis.running_sums(cell.m, (len(block),), cell.n)
+        for start in range(0, cell.n, BLOCK_SENSORS):
+            tile = simulate_batch(cell.field, cell.deploy, cell.noise,
+                                  min(BLOCK_SENSORS, cell.n - start), block, start)
+            add_sensors(sums, tile, cell.cfg.density)
+        out[lo:lo + size] = finish_estimates(sums, cell.cfg, cell.n).values
     return out
 
 
@@ -198,7 +203,12 @@ def map_trials(cells: Sequence[TrialCell], seed: int, chunk: int,
 
     Trial t of cell i draws from trial_seed(seed, i, t), whose stream keys
     each chunk derives in one pass (`stream_keys`); the chunk then runs in
-    blocks of trials, one simulate and one estimate call per block. A
+    blocks of trials, and each block in tiles of at most BLOCK_SENSORS
+    sensors per trial: one windowed `simulate_batch` call and one
+    `add_sensors` call per tile feed running sums, finished once per
+    block. A tile equals the slice of the whole draw, and the sums add up
+    as one pass over whole rows does, so the rows are those of one
+    simulate and one estimate call per block, bit for bit. A
     trial's row never depends on the other trials of its block or chunk,
     so neither the worker count nor the chunk size changes a byte; `chunk`
     (trials per pool task) only trades pool overhead against memory traffic.

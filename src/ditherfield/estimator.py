@@ -133,11 +133,18 @@ class EstimatorConfig:
 
 def weighted_basis_sums(basis: Basis, m: int, x: np.ndarray,
                         w: np.ndarray) -> np.ndarray:
-    """sum_i w_i * conj(phi_j(x_i)) for j < m over the last axis, from the
-    basis's own reduction: a type-1 nonuniform Fourier sum
-    (`spectral.conj_sums`) for the Fourier basis, per-cell totals for the
-    step basis."""
-    return basis.weighted_conj_sums(m, x, w)
+    """sum_i w_i * conj(phi_j(x_i)) for j < m over the last axis: one pass
+    of the basis's running sums, a type-1 nonuniform Fourier sum
+    (`spectral.ConjSums`) for the Fourier basis, per-cell totals for the
+    step basis. Complex weights are split into their real and imaginary
+    parts (the sums are linear in w)."""
+    x = np.asarray(x, dtype=float)
+    if np.iscomplexobj(w):
+        return (weighted_basis_sums(basis, m, x, np.real(w))
+                + 1j * weighted_basis_sums(basis, m, x, np.imag(w)))
+    sums = basis.running_sums(m, x.shape[:-1], x.shape[-1])
+    sums.add(x, np.asarray(w, dtype=float))
+    return sums.result()
 
 
 def _first(mask: np.ndarray) -> tuple:
@@ -145,16 +152,19 @@ def _first(mask: np.ndarray) -> tuple:
     return tuple(int(i) for i in np.unravel_index(np.argmax(mask), mask.shape))
 
 
-def _subscript(index: tuple) -> str:
-    return ", ".join(map(str, index))
+def _subscript(batch: SensorBatch, index: tuple) -> str:
+    """A sensor's subscript in its realization: its index in the batch,
+    offset along the last axis by the batch's first sensor."""
+    return ", ".join(map(str, index[:-1] + (index[-1] + batch.start,)))
 
 
 def sensor_weights(batch: SensorBatch, density: Deployment) -> np.ndarray:
     """Importance weights B_i / p_X(X_i) of every sensor in the batch.
 
-    Raises EstimationError, naming the first offending sensor, for a
-    location that is NaN or outside [0, 1], a bit other than -1 or +1, or
-    a location where the deployment density vanishes.
+    Raises EstimationError, naming the first offending sensor by its index
+    in its realization, for a location that is NaN or outside [0, 1], a bit
+    other than -1 or +1, or a location where the deployment density
+    vanishes.
     """
     if batch.n < 1:
         raise ValueError("empty batch")
@@ -162,12 +172,12 @@ def sensor_weights(batch: SensorBatch, density: Deployment) -> np.ndarray:
     if not (x.min() >= 0.0 and x.max() <= 1.0):  # NaN fails both
         i = _first(~((x >= 0.0) & (x <= 1.0)))
         raise EstimationError(
-            f"sensor location x[{_subscript(i)}]={float(x[i])!r} is not in [0, 1]")
+            f"sensor location x[{_subscript(batch, i)}]={float(x[i])!r} is not in [0, 1]")
     off = np.abs(bits) != 1.0
     if off.any():
         i = _first(off)
         raise EstimationError(
-            f"sensor bit bits[{_subscript(i)}]={float(bits[i])!r} is not -1 or +1")
+            f"sensor bit bits[{_subscript(batch, i)}]={float(bits[i])!r} is not -1 or +1")
     p = np.asarray(density.pdf(x), dtype=float)
     if np.any(p <= 0.0):
         raise EstimationError(f"deployment density vanishes at observed "
@@ -175,16 +185,30 @@ def sensor_weights(batch: SensorBatch, density: Deployment) -> np.ndarray:
     return bits / p
 
 
+def add_sensors(sums, batch: SensorBatch, density: Deployment) -> None:
+    """Add one tile of sensors to running basis sums (`running_sums` of
+    the estimator's basis): their weights, from `sensor_weights`, which
+    raises EstimationError on a bad sensor."""
+    sums.add(batch.x, sensor_weights(batch, density))
+
+
+def finish_estimates(sums, cfg: EstimatorConfig, n: int) -> ReconstructionCoefficients:
+    """The coefficient estimates (c/n) * sums from the running sums of n
+    sensors per realization."""
+    return ReconstructionCoefficients(values=(cfg.c / n) * sums.result(), n_used=n)
+
+
 def estimate_coefficients(batch: SensorBatch, cfg: EstimatorConfig,
                           m: int) -> ReconstructionCoefficients:
     """First m coefficient estimates from one sensor batch: a vector, or a
-    (R, m) array for a batch of R realizations. Raises EstimationError
+    (R, m) array for a batch of R realizations. One pass of the running
+    sums that the trial engine feeds tile by tile. Raises EstimationError
     where `sensor_weights` does."""
     if m < 1:
         raise ValueError("need at least one coefficient")
-    sums = weighted_basis_sums(cfg.basis, m, batch.x, sensor_weights(batch, cfg.density))
-    return ReconstructionCoefficients(values=(cfg.c / batch.n) * sums,
-                                      n_used=batch.n)
+    sums = cfg.basis.running_sums(m, batch.x.shape[:-1], batch.n)
+    add_sensors(sums, batch, cfg.density)
+    return finish_estimates(sums, cfg, batch.n)
 
 
 def reconstruct(coeffs: ReconstructionCoefficients, basis: Basis, x):

@@ -16,7 +16,7 @@ from typing import Callable, ClassVar, Sequence
 
 import numpy as np
 
-from .spectral import RealSeries, conj_sums, series
+from .spectral import ConjSums, RealSeries, series
 
 # Coefficient horizon standing in for the infinite expansion of a
 # non-synthesized field. Must keep the Parseval residual of every shipped
@@ -63,23 +63,26 @@ class FourierBasis:
         x = np.asarray(x, dtype=float)
         return np.exp(2j * np.pi * self.frequency(j) * x)
 
-    def weighted_conj_sums(self, count: int, x: np.ndarray,
-                           w: np.ndarray) -> np.ndarray:
-        """sum_i w_i * conj(phi_j(x_i)) for j < count over the last axis,
-        from one type-1 sum over frequencies 0..count//2.
+    def running_sums(self, count: int, lead: tuple, n: int) -> "_FourierSums":
+        """Running sum_i w_i * conj(phi_j(x_i)), j < count, of rows of n
+        points with real weights, fed tile by tile (`ConjSums`)."""
+        return _FourierSums(count, lead, n)
 
-        For real weights the odd-index (negative-frequency) sums are the
-        conjugates of the even-index ones, so only the positive-frequency
-        sums are taken.
-        """
-        if np.iscomplexobj(w):
-            return (self.weighted_conj_sums(count, x, np.real(w))
-                    + 1j * self.weighted_conj_sums(count, x, np.imag(w)))
-        k_max = count // 2
-        s_pos = conj_sums(x, w, k_max)
-        out = np.empty(s_pos.shape[:-1] + (count,), dtype=np.complex128)
-        out[..., 0::2] = s_pos[..., :(count + 1) // 2]
-        out[..., 1::2] = np.conj(s_pos[..., 1:k_max + 1])
+
+class _FourierSums(ConjSums):
+    """One type-1 accumulator over frequencies 0..count//2: for real
+    weights the odd-index (negative-frequency) sums are the conjugates of
+    the even-index ones, so only the positive-frequency sums are taken."""
+
+    def __init__(self, count: int, lead: tuple, n: int):
+        super().__init__(lead, n, count // 2)
+        self.count = count
+
+    def result(self) -> np.ndarray:
+        s_pos = super().result()
+        out = np.empty(s_pos.shape[:-1] + (self.count,), dtype=np.complex128)
+        out[..., 0::2] = s_pos[..., :(self.count + 1) // 2]
+        out[..., 1::2] = np.conj(s_pos[..., 1:self.K + 1])
         return out
 
 
@@ -119,27 +122,33 @@ class StepBasis:
         x = np.asarray(x, dtype=float)
         return np.where(self._cell_index(x) == j, self.bound, 0.0).astype(np.complex128)
 
-    def weighted_conj_sums(self, count: int, x: np.ndarray,
-                           w: np.ndarray) -> np.ndarray:
-        """Per-cell weight totals over the last axis, scaled by the
-        indicator height. Rows of a 2-D input go to disjoint bins of one
-        `bincount`, which adds each bin's weights in input order, so a
-        row's totals equal those of the row alone, bit for bit."""
-        if count > self.cells:
-            raise IndexError(f"step basis has {self.cells} functions, got count={count}")
-        x = np.asarray(x, dtype=float)
-        lead = x.shape[:-1]
-        idx = self._cell_index(x)
-        idx += self.cells * np.arange(math.prod(lead)).reshape(lead + (1,))
-        bins = self.cells * math.prod(lead)
+    def running_sums(self, count: int, lead: tuple, n: int) -> "_CellTotals":
+        """Running per-cell totals of rows of points with real weights, fed
+        tile by tile."""
+        return _CellTotals(self, count, lead)
 
-        def totals(weights):
-            return np.bincount(idx.ravel(), weights=np.ravel(weights),
-                               minlength=bins).reshape(lead + (self.cells,))
 
-        sums = (totals(np.real(w)) + 1j * totals(np.imag(w)) if np.iscomplexobj(w)
-                else totals(w))
-        return self.bound * sums[..., :count].astype(np.complex128)
+class _CellTotals:
+    """Per-cell weight totals over the last axis, scaled by the indicator
+    height at the end. Rows go to disjoint bins, and `np.add.at` adds each
+    bin's weights in input order, as one `bincount` over whole rows does:
+    the totals are those of one pass, bit for bit, however the rows are
+    cut into tiles, and a row's equal those of the row alone."""
+
+    def __init__(self, basis: StepBasis, count: int, lead: tuple):
+        if count > basis.cells:
+            raise IndexError(f"step basis has {basis.cells} functions, got count={count}")
+        self.basis, self.count = basis, count
+        self.totals = np.zeros(tuple(lead) + (basis.cells,))
+        self.offsets = basis.cells * np.arange(math.prod(lead)).reshape(tuple(lead) + (1,))
+
+    def add(self, x: np.ndarray, w: np.ndarray) -> None:
+        idx = self.basis._cell_index(x)
+        idx += self.offsets
+        np.add.at(self.totals.reshape(-1), idx.ravel(), np.ravel(w))
+
+    def result(self) -> np.ndarray:
+        return self.basis.bound * self.totals[..., :self.count].astype(np.complex128)
 
 
 Basis = FourierBasis | StepBasis

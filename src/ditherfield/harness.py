@@ -422,8 +422,9 @@ def trace_verdict(trace: ASTraceResult, ratio_max: float) -> tuple[bool, str]:
     """Whether the trace's last-to-first sup-error ratio is below
     `trace_ratio_max`, and the detail line that reports it."""
     ratio = trace.sup_error[-1] / trace.sup_error[0]
-    return ratio < ratio_max, (f"sup|S| {trace.sup_error[0]:.4e} -> "
-                               f"{trace.sup_error[-1]:.4e} (ratio {ratio:.4f} < {ratio_max})")
+    ok = ratio < ratio_max
+    return ok, (f"sup|S| {trace.sup_error[0]:.4e} -> {trace.sup_error[-1]:.4e} "
+                f"(ratio {ratio:.4f} {'<' if ok else '>='} {ratio_max})")
 
 
 # ---------------------------------------------------------------------------

@@ -392,13 +392,15 @@ def _quantize(y: np.ndarray, t: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class SensorBatch:
     """Arrays (X_i, Y_i, T_i, B_i) for one realization of n sensors, or
-    (R, n) arrays holding one realization per row."""
+    (R, n) arrays holding one realization per row: sensors
+    [start, start + n) of each realization."""
 
     x: np.ndarray
     y: np.ndarray
     t: np.ndarray
     bits: np.ndarray
     c: float
+    start: int = 0
 
     @property
     def n(self) -> int:
@@ -409,17 +411,21 @@ class SensorBatch:
         if not 1 <= n <= self.n:
             raise ValueError(f"prefix length must be in [1, {self.n}]")
         return SensorBatch(x=self.x[..., :n], y=self.y[..., :n], t=self.t[..., :n],
-                           bits=self.bits[..., :n], c=self.c)
+                           bits=self.bits[..., :n], c=self.c, start=self.start)
 
 
 def _fill_uniforms(gen: np.random.Generator, keys: np.ndarray,
-                   out: np.ndarray) -> np.ndarray:
-    """Row r of `out` gets the first uniform draws of the Philox stream keyed
-    by keys[r]. The state setter puts `gen` exactly where a fresh
-    `Philox(SeedSequence)` with that key starts (zero counter, empty
-    buffer), at a fraction of the cost of building one."""
+                   out: np.ndarray, start: int) -> np.ndarray:
+    """Row r of `out` gets uniform draws start, start + 1, ... of the
+    Philox stream keyed by keys[r]. Philox draws four 64-bit words per
+    counter value, so the state setter puts `gen` exactly where a fresh
+    `Philox(SeedSequence)` with that key stands after `start` draws
+    (counter start / 4, empty buffer), at a fraction of the cost of
+    building one and drawing up to there."""
+    counter = np.zeros(4, dtype=np.uint64)
+    counter[0] = start // 4
     state = {"bit_generator": "Philox",
-             "state": {"counter": np.zeros(4, dtype=np.uint64), "key": None},
+             "state": {"counter": counter, "key": None},
              "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
              "has_uint32": 0, "uinteger": 0}
     for key, row in zip(keys, out):
@@ -430,7 +436,7 @@ def _fill_uniforms(gen: np.random.Generator, keys: np.ndarray,
 
 
 def simulate_batch(field: FieldSpec, deploy: Deployment, noise: Noise,
-                   n: int, seed) -> SensorBatch:
+                   n: int, seed, start: int = 0) -> SensorBatch:
     """Draw locations, noise, and thresholds from independent streams,
     sample the field, and quantize against the dithered thresholds.
 
@@ -441,9 +447,16 @@ def simulate_batch(field: FieldSpec, deploy: Deployment, noise: Noise,
     row equals, bit for bit, the batch of the realization alone.
     Deterministic in `seed`; extending to n' > n with the same seed
     reproduces the first n sensors exactly.
+
+    The batch holds sensors [start, start + n) of each realization, read
+    from the streams through the Philox counter, so it equals that slice
+    of the batch of start + n sensors, bit for bit; `start` must be a
+    multiple of 4.
     """
     if n < 1:
         raise ValueError("need at least one sensor")
+    if start < 0 or start % 4:
+        raise ValueError(f"window start must be a nonnegative multiple of 4, got {start}")
     block = isinstance(seed, np.ndarray)
     if block:
         keys = seed
@@ -456,17 +469,17 @@ def simulate_batch(field: FieldSpec, deploy: Deployment, noise: Noise,
     c = field.amplitude_bound + noise.b
     gen = np.random.Generator(np.random.Philox(0))
     shape = (len(keys), n)
-    x = deploy.sample(_fill_uniforms(gen, keys[:, STREAM_LOCATIONS], np.empty(shape)))
+    x = deploy.sample(_fill_uniforms(gen, keys[:, STREAM_LOCATIONS], np.empty(shape), start))
     if noise.b == 0.0:  # zero noise draws nothing from its stream
         y = field.eval(x) + 0.0  # the sum the noisy branch forms, bit for bit
     else:
-        y = noise.sample(_fill_uniforms(gen, keys[:, STREAM_NOISE], np.empty(shape)))
+        y = noise.sample(_fill_uniforms(gen, keys[:, STREAM_NOISE], np.empty(shape), start))
         y += field.eval(x)
-    t = _fill_uniforms(gen, keys[:, STREAM_THRESHOLDS], np.empty(shape))
+    t = _fill_uniforms(gen, keys[:, STREAM_THRESHOLDS], np.empty(shape), start)
     t *= 2.0  # (2u - 1) c, in place
     t -= 1.0
     t *= c
     bits = _quantize(y, t)
     if not block:
         x, y, t, bits = x[0], y[0], t[0], bits[0]
-    return SensorBatch(x=x, y=y, t=t, bits=bits, c=c)
+    return SensorBatch(x=x, y=y, t=t, bits=bits, c=c, start=start)

@@ -31,6 +31,9 @@ exp(2 pi i k x) = exp(2 pi i k c / M) sum_q (2 pi i k u / M)^q / q!
   rotates it by the residual angle with a short Taylor series, in real
   arithmetic (Tang, ACM TOMS 15(2), 1989), within 2e-16 of the exact
   value. A cost model fitted to both paths picks one from (n, K).
+  Either path is one additive accumulator, `ConjSums`, which holds the
+  direct sums or the cell moments, takes the points in tiles of whole
+  blocks and is finished once; `conj_sums` is one pass of it.
 
 Both sums work on blocks of 16384 points. The table and moment sums are
 within about 1e-16 of |a0| + 2 sum|pos_k| (type 2) or sum|w_i| (type 1)
@@ -86,7 +89,7 @@ def _unit_points(x: np.ndarray) -> np.ndarray | None:
     x holds a non-finite value, which only the direct type-1 path
     propagates."""
     lo, hi = x.min(), x.max()
-    if not np.isfinite(lo + hi):
+    if not (np.isfinite(lo) and np.isfinite(hi)):
         return None
     if lo < 0.0 or hi > 1.0:
         return x - np.floor(x)
@@ -173,56 +176,104 @@ def _rotate(cur: np.ndarray, step: np.ndarray) -> np.ndarray:
 
 def conj_sums(x: np.ndarray, w: np.ndarray, K: int) -> np.ndarray:
     """S_k = sum_i w_i exp(-2 pi i k x_i) for k = 0..K (K + 1 values), over
-    the last axis: an (R, n) input gives one row of sums per row.
+    the last axis: an (R, n) input gives one row of sums per row. One pass
+    of `ConjSums` over the input.
 
     Real or complex weights; complex ones are split into their real and
-    imaginary parts (the sum is linear in w). The direct path takes every
-    row at once; the gridded one runs row by row. The path is picked from
-    (n, K), so it is the same for every row, and a row's sums equal, bit
-    for bit, those of the row alone."""
+    imaginary parts (the sum is linear in w)."""
     x = np.asarray(x, dtype=float)
     if np.iscomplexobj(w):
         return conj_sums(x, np.real(w), K) + 1j * conj_sums(x, np.imag(w), K)
-    w = np.asarray(w, dtype=float)
-    if not (x.shape[-1] and _gridded(x.shape[-1], K)):
-        return _direct_sums(x, w, K)
-    out = np.empty(x.shape[:-1] + (K + 1,), dtype=np.complex128)
-    for row in np.ndindex(x.shape[:-1]):
-        xu = _unit_points(x[row])
-        out[row] = (_moment_sums(xu, w[row], K) if xu is not None
-                    else _direct_sums(x[row], w[row], K))
-    return out
+    sums = ConjSums(x.shape[:-1], x.shape[-1], K)
+    sums.add(x, np.asarray(w, dtype=float))
+    return sums.result()
 
 
-def _direct_sums(x: np.ndarray, w: np.ndarray, K: int) -> np.ndarray:
-    out = np.zeros(x.shape[:-1] + (K + 1,), dtype=np.complex128)
-    for lo in range(0, x.shape[-1], _CHUNK):
-        xs, ws = x[..., lo:lo + _CHUNK], w[..., lo:lo + _CHUNK]
-        part = np.empty_like(out) if lo else out  # block sums, added to out
-        part[..., 0] = np.add.reduce(ws, axis=-1)
-        if K:
-            step = _unit_phase(xs)
-            cur = ws * step
-            np.add.reduce(cur, axis=-1, out=part[..., 1])
-            for k in range(2, K + 1):
-                cur = _rotate(cur, step)
-                np.add.reduce(cur, axis=-1, out=part[..., k])
-        if lo:
-            out += part
-    return out
+class ConjSums:
+    """Running type-1 sums S_k, k = 0..K, of rows of n points each, fed
+    in tiles of points [start, start + len) of every row, in order.
+
+    Additive on either path: the direct one holds the sums themselves, the
+    gridded one the (_TERMS, M) cell moments of each row, transformed once,
+    by `result`. Every tile but the last must hold whole blocks of _CHUNK
+    points, so the blocks, and with them every bit of the result, are
+    those of one pass over whole rows, however the rows are cut. The path
+    is picked from (n, K), so it is the same for every row, and a row's
+    sums equal, bit for bit, those of the row alone. Real weights only.
+
+    A gridded row with a non-finite point reads what the direct path gives
+    it: sum_i w_i at k = 0 and NaN at every k >= 1."""
+
+    def __init__(self, lead: tuple, n: int, K: int):
+        lead = tuple(lead)
+        self.n, self.K, self.fed = n, K, 0
+        self.gridded = bool(n) and _gridded(n, K)
+        # direct: the sums; gridded: the direct path's k = 0 column, in
+        # case a non-finite point sends the row there
+        self.sums = np.zeros(lead + (1 if self.gridded else K + 1,), dtype=np.complex128)
+        if self.gridded:
+            self.moments = np.zeros(lead + (_TERMS, _cells(K)))
+            self.finite = np.ones(lead, dtype=bool)
+
+    def add(self, x: np.ndarray, w: np.ndarray) -> None:
+        """Feed the next x.shape[-1] points of every row."""
+        if self.fed % _CHUNK:
+            raise ValueError(f"only the last tile may hold a partial block "
+                             f"of {_CHUNK} points")
+        if self.fed + x.shape[-1] > self.n:
+            raise ValueError(f"more than the declared {self.n} points per row")
+        for lo in range(0, x.shape[-1], _CHUNK):
+            xs, ws = x[..., lo:lo + _CHUNK], w[..., lo:lo + _CHUNK]
+            # block sums, added to the running ones after the first block
+            part = np.empty_like(self.sums) if self.fed else self.sums
+            part[..., 0] = np.add.reduce(ws, axis=-1)
+            if self.gridded:
+                for row in np.ndindex(self.finite.shape):
+                    xu = _unit_points(xs[row]) if self.finite[row] else None
+                    if xu is None:
+                        self.finite[row] = False
+                    else:
+                        _add_moments(self.moments[row], xu, ws[row])
+            elif self.K:
+                step = _unit_phase(xs)
+                cur = ws * step
+                np.add.reduce(cur, axis=-1, out=part[..., 1])
+                for k in range(2, self.K + 1):
+                    cur = _rotate(cur, step)
+                    np.add.reduce(cur, axis=-1, out=part[..., k])
+            if self.fed:
+                self.sums += part
+            self.fed += xs.shape[-1]
+
+    def result(self) -> np.ndarray:
+        """The K + 1 sums of every row, once all n points are fed."""
+        if self.fed != self.n:
+            raise ValueError(f"fed {self.fed} of {self.n} points per row")
+        if not self.gridded:
+            return self.sums
+        out = np.full(self.finite.shape + (self.K + 1,), complex(np.nan, np.nan))
+        out[..., :1] = self.sums
+        for row in np.ndindex(self.finite.shape):
+            if self.finite[row]:
+                out[row] = _moment_sums(self.moments[row], self.K)
+        return out
 
 
-def _moment_sums(x: np.ndarray, w: np.ndarray, K: int) -> np.ndarray:
+def _add_moments(moments: np.ndarray, x: np.ndarray, w: np.ndarray) -> None:
+    """Add sum_{i in c} w_i u_i^q of a block of points x in [0, 1] to the
+    (_TERMS, M) moments of their cells c."""
+    m = moments.shape[1]
+    cell, u = _cell_offsets(x, m)
+    wu = w.copy()
+    for row in moments:
+        row += np.bincount(cell, weights=wu, minlength=m)
+        wu *= u
+
+
+def _moment_sums(moments: np.ndarray, K: int) -> np.ndarray:
     """S_k = sum_q (-2 pi i k / M)^q / q! F_q[k], F_q the DFT of the
     moments sum_{i in c} w_i u_i^q over the cells c."""
-    m = _cells(K)
-    moments = np.zeros((_TERMS, m))
-    for lo in range(0, len(x), _CHUNK):
-        cell, u = _cell_offsets(x[lo:lo + _CHUNK], m)
-        wu = w[lo:lo + _CHUNK].copy()
-        for row in moments:
-            row += np.bincount(cell, weights=wu, minlength=m)
-            wu *= u
+    m = moments.shape[1]
     f = np.fft.rfft(moments)[:, :K + 1]
     a = np.arange(K + 1) * (-2j * np.pi / m)
     acc = f[-1]

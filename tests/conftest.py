@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -36,6 +38,17 @@ def reference_batch(field, deploy, noise, n: int, seed) -> SensorBatch:
     t = (2.0 * substream(seed, STREAM_THRESHOLDS).random(n) - 1.0) * c
     y = field.eval(x) + z
     return SensorBatch(x=x, y=y, t=t, bits=np.where(y > t, 1.0, -1.0), c=c)
+
+
+def traced_peak_mb(fn) -> float:
+    """Peak memory traced by `tracemalloc` while fn() runs, in MB: what
+    fn's numpy arrays and Python objects hold at once, at most."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
 
 
 def tabulate_deployment(pdf, cells: int = TABULATION_CELLS) -> TabulatedDeployment:

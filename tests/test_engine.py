@@ -1,5 +1,8 @@
 """The trial-block engine: bulk stream keys, block simulation and block
-estimation against the one-trial-at-a-time oracle in conftest."""
+estimation, and the tiles of long trials, against the one-trial-at-a-time
+oracle in conftest."""
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,12 +17,14 @@ from ditherfield import (AffineFloorDeployment, EstimationError, EstimatorConfig
                          make_bv_field, make_finite_dim_field,
                          make_sobolev_field, simulate_batch, stream_keys,
                          trial_seed)
-from ditherfield.analysis import TrialCell, map_trials
+from ditherfield import analysis, spectral
+from ditherfield.analysis import BLOCK_SENSORS, TrialCell, map_trials
 from ditherfield.estimator import weighted_basis_sums
 from ditherfield.sensing import seed_keys
-from ditherfield.spectral import conj_sums
+from ditherfield.spectral import ConjSums, conj_sums
 
-from conftest import SHIPPED_K5_COEFFS, reference_batch, tabulate_deployment
+from conftest import (SHIPPED_K5_COEFFS, reference_batch, tabulate_deployment,
+                      traced_peak_mb)
 
 DEPLOYMENTS = [UniformDeployment(), Linear2xDeployment(),
                AffineFloorDeployment(nu=0.5),
@@ -39,10 +44,10 @@ SENSOR_COUNTS = (1, 7, 1000, 20_000)
 M = 64
 
 
-def cell_for(field, deploy, noise, basis, n, trials):
+def cell_for(field, deploy, noise, basis, n, trials, m=M):
     cfg = EstimatorConfig(basis=basis, density=deploy, c=field.amplitude_bound + noise.b,
-                          schedule=TruncationSchedule.fixed(M))
-    return TrialCell(field, deploy, noise, cfg, n, M, trials)
+                          schedule=TruncationSchedule.fixed(m))
+    return TrialCell(field, deploy, noise, cfg, n, m, trials)
 
 
 # ---------------------------------------------------------------------------
@@ -210,3 +215,117 @@ def test_real_weight_estimates_are_conjugate_symmetric(seed, n, m):
     pairs = (m - 1) // 2
     assert np.array_equal(sums[:, 1:1 + 2 * pairs:2], np.conj(sums[:, 2:2 + 2 * pairs:2]))
     assert np.all(sums[:, 0].imag == 0.0)
+
+
+# ---------------------------------------------------------------------------
+# tiles: trials of more than BLOCK_SENSORS sensors
+# ---------------------------------------------------------------------------
+
+# m = 4 (frequencies up to 2) keeps the type-1 sum direct at these n, m = 64
+# (up to 32) makes it gridded
+TILED_COUNTS = (2 * BLOCK_SENSORS + 3, 3 * BLOCK_SENSORS)
+
+
+@pytest.mark.parametrize("n", TILED_COUNTS)
+@pytest.mark.parametrize("basis, m, gridded", [(FourierBasis(), 4, False),
+                                               (FourierBasis(), 64, True),
+                                               (StepBasis(cells=64), 64, None)],
+                         ids=["direct", "gridded", "step"])
+def test_tiled_rows_equal_the_one_trial_oracle(n, basis, m, gridded):
+    """A trial cut into tiles of BLOCK_SENSORS sensors gives, bit for bit,
+    the estimate of its whole batch in one pass."""
+    if gridded is not None:
+        assert spectral._gridded(n, m // 2) is gridded
+    seed, trials = 616, 2
+    for field, deploy, noise in [(FIELDS["sobolev"], AffineFloorDeployment(nu=0.5),
+                                  UniformSymNoise(b=1.0)),
+                                 (FIELDS["piecewise"], DEPLOYMENTS[3], TwoPointNoise(b=0.7))]:
+        cell = cell_for(field, deploy, noise, basis, n, trials, m)
+        rows = map_trials([cell], seed, chunk=25)[0]
+        for t in range(trials):
+            batch = reference_batch(field, deploy, noise, n, trial_seed(seed, 0, t))
+            want = estimate_coefficients(batch, cell.cfg, m).values
+            assert np.array_equal(rows[t], want), (field.kind, t)
+
+
+window_starts = st.integers(min_value=0, max_value=1000).map(lambda k: 4 * k)
+
+
+@given(window_starts, st.integers(min_value=1, max_value=1500), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_a_window_equals_the_slice_of_the_whole_draw(start, n, block):
+    """Sensors [start, start + n), drawn through the Philox counter, are
+    that slice of the batch of start + n sensors, for a block of key rows
+    and for one seed alike."""
+    field, deploy, noise = FIELDS["sobolev"], AffineFloorDeployment(nu=0.5), UniformSymNoise()
+    seed = stream_keys(31, [(5, t) for t in range(3)]) if block else trial_seed(31, 5, 0)
+    whole = simulate_batch(field, deploy, noise, start + n, seed)
+    window = simulate_batch(field, deploy, noise, n, seed, start)
+    assert window.start == start and window.n == n
+    for name in ("x", "y", "t", "bits"):
+        assert np.array_equal(getattr(window, name), getattr(whole, name)[..., start:]), name
+
+
+@pytest.mark.parametrize("start", [-4, 2, 16385])
+def test_a_window_starts_on_a_multiple_of_4(sawtooth, start):
+    with pytest.raises(ValueError, match="multiple of 4"):
+        simulate_batch(sawtooth, UniformDeployment(), ZeroNoise(), 10, 3, start)
+
+
+def test_tiled_rows_do_not_depend_on_the_worker_count():
+    cell = cell_for(FIELDS["sawtooth"], UniformDeployment(), UniformSymNoise(b=1.0),
+                    FourierBasis(), BLOCK_SENSORS + 3616, 3)
+    one = map_trials([cell], seed=12, chunk=1, workers=1)[0]
+    two = map_trials([cell], seed=12, chunk=1, workers=2)[0]
+    assert np.array_equal(one, two)
+
+
+def test_a_bad_sensor_in_a_later_tile_is_named_by_its_index(sawtooth, monkeypatch):
+    """The index is the sensor's place in its realization, not in its tile."""
+    deploy, noise = UniformDeployment(), ZeroNoise()
+    cfg = cell_for(sawtooth, deploy, noise, FourierBasis(), 20_000, 1).cfg
+    window = simulate_batch(sawtooth, deploy, noise, 20_000 - BLOCK_SENSORS, 4, BLOCK_SENSORS)
+    window.bits[17_000 - BLOCK_SENSORS] = 0.0
+    with pytest.raises(EstimationError, match=r"bits\[17000\]=0.0"):
+        estimate_coefficients(window, cfg, M)
+
+    def corrupted(*args):
+        tile = simulate_batch(*args)
+        if tile.start <= 17_000 < tile.start + tile.n:
+            tile.bits[0, 17_000 - tile.start] = 0.0
+        return tile
+
+    monkeypatch.setattr(analysis, "simulate_batch", corrupted)
+    cell = cell_for(sawtooth, deploy, noise, FourierBasis(), 20_000, 1)
+    with pytest.raises(EstimationError, match=r"bits\[0, 17000\]=0.0"):
+        map_trials([cell], seed=4, chunk=25)
+
+
+@pytest.mark.parametrize("gridded", [False, True])
+def test_running_sums_take_whole_blocks_and_every_point(gridded):
+    """Every tile but the last holds whole blocks of the type-1 sums, and
+    the sums are only read once every point is in."""
+    rng = np.random.default_rng(8)
+    x, w = rng.random(40_000), rng.standard_normal(40_000)
+    with mock.patch.object(spectral, "_gridded", lambda n, K: gridded):
+        sums = ConjSums((), 40_000, 20)
+        sums.add(x[:20_000], w[:20_000])
+        with pytest.raises(ValueError, match="partial block"):
+            sums.add(x[20_000:], w[20_000:])
+        sums = ConjSums((), 40_000, 20)
+        sums.add(x[:BLOCK_SENSORS], w[:BLOCK_SENSORS])
+        with pytest.raises(ValueError, match="fed 16384 of 40000"):
+            sums.result()
+        sums.add(x[BLOCK_SENSORS:], w[BLOCK_SENSORS:])
+        assert np.array_equal(sums.result(), conj_sums(x, w, 20))
+
+
+def test_a_tiled_trial_holds_no_row_of_all_its_sensors():
+    """One n = 262144 cell of the bv sweep (m = 512) keeps its traced
+    memory to a few tiles: full-row arrays take about 16 MB."""
+    field, deploy, noise = make_bv_field("sawtooth"), UniformDeployment(), UniformSymNoise(b=1.0)
+    n = 1 << 18
+    m = TruncationSchedule.bv().resolve(n)
+    assert m == 512
+    cell = cell_for(field, deploy, noise, FourierBasis(), n, 2, m)
+    assert traced_peak_mb(lambda: map_trials([cell], seed=3, chunk=25)) < 4.0

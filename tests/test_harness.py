@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 import subprocess
 import sys
 from importlib import resources
@@ -251,6 +252,7 @@ def test_cli_trace_exits_1_when_the_declared_ratio_is_missed(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 1, proc.stderr
     assert "FAIL  trace_ratio_max" in proc.stdout
+    assert re.search(r"\(ratio [0-9.]+ >= 1e-09\)", proc.stdout), proc.stdout
     assert (tmp_path / "out" / "mini_trace_trace.json").exists()
 
 

@@ -176,9 +176,9 @@ def test_zero_noise_skips_its_stream(noise, sawtooth, monkeypatch):
 
     calls = []
 
-    def counted(gen, keys, out):
+    def counted(gen, keys, *rest):
         calls.append(len(keys))
-        return fill(gen, keys, out)
+        return fill(gen, keys, *rest)
 
     fill = sensing._fill_uniforms
     monkeypatch.setattr(sensing, "_fill_uniforms", counted)

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ditherfield import FourierBasis, StepBasis, spectral
+from ditherfield.estimator import weighted_basis_sums
 from ditherfield.fields import FiniteDimField, synthesize
 from ditherfield.harness import _RATE_CONFIGS, _TRACE_CONFIGS, load_shipped_config
 
@@ -176,6 +177,16 @@ def test_non_finite_points_propagate_on_every_path():
         assert np.all(np.isnan(sums[1:]))
 
 
+def test_extreme_finite_rows_take_the_gridded_path_without_overflow():
+    """A row whose smallest and largest points sum past the largest double
+    is still finite: it is folded by periodicity, with no overflow warning
+    (an error under the tests' filter). 1e308 is an integer, so every
+    point sits at 0."""
+    assert spectral._gridded(4096, 64)
+    sums = spectral.conj_sums(np.full(4096, 1e308), np.ones(4096), 64)
+    assert np.array_equal(sums, np.full(65, 4096.0 + 0j))
+
+
 def test_series_keeps_the_shape_of_x():
     pos = np.array([0.1 + 0.2j, -0.3j])
     assert spectral.series(0.5, pos, 0.25).shape == ()
@@ -285,7 +296,7 @@ def test_synthesis_is_the_adjoint_of_the_weighted_sums(n, m, seed, step):
     w = rng.uniform(-1.0, 1.0, n)
     v = rng.standard_normal(m) + 1j * rng.standard_normal(m)
     lhs = np.sum(w * synthesize(basis, v, x))
-    rhs = np.sum(v * np.conj(basis.weighted_conj_sums(m, x, w)))
+    rhs = np.sum(v * np.conj(weighted_basis_sums(basis, m, x, w)))
     assert abs(lhs - rhs) <= 1e-10 * np.sum(np.abs(w)) * np.sum(np.abs(v))
 
 
