@@ -201,8 +201,8 @@ def map_trials(cells: Sequence[TrialCell], seed: int, chunk: int,
                workers: int = 1) -> list[np.ndarray]:
     """Coefficient estimates of every trial: one (trials, m) array per cell.
 
-    Trial t of cell i draws from trial_seed(seed, i, t), whose stream keys
-    each chunk derives in one pass (`stream_keys`); the chunk then runs in
+    Trial t of cell i draws from trial_seed(seed, i, t), whose stream
+    words each chunk lays out in one array (`stream_keys`); the chunk then runs in
     blocks of trials, and each block in tiles of at most BLOCK_SENSORS
     sensors per trial: one windowed `simulate_batch` call and one
     `add_sensors` call per tile feed running sums, finished once per

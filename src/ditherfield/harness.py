@@ -27,7 +27,7 @@ from .estimator import EstimatorConfig, TruncationSchedule
 from .fields import (Basis, FieldSpec, FourierBasis, basis_from_json,
                      field_from_json, make_bv_field, make_finite_dim_field,
                      make_sobolev_field, true_coefficients)
-from .sensing import Deployment, Noise, make_deployment, make_noise
+from .sensing import SEED_MAX, Deployment, Noise, make_deployment, make_noise
 
 CSV_HEADER = ["experiment_id", "n", "m", "trials", "mse_mean", "mse_std",
               "ci_lo", "ci_hi", "bound_total", "bound_var_term",
@@ -47,8 +47,8 @@ _ACCEPTANCE_KEYS = ("slope_range", "r2_min", "bound_dominance",
 # Largest sensor count a config may ask for: 16x the shipped 10^6 of the
 # trace configs, and a bound on the arrays one realization allocates.
 N_GRID_MAX = 1 << 24
-# Trial indices are spawn-key entries, which the bulk stream keys take as
-# single 32-bit words.
+# Largest trial count per cell: a cell's estimates are one (trials, m)
+# complex array, so this bounds its rows before anything is allocated.
 TRIALS_MAX = (1 << 32) - 1
 # Largest dynamic range c = amplitude bound + noise b: squared errors and
 # bounds scale as c^2 times the coefficient count, which must stay finite.
@@ -226,6 +226,8 @@ def parse_experiment_config(doc: dict, seed_override: int | None = None) -> Expe
             seed = 0
         if seed < 0:
             problems.append("seed: must be >= 0")
+        if seed > SEED_MAX:
+            problems.append(f"seed: must be at most {SEED_MAX}")
 
     if problems:
         raise ConfigValidationError(problems)

@@ -3,9 +3,11 @@
 One master seed per realization, split into three labeled counter-based
 streams (locations, noise, thresholds) so the mutual-independence
 assumptions hold and results are bit-reproducible under any scheduling.
-Stream `label` of the realization seeded by `SeedSequence(entropy,
-spawn_key=key)` is the Philox stream keyed by `SeedSequence(entropy,
-spawn_key=key + (label,))`. Every sampler maps exactly one uniform draw
+Stream `label` of the realization with seed s and spawn key (i0, i1) is
+the Philox stream with key (s, label) and counter (block, i0 + 1, i1 + 1,
+0) (`stream_keys`): distinct counter ranges under a key are independent
+streams by construction (Salmon et al., SC'11), so no seed is hashed.
+Every sampler maps exactly one uniform draw
 per sensor, which makes sample paths prefix-stable: simulating n' > n
 sensors from the same seed reproduces the first n draws exactly (nested
 paths for the almost-sure convergence experiments).
@@ -26,111 +28,38 @@ STREAM_NOISE = 1
 STREAM_THRESHOLDS = 2
 STREAMS = 3
 
-# SeedSequence's hash constants (numpy/random/bit_generator.pyx), kept as
-# masked Python ints: numpy scalar uint32 arithmetic warns on overflow,
-# uint32 array arithmetic wraps silently.
-_MASK32 = 0xFFFFFFFF
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_POOL_SIZE = 4
+# a seed is one Philox key word
+SEED_MAX = (1 << 64) - 1
 
 
-def _entropy_words(value) -> list[int]:
-    """SeedSequence's split of entropy into 32-bit words: little-endian
-    words of a nonnegative int (0 is one word), concatenated over a sequence."""
-    if isinstance(value, (int, np.integer)):
-        value = int(value)
-        if value < 0:
-            raise ValueError("entropy must be nonnegative")
-        words = [value & _MASK32]
-        while value > _MASK32:
-            value >>= 32
-            words.append(value & _MASK32)
-        return words
-    return [w for v in value for w in _entropy_words(v)]
-
-
-def _hash_constants(init: int, mult: int, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """The constants of `count` successive SeedSequence hash steps: step k
-    XORs with h_k and multiplies by h_(k+1) = h_k * mult mod 2^32. Computed
-    on masked Python ints; returned as (count, 1) uint32 columns."""
-    h = [init]
-    for _ in range(count):
-        h.append(h[-1] * mult & _MASK32)
-    h = np.array(h, dtype=np.uint32)[:, None]
-    return h[:-1], h[1:]
-
-
-def _hash(values: np.ndarray, xor: np.ndarray, mul: np.ndarray) -> np.ndarray:
-    """One SeedSequence hash step per row of `values`, with its own constants."""
-    values = (values ^ xor) * mul
-    return values ^ (values >> 16)
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    result = x * _MIX_L - y * _MIX_R
-    return result ^ (result >> 16)
-
-
-def seed_keys(entropy, spawn_keys) -> np.ndarray:
-    """Philox key of `SeedSequence(entropy, spawn_key=row)` for every row of
-    the (R, L) array `spawn_keys`, as an (R, 2) uint64 array: numpy's
-    `generate_state(2, np.uint64)`, bit for bit, in one vectorized pass.
-
-    SeedSequence hashes its first entropy words into a pool of 4, mixes
-    each pool word into the other three, then mixes each further entropy
-    word into all four, one hash constant per step. The steps of one source
-    word are independent, so each runs over all its targets and all keys
-    at once. Each spawn-key entry must lie in [0, 2^32), where it is one
-    entropy word.
-    """
+def stream_keys(seed, spawn_keys) -> np.ndarray:
+    """Words of the three labeled streams of every realization, as an
+    (R, STREAMS, 4) uint64 array: row r, stream `label` holds [seed, label,
+    i0 + 1, i1 + 1] for spawn_keys[r] = (i0, i1), a missing entry giving
+    the word 0, so a lone seed `()`, a key `(a,)` and a key `(a, b)` never
+    share a stream. The first two words are the Philox key, the last two
+    counter words 1 and 2. `seed` must be one int in [0, 2^64) (a list or
+    OS-drawn entropy has no word to go in); a spawn key holds at most two
+    nonnegative entries."""
+    if not (isinstance(seed, (int, np.integer)) and 0 <= seed <= SEED_MAX):
+        raise ValueError(f"seed must be one int in [0, 2^64), got {seed!r}")
     spawn = np.asarray(spawn_keys, dtype=np.int64)
     if spawn.ndim != 2:
         raise ValueError("spawn keys must be an (R, L) array")
-    if spawn.size and not (spawn.min() >= 0 and spawn.max() <= _MASK32):
-        raise ValueError("spawn-key entries must lie in [0, 2^32)")
-    run = _entropy_words(entropy)
-    if spawn.shape[1] and len(run) < _POOL_SIZE:
-        run += [0] * (_POOL_SIZE - len(run))
-    # one row per entropy word, one column per key; a short pool hashes zeros
-    extra = max(len(run) + spawn.shape[1] - _POOL_SIZE, 0)
-    words = np.zeros((_POOL_SIZE + extra, len(spawn)), dtype=np.uint32)
-    words[:len(run)] = np.array(run, dtype=np.uint32)[:, None]
-    words[len(run):len(run) + spawn.shape[1]] = spawn.T
-
-    xor, mul = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE * (_POOL_SIZE + extra))
-    pool = _hash(words[:_POOL_SIZE], xor[:_POOL_SIZE], mul[:_POOL_SIZE])
-    k = _POOL_SIZE
-    for src in range(_POOL_SIZE):
-        dst = [d for d in range(_POOL_SIZE) if d != src]
-        pool[dst] = _mix(pool[dst], _hash(pool[src], xor[k:k + 3], mul[k:k + 3]))
-        k += 3
-    for word in words[_POOL_SIZE:]:
-        pool = _mix(pool, _hash(word, xor[k:k + _POOL_SIZE], mul[k:k + _POOL_SIZE]))
-        k += _POOL_SIZE
-
-    state = _hash(pool, *_hash_constants(_INIT_B, _MULT_B, _POOL_SIZE)).astype(np.uint64)
-    return np.stack([state[0] | state[1] << np.uint64(32),
-                     state[2] | state[3] << np.uint64(32)], axis=-1)
-
-
-def stream_keys(entropy, spawn_keys) -> np.ndarray:
-    """Keys of the three labeled streams of every realization, as an
-    (R, STREAMS, 2) uint64 array: row r, stream `label` is keyed by
-    `SeedSequence(entropy, spawn_key=spawn_keys[r] + (label,))`."""
-    spawn = np.asarray(spawn_keys, dtype=np.int64)
-    if spawn.ndim != 2:
-        raise ValueError("spawn keys must be an (R, L) array")
-    labeled = np.empty((len(spawn), STREAMS, spawn.shape[1] + 1), dtype=np.int64)
-    labeled[:, :, :-1] = spawn[:, None, :]
-    labeled[:, :, -1] = np.arange(STREAMS)
-    return seed_keys(entropy, labeled.reshape(-1, spawn.shape[1] + 1)).reshape(
-        len(spawn), STREAMS, 2)
+    if spawn.shape[1] > 2:  # counter words 1 and 2
+        raise ValueError(f"spawn keys may have at most 2 entries, got {spawn.shape[1]}")
+    if spawn.size and spawn.min() < 0:
+        raise ValueError("spawn-key entries must be nonnegative")
+    words = np.zeros((len(spawn), STREAMS, 4), dtype=np.uint64)
+    words[:, :, 0] = seed
+    words[:, :, 1] = np.arange(STREAMS, dtype=np.uint64)
+    words[:, :, 2:2 + spawn.shape[1]] = spawn[:, None] + 1
+    return words
 
 
 def trial_seed(master_seed: int, *indices: int) -> np.random.SeedSequence:
-    """Per-trial seed derived from the experiment seed and trial coordinates."""
+    """Per-trial seed: the (entropy, spawn_key) record of the experiment
+    seed and trial coordinates that `simulate_batch` reads."""
     return np.random.SeedSequence(entropy=master_seed, spawn_key=tuple(indices))
 
 
@@ -414,22 +343,24 @@ class SensorBatch:
                            bits=self.bits[..., :n], c=self.c, start=self.start)
 
 
-def _fill_uniforms(gen: np.random.Generator, keys: np.ndarray,
+def _fill_uniforms(gen: np.random.Generator, words: np.ndarray,
                    out: np.ndarray, start: int) -> np.ndarray:
     """Row r of `out` gets uniform draws start, start + 1, ... of the
-    Philox stream keyed by keys[r]. Philox draws four 64-bit words per
-    counter value, so the state setter puts `gen` exactly where a fresh
-    `Philox(SeedSequence)` with that key stands after `start` draws
-    (counter start / 4, empty buffer), at a fraction of the cost of
-    building one and drawing up to there."""
+    Philox stream of the `stream_keys` words[r]: key (words[r, 0],
+    words[r, 1]), counter (start / 4, words[r, 2], words[r, 3], 0).
+    Philox draws four 64-bit words per counter value, so the state setter
+    puts `gen` exactly where a fresh Philox with that key and counter
+    word 0 at 0 stands after `start` draws (empty buffer), at a fraction
+    of the cost of building one and drawing up to there."""
     counter = np.zeros(4, dtype=np.uint64)
     counter[0] = start // 4
     state = {"bit_generator": "Philox",
              "state": {"counter": counter, "key": None},
              "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
              "has_uint32": 0, "uinteger": 0}
-    for key, row in zip(keys, out):
-        state["state"]["key"] = key
+    for word, row in zip(words, out):
+        state["state"]["key"] = word[:2]
+        counter[1:3] = word[2:]
         gen.bit_generator.state = state
         gen.random(out=row)
     return out
@@ -440,8 +371,9 @@ def simulate_batch(field: FieldSpec, deploy: Deployment, noise: Noise,
     """Draw locations, noise, and thresholds from independent streams,
     sample the field, and quantize against the dithered thresholds.
 
-    `seed` seeds one realization (an int or a SeedSequence; the batch holds
-    1-D arrays), or is an (R, STREAMS, 2) uint64 array of `stream_keys`
+    `seed` seeds one realization (an int, or a SeedSequence read as its
+    int entropy and spawn key, such as `trial_seed`'s; the batch holds 1-D
+    arrays), or is an (R, STREAMS, 4) uint64 array of `stream_keys`
     seeding a block of R realizations (the batch holds (R, n) arrays, row r
     drawn from keys[r]). Every step is elementwise or per row, so a block
     row equals, bit for bit, the batch of the realization alone.
@@ -460,12 +392,12 @@ def simulate_batch(field: FieldSpec, deploy: Deployment, noise: Noise,
     block = isinstance(seed, np.ndarray)
     if block:
         keys = seed
-        if keys.dtype != np.uint64 or keys.ndim != 3 or keys.shape[1:] != (STREAMS, 2):
-            raise ValueError(f"stream keys must be an (R, {STREAMS}, 2) uint64 array")
+        if keys.dtype != np.uint64 or keys.ndim != 3 or keys.shape[1:] != (STREAMS, 4):
+            raise ValueError(f"stream keys must be an (R, {STREAMS}, 4) uint64 array")
+    elif isinstance(seed, np.random.SeedSequence):
+        keys = stream_keys(seed.entropy, [seed.spawn_key])
     else:
-        seq = (seed if isinstance(seed, np.random.SeedSequence)
-               else np.random.SeedSequence(seed))
-        keys = stream_keys(seq.entropy, [seq.spawn_key])
+        keys = stream_keys(seed, [()])
     c = field.amplitude_bound + noise.b
     gen = np.random.Generator(np.random.Philox(0))
     shape = (len(keys), n)

@@ -20,13 +20,15 @@ def zero_field(amplitude_bound: float = 1.0) -> FiniteDimField:
 
 
 def substream(seed, label: int) -> np.random.Generator:
-    """Stream `label` of a realization, built the way numpy builds it: a
-    child SeedSequence whose spawn key ends in the label, seeding a fresh
-    Philox. The oracle for the engine's bulk keys and reused generator."""
-    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    child = np.random.SeedSequence(entropy=ss.entropy,
-                                   spawn_key=tuple(ss.spawn_key) + (label,))
-    return np.random.Generator(np.random.Philox(child))
+    """Stream `label` of a realization, built afresh: a Philox keyed by
+    (seed, label), its counter at (0, i0 + 1, i1 + 1, 0) for the spawn key
+    (i0, i1), a missing entry giving 0. The oracle for the engine's stream
+    words and reused generator."""
+    entropy, key = ((seed.entropy, seed.spawn_key)
+                    if isinstance(seed, np.random.SeedSequence) else (seed, ()))
+    i0, i1 = ([k + 1 for k in key] + [0, 0])[:2]
+    return np.random.Generator(np.random.Philox(key=entropy | label << 64,
+                                                counter=i0 << 64 | i1 << 128))
 
 
 def reference_batch(field, deploy, noise, n: int, seed) -> SensorBatch:

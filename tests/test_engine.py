@@ -1,4 +1,4 @@
-"""The trial-block engine: bulk stream keys, block simulation and block
+"""The trial-block engine: stream words, block simulation and block
 estimation, and the tiles of long trials, against the one-trial-at-a-time
 oracle in conftest."""
 
@@ -17,14 +17,13 @@ from ditherfield import (AffineFloorDeployment, EstimationError, EstimatorConfig
                          make_bv_field, make_finite_dim_field,
                          make_sobolev_field, simulate_batch, stream_keys,
                          trial_seed)
-from ditherfield import analysis, spectral
+from ditherfield import analysis, sensing, spectral
 from ditherfield.analysis import BLOCK_SENSORS, TrialCell, map_trials
 from ditherfield.estimator import weighted_basis_sums
-from ditherfield.sensing import seed_keys
 from ditherfield.spectral import ConjSums, conj_sums
 
-from conftest import (SHIPPED_K5_COEFFS, reference_batch, tabulate_deployment,
-                      traced_peak_mb)
+from conftest import (SHIPPED_K5_COEFFS, reference_batch, substream,
+                      tabulate_deployment, traced_peak_mb)
 
 DEPLOYMENTS = [UniformDeployment(), Linear2xDeployment(),
                AffineFloorDeployment(nu=0.5),
@@ -51,38 +50,40 @@ def cell_for(field, deploy, noise, basis, n, trials, m=M):
 
 
 # ---------------------------------------------------------------------------
-# bulk stream keys
+# stream words
 # ---------------------------------------------------------------------------
 
-entropies = st.integers(min_value=0, max_value=2 ** 128)
+def test_spawn_keys_of_every_length_read_distinct_streams():
+    """A lone seed (), a key (a,), its extension (a, 0) and a key (a, b)
+    under each label are 12 distinct streams, with distinct first draws."""
+    seed, keys = 7_102_030, [(), (4,), (4, 0), (4, 9)]
+    words = np.concatenate([stream_keys(seed, [key])[0] for key in keys])
+    assert len({tuple(w) for w in words}) == 12
+    gen = np.random.Generator(np.random.Philox(0))
+    first = sensing._fill_uniforms(gen, words, np.empty((12, 1)), 0)[:, 0]
+    assert len(set(first)) == 12
+    assert np.array_equal(first, [substream(trial_seed(seed, *key), label).random()
+                                  for key in keys for label in range(3)])
 
 
-@given(st.one_of(entropies, st.lists(entropies, min_size=1, max_size=4)),
-       st.integers(min_value=0, max_value=3).flatmap(lambda width: st.lists(
-           st.lists(st.integers(min_value=0, max_value=2 ** 32 - 1),
-                    min_size=width, max_size=width), min_size=1, max_size=4)))
-@settings(max_examples=200, deadline=None)
-def test_bulk_keys_equal_seed_sequence_keys(entropy, spawn_keys):
-    got = seed_keys(entropy, np.array(spawn_keys, dtype=np.int64).reshape(len(spawn_keys), -1))
-    for row, key in zip(got, spawn_keys):
-        want = np.random.SeedSequence(entropy, spawn_key=tuple(key)).generate_state(
-            2, np.uint64)
-        assert np.array_equal(row, want)
+@pytest.mark.parametrize("seed", [np.random.SeedSequence(), np.random.SeedSequence([1, 2]),
+                                  2 ** 64, -1],
+                         ids=["os_entropy", "list_entropy", "above_u64", "negative"])
+def test_a_seed_must_be_one_u64(sawtooth, seed):
+    with pytest.raises(ValueError, match=r"seed must be one int in \[0, 2\^64\)"):
+        simulate_batch(sawtooth, UniformDeployment(), ZeroNoise(), 10, seed)
 
 
-def test_stream_keys_append_the_label():
-    keys = stream_keys(7_102_030, [(4, t) for t in range(5)])
-    assert keys.shape == (5, 3, 2) and keys.dtype == np.uint64
-    for t in range(5):
-        for label in range(3):
-            want = np.random.SeedSequence(7_102_030, spawn_key=(4, t, label))
-            assert np.array_equal(keys[t, label], want.generate_state(2, np.uint64))
+def test_spawn_key_entries_must_be_nonnegative():
+    with pytest.raises(ValueError, match="spawn-key entries must be nonnegative"):
+        stream_keys(1, [(0, 3), (2, -1)])
 
 
-@pytest.mark.parametrize("spawn_keys", [[(-1,)], [(2 ** 32,)]])
-def test_spawn_key_entries_must_be_single_words(spawn_keys):
-    with pytest.raises(ValueError, match=r"\[0, 2\^32\)"):
-        stream_keys(1, spawn_keys)
+def test_spawn_keys_have_at_most_two_entries(sawtooth):
+    with pytest.raises(ValueError, match="at most 2 entries"):
+        stream_keys(1, [(0, 1, 2)])
+    with pytest.raises(ValueError, match="at most 2 entries"):
+        simulate_batch(sawtooth, UniformDeployment(), ZeroNoise(), 10, trial_seed(1, 0, 1, 2))
 
 
 def test_block_seed_must_be_a_key_array(sawtooth):

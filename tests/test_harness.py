@@ -348,6 +348,14 @@ def test_counts_must_be_integral_and_the_seed_nonnegative(key, value):
         parse_experiment_config(dict(MINI_CONFIG, **{key: value}))
 
 
+def test_the_seed_is_one_u64():
+    """A seed is one Philox key word: 2^64 - 1 parses, 2^64 does not."""
+    assert parse_experiment_config(MINI_CONFIG, seed_override=2 ** 64 - 1).seed == 2 ** 64 - 1
+    with pytest.raises(ConfigValidationError,
+                       match="seed: must be at most 18446744073709551615"):
+        parse_experiment_config(dict(MINI_CONFIG, seed=2 ** 64))
+
+
 def test_integral_floats_are_counts():
     config = parse_experiment_config(dict(MINI_CONFIG, n_grid=[256.0, 512, 1024, 2048],
                                           trials=12.0, seed=99.0))
@@ -407,6 +415,19 @@ def test_cli_config_errors_exit_2_without_a_traceback(tmp_path, command, change)
     assert proc.stderr.count("\n") == 1
     assert proc.stderr.startswith(f"{command}: invalid experiment config")
     assert proc.stdout == ""
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_seed_above_u64_exits_2(tmp_path):
+    config_path = tmp_path / "mini.json"
+    config_path.write_text(json.dumps(MINI_CONFIG))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ditherfield.cli", "run", str(config_path),
+         "--seed", str(2 ** 64), "--out", str(tmp_path / "out")],
+        capture_output=True, text=True)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.count("\n") == 1
+    assert "seed: must be at most 18446744073709551615" in proc.stderr
     assert not (tmp_path / "out").exists()
 
 

@@ -250,9 +250,6 @@ def test_nested_sample_paths(sawtooth):
 def test_substreams_are_labeled_and_independent():
     keys = stream_keys(40, [()])[0]
     assert len({tuple(k) for k in keys}) == 3
-    for label in (STREAM_LOCATIONS, STREAM_NOISE, STREAM_THRESHOLDS):
-        want = np.random.SeedSequence(40, spawn_key=(label,)).generate_state(2, np.uint64)
-        assert np.array_equal(keys[label], want)
     batch = simulate_batch(zero_field(1.0), UniformDeployment(), UniformSymNoise(b=1.0),
                            8, seed=40)
     assert np.array_equal(batch.x, substream(40, STREAM_LOCATIONS).random(8))
