@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .estimator import (EstimatorConfig, TruncationSchedule, add_sensors,
-                        finish_estimates, sensor_weights, weighted_basis_sums)
+                        finish_estimates)
 from .fields import (Basis, FieldSpec, FourierBasis, ReconstructionCoefficients,
                      m_term_error, make_bv_field, synthesize, true_coefficients)
 from .sensing import Deployment, Noise, simulate_batch, stream_keys
@@ -181,6 +181,16 @@ class TrialCell:
 BLOCK_SENSORS = 1 << 14
 
 
+def _add_tiles(sums, field: FieldSpec, deploy: Deployment, noise: Noise,
+               density: Deployment, keys: np.ndarray, start: int, stop: int) -> None:
+    """Add sensors [start, stop) of every realization of the `stream_keys`
+    rows `keys` to running sums: one windowed `simulate_batch` call and
+    one `add_sensors` call per tile of at most BLOCK_SENSORS sensors."""
+    for lo in range(start, stop, BLOCK_SENSORS):
+        tile = simulate_batch(field, deploy, noise, min(BLOCK_SENSORS, stop - lo), keys, lo)
+        add_sensors(sums, tile, density)
+
+
 def _trial_chunk(payload) -> np.ndarray:
     cell, seed, cell_index, t0, t1 = payload
     keys = stream_keys(seed, [(cell_index, t) for t in range(t0, t1)])
@@ -189,10 +199,8 @@ def _trial_chunk(payload) -> np.ndarray:
     for lo in range(0, t1 - t0, size):
         block = keys[lo:lo + size]
         sums = cell.cfg.basis.running_sums(cell.m, (len(block),), cell.n)
-        for start in range(0, cell.n, BLOCK_SENSORS):
-            tile = simulate_batch(cell.field, cell.deploy, cell.noise,
-                                  min(BLOCK_SENSORS, cell.n - start), block, start)
-            add_sensors(sums, tile, cell.cfg.density)
+        _add_tiles(sums, cell.field, cell.deploy, cell.noise, cell.cfg.density,
+                   block, 0, cell.n)
         out[lo:lo + size] = finish_estimates(sums, cell.cfg, cell.n).values
     return out
 
@@ -470,7 +478,9 @@ def as_error_trace(field: FieldSpec, deploy: Deployment, noise: Noise,
                    psi: float, seed: int, n_checkpoints: Sequence[int],
                    schedule: TruncationSchedule | None = None) -> ASTraceResult:
     """Grow one sample path of sensors and record sup-norm errors at the
-    checkpoints. A single realization: the asymptotic statement itself is
+    checkpoints. Each segment between checkpoints runs through the trial
+    engine's tiles into running sums of its own, so no array of the whole
+    path exists. A single realization: the asymptotic statement itself is
     not falsifiable by finite simulation, so callers should treat this as
     a fixed-seed regression trace, not a proof. The trace runs on the
     Fourier basis and validates the schedule with gamma = (1 + 1/psi) / 2,
@@ -492,9 +502,8 @@ def as_error_trace(field: FieldSpec, deploy: Deployment, noise: Noise,
     m_values = tuple(schedule.resolve(n) for n in checkpoints)
     m_max = max(m_values)
 
-    n_max = checkpoints[-1]
-    batch = simulate_batch(field, deploy, noise, n_max, seed)
-    w = sensor_weights(batch, deploy)
+    keys = stream_keys(seed, [()])
+    c = field.amplitude_bound + noise.b
 
     true_cv = true_coefficients(field, basis, m_max)
     f_grid = np.asarray(field.eval(grid), dtype=float)
@@ -508,10 +517,11 @@ def as_error_trace(field: FieldSpec, deploy: Deployment, noise: Noise,
     prev = 0
     sup_s, sup_est, sup_est_int = [], [], []
     for ckpt, m in zip(checkpoints, m_values):
-        totals = totals + weighted_basis_sums(basis, m_max, batch.x[prev:ckpt],
-                                              w[prev:ckpt])
+        sums = basis.running_sums(m_max, (1,), ckpt - prev)
+        _add_tiles(sums, field, deploy, noise, deploy, keys, prev, ckpt)
+        totals = totals + sums.result()[0]
         prev = ckpt
-        alpha_hat = (batch.c / ckpt) * totals
+        alpha_hat = (c / ckpt) * totals
         delta = alpha_hat[:m] - true_cv.values[:m]
         s_grid = synthesize(basis, delta, grid)
         fm_grid = synthesize(basis, true_cv.values[:m], grid)

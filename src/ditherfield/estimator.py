@@ -92,15 +92,10 @@ class TruncationSchedule:
         # round before ceil: n**(1/3) can land at 3.0000000000000004
         return max(1, math.ceil(round(n ** exponent, 9)))
 
-    def to_json(self) -> dict:
-        doc = {"kind": self.schedule_kind}
-        if self.param is not None:
-            doc[self._PARAM_KEYS[self.schedule_kind]] = self.param
-        return doc
-
     @classmethod
     def from_json(cls, doc: dict) -> "TruncationSchedule":
-        """Inverse of `to_json`: the kind's own parameter key and no other."""
+        """A schedule from its config document: the kind and the kind's own
+        parameter key ("m", "k", "s" or "psi"), and no other key."""
         kind = doc["kind"]
         if kind not in cls._KINDS:
             raise ValueError(f"unknown schedule kind {kind!r}")
@@ -129,22 +124,6 @@ class EstimatorConfig:
     def __post_init__(self):
         if self.c <= 0:
             raise ValueError("dynamic range must be positive")
-
-
-def weighted_basis_sums(basis: Basis, m: int, x: np.ndarray,
-                        w: np.ndarray) -> np.ndarray:
-    """sum_i w_i * conj(phi_j(x_i)) for j < m over the last axis: one pass
-    of the basis's running sums, a type-1 nonuniform Fourier sum
-    (`spectral.ConjSums`) for the Fourier basis, per-cell totals for the
-    step basis. Complex weights are split into their real and imaginary
-    parts (the sums are linear in w)."""
-    x = np.asarray(x, dtype=float)
-    if np.iscomplexobj(w):
-        return (weighted_basis_sums(basis, m, x, np.real(w))
-                + 1j * weighted_basis_sums(basis, m, x, np.imag(w)))
-    sums = basis.running_sums(m, x.shape[:-1], x.shape[-1])
-    sums.add(x, np.asarray(w, dtype=float))
-    return sums.result()
 
 
 def _first(mask: np.ndarray) -> tuple:

@@ -203,9 +203,6 @@ class FieldSpec:
         """The plain integral of f over [lo, hi]."""
         raise NotImplementedError
 
-    def to_json(self) -> dict:
-        raise NotImplementedError
-
 
 def synthesize(basis: Basis, values: np.ndarray, x) -> np.ndarray:
     """sum_j values[j] * phi_j(x), shaped like x (a scalar for a scalar x).
@@ -318,15 +315,6 @@ class FiniteDimField(FieldSpec):
         return float(self.values[0].real * (hi - lo)
                      + 2.0 * np.sum(pos * rise / (2j * np.pi * k)).real)
 
-    def to_json(self) -> dict:
-        return {
-            "class": "finite_dim",
-            "basis": self.basis.kind if isinstance(self.basis, FourierBasis)
-            else {"kind": "step", "cells": self.basis.cells},
-            "coefficients": [[v.real, v.imag] for v in self.values],
-            "amplitude_bound": self.amplitude_bound,
-        }
-
 
 @dataclass(frozen=True)
 class SawtoothField(FieldSpec):
@@ -349,9 +337,6 @@ class SawtoothField(FieldSpec):
 
     def integral(self, lo: float, hi: float) -> float:
         return 0.5 * (hi * hi - lo * lo) - 0.5 * (hi - lo)
-
-    def to_json(self) -> dict:
-        return {"class": "bv", "shape": "sawtooth"}
 
 
 @dataclass(frozen=True, eq=False)
@@ -416,13 +401,6 @@ class PiecewiseConstantField(FieldSpec):
         b = np.minimum(np.asarray(self.edges[1:]), hi)
         return float(np.sum(np.asarray(self.levels) * np.clip(b - a, 0.0, None)))
 
-    def to_json(self) -> dict:
-        if self.shape in ("step", "staircase"):
-            return {"class": "bv", "shape": self.shape,
-                    "edges": list(self.edges), "levels": list(self.levels)}
-        return {"class": "bv", "shape": "piecewise",
-                "edges": list(self.edges), "levels": list(self.levels)}
-
 
 @dataclass(frozen=True, eq=False)
 class SobolevField(FiniteDimField):
@@ -439,11 +417,6 @@ class SobolevField(FiniteDimField):
         if not 0.5 < self.s < math.inf:
             raise ValueError("smoothness order must be finite and exceed 1/2")
         super().__post_init__()
-
-    def to_json(self) -> dict:
-        return {"class": "sobolev", "s": self.s, "seed": self.seed,
-                "amplitude_bound": self.amplitude_bound,
-                "n_freqs": len(self.values) // 2}
 
 
 # ---------------------------------------------------------------------------
@@ -569,7 +542,7 @@ def m_term_error(coeffs: ReconstructionCoefficients, field: FieldSpec, m: int) -
 
 
 # ---------------------------------------------------------------------------
-# JSON round trip (harness config documents)
+# config documents
 # ---------------------------------------------------------------------------
 
 _BASES: dict[str, Callable[..., Basis]] = {"fourier": FourierBasis, "step": StepBasis}

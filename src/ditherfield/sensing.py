@@ -28,8 +28,9 @@ STREAM_NOISE = 1
 STREAM_THRESHOLDS = 2
 STREAMS = 3
 
-# a seed is one Philox key word
+# a seed is one Philox key word; a spawn-key entry i is the counter word i + 1
 SEED_MAX = (1 << 64) - 1
+SPAWN_MAX = SEED_MAX - 1
 
 
 def stream_keys(seed, spawn_keys) -> np.ndarray:
@@ -40,16 +41,19 @@ def stream_keys(seed, spawn_keys) -> np.ndarray:
     share a stream. The first two words are the Philox key, the last two
     counter words 1 and 2. `seed` must be one int in [0, 2^64) (a list or
     OS-drawn entropy has no word to go in); a spawn key holds at most two
-    nonnegative entries."""
+    entries, each an int in [0, 2^64 - 2] so that its word fits."""
     if not (isinstance(seed, (int, np.integer)) and 0 <= seed <= SEED_MAX):
         raise ValueError(f"seed must be one int in [0, 2^64), got {seed!r}")
-    spawn = np.asarray(spawn_keys, dtype=np.int64)
+    spawn = np.asarray(spawn_keys, dtype=object)
     if spawn.ndim != 2:
         raise ValueError("spawn keys must be an (R, L) array")
     if spawn.shape[1] > 2:  # counter words 1 and 2
         raise ValueError(f"spawn keys may have at most 2 entries, got {spawn.shape[1]}")
-    if spawn.size and spawn.min() < 0:
-        raise ValueError("spawn-key entries must be nonnegative")
+    for i in spawn.flat:
+        if not (isinstance(i, (int, np.integer)) and 0 <= i <= SPAWN_MAX):
+            raise ValueError("spawn-key entries must be nonnegative ints of at most "
+                             f"2^64 - 2 (the stream word is entry + 1), got {i!r}")
+    spawn = spawn.astype(np.uint64)
     words = np.zeros((len(spawn), STREAMS, 4), dtype=np.uint64)
     words[:, :, 0] = seed
     words[:, :, 1] = np.arange(STREAMS, dtype=np.uint64)
@@ -335,23 +339,18 @@ class SensorBatch:
     def n(self) -> int:
         return self.x.shape[-1]
 
-    def prefix(self, n: int) -> "SensorBatch":
-        """First n sensors of each realization (a nested sample path)."""
-        if not 1 <= n <= self.n:
-            raise ValueError(f"prefix length must be in [1, {self.n}]")
-        return SensorBatch(x=self.x[..., :n], y=self.y[..., :n], t=self.t[..., :n],
-                           bits=self.bits[..., :n], c=self.c, start=self.start)
-
 
 def _fill_uniforms(gen: np.random.Generator, words: np.ndarray,
                    out: np.ndarray, start: int) -> np.ndarray:
     """Row r of `out` gets uniform draws start, start + 1, ... of the
     Philox stream of the `stream_keys` words[r]: key (words[r, 0],
-    words[r, 1]), counter (start / 4, words[r, 2], words[r, 3], 0).
+    words[r, 1]), counter (start // 4, words[r, 2], words[r, 3], 0).
     Philox draws four 64-bit words per counter value, so the state setter
     puts `gen` exactly where a fresh Philox with that key and counter
-    word 0 at 0 stands after `start` draws (empty buffer), at a fraction
-    of the cost of building one and drawing up to there."""
+    word 0 at 0 stands after 4 * (start // 4) draws (empty buffer), at a
+    fraction of the cost of building one and drawing up to there; the
+    start % 4 draws left are discarded."""
+    skip = start % 4
     counter = np.zeros(4, dtype=np.uint64)
     counter[0] = start // 4
     state = {"bit_generator": "Philox",
@@ -362,6 +361,8 @@ def _fill_uniforms(gen: np.random.Generator, words: np.ndarray,
         state["state"]["key"] = word[:2]
         counter[1:3] = word[2:]
         gen.bit_generator.state = state
+        if skip:
+            gen.bit_generator.random_raw(skip)
         gen.random(out=row)
     return out
 
@@ -382,13 +383,12 @@ def simulate_batch(field: FieldSpec, deploy: Deployment, noise: Noise,
 
     The batch holds sensors [start, start + n) of each realization, read
     from the streams through the Philox counter, so it equals that slice
-    of the batch of start + n sensors, bit for bit; `start` must be a
-    multiple of 4.
+    of the batch of start + n sensors, bit for bit.
     """
     if n < 1:
         raise ValueError("need at least one sensor")
-    if start < 0 or start % 4:
-        raise ValueError(f"window start must be a nonnegative multiple of 4, got {start}")
+    if start < 0:
+        raise ValueError(f"window start must be nonnegative, got {start}")
     block = isinstance(seed, np.ndarray)
     if block:
         keys = seed

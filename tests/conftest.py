@@ -42,6 +42,14 @@ def reference_batch(field, deploy, noise, n: int, seed) -> SensorBatch:
     return SensorBatch(x=x, y=y, t=t, bits=np.where(y > t, 1.0, -1.0), c=c)
 
 
+def basis_sums(basis, m: int, x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """sum_i w_i * conj(phi_j(x_i)) for j < m over the last axis, for real
+    weights: one pass of the basis's running sums."""
+    sums = basis.running_sums(m, x.shape[:-1], x.shape[-1])
+    sums.add(x, w)
+    return sums.result()
+
+
 def traced_peak_mb(fn) -> float:
     """Peak memory traced by `tracemalloc` while fn() runs, in MB: what
     fn's numpy arrays and Python objects hold at once, at most."""

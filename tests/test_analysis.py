@@ -396,18 +396,21 @@ def test_trace_error_shrinks_along_the_path(sawtooth):
 
 
 def test_frozen_schedule_reduces_to_the_scalar_path():
+    """Each checkpoint's estimate equals the whole-path estimate of that
+    many sensors: the trace's segments and tiles, started on or off a
+    multiple of 4, add up to one pass over the nested sample path."""
     field, deploy, noise = zero_field(1.0), UniformDeployment(), ZeroNoise()
-    trace = as_error_trace(field, deploy, noise, psi=0.4, seed=23,
-                           n_checkpoints=(1000, 10_000),
-                           schedule=TruncationSchedule.fixed(1))
-    from ditherfield import EstimatorConfig, estimate_coefficients
-
     cfg = EstimatorConfig(basis=FourierBasis(), density=deploy, c=1.0,
                           schedule=TruncationSchedule.fixed(1))
-    big = simulate_batch(field, deploy, noise, 10_000, seed=23)
-    for i, n in enumerate((1000, 10_000)):
-        alpha0 = estimate_coefficients(big.prefix(n), cfg, 1).values[0]
-        assert trace.sup_error[i] == pytest.approx(abs(alpha0), rel=1e-12)
+    # (3, 40_001): a segment of three tiles, the first starting at sensor 3
+    for checkpoints in [(1000, 10_000), (1001, 10_003), (3, 40_001)]:
+        trace = as_error_trace(field, deploy, noise, psi=0.4, seed=23,
+                               n_checkpoints=checkpoints,
+                               schedule=TruncationSchedule.fixed(1))
+        for i, n in enumerate(checkpoints):
+            batch = simulate_batch(field, deploy, noise, n, seed=23)
+            alpha0 = estimate_coefficients(batch, cfg, 1).values[0]
+            assert trace.sup_error[i] == pytest.approx(abs(alpha0), rel=1e-12), n
 
 
 def test_interior_sup_excludes_jump_neighborhoods(step_field):

@@ -296,14 +296,21 @@ def test_slowly_decaying_field_is_rejected_at_the_tail_horizon():
         make_bv_field("piecewise", edges=edges, levels=levels)
 
 
-def test_field_json_round_trip(shipped_fields, fourier):
+# field documents of the kinds that no shipped config or parser test reads
+@pytest.mark.parametrize("doc, field", [
+    ({"class": "bv", "shape": "step"}, make_bv_field("step")),
+    ({"class": "bv", "shape": "staircase"}, make_bv_field("staircase")),
+    ({"class": "bv", "shape": "piecewise", "edges": [0.0, 0.25, 1.0], "levels": [0.5, -0.25]},
+     PiecewiseConstantField(edges=(0.0, 0.25, 1.0), levels=(0.5, -0.25))),
+    ({"class": "sobolev", "s": 1.0, "seed": 7, "n_freqs": 32},
+     make_sobolev_field(1.0, seed=7, n_freqs=32))],
+    ids=["step", "staircase", "piecewise", "sobolev_n_freqs"])
+def test_field_documents_build_their_fields(doc, field):
     x = np.linspace(0.0, 1.0, 501)
-    fields = dict(shipped_fields,
-                  sobolev_32=make_sobolev_field(1.0, seed=7, n_freqs=32))
-    for name, field in fields.items():
-        clone = field_from_json(field.to_json())
-        assert np.allclose(clone.eval(x), field.eval(x), atol=1e-12), name
-        assert clone.amplitude_bound == field.amplitude_bound
+    built = field_from_json(doc)
+    assert type(built) is type(field)
+    assert np.array_equal(built.eval(x), field.eval(x))
+    assert built.amplitude_bound == field.amplitude_bound
 
 
 # ---------------------------------------------------------------------------

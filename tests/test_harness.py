@@ -67,14 +67,6 @@ def test_schedule_takes_only_its_own_parameter_key(schedule):
         parse_experiment_config(dict(MINI_CONFIG, schedule=schedule))
 
 
-@pytest.mark.parametrize("schedule", [TruncationSchedule.fixed(3),
-                                      TruncationSchedule.bv(),
-                                      TruncationSchedule.sobolev(1.5),
-                                      TruncationSchedule.power(0.4)])
-def test_schedule_json_round_trip(schedule):
-    assert TruncationSchedule.from_json(schedule.to_json()) == schedule
-
-
 def test_step_basis_smaller_than_the_schedule_is_rejected_at_parse():
     doc = dict(MINI_CONFIG, basis={"kind": "step", "cells": 16},
                n_grid=[100, 1000], acceptance={})

@@ -16,9 +16,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ditherfield import FourierBasis, StepBasis, spectral
-from ditherfield.estimator import weighted_basis_sums
 from ditherfield.fields import FiniteDimField, synthesize
 from ditherfield.harness import _RATE_CONFIGS, _TRACE_CONFIGS, load_shipped_config
+
+from conftest import basis_sums
 
 RTOL = 1e-10
 # small K (M = 64 to 1024 cells) as often as large K (up to M = 16384)
@@ -296,7 +297,7 @@ def test_synthesis_is_the_adjoint_of_the_weighted_sums(n, m, seed, step):
     w = rng.uniform(-1.0, 1.0, n)
     v = rng.standard_normal(m) + 1j * rng.standard_normal(m)
     lhs = np.sum(w * synthesize(basis, v, x))
-    rhs = np.sum(v * np.conj(weighted_basis_sums(basis, m, x, w)))
+    rhs = np.sum(v * np.conj(basis_sums(basis, m, x, w)))
     assert abs(lhs - rhs) <= 1e-10 * np.sum(np.abs(w)) * np.sum(np.abs(v))
 
 
