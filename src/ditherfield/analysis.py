@@ -19,6 +19,7 @@ from .estimator import (EstimatorConfig, TruncationSchedule, add_sensors,
 from .fields import (Basis, FieldSpec, FourierBasis, ReconstructionCoefficients,
                      m_term_error, make_bv_field, synthesize, true_coefficients)
 from .sensing import Deployment, Noise, simulate_batch, stream_keys
+from .spectral import BLOCK_POINTS
 
 # ---------------------------------------------------------------------------
 # deployment-weighted basis integrals
@@ -177,8 +178,13 @@ class TrialCell:
 # sensors per simulate -> estimate tile: a block of max(1, BLOCK_SENSORS // n)
 # trials shares the per-call costs, and a trial of more sensors runs in
 # tiles of BLOCK_SENSORS, so every tile's arrays stay cache-sized and no
-# array of n sensors exists. A multiple of the type-1 sums' point block.
-BLOCK_SENSORS = 1 << 14
+# array of n sensors exists; the type-1 sums' point block, as they need.
+BLOCK_SENSORS = BLOCK_POINTS
+# sensors per pool task: a chunk of max(1, TASK_SENSORS // n) trials, 16 tiles
+TASK_SENSORS = 1 << 18
+# a pool forks all its workers at its first task (fork start method), so
+# their count has a cap, the same on every host
+WORKERS_MAX = 64
 
 
 def _add_tiles(sums, field: FieldSpec, deploy: Deployment, noise: Noise,
@@ -205,24 +211,26 @@ def _trial_chunk(payload) -> np.ndarray:
     return out
 
 
-def map_trials(cells: Sequence[TrialCell], seed: int, chunk: int,
+def map_trials(cells: Sequence[TrialCell], seed: int,
                workers: int = 1) -> list[np.ndarray]:
     """Coefficient estimates of every trial: one (trials, m) array per cell.
 
-    Trial t of cell i draws from trial_seed(seed, i, t), whose stream
-    words each chunk lays out in one array (`stream_keys`); the chunk then runs in
-    blocks of trials, and each block in tiles of at most BLOCK_SENSORS
-    sensors per trial: one windowed `simulate_batch` call and one
-    `add_sensors` call per tile feed running sums, finished once per
-    block. A tile equals the slice of the whole draw, and the sums add up
-    as one pass over whole rows does, so the rows are those of one
-    simulate and one estimate call per block, bit for bit. A
-    trial's row never depends on the other trials of its block or chunk,
-    so neither the worker count nor the chunk size changes a byte; `chunk`
-    (trials per pool task) only trades pool overhead against memory traffic.
+    A cell's trials go to `workers` processes (1 to WORKERS_MAX) in chunks
+    of max(1, TASK_SENSORS // n). Trial t of cell i draws from
+    trial_seed(seed, i, t), whose stream words each chunk lays out in one
+    array (`stream_keys`); the chunk runs in blocks of trials, and each
+    block in tiles of at most BLOCK_SENSORS sensors per trial: one windowed
+    `simulate_batch` call and one `add_sensors` call per tile feed running
+    sums, finished once per block. A tile equals the slice of the whole
+    draw, and the sums add up as one pass over whole rows does, so the rows
+    are those of one simulate and one estimate call per block, bit for
+    bit, and neither the chunks nor the worker count change a byte.
     """
+    if not 1 <= workers <= WORKERS_MAX:
+        raise ValueError(f"workers must be in [1, {WORKERS_MAX}], got {workers}")
     payloads = [(cell, seed, i, t0, min(t0 + chunk, cell.trials))
                 for i, cell in enumerate(cells)
+                for chunk in [max(1, TASK_SENSORS // cell.n)]
                 for t0 in range(0, cell.trials, chunk)]
     out = [np.empty((cell.trials, cell.m), dtype=np.complex128) for cell in cells]
     pool = nullcontext()
@@ -272,7 +280,7 @@ def monte_carlo_mse(field: FieldSpec, deploy: Deployment, noise: Noise,
     m_values = tuple(cfg.schedule.resolve(n) for n in n_grid)
     cells = [TrialCell(field, deploy, noise, cfg, n, m, t)
              for n, m, t in zip(n_grid, m_values, trials_per_n)]
-    estimates = map_trials(cells, seed, chunk=25, workers=workers)
+    estimates = map_trials(cells, seed, workers=workers)
 
     per_n = tuple(integrated_squared_error(ReconstructionCoefficients(rows, cell.n),
                                            true_coefficients(field, cfg.basis, cell.m),

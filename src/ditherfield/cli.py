@@ -6,7 +6,7 @@ import argparse
 import json
 import sys
 
-from .analysis import check_consistency_conditions
+from .analysis import WORKERS_MAX, check_consistency_conditions
 from .harness import (SUITE_NAMES, ConfigValidationError,
                       load_experiment_config, run_as_trace, run_experiment,
                       run_suite, trace_verdict)
@@ -47,6 +47,10 @@ def main(argv=None) -> int:
     p_trace.add_argument("--out", default="out", help="output directory")
 
     args = parser.parse_args(argv)
+
+    if args.command in ("run", "suite") and not 1 <= args.workers <= WORKERS_MAX:
+        print(f"{args.command}: --workers must be in [1, {WORKERS_MAX}]", file=sys.stderr)
+        return 2  # before any run starts or any file is written
 
     if args.command in ("run", "check-conditions", "trace-as"):
         try:

@@ -497,7 +497,7 @@ def run_lemma_battery(n: int = 1000, trials: int = 10_000, j_count: int = 8,
         cfg = EstimatorConfig(basis=basis, density=d, c=f.amplitude_bound + z.b,
                               schedule=TruncationSchedule.fixed(j_count))
         trial_cells.append(TrialCell(f, d, z, cfg, n, j_count, trials))
-    estimates = map_trials(trial_cells, seed, chunk=250, workers=workers)
+    estimates = map_trials(trial_cells, seed, workers=workers)
 
     rows: list[dict] = []
     for (fname, f, dname, d, zname, z), mat in zip(cells, estimates):

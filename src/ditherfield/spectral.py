@@ -21,7 +21,8 @@ exp(2 pi i k x) = exp(2 pi i k c / M) sum_q (2 pi i k u / M)^q / q!
   never depends on the other points of its call, and simulated sample
   paths stay prefix-stable to the bit; a non-finite point reads NaN.
 - type 1 has two paths. The gridded one takes the power moments
-  sum_{i in c} w_i u_i^q of each cell (one `bincount` per q), one `rfft`
+  sum_{i in c} w_i u_i^q of each cell, for every row of a tile at once
+  (one `bincount` per q, row r's cells offset by r M), one batched `rfft`
   over them, and per frequency a Horner sum over q. The direct one, for
   short rows and small K (the estimator's battery rows), takes one unit
   phase z = exp(-2 pi i x) per point, then per frequency one in-place
@@ -33,7 +34,8 @@ exp(2 pi i k x) = exp(2 pi i k c / M) sum_q (2 pi i k u / M)^q / q!
   value. A cost model fitted to both paths picks one from (n, K).
   Either path is one additive accumulator, `ConjSums`, which holds the
   direct sums or the cell moments, takes the points in tiles of whole
-  blocks and is finished once; `conj_sums` is one pass of it.
+  blocks and is finished once; `conj_sums` is one pass of it. The
+  gridded path takes finite points only, any of them by periodicity.
 
 Both sums work on blocks of 16384 points. The table and moment sums are
 within about 1e-16 of |a0| + 2 sum|pos_k| (type 2) or sum|w_i| (type 1)
@@ -48,7 +50,7 @@ import numpy as np
 
 _TERMS = 9                # Taylor terms q = 0..8 of the cell expansion
 
-_CHUNK = 1 << 14          # points per block, on every path
+BLOCK_POINTS = 1 << 14    # points per block, on every path
 
 _PHASE_N = 1 << 12        # roots of unity in the phase table
 # f + _ROUND rounds |f| <= 1 to a multiple of 1/_PHASE_N (its ulp) and
@@ -65,8 +67,9 @@ _ROT_HI = np.array([[2.0 * np.pi ** 4 / 3.0], [-4.0 * np.pi ** 3 / 3.0]])
 # of both paths on a 2-core Xeon (numpy 2.4, one thread; n = 1-65536,
 # K = 1-256), timed as the block engine calls them, max(1, 16384 // n) rows
 # of n points at once: the direct path shares its per-call and
-# per-frequency costs among the rows (they fit to 0), the gridded one runs
-# row by row.
+# per-frequency costs among the rows (they fit to 0). The gridded fit is
+# of the path when it ran row by row; it is kept, so every (n, K) keeps
+# its path and every sum its bits, which a refit would move.
 _DIRECT = (0.0, 18.4, 0.0, 1.47)
 _GRIDDED = (41_000.0, 21.2, 57.0)
 
@@ -84,22 +87,11 @@ def _cells(K: int) -> int:
     return 1 << max(6, (32 * K - 1).bit_length())
 
 
-def _unit_points(x: np.ndarray) -> np.ndarray | None:
-    """x folded into [0, 1] (the sums are 1-periodic in x), or None when
-    x holds a non-finite value, which only the direct type-1 path
-    propagates."""
-    lo, hi = x.min(), x.max()
-    if not (np.isfinite(lo) and np.isfinite(hi)):
-        return None
-    if lo < 0.0 or hi > 1.0:
-        return x - np.floor(x)
-    return x
-
-
 def _cell_offsets(x: np.ndarray, m: int):
-    """Per point of x in [0, 1]: its cell rint(x m) mod m, and its offset
+    """Per point of x: its cell rint(x m) mod m, and its offset
     x m - rint(x m) in [-1/2, 1/2] from the cell's node; both exact, since
-    m is a power of two."""
+    m is a power of two, for any finite x with |x m| < 2^52, so a point
+    outside [0, 1] lands where periodicity puts it."""
     u = x * m
     node = np.rint(u)
     u -= node
@@ -195,90 +187,82 @@ class ConjSums:
 
     Additive on either path: the direct one holds the sums themselves, the
     gridded one the (_TERMS, M) cell moments of each row, transformed once,
-    by `result`. Every tile but the last must hold whole blocks of _CHUNK
-    points, so the blocks, and with them every bit of the result, are
-    those of one pass over whole rows, however the rows are cut. The path
-    is picked from (n, K), so it is the same for every row, and a row's
-    sums equal, bit for bit, those of the row alone. Real weights only.
-
-    A gridded row with a non-finite point reads what the direct path gives
-    it: sum_i w_i at k = 0 and NaN at every k >= 1."""
+    by `result`. Either path takes every row of a tile at once. Every tile
+    but the last must hold whole blocks of BLOCK_POINTS points, so the
+    blocks, and with them every bit of the result, are those of one pass
+    over whole rows, however the rows are cut. The path is picked from
+    (n, K), so it is the same for every row, and a row's sums equal, bit
+    for bit, those of the row alone. Real weights and finite points only."""
 
     def __init__(self, lead: tuple, n: int, K: int):
         lead = tuple(lead)
         self.n, self.K, self.fed = n, K, 0
         self.gridded = bool(n) and _gridded(n, K)
-        # direct: the sums; gridded: the direct path's k = 0 column, in
-        # case a non-finite point sends the row there
-        self.sums = np.zeros(lead + (1 if self.gridded else K + 1,), dtype=np.complex128)
         if self.gridded:
             self.moments = np.zeros(lead + (_TERMS, _cells(K)))
-            self.finite = np.ones(lead, dtype=bool)
+        else:
+            self.sums = np.zeros(lead + (K + 1,), dtype=np.complex128)
 
     def add(self, x: np.ndarray, w: np.ndarray) -> None:
         """Feed the next x.shape[-1] points of every row."""
-        if self.fed % _CHUNK:
+        if self.fed % BLOCK_POINTS:
             raise ValueError(f"only the last tile may hold a partial block "
-                             f"of {_CHUNK} points")
+                             f"of {BLOCK_POINTS} points")
         if self.fed + x.shape[-1] > self.n:
             raise ValueError(f"more than the declared {self.n} points per row")
-        for lo in range(0, x.shape[-1], _CHUNK):
-            xs, ws = x[..., lo:lo + _CHUNK], w[..., lo:lo + _CHUNK]
-            # block sums, added to the running ones after the first block
-            part = np.empty_like(self.sums) if self.fed else self.sums
-            part[..., 0] = np.add.reduce(ws, axis=-1)
+        for lo in range(0, x.shape[-1], BLOCK_POINTS):
+            xs, ws = x[..., lo:lo + BLOCK_POINTS], w[..., lo:lo + BLOCK_POINTS]
             if self.gridded:
-                for row in np.ndindex(self.finite.shape):
-                    xu = _unit_points(xs[row]) if self.finite[row] else None
-                    if xu is None:
-                        self.finite[row] = False
-                    else:
-                        _add_moments(self.moments[row], xu, ws[row])
-            elif self.K:
-                step = _unit_phase(xs)
-                cur = ws * step
-                np.add.reduce(cur, axis=-1, out=part[..., 1])
-                for k in range(2, self.K + 1):
-                    cur = _rotate(cur, step)
-                    np.add.reduce(cur, axis=-1, out=part[..., k])
-            if self.fed:
-                self.sums += part
+                _add_moments(self.moments, xs, ws)
+            else:
+                # block sums, added to the running ones after the first block
+                part = np.empty_like(self.sums) if self.fed else self.sums
+                part[..., 0] = np.add.reduce(ws, axis=-1)
+                if self.K:
+                    step = _unit_phase(xs)
+                    cur = ws * step
+                    np.add.reduce(cur, axis=-1, out=part[..., 1])
+                    for k in range(2, self.K + 1):
+                        cur = _rotate(cur, step)
+                        np.add.reduce(cur, axis=-1, out=part[..., k])
+                if self.fed:
+                    self.sums += part
             self.fed += xs.shape[-1]
 
     def result(self) -> np.ndarray:
         """The K + 1 sums of every row, once all n points are fed."""
         if self.fed != self.n:
             raise ValueError(f"fed {self.fed} of {self.n} points per row")
-        if not self.gridded:
-            return self.sums
-        out = np.full(self.finite.shape + (self.K + 1,), complex(np.nan, np.nan))
-        out[..., :1] = self.sums
-        for row in np.ndindex(self.finite.shape):
-            if self.finite[row]:
-                out[row] = _moment_sums(self.moments[row], self.K)
-        return out
+        return _moment_sums(self.moments, self.K) if self.gridded else self.sums
 
 
 def _add_moments(moments: np.ndarray, x: np.ndarray, w: np.ndarray) -> None:
-    """Add sum_{i in c} w_i u_i^q of a block of points x in [0, 1] to the
-    (_TERMS, M) moments of their cells c."""
-    m = moments.shape[1]
-    cell, u = _cell_offsets(x, m)
-    wu = w.copy()
-    for row in moments:
-        row += np.bincount(cell, weights=wu, minlength=m)
+    """Add sum_{i in c} w_i u_i^q of a block of points x of every row to
+    the (..., _TERMS, M) moments of their cells c: one `bincount` per q
+    over all rows, with row r's cells offset by r M. No two rows share a
+    bin, and `bincount` adds a bin's weights in input order, so a row's
+    moments are, bit for bit, those of the row alone."""
+    m = moments.shape[-1]
+    rows = moments.reshape(-1, _TERMS, m)
+    bins = len(rows) * m
+    cell, u = _cell_offsets(x.reshape(-1, x.shape[-1]), m)
+    cell += np.arange(0, bins, m)[:, None]
+    cell, u = cell.ravel(), u.ravel()
+    wu = w.flatten()
+    for q in range(_TERMS):
+        rows[:, q] += np.bincount(cell, weights=wu, minlength=bins).reshape(-1, m)
         wu *= u
 
 
 def _moment_sums(moments: np.ndarray, K: int) -> np.ndarray:
-    """S_k = sum_q (-2 pi i k / M)^q / q! F_q[k], F_q the DFT of the
-    moments sum_{i in c} w_i u_i^q over the cells c."""
-    m = moments.shape[1]
-    f = np.fft.rfft(moments)[:, :K + 1]
+    """S_k = sum_q (-2 pi i k / M)^q / q! F_q[k] of every row, F_q the DFT
+    of the moments sum_{i in c} w_i u_i^q over the cells c."""
+    m = moments.shape[-1]
+    f = np.fft.rfft(moments)[..., :K + 1]
     a = np.arange(K + 1) * (-2j * np.pi / m)
-    acc = f[-1]
+    acc = f[..., -1, :]
     for q in range(_TERMS - 1, 0, -1):
-        acc = f[q - 1] + acc * (a / q)
+        acc = f[..., q - 1, :] + acc * (a / q)
     return acc
 
 
@@ -337,10 +321,10 @@ def _table_series(tables: np.ndarray, x: np.ndarray) -> np.ndarray:
     """sum_q T_q[c] u^q per point, by Horner in u."""
     m = tables.shape[1]
     out = np.empty(x.shape)
-    buf = np.empty(min(len(x), _CHUNK))
-    for lo in range(0, len(x), _CHUNK):
-        cell, u = _cell_offsets(x[lo:lo + _CHUNK], m)
-        acc = out[lo:lo + _CHUNK]
+    buf = np.empty(min(len(x), BLOCK_POINTS))
+    for lo in range(0, len(x), BLOCK_POINTS):
+        cell, u = _cell_offsets(x[lo:lo + BLOCK_POINTS], m)
+        acc = out[lo:lo + BLOCK_POINTS]
         tables[-1].take(cell, out=acc, mode="clip")  # in range; "raise" copies
         term = buf[:len(acc)]
         for table in tables[-2::-1]:

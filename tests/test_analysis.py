@@ -15,7 +15,8 @@ from ditherfield import (AffineFloorDeployment, EstimatorConfig, FourierBasis,
                          make_sobolev_field, monte_carlo_mse, mse_upper_bound,
                          rate_fit, simulate_batch, trial_seed,
                          true_coefficients, validate_as_schedule)
-from ditherfield.analysis import TrialCell, map_trials
+from ditherfield import analysis
+from ditherfield.analysis import WORKERS_MAX, TrialCell, map_trials
 from ditherfield.fields import synthesize
 
 from conftest import tabulate_deployment, zero_field
@@ -254,10 +255,11 @@ def test_worker_count_does_not_change_trunc_gauss_results(sawtooth):
                for x, y in zip(serial.trial_values, parallel.trial_values))
 
 
-def test_chunk_size_does_not_change_trial_estimates(sawtooth):
-    """Chunks of 7 and 250 split blocks (54, 23 and 16384 trials at n = 300,
-    700 and 1), and chunks of 1 make one-trial blocks; two workers run the
-    chunks out of order."""
+def test_chunk_size_does_not_change_trial_estimates(sawtooth, monkeypatch):
+    """Pool tasks of TASK_SENSORS = 2100 and 75000 sensors, 7 and 250 trials
+    at n = 300 and 3 and 107 at n = 700, split blocks (54 and 23 trials),
+    and TASK_SENSORS = 1 makes one-trial tasks; two workers run the tasks
+    out of order."""
     deploy, noise = AffineFloorDeployment(nu=0.5), UniformSymNoise(b=1.0)
     sobolev = make_sobolev_field(1.0, seed=7, n_freqs=32)
     cells = [TrialCell(f, deploy, noise,
@@ -267,8 +269,11 @@ def test_chunk_size_does_not_change_trial_estimates(sawtooth):
                        n, m, trials)
              for f, n, m, trials in ((sawtooth, 300, 5, 123), (sobolev, 700, 8, 9),
                                      (sobolev, 1, 8, 12))]
-    runs = [map_trials(cells, seed=17, chunk=chunk, workers=workers)
-            for workers in (1, 2) for chunk in (1, 7, 250)]
+    runs = []
+    for workers in (1, 2):
+        for task_sensors in (1, 2100, 75_000):
+            monkeypatch.setattr(analysis, "TASK_SENSORS", task_sensors)
+            runs.append(map_trials(cells, seed=17, workers=workers))
     assert [a.shape for a in runs[0]] == [(123, 5), (9, 8), (12, 8)]
     for other in runs[1:]:
         assert all(np.array_equal(a, b) for a, b in zip(runs[0], other))
@@ -276,6 +281,16 @@ def test_chunk_size_does_not_change_trial_estimates(sawtooth):
     batch = simulate_batch(sobolev, deploy, noise, 700, trial_seed(17, 1, 3))
     assert np.array_equal(runs[0][1][3],
                           estimate_coefficients(batch, cells[1].cfg, 8).values)
+
+
+@pytest.mark.parametrize("workers", [0, -1, WORKERS_MAX + 1])
+def test_the_worker_count_is_checked_before_any_trial_runs(sawtooth, workers):
+    deploy, noise = UniformDeployment(), ZeroNoise()
+    cfg = EstimatorConfig(basis=FourierBasis(), density=deploy, c=1.0,
+                          schedule=TruncationSchedule.fixed(4))
+    with pytest.raises(ValueError, match=rf"workers must be in \[1, {WORKERS_MAX}\]"):
+        map_trials([TrialCell(sawtooth, deploy, noise, cfg, 100, 4, 2)], seed=1,
+                   workers=workers)
 
 
 @pytest.mark.parametrize("m", [1, 8, 512])
@@ -287,7 +302,7 @@ def test_sweep_scores_each_trial_as_its_own_row(sawtooth, m):
                           schedule=TruncationSchedule.fixed(m))
     sweep = monte_carlo_mse(sawtooth, deploy, noise, cfg, [1024], trials=12, seed=41)
     rows = map_trials([TrialCell(sawtooth, deploy, noise, cfg, 1024, m, 12)],
-                      seed=41, chunk=25)[0]
+                      seed=41)[0]
     true_cv = true_coefficients(sawtooth, FourierBasis(), m)
     per_row = [integrated_squared_error(ReconstructionCoefficients(row, 1024),
                                         true_cv, sawtooth) for row in rows]

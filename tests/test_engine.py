@@ -119,7 +119,7 @@ def test_block_rows_equal_the_one_trial_oracle(deploy, noise):
         for basis in BASES:
             for n in SENSOR_COUNTS:
                 cell = cell_for(field, deploy, noise, basis, n, trials)
-                rows = map_trials([cell], seed, chunk=250)[0]
+                rows = map_trials([cell], seed)[0]
                 for t in range(trials):
                     batch = reference_batch(field, deploy, noise, n, trial_seed(seed, 0, t))
                     want = estimate_coefficients(batch, cell.cfg, M).values
@@ -144,9 +144,10 @@ def test_block_batch_rows_equal_single_batches(n):
             assert np.array_equal(estimates[t], estimate_coefficients(single, cfg, M).values)
 
 
-@pytest.mark.parametrize("n", SENSOR_COUNTS + (70_000,))
+@pytest.mark.parametrize("n", SENSOR_COUNTS + (4096, 70_000))
 @pytest.mark.parametrize("K", [0, 3, 40])
 def test_conj_sums_rows_equal_the_row_alone(n, K):
+    """At n = 4096 and K = 40 the three rows share one gridded block."""
     rng = np.random.default_rng(n + K)
     x, w = rng.random((3, n)), rng.standard_normal((3, n))
     rows = conj_sums(x, w, K)
@@ -173,9 +174,9 @@ def test_the_engine_is_prefix_stable(sawtooth):
     sensors of every row of a block."""
     deploy, noise = UniformDeployment(), UniformSymNoise(b=1.0)
     short = map_trials([cell_for(sawtooth, deploy, noise, FourierBasis(), 500, 40)],
-                       seed=9, chunk=25)[0]
+                       seed=9)[0]
     long = map_trials([cell_for(sawtooth, deploy, noise, FourierBasis(), 500, 90)],
-                      seed=9, chunk=25)[0]
+                      seed=9)[0]
     assert np.array_equal(short, long[:40])
 
     keys = stream_keys(9, [(0, t) for t in range(4)])
@@ -257,7 +258,7 @@ def test_tiled_rows_equal_the_one_trial_oracle(n, basis, m, gridded):
                                   UniformSymNoise(b=1.0)),
                                  (FIELDS["piecewise"], DEPLOYMENTS[3], TwoPointNoise(b=0.7))]:
         cell = cell_for(field, deploy, noise, basis, n, trials, m)
-        rows = map_trials([cell], seed, chunk=25)[0]
+        rows = map_trials([cell], seed)[0]
         for t in range(trials):
             batch = reference_batch(field, deploy, noise, n, trial_seed(seed, 0, t))
             want = estimate_coefficients(batch, cell.cfg, m).values
@@ -285,11 +286,13 @@ def test_a_window_start_is_nonnegative(sawtooth):
         simulate_batch(sawtooth, UniformDeployment(), ZeroNoise(), 10, 3, -1)
 
 
-def test_tiled_rows_do_not_depend_on_the_worker_count():
+def test_tiled_rows_do_not_depend_on_the_worker_count(monkeypatch):
+    """One-trial pool tasks, which two workers run out of order."""
+    monkeypatch.setattr(analysis, "TASK_SENSORS", 1)
     cell = cell_for(FIELDS["sawtooth"], UniformDeployment(), UniformSymNoise(b=1.0),
                     FourierBasis(), BLOCK_SENSORS + 3616, 3)
-    one = map_trials([cell], seed=12, chunk=1, workers=1)[0]
-    two = map_trials([cell], seed=12, chunk=1, workers=2)[0]
+    one = map_trials([cell], seed=12, workers=1)[0]
+    two = map_trials([cell], seed=12, workers=2)[0]
     assert np.array_equal(one, two)
 
 
@@ -311,7 +314,7 @@ def test_a_bad_sensor_in_a_later_tile_is_named_by_its_index(sawtooth, monkeypatc
     monkeypatch.setattr(analysis, "simulate_batch", corrupted)
     cell = cell_for(sawtooth, deploy, noise, FourierBasis(), 20_000, 1)
     with pytest.raises(EstimationError, match=r"bits\[0, 17000\]=0.0"):
-        map_trials([cell], seed=4, chunk=25)
+        map_trials([cell], seed=4)
 
 
 @pytest.mark.parametrize("gridded", [False, True])
@@ -341,7 +344,7 @@ def test_a_tiled_trial_holds_no_row_of_all_its_sensors():
     m = TruncationSchedule.bv().resolve(n)
     assert m == 512
     cell = cell_for(field, deploy, noise, FourierBasis(), n, 2, m)
-    assert traced_peak_mb(lambda: map_trials([cell], seed=3, chunk=25)) < 4.0
+    assert traced_peak_mb(lambda: map_trials([cell], seed=3)) < 4.0
 
 
 def test_a_trace_holds_no_array_of_its_whole_path():

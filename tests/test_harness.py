@@ -12,9 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ditherfield import (ConfigValidationError, EstimatorConfig,
-                         TruncationSchedule, harness, load_shipped_config,
+                         TruncationSchedule, cli, harness, load_shipped_config,
                          monte_carlo_mse, parse_experiment_config,
                          run_experiment, run_lemma_battery, run_suite)
+from ditherfield.analysis import WORKERS_MAX
 from ditherfield.harness import _MISMATCH_CONFIGS, _RATE_CONFIGS, _TRACE_CONFIGS
 
 MINI_CONFIG = {
@@ -211,6 +212,21 @@ def test_cli_run_and_check_conditions(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert "overall: PASS" in proc.stdout
+
+
+@pytest.mark.parametrize("command", ["run", "suite"])
+@pytest.mark.parametrize("workers", [0, -1, WORKERS_MAX + 1])
+def test_cli_rejects_a_worker_count_out_of_range(tmp_path, capsys, command, workers):
+    """Exit 2 with one line on stderr, before any run starts or any file
+    is written."""
+    config_path = tmp_path / "mini.json"
+    config_path.write_text(json.dumps(MINI_CONFIG))
+    target = str(config_path) if command == "run" else "rates"
+    out = tmp_path / "out"
+    assert cli.main([command, target, f"--workers={workers}", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"[1, {WORKERS_MAX}]" in err
+    assert not out.exists()
 
 
 def test_cli_trace(tmp_path):
