@@ -472,6 +472,11 @@ class ASTraceResult:
     sup_estimate_error_interior: tuple[float, ...]
     condition: ScheduleValidation
 
+    @property
+    def sup_ratio(self) -> float:
+        """Last-to-first `sup_error` ratio: the trace's regression statistic."""
+        return self.sup_error[-1] / self.sup_error[0]
+
     def to_json(self) -> dict:
         return {"checkpoints": list(self.checkpoints),
                 "m_values": list(self.m_values),

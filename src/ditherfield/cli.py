@@ -67,12 +67,12 @@ def main(argv=None) -> int:
         print(outcome.detail)
         for path in outcome.artifacts:
             print(f"wrote {path}")
-        return 0 if outcome.status == "PASS" else 1
+        return 0 if outcome.passed else 1
 
     if args.command == "suite":
         result = run_suite(args.name, args.out, workers=args.workers)
         for row in result.rows:
-            print(f"{'PASS' if row.passed else 'FAIL'}  {row.name}  [{row.detail}]")
+            print(row.line)
         print(f"suite {result.suite}: {'PASS' if result.all_pass else 'FAIL'}")
         return 0 if result.all_pass else 1
 
@@ -98,8 +98,7 @@ def main(argv=None) -> int:
             return 2
         for n, m, s in zip(trace.checkpoints, trace.m_values, trace.sup_error):
             print(f"n={n} m={m} sup|S_n|={s:.6e}")
-        ratio = trace.sup_error[-1] / trace.sup_error[0]
-        print(f"first-to-last ratio {ratio:.4f} "
+        print(f"first-to-last ratio {trace.sup_ratio:.4f} "
               "(single-path regression, not a proof of convergence)")
         print(f"wrote {path}")
         if "trace_ratio_max" not in config.acceptance:

@@ -11,10 +11,10 @@ import hashlib
 import json
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from importlib import resources
 from pathlib import Path
-from typing import ClassVar, Sequence
+from typing import Callable, ClassVar, Sequence
 
 import numpy as np
 
@@ -27,13 +27,12 @@ from .estimator import EstimatorConfig, TruncationSchedule
 from .fields import (Basis, FieldSpec, FourierBasis, basis_from_json,
                      field_from_json, make_bv_field, make_finite_dim_field,
                      make_sobolev_field, true_coefficients)
-from .sensing import SEED_MAX, Deployment, Noise, make_deployment, make_noise
+from .sensing import (SEED_MAX, Deployment, Noise, UniformDeployment,
+                      make_deployment, make_noise)
 
 CSV_HEADER = ["experiment_id", "n", "m", "trials", "mse_mean", "mse_std",
               "ci_lo", "ci_hi", "bound_total", "bound_var_term",
               "bound_bias_term", "seed", "config_hash"]
-
-SUITE_NAMES = ("rates", "lemma1", "as_traces", "conditions", "all")
 
 _RATE_CONFIGS = ("finite_dim_k5", "bv_sawtooth", "sobolev_s1")
 _MISMATCH_CONFIGS = ("mismatch_linear2x", "mismatch_affine_floor")
@@ -80,6 +79,14 @@ def _finite_number(value) -> bool:
             and math.isfinite(value))
 
 
+def _has_boolean(value) -> bool:
+    """Whether true or false sits anywhere in a config value: Python counts
+    a bool as the integer 1 or 0, so every number check would take it."""
+    items = (value.values() if isinstance(value, dict)
+             else value if isinstance(value, (list, tuple)) else None)
+    return isinstance(value, bool) if items is None else any(map(_has_boolean, items))
+
+
 @dataclass(frozen=True, eq=False)
 class ExperimentConfig:
     experiment_id: str
@@ -116,6 +123,8 @@ def parse_experiment_config(doc: dict, seed_override: int | None = None) -> Expe
     unknown = sorted(set(doc) - set(_CONFIG_KEYS))
     if unknown:
         problems.append(f"unknown keys {unknown}; expected some of {list(_CONFIG_KEYS)}")
+    problems += [f"{key}: true and false are not numbers; booleans belong under acceptance"
+                 for key in doc if key != "acceptance" and _has_boolean(doc[key])]
 
     experiment_id = doc.get("experiment_id")
     if not isinstance(experiment_id, str) or not experiment_id:
@@ -261,10 +270,14 @@ class ExperimentOutcome:
     mse_means: tuple[float, ...]
     dominance_violations: int
     artifacts: tuple[str, ...]
+    verdicts: dict  # acceptance key (or "finite") -> whether the run meets it
+    divergent_js: tuple[int, ...] = ()
 
     @property
-    def rejected(self) -> bool:
-        return self.status == "FAILED-PRECONDITION"
+    def passed(self) -> bool:
+        """Every declared tolerance holds; a rejection passes only where
+        the config declares `expect_rejected: true`."""
+        return all(self.verdicts.values())
 
 
 def _write_lines(path: Path, lines: Sequence[str]) -> None:
@@ -303,7 +316,11 @@ def run_experiment(config: ExperimentConfig, out_dir, workers: int = 1) -> Exper
     divergent = [j for j in range(m_max)
                  if math.isinf(basis_deployment_integral(config.basis,
                                                          config.deployment, j))]
+    accept = config.acceptance
     if divergent:
+        expected = accept.get("expect_rejected", False)
+        checks = [f"rejected, expect_rejected {json.dumps(expected)}: "
+                  f"{'ok' if expected else 'VIOLATED'}"]
         detail = (
             f"rejected: the variance side of the distortion bound diverges — "
             f"the integral of |phi_j|^2 / p_X over [0,1] is infinite for "
@@ -315,15 +332,17 @@ def run_experiment(config: ExperimentConfig, out_dir, workers: int = 1) -> Exper
         _write_json(report_path, {"experiment_id": eid,
                                   "status": "FAILED-PRECONDITION",
                                   "detail": detail,
+                                  "checks": checks,
                                   "divergent_js": divergent,
                                   "seed": config.seed,
                                   "config_hash": config.config_hash})
         _write_lines(summary_path, [f"experiment {eid}",
-                                    "status FAILED-PRECONDITION", detail])
+                                    "status FAILED-PRECONDITION", detail] + checks)
         return ExperimentOutcome(config=config, status="FAILED-PRECONDITION",
-                                 detail=detail, fit=None, bounds=(),
-                                 mse_means=(), dominance_violations=0,
-                                 artifacts=artifacts)
+                                 detail="; ".join([detail] + checks), fit=None,
+                                 bounds=(), mse_means=(), dominance_violations=0,
+                                 artifacts=artifacts, verdicts={"expect_rejected": expected},
+                                 divergent_js=tuple(divergent))
 
     est_cfg = EstimatorConfig(basis=config.basis, density=config.deployment,
                               c=config.c, schedule=config.schedule)
@@ -342,17 +361,21 @@ def run_experiment(config: ExperimentConfig, out_dir, workers: int = 1) -> Exper
            if len(config.n_grid) >= RATE_FIT_MIN_POINTS else None)
 
     # parsing guarantees a rate fit wherever slope_range or r2_min is declared
-    accept = config.acceptance
-    verdicts: list[tuple[str, bool]] = []
+    verdicts: dict[str, tuple[str, bool]] = {}
     if "slope_range" in accept:
         lo, hi = accept["slope_range"]
-        verdicts.append((f"slope {fit.slope:+.4f} in [{lo}, {hi}]",
-                         lo <= fit.slope <= hi))
+        verdicts["slope_range"] = (f"slope {fit.slope:+.4f} in [{lo}, {hi}]",
+                                   lo <= fit.slope <= hi)
     if "r2_min" in accept:
-        verdicts.append((f"r2 {fit.r_squared:.5f} >= {accept['r2_min']}",
-                         fit.r_squared >= accept["r2_min"]))
+        verdicts["r2_min"] = (f"r2 {fit.r_squared:.5f} >= {accept['r2_min']}",
+                              fit.r_squared >= accept["r2_min"])
     if accept.get("bound_dominance"):
-        verdicts.append((f"bound dominance violations {violations}", violations == 0))
+        verdicts["bound_dominance"] = (f"bound dominance violations {violations}",
+                                       violations == 0)
+    if "expect_rejected" in accept:
+        expected = accept["expect_rejected"]
+        verdicts["expect_rejected"] = (f"ran, expect_rejected {json.dumps(expected)}",
+                                       not expected)
     # a NaN or infinite number is no evidence, whatever the declared tolerances
     reported = {"mse": sweep.means + sweep.stds, "ci": sweep.ci_half,
                 "bound": tuple(v for b in bounds
@@ -361,9 +384,9 @@ def run_experiment(config: ExperimentConfig, out_dir, workers: int = 1) -> Exper
     non_finite = [name for name, values in reported.items()
                   if not all(math.isfinite(v) for v in values)]
     if non_finite:
-        verdicts.append((f"non-finite {', '.join(non_finite)} values", False))
-    checks = [f"{text}: {'ok' if ok else 'VIOLATED'}" for text, ok in verdicts]
-    status = "PASS" if all(ok for _, ok in verdicts) else "FAIL"
+        verdicts["finite"] = (f"non-finite {', '.join(non_finite)} values", False)
+    checks = [f"{text}: {'ok' if ok else 'VIOLATED'}" for text, ok in verdicts.values()]
+    status = "PASS" if all(ok for _, ok in verdicts.values()) else "FAIL"
 
     rows = []
     for i, n in enumerate(config.n_grid):
@@ -400,7 +423,8 @@ def run_experiment(config: ExperimentConfig, out_dir, workers: int = 1) -> Exper
     return ExperimentOutcome(config=config, status=status, detail=detail,
                              fit=fit, bounds=bounds, mse_means=sweep.means,
                              dominance_violations=violations,
-                             artifacts=artifacts)
+                             artifacts=artifacts,
+                             verdicts={k: ok for k, (_, ok) in verdicts.items()})
 
 
 def run_as_trace(config: ExperimentConfig, out_dir) -> tuple[ASTraceResult, Path]:
@@ -423,10 +447,9 @@ def run_as_trace(config: ExperimentConfig, out_dir) -> tuple[ASTraceResult, Path
 def trace_verdict(trace: ASTraceResult, ratio_max: float) -> tuple[bool, str]:
     """Whether the trace's last-to-first sup-error ratio is below
     `trace_ratio_max`, and the detail line that reports it."""
-    ratio = trace.sup_error[-1] / trace.sup_error[0]
-    ok = ratio < ratio_max
+    ok = trace.sup_ratio < ratio_max
     return ok, (f"sup|S| {trace.sup_error[0]:.4e} -> {trace.sup_error[-1]:.4e} "
-                f"(ratio {ratio:.4f} {'<' if ok else '>='} {ratio_max})")
+                f"(ratio {trace.sup_ratio:.4f} {'<' if ok else '>='} {ratio_max})")
 
 
 # ---------------------------------------------------------------------------
@@ -478,8 +501,10 @@ def run_lemma_battery(n: int = 1000, trials: int = 10_000, j_count: int = 8,
     deployment / noise menu."""
     if trials < 2:
         raise ValueError("need at least two trials per cell")
-    from .sensing import (AffineFloorDeployment, TwoPointNoise,
-                          UniformDeployment, UniformSymNoise, ZeroNoise)
+    if n < 1:
+        raise ValueError("sensor count must be >= 1")
+    from .sensing import (AffineFloorDeployment, TwoPointNoise, UniformSymNoise,
+                          ZeroNoise)
 
     deployments = [("uniform", UniformDeployment()),
                    ("affine_floor_0.5", AffineFloorDeployment(nu=0.5))]
@@ -529,184 +554,184 @@ def run_lemma_battery(n: int = 1000, trials: int = 10_000, j_count: int = 8,
 
 
 # ---------------------------------------------------------------------------
-# suites
+# suites: one run each, which the acceptance table judges
+# ---------------------------------------------------------------------------
+
+def _run_rates(out: Path, workers: int) -> dict:
+    return {name: run_experiment(load_shipped_config(name), out, workers=workers)
+            for name in _RATE_CONFIGS}
+
+
+def _run_lemma1(out: Path, workers: int, trials: int = 10_000) -> LemmaBatteryResult:
+    battery = run_lemma_battery(trials=trials, workers=workers)
+    _write_csv(out / "lemma1_cells.csv", LEMMA_CELL_HEADER,
+               [[repr(r[k]) if isinstance(r[k], float) else r[k] for k in LEMMA_CELL_HEADER]
+                for r in battery.rows])
+    return battery
+
+
+def _run_traces(out: Path, workers: int) -> dict:
+    return {name: (config, run_as_trace(config, out)[0])
+            for name in _TRACE_CONFIGS for config in [load_shipped_config(name)]}
+
+
+def _run_conditions(out: Path, workers: int) -> dict:
+    basis, uniform = FourierBasis(), UniformDeployment()
+    mismatch = {name: run_experiment(load_shipped_config(name), out, workers=workers)
+                for name in _MISMATCH_CONFIGS}
+    grid = (100, 1000, 10_000, 100_000, 1_000_000)
+    reports = {name: check_consistency_conditions(schedule, basis, uniform, grid)
+               for name, schedule in (("bv", TruncationSchedule.bv()),
+                                      ("sobolev_s1", TruncationSchedule.sobolev(1.0)),
+                                      ("power_psi1", TruncationSchedule.power(1.0)),
+                                      ("fixed_m5", TruncationSchedule.fixed(5)))}
+    good, bad = (validate_as_schedule(0.5, gamma, basis, uniform, amplitude=1.0)
+                 for gamma in (1.5, 2.5))
+    affine = mismatch["mismatch_affine_floor"].config.deployment
+    return {"mismatch": mismatch,
+            "linear2x_js": mismatch["mismatch_linear2x"].divergent_js,
+            "integral_j0": basis_deployment_integral(basis, affine, 0),
+            "consistency": {**{name: bool(r.all_pass) for name, r in reports.items()},
+                            "power_psi1 variance_ok": bool(reports["power_psi1"].variance_ok)},
+            "schedules": {"gamma1.5 accepted": good.accepted, "gamma2.5 accepted": bad.accepted,
+                          "c1": good.c1, "c2": good.c2}}
+
+
+_SUITE_RUNS = {"rates": _run_rates, "lemma1": _run_lemma1,
+               "as_traces": _run_traces, "conditions": _run_conditions}
+SUITE_NAMES = (*_SUITE_RUNS, "all")
+
+
+# ---------------------------------------------------------------------------
+# acceptance table: criteria 1-10, each judged on its suite's run
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class SuiteRow:
+    criterion: int
     name: str
+    statistic: object
+    bound: object
     passed: bool
-    detail: str
+
+    @property
+    def line(self) -> str:
+        return (f"{'PASS' if self.passed else 'FAIL'}  {self.criterion}. {self.name}  "
+                f"[statistic {json.dumps(self.statistic)}; bound {json.dumps(self.bound)}]")
+
+
+@dataclass(frozen=True)
+class Criterion:
+    """One acceptance criterion: `statistic` reads the run of `suite`,
+    `bound` reads the bound where it is defined (a shipped config,
+    `LemmaBatteryResult` or this table), and `verdict(run, bound)` judges."""
+
+    number: int
+    name: str
+    suite: str
+    statistic: Callable[[object], object]
+    bound: Callable[[], object]
+    verdict: Callable[[object, object], bool]
+
+    def judge(self, run) -> SuiteRow:
+        bound = self.bound()
+        return SuiteRow(self.number, self.name, self.statistic(run), bound,
+                        bool(self.verdict(run, bound)))
+
+
+def _rate(number: int, name: str, config: str) -> Criterion:
+    """run_experiment judges the config's declared keys, dominance included."""
+    return Criterion(number, name, "rates",
+                     lambda run: {"slope": run[config].fit.slope,
+                                  "r_squared": run[config].fit.r_squared},
+                     lambda: {key: load_shipped_config(config).acceptance[key]
+                              for key in ("slope_range", "r2_min")},
+                     lambda run, bound: run[config].passed)
+
+
+_BATTERY = LemmaBatteryResult
+
+ACCEPTANCE = (
+    _rate(1, "finite-dimensional MSE rate n^-1", "finite_dim_k5"),
+    _rate(2, "bounded-variation MSE rate n^-1/2", "bv_sawtooth"),
+    _rate(3, "Sobolev s=1 MSE rate n^-2/3", "sobolev_s1"),
+    Criterion(4, "Monte-Carlo MSE <= bound + 3 CI at every grid point", "rates",
+              lambda run: {name: o.dominance_violations for name, o in run.items()},
+              lambda: {name: load_shipped_config(name).acceptance.get("bound_dominance")
+                       for name in _RATE_CONFIGS},
+              lambda run, bound: all(o.verdicts.get("bound_dominance", False)
+                                     for o in run.values())),
+    Criterion(5, "coefficient estimates are unbiased", "lemma1",
+              lambda b: {"frac_within_4sigma": b.frac_within_4sigma,
+                         "max_dev_sigmas": b.max_dev_sigmas},
+              lambda: {"within_sigmas": _BATTERY.WITHIN_SIGMAS,
+                       "frac_within_min": _BATTERY.FRAC_WITHIN_MIN,
+                       "dev_sigmas_max": _BATTERY.DEV_SIGMAS_MAX},
+              lambda b, bound: b.unbiasedness_ok),
+    Criterion(6, "coefficient variance <= (c^2/n) x integral in every cell", "lemma1",
+              lambda b: {"max_var_ratio": b.max_var_ratio},
+              lambda: {"var_ratio_max": _BATTERY.VAR_RATIO_MAX},
+              lambda b, bound: b.variance_ok),
+    Criterion(7, "p(x)=2x rejected for its j=0 divergence, affine floor accepted",
+              "conditions",
+              lambda run: {"status": {name: o.status for name, o in run["mismatch"].items()},
+                           "first_divergent_j": next(iter(run["linear2x_js"]), None),
+                           "integral_j0": run["integral_j0"]},
+              lambda: {"first_divergent_j": 0, "integral_j0": math.log(3.0), "tolerance": 1e-6},
+              lambda run, bound: (
+                  all(o.passed for o in run["mismatch"].values())
+                  and run["linear2x_js"][:1] == (bound["first_divergent_j"],)
+                  and abs(run["integral_j0"] - bound["integral_j0"]) <= bound["tolerance"])),
+    Criterion(8, "consistency: m(n)=n fails the variance check, sqrt(n) and n^(1/3) "
+                 "pass", "conditions",
+              lambda run: run["consistency"],
+              lambda: {"bv": True, "sobolev_s1": True, "power_psi1": False,
+                       "fixed_m5": False, "power_psi1 variance_ok": False},
+              lambda run, bound: run["consistency"] == bound),
+    Criterion(9, "pathwise schedule: psi=0.5 accepted at gamma=1.5, rejected at 2.5",
+              "conditions",
+              lambda run: run["schedules"],
+              lambda: {"gamma1.5 accepted": True, "gamma2.5 accepted": False,
+                       "c1": 1.0, "c2": 1.0},
+              lambda run, bound: run["schedules"] == bound),
+    Criterion(10, "sup error shrinks along one sample path", "as_traces",
+              lambda run: {name: trace.sup_ratio for name, (_, trace) in run.items()},
+              lambda: {name: load_shipped_config(name).acceptance["trace_ratio_max"]
+                       for name in _TRACE_CONFIGS},
+              lambda run, bound: all(
+                  trace_verdict(trace, config.acceptance["trace_ratio_max"])[0]
+                  for config, trace in run.values())),
+)
 
 
 @dataclass(frozen=True, eq=False)
 class SuiteResult:
     suite: str
     rows: tuple[SuiteRow, ...]
-    artifacts: tuple[str, ...]
 
     @property
     def all_pass(self) -> bool:
         return all(r.passed for r in self.rows)
 
 
-def _suite_artifacts(out: Path, suite: str, rows: Sequence[SuiteRow],
-                     extra: dict | None = None) -> tuple[str, ...]:
-    report = {"suite": suite,
-              "rows": [{"name": r.name, "passed": r.passed, "detail": r.detail}
-                       for r in rows],
-              "all_pass": all(r.passed for r in rows)}
-    if extra:
-        report.update(extra)
-    report_path = out / f"{suite}_report.json"
-    summary_path = out / f"{suite}_summary.txt"
-    _write_json(report_path, report)
-    lines = [f"suite {suite}"]
-    lines += [f"{'PASS' if r.passed else 'FAIL'}  {r.name}  [{r.detail}]"
-              for r in rows]
-    lines.append(f"overall {'PASS' if report['all_pass'] else 'FAIL'}")
-    _write_lines(summary_path, lines)
-    return (str(report_path), str(summary_path))
-
-
-def _run_rates_suite(out: Path, workers: int) -> SuiteResult:
-    rows: list[SuiteRow] = []
-    artifacts: list[str] = []
-    extra = {}
-    for name in _RATE_CONFIGS:
-        outcome = run_experiment(load_shipped_config(name), out, workers=workers)
-        artifacts.extend(outcome.artifacts)
-        slope = outcome.fit.slope if outcome.fit else math.nan
-        r2 = outcome.fit.r_squared if outcome.fit else math.nan
-        rows.append(SuiteRow(
-            name=f"rate {name}", passed=outcome.status == "PASS",
-            detail=f"slope={slope:+.4f} r2={r2:.5f} "
-                   f"dominance_violations={outcome.dominance_violations}"))
-        extra[name] = {"slope": slope, "r_squared": r2,
-                       "dominance_violations": outcome.dominance_violations,
-                       "status": outcome.status}
-    artifacts.extend(_suite_artifacts(out, "rates", rows, extra))
-    return SuiteResult(suite="rates", rows=tuple(rows), artifacts=tuple(artifacts))
-
-
-def _run_lemma1_suite(out: Path, workers: int, trials: int = 10_000) -> SuiteResult:
-    battery = run_lemma_battery(trials=trials, workers=workers)
-    csv_rows = [[r["cell"], r["field"], r["deployment"], r["noise"], r["j"],
-                 repr(r["alpha_re"]), repr(r["alpha_im"]), repr(r["mean_re"]),
-                 repr(r["mean_im"]), repr(r["dev_sigmas"]), repr(r["var_emp"]),
-                 repr(r["var_bound"]), repr(r["var_ratio"])]
-                for r in battery.rows]
-    csv_path = out / "lemma1_cells.csv"
-    _write_csv(csv_path, LEMMA_CELL_HEADER, csv_rows)
-    rows = [
-        SuiteRow(f"unbiasedness: >={battery.FRAC_WITHIN_MIN:.0%} of cells within "
-                 f"{battery.WITHIN_SIGMAS:g} sigma",
-                 battery.frac_within_4sigma >= battery.FRAC_WITHIN_MIN,
-                 f"fraction={battery.frac_within_4sigma:.4f}"),
-        SuiteRow(f"unbiasedness: no cell beyond {battery.DEV_SIGMAS_MAX:g} sigma",
-                 battery.max_dev_sigmas <= battery.DEV_SIGMAS_MAX,
-                 f"max_dev={battery.max_dev_sigmas:.3f} sigma"),
-        SuiteRow(f"variance bound: empirical var <= {battery.VAR_RATIO_MAX:g} * "
-                 f"bound in every cell",
-                 battery.variance_ok, f"max_ratio={battery.max_var_ratio:.4f}"),
-    ]
-    artifacts = [str(csv_path)]
-    artifacts.extend(_suite_artifacts(out, "lemma1", rows))
-    return SuiteResult(suite="lemma1", rows=tuple(rows), artifacts=tuple(artifacts))
-
-
-def _run_traces_suite(out: Path, workers: int) -> SuiteResult:
-    rows: list[SuiteRow] = []
-    artifacts: list[str] = []
-    extra = {}
-    for name in _TRACE_CONFIGS:
-        config = load_shipped_config(name)
-        trace, trace_path = run_as_trace(config, out)
-        artifacts.append(str(trace_path))
-        passed, detail = trace_verdict(trace, config.acceptance["trace_ratio_max"])
-        rows.append(SuiteRow(
-            name=f"trace {name}: sup error shrinks along one sample path",
-            passed=passed, detail=detail))
-        extra[name] = trace.to_json()
-    artifacts.extend(_suite_artifacts(out, "as_traces", rows, extra))
-    return SuiteResult(suite="as_traces", rows=tuple(rows), artifacts=tuple(artifacts))
-
-
-def _run_conditions_suite(out: Path, workers: int) -> SuiteResult:
-    from .sensing import AffineFloorDeployment, UniformDeployment
-
-    basis = FourierBasis()
-    uniform = UniformDeployment()
-    n_grid = (100, 1000, 10_000, 100_000, 1_000_000)
-    rows: list[SuiteRow] = []
-    extra: dict = {"consistency": {}}
-
-    cases = [
-        ("bv", TruncationSchedule.bv(), True),
-        ("sobolev_s1", TruncationSchedule.sobolev(1.0), True),
-        ("power_psi1", TruncationSchedule.power(1.0), False),
-        ("fixed_m5", TruncationSchedule.fixed(5), False),
-    ]
-    for name, schedule, expect_pass in cases:
-        report = check_consistency_conditions(schedule, basis, uniform, n_grid)
-        ok = report.all_pass == expect_pass
-        rows.append(SuiteRow(
-            name=f"consistency {name} ({'should pass' if expect_pass else 'should fail'})",
-            passed=ok,
-            detail=f"truncation_ok={report.truncation_ok} "
-                   f"infimum_positive={report.infimum_positive} "
-                   f"variance_ok={report.variance_ok}"))
-        extra["consistency"][name] = {
-            "m_values": list(report.m_values),
-            "variance_condition_values": list(report.variance_condition_values),
-            "all_pass": report.all_pass}
-
-    for psi, gamma, expect in ((0.5, 1.5, True), (0.5, 2.5, False)):
-        validation = validate_as_schedule(psi, gamma, basis, uniform, amplitude=1.0)
-        ok = validation.accepted == expect
-        rows.append(SuiteRow(
-            name=f"pathwise schedule psi={psi} gamma={gamma} "
-                 f"({'accept' if expect else 'reject'})",
-            passed=ok,
-            detail=f"series_exponent={validation.series_exponent:.3f} "
-                   f"c1={validation.c1} c2={validation.c2} "
-                   f"kernel_ratio={validation.kernel_ratio_max}"))
-        extra[f"schedule_{psi}_{gamma}"] = validation.to_json()
-
-    for name in _MISMATCH_CONFIGS:
-        config = load_shipped_config(name)
-        expect_rejected = config.acceptance["expect_rejected"]
-        outcome = run_experiment(config, out, workers=workers)
-        ok = outcome.rejected == expect_rejected
-        integral = basis_deployment_integral(basis, config.deployment, 0)
-        rows.append(SuiteRow(
-            name=f"deployment match {name} "
-                 f"({'reject' if expect_rejected else 'accept'})",
-            passed=ok,
-            detail=f"status={outcome.status} integral_j0={integral}"))
-        extra[name] = {"status": outcome.status, "integral_j0": integral}
-
-    artifacts = _suite_artifacts(out, "conditions", rows, extra)
-    return SuiteResult(suite="conditions", rows=tuple(rows), artifacts=artifacts)
-
-
 def run_suite(name: str, out_dir, workers: int = 1) -> SuiteResult:
-    """Run one named verification suite; artifacts land under out_dir."""
+    """Run one named suite and judge its criteria with the acceptance table
+    (`all`: every suite); writes `<name>_report.json` and `<name>_summary.txt`
+    beside the runs' own artifacts under out_dir."""
+    if name not in SUITE_NAMES:
+        raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    if name == "rates":
-        return _run_rates_suite(out, workers)
-    if name == "lemma1":
-        return _run_lemma1_suite(out, workers)
-    if name == "as_traces":
-        return _run_traces_suite(out, workers)
-    if name == "conditions":
-        return _run_conditions_suite(out, workers)
     if name == "all":
-        parts = [run_suite(s, out, workers)
-                 for s in ("rates", "lemma1", "as_traces", "conditions")]
-        rows = tuple(r for p in parts for r in p.rows)
-        artifacts = tuple(a for p in parts for a in p.artifacts)
-        artifacts += _suite_artifacts(out, "all", rows)
-        return SuiteResult(suite="all", rows=rows, artifacts=artifacts)
-    raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
+        rows = sorted((r for s in _SUITE_RUNS for r in run_suite(s, out, workers).rows),
+                      key=lambda r: r.criterion)
+    else:
+        run = _SUITE_RUNS[name](out, workers)
+        rows = [c.judge(run) for c in ACCEPTANCE if c.suite == name]
+    result = SuiteResult(suite=name, rows=tuple(rows))
+    _write_json(out / f"{name}_report.json",
+                {"suite": name, "rows": [asdict(r) for r in rows],
+                 "all_pass": result.all_pass})
+    _write_lines(out / f"{name}_summary.txt", [f"suite {name}"] + [r.line for r in rows]
+                 + [f"overall {'PASS' if result.all_pass else 'FAIL'}"])
+    return result

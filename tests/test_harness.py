@@ -123,15 +123,15 @@ def test_matched_deployment_runs(tmp_path):
     assert outcome.status == "PASS"
 
 
-def test_conditions_suite_passes_and_is_byte_stable(tmp_path):
-    r1 = run_suite("conditions", tmp_path / "one")
-    r2 = run_suite("conditions", tmp_path / "two")
-    assert r1.all_pass
-    assert [(row.name, row.passed) for row in r1.rows] == \
-        [(row.name, row.passed) for row in r2.rows]
-    b1 = (tmp_path / "one" / "conditions_report.json").read_bytes()
-    b2 = (tmp_path / "two" / "conditions_report.json").read_bytes()
-    assert b1 == b2
+def test_the_conditions_suite_holds_the_affine_floor_integral_at_ln3(tmp_path, monkeypatch):
+    """Criterion 7 fails when the affine-floor j = 0 integral misses ln 3 by
+    more than 1e-6."""
+    real = harness.basis_deployment_integral
+    monkeypatch.setattr(harness, "basis_deployment_integral", lambda basis, deploy, j: (
+        real(basis, deploy, j) + (2e-6 if deploy.kind == "affine_floor" and j == 0 else 0.0)))
+    result = run_suite("conditions", tmp_path)
+    verdicts = [(row.criterion, row.passed) for row in result.rows]
+    assert verdicts == [(7, False), (8, True), (9, True)] and not result.all_pass
 
 
 def test_unknown_suite_rejected(tmp_path):
@@ -170,10 +170,13 @@ def test_lemma_battery_smoke():
     assert len(cells) == 18
 
 
-def test_lemma_battery_needs_two_trials():
-    # one trial has no sample variance (it divided by zero into NaN rows)
-    with pytest.raises(ValueError, match="two trials"):
-        run_lemma_battery(n=100, trials=1, j_count=2)
+@pytest.mark.parametrize("n, trials, message", [(100, 1, "two trials"),
+                                                 (0, 10, "sensor count must be >= 1")])
+def test_lemma_battery_needs_two_trials(n, trials, message):
+    # one trial has no sample variance (it divided by zero into NaN rows);
+    # no sensors divided by zero in the pool-task size
+    with pytest.raises(ValueError, match=message):
+        run_lemma_battery(n=n, trials=trials, j_count=2)
 
 
 def test_lemma_battery_rows_do_not_depend_on_the_worker_count():
@@ -184,7 +187,7 @@ def test_lemma_battery_rows_do_not_depend_on_the_worker_count():
 
 def test_lemma_cells_csv_holds_plain_numbers(tmp_path):
     # numpy scalars would print as np.float64(...) under repr()
-    harness._run_lemma1_suite(tmp_path, workers=1, trials=20)
+    harness._run_lemma1(tmp_path, workers=1, trials=20)
     lines = (tmp_path / "lemma1_cells.csv").read_text().splitlines()
     header = lines[0].split(",")
     assert header == harness.LEMMA_CELL_HEADER and len(lines) == 1 + 18 * 8
@@ -212,6 +215,23 @@ def test_cli_run_and_check_conditions(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert "overall: PASS" in proc.stdout
+
+
+@pytest.mark.parametrize("name, expect_rejected, status, code", [
+    ("mismatch_linear2x", True, "FAILED-PRECONDITION", 0),
+    ("mismatch_affine_floor", False, "PASS", 0),
+    ("mismatch_affine_floor", True, "FAIL", 1)])
+def test_cli_run_holds_expect_rejected(tmp_path, capsys, name, expect_rejected, status, code):
+    """A declared rejection that happens is exit 0 and keeps its status; one
+    that does not happen is exit 1, like an undeclared rejection."""
+    doc = _shipped_doc(name)
+    doc["acceptance"]["expect_rejected"] = expect_rejected
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(doc))
+    assert cli.main(["run", str(config_path), "--out", str(tmp_path / "out")]) == code
+    out = capsys.readouterr().out
+    assert f"{name}: {status}\n" in out
+    assert f"expect_rejected {json.dumps(expect_rejected)}: {'VIOLATED' if code else 'ok'}" in out
 
 
 @pytest.mark.parametrize("command", ["run", "suite"])
@@ -332,7 +352,7 @@ _LEAF_CASES = [(name, path) for name in _RATE_CONFIGS + _TRACE_CONFIGS + _MISMAT
                for path in _numeric_leaves(_shipped_doc(name))]
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, True, False])
 @pytest.mark.parametrize("name, path", _LEAF_CASES,
                          ids=[f"{n}:{'.'.join(map(str, p))}" for n, p in _LEAF_CASES])
 def test_a_non_finite_number_anywhere_is_a_config_error(name, path, bad):
