@@ -8,9 +8,9 @@ orthonormality), so the Monte-Carlo loops never need quadrature.
 from __future__ import annotations
 
 import math
-from contextlib import nullcontext
+from contextlib import closing, nullcontext
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -212,19 +212,25 @@ def _trial_chunk(payload) -> np.ndarray:
 
 
 def map_trials(cells: Sequence[TrialCell], seed: int,
-               workers: int = 1) -> list[np.ndarray]:
-    """Coefficient estimates of every trial: one (trials, m) array per cell.
+               take: Callable[[int, int, np.ndarray], None], workers: int = 1) -> None:
+    """Coefficient estimates of every trial, handed to `take(i, t0, rows)`
+    chunk by chunk: rows holds the (t1 - t0, m) estimates of trials
+    [t0, t1) of cell i.
 
     A cell's trials go to `workers` processes (1 to WORKERS_MAX) in chunks
-    of max(1, TASK_SENSORS // n). Trial t of cell i draws from
-    trial_seed(seed, i, t), whose stream words each chunk lays out in one
-    array (`stream_keys`); the chunk runs in blocks of trials, and each
-    block in tiles of at most BLOCK_SENSORS sensors per trial: one windowed
-    `simulate_batch` call and one `add_sensors` call per tile feed running
-    sums, finished once per block. A tile equals the slice of the whole
-    draw, and the sums add up as one pass over whole rows does, so the rows
-    are those of one simulate and one estimate call per block, bit for
-    bit, and neither the chunks nor the worker count change a byte.
+    of max(1, TASK_SENSORS // n), and the chunks reach `take` as they
+    arrive, in payload order: cell by cell, each cell's in trial order.
+    No estimate outlives its chunk unless `take` keeps it. Trial t of cell
+    i draws from trial_seed(seed, i, t), whose stream words each chunk
+    lays out in one array (`stream_keys`); the chunk runs in blocks of
+    trials, and each block in tiles of at most BLOCK_SENSORS sensors per
+    trial: one windowed `simulate_batch` call and one `add_sensors` call
+    per tile feed running sums, finished once per block. A tile equals the
+    slice of the whole draw, and the sums add up as one pass over whole
+    rows does, so the rows are those of one simulate and one estimate call
+    per block, bit for bit, and neither the chunks nor the worker count
+    change a byte. The call returns once every chunk is taken, and no pool
+    outlives it, also when a chunk or `take` raises.
     """
     if not 1 <= workers <= WORKERS_MAX:
         raise ValueError(f"workers must be in [1, {WORKERS_MAX}], got {workers}")
@@ -232,20 +238,20 @@ def map_trials(cells: Sequence[TrialCell], seed: int,
                 for i, cell in enumerate(cells)
                 for chunk in [max(1, TASK_SENSORS // cell.n)]
                 for t0 in range(0, cell.trials, chunk)]
-    out = [np.empty((cell.trials, cell.m), dtype=np.complex128) for cell in cells]
     pool = nullcontext()
     if workers > 1:
         # imported here, so a one-worker run never loads multiprocessing
         from concurrent.futures import ProcessPoolExecutor
         pool = ProcessPoolExecutor(max_workers=workers)
-    # chunks are copied out as they arrive, so no second copy of the
-    # estimates is ever held
     with pool as executor:
         parts = (executor.map(_trial_chunk, payloads) if executor
-                 else map(_trial_chunk, payloads))
-        for (_, _, i, t0, t1), part in zip(payloads, parts):
-            out[i][t0:t1] = part
-    return out
+                 else (_trial_chunk(payload) for payload in payloads))
+        # no name holds a chunk once its take returns; closing the parts
+        # cancels the tasks not yet started, so a raise waits only for the
+        # running ones before the pool shuts down
+        with closing(parts):
+            for _, _, i, t0, _ in payloads:
+                take(i, t0, next(parts))
 
 
 @dataclass(frozen=True, eq=False)
@@ -280,12 +286,15 @@ def monte_carlo_mse(field: FieldSpec, deploy: Deployment, noise: Noise,
     m_values = tuple(cfg.schedule.resolve(n) for n in n_grid)
     cells = [TrialCell(field, deploy, noise, cfg, n, m, t)
              for n, m, t in zip(n_grid, m_values, trials_per_n)]
-    estimates = map_trials(cells, seed, workers=workers)
+    true_cvs = [true_coefficients(field, cfg.basis, m) for m in m_values]
+    per_n = tuple(np.empty(t) for t in trials_per_n)
 
-    per_n = tuple(integrated_squared_error(ReconstructionCoefficients(rows, cell.n),
-                                           true_coefficients(field, cfg.basis, cell.m),
-                                           field)
-                  for cell, rows in zip(cells, estimates))
+    def score(i: int, t0: int, rows: np.ndarray) -> None:
+        # each row is scored on its own, so chunking changes no error
+        per_n[i][t0:t0 + len(rows)] = integrated_squared_error(
+            ReconstructionCoefficients(rows, n_grid[i]), true_cvs[i], field)
+
+    map_trials(cells, seed, score, workers=workers)
 
     means = tuple(float(np.mean(v)) for v in per_n)
     stds = tuple(float(np.std(v, ddof=1)) for v in per_n)

@@ -46,8 +46,9 @@ _ACCEPTANCE_KEYS = ("slope_range", "r2_min", "bound_dominance",
 # Largest sensor count a config may ask for: 16x the shipped 10^6 of the
 # trace configs, and a bound on the arrays one realization allocates.
 N_GRID_MAX = 1 << 24
-# Largest trial count per cell: a cell's estimates are one (trials, m)
-# complex array, so this bounds its rows before anything is allocated.
+# Largest trial count per cell: a sweep cell's errors are one (trials,)
+# array (`MseSweep.trial_values`), so this bounds it before anything is
+# allocated; the estimates themselves stream through chunk by chunk.
 TRIALS_MAX = (1 << 32) - 1
 # Largest dynamic range c = amplitude bound + noise b: squared errors and
 # bounds scale as c^2 times the coefficient count, which must stay finite.
@@ -494,6 +495,15 @@ class LemmaBatteryResult:
         return self.max_var_ratio <= self.VAR_RATIO_MAX
 
 
+def _ordered_sum(total: np.ndarray | None, rows: np.ndarray) -> np.ndarray:
+    """total + rows[0] + rows[1] + ..., one row at a time in order, or the
+    rows alone when total is None: the order in which numpy's axis-0 mean
+    adds a (trials, m) array for m >= 2, so a streamed mean equals it bit
+    for bit. A copy, so the partial sums of the chunk are not kept."""
+    stack = rows if total is None else np.concatenate((total[None], rows))
+    return np.cumsum(stack, axis=0)[-1].copy()
+
+
 def run_lemma_battery(n: int = 1000, trials: int = 10_000, j_count: int = 8,
                       seed: int = 7_102_030, workers: int = 1) -> LemmaBatteryResult:
     """Across-trials mean and variance of the coefficient estimates versus
@@ -517,19 +527,28 @@ def run_lemma_battery(n: int = 1000, trials: int = 10_000, j_count: int = 8,
              for dname, d in deployments
              for zname, z in noises]
 
-    trial_cells = []
+    trial_cells, alphas = [], []
     for _, f, _, d, _, z in cells:
         cfg = EstimatorConfig(basis=basis, density=d, c=f.amplitude_bound + z.b,
                               schedule=TruncationSchedule.fixed(j_count))
         trial_cells.append(TrialCell(f, d, z, cfg, n, j_count, trials))
-    estimates = map_trials(trial_cells, seed, workers=workers)
+        alphas.append(true_coefficients(f, basis, j_count).values)
+    # per cell, S1 = sum of alpha_hat and S2 = sum of |alpha_hat - alpha|^2,
+    # shifted by the exact alpha (Chan, Golub & LeVeque, Am. Stat. 1983):
+    # O(m) numbers at any trial count
+    s1, s2 = [None] * len(cells), [None] * len(cells)
+
+    def take(i: int, t0: int, rows: np.ndarray) -> None:
+        s1[i] = _ordered_sum(s1[i], rows)
+        s2[i] = _ordered_sum(s2[i], np.abs(rows - alphas[i]) ** 2)
+
+    map_trials(trial_cells, seed, take, workers=workers)
 
     rows: list[dict] = []
-    for (fname, f, dname, d, zname, z), mat in zip(cells, estimates):
+    for (fname, f, dname, d, zname, z), alpha, total, shifted in zip(cells, alphas, s1, s2):
         c = f.amplitude_bound + z.b
-        alpha = true_coefficients(f, basis, j_count).values
-        mean = mat.mean(axis=0)
-        var_emp = np.sum(np.abs(mat - mean) ** 2, axis=0) / (trials - 1)
+        mean = total / trials
+        var_emp = (shifted - trials * np.abs(mean - alpha) ** 2) / (trials - 1)
         sigma_mean = np.sqrt(var_emp / trials)
         for j in range(j_count):
             bound = (c * c / n) * basis_deployment_integral(basis, d, j)

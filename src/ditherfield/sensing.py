@@ -351,15 +351,13 @@ def _fill_uniforms(gen: np.random.Generator, words: np.ndarray,
     fraction of the cost of building one and drawing up to there; the
     start % 4 draws left are discarded."""
     skip = start % 4
-    counter = np.zeros(4, dtype=np.uint64)
-    counter[0] = start // 4
+    # Python ints in lists: the setter reads them faster than numpy words
+    counter, key = [int(start) // 4, 0, 0, 0], [0, 0]
     state = {"bit_generator": "Philox",
-             "state": {"counter": counter, "key": None},
-             "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+             "state": {"counter": counter, "key": key},
+             "buffer": [0, 0, 0, 0], "buffer_pos": 4,
              "has_uint32": 0, "uinteger": 0}
-    for word, row in zip(words, out):
-        state["state"]["key"] = word[:2]
-        counter[1:3] = word[2:]
+    for (key[0], key[1], counter[1], counter[2]), row in zip(words.tolist(), out):
         gen.bit_generator.state = state
         if skip:
             gen.bit_generator.random_raw(skip)

@@ -7,6 +7,7 @@ from ditherfield import (AffineFloorDeployment, FiniteDimField, FourierBasis,
                          SensorBatch, StepBasis, TabulatedDeployment,
                          UniformDeployment, make_bv_field,
                          make_finite_dim_field, make_sobolev_field)
+from ditherfield.analysis import map_trials
 from ditherfield.sensing import (STREAM_LOCATIONS, STREAM_NOISE,
                                  STREAM_THRESHOLDS)
 
@@ -48,6 +49,18 @@ def basis_sums(basis, m: int, x: np.ndarray, w: np.ndarray) -> np.ndarray:
     sums = basis.running_sums(m, x.shape[:-1], x.shape[-1])
     sums.add(x, w)
     return sums.result()
+
+
+def collect_trials(cells, seed, workers: int = 1) -> list[np.ndarray]:
+    """Every trial's estimates, one (trials, m) array per cell, collected
+    from the chunks `map_trials` hands over."""
+    out = [np.empty((cell.trials, cell.m), dtype=np.complex128) for cell in cells]
+
+    def take(i, t0, rows):
+        out[i][t0:t0 + len(rows)] = rows
+
+    map_trials(cells, seed, take, workers=workers)
+    return out
 
 
 def traced_peak_mb(fn) -> float:

@@ -1,4 +1,5 @@
 import math
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from scipy.integrate import quad
 
 from ditherfield import (AffineFloorDeployment, EstimatorConfig, FourierBasis,
                          Linear2xDeployment, ReconstructionCoefficients,
-                         TabulatedDeployment, TruncGaussNoise,
+                         StepBasis, TabulatedDeployment, TruncGaussNoise,
                          TruncationSchedule, UniformDeployment,
                          UniformSymNoise, ZeroNoise,
                          as_error_trace, basis_deployment_integral,
@@ -19,7 +20,7 @@ from ditherfield import analysis
 from ditherfield.analysis import WORKERS_MAX, TrialCell, map_trials
 from ditherfield.fields import synthesize
 
-from conftest import tabulate_deployment, zero_field
+from conftest import collect_trials, tabulate_deployment, zero_field
 
 LN3 = 1.0986122886681098
 
@@ -273,7 +274,7 @@ def test_chunk_size_does_not_change_trial_estimates(sawtooth, monkeypatch):
     for workers in (1, 2):
         for task_sensors in (1, 2100, 75_000):
             monkeypatch.setattr(analysis, "TASK_SENSORS", task_sensors)
-            runs.append(map_trials(cells, seed=17, workers=workers))
+            runs.append(collect_trials(cells, seed=17, workers=workers))
     assert [a.shape for a in runs[0]] == [(123, 5), (9, 8), (12, 8)]
     for other in runs[1:]:
         assert all(np.array_equal(a, b) for a, b in zip(runs[0], other))
@@ -288,9 +289,51 @@ def test_the_worker_count_is_checked_before_any_trial_runs(sawtooth, workers):
     deploy, noise = UniformDeployment(), ZeroNoise()
     cfg = EstimatorConfig(basis=FourierBasis(), density=deploy, c=1.0,
                           schedule=TruncationSchedule.fixed(4))
+    taken = []
     with pytest.raises(ValueError, match=rf"workers must be in \[1, {WORKERS_MAX}\]"):
         map_trials([TrialCell(sawtooth, deploy, noise, cfg, 100, 4, 2)], seed=1,
-                   workers=workers)
+                   take=lambda *chunk: taken.append(chunk), workers=workers)
+    assert taken == []
+
+
+def test_chunks_reach_take_in_payload_order(sawtooth, monkeypatch):
+    """Cell by cell, each cell's chunks in trial order, at either worker count."""
+    monkeypatch.setattr(analysis, "TASK_SENSORS", 500)
+    deploy, noise = UniformDeployment(), UniformSymNoise(b=1.0)
+    cfg = EstimatorConfig(basis=FourierBasis(), density=deploy, c=1.5,
+                          schedule=TruncationSchedule.fixed(4))
+    cells = [TrialCell(sawtooth, deploy, noise, cfg, n, 4, trials)
+             for n, trials in ((100, 12), (200, 5))]
+    for workers in (1, 2):
+        order = []
+        map_trials(cells, seed=3, workers=workers,
+                   take=lambda i, t0, rows: order.append((i, t0, rows.shape)))
+        assert order == [(0, 0, (5, 4)), (0, 5, (5, 4)), (0, 10, (2, 4)),
+                         (1, 0, (2, 4)), (1, 2, (2, 4)), (1, 4, (1, 4))]
+
+
+def test_no_pool_outlives_a_raise(sawtooth, monkeypatch):
+    """A chunk that raises in a worker (four step functions asked for
+    eight) and a `take` that raises both leave no worker process behind."""
+    monkeypatch.setattr(analysis, "TASK_SENSORS", 100)
+    deploy, noise = UniformDeployment(), ZeroNoise()
+
+    def cell(basis):
+        cfg = EstimatorConfig(basis=basis, density=deploy, c=1.0,
+                              schedule=TruncationSchedule.fixed(8))
+        return TrialCell(sawtooth, deploy, noise, cfg, 100, 8, 6)
+
+    with pytest.raises(IndexError, match="step basis has 4 functions"):
+        map_trials([cell(FourierBasis()), cell(StepBasis(cells=4))], seed=2,
+                   take=lambda *chunk: None, workers=2)
+    assert multiprocessing.active_children() == []
+
+    def take(i, t0, rows):
+        raise RuntimeError("consumer failed")
+
+    with pytest.raises(RuntimeError, match="consumer failed"):
+        map_trials([cell(FourierBasis())], seed=2, take=take, workers=2)
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("m", [1, 8, 512])
@@ -301,8 +344,8 @@ def test_sweep_scores_each_trial_as_its_own_row(sawtooth, m):
     cfg = EstimatorConfig(basis=FourierBasis(), density=deploy, c=1.5,
                           schedule=TruncationSchedule.fixed(m))
     sweep = monte_carlo_mse(sawtooth, deploy, noise, cfg, [1024], trials=12, seed=41)
-    rows = map_trials([TrialCell(sawtooth, deploy, noise, cfg, 1024, m, 12)],
-                      seed=41)[0]
+    rows = collect_trials([TrialCell(sawtooth, deploy, noise, cfg, 1024, m, 12)],
+                          seed=41)[0]
     true_cv = true_coefficients(sawtooth, FourierBasis(), m)
     per_row = [integrated_squared_error(ReconstructionCoefficients(row, 1024),
                                         true_cv, sawtooth) for row in rows]

@@ -18,13 +18,13 @@ from ditherfield import (AffineFloorDeployment, EstimationError, EstimatorConfig
                          make_sobolev_field, simulate_batch, stream_keys,
                          trial_seed)
 from ditherfield import analysis, sensing, spectral
-from ditherfield.analysis import BLOCK_SENSORS, TrialCell, as_error_trace, map_trials
-from ditherfield.harness import load_shipped_config
+from ditherfield.analysis import BLOCK_SENSORS, TrialCell, as_error_trace
+from ditherfield.harness import load_shipped_config, run_lemma_battery
 from ditherfield.sensing import SPAWN_MAX
 from ditherfield.spectral import ConjSums, conj_sums
 
-from conftest import (SHIPPED_K5_COEFFS, basis_sums, reference_batch, substream,
-                      tabulate_deployment, traced_peak_mb)
+from conftest import (SHIPPED_K5_COEFFS, basis_sums, collect_trials, reference_batch,
+                      substream, tabulate_deployment, traced_peak_mb)
 
 DEPLOYMENTS = [UniformDeployment(), Linear2xDeployment(),
                AffineFloorDeployment(nu=0.5),
@@ -119,7 +119,7 @@ def test_block_rows_equal_the_one_trial_oracle(deploy, noise):
         for basis in BASES:
             for n in SENSOR_COUNTS:
                 cell = cell_for(field, deploy, noise, basis, n, trials)
-                rows = map_trials([cell], seed)[0]
+                rows = collect_trials([cell], seed)[0]
                 for t in range(trials):
                     batch = reference_batch(field, deploy, noise, n, trial_seed(seed, 0, t))
                     want = estimate_coefficients(batch, cell.cfg, M).values
@@ -173,10 +173,10 @@ def test_the_engine_is_prefix_stable(sawtooth):
     """More trials keep the first trials' rows; more sensors keep the first
     sensors of every row of a block."""
     deploy, noise = UniformDeployment(), UniformSymNoise(b=1.0)
-    short = map_trials([cell_for(sawtooth, deploy, noise, FourierBasis(), 500, 40)],
-                       seed=9)[0]
-    long = map_trials([cell_for(sawtooth, deploy, noise, FourierBasis(), 500, 90)],
-                      seed=9)[0]
+    short = collect_trials([cell_for(sawtooth, deploy, noise, FourierBasis(), 500, 40)],
+                           seed=9)[0]
+    long = collect_trials([cell_for(sawtooth, deploy, noise, FourierBasis(), 500, 90)],
+                          seed=9)[0]
     assert np.array_equal(short, long[:40])
 
     keys = stream_keys(9, [(0, t) for t in range(4)])
@@ -258,7 +258,7 @@ def test_tiled_rows_equal_the_one_trial_oracle(n, basis, m, gridded):
                                   UniformSymNoise(b=1.0)),
                                  (FIELDS["piecewise"], DEPLOYMENTS[3], TwoPointNoise(b=0.7))]:
         cell = cell_for(field, deploy, noise, basis, n, trials, m)
-        rows = map_trials([cell], seed)[0]
+        rows = collect_trials([cell], seed)[0]
         for t in range(trials):
             batch = reference_batch(field, deploy, noise, n, trial_seed(seed, 0, t))
             want = estimate_coefficients(batch, cell.cfg, m).values
@@ -291,8 +291,8 @@ def test_tiled_rows_do_not_depend_on_the_worker_count(monkeypatch):
     monkeypatch.setattr(analysis, "TASK_SENSORS", 1)
     cell = cell_for(FIELDS["sawtooth"], UniformDeployment(), UniformSymNoise(b=1.0),
                     FourierBasis(), BLOCK_SENSORS + 3616, 3)
-    one = map_trials([cell], seed=12, workers=1)[0]
-    two = map_trials([cell], seed=12, workers=2)[0]
+    one = collect_trials([cell], seed=12, workers=1)[0]
+    two = collect_trials([cell], seed=12, workers=2)[0]
     assert np.array_equal(one, two)
 
 
@@ -314,7 +314,7 @@ def test_a_bad_sensor_in_a_later_tile_is_named_by_its_index(sawtooth, monkeypatc
     monkeypatch.setattr(analysis, "simulate_batch", corrupted)
     cell = cell_for(sawtooth, deploy, noise, FourierBasis(), 20_000, 1)
     with pytest.raises(EstimationError, match=r"bits\[0, 17000\]=0.0"):
-        map_trials([cell], seed=4)
+        collect_trials([cell], seed=4)
 
 
 @pytest.mark.parametrize("gridded", [False, True])
@@ -344,7 +344,18 @@ def test_a_tiled_trial_holds_no_row_of_all_its_sensors():
     m = TruncationSchedule.bv().resolve(n)
     assert m == 512
     cell = cell_for(field, deploy, noise, FourierBasis(), n, 2, m)
-    assert traced_peak_mb(lambda: map_trials([cell], seed=3)) < 4.0
+    assert traced_peak_mb(lambda: collect_trials([cell], seed=3)) < 4.0
+
+
+def test_the_lemma_battery_holds_no_array_of_all_its_trials():
+    """The battery keeps running sums per cell, not every trial's
+    estimates: the 3072 more trials of 18 cells at 8 coefficients take
+    7 MB. From 1024 trials on, a block of 16 sensors per trial is full
+    size, so what grows is one chunk's estimates and stream words."""
+    assert BLOCK_SENSORS // 16 == 1024
+    small, large = (traced_peak_mb(lambda: run_lemma_battery(n=16, trials=trials, j_count=8))
+                    for trials in (1024, 4096))
+    assert large - small < 1.0
 
 
 def test_a_trace_holds_no_array_of_its_whole_path():

@@ -15,8 +15,11 @@ from ditherfield import (ConfigValidationError, EstimatorConfig,
                          TruncationSchedule, cli, harness, load_shipped_config,
                          monte_carlo_mse, parse_experiment_config,
                          run_experiment, run_lemma_battery, run_suite)
-from ditherfield.analysis import WORKERS_MAX
+from ditherfield import analysis
+from ditherfield.analysis import WORKERS_MAX, map_trials
 from ditherfield.harness import _MISMATCH_CONFIGS, _RATE_CONFIGS, _TRACE_CONFIGS
+
+from conftest import collect_trials
 
 MINI_CONFIG = {
     "experiment_id": "mini",
@@ -179,10 +182,48 @@ def test_lemma_battery_needs_two_trials(n, trials, message):
         run_lemma_battery(n=n, trials=trials, j_count=2)
 
 
-def test_lemma_battery_rows_do_not_depend_on_the_worker_count():
+def test_lemma_battery_rows_do_not_depend_on_the_worker_count(monkeypatch):
+    """Chunks of 7 trials, so each cell folds 29 of them into its sums."""
+    monkeypatch.setattr(analysis, "TASK_SENSORS", 7 * 500)
     serial = run_lemma_battery(n=500, trials=200, j_count=4, workers=1)
     parallel = run_lemma_battery(n=500, trials=200, j_count=4, workers=2)
     assert serial.rows == parallel.rows
+
+
+def test_streamed_battery_moments_equal_the_two_pass_moments(monkeypatch):
+    """The streamed means are, bit for bit, the means of each cell's
+    estimates gathered into one array, and var_emp is the two-pass
+    variance within 1e-13 relative."""
+    monkeypatch.setattr(analysis, "TASK_SENSORS", 7 * 500)
+    kept = []
+
+    def gathering(cells, seed, take, workers=1):
+        kept.extend(collect_trials(cells, seed, workers))
+        return map_trials(cells, seed, take, workers)
+
+    monkeypatch.setattr(harness, "map_trials", gathering)
+    trials, j_count = 200, 4
+    battery = run_lemma_battery(n=500, trials=trials, j_count=j_count)
+    assert len(kept) == 18
+    for c, mat in enumerate(kept):
+        mean = mat.mean(axis=0)
+        var_emp = np.sum(np.abs(mat - mean) ** 2, axis=0) / (trials - 1)
+        for j, row in enumerate(battery.rows[c * j_count:(c + 1) * j_count]):
+            assert (row["mean_re"], row["mean_im"]) == (mean[j].real, mean[j].imag)
+            assert row["var_emp"] == pytest.approx(var_emp[j], rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("m", [2, 8])
+def test_numpy_adds_the_rows_of_a_mean_in_order(m):
+    """numpy's axis-0 mean of a (trials, m) array, m >= 2, adds the rows
+    one at a time in order, as the battery's streamed sums do; a numpy
+    that summed them pairwise would move the battery's means."""
+    rng = np.random.default_rng(m)
+    mat = rng.standard_normal((5000, m)) + 1j * rng.standard_normal((5000, m))
+    total = None
+    for t0 in range(0, 5000, 262):
+        total = harness._ordered_sum(total, mat[t0:t0 + 262])
+    assert np.array_equal(total / 5000, mat.mean(axis=0))
 
 
 def test_lemma_cells_csv_holds_plain_numbers(tmp_path):
