@@ -4,10 +4,9 @@ consistency checkers, and rate-verification experiments."""
 
 from .analysis import (ASTraceResult, BoundReport, ConsistencyReport,
                        MseSweep, RateFitResult, ScheduleValidation,
-                       as_error_trace, basis_deployment_integral,
-                       check_consistency_conditions, integrated_squared_error,
-                       monte_carlo_mse, mse_upper_bound, rate_fit,
-                       validate_as_schedule)
+                       as_error_trace, check_consistency_conditions,
+                       integrated_squared_error, monte_carlo_mse,
+                       mse_upper_bound, rate_fit, validate_as_schedule)
 from .estimator import (EstimationError, EstimatorConfig, TruncationSchedule,
                         estimate_coefficients, reconstruct)
 from .fields import (FieldSpec, FiniteDimField, FourierBasis,

@@ -22,18 +22,6 @@ from .sensing import Deployment, Noise, simulate_batch, stream_keys
 from .spectral import BLOCK_POINTS
 
 # ---------------------------------------------------------------------------
-# deployment-weighted basis integrals
-# ---------------------------------------------------------------------------
-
-def basis_deployment_integral(basis: Basis, deploy: Deployment, j: int) -> float:
-    """Integral of |phi_j|^2 / p_X over [0,1], in closed form; +inf flags divergence."""
-    if basis.constant_modulus:
-        return deploy.inverse_integral(0.0, 1.0)
-    # step basis: |phi_j|^2 is `cells` on cell j and 0 elsewhere
-    return basis.cells * deploy.inverse_integral(j / basis.cells, (j + 1) / basis.cells)
-
-
-# ---------------------------------------------------------------------------
 # distortion upper bound
 # ---------------------------------------------------------------------------
 
@@ -46,7 +34,6 @@ class BoundReport:
     c: float
     variance_term: float
     bias_term: float
-    per_j_integrals: tuple[float, ...]
     divergent_js: tuple[int, ...]
 
     @property
@@ -65,15 +52,15 @@ def mse_upper_bound(field: FieldSpec, basis: Basis, deploy: Deployment,
         raise ValueError("sensor count must be >= 1")
     if m < 0:
         raise ValueError("truncation point must be >= 0")
-    integrals = tuple(basis_deployment_integral(basis, deploy, j) for j in range(m))
-    divergent = tuple(j for j, v in enumerate(integrals) if math.isinf(v))
+    integrals = basis.deployment_integrals(deploy, m)
+    divergent = tuple(np.flatnonzero(np.isinf(integrals)).tolist())
     if m == 0:
         bias = field.norm_sq
     else:
         bias = m_term_error(true_coefficients(field, basis, m), field, m)
     variance = math.inf if divergent else (c * c / n) * float(np.sum(integrals))
     return BoundReport(n=n, m=m, c=c, variance_term=variance, bias_term=bias,
-                       per_j_integrals=integrals, divergent_js=divergent)
+                       divergent_js=divergent)
 
 
 # ---------------------------------------------------------------------------
@@ -114,19 +101,15 @@ def check_consistency_conditions(schedule: TruncationSchedule, basis: Basis,
                                  deploy: Deployment,
                                  n_grid: Sequence[int]) -> ConsistencyReport:
     n_grid = tuple(int(n) for n in n_grid)
+    if not n_grid:
+        raise ValueError("n_grid must hold at least one sensor count")
     if any(b <= a for a, b in zip(n_grid, n_grid[1:])):
         raise ValueError("n_grid must be strictly increasing")
     m_values = tuple(schedule.resolve(n) for n in n_grid)
 
-    m_max = max(m_values)
-    if basis.constant_modulus:
-        base = basis_deployment_integral(basis, deploy, 0)
-        prefix_sums = [m * base for m in m_values]
-    else:
-        integrals = [basis_deployment_integral(basis, deploy, j) for j in range(m_max)]
-        cumulative = np.concatenate([[0.0], np.cumsum(integrals)])
-        prefix_sums = [float(cumulative[m]) for m in m_values]
-    q = tuple(s / n for s, n in zip(prefix_sums, n_grid))
+    # the variance side of the bound, summed as `mse_upper_bound` sums it
+    integrals = basis.deployment_integrals(deploy, max(m_values))
+    q = tuple(float(np.sum(integrals[:m])) / n for m, n in zip(m_values, n_grid))
 
     decreasing = all(b < a for a, b in zip(q, q[1:]))
     vanishing = math.isfinite(q[-1]) and q[-1] <= 0.5 * q[0]

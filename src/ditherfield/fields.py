@@ -44,8 +44,6 @@ class FourierBasis:
     kind: ClassVar[str] = "fourier"
     is_uniformly_bounded: ClassVar[bool] = True
     bound: ClassVar[float] = 1.0
-    # |phi_j| == 1 everywhere, so deployment integrals do not depend on j.
-    constant_modulus: ClassVar[bool] = True
     size: ClassVar[int | None] = None
 
     @staticmethod
@@ -62,6 +60,11 @@ class FourierBasis:
     def eval(self, j: int, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         return np.exp(2j * np.pi * self.frequency(j) * x)
+
+    def deployment_integrals(self, deploy, count: int) -> np.ndarray:
+        """int |phi_j|^2 / p_X over [0,1] for j < count, +inf where it
+        diverges; |phi_j| == 1, so every j reads the integral of 1/p_X."""
+        return np.full(count, deploy.inverse_integral(0.0, 1.0))
 
     def running_sums(self, count: int, lead: tuple, n: int) -> "_FourierSums":
         """Running sum_i w_i * conj(phi_j(x_i)), j < count, of rows of n
@@ -98,7 +101,6 @@ class StepBasis:
 
     kind: ClassVar[str] = "step"
     is_uniformly_bounded: ClassVar[bool] = True
-    constant_modulus: ClassVar[bool] = False
 
     def __post_init__(self):
         if not isinstance(self.cells, numbers.Integral) or self.cells < 1:
@@ -121,6 +123,14 @@ class StepBasis:
             raise IndexError(f"step basis has {self.cells} functions, got j={j}")
         x = np.asarray(x, dtype=float)
         return np.where(self._cell_index(x) == j, self.bound, 0.0).astype(np.complex128)
+
+    def deployment_integrals(self, deploy, count: int) -> np.ndarray:
+        """int |phi_j|^2 / p_X over [0,1] for j < count, +inf where it
+        diverges; |phi_j|^2 is `cells` on cell j and 0 elsewhere."""
+        k = self.cells
+        if count > k:
+            raise ValueError(f"basis has only {k} functions")
+        return k * np.array([deploy.inverse_integral(j / k, (j + 1) / k) for j in range(count)])
 
     def running_sums(self, count: int, lead: tuple, n: int) -> "_CellTotals":
         """Running per-cell totals of rows of points with real weights, fed

@@ -20,8 +20,8 @@ import numpy as np
 
 from .analysis import (RATE_FIT_MIN_POINTS, ASTraceResult, BoundReport,
                        RateFitResult, TrialCell, as_error_trace,
-                       basis_deployment_integral, check_consistency_conditions,
-                       map_trials, monte_carlo_mse, mse_upper_bound, rate_fit,
+                       check_consistency_conditions, map_trials,
+                       monte_carlo_mse, mse_upper_bound, rate_fit,
                        validate_as_schedule)
 from .estimator import EstimatorConfig, TruncationSchedule
 from .fields import (Basis, FieldSpec, FourierBasis, basis_from_json,
@@ -313,10 +313,10 @@ def run_experiment(config: ExperimentConfig, out_dir, workers: int = 1) -> Exper
     artifacts = (str(csv_path), str(report_path), str(summary_path))
 
     m_values = [config.schedule.resolve(n) for n in config.n_grid]
-    m_max = max(m_values)
-    divergent = [j for j in range(m_max)
-                 if math.isinf(basis_deployment_integral(config.basis,
-                                                         config.deployment, j))]
+    bounds = tuple(mse_upper_bound(config.field, config.basis, config.deployment,
+                                   n, m, config.c)
+                   for n, m in zip(config.n_grid, m_values))
+    divergent = list(max(bounds, key=lambda b: b.m).divergent_js)
     accept = config.acceptance
     if divergent:
         expected = accept.get("expect_rejected", False)
@@ -350,9 +350,6 @@ def run_experiment(config: ExperimentConfig, out_dir, workers: int = 1) -> Exper
     sweep = monte_carlo_mse(config.field, config.deployment, config.noise,
                             est_cfg, config.n_grid, config.trials,
                             seed=config.seed, workers=workers)
-    bounds = tuple(mse_upper_bound(config.field, config.basis, config.deployment,
-                                   n, m, config.c)
-                   for n, m in zip(config.n_grid, m_values))
 
     # a NaN mean or bound is a violation: dominance must be shown, not assumed
     violations = sum(1 for mean, ci, b in zip(sweep.means, sweep.ci_half, bounds)
@@ -547,11 +544,11 @@ def run_lemma_battery(n: int = 1000, trials: int = 10_000, j_count: int = 8,
     rows: list[dict] = []
     for (fname, f, dname, d, zname, z), alpha, total, shifted in zip(cells, alphas, s1, s2):
         c = f.amplitude_bound + z.b
+        bounds = (c * c / n) * basis.deployment_integrals(d, j_count)
         mean = total / trials
         var_emp = (shifted - trials * np.abs(mean - alpha) ** 2) / (trials - 1)
         sigma_mean = np.sqrt(var_emp / trials)
-        for j in range(j_count):
-            bound = (c * c / n) * basis_deployment_integral(basis, d, j)
+        for j, bound in enumerate(bounds):
             dev = (abs(mean[j] - alpha[j]) / sigma_mean[j]
                    if sigma_mean[j] > 0 else 0.0)
             rows.append({
@@ -609,7 +606,7 @@ def _run_conditions(out: Path, workers: int) -> dict:
     affine = mismatch["mismatch_affine_floor"].config.deployment
     return {"mismatch": mismatch,
             "linear2x_js": mismatch["mismatch_linear2x"].divergent_js,
-            "integral_j0": basis_deployment_integral(basis, affine, 0),
+            "integral_j0": float(basis.deployment_integrals(affine, 1)[0]),
             "consistency": {**{name: bool(r.all_pass) for name, r in reports.items()},
                             "power_psi1 variance_ok": bool(reports["power_psi1"].variance_ok)},
             "schedules": {"gamma1.5 accepted": good.accepted, "gamma2.5 accepted": bad.accepted,

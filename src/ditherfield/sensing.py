@@ -33,6 +33,13 @@ SEED_MAX = (1 << 64) - 1
 SPAWN_MAX = SEED_MAX - 1
 
 
+def _is_word(value, top: int) -> bool:
+    """Whether `value` is an int in [0, top]; a bool is not, since True
+    would alias the word 1."""
+    return (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            and 0 <= value <= top)
+
+
 def stream_keys(seed, spawn_keys) -> np.ndarray:
     """Words of the three labeled streams of every realization, as an
     (R, STREAMS, 4) uint64 array: row r, stream `label` holds [seed, label,
@@ -42,7 +49,7 @@ def stream_keys(seed, spawn_keys) -> np.ndarray:
     counter words 1 and 2. `seed` must be one int in [0, 2^64) (a list or
     OS-drawn entropy has no word to go in); a spawn key holds at most two
     entries, each an int in [0, 2^64 - 2] so that its word fits."""
-    if not (isinstance(seed, (int, np.integer)) and 0 <= seed <= SEED_MAX):
+    if not _is_word(seed, SEED_MAX):
         raise ValueError(f"seed must be one int in [0, 2^64), got {seed!r}")
     spawn = np.asarray(spawn_keys, dtype=object)
     if spawn.ndim != 2:
@@ -50,7 +57,7 @@ def stream_keys(seed, spawn_keys) -> np.ndarray:
     if spawn.shape[1] > 2:  # counter words 1 and 2
         raise ValueError(f"spawn keys may have at most 2 entries, got {spawn.shape[1]}")
     for i in spawn.flat:
-        if not (isinstance(i, (int, np.integer)) and 0 <= i <= SPAWN_MAX):
+        if not _is_word(i, SPAWN_MAX):
             raise ValueError("spawn-key entries must be nonnegative ints of at most "
                              f"2^64 - 2 (the stream word is entry + 1), got {i!r}")
     spawn = spawn.astype(np.uint64)

@@ -10,11 +10,11 @@ from ditherfield import (AffineFloorDeployment, EstimatorConfig, FourierBasis,
                          StepBasis, TabulatedDeployment, TruncGaussNoise,
                          TruncationSchedule, UniformDeployment,
                          UniformSymNoise, ZeroNoise,
-                         as_error_trace, basis_deployment_integral,
-                         check_consistency_conditions, estimate_coefficients,
-                         integrated_squared_error, make_finite_dim_field,
-                         make_sobolev_field, monte_carlo_mse, mse_upper_bound,
-                         rate_fit, simulate_batch, trial_seed,
+                         as_error_trace, check_consistency_conditions,
+                         estimate_coefficients, integrated_squared_error,
+                         make_finite_dim_field, make_sobolev_field,
+                         monte_carlo_mse, mse_upper_bound, rate_fit,
+                         simulate_batch, trial_seed,
                          true_coefficients, validate_as_schedule)
 from ditherfield import analysis
 from ditherfield.analysis import WORKERS_MAX, TrialCell, map_trials
@@ -30,38 +30,39 @@ LN3 = 1.0986122886681098
 # ---------------------------------------------------------------------------
 
 def test_uniform_integrals_are_exactly_one(fourier):
+    integrals = fourier.deployment_integrals(UniformDeployment(), 31)
     for j in (0, 1, 5, 30):
-        assert basis_deployment_integral(fourier, UniformDeployment(), j) == \
-            pytest.approx(1.0, abs=1e-9)
+        assert integrals[j] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_vanishing_linear_density_diverges(fourier):
-    assert math.isinf(basis_deployment_integral(fourier, Linear2xDeployment(), 0))
-    assert math.isinf(basis_deployment_integral(fourier, Linear2xDeployment(), 3))
+    integrals = fourier.deployment_integrals(Linear2xDeployment(), 4)
+    assert math.isinf(integrals[0])
+    assert math.isinf(integrals[3])
 
 
 def test_affine_floor_integral_is_log3(fourier):
-    value = basis_deployment_integral(fourier, AffineFloorDeployment(nu=0.5), 0)
+    value = fourier.deployment_integrals(AffineFloorDeployment(nu=0.5), 1)[0]
     assert value == pytest.approx(LN3, abs=1e-9)
 
 
 def test_step_basis_integral_picks_up_its_cell(step64):
     # cells away from the vanishing endpoint stay finite under p(x) = 2x
     deploy = Linear2xDeployment()
-    value = basis_deployment_integral(step64, deploy, 32)
+    integrals = step64.deployment_integrals(deploy, 64)
     lo, hi = 32 / 64, 33 / 64
     expected = 64 * (np.log(hi) - np.log(lo)) / 2.0
-    assert value == pytest.approx(expected, rel=1e-9)
-    assert math.isinf(basis_deployment_integral(step64, deploy, 0))
+    assert integrals[32] == pytest.approx(expected, rel=1e-9)
+    assert math.isinf(integrals[0])
 
 
 @pytest.mark.parametrize("pdf_values", [[1, 0, 1], [0, 0, 1, 1], [1, 0, 0, 1]])
 def test_tabulated_density_with_a_zero_diverges(fourier, step64, pdf_values):
     # p_X is linear between nodes, so a zero node makes 1/p_X unintegrable
     deploy = TabulatedDeployment(np.asarray(pdf_values, dtype=float))
-    assert math.isinf(basis_deployment_integral(fourier, deploy, 0))
+    assert math.isinf(fourier.deployment_integrals(deploy, 1)[0])
     zero_cell = 10 if pdf_values == [0, 0, 1, 1] else 32
-    assert math.isinf(basis_deployment_integral(step64, deploy, zero_cell))
+    assert math.isinf(step64.deployment_integrals(deploy, 64)[zero_cell])
 
 
 def node_by_node_inverse_integral(pdf_values) -> float:
@@ -85,7 +86,7 @@ def node_by_node_inverse_integral(pdf_values) -> float:
 def test_tabulated_integral_is_exact_on_a_4096_node_table(fourier, pdf):
     deploy = tabulate_deployment(pdf)
     expected = node_by_node_inverse_integral(deploy.pdf_values)
-    assert basis_deployment_integral(fourier, deploy, 0) == \
+    assert fourier.deployment_integrals(deploy, 1)[0] == \
         pytest.approx(expected, rel=1e-12)
 
 
@@ -98,7 +99,8 @@ def test_finite_dim_bound_arithmetic(fourier, finite_dim_k5):
                              n=1000, m=5, c=2.0)
     assert report.bias_term == 0.0
     assert report.total == pytest.approx(0.02, abs=1e-9)
-    assert report.per_j_integrals == pytest.approx((1.0,) * 5, abs=1e-9)
+    assert fourier.deployment_integrals(UniformDeployment(), 5) == \
+        pytest.approx([1.0] * 5, abs=1e-9)
 
 
 def test_bound_at_m_zero_is_the_field_energy(fourier, sawtooth):
@@ -157,6 +159,30 @@ def test_linear_truncation_fails_the_variance_condition(fourier):
     assert not report.variance_ok
     assert not report.all_pass
     assert report.variance_condition_values == pytest.approx((1.0, 1.0, 1.0))
+
+
+def test_the_checker_reads_the_variance_sum_of_the_bound(fourier):
+    """q_n is the bound's sum over j < m of the deployment integrals, over n,
+    to the last bit (m * integral differs from that sum at m = 100, 317, 1000)."""
+    deploy = AffineFloorDeployment(nu=0.5)
+    grid = (100, 1000, 10_000, 100_000, 1_000_000)
+    report = check_consistency_conditions(TruncationSchedule.bv(), fourier, deploy, grid)
+    assert report.m_values == (10, 32, 100, 317, 1000)
+    for q, m, n in zip(report.variance_condition_values, report.m_values, grid):
+        assert q == float(np.sum(fourier.deployment_integrals(deploy, m))) / n
+
+
+def test_the_checker_stops_at_the_last_step_function(step64):
+    """A schedule past the step basis's cells has no functions to sum over."""
+    with pytest.raises(ValueError, match="only 64 functions"):
+        check_consistency_conditions(TruncationSchedule.fixed(65), step64,
+                                     UniformDeployment(), (100, 1000))
+
+
+def test_an_empty_grid_is_rejected(fourier):
+    with pytest.raises(ValueError, match="n_grid"):
+        check_consistency_conditions(TruncationSchedule.bv(), fourier,
+                                     UniformDeployment(), [])
 
 
 # ---------------------------------------------------------------------------

@@ -68,8 +68,8 @@ def test_spawn_keys_of_every_length_read_distinct_streams():
 
 
 @pytest.mark.parametrize("seed", [np.random.SeedSequence(), np.random.SeedSequence([1, 2]),
-                                  2 ** 64, -1],
-                         ids=["os_entropy", "list_entropy", "above_u64", "negative"])
+                                  2 ** 64, -1, True],
+                         ids=["os_entropy", "list_entropy", "above_u64", "negative", "bool"])
 def test_a_seed_must_be_one_u64(sawtooth, seed):
     with pytest.raises(ValueError, match=r"seed must be one int in \[0, 2\^64\)"):
         simulate_batch(sawtooth, UniformDeployment(), ZeroNoise(), 10, seed)
@@ -80,10 +80,11 @@ def test_spawn_key_entries_must_be_nonnegative():
         stream_keys(1, [(0, 3), (2, -1)])
 
 
-@pytest.mark.parametrize("entry", [1.5, SPAWN_MAX + 1, 2 ** 64])
+@pytest.mark.parametrize("entry", [1.5, SPAWN_MAX + 1, 2 ** 64, True, False])
 def test_spawn_key_entries_are_ints_whose_word_fits(entry):
-    """A fractional entry is not truncated into another key's stream, and
-    an entry whose word entry + 1 passes 2^64 - 1 names the rule."""
+    """A fractional entry is not truncated into another key's stream, a
+    bool does not alias the int 0 or 1, and an entry whose word entry + 1
+    passes 2^64 - 1 names the rule."""
     with pytest.raises(ValueError, match=r"spawn-key entries must be nonnegative ints "
                                          r"of at most 2\^64 - 2"):
         stream_keys(1, [(0, 3), (2, entry)])

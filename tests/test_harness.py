@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ditherfield import (ConfigValidationError, EstimatorConfig,
+from ditherfield import (ConfigValidationError, EstimatorConfig, FourierBasis,
                          TruncationSchedule, cli, harness, load_shipped_config,
                          monte_carlo_mse, parse_experiment_config,
                          run_experiment, run_lemma_battery, run_suite)
@@ -129,9 +129,15 @@ def test_matched_deployment_runs(tmp_path):
 def test_the_conditions_suite_holds_the_affine_floor_integral_at_ln3(tmp_path, monkeypatch):
     """Criterion 7 fails when the affine-floor j = 0 integral misses ln 3 by
     more than 1e-6."""
-    real = harness.basis_deployment_integral
-    monkeypatch.setattr(harness, "basis_deployment_integral", lambda basis, deploy, j: (
-        real(basis, deploy, j) + (2e-6 if deploy.kind == "affine_floor" and j == 0 else 0.0)))
+    real = FourierBasis.deployment_integrals
+
+    def shifted(basis, deploy, count):
+        integrals = real(basis, deploy, count)
+        if deploy.kind == "affine_floor":
+            integrals[:1] += 2e-6
+        return integrals
+
+    monkeypatch.setattr(FourierBasis, "deployment_integrals", shifted)
     result = run_suite("conditions", tmp_path)
     verdicts = [(row.criterion, row.passed) for row in result.rows]
     assert verdicts == [(7, False), (8, True), (9, True)] and not result.all_pass
