@@ -9,13 +9,12 @@ from __future__ import annotations
 
 import math
 from contextlib import closing, nullcontext
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .estimator import (EstimatorConfig, TruncationSchedule, add_sensors,
-                        finish_estimates)
+from .estimator import TruncationSchedule, add_sensors, finish_estimates
 from .fields import (Basis, FieldSpec, FourierBasis, ReconstructionCoefficients,
                      m_term_error, make_bv_field, synthesize, true_coefficients)
 from .sensing import Deployment, Noise, simulate_batch, stream_keys
@@ -147,12 +146,13 @@ def integrated_squared_error(coeffs_hat: ReconstructionCoefficients,
 
 @dataclass(frozen=True, eq=False)
 class TrialCell:
-    """`trials` independent simulate -> estimate pipelines: n sensors, m coefficients."""
+    """`trials` independent simulate -> estimate pipelines: n sensors
+    placed by `deploy`, m coefficients of `basis`."""
 
     field: FieldSpec
     deploy: Deployment
     noise: Noise
-    cfg: EstimatorConfig
+    basis: Basis
     n: int
     m: int
     trials: int
@@ -171,26 +171,28 @@ WORKERS_MAX = 64
 
 
 def _add_tiles(sums, field: FieldSpec, deploy: Deployment, noise: Noise,
-               density: Deployment, keys: np.ndarray, start: int, stop: int) -> None:
+               keys: np.ndarray, start: int, stop: int) -> None:
     """Add sensors [start, stop) of every realization of the `stream_keys`
     rows `keys` to running sums: one windowed `simulate_batch` call and
-    one `add_sensors` call per tile of at most BLOCK_SENSORS sensors."""
+    one `add_sensors` call per tile of at most BLOCK_SENSORS sensors,
+    whose weights read the p_X of the deployment that placed them."""
     for lo in range(start, stop, BLOCK_SENSORS):
         tile = simulate_batch(field, deploy, noise, min(BLOCK_SENSORS, stop - lo), keys, lo)
-        add_sensors(sums, tile, density)
+        add_sensors(sums, tile, deploy)
 
 
 def _trial_chunk(payload) -> np.ndarray:
     cell, seed, cell_index, t0, t1 = payload
     keys = stream_keys(seed, [(cell_index, t) for t in range(t0, t1)])
+    # the range `simulate_batch` draws the thresholds from
+    c = cell.field.amplitude_bound + cell.noise.b
     out = np.empty((t1 - t0, cell.m), dtype=np.complex128)
     size = max(1, BLOCK_SENSORS // cell.n)
     for lo in range(0, t1 - t0, size):
         block = keys[lo:lo + size]
-        sums = cell.cfg.basis.running_sums(cell.m, (len(block),), cell.n)
-        _add_tiles(sums, cell.field, cell.deploy, cell.noise, cell.cfg.density,
-                   block, 0, cell.n)
-        out[lo:lo + size] = finish_estimates(sums, cell.cfg, cell.n).values
+        sums = cell.basis.running_sums(cell.m, (len(block),), cell.n)
+        _add_tiles(sums, cell.field, cell.deploy, cell.noise, block, 0, cell.n)
+        out[lo:lo + size] = finish_estimates(sums, c, cell.n).values
     return out
 
 
@@ -249,11 +251,12 @@ class MseSweep:
 
 
 def monte_carlo_mse(field: FieldSpec, deploy: Deployment, noise: Noise,
-                    cfg: EstimatorConfig, n_grid: Sequence[int],
-                    trials: int | Sequence[int], seed: int,
+                    basis: Basis, schedule: TruncationSchedule,
+                    n_grid: Sequence[int], trials: int | Sequence[int], seed: int,
                     workers: int = 1) -> MseSweep:
     """Mean integrated squared error (with normal-approximation 95% CI)
-    over independent simulate -> estimate -> error pipelines.
+    over independent simulate -> estimate -> error pipelines, m(n) =
+    `schedule.resolve(n)` coefficients of `basis` at each n.
 
     Deterministic in `seed`; the per-trial seeds are derived from
     (seed, n-index, trial-index), so the worker count never changes results.
@@ -266,10 +269,10 @@ def monte_carlo_mse(field: FieldSpec, deploy: Deployment, noise: Noise,
     if any(t < 2 for t in trials_per_n):
         raise ValueError("need at least two trials per n")
 
-    m_values = tuple(cfg.schedule.resolve(n) for n in n_grid)
-    cells = [TrialCell(field, deploy, noise, cfg, n, m, t)
+    m_values = tuple(schedule.resolve(n) for n in n_grid)
+    cells = [TrialCell(field, deploy, noise, basis, n, m, t)
              for n, m, t in zip(n_grid, m_values, trials_per_n)]
-    true_cvs = [true_coefficients(field, cfg.basis, m) for m in m_values]
+    true_cvs = [true_coefficients(field, basis, m) for m in m_values]
     per_n = tuple(np.empty(t) for t in trials_per_n)
 
     def score(i: int, t0: int, rows: np.ndarray) -> None:
@@ -300,9 +303,7 @@ class RateFitResult:
     mse_values: tuple[float, ...]
 
     def to_json(self) -> dict:
-        return {"slope": self.slope, "intercept": self.intercept,
-                "r_squared": self.r_squared, "n_grid": list(self.n_grid),
-                "mse_values": list(self.mse_values)}
+        return asdict(self)
 
 
 RATE_FIT_MIN_POINTS = 4
@@ -377,14 +378,7 @@ class ScheduleValidation:
                     and self.kernel_check_ok and self.projection_check_ok)
 
     def to_json(self) -> dict:
-        return {"psi": self.psi, "gamma": self.gamma,
-                "gamma_in_range": self.gamma_in_range,
-                "series_exponent": self.series_exponent,
-                "uniformly_bounded": self.uniformly_bounded,
-                "infimum": self.infimum, "c1": self.c1, "c2": self.c2,
-                "kernel_ratio_max": self.kernel_ratio_max,
-                "projection_ratio_max": self.projection_ratio_max,
-                "accepted": self.accepted}
+        return {**asdict(self), "accepted": self.accepted}
 
 
 def _shipped_field_menu() -> list[FieldSpec]:
@@ -470,13 +464,7 @@ class ASTraceResult:
         return self.sup_error[-1] / self.sup_error[0]
 
     def to_json(self) -> dict:
-        return {"checkpoints": list(self.checkpoints),
-                "m_values": list(self.m_values),
-                "psi": self.psi, "gamma": self.gamma,
-                "sup_error": list(self.sup_error),
-                "sup_estimate_error": list(self.sup_estimate_error),
-                "sup_estimate_error_interior": list(self.sup_estimate_error_interior),
-                "condition": self.condition.to_json()}
+        return {**asdict(self), "condition": self.condition.to_json()}
 
 
 def as_error_trace(field: FieldSpec, deploy: Deployment, noise: Noise,
@@ -523,7 +511,7 @@ def as_error_trace(field: FieldSpec, deploy: Deployment, noise: Noise,
     sup_s, sup_est, sup_est_int = [], [], []
     for ckpt, m in zip(checkpoints, m_values):
         sums = basis.running_sums(m_max, (1,), ckpt - prev)
-        _add_tiles(sums, field, deploy, noise, deploy, keys, prev, ckpt)
+        _add_tiles(sums, field, deploy, noise, keys, prev, ckpt)
         totals = totals + sums.result()[0]
         prev = ckpt
         alpha_hat = (c / ckpt) * totals

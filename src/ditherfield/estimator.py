@@ -171,10 +171,10 @@ def add_sensors(sums, batch: SensorBatch, density: Deployment) -> None:
     sums.add(batch.x, sensor_weights(batch, density))
 
 
-def finish_estimates(sums, cfg: EstimatorConfig, n: int) -> ReconstructionCoefficients:
+def finish_estimates(sums, c: float, n: int) -> ReconstructionCoefficients:
     """The coefficient estimates (c/n) * sums from the running sums of n
-    sensors per realization."""
-    return ReconstructionCoefficients(values=(cfg.c / n) * sums.result(), n_used=n)
+    sensors per realization, c the range their thresholds were drawn from."""
+    return ReconstructionCoefficients(values=(c / n) * sums.result(), n_used=n)
 
 
 def estimate_coefficients(batch: SensorBatch, cfg: EstimatorConfig,
@@ -187,7 +187,7 @@ def estimate_coefficients(batch: SensorBatch, cfg: EstimatorConfig,
         raise ValueError("need at least one coefficient")
     sums = cfg.basis.running_sums(m, batch.x.shape[:-1], batch.n)
     add_sensors(sums, batch, cfg.density)
-    return finish_estimates(sums, cfg, batch.n)
+    return finish_estimates(sums, cfg.c, batch.n)
 
 
 def reconstruct(coeffs: ReconstructionCoefficients, basis: Basis, x):

@@ -9,6 +9,7 @@ truncation error is evaluated through Parseval, never by quadrature.
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import math
 import numbers
 from dataclasses import dataclass
@@ -473,12 +474,15 @@ _BV_SHAPES: dict[str, Callable[[], FieldSpec]] = {
 
 def make_bv_field(shape: str, edges: Sequence[float] | None = None,
                   levels: Sequence[float] | None = None) -> FieldSpec:
-    """One of the shipped bounded-variation shapes, or a custom piecewise field."""
-    if shape == "piecewise" or (edges is not None and shape not in _BV_SHAPES):
+    """One of the shipped bounded-variation shapes, which take no edges or
+    levels, or a custom piecewise field."""
+    if shape in _BV_SHAPES:
+        if edges is not None or levels is not None:
+            raise ValueError(f"the shipped {shape!r} shape takes no edges or levels")
+        field = _BV_SHAPES[shape]()
+    elif shape == "piecewise" or edges is not None:
         field = PiecewiseConstantField(edges=tuple(edges), levels=tuple(levels),
                                        shape=shape)
-    elif shape in _BV_SHAPES:
-        field = _BV_SHAPES[shape]()
     else:
         raise ValueError(f"unknown bounded-variation shape {shape!r}")
     _check_tail_residual(field)
@@ -562,22 +566,32 @@ def basis_from_json(doc) -> Basis:
     """A basis from its kind ("fourier") or its fields ({"kind": "step", "cells": 16})."""
     params = {"kind": doc} if isinstance(doc, str) else dict(doc)
     kind = params.pop("kind")
-    if kind not in _BASES:
+    if not isinstance(kind, str) or kind not in _BASES:
         raise ValueError(f"unknown basis kind {kind!r}")
     return _BASES[kind](**params)
 
 
+def _finite_dim_from_json(coefficients, amplitude_bound, basis="fourier") -> FiniteDimField:
+    return make_finite_dim_field(basis_from_json(basis),
+                                 [complex(re, im) for re, im in coefficients],
+                                 amplitude_bound)
+
+
+# each field class's builder; its keywords are the class's document keys
+_FIELD_CLASSES: dict[str, Callable[..., FieldSpec]] = {
+    "finite_dim": _finite_dim_from_json, "bv": make_bv_field,
+    "sobolev": make_sobolev_field}
+
+
 def field_from_json(doc: dict) -> FieldSpec:
-    cls = doc.get("class")
-    if cls == "finite_dim":
-        basis = basis_from_json(doc.get("basis", "fourier"))
-        coeffs = [complex(re, im) for re, im in doc["coefficients"]]
-        return make_finite_dim_field(basis, coeffs, doc["amplitude_bound"])
-    if cls == "bv":
-        return make_bv_field(doc["shape"], edges=doc.get("edges"),
-                             levels=doc.get("levels"))
-    if cls == "sobolev":
-        return make_sobolev_field(doc["s"], doc["seed"],
-                                  amplitude_bound=doc.get("amplitude_bound", 1.0),
-                                  n_freqs=doc.get("n_freqs", 128))
-    raise ValueError(f"unknown field class {cls!r}")
+    """A field from its "class" and that class's own keys, and no other key."""
+    params = dict(doc)
+    cls = params.pop("class", None)
+    if not isinstance(cls, str) or cls not in _FIELD_CLASSES:
+        raise ValueError(f"unknown field class {cls!r}")
+    build = _FIELD_CLASSES[cls]
+    keys = list(inspect.signature(build).parameters)
+    extra = sorted(set(params) - set(keys))
+    if extra:
+        raise ValueError(f"{cls} field takes only {keys}, got {extra}")
+    return build(**params)

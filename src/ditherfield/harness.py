@@ -23,7 +23,7 @@ from .analysis import (RATE_FIT_MIN_POINTS, ASTraceResult, BoundReport,
                        check_consistency_conditions, map_trials,
                        monte_carlo_mse, mse_upper_bound, rate_fit,
                        validate_as_schedule)
-from .estimator import EstimatorConfig, TruncationSchedule
+from .estimator import TruncationSchedule
 from .fields import (Basis, FieldSpec, FourierBasis, basis_from_json,
                      field_from_json, make_bv_field, make_finite_dim_field,
                      make_sobolev_field, true_coefficients)
@@ -143,10 +143,8 @@ def parse_experiment_config(doc: dict, seed_override: int | None = None) -> Expe
             return None
 
     field = _build("field", field_from_json)
-    deployment = _build("deployment", lambda d: make_deployment(
-        d["kind"], **{k: v for k, v in d.items() if k != "kind"}))
-    noise = _build("noise", lambda d: make_noise(
-        d["kind"], **{k: v for k, v in d.items() if k != "kind"}))
+    deployment = _build("deployment", lambda d: make_deployment(**d))
+    noise = _build("noise", lambda d: make_noise(**d))
     schedule = _build("schedule", TruncationSchedule.from_json)
     basis = _build("basis", basis_from_json, required=False) or FourierBasis()
 
@@ -345,11 +343,9 @@ def run_experiment(config: ExperimentConfig, out_dir, workers: int = 1) -> Exper
                                  artifacts=artifacts, verdicts={"expect_rejected": expected},
                                  divergent_js=tuple(divergent))
 
-    est_cfg = EstimatorConfig(basis=config.basis, density=config.deployment,
-                              c=config.c, schedule=config.schedule)
     sweep = monte_carlo_mse(config.field, config.deployment, config.noise,
-                            est_cfg, config.n_grid, config.trials,
-                            seed=config.seed, workers=workers)
+                            config.basis, config.schedule, config.n_grid,
+                            config.trials, seed=config.seed, workers=workers)
 
     # a NaN mean or bound is a violation: dominance must be shown, not assumed
     violations = sum(1 for mean, ci, b in zip(sweep.means, sweep.ci_half, bounds)
@@ -524,12 +520,9 @@ def run_lemma_battery(n: int = 1000, trials: int = 10_000, j_count: int = 8,
              for dname, d in deployments
              for zname, z in noises]
 
-    trial_cells, alphas = [], []
-    for _, f, _, d, _, z in cells:
-        cfg = EstimatorConfig(basis=basis, density=d, c=f.amplitude_bound + z.b,
-                              schedule=TruncationSchedule.fixed(j_count))
-        trial_cells.append(TrialCell(f, d, z, cfg, n, j_count, trials))
-        alphas.append(true_coefficients(f, basis, j_count).values)
+    trial_cells = [TrialCell(f, d, z, basis, n, j_count, trials)
+                   for _, f, _, d, _, z in cells]
+    alphas = [true_coefficients(f, basis, j_count).values for _, f, *_ in cells]
     # per cell, S1 = sum of alpha_hat and S2 = sum of |alpha_hat - alpha|^2,
     # shifted by the exact alpha (Chan, Golub & LeVeque, Am. Stat. 1983):
     # O(m) numbers at any trial count

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import ClassVar
+from typing import ClassVar, get_args
 
 import numpy as np
 
@@ -222,18 +222,14 @@ class TabulatedDeployment:
 
 
 Deployment = UniformDeployment | Linear2xDeployment | AffineFloorDeployment | TabulatedDeployment
+_DEPLOYMENTS = {cls.kind: cls for cls in get_args(Deployment)}
 
 
 def make_deployment(kind: str, **params) -> Deployment:
-    if kind == "uniform":
-        return UniformDeployment()
-    if kind == "linear_2x":
-        return Linear2xDeployment()
-    if kind == "affine_floor":
-        return AffineFloorDeployment(**params)
-    if kind == "tabulated":
-        return TabulatedDeployment(np.asarray(params["pdf_values"], dtype=float))
-    raise ValueError(f"unknown deployment kind {kind!r}")
+    """The deployment of `kind`, built from its class's own keywords and no other."""
+    if not isinstance(kind, str) or kind not in _DEPLOYMENTS:
+        raise ValueError(f"unknown deployment kind {kind!r}")
+    return _DEPLOYMENTS[kind](**params)
 
 
 # ---------------------------------------------------------------------------
@@ -303,18 +299,14 @@ class TwoPointNoise:
 
 
 Noise = ZeroNoise | UniformSymNoise | TruncGaussNoise | TwoPointNoise
+_NOISES = {cls.kind: cls for cls in get_args(Noise)}
 
 
 def make_noise(kind: str, **params) -> Noise:
-    if kind == "zero":
-        return ZeroNoise()
-    if kind == "uniform_sym":
-        return UniformSymNoise(**params)
-    if kind == "trunc_gauss":
-        return TruncGaussNoise(**params)
-    if kind == "two_point":
-        return TwoPointNoise(**params)
-    raise ValueError(f"unknown noise kind {kind!r}")
+    """The noise model of `kind`, built from its class's own keywords and no other."""
+    if not isinstance(kind, str) or kind not in _NOISES:
+        raise ValueError(f"unknown noise kind {kind!r}")
+    return _NOISES[kind](**params)
 
 
 # ---------------------------------------------------------------------------

@@ -249,20 +249,20 @@ def test_error_requires_enough_true_coefficients(fourier, sawtooth):
 
 def test_monte_carlo_is_deterministic(sawtooth):
     deploy, noise = UniformDeployment(), UniformSymNoise(b=1.0)
-    cfg = EstimatorConfig(basis=FourierBasis(), density=deploy, c=1.5,
-                          schedule=TruncationSchedule.bv())
-    a = monte_carlo_mse(sawtooth, deploy, noise, cfg, [500, 2000], trials=2, seed=21)
-    b = monte_carlo_mse(sawtooth, deploy, noise, cfg, [500, 2000], trials=2, seed=21)
+    basis, schedule = FourierBasis(), TruncationSchedule.bv()
+    a = monte_carlo_mse(sawtooth, deploy, noise, basis, schedule, [500, 2000], trials=2,
+                        seed=21)
+    b = monte_carlo_mse(sawtooth, deploy, noise, basis, schedule, [500, 2000], trials=2,
+                        seed=21)
     assert a.means == b.means and a.stds == b.stds
 
 
 def test_worker_count_does_not_change_results(sawtooth):
     deploy, noise = UniformDeployment(), UniformSymNoise(b=1.0)
-    cfg = EstimatorConfig(basis=FourierBasis(), density=deploy, c=1.5,
-                          schedule=TruncationSchedule.bv())
-    serial = monte_carlo_mse(sawtooth, deploy, noise, cfg, [400, 1600],
+    basis, schedule = FourierBasis(), TruncationSchedule.bv()
+    serial = monte_carlo_mse(sawtooth, deploy, noise, basis, schedule, [400, 1600],
                              trials=60, seed=31, workers=1)
-    parallel = monte_carlo_mse(sawtooth, deploy, noise, cfg, [400, 1600],
+    parallel = monte_carlo_mse(sawtooth, deploy, noise, basis, schedule, [400, 1600],
                                trials=60, seed=31, workers=2)
     assert serial.means == parallel.means
     assert all(np.array_equal(x, y)
@@ -273,9 +273,8 @@ def test_worker_count_does_not_change_trunc_gauss_results(sawtooth):
     """The pool workers sample the truncated Gaussian with the scipy that
     the parent loaded when it built the noise."""
     deploy, noise = UniformDeployment(), TruncGaussNoise(sigma=0.5, b=1.0)
-    cfg = EstimatorConfig(basis=FourierBasis(), density=deploy, c=1.5,
-                          schedule=TruncationSchedule.bv())
-    serial, parallel = (monte_carlo_mse(sawtooth, deploy, noise, cfg, [300, 900],
+    serial, parallel = (monte_carlo_mse(sawtooth, deploy, noise, FourierBasis(),
+                                        TruncationSchedule.bv(), [300, 900],
                                         trials=30, seed=37, workers=workers)
                         for workers in (1, 2))
     assert all(np.array_equal(x, y)
@@ -289,11 +288,7 @@ def test_chunk_size_does_not_change_trial_estimates(sawtooth, monkeypatch):
     out of order."""
     deploy, noise = AffineFloorDeployment(nu=0.5), UniformSymNoise(b=1.0)
     sobolev = make_sobolev_field(1.0, seed=7, n_freqs=32)
-    cells = [TrialCell(f, deploy, noise,
-                       EstimatorConfig(basis=FourierBasis(), density=deploy,
-                                       c=f.amplitude_bound + noise.b,
-                                       schedule=TruncationSchedule.fixed(m)),
-                       n, m, trials)
+    cells = [TrialCell(f, deploy, noise, FourierBasis(), n, m, trials)
              for f, n, m, trials in ((sawtooth, 300, 5, 123), (sobolev, 700, 8, 9),
                                      (sobolev, 1, 8, 12))]
     runs = []
@@ -306,18 +301,18 @@ def test_chunk_size_does_not_change_trial_estimates(sawtooth, monkeypatch):
         assert all(np.array_equal(a, b) for a, b in zip(runs[0], other))
     # trial t of cell i draws from trial_seed(seed, i, t)
     batch = simulate_batch(sobolev, deploy, noise, 700, trial_seed(17, 1, 3))
-    assert np.array_equal(runs[0][1][3],
-                          estimate_coefficients(batch, cells[1].cfg, 8).values)
+    cfg = EstimatorConfig(basis=FourierBasis(), density=deploy,
+                          c=sobolev.amplitude_bound + noise.b,
+                          schedule=TruncationSchedule.fixed(8))
+    assert np.array_equal(runs[0][1][3], estimate_coefficients(batch, cfg, 8).values)
 
 
 @pytest.mark.parametrize("workers", [0, -1, WORKERS_MAX + 1])
 def test_the_worker_count_is_checked_before_any_trial_runs(sawtooth, workers):
     deploy, noise = UniformDeployment(), ZeroNoise()
-    cfg = EstimatorConfig(basis=FourierBasis(), density=deploy, c=1.0,
-                          schedule=TruncationSchedule.fixed(4))
     taken = []
     with pytest.raises(ValueError, match=rf"workers must be in \[1, {WORKERS_MAX}\]"):
-        map_trials([TrialCell(sawtooth, deploy, noise, cfg, 100, 4, 2)], seed=1,
+        map_trials([TrialCell(sawtooth, deploy, noise, FourierBasis(), 100, 4, 2)], seed=1,
                    take=lambda *chunk: taken.append(chunk), workers=workers)
     assert taken == []
 
@@ -326,9 +321,7 @@ def test_chunks_reach_take_in_payload_order(sawtooth, monkeypatch):
     """Cell by cell, each cell's chunks in trial order, at either worker count."""
     monkeypatch.setattr(analysis, "TASK_SENSORS", 500)
     deploy, noise = UniformDeployment(), UniformSymNoise(b=1.0)
-    cfg = EstimatorConfig(basis=FourierBasis(), density=deploy, c=1.5,
-                          schedule=TruncationSchedule.fixed(4))
-    cells = [TrialCell(sawtooth, deploy, noise, cfg, n, 4, trials)
+    cells = [TrialCell(sawtooth, deploy, noise, FourierBasis(), n, 4, trials)
              for n, trials in ((100, 12), (200, 5))]
     for workers in (1, 2):
         order = []
@@ -345,9 +338,7 @@ def test_no_pool_outlives_a_raise(sawtooth, monkeypatch):
     deploy, noise = UniformDeployment(), ZeroNoise()
 
     def cell(basis):
-        cfg = EstimatorConfig(basis=basis, density=deploy, c=1.0,
-                              schedule=TruncationSchedule.fixed(8))
-        return TrialCell(sawtooth, deploy, noise, cfg, 100, 8, 6)
+        return TrialCell(sawtooth, deploy, noise, basis, 100, 8, 6)
 
     with pytest.raises(IndexError, match="step basis has 4 functions"):
         map_trials([cell(FourierBasis()), cell(StepBasis(cells=4))], seed=2,
@@ -367,10 +358,9 @@ def test_sweep_scores_each_trial_as_its_own_row(sawtooth, m):
     """Scoring the (trials, m) array at once gives, bitwise, the error of
     each trial scored on its own."""
     deploy, noise = UniformDeployment(), UniformSymNoise(b=1.0)
-    cfg = EstimatorConfig(basis=FourierBasis(), density=deploy, c=1.5,
-                          schedule=TruncationSchedule.fixed(m))
-    sweep = monte_carlo_mse(sawtooth, deploy, noise, cfg, [1024], trials=12, seed=41)
-    rows = collect_trials([TrialCell(sawtooth, deploy, noise, cfg, 1024, m, 12)],
+    sweep = monte_carlo_mse(sawtooth, deploy, noise, FourierBasis(),
+                            TruncationSchedule.fixed(m), [1024], trials=12, seed=41)
+    rows = collect_trials([TrialCell(sawtooth, deploy, noise, FourierBasis(), 1024, m, 12)],
                           seed=41)[0]
     true_cv = true_coefficients(sawtooth, FourierBasis(), m)
     per_row = [integrated_squared_error(ReconstructionCoefficients(row, 1024),
@@ -381,17 +371,15 @@ def test_sweep_scores_each_trial_as_its_own_row(sawtooth, m):
 def test_zero_field_mse_tracks_the_variance_bound():
     # with m = 1 the distortion is Var[alpha_hat_0] <= c^2 / n
     field, deploy, noise = zero_field(1.0), UniformDeployment(), ZeroNoise()
-    cfg = EstimatorConfig(basis=FourierBasis(), density=deploy, c=1.0,
-                          schedule=TruncationSchedule.fixed(1))
-    sweep = monte_carlo_mse(field, deploy, noise, cfg, [10_000], trials=200, seed=41)
+    sweep = monte_carlo_mse(field, deploy, noise, FourierBasis(), TruncationSchedule.fixed(1),
+                            [10_000], trials=200, seed=41)
     assert sweep.means[0] <= 1.2 * 1.0 / 10_000
 
 
 def test_finite_dim_mse_scales_inversely_with_n(finite_dim_k5):
     deploy, noise = UniformDeployment(), UniformSymNoise(b=1.0)
-    cfg = EstimatorConfig(basis=FourierBasis(), density=deploy, c=1.8,
-                          schedule=TruncationSchedule.finite_dim(5))
-    sweep = monte_carlo_mse(finite_dim_k5, deploy, noise, cfg, [1000, 10_000],
+    sweep = monte_carlo_mse(finite_dim_k5, deploy, noise, FourierBasis(),
+                            TruncationSchedule.finite_dim(5), [1000, 10_000],
                             trials=150, seed=51)
     ratio = sweep.means[0] / sweep.means[1]
     assert 6.0 <= ratio <= 14.0

@@ -45,9 +45,13 @@ M = 64
 
 
 def cell_for(field, deploy, noise, basis, n, trials, m=M):
-    cfg = EstimatorConfig(basis=basis, density=deploy, c=field.amplitude_bound + noise.b,
-                          schedule=TruncationSchedule.fixed(m))
-    return TrialCell(field, deploy, noise, cfg, n, m, trials)
+    return TrialCell(field, deploy, noise, basis, n, m, trials)
+
+
+def cfg_for(field, deploy, noise, basis, m=M):
+    """The oracle's estimator config for a cell of these ingredients."""
+    return EstimatorConfig(basis=basis, density=deploy, c=field.amplitude_bound + noise.b,
+                           schedule=TruncationSchedule.fixed(m))
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +127,8 @@ def test_block_rows_equal_the_one_trial_oracle(deploy, noise):
                 rows = collect_trials([cell], seed)[0]
                 for t in range(trials):
                     batch = reference_batch(field, deploy, noise, n, trial_seed(seed, 0, t))
-                    want = estimate_coefficients(batch, cell.cfg, M).values
+                    want = estimate_coefficients(
+                        batch, cfg_for(field, deploy, noise, basis), M).values
                     assert np.array_equal(rows[t], want), (field.kind, basis.kind, n, t)
 
 
@@ -136,7 +141,7 @@ def test_block_batch_rows_equal_single_batches(n):
     block = simulate_batch(field, deploy, noise, n, keys)
     assert block.x.shape == (3, n) and block.n == n
     for basis in BASES:
-        cfg = cell_for(field, deploy, noise, basis, n, 3).cfg
+        cfg = cfg_for(field, deploy, noise, basis)
         estimates = estimate_coefficients(block, cfg, M).values
         for t in range(3):
             single = simulate_batch(field, deploy, noise, n, trial_seed(88, 2, t))
@@ -161,7 +166,7 @@ def test_a_bad_sensor_in_a_block_is_named_by_row_and_column(sawtooth):
     block = simulate_batch(sawtooth, UniformDeployment(), ZeroNoise(), 5,
                            stream_keys(1, [(0,), (1,)]))
     block.bits[1, 3] = 0.0
-    cfg = cell_for(sawtooth, UniformDeployment(), ZeroNoise(), FourierBasis(), 5, 2).cfg
+    cfg = cfg_for(sawtooth, UniformDeployment(), ZeroNoise(), FourierBasis())
     with pytest.raises(EstimationError, match=r"bits\[1, 3\]=0.0"):
         estimate_coefficients(block, cfg, 4)
 
@@ -215,7 +220,7 @@ def test_the_estimate_is_linear_in_the_bits(seed, n, basis, m, a, b):
 def test_flipping_every_bit_negates_the_estimate(seed, basis):
     field, deploy, noise = FIELDS["sawtooth"], UniformDeployment(), UniformSymNoise(b=1.0)
     batch = simulate_batch(field, deploy, noise, 700, stream_keys(seed, [(0,), (1,)]))
-    cfg = cell_for(field, deploy, noise, basis, 700, 2).cfg
+    cfg = cfg_for(field, deploy, noise, basis)
     flipped = SensorBatch(x=batch.x, y=batch.y, t=batch.t, bits=-batch.bits, c=batch.c)
     assert np.array_equal(estimate_coefficients(flipped, cfg, M).values,
                           -estimate_coefficients(batch, cfg, M).values)
@@ -262,7 +267,8 @@ def test_tiled_rows_equal_the_one_trial_oracle(n, basis, m, gridded):
         rows = collect_trials([cell], seed)[0]
         for t in range(trials):
             batch = reference_batch(field, deploy, noise, n, trial_seed(seed, 0, t))
-            want = estimate_coefficients(batch, cell.cfg, m).values
+            want = estimate_coefficients(batch, cfg_for(field, deploy, noise, basis, m),
+                                         m).values
             assert np.array_equal(rows[t], want), (field.kind, t)
 
 
@@ -300,7 +306,7 @@ def test_tiled_rows_do_not_depend_on_the_worker_count(monkeypatch):
 def test_a_bad_sensor_in_a_later_tile_is_named_by_its_index(sawtooth, monkeypatch):
     """The index is the sensor's place in its realization, not in its tile."""
     deploy, noise = UniformDeployment(), ZeroNoise()
-    cfg = cell_for(sawtooth, deploy, noise, FourierBasis(), 20_000, 1).cfg
+    cfg = cfg_for(sawtooth, deploy, noise, FourierBasis())
     window = simulate_batch(sawtooth, deploy, noise, 20_000 - BLOCK_SENSORS, 4, BLOCK_SENSORS)
     window.bits[17_000 - BLOCK_SENSORS] = 0.0
     with pytest.raises(EstimationError, match=r"bits\[17000\]=0.0"):

@@ -313,6 +313,28 @@ def test_field_documents_build_their_fields(doc, field):
     assert built.amplitude_bound == field.amplitude_bound
 
 
+@pytest.mark.parametrize("doc, extra", [
+    ({"class": "sobolev", "s": 1, "seed": 7, "n_freq": 16}, "n_freq"),
+    ({"class": "bv", "shape": "sawtooth", "scale": 2.0}, "scale"),
+    ({"class": "finite_dim", "coefficients": [[0.5, 0.0]], "amplitude_bound": 1.0,
+      "k": 1}, "k")],
+    ids=["sobolev_n_freq", "bv_scale", "finite_dim_k"])
+def test_a_field_document_takes_only_its_class_keys(doc, extra):
+    """`n_freq` for `n_freqs` used to build the 128-pair default field."""
+    with pytest.raises(ValueError, match=rf"{doc['class']} field takes only .*got \['{extra}'\]"):
+        field_from_json(doc)
+
+
+@pytest.mark.parametrize("shape", ["sawtooth", "step", "staircase"])
+@pytest.mark.parametrize("custom", [{"edges": [0, 0.3, 1], "levels": [0, 1]},
+                                    {"edges": [0, 0.3, 1]}, {"levels": [0, 1]}],
+                         ids=["both", "edges", "levels"])
+def test_a_shipped_shape_takes_no_edges_or_levels(shape, custom):
+    """The step shape with its own edges used to build the shipped step at 1/2."""
+    with pytest.raises(ValueError, match=f"shipped {shape!r} shape takes no edges or levels"):
+        field_from_json({"class": "bv", "shape": shape, **custom})
+
+
 # ---------------------------------------------------------------------------
 # properties
 # ---------------------------------------------------------------------------

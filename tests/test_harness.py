@@ -11,8 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ditherfield import (ConfigValidationError, EstimatorConfig, FourierBasis,
-                         TruncationSchedule, cli, harness, load_shipped_config,
+from ditherfield import (AffineFloorDeployment, ConfigValidationError, FourierBasis,
+                         Linear2xDeployment, TruncationSchedule, UniformDeployment,
+                         UniformSymNoise, ZeroNoise, cli, harness, load_shipped_config,
                          monte_carlo_mse, parse_experiment_config,
                          run_experiment, run_lemma_battery, run_suite)
 from ditherfield import analysis
@@ -443,6 +444,48 @@ def test_fourier_basis_takes_no_parameters():
         parse_experiment_config(dict(MINI_CONFIG, basis={"kind": "fourier", "cells": 16}))
 
 
+@pytest.mark.parametrize("key, doc, named", [
+    ("noise", {"kind": "zero", "b": 1.0}, "unexpected keyword argument 'b'"),
+    ("deployment", {"kind": "uniform", "nu": 0.5}, "unexpected keyword argument 'nu'"),
+    ("deployment", {"kind": "tabulated", "pdf_values": [1, 1], "foo": 1},
+     "unexpected keyword argument 'foo'"),
+    ("deployment", {"type": "uniform"}, "missing 1 required positional argument: 'kind'")],
+    ids=["zero_noise_b", "uniform_nu", "tabulated_stray", "no_kind"])
+def test_a_deployment_or_noise_takes_only_its_own_keys(key, doc, named):
+    """Zero noise with b = 1 used to parse as c = a, not a + 1, the stray
+    keys of the uniform and tabulated deployments went unread, and a
+    missing kind raised a bare KeyError."""
+    with pytest.raises(ConfigValidationError, match=rf"{key}: .*{named}"):
+        parse_experiment_config(dict(MINI_CONFIG, **{key: doc}))
+
+
+@pytest.mark.parametrize("key, doc, message", [
+    ("deployment", {"kind": [1]}, "unknown deployment kind"),
+    ("noise", {"kind": [1]}, "unknown noise kind"),
+    ("basis", {"kind": [1]}, "unknown basis kind"),
+    ("field", {"class": [1]}, "unknown field class")],
+    ids=["deployment", "noise", "basis", "field"])
+def test_a_kind_that_is_not_a_string_is_unknown(key, doc, message):
+    """A list kind used to fail the table lookup as an unhashable type."""
+    with pytest.raises(ConfigValidationError, match=rf"{key}: {message} \[1\]"):
+        parse_experiment_config(dict(MINI_CONFIG, **{key: doc}))
+
+
+@pytest.mark.parametrize("name, deployment, noise, c", [
+    ("finite_dim_k5", UniformDeployment(), UniformSymNoise(b=1.0), 1.8),
+    ("bv_sawtooth", UniformDeployment(), UniformSymNoise(b=1.0), 1.5),
+    ("sobolev_s1", UniformDeployment(), UniformSymNoise(b=1.0), 2.0),
+    ("as_trace_zero", UniformDeployment(), ZeroNoise(), 1.0),
+    ("as_trace_sawtooth", UniformDeployment(), UniformSymNoise(b=0.5), 1.0),
+    ("mismatch_linear2x", Linear2xDeployment(), UniformSymNoise(b=1.0), 1.5),
+    ("mismatch_affine_floor", AffineFloorDeployment(nu=0.5), UniformSymNoise(b=1.0), 1.5)])
+def test_shipped_configs_parse_to_their_deployment_noise_and_range(name, deployment,
+                                                                   noise, c):
+    config = load_shipped_config(name)
+    assert config.deployment == deployment and config.noise == noise
+    assert config.c == c
+
+
 def test_a_nan_bound_is_a_dominance_violation(tmp_path, monkeypatch):
     """Bound dominance holds only where mean <= bound + 3 ci is true; a NaN
     bound is not evidence of dominance."""
@@ -628,10 +671,8 @@ def test_a_fuzzed_config_is_rejected_or_runs_to_finite_errors(target, value):
         config = parse_experiment_config(doc)
     except ConfigValidationError:
         return
-    cfg = EstimatorConfig(basis=config.basis, density=config.deployment, c=config.c,
-                          schedule=config.schedule)
-    sweep = monte_carlo_mse(config.field, config.deployment, config.noise, cfg,
-                            (64, 128, 256, 512), 2, seed=config.seed)
+    sweep = monte_carlo_mse(config.field, config.deployment, config.noise, config.basis,
+                            config.schedule, (64, 128, 256, 512), 2, seed=config.seed)
     assert np.all(np.isfinite(sweep.means)) and np.all(np.isfinite(sweep.stds))
 
 
