@@ -11,9 +11,9 @@ from .estimator import (EstimationError, EstimatorConfig, TruncationSchedule,
                         estimate_coefficients, reconstruct)
 from .fields import (FieldSpec, FiniteDimField, FourierBasis,
                      PiecewiseConstantField, ReconstructionCoefficients,
-                     SawtoothField, SobolevField, StepBasis, field_from_json,
-                     m_term_error, make_bv_field, make_finite_dim_field,
-                     make_sobolev_field, true_coefficients)
+                     SawtoothField, SobolevField, StepBasis, m_term_error,
+                     make_bv_field, make_finite_dim_field, make_sobolev_field,
+                     true_coefficients)
 from .harness import (ConfigValidationError, ExperimentConfig,
                       ExperimentOutcome, SuiteResult, load_experiment_config,
                       load_shipped_config, parse_experiment_config,
@@ -21,7 +21,6 @@ from .harness import (ConfigValidationError, ExperimentConfig,
 from .sensing import (AffineFloorDeployment, Linear2xDeployment, SensorBatch,
                       TabulatedDeployment, TruncGaussNoise, TwoPointNoise,
                       UniformDeployment, UniformSymNoise, ZeroNoise,
-                      make_deployment, make_noise, simulate_batch, stream_keys,
-                      trial_seed)
+                      simulate_batch, stream_keys, trial_seed)
 
 __version__ = "0.1.0"

@@ -36,12 +36,10 @@ class TruncationSchedule:
     schedule_kind: str
     param: float | None = None
 
-    _KINDS: ClassVar[tuple[str, ...]] = ("fixed", "finite_dim", "bv", "sobolev", "power")
-    _PARAM_KEYS: ClassVar[dict[str, str]] = {"fixed": "m", "finite_dim": "k",
-                                             "sobolev": "s", "power": "psi"}
+    KINDS: ClassVar[tuple[str, ...]] = ("fixed", "finite_dim", "bv", "sobolev", "power")
 
     def __post_init__(self):
-        if self.schedule_kind not in self._KINDS:
+        if self.schedule_kind not in self.KINDS:
             raise ValueError(f"unknown schedule kind {self.schedule_kind!r}")
         if self.param is not None and not math.isfinite(self.param):
             raise ValueError(f"{self.schedule_kind} schedule parameter must be finite")
@@ -91,20 +89,6 @@ class TruncationSchedule:
             exponent = self.param
         # round before ceil: n**(1/3) can land at 3.0000000000000004
         return max(1, math.ceil(round(n ** exponent, 9)))
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "TruncationSchedule":
-        """A schedule from its config document: the kind and the kind's own
-        parameter key ("m", "k", "s" or "psi"), and no other key."""
-        kind = doc["kind"]
-        if kind not in cls._KINDS:
-            raise ValueError(f"unknown schedule kind {kind!r}")
-        key = cls._PARAM_KEYS.get(kind)
-        extra = sorted(set(doc) - {"kind", key})
-        if extra:
-            takes = f"only {key!r}" if key else "no parameter"
-            raise ValueError(f"{kind} schedule takes {takes}, got {extra}")
-        return cls(kind, doc.get(key) if key else None)
 
 
 # ---------------------------------------------------------------------------

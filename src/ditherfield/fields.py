@@ -9,7 +9,6 @@ truncation error is evaluated through Parseval, never by quadrature.
 from __future__ import annotations
 
 import dataclasses
-import inspect
 import math
 import numbers
 from dataclasses import dataclass
@@ -453,8 +452,8 @@ def _check_tail_residual(field: FieldSpec) -> None:
             f"exceeds {TAIL_REL_TOL:g} * ||f||^2 = {TAIL_REL_TOL * field.norm_sq:.3e}")
 
 
-def make_finite_dim_field(basis: Basis, coefficients: Sequence[complex],
-                          amplitude_bound: float) -> FiniteDimField:
+def make_finite_dim_field(coefficients: Sequence[complex], amplitude_bound: float,
+                          basis: Basis = FourierBasis()) -> FiniteDimField:
     """A `FiniteDimField` whose synthesis stays within its amplitude bound."""
     field = FiniteDimField(basis=basis, values=coefficients,
                            amplitude_bound=amplitude_bound)
@@ -480,11 +479,12 @@ def make_bv_field(shape: str, edges: Sequence[float] | None = None,
         if edges is not None or levels is not None:
             raise ValueError(f"the shipped {shape!r} shape takes no edges or levels")
         field = _BV_SHAPES[shape]()
-    elif shape == "piecewise" or edges is not None:
+    elif edges is None or levels is None:
+        raise ValueError(f"unknown bounded-variation shape {shape!r}; a custom "
+                         "shape needs both edges and levels")
+    else:
         field = PiecewiseConstantField(edges=tuple(edges), levels=tuple(levels),
                                        shape=shape)
-    else:
-        raise ValueError(f"unknown bounded-variation shape {shape!r}")
     _check_tail_residual(field)
     return field
 
@@ -553,45 +553,3 @@ def m_term_error(coeffs: ReconstructionCoefficients, field: FieldSpec, m: int) -
         raise ValueError("m must be >= 0")
     head = float(np.sum(np.abs(coeffs.values[:m]) ** 2))
     return max(field.norm_sq - head, 0.0)
-
-
-# ---------------------------------------------------------------------------
-# config documents
-# ---------------------------------------------------------------------------
-
-_BASES: dict[str, Callable[..., Basis]] = {"fourier": FourierBasis, "step": StepBasis}
-
-
-def basis_from_json(doc) -> Basis:
-    """A basis from its kind ("fourier") or its fields ({"kind": "step", "cells": 16})."""
-    params = {"kind": doc} if isinstance(doc, str) else dict(doc)
-    kind = params.pop("kind")
-    if not isinstance(kind, str) or kind not in _BASES:
-        raise ValueError(f"unknown basis kind {kind!r}")
-    return _BASES[kind](**params)
-
-
-def _finite_dim_from_json(coefficients, amplitude_bound, basis="fourier") -> FiniteDimField:
-    return make_finite_dim_field(basis_from_json(basis),
-                                 [complex(re, im) for re, im in coefficients],
-                                 amplitude_bound)
-
-
-# each field class's builder; its keywords are the class's document keys
-_FIELD_CLASSES: dict[str, Callable[..., FieldSpec]] = {
-    "finite_dim": _finite_dim_from_json, "bv": make_bv_field,
-    "sobolev": make_sobolev_field}
-
-
-def field_from_json(doc: dict) -> FieldSpec:
-    """A field from its "class" and that class's own keys, and no other key."""
-    params = dict(doc)
-    cls = params.pop("class", None)
-    if not isinstance(cls, str) or cls not in _FIELD_CLASSES:
-        raise ValueError(f"unknown field class {cls!r}")
-    build = _FIELD_CLASSES[cls]
-    keys = list(inspect.signature(build).parameters)
-    extra = sorted(set(params) - set(keys))
-    if extra:
-        raise ValueError(f"{cls} field takes only {keys}, got {extra}")
-    return build(**params)

@@ -7,14 +7,18 @@ worker count never changes a byte.
 
 from __future__ import annotations
 
+import collections.abc
 import hashlib
+import inspect
 import json
 import math
 import numbers
+import sys
 from dataclasses import asdict, dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Callable, ClassVar, Sequence
+from typing import (Callable, ClassVar, Sequence, get_args, get_origin,
+                    get_type_hints)
 
 import numpy as np
 
@@ -24,11 +28,10 @@ from .analysis import (RATE_FIT_MIN_POINTS, ASTraceResult, BoundReport,
                        monte_carlo_mse, mse_upper_bound, rate_fit,
                        validate_as_schedule)
 from .estimator import TruncationSchedule
-from .fields import (Basis, FieldSpec, FourierBasis, basis_from_json,
-                     field_from_json, make_bv_field, make_finite_dim_field,
-                     make_sobolev_field, true_coefficients)
-from .sensing import (SEED_MAX, Deployment, Noise, UniformDeployment,
-                      make_deployment, make_noise)
+from .fields import (Basis, FieldSpec, FourierBasis, make_bv_field,
+                     make_finite_dim_field, make_sobolev_field,
+                     true_coefficients)
+from .sensing import SEED_MAX, Deployment, Noise, UniformDeployment
 
 CSV_HEADER = ["experiment_id", "n", "m", "trials", "mse_mean", "mse_std",
               "ci_lo", "ci_hi", "bound_total", "bound_var_term",
@@ -67,25 +70,109 @@ class ConfigValidationError(ValueError):
 # config documents
 # ---------------------------------------------------------------------------
 
-def _count(value) -> int:
-    """An integer, or an integral float such as 64.0, as an int."""
-    if isinstance(value, numbers.Integral) or (isinstance(value, float)
-                                               and value.is_integer()):
-        return int(value)
-    raise ValueError(f"{value!r} is not an integer")
+# Each section document names a constructor by its kind key, and holds that
+# constructor's keywords and no other key.
+_SECTIONS: dict[str, tuple[str, dict[str, Callable]]] = {
+    "deployment": ("kind", {cls.kind: cls for cls in get_args(Deployment)}),
+    "noise": ("kind", {cls.kind: cls for cls in get_args(Noise)}),
+    "basis": ("kind", {cls.kind: cls for cls in get_args(Basis)}),
+    "schedule": ("kind", {kind: getattr(TruncationSchedule, kind)
+                          for kind in TruncationSchedule.KINDS}),
+    "field": ("class", {"finite_dim": make_finite_dim_field, "bv": make_bv_field,
+                        "sobolev": make_sobolev_field}),
+}
+
+
+def _got(value) -> str:
+    """A config value as a problem shows it: a list as itself, a scalar with its type."""
+    return ("null" if value is None else repr(value) if isinstance(value, (list, tuple, dict))
+            else f"{type(value).__name__} {value!r}")
+
+
+def _problem(path: str, message: str) -> ConfigValidationError:
+    return ConfigValidationError([f"{path}: {message}"])
 
 
 def _finite_number(value) -> bool:
+    """Whether `value` is a real number that a float holds finitely: Python
+    counts a bool as the integer 1 or 0, so a bool is not one."""
     return (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and math.isfinite(value))
+            and abs(value) <= sys.float_info.max)
 
 
-def _has_boolean(value) -> bool:
-    """Whether true or false sits anywhere in a config value: Python counts
-    a bool as the integer 1 or 0, so every number check would take it."""
-    items = (value.values() if isinstance(value, dict)
-             else value if isinstance(value, (list, tuple)) else None)
-    return isinstance(value, bool) if items is None else any(map(_has_boolean, items))
+def _integral(value) -> bool:
+    """Whether `value` is an integer and not a bool, or an integral float such as 64.0."""
+    return ((isinstance(value, numbers.Integral) and not isinstance(value, bool))
+            or (isinstance(value, float) and value.is_integer()))
+
+
+# annotation -> (what a value must be, the test it must pass, the value it gives)
+_SCALARS: dict[type, tuple[str, Callable, Callable]] = {
+    float: ("a finite number", _finite_number, float),
+    int: ("an integer", _integral, int),
+    str: ("a string", lambda value: isinstance(value, str), str),
+    complex: ("[re, im] of finite numbers",
+              lambda value: (isinstance(value, (list, tuple)) and len(value) == 2
+                             and all(map(_finite_number, value))),
+              lambda value: complex(*value)),
+}
+
+
+def _convert(hint, value, path: str):
+    """`value` checked and converted by the one converter its annotation
+    picks: a basis is a basis document or its kind alone, a sequence or an
+    array of floats is a list, and an optional value may be null."""
+    if hint in _SCALARS:
+        expected, test, cast = _SCALARS[hint]
+        if not test(value):
+            raise _problem(path, f"expected {expected}, got {_got(value)}")
+        return cast(value)
+    if hint == Basis:
+        return _build_section("basis", {"kind": value} if isinstance(value, str) else value,
+                              path)
+    if hint is np.ndarray or get_origin(hint) is collections.abc.Sequence:
+        item = float if hint is np.ndarray else get_args(hint)[0]
+        if not isinstance(value, (list, tuple)):
+            raise _problem(path, f"expected a list, got {_got(value)}")
+        return [_convert(item, v, f"{path}[{i}]") for i, v in enumerate(value)]
+    inner = [arg for arg in get_args(hint) if arg is not type(None)]
+    if len(inner) == 1 < len(get_args(hint)):
+        return None if value is None else _convert(inner[0], value, path)
+    raise TypeError(f"no config converter for the annotation {hint!r}")
+
+
+def _build_section(section: str, doc, path: str):
+    """The object a section document names, its kind key picking the
+    constructor; ConfigValidationError names the path of each bad key, and
+    reports a constructor's own range check under `path`."""
+    kind_key, kinds = _SECTIONS[section]
+    if not isinstance(doc, dict):
+        raise _problem(path, f"expected an object, got {_got(doc)}")
+    kind = doc.get(kind_key)
+    if not isinstance(kind, str) or kind not in kinds:
+        raise _problem(f"{path}.{kind_key}", f"unknown {section} {kind_key} {kind!r}; "
+                                             f"expected one of {list(kinds)}")
+    build = kinds[kind]
+    params = inspect.signature(build).parameters
+    hints = get_type_hints(build)
+    takes = f"{kind} {section} takes {[kind_key, *params]}"
+    problems = [f"{path}.{key}: unexpected key; {takes}"
+                for key in doc if key != kind_key and key not in params]
+    args = {}
+    for name, param in params.items():
+        if name in doc:
+            try:
+                args[name] = _convert(hints[name], doc[name], f"{path}.{name}")
+            except ConfigValidationError as exc:
+                problems += exc.problems
+        elif param.default is param.empty:
+            problems.append(f"{path}.{name}: required; {takes}")
+    if problems:
+        raise ConfigValidationError(problems)
+    try:
+        return build(**args)
+    except (ValueError, OverflowError, MemoryError) as exc:  # a size no machine holds
+        raise _problem(path, str(exc)) from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,39 +201,30 @@ class ExperimentConfig:
 
 def parse_experiment_config(doc: dict, seed_override: int | None = None) -> ExperimentConfig:
     if not isinstance(doc, dict):
-        raise ConfigValidationError([f"config must be a JSON object, got "
-                                     f"{type(doc).__name__}"])
-    problems: list[str] = []
+        raise ConfigValidationError([f"config must be a JSON object, got {type(doc).__name__}"])
     doc = dict(doc)
     if seed_override is not None:
         doc["seed"] = int(seed_override)
 
-    unknown = sorted(set(doc) - set(_CONFIG_KEYS))
-    if unknown:
-        problems.append(f"unknown keys {unknown}; expected some of {list(_CONFIG_KEYS)}")
-    problems += [f"{key}: true and false are not numbers; booleans belong under acceptance"
-                 for key in doc if key != "acceptance" and _has_boolean(doc[key])]
+    problems = [f"{key}: unknown key; expected some of {list(_CONFIG_KEYS)}"
+                for key in doc if key not in _CONFIG_KEYS]
 
     experiment_id = doc.get("experiment_id")
     if not isinstance(experiment_id, str) or not experiment_id:
         problems.append("experiment_id: required non-empty string")
 
-    def _build(key, fn, required=True):
-        if key not in doc:
-            if required:
-                problems.append(f"{key}: required")
-            return None
+    sections = ("field", "deployment", "noise", "schedule", "basis")
+    built = {"basis": FourierBasis()}  # also where the basis fails, for the checks below
+    for key in sections:
         try:
-            return fn(doc[key])
-        except Exception as exc:
-            problems.append(f"{key}: {exc}")
-            return None
-
-    field = _build("field", field_from_json)
-    deployment = _build("deployment", lambda d: make_deployment(**d))
-    noise = _build("noise", lambda d: make_noise(**d))
-    schedule = _build("schedule", TruncationSchedule.from_json)
-    basis = _build("basis", basis_from_json, required=False) or FourierBasis()
+            if key in doc:
+                built[key] = (_convert(Basis, doc[key], key) if key == "basis"
+                              else _build_section(key, doc[key], key))
+            elif key != "basis":
+                problems.append(f"{key}: required")
+        except ConfigValidationError as exc:
+            problems += exc.problems
+    field, deployment, noise, schedule, basis = map(built.get, sections)
 
     n_grid: tuple[int, ...] = ()
     raw_grid = doc.get("n_grid")
@@ -154,7 +232,7 @@ def parse_experiment_config(doc: dict, seed_override: int | None = None) -> Expe
         problems.append("n_grid: required non-empty list")
     else:
         try:
-            n_grid = tuple(_count(n) for n in raw_grid)
+            n_grid = tuple(_convert(int, n, "n_grid") for n in raw_grid)
             if any(n < 1 for n in n_grid):
                 problems.append("n_grid: entries must be positive")
             if any(n > N_GRID_MAX for n in n_grid):
@@ -170,9 +248,9 @@ def parse_experiment_config(doc: dict, seed_override: int | None = None) -> Expe
         problems.append("trials: required")
     else:
         try:
-            trials = (tuple(_count(t) for t in raw_trials)
+            trials = (tuple(_convert(int, t, "trials") for t in raw_trials)
                       if isinstance(raw_trials, (list, tuple))
-                      else (_count(raw_trials),) * max(len(n_grid), 1))
+                      else (_convert(int, raw_trials, "trials"),) * max(len(n_grid), 1))
             if n_grid and len(trials) != len(n_grid):
                 problems.append("trials: need one count per n_grid entry")
             if any(t < 2 for t in trials):
@@ -202,10 +280,8 @@ def parse_experiment_config(doc: dict, seed_override: int | None = None) -> Expe
     if not isinstance(acceptance, dict):
         problems.append("acceptance: must be an object")
         acceptance = {}
-    unknown = sorted(set(acceptance) - set(_ACCEPTANCE_KEYS))
-    if unknown:
-        problems.append(f"acceptance: unknown keys {unknown}; expected some of "
-                        f"{list(_ACCEPTANCE_KEYS)}")
+    problems += [f"acceptance.{key}: unknown key; expected some of {list(_ACCEPTANCE_KEYS)}"
+                 for key in acceptance if key not in _ACCEPTANCE_KEYS]
     slope_range = acceptance.get("slope_range", (0.0, 0.0))
     if not (isinstance(slope_range, (list, tuple)) and len(slope_range) == 2
             and all(map(_finite_number, slope_range))
@@ -223,15 +299,14 @@ def parse_experiment_config(doc: dict, seed_override: int | None = None) -> Expe
         problems.append(f"acceptance: {', '.join(fitted)} need a rate fit, which "
                         f"needs at least {RATE_FIT_MIN_POINTS} n_grid points")
 
+    seed = 0
     if "seed" not in doc:
         problems.append("seed: required (no implicit entropy)")
-        seed = 0
     else:
         try:
-            seed = _count(doc["seed"])
+            seed = _convert(int, doc["seed"], "seed")
         except ValueError:
             problems.append("seed: must be an integer")
-            seed = 0
         if seed < 0:
             problems.append("seed: must be >= 0")
         if seed > SEED_MAX:
@@ -458,7 +533,6 @@ LEMMA_CELL_HEADER = ["cell", "field", "deployment", "noise", "j",
 def lemma_battery_menu() -> list[tuple[str, FieldSpec]]:
     """Three fields (one per studied class), sized for fast repeated sampling."""
     finite = make_finite_dim_field(
-        FourierBasis(),
         [0.2, 0.15 + 0.1j, 0.15 - 0.1j, -0.1 + 0.05j, -0.1 - 0.05j],
         amplitude_bound=0.8)
     return [("finite_dim_k5", finite),

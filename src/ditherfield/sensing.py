@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import ClassVar, get_args
+from typing import ClassVar
 
 import numpy as np
 
@@ -222,14 +222,6 @@ class TabulatedDeployment:
 
 
 Deployment = UniformDeployment | Linear2xDeployment | AffineFloorDeployment | TabulatedDeployment
-_DEPLOYMENTS = {cls.kind: cls for cls in get_args(Deployment)}
-
-
-def make_deployment(kind: str, **params) -> Deployment:
-    """The deployment of `kind`, built from its class's own keywords and no other."""
-    if not isinstance(kind, str) or kind not in _DEPLOYMENTS:
-        raise ValueError(f"unknown deployment kind {kind!r}")
-    return _DEPLOYMENTS[kind](**params)
 
 
 # ---------------------------------------------------------------------------
@@ -299,14 +291,6 @@ class TwoPointNoise:
 
 
 Noise = ZeroNoise | UniformSymNoise | TruncGaussNoise | TwoPointNoise
-_NOISES = {cls.kind: cls for cls in get_args(Noise)}
-
-
-def make_noise(kind: str, **params) -> Noise:
-    """The noise model of `kind`, built from its class's own keywords and no other."""
-    if not isinstance(kind, str) or kind not in _NOISES:
-        raise ValueError(f"unknown noise kind {kind!r}")
-    return _NOISES[kind](**params)
 
 
 # ---------------------------------------------------------------------------

@@ -92,7 +92,7 @@ def step64():
 
 @pytest.fixture(scope="session")
 def finite_dim_k5(fourier):
-    return make_finite_dim_field(fourier, SHIPPED_K5_COEFFS, amplitude_bound=0.8)
+    return make_finite_dim_field(SHIPPED_K5_COEFFS, amplitude_bound=0.8, basis=fourier)
 
 
 @pytest.fixture(scope="session")

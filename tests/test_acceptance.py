@@ -97,7 +97,7 @@ def test_criterion_11_parseval_oracle_equivalence():
         for _ in range(n_pairs):
             re, im = rng.uniform(-0.6, 0.6, 2)
             values.extend([complex(re, -im), complex(re, im)])
-        field = make_finite_dim_field(basis, values, amplitude_bound=5.0)
+        field = make_finite_dim_field(values, amplitude_bound=5.0, basis=basis)
         m = int(rng.integers(1, len(values) + 1))
         hat_vals = rng.uniform(-0.7, 0.7, m) + 1j * rng.uniform(-0.7, 0.7, m)
         hat = ReconstructionCoefficients(values=hat_vals, n_used=1)

@@ -129,6 +129,18 @@ def test_bound_decomposition_and_monotone_bias(fourier, sawtooth):
         previous_bias = report.bias_term
 
 
+@pytest.mark.parametrize("m", [5, 33, 101])
+def test_the_sawtooth_bias_term_is_its_closed_form_tail(fourier, sawtooth, m):
+    """|<f, phi_j>|^2 = 1/(4 pi^2 k^2) at frequency +-k, so the tail past
+    m = 2K + 1 is 2 sum_{k>K} 1/(4 pi^2 k^2) = psi_1(K + 1) / (2 pi^2)."""
+    from scipy.special import polygamma
+
+    report = mse_upper_bound(sawtooth, fourier, UniformDeployment(), 1000, m, 1.5)
+    k = (m - 1) // 2
+    assert report.bias_term == pytest.approx(polygamma(1, k + 1) / (2.0 * math.pi ** 2),
+                                             rel=1e-13, abs=0.0)
+
+
 # ---------------------------------------------------------------------------
 # consistency conditions
 # ---------------------------------------------------------------------------
@@ -149,6 +161,15 @@ def test_fixed_schedule_fails_growth(fourier):
     assert not report.truncation_grows
     assert not report.all_pass
     assert report.variance_ok  # 5/n still vanishes; growth is what fails
+
+
+@pytest.mark.parametrize("grid, vanishing", [((100, 166), False), ((100, 250), True)],
+                         ids=["ratio_0.602", "ratio_0.400"])
+def test_the_variance_condition_vanishes_at_half_its_first_value(fourier, grid, vanishing):
+    """A fixed m = 5 gives q_n = 5/n: the last q must be at most half the first."""
+    report = check_consistency_conditions(TruncationSchedule.fixed(5), fourier,
+                                          UniformDeployment(), grid)
+    assert report.variance_condition_vanishing is vanishing
 
 
 def test_linear_truncation_fails_the_variance_condition(fourier):
@@ -203,8 +224,8 @@ def test_zero_estimate_gives_full_energy(fourier, sawtooth):
 
 
 def test_hand_worked_case():
-    field = make_finite_dim_field(FourierBasis(), [0.5, 0.5j, -0.5j],
-                                  amplitude_bound=2.0)
+    field = make_finite_dim_field([0.5, 0.5j, -0.5j], amplitude_bound=2.0,
+                                  basis=FourierBasis())
     # ||f||^2 = 0.25 + 0.25 + 0.25 = 0.75; use the first two coefficients:
     # |1 - 0.5|^2 + |0 - 0.5j|^2 = 0.5, tail = 0.25
     cv = true_coefficients(field, FourierBasis(), 2)
@@ -221,7 +242,7 @@ def test_parseval_error_matches_direct_quadrature(fourier):
         for _ in range(n_pairs):
             re, im = rng.uniform(-0.5, 0.5, 2)
             values.extend([complex(re, -im), complex(re, im)])
-        field = make_finite_dim_field(fourier, values, amplitude_bound=4.0)
+        field = make_finite_dim_field(values, amplitude_bound=4.0, basis=fourier)
         m = int(rng.integers(1, len(values) + 1))
         hat_vals = rng.uniform(-0.5, 0.5, m) + 1j * rng.uniform(-0.5, 0.5, m)
         hat = ReconstructionCoefficients(values=hat_vals, n_used=1)

@@ -31,8 +31,8 @@ DEPLOYMENTS = [UniformDeployment(), Linear2xDeployment(),
                tabulate_deployment(lambda x: 1.0 + 0.5 * np.sin(2 * np.pi * x))]
 NOISES = [ZeroNoise(), UniformSymNoise(b=1.0), TruncGaussNoise(sigma=0.5, b=1.0),
           TwoPointNoise(b=0.7)]
-FIELDS = {"finite_dim": make_finite_dim_field(FourierBasis(), SHIPPED_K5_COEFFS,
-                                              amplitude_bound=0.8),
+FIELDS = {"finite_dim": make_finite_dim_field(SHIPPED_K5_COEFFS, amplitude_bound=0.8,
+                                              basis=FourierBasis()),
           "sobolev": make_sobolev_field(1.0, seed=7),
           "sawtooth": make_bv_field("sawtooth"),
           "piecewise": make_bv_field("staircase")}

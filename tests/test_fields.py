@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from ditherfield import (FiniteDimField, FourierBasis, PiecewiseConstantField,
-                         SobolevField, StepBasis, field_from_json, m_term_error,
-                         make_bv_field, make_finite_dim_field,
-                         make_sobolev_field, true_coefficients)
+from ditherfield import (ConfigValidationError, FiniteDimField, FourierBasis,
+                         PiecewiseConstantField, SobolevField, StepBasis,
+                         m_term_error, make_bv_field, make_finite_dim_field,
+                         make_sobolev_field, parse_experiment_config,
+                         true_coefficients)
 from ditherfield.fields import J_TAIL, synthesize
 from ditherfield.spectral import series
 
@@ -86,7 +87,7 @@ def test_zero_field_coefficients(fourier):
 
 def test_cosine_synthesis_analysis_round_trip(fourier):
     # f = (phi_1 + phi_2) / 2 = cos(2 pi x)
-    field = make_finite_dim_field(fourier, [0.0, 0.5, 0.5], amplitude_bound=1.0)
+    field = make_finite_dim_field([0.0, 0.5, 0.5], amplitude_bound=1.0, basis=fourier)
     x = np.linspace(0.0, 1.0, 101)
     assert np.allclose(field.eval(x), np.cos(2 * np.pi * x), atol=1e-12)
     cv = true_coefficients(field, fourier, 4)
@@ -252,7 +253,7 @@ def test_step_basis_needs_a_positive_integer_cell_count(cells):
 
 def test_finite_dim_rejects_broken_conjugate_pairs(fourier):
     with pytest.raises(ValueError):
-        make_finite_dim_field(fourier, [0.1, 0.2 + 0.1j, 0.5], amplitude_bound=1.0)
+        make_finite_dim_field([0.1, 0.2 + 0.1j, 0.5], amplitude_bound=1.0, basis=fourier)
 
 
 @pytest.mark.parametrize("values", [[0.0, 1.0, 0.0],           # phi_1 without its partner
@@ -285,7 +286,7 @@ def test_sobolev_field_is_a_fourier_finite_dim_field():
 
 def test_finite_dim_rejects_amplitude_violation(fourier):
     with pytest.raises(ValueError):
-        make_finite_dim_field(fourier, SHIPPED_K5_COEFFS, amplitude_bound=0.5)
+        make_finite_dim_field(SHIPPED_K5_COEFFS, amplitude_bound=0.5, basis=fourier)
 
 
 def test_slowly_decaying_field_is_rejected_at_the_tail_horizon():
@@ -296,6 +297,14 @@ def test_slowly_decaying_field_is_rejected_at_the_tail_horizon():
         make_bv_field("piecewise", edges=edges, levels=levels)
 
 
+def field_from_document(doc):
+    """The field a config's field document builds."""
+    return parse_experiment_config({
+        "experiment_id": "field", "field": doc, "deployment": {"kind": "uniform"},
+        "noise": {"kind": "zero"}, "schedule": {"kind": "fixed", "m": 1},
+        "n_grid": [16], "trials": 2, "seed": 0}).field
+
+
 # field documents of the kinds that no shipped config or parser test reads
 @pytest.mark.parametrize("doc, field", [
     ({"class": "bv", "shape": "step"}, make_bv_field("step")),
@@ -303,14 +312,20 @@ def test_slowly_decaying_field_is_rejected_at_the_tail_horizon():
     ({"class": "bv", "shape": "piecewise", "edges": [0.0, 0.25, 1.0], "levels": [0.5, -0.25]},
      PiecewiseConstantField(edges=(0.0, 0.25, 1.0), levels=(0.5, -0.25))),
     ({"class": "sobolev", "s": 1.0, "seed": 7, "n_freqs": 32},
-     make_sobolev_field(1.0, seed=7, n_freqs=32))],
-    ids=["step", "staircase", "piecewise", "sobolev_n_freqs"])
+     make_sobolev_field(1.0, seed=7, n_freqs=32)),
+    ({"class": "finite_dim", "coefficients": [[0.2, 0.0], [0.1, 0.1], [0.1, -0.1]],
+      "amplitude_bound": 1.0},
+     make_finite_dim_field([0.2, 0.1 + 0.1j, 0.1 - 0.1j], amplitude_bound=1.0,
+                           basis=FourierBasis()))],
+    ids=["step", "staircase", "piecewise", "sobolev_n_freqs", "finite_dim_no_basis"])
 def test_field_documents_build_their_fields(doc, field):
+    """A finite_dim document without a basis builds on the Fourier basis."""
     x = np.linspace(0.0, 1.0, 501)
-    built = field_from_json(doc)
+    built = field_from_document(doc)
     assert type(built) is type(field)
     assert np.array_equal(built.eval(x), field.eval(x))
     assert built.amplitude_bound == field.amplitude_bound
+    assert getattr(built, "basis", None) == getattr(field, "basis", None)
 
 
 @pytest.mark.parametrize("doc, extra", [
@@ -321,8 +336,9 @@ def test_field_documents_build_their_fields(doc, field):
     ids=["sobolev_n_freq", "bv_scale", "finite_dim_k"])
 def test_a_field_document_takes_only_its_class_keys(doc, extra):
     """`n_freq` for `n_freqs` used to build the 128-pair default field."""
-    with pytest.raises(ValueError, match=rf"{doc['class']} field takes only .*got \['{extra}'\]"):
-        field_from_json(doc)
+    with pytest.raises(ConfigValidationError,
+                       match=rf"field\.{extra}: unexpected key; {doc['class']} field takes "):
+        field_from_document(doc)
 
 
 @pytest.mark.parametrize("shape", ["sawtooth", "step", "staircase"])
@@ -331,8 +347,17 @@ def test_a_field_document_takes_only_its_class_keys(doc, extra):
                          ids=["both", "edges", "levels"])
 def test_a_shipped_shape_takes_no_edges_or_levels(shape, custom):
     """The step shape with its own edges used to build the shipped step at 1/2."""
-    with pytest.raises(ValueError, match=f"shipped {shape!r} shape takes no edges or levels"):
-        field_from_json({"class": "bv", "shape": shape, **custom})
+    with pytest.raises(ConfigValidationError,
+                       match=f"field: the shipped {shape!r} shape takes no edges or levels"):
+        field_from_document({"class": "bv", "shape": shape, **custom})
+
+
+@pytest.mark.parametrize("custom", [{}, {"edges": [0, 0.3, 1]}, {"levels": [0, 1]}],
+                         ids=["neither", "edges", "levels"])
+def test_a_custom_shape_needs_edges_and_levels(custom):
+    """A piecewise shape without its levels used to raise a bare TypeError."""
+    with pytest.raises(ValueError, match="a custom shape needs both edges and levels"):
+        make_bv_field("piecewise", **custom)
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +379,7 @@ def conjugate_symmetric_coeffs(draw):
 @given(conjugate_symmetric_coeffs())
 @settings(max_examples=40, deadline=None)
 def test_error_is_nonincreasing_in_m_for_any_coefficients(values):
-    field = make_finite_dim_field(FourierBasis(), values,
+    field = make_finite_dim_field(values, basis=FourierBasis(),
                                   amplitude_bound=2.0 * sum(abs(v) for v in values) + 1.0)
     cv = true_coefficients(field, FourierBasis(), len(values) + 2)
     errors = [m_term_error(cv, field, m) for m in range(len(cv) + 1)]
@@ -365,7 +390,7 @@ def test_error_is_nonincreasing_in_m_for_any_coefficients(values):
 @given(conjugate_symmetric_coeffs())
 @settings(max_examples=30, deadline=None)
 def test_synthesis_analysis_round_trip_randomized(values):
-    field = make_finite_dim_field(FourierBasis(), values,
+    field = make_finite_dim_field(values, basis=FourierBasis(),
                                   amplitude_bound=2.0 * sum(abs(v) for v in values) + 1.0)
     cv = true_coefficients(field, FourierBasis(), len(values))
     assert np.allclose(cv.values, np.asarray(values, dtype=complex), atol=1e-12)

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ditherfield import (AffineFloorDeployment, ConfigValidationError, FourierBasis,
-                         Linear2xDeployment, TruncationSchedule, UniformDeployment,
+                         Linear2xDeployment, UniformDeployment,
                          UniformSymNoise, ZeroNoise, cli, harness, load_shipped_config,
                          monte_carlo_mse, parse_experiment_config,
                          run_experiment, run_lemma_battery, run_suite)
@@ -61,14 +61,14 @@ def test_rate_acceptance_needs_four_grid_points(keys):
         parse_experiment_config(doc)
 
 
-@pytest.mark.parametrize("schedule", [{"kind": "fixed", "s": 3},
-                                      {"kind": "sobolev", "m": 3},
-                                      {"kind": "bv", "psi": 0.5},
-                                      {"kind": "power", "psi": 0.4, "k": 2}])
-def test_schedule_takes_only_its_own_parameter_key(schedule):
-    with pytest.raises(ValueError, match="schedule takes"):
-        TruncationSchedule.from_json(schedule)
-    with pytest.raises(ConfigValidationError, match="schedule:"):
+@pytest.mark.parametrize("schedule, key", [({"kind": "fixed", "s": 3}, "s"),
+                                           ({"kind": "sobolev", "m": 3}, "m"),
+                                           ({"kind": "bv", "psi": 0.5}, "psi"),
+                                           ({"kind": "power", "psi": 0.4, "k": 2}, "k")])
+def test_schedule_takes_only_its_own_parameter_key(schedule, key):
+    with pytest.raises(ConfigValidationError,
+                       match=rf"schedule\.{key}: unexpected key; {schedule['kind']} "
+                             rf"schedule takes \['kind'"):
         parse_experiment_config(dict(MINI_CONFIG, schedule=schedule))
 
 
@@ -80,11 +80,12 @@ def test_step_basis_smaller_than_the_schedule_is_rejected_at_parse():
         parse_experiment_config(doc)
 
 
-@pytest.mark.parametrize("doc", [dict(MINI_CONFIG, outputs="out"),
-                                 dict(MINI_CONFIG, n_gird=[1, 2]),
-                                 dict(MINI_CONFIG, acceptance={"r2min": 0.9})])
-def test_unknown_config_keys_are_rejected(doc):
-    with pytest.raises(ConfigValidationError, match="unknown keys"):
+@pytest.mark.parametrize("doc, path", [(dict(MINI_CONFIG, outputs="out"), "outputs"),
+                                       (dict(MINI_CONFIG, n_gird=[1, 2]), "n_gird"),
+                                       (dict(MINI_CONFIG, acceptance={"r2min": 0.9}),
+                                        "acceptance.r2min")])
+def test_unknown_config_keys_are_rejected(doc, path):
+    with pytest.raises(ConfigValidationError, match=rf"{path}: unknown key; expected some of"):
         parse_experiment_config(doc)
 
 
@@ -376,7 +377,9 @@ def test_cli_rejects_a_tabulated_density_with_a_zero(tmp_path, pdf_values, basis
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
 def test_a_non_finite_tabulated_density_is_a_config_error(bad):
     doc = dict(MINI_CONFIG, deployment={"kind": "tabulated", "pdf_values": [1.0, bad, 1.0]})
-    with pytest.raises(ConfigValidationError, match="deployment: density values must be finite"):
+    with pytest.raises(ConfigValidationError,
+                       match=rf"deployment\.pdf_values\[1\]: expected a finite number, "
+                             rf"got float {bad!r}"):
         parse_experiment_config(doc)
 
 
@@ -409,7 +412,10 @@ def test_a_non_finite_number_anywhere_is_a_config_error(name, path, bad):
     for key in path[:-1]:
         parent = parent[key]
     parent[path[-1]] = bad
-    with pytest.raises(ConfigValidationError, match=f"{path[0]}:"):
+    # a section value is named by its key path, a top-level one by its key
+    named = (re.escape(f"{path[0]}.{path[1]}") + r"[\[:]" if isinstance(doc[path[0]], dict)
+             else re.escape(path[0]) + ":")
+    with pytest.raises(ConfigValidationError, match=named):
         parse_experiment_config(doc)
 
 
@@ -440,35 +446,74 @@ def test_integral_floats_are_counts():
 
 
 def test_fourier_basis_takes_no_parameters():
-    with pytest.raises(ConfigValidationError, match="basis:"):
+    with pytest.raises(ConfigValidationError,
+                       match=r"basis\.cells: unexpected key; fourier basis takes \['kind'\]"):
         parse_experiment_config(dict(MINI_CONFIG, basis={"kind": "fourier", "cells": 16}))
 
 
 @pytest.mark.parametrize("key, doc, named", [
-    ("noise", {"kind": "zero", "b": 1.0}, "unexpected keyword argument 'b'"),
-    ("deployment", {"kind": "uniform", "nu": 0.5}, "unexpected keyword argument 'nu'"),
+    ("noise", {"kind": "zero", "b": 1.0}, r"noise\.b: unexpected key; zero noise takes "
+                                          r"\['kind'\]"),
+    ("deployment", {"kind": "uniform", "nu": 0.5},
+     r"deployment\.nu: unexpected key; uniform deployment takes \['kind'\]"),
     ("deployment", {"kind": "tabulated", "pdf_values": [1, 1], "foo": 1},
-     "unexpected keyword argument 'foo'"),
-    ("deployment", {"type": "uniform"}, "missing 1 required positional argument: 'kind'")],
+     r"deployment\.foo: unexpected key; tabulated deployment takes "
+     r"\['kind', 'pdf_values'\]"),
+    ("deployment", {"type": "uniform"}, r"deployment\.kind: unknown deployment kind None")],
     ids=["zero_noise_b", "uniform_nu", "tabulated_stray", "no_kind"])
 def test_a_deployment_or_noise_takes_only_its_own_keys(key, doc, named):
     """Zero noise with b = 1 used to parse as c = a, not a + 1, the stray
     keys of the uniform and tabulated deployments went unread, and a
     missing kind raised a bare KeyError."""
-    with pytest.raises(ConfigValidationError, match=rf"{key}: .*{named}"):
+    with pytest.raises(ConfigValidationError, match=named):
         parse_experiment_config(dict(MINI_CONFIG, **{key: doc}))
 
 
 @pytest.mark.parametrize("key, doc, message", [
-    ("deployment", {"kind": [1]}, "unknown deployment kind"),
-    ("noise", {"kind": [1]}, "unknown noise kind"),
-    ("basis", {"kind": [1]}, "unknown basis kind"),
-    ("field", {"class": [1]}, "unknown field class")],
+    ("deployment", {"kind": [1]}, "kind: unknown deployment kind"),
+    ("noise", {"kind": [1]}, "kind: unknown noise kind"),
+    ("basis", {"kind": [1]}, "kind: unknown basis kind"),
+    ("field", {"class": [1]}, "class: unknown field class")],
     ids=["deployment", "noise", "basis", "field"])
 def test_a_kind_that_is_not_a_string_is_unknown(key, doc, message):
     """A list kind used to fail the table lookup as an unhashable type."""
-    with pytest.raises(ConfigValidationError, match=rf"{key}: {message} \[1\]"):
+    with pytest.raises(ConfigValidationError, match=rf"{key}\.{message} \[1\]; expected one of"):
         parse_experiment_config(dict(MINI_CONFIG, **{key: doc}))
+
+
+@pytest.mark.parametrize("key, doc, message", [
+    ("noise", {"kind": "uniform_sym", "b": "1"},
+     r"noise\.b: expected a finite number, got str '1'"),
+    ("noise", {"kind": "trunc_gauss", "sigma": None},
+     r"noise\.sigma: expected a finite number, got null"),
+    ("deployment", {"kind": "affine_floor", "nu": [0.5]},
+     r"deployment\.nu: expected a finite number, got \[0\.5\]"),
+    ("deployment", {"kind": "tabulated", "pdf_values": ["1", "2"]},
+     r"deployment\.pdf_values\[0\]: expected a finite number, got str '1'"),
+    ("field", "sawtooth", r"field: expected an object, got str 'sawtooth'"),
+    ("field", {"class": "finite_dim", "amplitude_bound": 1.0},
+     r"field\.coefficients: required; finite_dim field takes "
+     r"\['class', 'coefficients', 'amplitude_bound', 'basis'\]"),
+    ("field", {"class": "finite_dim", "coefficients": [[0.1]], "amplitude_bound": 1.0},
+     r"field\.coefficients\[0\]: expected \[re, im\] of finite numbers, got \[0\.1\]"),
+    ("field", {"class": "sobolev", "s": 1.0, "seed": 7.5},
+     r"field\.seed: expected an integer, got float 7\.5"),
+    ("field", {"class": "finite_dim", "coefficients": [[0.1, 0.0]], "amplitude_bound": 1.0,
+               "basis": {"kind": "step", "cells": "16"}},
+     r"field\.basis\.cells: expected an integer, got str '16'"),
+    ("schedule", {"m": 5}, r"schedule\.kind: unknown schedule kind None; expected one of "
+                           r"\['fixed', 'finite_dim', 'bv', 'sobolev', 'power'\]"),
+    ("basis", 5, r"basis: expected an object, got int 5")],
+    ids=["noise_b_string", "sigma_null", "nu_list", "pdf_values_strings", "field_string",
+         "no_coefficients", "coefficient_not_a_pair", "sobolev_seed_fraction",
+         "nested_basis_cells", "schedule_no_kind", "basis_number"])
+def test_a_value_of_the_wrong_type_is_named_by_its_key_path(key, doc, message):
+    """These used to leak Python internals (`'<' not supported between
+    instances`, `dictionary update sequence`, a private function's name,
+    a bare KeyError), or, for strings as densities, to parse."""
+    with pytest.raises(ConfigValidationError) as err:
+        parse_experiment_config(dict(MINI_CONFIG, **{key: doc}))
+    assert any(re.fullmatch(message, line) for line in err.value.problems), err.value.problems
 
 
 @pytest.mark.parametrize("name, deployment, noise, c", [
@@ -495,6 +540,28 @@ def test_a_nan_bound_is_a_dominance_violation(tmp_path, monkeypatch):
     outcome = run_experiment(parse_experiment_config(MINI_CONFIG), tmp_path)
     assert outcome.status == "FAIL"
     assert outcome.dominance_violations == len(MINI_CONFIG["n_grid"])
+
+
+@pytest.mark.parametrize("excess, violations", [(3.5, 1), (2.5, 0)])
+def test_dominance_forgives_a_mean_up_to_three_ci_above_the_bound(tmp_path, monkeypatch,
+                                                                 excess, violations):
+    """One grid point's mean is lifted to the bound's total plus `excess`
+    of its CI half-width; the others stay where the sweep put them."""
+    config = parse_experiment_config(MINI_CONFIG)
+    n, m = config.n_grid[1], config.schedule.resolve(config.n_grid[1])
+    total = harness.mse_upper_bound(config.field, config.basis, config.deployment,
+                                    n, m, config.c).total
+    real = harness.monte_carlo_mse
+
+    def lifted(*args, **kwargs):
+        sweep = real(*args, **kwargs)
+        means = list(sweep.means)
+        means[1] = total + excess * sweep.ci_half[1]
+        return dataclasses.replace(sweep, means=tuple(means))
+
+    monkeypatch.setattr(harness, "monte_carlo_mse", lifted)
+    outcome = run_experiment(config, tmp_path)
+    assert outcome.dominance_violations == violations
 
 
 def test_import_leaves_scipy_integrate_unloaded():
@@ -636,7 +703,7 @@ def test_the_dynamic_range_is_capped_at_parse_time(key, change):
 
 _SHIPPED = _RATE_CONFIGS + _TRACE_CONFIGS + _MISMATCH_CONFIGS
 _DROP = "<drop the key>"
-_FUZZ_VALUES = (0, -1, 1e308, 2.5, "text", None, _DROP)
+_FUZZ_VALUES = (0, -1, 1e308, 2.5, "text", None, "1", [0.5], {}, True, _DROP)
 
 
 def _every_path(doc, path=()):
@@ -647,6 +714,13 @@ def _every_path(doc, path=()):
             for p in [path + (key,)] + _every_path(value, path + (key,))]
 
 
+# a problem starts with the key paths it names, and leaks no Python internals
+_PATH = r"[A-Za-z]\w*(?:\.\w+|\[\d+\])*"
+_PROBLEM_PATHS = re.compile(rf"{_PATH}(?:, {_PATH})*: ")
+_INTERNALS = re.compile(r"not supported between instances|positional argument|keyword argument"
+                        r"|dictionary update sequence|is not iterable|string indices"
+                        r"|unhashable|(?<![\w.])_\w")
+
 _FUZZ_TARGETS = [(name, path) for name in _SHIPPED
                  for path in _every_path(_shipped_doc(name))]
 
@@ -654,7 +728,8 @@ _FUZZ_TARGETS = [(name, path) for name in _SHIPPED
 @given(st.sampled_from(_FUZZ_TARGETS), st.sampled_from(_FUZZ_VALUES))
 @settings(max_examples=300, deadline=None)
 def test_a_fuzzed_config_is_rejected_or_runs_to_finite_errors(target, value):
-    """Either parsing raises ConfigValidationError, or a 2-trial sweep on
+    """Either parsing raises ConfigValidationError, each problem naming its
+    key paths first and one of them the fuzzed key, or a 2-trial sweep on
     n <= 512 finishes with finite means and standard deviations."""
     name, path = target
     doc = _shipped_doc(name)
@@ -669,7 +744,14 @@ def test_a_fuzzed_config_is_rejected_or_runs_to_finite_errors(target, value):
         parent[path[-1]] = value
     try:
         config = parse_experiment_config(doc)
-    except ConfigValidationError:
+    except ConfigValidationError as exc:
+        for line in exc.problems:
+            assert _PROBLEM_PATHS.match(line) and not _INTERNALS.search(line), line
+        # some problem names the fuzzed key, a key above it or one below it
+        fuzzed = path[0] + "".join(f"[{k}]" if isinstance(k, int) else f".{k}"
+                                   for k in path[1:])
+        named = [p for line in exc.problems for p in line.split(": ", 1)[0].split(", ")]
+        assert any(fuzzed.startswith(p) or p.startswith(fuzzed) for p in named), exc.problems
         return
     sweep = monte_carlo_mse(config.field, config.deployment, config.noise, config.basis,
                             config.schedule, (64, 128, 256, 512), 2, seed=config.seed)

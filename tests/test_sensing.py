@@ -213,7 +213,7 @@ def test_batches_are_deterministic(sawtooth):
 def test_constant_max_field_saturates_the_quantizer(fourier):
     from ditherfield import make_finite_dim_field
 
-    field = make_finite_dim_field(fourier, [1.0], amplitude_bound=1.0)
+    field = make_finite_dim_field([1.0], amplitude_bound=1.0, basis=fourier)
     batch = simulate_batch(field, UniformDeployment(), ZeroNoise(), 20_000, seed=5)
     assert batch.c == 1.0
     assert np.all(batch.bits == 1.0)
