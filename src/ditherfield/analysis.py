@@ -468,8 +468,7 @@ class ASTraceResult:
 
 
 def as_error_trace(field: FieldSpec, deploy: Deployment, noise: Noise,
-                   psi: float, seed: int, n_checkpoints: Sequence[int],
-                   schedule: TruncationSchedule | None = None) -> ASTraceResult:
+                   psi: float, seed: int, n_checkpoints: Sequence[int]) -> ASTraceResult:
     """Grow one sample path of sensors and record sup-norm errors at the
     checkpoints. Each segment between checkpoints runs through the trial
     engine's tiles into running sums of its own, so no array of the whole
@@ -478,9 +477,6 @@ def as_error_trace(field: FieldSpec, deploy: Deployment, noise: Noise,
     a fixed-seed regression trace, not a proof. The trace runs on the
     Fourier basis and validates the schedule with gamma = (1 + 1/psi) / 2,
     the middle of the summability range (1, 1/psi).
-
-    `schedule` overrides the default power-law truncation growth n^psi
-    (a frozen schedule reduces the trace to scalar coefficient paths).
     """
     if not 0.0 < psi < 1.0:
         raise ValueError("growth exponent must lie in (0, 1)")
@@ -491,8 +487,7 @@ def as_error_trace(field: FieldSpec, deploy: Deployment, noise: Noise,
     gamma = 0.5 * (1.0 + 1.0 / psi)
     grid = np.linspace(0.0, 1.0, TRACE_GRID_POINTS)
 
-    schedule = schedule if schedule is not None else TruncationSchedule.power(psi)
-    m_values = tuple(schedule.resolve(n) for n in checkpoints)
+    m_values = tuple(map(TruncationSchedule.power(psi).resolve, checkpoints))
     m_max = max(m_values)
 
     keys = stream_keys(seed, [()])

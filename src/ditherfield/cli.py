@@ -101,9 +101,9 @@ def main(argv=None) -> int:
         print(f"first-to-last ratio {trace.sup_ratio:.4f} "
               "(single-path regression, not a proof of convergence)")
         print(f"wrote {path}")
-        if "trace_ratio_max" not in config.acceptance:
+        if config.acceptance.trace_ratio_max is None:
             return 0
-        passed, detail = trace_verdict(trace, config.acceptance["trace_ratio_max"])
+        passed, detail = trace_verdict(trace, config.acceptance.trace_ratio_max)
         print(f"{'PASS' if passed else 'FAIL'}  trace_ratio_max  [{detail}]")
         return 0 if passed else 1
 

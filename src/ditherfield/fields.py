@@ -24,6 +24,14 @@ from .spectral import ConjSums, RealSeries, series
 J_TAIL = 16384
 TAIL_REL_TOL = 1e-4
 AMPLITUDE_CHECK_POINTS = 20_001  # grid of the finite-dim sup-norm check
+# Largest cell count of a step basis: 16x the default 64. A block of trial
+# rows keeps one total per cell per row, and at n = 1 a block holds
+# BLOCK_POINTS rows, so its totals stay within 128 MiB at the cap.
+STEP_CELLS_MAX = 1 << 10
+# Largest frequency-pair count of a sobolev field: 64x the shipped 128. Its
+# synthesis peaks near 40 MB at the cap, and the series tables its every
+# evaluation reads grow as 9 x 32 x n_freqs doubles.
+SOBOLEV_FREQS_MAX = 1 << 13
 
 _TWO_PI = 2.0 * np.pi
 
@@ -103,8 +111,9 @@ class StepBasis:
     is_uniformly_bounded: ClassVar[bool] = True
 
     def __post_init__(self):
-        if not isinstance(self.cells, numbers.Integral) or self.cells < 1:
-            raise ValueError(f"cells must be a positive integer, got {self.cells!r}")
+        if not isinstance(self.cells, numbers.Integral) or not 1 <= self.cells <= STEP_CELLS_MAX:
+            raise ValueError(f"cells must be a positive integer of at most {STEP_CELLS_MAX}, "
+                             f"got {self.cells!r}")
 
     @property
     def bound(self) -> float:
@@ -506,6 +515,11 @@ def make_sobolev_field(s: float, seed: int, amplitude_bound: float = 1.0,
         raise ValueError("smoothness order must be finite and exceed 1/2")
     if not 0.0 < amplitude_bound < math.inf:
         raise ValueError("amplitude bound must be positive and finite")
+    if not (isinstance(n_freqs, numbers.Integral) and 1 <= n_freqs <= SOBOLEV_FREQS_MAX):
+        raise ValueError(f"n_freqs must be a positive integer of at most {SOBOLEV_FREQS_MAX}, "
+                         f"got {n_freqs!r}")
+    if not (isinstance(seed, numbers.Integral) and not isinstance(seed, bool) and seed >= 0):
+        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
     rng = np.random.default_rng(seed)
     decay = s + 0.5 + SOBOLEV_DECAY_MARGIN
     mags = (1.0 + np.arange(1, n_freqs + 1)) ** (-decay)

@@ -8,6 +8,8 @@ worker count never changes a byte.
 from __future__ import annotations
 
 import collections.abc
+import dataclasses
+import functools
 import hashlib
 import inspect
 import json
@@ -41,11 +43,6 @@ _RATE_CONFIGS = ("finite_dim_k5", "bv_sawtooth", "sobolev_s1")
 _MISMATCH_CONFIGS = ("mismatch_linear2x", "mismatch_affine_floor")
 _TRACE_CONFIGS = ("as_trace_zero", "as_trace_sawtooth")
 
-_CONFIG_KEYS = ("experiment_id", "field", "basis", "deployment", "noise",
-                "schedule", "n_grid", "trials", "seed", "acceptance")
-_ACCEPTANCE_KEYS = ("slope_range", "r2_min", "bound_dominance",
-                    "expect_rejected", "trace_ratio_max")
-
 # Largest sensor count a config may ask for: 16x the shipped 10^6 of the
 # trace configs, and a bound on the arrays one realization allocates.
 N_GRID_MAX = 1 << 24
@@ -66,20 +63,43 @@ class ConfigValidationError(ValueError):
         super().__init__("invalid experiment config: " + "; ".join(self.problems))
 
 
+@dataclass(frozen=True)
+class Acceptance:
+    """The tolerances an experiment is judged by, each None where the config
+    declares none: the range of the rate fit's slope and its least R^2,
+    bound dominance at every n, whether the deployment must be rejected
+    before the run, and the largest last-to-first sup-error ratio of a
+    trace (`trace_verdict`)."""
+
+    slope_range: Sequence[float] | None = None
+    r2_min: float | None = None
+    bound_dominance: bool | None = None
+    expect_rejected: bool | None = None
+    trace_ratio_max: float | None = None
+
+    def __post_init__(self):
+        if self.slope_range is not None:
+            lo_hi = tuple(self.slope_range)
+            if not (len(lo_hi) == 2 and lo_hi[0] <= lo_hi[1]):
+                raise ValueError("slope_range must be [lo, hi] with lo <= hi")
+            object.__setattr__(self, "slope_range", lo_hi)
+
+
 # ---------------------------------------------------------------------------
 # config documents
 # ---------------------------------------------------------------------------
 
-# Each section document names a constructor by its kind key, and holds that
-# constructor's keywords and no other key.
-_SECTIONS: dict[str, tuple[str, dict[str, Callable]]] = {
-    "deployment": ("kind", {cls.kind: cls for cls in get_args(Deployment)}),
-    "noise": ("kind", {cls.kind: cls for cls in get_args(Noise)}),
-    "basis": ("kind", {cls.kind: cls for cls in get_args(Basis)}),
-    "schedule": ("kind", {kind: getattr(TruncationSchedule, kind)
-                          for kind in TruncationSchedule.KINDS}),
-    "field": ("class", {"finite_dim": make_finite_dim_field, "bv": make_bv_field,
-                        "sobolev": make_sobolev_field}),
+# annotation -> (section, kind key, kind -> constructor): each section
+# document names its constructor by its kind key, and holds that
+# constructor's keywords and no other key
+_SECTIONS: dict[object, tuple[str, str, dict[str, Callable]]] = {
+    Deployment: ("deployment", "kind", {cls.kind: cls for cls in get_args(Deployment)}),
+    Noise: ("noise", "kind", {cls.kind: cls for cls in get_args(Noise)}),
+    Basis: ("basis", "kind", {cls.kind: cls for cls in get_args(Basis)}),
+    TruncationSchedule: ("schedule", "kind", {kind: getattr(TruncationSchedule, kind)
+                                              for kind in TruncationSchedule.KINDS}),
+    FieldSpec: ("field", "class", {"finite_dim": make_finite_dim_field, "bv": make_bv_field,
+                                   "sobolev": make_sobolev_field}),
 }
 
 
@@ -94,8 +114,7 @@ def _problem(path: str, message: str) -> ConfigValidationError:
 
 
 def _finite_number(value) -> bool:
-    """Whether `value` is a real number that a float holds finitely: Python
-    counts a bool as the integer 1 or 0, so a bool is not one."""
+    """A real number a float holds finitely; a bool, which Python counts as 0 or 1, is not."""
     return (isinstance(value, numbers.Real) and not isinstance(value, bool)
             and abs(value) <= sys.float_info.max)
 
@@ -110,6 +129,7 @@ def _integral(value) -> bool:
 _SCALARS: dict[type, tuple[str, Callable, Callable]] = {
     float: ("a finite number", _finite_number, float),
     int: ("an integer", _integral, int),
+    bool: ("true or false", lambda value: isinstance(value, bool), bool),
     str: ("a string", lambda value: isinstance(value, str), str),
     complex: ("[re, im] of finite numbers",
               lambda value: (isinstance(value, (list, tuple)) and len(value) == 2
@@ -118,55 +138,84 @@ _SCALARS: dict[type, tuple[str, Callable, Callable]] = {
 }
 
 
+def _is_list(hint) -> bool:
+    return hint is np.ndarray or get_origin(hint) is collections.abc.Sequence
+
+
 def _convert(hint, value, path: str):
     """`value` checked and converted by the one converter its annotation
-    picks: a basis is a basis document or its kind alone, a sequence or an
-    array of floats is a list, and an optional value may be null."""
+    picks: a section is a section document, a sequence or an array of
+    floats is a list (held as a tuple), and a union takes null where it
+    admits None, a list by its sequence arm and any other value by its other."""
     if hint in _SCALARS:
         expected, test, cast = _SCALARS[hint]
         if not test(value):
             raise _problem(path, f"expected {expected}, got {_got(value)}")
         return cast(value)
-    if hint == Basis:
-        return _build_section("basis", {"kind": value} if isinstance(value, str) else value,
-                              path)
-    if hint is np.ndarray or get_origin(hint) is collections.abc.Sequence:
+    if hint in _SECTIONS or hint is Acceptance:
+        return _build_section(hint, value, path)
+    if _is_list(hint):
         item = float if hint is np.ndarray else get_args(hint)[0]
         if not isinstance(value, (list, tuple)):
             raise _problem(path, f"expected a list, got {_got(value)}")
-        return [_convert(item, v, f"{path}[{i}]") for i, v in enumerate(value)]
-    inner = [arg for arg in get_args(hint) if arg is not type(None)]
-    if len(inner) == 1 < len(get_args(hint)):
-        return None if value is None else _convert(inner[0], value, path)
+        return tuple(_convert(item, v, f"{path}[{i}]") for i, v in enumerate(value))
+    arms = [arm for arm in get_args(hint) if arm is not type(None)]
+    if value is None and len(arms) < len(get_args(hint)):
+        return None
+    for arm in arms:
+        if len(arms) == 1 or _is_list(arm) == isinstance(value, (list, tuple)):
+            return _convert(arm, value, path)
     raise TypeError(f"no config converter for the annotation {hint!r}")
 
 
-def _build_section(section: str, doc, path: str):
-    """The object a section document names, its kind key picking the
-    constructor; ConfigValidationError names the path of each bad key, and
-    reports a constructor's own range check under `path`."""
-    kind_key, kinds = _SECTIONS[section]
-    if not isinstance(doc, dict):
-        raise _problem(path, f"expected an object, got {_got(doc)}")
-    kind = doc.get(kind_key)
-    if not isinstance(kind, str) or kind not in kinds:
-        raise _problem(f"{path}.{kind_key}", f"unknown {section} {kind_key} {kind!r}; "
-                                             f"expected one of {list(kinds)}")
-    build = kinds[kind]
-    params = inspect.signature(build).parameters
-    hints = get_type_hints(build)
-    takes = f"{kind} {section} takes {[kind_key, *params]}"
-    problems = [f"{path}.{key}: unexpected key; {takes}"
-                for key in doc if key != kind_key and key not in params]
-    args = {}
+@functools.cache
+def _signature(build: Callable) -> tuple[dict, dict]:
+    """`build`'s parameters and their annotations, resolved at its first parse."""
+    return inspect.signature(build).parameters, get_type_hints(build)
+
+
+def _arguments(build: Callable, doc: dict, prefix: str, what: str,
+               kind_key: str | None = None) -> tuple[dict, list[str]]:
+    """`build`'s keywords read from `doc` by their annotations, defaults where
+    doc leaves one out, and a problem at `prefix` + key for each key build
+    does not take, each it needs that doc lacks and each value it rejects."""
+    params, hints = _signature(build)
+    keys = [kind_key, *params] if kind_key else list(params)
+    takes = f"{what} takes {keys}"
+    problems = [f"{prefix}{key}: unexpected key; {takes}" for key in doc if key not in keys]
+    args = {name: param.default for name, param in params.items()
+            if param.default is not param.empty}
     for name, param in params.items():
         if name in doc:
-            try:
-                args[name] = _convert(hints[name], doc[name], f"{path}.{name}")
+            try:  # a tolerance is declared by its value, so it may not be null
+                hint = get_args(hints[name])[0] if build is Acceptance else hints[name]
+                args[name] = _convert(hint, doc[name], f"{prefix}{name}")
             except ConfigValidationError as exc:
                 problems += exc.problems
         elif param.default is param.empty:
-            problems.append(f"{path}.{name}: required; {takes}")
+            problems.append(f"{prefix}{name}: required; {takes}")
+    return args, problems
+
+
+def _build_section(hint, doc, path: str):
+    """The object a section document names: the acceptance block's is an
+    `Acceptance`, any other's names its constructor by its kind key (a
+    basis may be its kind alone). A constructor's own range check is
+    reported under `path`."""
+    if hint == Basis and isinstance(doc, str):
+        doc = {"kind": doc}
+    if not isinstance(doc, dict):
+        raise _problem(path, f"expected an object, got {_got(doc)}")
+    if hint is Acceptance:
+        build, what, kind_key = Acceptance, "acceptance", None
+    else:
+        section, kind_key, kinds = _SECTIONS[hint]
+        kind = doc.get(kind_key)
+        if not isinstance(kind, str) or kind not in kinds:
+            raise _problem(f"{path}.{kind_key}", f"unknown {section} {kind_key} {kind!r}; "
+                                                 f"expected one of {list(kinds)}")
+        build, what = kinds[kind], f"{kind} {section}"
+    args, problems = _arguments(build, doc, f"{path}.", what, kind_key)
     if problems:
         raise ConfigValidationError(problems)
     try:
@@ -177,17 +226,23 @@ def _build_section(section: str, doc, path: str):
 
 @dataclass(frozen=True, eq=False)
 class ExperimentConfig:
+    """An experiment document `raw`, read through this signature like a section."""
+
     experiment_id: str
     field: FieldSpec
     deployment: Deployment
     noise: Noise
-    basis: Basis
     schedule: TruncationSchedule
-    n_grid: tuple[int, ...]
-    trials: tuple[int, ...]
+    n_grid: Sequence[int]
+    trials: int | Sequence[int]
     seed: int
-    acceptance: dict
-    raw: dict
+    basis: Basis = FourierBasis()
+    acceptance: Acceptance = Acceptance()
+    raw: dict = dataclasses.field(init=False)
+
+    def __post_init__(self):  # sequences convert to tuples; one trial count is one per n
+        if isinstance(self.trials, int):
+            object.__setattr__(self, "trials", (self.trials,) * len(self.n_grid))
 
     @property
     def c(self) -> float:
@@ -205,61 +260,33 @@ def parse_experiment_config(doc: dict, seed_override: int | None = None) -> Expe
     doc = dict(doc)
     if seed_override is not None:
         doc["seed"] = int(seed_override)
+    args, problems = _arguments(ExperimentConfig, doc, "", "experiment config")
 
-    problems = [f"{key}: unknown key; expected some of {list(_CONFIG_KEYS)}"
-                for key in doc if key not in _CONFIG_KEYS]
+    # the checks across keys, on the keys that converted
+    n_grid, trials = args.get("n_grid", ()), args.get("trials", ())
+    counts = (trials,) * max(len(n_grid), 1) if isinstance(trials, int) else trials
+    seed, accept = args.get("seed", 0), args["acceptance"]
+    fitted = [key for key, value in (("r2_min", accept.r2_min),
+                                     ("slope_range", accept.slope_range)) if value is not None]
+    problems += [f"{key}: {message}" for key, message, violated in [
+        ("experiment_id", "must not be empty", args.get("experiment_id") == ""),
+        ("n_grid", "must not be empty", "n_grid" in args and not n_grid),
+        ("n_grid", "entries must be positive", any(n < 1 for n in n_grid)),
+        ("n_grid", f"entries must be at most {N_GRID_MAX}", any(n > N_GRID_MAX for n in n_grid)),
+        ("n_grid", "must be strictly increasing",
+         any(b <= a for a, b in zip(n_grid, n_grid[1:]))),
+        ("trials", "need one count per n_grid entry",
+         "trials" in args and n_grid and len(counts) != len(n_grid)),
+        ("trials", "every count must be >= 2", any(t < 2 for t in counts)),
+        ("trials", f"every count must be at most {TRIALS_MAX}",
+         any(t > TRIALS_MAX for t in counts)),
+        ("acceptance", f"{', '.join(fitted)} need a rate fit, which needs at least "
+                       f"{RATE_FIT_MIN_POINTS} n_grid points",
+         fitted and 0 < len(n_grid) < RATE_FIT_MIN_POINTS),
+        ("seed", "must be >= 0", seed < 0),
+        ("seed", f"must be at most {SEED_MAX}", seed > SEED_MAX)] if violated]
 
-    experiment_id = doc.get("experiment_id")
-    if not isinstance(experiment_id, str) or not experiment_id:
-        problems.append("experiment_id: required non-empty string")
-
-    sections = ("field", "deployment", "noise", "schedule", "basis")
-    built = {"basis": FourierBasis()}  # also where the basis fails, for the checks below
-    for key in sections:
-        try:
-            if key in doc:
-                built[key] = (_convert(Basis, doc[key], key) if key == "basis"
-                              else _build_section(key, doc[key], key))
-            elif key != "basis":
-                problems.append(f"{key}: required")
-        except ConfigValidationError as exc:
-            problems += exc.problems
-    field, deployment, noise, schedule, basis = map(built.get, sections)
-
-    n_grid: tuple[int, ...] = ()
-    raw_grid = doc.get("n_grid")
-    if not isinstance(raw_grid, (list, tuple)) or not raw_grid:
-        problems.append("n_grid: required non-empty list")
-    else:
-        try:
-            n_grid = tuple(_convert(int, n, "n_grid") for n in raw_grid)
-            if any(n < 1 for n in n_grid):
-                problems.append("n_grid: entries must be positive")
-            if any(n > N_GRID_MAX for n in n_grid):
-                problems.append(f"n_grid: entries must be at most {N_GRID_MAX}")
-            if any(b <= a for a, b in zip(n_grid, n_grid[1:])):
-                problems.append("n_grid: must be strictly increasing")
-        except ValueError:
-            problems.append("n_grid: entries must be integers")
-
-    trials: tuple[int, ...] = ()
-    raw_trials = doc.get("trials")
-    if raw_trials is None:
-        problems.append("trials: required")
-    else:
-        try:
-            trials = (tuple(_convert(int, t, "trials") for t in raw_trials)
-                      if isinstance(raw_trials, (list, tuple))
-                      else (_convert(int, raw_trials, "trials"),) * max(len(n_grid), 1))
-            if n_grid and len(trials) != len(n_grid):
-                problems.append("trials: need one count per n_grid entry")
-            if any(t < 2 for t in trials):
-                problems.append("trials: every count must be >= 2")
-            if any(t > TRIALS_MAX for t in trials):
-                problems.append(f"trials: every count must be at most {TRIALS_MAX}")
-        except ValueError:
-            problems.append("trials: must be an integer or list of integers")
-
+    schedule, basis = args.get("schedule"), args["basis"]
     if schedule is not None and n_grid and min(n_grid) >= 1:
         m_values = [schedule.resolve(n) for n in n_grid]
         if basis.size is not None and max(m_values) > basis.size:
@@ -269,55 +296,16 @@ def parse_experiment_config(doc: dict, seed_override: int | None = None) -> Expe
         if over:
             problems.append(f"schedule: m(n) must not exceed n, but m({over[0][0]}) "
                             f"= {over[0][1]:.6g}")
-
-    if field is not None and noise is not None:
-        c = field.amplitude_bound + noise.b
+    if "field" in args and "noise" in args:
+        c = args["field"].amplitude_bound + args["noise"].b
         if not c <= DYNAMIC_RANGE_MAX:
             problems.append(f"field, noise: the dynamic range c = amplitude bound + "
                             f"noise b = {c:g} must be at most {DYNAMIC_RANGE_MAX:g}")
-
-    acceptance = doc.get("acceptance", {})
-    if not isinstance(acceptance, dict):
-        problems.append("acceptance: must be an object")
-        acceptance = {}
-    problems += [f"acceptance.{key}: unknown key; expected some of {list(_ACCEPTANCE_KEYS)}"
-                 for key in acceptance if key not in _ACCEPTANCE_KEYS]
-    slope_range = acceptance.get("slope_range", (0.0, 0.0))
-    if not (isinstance(slope_range, (list, tuple)) and len(slope_range) == 2
-            and all(map(_finite_number, slope_range))
-            and slope_range[0] <= slope_range[1]):
-        problems.append("acceptance: slope_range must be [lo, hi], finite numbers "
-                        "with lo <= hi")
-    for key in ("r2_min", "trace_ratio_max"):
-        if key in acceptance and not _finite_number(acceptance[key]):
-            problems.append(f"acceptance: {key} must be a finite number")
-    for key in ("bound_dominance", "expect_rejected"):
-        if key in acceptance and not isinstance(acceptance[key], bool):
-            problems.append(f"acceptance: {key} must be true or false")
-    fitted = sorted({"slope_range", "r2_min"} & set(acceptance))
-    if fitted and n_grid and len(n_grid) < RATE_FIT_MIN_POINTS:
-        problems.append(f"acceptance: {', '.join(fitted)} need a rate fit, which "
-                        f"needs at least {RATE_FIT_MIN_POINTS} n_grid points")
-
-    seed = 0
-    if "seed" not in doc:
-        problems.append("seed: required (no implicit entropy)")
-    else:
-        try:
-            seed = _convert(int, doc["seed"], "seed")
-        except ValueError:
-            problems.append("seed: must be an integer")
-        if seed < 0:
-            problems.append("seed: must be >= 0")
-        if seed > SEED_MAX:
-            problems.append(f"seed: must be at most {SEED_MAX}")
-
     if problems:
         raise ConfigValidationError(problems)
-    return ExperimentConfig(
-        experiment_id=experiment_id, field=field, deployment=deployment,
-        noise=noise, basis=basis, schedule=schedule, n_grid=n_grid,
-        trials=trials, seed=seed, acceptance=dict(acceptance), raw=doc)
+    config = ExperimentConfig(**args)
+    object.__setattr__(config, "raw", doc)
+    return config
 
 
 def load_experiment_config(path, seed_override: int | None = None) -> ExperimentConfig:
@@ -392,7 +380,7 @@ def run_experiment(config: ExperimentConfig, out_dir, workers: int = 1) -> Exper
     divergent = list(max(bounds, key=lambda b: b.m).divergent_js)
     accept = config.acceptance
     if divergent:
-        expected = accept.get("expect_rejected", False)
+        expected = bool(accept.expect_rejected)
         checks = [f"rejected, expect_rejected {json.dumps(expected)}: "
                   f"{'ok' if expected else 'VIOLATED'}"]
         detail = (
@@ -431,20 +419,20 @@ def run_experiment(config: ExperimentConfig, out_dir, workers: int = 1) -> Exper
 
     # parsing guarantees a rate fit wherever slope_range or r2_min is declared
     verdicts: dict[str, tuple[str, bool]] = {}
-    if "slope_range" in accept:
-        lo, hi = accept["slope_range"]
+    if accept.slope_range is not None:
+        lo, hi = accept.slope_range
         verdicts["slope_range"] = (f"slope {fit.slope:+.4f} in [{lo}, {hi}]",
                                    lo <= fit.slope <= hi)
-    if "r2_min" in accept:
-        verdicts["r2_min"] = (f"r2 {fit.r_squared:.5f} >= {accept['r2_min']}",
-                              fit.r_squared >= accept["r2_min"])
-    if accept.get("bound_dominance"):
+    if accept.r2_min is not None:
+        verdicts["r2_min"] = (f"r2 {fit.r_squared:.5f} >= {accept.r2_min}",
+                              fit.r_squared >= accept.r2_min)
+    if accept.bound_dominance:
         verdicts["bound_dominance"] = (f"bound dominance violations {violations}",
                                        violations == 0)
-    if "expect_rejected" in accept:
-        expected = accept["expect_rejected"]
-        verdicts["expect_rejected"] = (f"ran, expect_rejected {json.dumps(expected)}",
-                                       not expected)
+    if accept.expect_rejected is not None:
+        verdicts["expect_rejected"] = (f"ran, expect_rejected "
+                                       f"{json.dumps(accept.expect_rejected)}",
+                                       not accept.expect_rejected)
     # a NaN or infinite number is no evidence, whatever the declared tolerances
     reported = {"mse": sweep.means + sweep.stds, "ci": sweep.ci_half,
                 "bound": tuple(v for b in bounds
@@ -723,13 +711,15 @@ class Criterion:
 
 
 def _rate(number: int, name: str, config: str) -> Criterion:
-    """run_experiment judges the config's declared keys, dominance included."""
+    """run_experiment judges the config's declared tolerances, dominance included."""
+    def bound() -> dict:
+        accept = load_shipped_config(config).acceptance
+        return {"slope_range": list(accept.slope_range), "r2_min": accept.r2_min}
+
     return Criterion(number, name, "rates",
                      lambda run: {"slope": run[config].fit.slope,
                                   "r_squared": run[config].fit.r_squared},
-                     lambda: {key: load_shipped_config(config).acceptance[key]
-                              for key in ("slope_range", "r2_min")},
-                     lambda run, bound: run[config].passed)
+                     bound, lambda run, bound: run[config].passed)
 
 
 _BATTERY = LemmaBatteryResult
@@ -740,7 +730,7 @@ ACCEPTANCE = (
     _rate(3, "Sobolev s=1 MSE rate n^-2/3", "sobolev_s1"),
     Criterion(4, "Monte-Carlo MSE <= bound + 3 CI at every grid point", "rates",
               lambda run: {name: o.dominance_violations for name, o in run.items()},
-              lambda: {name: load_shipped_config(name).acceptance.get("bound_dominance")
+              lambda: {name: load_shipped_config(name).acceptance.bound_dominance
                        for name in _RATE_CONFIGS},
               lambda run, bound: all(o.verdicts.get("bound_dominance", False)
                                      for o in run.values())),
@@ -779,10 +769,10 @@ ACCEPTANCE = (
               lambda run, bound: run["schedules"] == bound),
     Criterion(10, "sup error shrinks along one sample path", "as_traces",
               lambda run: {name: trace.sup_ratio for name, (_, trace) in run.items()},
-              lambda: {name: load_shipped_config(name).acceptance["trace_ratio_max"]
+              lambda: {name: load_shipped_config(name).acceptance.trace_ratio_max
                        for name in _TRACE_CONFIGS},
               lambda run, bound: all(
-                  trace_verdict(trace, config.acceptance["trace_ratio_max"])[0]
+                  trace_verdict(trace, config.acceptance.trace_ratio_max)[0]
                   for config, trace in run.values())),
 )
 

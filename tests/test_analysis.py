@@ -488,22 +488,23 @@ def test_trace_error_shrinks_along_the_path(sawtooth):
     assert trace.condition.gamma_in_range
 
 
-def test_frozen_schedule_reduces_to_the_scalar_path():
-    """Each checkpoint's estimate equals the whole-path estimate of that
-    many sensors: the trace's segments and tiles, started on or off a
+def test_trace_checkpoints_equal_the_whole_path_estimates():
+    """Each checkpoint's sup error is that of the whole-path estimate of
+    that many sensors: the trace's segments and tiles, started on or off a
     multiple of 4, add up to one pass over the nested sample path."""
     field, deploy, noise = zero_field(1.0), UniformDeployment(), ZeroNoise()
     cfg = EstimatorConfig(basis=FourierBasis(), density=deploy, c=1.0,
-                          schedule=TruncationSchedule.fixed(1))
+                          schedule=TruncationSchedule.power(0.4))
+    grid = np.linspace(0.0, 1.0, analysis.TRACE_GRID_POINTS)
     # (3, 40_001): a segment of three tiles, the first starting at sensor 3
     for checkpoints in [(1000, 10_000), (1001, 10_003), (3, 40_001)]:
         trace = as_error_trace(field, deploy, noise, psi=0.4, seed=23,
-                               n_checkpoints=checkpoints,
-                               schedule=TruncationSchedule.fixed(1))
+                               n_checkpoints=checkpoints)
         for i, n in enumerate(checkpoints):
             batch = simulate_batch(field, deploy, noise, n, seed=23)
-            alpha0 = estimate_coefficients(batch, cfg, 1).values[0]
-            assert trace.sup_error[i] == pytest.approx(abs(alpha0), rel=1e-12), n
+            alpha = estimate_coefficients(batch, cfg, trace.m_values[i]).values
+            sup = np.max(np.abs(synthesize(cfg.basis, alpha, grid)))
+            assert trace.sup_error[i] == pytest.approx(sup, rel=1e-12), n
 
 
 def test_interior_sup_excludes_jump_neighborhoods(step_field):

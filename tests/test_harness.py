@@ -4,6 +4,7 @@ import math
 import re
 import subprocess
 import sys
+import tempfile
 from importlib import resources
 
 import numpy as np
@@ -15,9 +16,10 @@ from ditherfield import (AffineFloorDeployment, ConfigValidationError, FourierBa
                          Linear2xDeployment, UniformDeployment,
                          UniformSymNoise, ZeroNoise, cli, harness, load_shipped_config,
                          monte_carlo_mse, parse_experiment_config,
-                         run_experiment, run_lemma_battery, run_suite)
+                         run_experiment, run_lemma_battery, run_suite, true_coefficients)
 from ditherfield import analysis
 from ditherfield.analysis import WORKERS_MAX, map_trials
+from ditherfield.fields import SOBOLEV_FREQS_MAX, STEP_CELLS_MAX
 from ditherfield.harness import _MISMATCH_CONFIGS, _RATE_CONFIGS, _TRACE_CONFIGS
 
 from conftest import collect_trials
@@ -80,12 +82,16 @@ def test_step_basis_smaller_than_the_schedule_is_rejected_at_parse():
         parse_experiment_config(doc)
 
 
-@pytest.mark.parametrize("doc, path", [(dict(MINI_CONFIG, outputs="out"), "outputs"),
-                                       (dict(MINI_CONFIG, n_gird=[1, 2]), "n_gird"),
-                                       (dict(MINI_CONFIG, acceptance={"r2min": 0.9}),
-                                        "acceptance.r2min")])
-def test_unknown_config_keys_are_rejected(doc, path):
-    with pytest.raises(ConfigValidationError, match=rf"{path}: unknown key; expected some of"):
+@pytest.mark.parametrize("doc, path, what", [
+    (dict(MINI_CONFIG, outputs="out"), "outputs", "experiment config"),
+    (dict(MINI_CONFIG, n_gird=[1, 2]), "n_gird", "experiment config"),
+    (dict(MINI_CONFIG, acceptance={"r2min": 0.9}), "acceptance.r2min", "acceptance")],
+    ids=["outputs", "n_gird", "acceptance.r2min"])
+def test_unknown_config_keys_are_rejected(doc, path, what):
+    """The top level and the acceptance block take their keys by the rule
+    of every section."""
+    with pytest.raises(ConfigValidationError,
+                       match=rf"{path}: unexpected key; {what} takes \['"):
         parse_experiment_config(doc)
 
 
@@ -200,25 +206,33 @@ def test_lemma_battery_rows_do_not_depend_on_the_worker_count(monkeypatch):
 
 def test_streamed_battery_moments_equal_the_two_pass_moments(monkeypatch):
     """The streamed means are, bit for bit, the means of each cell's
-    estimates gathered into one array, and var_emp is the two-pass
-    variance within 1e-13 relative."""
+    estimates gathered into one array, and var_emp, dev_sigmas and
+    var_ratio are the two-pass values within 1e-13 relative."""
     monkeypatch.setattr(analysis, "TASK_SENSORS", 7 * 500)
-    kept = []
+    kept, cells = [], []
 
-    def gathering(cells, seed, take, workers=1):
-        kept.extend(collect_trials(cells, seed, workers))
-        return map_trials(cells, seed, take, workers)
+    def gathering(trial_cells, seed, take, workers=1):
+        kept.extend(collect_trials(trial_cells, seed, workers))
+        cells.extend(trial_cells)
+        return map_trials(trial_cells, seed, take, workers)
 
     monkeypatch.setattr(harness, "map_trials", gathering)
-    trials, j_count = 200, 4
-    battery = run_lemma_battery(n=500, trials=trials, j_count=j_count)
-    assert len(kept) == 18
-    for c, mat in enumerate(kept):
+    n, trials, j_count = 500, 200, 4
+    battery = run_lemma_battery(n=n, trials=trials, j_count=j_count)
+    assert len(kept) == len(cells) == 18
+    for c, (cell, mat) in enumerate(zip(cells, kept)):
+        alpha = true_coefficients(cell.field, cell.basis, j_count).values
+        scale = (cell.field.amplitude_bound + cell.noise.b) ** 2 / n
+        var_bound = scale * cell.basis.deployment_integrals(cell.deploy, j_count)
         mean = mat.mean(axis=0)
         var_emp = np.sum(np.abs(mat - mean) ** 2, axis=0) / (trials - 1)
+        dev_sigmas = np.abs(mean - alpha) / np.sqrt(var_emp / trials)
         for j, row in enumerate(battery.rows[c * j_count:(c + 1) * j_count]):
             assert (row["mean_re"], row["mean_im"]) == (mean[j].real, mean[j].imag)
             assert row["var_emp"] == pytest.approx(var_emp[j], rel=1e-13, abs=0.0)
+            assert row["dev_sigmas"] == pytest.approx(dev_sigmas[j], rel=1e-13, abs=0.0)
+            assert row["var_ratio"] == pytest.approx(var_emp[j] / var_bound[j], rel=1e-13,
+                                                     abs=0.0)
 
 
 @pytest.mark.parametrize("m", [2, 8])
@@ -384,19 +398,23 @@ def test_a_non_finite_tabulated_density_is_a_config_error(bad):
 
 
 def _numeric_leaves(doc, path=()):
-    """Paths of every number in a config document outside `acceptance`."""
+    """Paths of every number in a config document."""
     if isinstance(doc, dict):
         items = doc.items()
     elif isinstance(doc, list):
         items = enumerate(doc)
     else:
         return [path] if isinstance(doc, (int, float)) and not isinstance(doc, bool) else []
-    return [leaf for key, value in items if key != "acceptance"
-            for leaf in _numeric_leaves(value, path + (key,))]
+    return [leaf for key, value in items for leaf in _numeric_leaves(value, path + (key,))]
 
 
 def _shipped_doc(name):
     return json.loads((resources.files("ditherfield") / "configs" / f"{name}.json").read_text())
+
+
+def _key_path(path):
+    """A document path as a problem names it: `field.coefficients[0]`."""
+    return path[0] + "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path[1:])
 
 
 _LEAF_CASES = [(name, path) for name in _RATE_CONFIGS + _TRACE_CONFIGS + _MISMATCH_CONFIGS
@@ -412,22 +430,26 @@ def test_a_non_finite_number_anywhere_is_a_config_error(name, path, bad):
     for key in path[:-1]:
         parent = parent[key]
     parent[path[-1]] = bad
-    # a section value is named by its key path, a top-level one by its key
-    named = (re.escape(f"{path[0]}.{path[1]}") + r"[\[:]" if isinstance(doc[path[0]], dict)
-             else re.escape(path[0]) + ":")
-    with pytest.raises(ConfigValidationError, match=named):
+    # a problem starts with the leaf's key path, a coefficient pair's at the pair
+    named = re.escape(_key_path(path[:3])) + ":"
+    with pytest.raises(ConfigValidationError) as err:
         parse_experiment_config(doc)
+    assert any(re.match(named, line) for line in err.value.problems), err.value.problems
 
 
-@pytest.mark.parametrize("key, value", [("n_grid", [256, 512.5, 1024, 2048]),
-                                        ("trials", 2.7),
-                                        ("trials", [12, 12, 12.5, 12]),
-                                        ("seed", 1.5),
-                                        ("seed", -1),
-                                        ("seed", "99")])
-def test_counts_must_be_integral_and_the_seed_nonnegative(key, value):
-    with pytest.raises(ConfigValidationError, match=f"{key}:"):
+@pytest.mark.parametrize("key, value, problem", [
+    ("n_grid", [256, 512.5, 1024, 2048], "n_grid[1]: expected an integer, got float 512.5"),
+    ("trials", 2.7, "trials: expected an integer, got float 2.7"),
+    ("trials", [12, 12, 12.5, 12], "trials[2]: expected an integer, got float 12.5"),
+    ("seed", 1.5, "seed: expected an integer, got float 1.5"),
+    ("seed", -1, "seed: must be >= 0"),
+    ("seed", "99", "seed: expected an integer, got str '99'")],
+    ids=["n_grid_fraction", "trials_fraction", "trials_entry_fraction", "seed_fraction",
+         "seed_negative", "seed_string"])
+def test_counts_must_be_integral_and_the_seed_nonnegative(key, value, problem):
+    with pytest.raises(ConfigValidationError) as err:
         parse_experiment_config(dict(MINI_CONFIG, **{key: value}))
+    assert problem in err.value.problems
 
 
 def test_the_seed_is_one_u64():
@@ -503,10 +525,12 @@ def test_a_kind_that_is_not_a_string_is_unknown(key, doc, message):
      r"field\.basis\.cells: expected an integer, got str '16'"),
     ("schedule", {"m": 5}, r"schedule\.kind: unknown schedule kind None; expected one of "
                            r"\['fixed', 'finite_dim', 'bv', 'sobolev', 'power'\]"),
-    ("basis", 5, r"basis: expected an object, got int 5")],
+    ("basis", 5, r"basis: expected an object, got int 5"),
+    ("field", {"class": "sobolev", "s": 1.0, "seed": -1},
+     r"field: seed must be a nonnegative integer, got -1")],
     ids=["noise_b_string", "sigma_null", "nu_list", "pdf_values_strings", "field_string",
          "no_coefficients", "coefficient_not_a_pair", "sobolev_seed_fraction",
-         "nested_basis_cells", "schedule_no_kind", "basis_number"])
+         "nested_basis_cells", "schedule_no_kind", "basis_number", "sobolev_seed_negative"])
 def test_a_value_of_the_wrong_type_is_named_by_its_key_path(key, doc, message):
     """These used to leak Python internals (`'<' not supported between
     instances`, `dictionary update sequence`, a private function's name,
@@ -632,15 +656,27 @@ def test_a_config_must_be_an_object():
         parse_experiment_config([MINI_CONFIG])
 
 
+_SOBOLEV = {"class": "sobolev", "s": 1.0, "seed": 7}
+
+
 @pytest.mark.parametrize("key, value, ok", [
     ("n_grid", [256, harness.N_GRID_MAX], True),
     ("n_grid", [256, harness.N_GRID_MAX + 1], False),
     ("n_grid", [256, 1e18], False),
     ("trials", (1 << 32) - 1, True),
     ("trials", 1 << 32, False),
-    ("trials", [12, 12, 12, 1 << 40], False)])
+    ("trials", [12, 12, 12, 1 << 40], False),
+    ("basis", {"kind": "step", "cells": STEP_CELLS_MAX}, True),
+    *[("basis", {"kind": "step", "cells": cells}, False)
+      for cells in (-1, 0, STEP_CELLS_MAX + 1, 1 << 40)],
+    ("field", dict(_SOBOLEV, n_freqs=SOBOLEV_FREQS_MAX), True),
+    *[("field", dict(_SOBOLEV, n_freqs=n_freqs), False)
+      for n_freqs in (-1, 0, SOBOLEV_FREQS_MAX + 1, 1 << 40)]])
 def test_counts_are_capped_at_parse_time(key, value, ok):
-    """Parsed only: a config at a cap is never run here."""
+    """Parsed only: a config at a cap is never run here, and a section is
+    checked before anything of its size is allocated (2^40 step cells used
+    to parse and then fail mid-run allocating 16 TiB, and n_freqs = -1 read
+    numpy's negative dimensions)."""
     assert harness.N_GRID_MAX >= 10 ** 6  # the shipped trace checkpoints
     doc = dict(MINI_CONFIG, **{key: value})
     if ok:
@@ -703,7 +739,11 @@ def test_the_dynamic_range_is_capped_at_parse_time(key, change):
 
 _SHIPPED = _RATE_CONFIGS + _TRACE_CONFIGS + _MISMATCH_CONFIGS
 _DROP = "<drop the key>"
-_FUZZ_VALUES = (0, -1, 1e308, 2.5, "text", None, "1", [0.5], {}, True, _DROP)
+_FUZZ_VALUES = (0, -1, 1e308, 1 << 40, 2.5, "text", None, "1", [0.5], {}, True, _DROP)
+# the shipped configs, and one that sets the size keys none of them sets
+_FUZZ_DOCS = {**{name: _shipped_doc(name) for name in _SHIPPED},
+              "sized": dict(MINI_CONFIG, field=dict(_SOBOLEV, n_freqs=32),
+                            basis={"kind": "step", "cells": 64})}
 
 
 def _every_path(doc, path=()):
@@ -719,20 +759,20 @@ _PATH = r"[A-Za-z]\w*(?:\.\w+|\[\d+\])*"
 _PROBLEM_PATHS = re.compile(rf"{_PATH}(?:, {_PATH})*: ")
 _INTERNALS = re.compile(r"not supported between instances|positional argument|keyword argument"
                         r"|dictionary update sequence|is not iterable|string indices"
-                        r"|unhashable|(?<![\w.])_\w")
+                        r"|unhashable|negative dimensions|(?<![\w.])_\w")
 
-_FUZZ_TARGETS = [(name, path) for name in _SHIPPED
-                 for path in _every_path(_shipped_doc(name))]
+_FUZZ_TARGETS = [(name, path) for name, doc in _FUZZ_DOCS.items() for path in _every_path(doc)]
 
 
 @given(st.sampled_from(_FUZZ_TARGETS), st.sampled_from(_FUZZ_VALUES))
 @settings(max_examples=300, deadline=None)
 def test_a_fuzzed_config_is_rejected_or_runs_to_finite_errors(target, value):
     """Either parsing raises ConfigValidationError, each problem naming its
-    key paths first and one of them the fuzzed key, or a 2-trial sweep on
-    n <= 512 finishes with finite means and standard deviations."""
+    key paths first and one of them the fuzzed key, or a 2-trial run on
+    n <= 512 judges the declared tolerances and reports finite numbers, and
+    its sweep finishes with finite means and standard deviations."""
     name, path = target
-    doc = _shipped_doc(name)
+    doc = json.loads(json.dumps(_FUZZ_DOCS[name]))
     parent = doc
     for key in path[:-1]:
         parent = parent[key]
@@ -748,29 +788,63 @@ def test_a_fuzzed_config_is_rejected_or_runs_to_finite_errors(target, value):
         for line in exc.problems:
             assert _PROBLEM_PATHS.match(line) and not _INTERNALS.search(line), line
         # some problem names the fuzzed key, a key above it or one below it
-        fuzzed = path[0] + "".join(f"[{k}]" if isinstance(k, int) else f".{k}"
-                                   for k in path[1:])
+        fuzzed = _key_path(path)
         named = [p for line in exc.problems for p in line.split(": ", 1)[0].split(", ")]
         assert any(fuzzed.startswith(p) or p.startswith(fuzzed) for p in named), exc.problems
         return
+    grid = (64, 128, 256, 512)
+    small = parse_experiment_config(dict(doc, n_grid=list(grid), trials=2))
+    with tempfile.TemporaryDirectory() as out:
+        outcome = run_experiment(small, out)
+    assert "finite" not in outcome.verdicts, outcome.detail
+    # the sweep alone, which a run of a rejected deployment never reaches
     sweep = monte_carlo_mse(config.field, config.deployment, config.noise, config.basis,
-                            config.schedule, (64, 128, 256, 512), 2, seed=config.seed)
+                            config.schedule, grid, 2, seed=config.seed)
     assert np.all(np.isfinite(sweep.means)) and np.all(np.isfinite(sweep.stds))
 
 
-@pytest.mark.parametrize("key, value", [("slope_range", "text"), ("slope_range", None),
-                                        ("slope_range", [-0.5]), ("slope_range", 2.5),
-                                        ("slope_range", [-0.35, -0.65]),
-                                        ("slope_range", ["x", 1.0]),
-                                        ("slope_range", [-1.0, math.nan]),
-                                        ("r2_min", "0.9"), ("r2_min", None),
-                                        ("r2_min", True),
-                                        ("trace_ratio_max", math.inf),
-                                        ("bound_dominance", 0),
-                                        ("expect_rejected", "false")])
-def test_acceptance_values_are_checked_at_parse_time(key, value):
+@pytest.mark.parametrize("key, value, problem", [
+    ("slope_range", "text", "acceptance.slope_range: expected a list, got str 'text'"),
+    ("slope_range", None, "acceptance.slope_range: expected a list, got null"),
+    ("slope_range", [-0.5], "acceptance: slope_range must be [lo, hi] with lo <= hi"),
+    ("slope_range", 2.5, "acceptance.slope_range: expected a list, got float 2.5"),
+    ("slope_range", [-0.35, -0.65], "acceptance: slope_range must be [lo, hi] with lo <= hi"),
+    ("slope_range", ["x", 1.0],
+     "acceptance.slope_range[0]: expected a finite number, got str 'x'"),
+    ("slope_range", [-1.0, math.nan],
+     "acceptance.slope_range[1]: expected a finite number, got float nan"),
+    ("r2_min", "0.9", "acceptance.r2_min: expected a finite number, got str '0.9'"),
+    ("r2_min", None, "acceptance.r2_min: expected a finite number, got null"),
+    ("r2_min", True, "acceptance.r2_min: expected a finite number, got bool True"),
+    ("trace_ratio_max", math.inf,
+     "acceptance.trace_ratio_max: expected a finite number, got float inf"),
+    ("trace_ratio_max", None, "acceptance.trace_ratio_max: expected a finite number, got null"),
+    ("bound_dominance", 0, "acceptance.bound_dominance: expected true or false, got int 0"),
+    ("bound_dominance", None, "acceptance.bound_dominance: expected true or false, got null"),
+    ("expect_rejected", "false",
+     "acceptance.expect_rejected: expected true or false, got str 'false'"),
+    ("expect_rejected", None, "acceptance.expect_rejected: expected true or false, got null")],
+    ids=["slope_range_string", "slope_range_null", "slope_range_one", "slope_range_number",
+         "slope_range_reversed", "slope_range_entry_string", "slope_range_entry_nan",
+         "r2_min_string", "r2_min_null", "r2_min_bool", "trace_ratio_max_inf",
+         "trace_ratio_max_null", "bound_dominance_int", "bound_dominance_null",
+         "expect_rejected_string", "expect_rejected_null"])
+def test_acceptance_values_are_checked_at_parse_time(key, value, problem):
     """A malformed verdict rule used to parse and then end a finished sweep
-    with a TypeError or ValueError."""
-    doc = dict(MINI_CONFIG, acceptance={key: value})
-    with pytest.raises(ConfigValidationError, match=f"acceptance: {key} must"):
-        parse_experiment_config(doc)
+    with a TypeError or ValueError. A tolerance is declared by its value, so
+    a null one is a problem, not a verdict silently dropped."""
+    with pytest.raises(ConfigValidationError) as err:
+        parse_experiment_config(dict(MINI_CONFIG, acceptance={key: value}))
+    assert err.value.problems == [problem]
+
+
+def test_a_parsed_config_holds_no_list():
+    """Lists convert to tuples, so the frozen tolerances hash and the grid,
+    the trial counts and the slope range cannot change in place."""
+    config = load_shipped_config("bv_sawtooth")
+    accept = config.acceptance
+    assert accept.slope_range == (-0.65, -0.35)
+    assert hash(accept) == hash(harness.Acceptance([-0.65, -0.35], 0.95, True))
+    assert config.n_grid == (1024, 4096, 16384, 65536, 262144)
+    assert config.trials == (200, 200, 200, 50, 50)
+    assert parse_experiment_config(MINI_CONFIG).trials == (12,) * 4
