@@ -387,11 +387,12 @@ def _shipped_field_menu() -> list[FieldSpec]:
 
 
 def validate_as_schedule(psi: float, gamma: float, basis: Basis,
-                         deploy: Deployment, amplitude: float | None = None,
+                         deploy: Deployment,
                          fields: Sequence[FieldSpec] | None = None) -> ScheduleValidation:
     """Validate (m(n) = n^psi, envelope m^(gamma/2)) for pathwise convergence,
     and numerically exercise the bounded-basis kernel/projection bounds
-    with envelope m and constants beta^2/nu and a*beta."""
+    with envelope m and constants beta^2/nu and a*beta, a the largest
+    amplitude bound of `fields` (default: the shipped BV menu)."""
     if not 0.0 < psi < 1.0:
         raise ValueError("growth exponent must lie in (0, 1)")
     gamma_ok = 1.0 < gamma < 1.0 / psi
@@ -403,8 +404,7 @@ def validate_as_schedule(psi: float, gamma: float, basis: Basis,
     if bounded and nu > 0.0:
         beta = float(basis.bound)
         menu = list(fields) if fields is not None else _shipped_field_menu()
-        a = float(amplitude) if amplitude is not None else max(
-            f.amplitude_bound for f in menu)
+        a = max(f.amplitude_bound for f in menu)
         c1 = beta * beta / nu
         c2 = a * beta  # * sqrt(vol([0,1])) == 1
 
@@ -518,9 +518,7 @@ def as_error_trace(field: FieldSpec, deploy: Deployment, noise: Noise,
         sup_est.append(float(np.max(est_err)))
         sup_est_int.append(float(np.max(est_err[interior])))
 
-    condition = validate_as_schedule(psi, gamma, basis, deploy,
-                                     amplitude=field.amplitude_bound,
-                                     fields=[field])
+    condition = validate_as_schedule(psi, gamma, basis, deploy, fields=[field])
     return ASTraceResult(checkpoints=checkpoints, m_values=m_values, psi=psi,
                          gamma=gamma, sup_error=tuple(sup_s),
                          sup_estimate_error=tuple(sup_est),

@@ -9,7 +9,7 @@ import sys
 from .analysis import WORKERS_MAX, check_consistency_conditions
 from .harness import (SUITE_NAMES, ConfigValidationError,
                       load_experiment_config, run_as_trace, run_experiment,
-                      run_suite, trace_verdict)
+                      run_suite)
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -101,11 +101,10 @@ def main(argv=None) -> int:
         print(f"first-to-last ratio {trace.sup_ratio:.4f} "
               "(single-path regression, not a proof of convergence)")
         print(f"wrote {path}")
-        if config.acceptance.trace_ratio_max is None:
-            return 0
-        passed, detail = trace_verdict(trace, config.acceptance.trace_ratio_max)
-        print(f"{'PASS' if passed else 'FAIL'}  trace_ratio_max  [{detail}]")
-        return 0 if passed else 1
+        verdicts = config.acceptance.judge(trace=trace)
+        for key, (detail, ok) in verdicts.items():
+            print(f"{'PASS' if ok else 'FAIL'}  {key}  [{detail}]")
+        return 0 if all(ok for _, ok in verdicts.values()) else 1
 
     return 2
 

@@ -24,10 +24,9 @@ from typing import (Callable, ClassVar, Sequence, get_args, get_origin,
 
 import numpy as np
 
-from .analysis import (RATE_FIT_MIN_POINTS, ASTraceResult, BoundReport,
-                       RateFitResult, TrialCell, as_error_trace,
-                       check_consistency_conditions, map_trials,
-                       monte_carlo_mse, mse_upper_bound, rate_fit,
+from .analysis import (RATE_FIT_MIN_POINTS, ASTraceResult, RateFitResult,
+                       TrialCell, as_error_trace, check_consistency_conditions,
+                       map_trials, monte_carlo_mse, mse_upper_bound, rate_fit,
                        validate_as_schedule)
 from .estimator import TruncationSchedule
 from .fields import (Basis, FieldSpec, FourierBasis, make_bv_field,
@@ -69,7 +68,7 @@ class Acceptance:
     declares none: the range of the rate fit's slope and its least R^2,
     bound dominance at every n, whether the deployment must be rejected
     before the run, and the largest last-to-first sup-error ratio of a
-    trace (`trace_verdict`)."""
+    trace."""
 
     slope_range: Sequence[float] | None = None
     r2_min: float | None = None
@@ -83,6 +82,37 @@ class Acceptance:
             if not (len(lo_hi) == 2 and lo_hi[0] <= lo_hi[1]):
                 raise ValueError("slope_range must be [lo, hi] with lo <= hi")
             object.__setattr__(self, "slope_range", lo_hi)
+
+    def judge(self, fit: RateFitResult | None = None, violations: int | None = None,
+              rejected: bool | None = None,
+              trace: ASTraceResult | None = None) -> dict[str, tuple[str, bool]]:
+        """`{key: (check text, ok)}`, in declaration order, for each declared
+        tolerance the run gave evidence for: a sweep's rate fit and
+        dominance count, whether the run went ahead, a trace's sup errors.
+        A rejected run passes only where `expect_rejected` is true, so it
+        is judged whether or not the key is declared."""
+        verdicts: dict[str, tuple[str, bool]] = {}
+        if fit is not None and self.slope_range is not None:
+            lo, hi = self.slope_range
+            verdicts["slope_range"] = (f"slope {fit.slope:+.4f} in [{lo}, {hi}]",
+                                       lo <= fit.slope <= hi)
+        if fit is not None and self.r2_min is not None:
+            verdicts["r2_min"] = (f"r2 {fit.r_squared:.5f} >= {self.r2_min}",
+                                  fit.r_squared >= self.r2_min)
+        if violations is not None and self.bound_dominance:
+            verdicts["bound_dominance"] = (f"bound dominance violations {violations}",
+                                           violations == 0)
+        if rejected or (rejected is not None and self.expect_rejected is not None):
+            expected = bool(self.expect_rejected)
+            verdicts["expect_rejected"] = (f"{'rejected' if rejected else 'ran'}, "
+                                           f"expect_rejected {json.dumps(expected)}",
+                                           rejected == expected)
+        if trace is not None and self.trace_ratio_max is not None:
+            ok = trace.sup_ratio < self.trace_ratio_max
+            verdicts["trace_ratio_max"] = (
+                f"sup|S| {trace.sup_error[0]:.4e} -> {trace.sup_error[-1]:.4e} (ratio "
+                f"{trace.sup_ratio:.4f} {'<' if ok else '>='} {self.trace_ratio_max})", ok)
+        return verdicts
 
 
 # ---------------------------------------------------------------------------
@@ -265,11 +295,14 @@ def parse_experiment_config(doc: dict, seed_override: int | None = None) -> Expe
     # the checks across keys, on the keys that converted
     n_grid, trials = args.get("n_grid", ()), args.get("trials", ())
     counts = (trials,) * max(len(n_grid), 1) if isinstance(trials, int) else trials
-    seed, accept = args.get("seed", 0), args["acceptance"]
+    seed, accept, eid = args.get("seed", 0), args["acceptance"], args.get("experiment_id", "")
     fitted = [key for key, value in (("r2_min", accept.r2_min),
                                      ("slope_range", accept.slope_range)) if value is not None]
     problems += [f"{key}: {message}" for key, message, violated in [
         ("experiment_id", "must not be empty", args.get("experiment_id") == ""),
+        ("experiment_id", f"names the artifact files, so it may not be '.' or '..' or hold "
+                          f"'/' or NUL; got {eid!r}",
+         eid in (".", "..") or "/" in eid or "\0" in eid),
         ("n_grid", "must not be empty", "n_grid" in args and not n_grid),
         ("n_grid", "entries must be positive", any(n < 1 for n in n_grid)),
         ("n_grid", f"entries must be at most {N_GRID_MAX}", any(n > N_GRID_MAX for n in n_grid)),
@@ -328,9 +361,7 @@ class ExperimentOutcome:
     status: str  # PASS | FAIL | FAILED-PRECONDITION
     detail: str
     fit: RateFitResult | None
-    bounds: tuple[BoundReport, ...]
-    mse_means: tuple[float, ...]
-    dominance_violations: int
+    dominance_violations: int | None  # None where no sweep ran
     artifacts: tuple[str, ...]
     verdicts: dict  # acceptance key (or "finite") -> whether the run meets it
     divergent_js: tuple[int, ...] = ()
@@ -360,128 +391,84 @@ def _write_json(path: Path, doc: dict) -> None:
 
 
 def run_experiment(config: ExperimentConfig, out_dir, workers: int = 1) -> ExperimentOutcome:
-    """Monte-Carlo sweep + bound table + rate fit for one experiment config.
+    """Monte-Carlo sweep + bound table + rate fit for one experiment config,
+    judged by its `Acceptance`; writes `<experiment_id>.csv`, `_report.json`
+    and `_summary.txt`.
 
     A deployment/basis pair whose variance integrals diverge is rejected
     up front (FAILED-PRECONDITION) — the distortion bound is useless there.
     """
+    eid = config.experiment_id
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    eid = config.experiment_id
-    csv_path = out / f"{eid}.csv"
-    report_path = out / f"{eid}_report.json"
-    summary_path = out / f"{eid}_summary.txt"
-    artifacts = (str(csv_path), str(report_path), str(summary_path))
-
+    csv_path, report_path, summary_path = (out / f"{eid}{suffix}" for suffix in
+                                           (".csv", "_report.json", "_summary.txt"))
     m_values = [config.schedule.resolve(n) for n in config.n_grid]
     bounds = tuple(mse_upper_bound(config.field, config.basis, config.deployment,
                                    n, m, config.c)
                    for n, m in zip(config.n_grid, m_values))
     divergent = list(max(bounds, key=lambda b: b.m).divergent_js)
-    accept = config.acceptance
+    fit = violations = None
+    non_finite, rejection = [], []
     if divergent:
-        expected = bool(accept.expect_rejected)
-        checks = [f"rejected, expect_rejected {json.dumps(expected)}: "
-                  f"{'ok' if expected else 'VIOLATED'}"]
-        detail = (
+        rejection = [
             f"rejected: the variance side of the distortion bound diverges — "
             f"the integral of |phi_j|^2 / p_X over [0,1] is infinite for "
             f"j in {divergent[:8]}. The deployment density vanishes on the "
             f"domain, so the inverse-density weights are unintegrable and the "
             f"bound is useless; match the basis to the deployment or use a "
-            f"density with a strictly positive floor.")
-        _write_csv(csv_path, CSV_HEADER, [])
-        _write_json(report_path, {"experiment_id": eid,
-                                  "status": "FAILED-PRECONDITION",
-                                  "detail": detail,
-                                  "checks": checks,
-                                  "divergent_js": divergent,
-                                  "seed": config.seed,
-                                  "config_hash": config.config_hash})
-        _write_lines(summary_path, [f"experiment {eid}",
-                                    "status FAILED-PRECONDITION", detail] + checks)
-        return ExperimentOutcome(config=config, status="FAILED-PRECONDITION",
-                                 detail="; ".join([detail] + checks), fit=None,
-                                 bounds=(), mse_means=(), dominance_violations=0,
-                                 artifacts=artifacts, verdicts={"expect_rejected": expected},
-                                 divergent_js=tuple(divergent))
+            f"density with a strictly positive floor."]
+        rows, lines = [], rejection
+        report = {"detail": rejection[0], "divergent_js": divergent}
+    else:
+        sweep = monte_carlo_mse(config.field, config.deployment, config.noise,
+                                config.basis, config.schedule, config.n_grid,
+                                config.trials, seed=config.seed, workers=workers)
+        # a NaN mean or bound is a violation: dominance must be shown, not assumed
+        violations = sum(1 for mean, ci, b in zip(sweep.means, sweep.ci_half, bounds)
+                         if not mean <= b.total + 3.0 * ci)
+        fit = (rate_fit(config.n_grid, sweep.means)
+               if len(config.n_grid) >= RATE_FIT_MIN_POINTS else None)
+        # a NaN or infinite number is no evidence, whatever the declared tolerances
+        reported = {"mse": sweep.means + sweep.stds, "ci": sweep.ci_half,
+                    "bound": tuple(v for b in bounds
+                                   for v in (b.total, b.variance_term, b.bias_term)),
+                    "fit": (fit.slope, fit.intercept, fit.r_squared) if fit else ()}
+        non_finite = [name for name, values in reported.items()
+                      if not all(math.isfinite(v) for v in values)]
+        rows, lines = [], [f"seed {config.seed}", f"config sha {config.config_hash}"]
+        for n, m, trials, mean, std, ci, b in zip(config.n_grid, m_values, sweep.trials,
+                                                  sweep.means, sweep.stds, sweep.ci_half, bounds):
+            rows.append([eid, n, m, trials, repr(mean), repr(std), repr(mean - ci),
+                         repr(mean + ci), repr(b.total), repr(b.variance_term),
+                         repr(b.bias_term), config.seed, config.config_hash])
+            lines.append(f"n={n} m={m} trials={trials} mse={mean:.6e} ci_half={ci:.2e} "
+                         f"bound={b.total:.6e}")
+        report = {"n_grid": list(config.n_grid), "m_values": m_values,
+                  "trials": list(sweep.trials), "mse_means": list(sweep.means),
+                  "mse_stds": list(sweep.stds), "ci_half": list(sweep.ci_half),
+                  "bound_totals": [b.total for b in bounds],
+                  "dominance_violations": violations,
+                  "rate_fit": fit.to_json() if fit else None}
 
-    sweep = monte_carlo_mse(config.field, config.deployment, config.noise,
-                            config.basis, config.schedule, config.n_grid,
-                            config.trials, seed=config.seed, workers=workers)
-
-    # a NaN mean or bound is a violation: dominance must be shown, not assumed
-    violations = sum(1 for mean, ci, b in zip(sweep.means, sweep.ci_half, bounds)
-                     if not mean <= b.total + 3.0 * ci)
-
-    fit = (rate_fit(config.n_grid, sweep.means)
-           if len(config.n_grid) >= RATE_FIT_MIN_POINTS else None)
-
-    # parsing guarantees a rate fit wherever slope_range or r2_min is declared
-    verdicts: dict[str, tuple[str, bool]] = {}
-    if accept.slope_range is not None:
-        lo, hi = accept.slope_range
-        verdicts["slope_range"] = (f"slope {fit.slope:+.4f} in [{lo}, {hi}]",
-                                   lo <= fit.slope <= hi)
-    if accept.r2_min is not None:
-        verdicts["r2_min"] = (f"r2 {fit.r_squared:.5f} >= {accept.r2_min}",
-                              fit.r_squared >= accept.r2_min)
-    if accept.bound_dominance:
-        verdicts["bound_dominance"] = (f"bound dominance violations {violations}",
-                                       violations == 0)
-    if accept.expect_rejected is not None:
-        verdicts["expect_rejected"] = (f"ran, expect_rejected "
-                                       f"{json.dumps(accept.expect_rejected)}",
-                                       not accept.expect_rejected)
-    # a NaN or infinite number is no evidence, whatever the declared tolerances
-    reported = {"mse": sweep.means + sweep.stds, "ci": sweep.ci_half,
-                "bound": tuple(v for b in bounds
-                               for v in (b.total, b.variance_term, b.bias_term)),
-                "fit": (fit.slope, fit.intercept, fit.r_squared) if fit else ()}
-    non_finite = [name for name, values in reported.items()
-                  if not all(math.isfinite(v) for v in values)]
+    verdicts = config.acceptance.judge(fit=fit, violations=violations,
+                                       rejected=bool(divergent))
     if non_finite:
         verdicts["finite"] = (f"non-finite {', '.join(non_finite)} values", False)
     checks = [f"{text}: {'ok' if ok else 'VIOLATED'}" for text, ok in verdicts.values()]
-    status = "PASS" if all(ok for _, ok in verdicts.values()) else "FAIL"
+    status = ("FAILED-PRECONDITION" if divergent
+              else "PASS" if all(ok for _, ok in verdicts.values()) else "FAIL")
 
-    rows = []
-    for i, n in enumerate(config.n_grid):
-        rows.append([eid, n, m_values[i], sweep.trials[i],
-                     repr(sweep.means[i]), repr(sweep.stds[i]),
-                     repr(sweep.means[i] - sweep.ci_half[i]),
-                     repr(sweep.means[i] + sweep.ci_half[i]),
-                     repr(bounds[i].total), repr(bounds[i].variance_term),
-                     repr(bounds[i].bias_term), config.seed,
-                     config.config_hash])
     _write_csv(csv_path, CSV_HEADER, rows)
-
-    report = {"experiment_id": eid, "status": status, "seed": config.seed,
-              "config_hash": config.config_hash,
-              "n_grid": list(config.n_grid), "m_values": m_values,
-              "trials": list(sweep.trials), "mse_means": list(sweep.means),
-              "mse_stds": list(sweep.stds), "ci_half": list(sweep.ci_half),
-              "bound_totals": [b.total for b in bounds],
-              "dominance_violations": violations,
-              "checks": checks,
-              "rate_fit": fit.to_json() if fit else None}
-    _write_json(report_path, report)
-
-    lines = [f"experiment {eid}", f"status {status}", f"seed {config.seed}",
-             f"config sha {config.config_hash}"]
-    for i, n in enumerate(config.n_grid):
-        lines.append(f"n={n} m={m_values[i]} trials={sweep.trials[i]} "
-                     f"mse={sweep.means[i]:.6e} ci_half={sweep.ci_half[i]:.2e} "
-                     f"bound={bounds[i].total:.6e}")
-    lines.extend(checks)
-    _write_lines(summary_path, lines)
-
-    detail = "; ".join(checks) if checks else "no declared tolerances"
-    return ExperimentOutcome(config=config, status=status, detail=detail,
-                             fit=fit, bounds=bounds, mse_means=sweep.means,
-                             dominance_violations=violations,
-                             artifacts=artifacts,
-                             verdicts={k: ok for k, (_, ok) in verdicts.items()})
+    _write_json(report_path, {"experiment_id": eid, "status": status, "seed": config.seed,
+                              "config_hash": config.config_hash, "checks": checks, **report})
+    _write_lines(summary_path, [f"experiment {eid}", f"status {status}", *lines, *checks])
+    return ExperimentOutcome(config=config, status=status,
+                             detail="; ".join(rejection + checks) or "no declared tolerances",
+                             fit=fit, dominance_violations=violations,
+                             artifacts=(str(csv_path), str(report_path), str(summary_path)),
+                             verdicts={key: ok for key, (_, ok) in verdicts.items()},
+                             divergent_js=tuple(divergent))
 
 
 def run_as_trace(config: ExperimentConfig, out_dir) -> tuple[ASTraceResult, Path]:
@@ -499,14 +486,6 @@ def run_as_trace(config: ExperimentConfig, out_dir) -> tuple[ASTraceResult, Path
     path = out / f"{config.experiment_id}_trace.json"
     _write_json(path, trace.to_json())
     return trace, path
-
-
-def trace_verdict(trace: ASTraceResult, ratio_max: float) -> tuple[bool, str]:
-    """Whether the trace's last-to-first sup-error ratio is below
-    `trace_ratio_max`, and the detail line that reports it."""
-    ok = trace.sup_ratio < ratio_max
-    return ok, (f"sup|S| {trace.sup_error[0]:.4e} -> {trace.sup_error[-1]:.4e} "
-                f"(ratio {trace.sup_ratio:.4f} {'<' if ok else '>='} {ratio_max})")
 
 
 # ---------------------------------------------------------------------------
@@ -656,7 +635,7 @@ def _run_conditions(out: Path, workers: int) -> dict:
                                       ("sobolev_s1", TruncationSchedule.sobolev(1.0)),
                                       ("power_psi1", TruncationSchedule.power(1.0)),
                                       ("fixed_m5", TruncationSchedule.fixed(5)))}
-    good, bad = (validate_as_schedule(0.5, gamma, basis, uniform, amplitude=1.0)
+    good, bad = (validate_as_schedule(0.5, gamma, basis, uniform)
                  for gamma in (1.5, 2.5))
     affine = mismatch["mismatch_affine_floor"].config.deployment
     return {"mismatch": mismatch,
@@ -771,9 +750,8 @@ ACCEPTANCE = (
               lambda run: {name: trace.sup_ratio for name, (_, trace) in run.items()},
               lambda: {name: load_shipped_config(name).acceptance.trace_ratio_max
                        for name in _TRACE_CONFIGS},
-              lambda run, bound: all(
-                  trace_verdict(trace, config.acceptance.trace_ratio_max)[0]
-                  for config, trace in run.values())),
+              lambda run, bound: all(config.acceptance.judge(trace=trace)["trace_ratio_max"][1]
+                                     for config, trace in run.values())),
 )
 
 

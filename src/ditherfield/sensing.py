@@ -164,9 +164,9 @@ class AffineFloorDeployment:
 class TabulatedDeployment:
     """Density given by values on a uniform node grid, linearly interpolated.
 
-    Sampling inverts the piecewise-linear CDF of the tabulated density by
-    monotone linear interpolation; `cdf` returns exactly the CDF being
-    sampled, so distribution tests close.
+    `cdf` is the exact integral of that piecewise-linear density, quadratic
+    on each cell, and `sample` is its exact inverse, so the sensors are
+    drawn from the density the estimator's weights divide by.
     """
 
     pdf_values: np.ndarray
@@ -190,6 +190,7 @@ class TabulatedDeployment:
         object.__setattr__(self, "pdf_values", vals)
         object.__setattr__(self, "_nodes", nodes)
         object.__setattr__(self, "_cdf_values", raw_cdf / raw_cdf[-1])
+        object.__setattr__(self, "_slopes", np.diff(vals) / np.diff(nodes))
 
     @property
     def infimum(self) -> float:
@@ -199,26 +200,46 @@ class TabulatedDeployment:
         return np.interp(np.asarray(x, dtype=float), self._nodes, self.pdf_values)
 
     def cdf(self, x) -> np.ndarray:
-        return np.interp(np.asarray(x, dtype=float), self._nodes, self._cdf_values)
+        """F(node i) + p0 t + d t^2 / 2 at t = x - node i, p0 and d the
+        cell's left density and slope."""
+        x = np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
+        i = np.clip(np.searchsorted(self._nodes, x, side="right") - 1, 0, len(self._nodes) - 2)
+        t = x - self._nodes[i]
+        return self._cdf_values[i] + t * (self.pdf_values[i] + 0.5 * self._slopes[i] * t)
 
     def sample(self, u: np.ndarray) -> np.ndarray:
-        return np.interp(u, self._cdf_values, self._nodes)
+        """The root t = 2r / (p0 + sqrt(p0^2 + 2 d r)) of p0 t + d t^2 / 2 = r,
+        r = u - F(node i): free of cancellation, and t = r / p0 on a flat
+        cell. A cell of no mass holds no u, so a zero denominator means r = 0."""
+        i = np.clip(np.searchsorted(self._cdf_values, u, side="right") - 1, 0,
+                    len(self._nodes) - 2)
+        r = u - self._cdf_values[i]
+        p0, d = self.pdf_values[i], self._slopes[i]
+        root = p0 + np.sqrt(np.maximum(p0 * p0 + 2.0 * d * r, 0.0))
+        t = np.divide(2.0 * r, root, out=np.zeros_like(r), where=root > 0.0)
+        return np.minimum(self._nodes[i] + t, self._nodes[i + 1])
 
     def inverse_integral(self, lo: float, hi: float) -> float:
         """Integral of 1/p over [lo, hi], exact on each linear piece:
-        h log(p1/p0) / (p1 - p0) = h log1p(d) / (d p0) with d = p1/p0 - 1.
-        A flat piece (d = 0) gives h / p0; a zero of p at any breakpoint
-        makes 1/p unintegrable (+inf)."""
+        h log(p1/p0) / (p1 - p0), which is h log1p(d) / (d p0) with
+        d = p1/p0 - 1 where |d| < 1/2 (a flat piece, d = 0, gives h / p0).
+        Elsewhere the log splits into log p1 - log p0, since p1/p0 leaves
+        the float range beside a subnormal node. A zero of p at any
+        breakpoint makes 1/p unintegrable (+inf)."""
         inner = self._nodes[np.searchsorted(self._nodes, lo, side="right"):
                             np.searchsorted(self._nodes, hi, side="left")]
         x = np.concatenate([[lo], inner, [hi]])
         p = self.pdf(x)
         if np.any(p <= 0.0):
             return math.inf
-        p0 = p[:-1]
-        d = p[1:] / p0 - 1.0
-        ratio = np.divide(np.log1p(d), d, out=np.ones_like(d), where=d != 0.0)
-        return float(np.sum(np.diff(x) * ratio / p0))
+        p0, p1 = p[:-1], p[1:]
+        # p1/p0 may overflow, and np.where evaluates each arm where it discards it too
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            d = p1 / p0 - 1.0
+            per_piece = np.where(np.abs(d) < 0.5,
+                                 np.where(d == 0.0, 1.0, np.log1p(d) / d) / p0,
+                                 (np.log(p1) - np.log(p0)) / (p1 - p0))
+        return float(np.sum(np.diff(x) * per_piece))
 
 
 Deployment = UniformDeployment | Linear2xDeployment | AffineFloorDeployment | TabulatedDeployment

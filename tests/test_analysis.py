@@ -459,15 +459,15 @@ def test_rate_fit_input_validation():
 # ---------------------------------------------------------------------------
 
 def test_schedule_validation_accepts_and_rejects(fourier):
-    ok = validate_as_schedule(0.5, 1.5, fourier, UniformDeployment(), amplitude=1.0)
+    ok = validate_as_schedule(0.5, 1.5, fourier, UniformDeployment())
     assert ok.gamma_in_range and ok.accepted
     assert ok.series_exponent == pytest.approx(0.75)
-    bad = validate_as_schedule(0.5, 2.5, fourier, UniformDeployment(), amplitude=1.0)
+    bad = validate_as_schedule(0.5, 2.5, fourier, UniformDeployment())
     assert not bad.gamma_in_range and not bad.accepted
 
 
 def test_bounded_basis_route_constants_and_kernel_equality(fourier):
-    val = validate_as_schedule(0.5, 1.5, fourier, UniformDeployment(), amplitude=1.0)
+    val = validate_as_schedule(0.5, 1.5, fourier, UniformDeployment())
     assert val.c1 == pytest.approx(1.0)  # beta^2 / nu with beta = nu = 1
     assert val.c2 == pytest.approx(1.0)  # a * beta * sqrt(vol) with a = 1
     # the summed kernel attains c1 * m on the diagonal, so the max ratio is 1

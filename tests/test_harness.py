@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import types
 from importlib import resources
 
 import numpy as np
@@ -116,16 +117,36 @@ def test_run_experiment_artifacts_and_determinism(tmp_path):
     assert "seed" in header and "config_hash" in header
     report = json.loads((out1 / "mini_report.json").read_text())
     assert report["m_values"] == [16, 23, 32, 46]
+    assert sorted(report) == ["bound_totals", "checks", "ci_half", "config_hash",
+                              "dominance_violations", "experiment_id", "m_values", "mse_means",
+                              "mse_stds", "n_grid", "rate_fit", "seed", "status", "trials"]
     assert (out1 / "mini_summary.txt").exists()
 
 
+REJECTION = ("rejected: the variance side of the distortion bound diverges — the integral "
+             "of |phi_j|^2 / p_X over [0,1] is infinite for j in [0, 1, 2, 3, 4, 5, 6, 7]. "
+             "The deployment density vanishes on the domain, so the inverse-density weights "
+             "are unintegrable and the bound is useless; match the basis to the deployment or "
+             "use a density with a strictly positive floor.")
+
+
 def test_divergent_deployment_is_rejected_with_explanation(tmp_path):
+    """A rejected run writes the three artifacts of any run: a header-only
+    CSV, a report and a summary that give the rejection and its check."""
     config = load_shipped_config("mismatch_linear2x")
     outcome = run_experiment(config, tmp_path)
     assert outcome.status == "FAILED-PRECONDITION"
-    assert "diverges" in outcome.detail
+    assert outcome.detail == f"{REJECTION}; rejected, expect_rejected true: ok"
+    assert outcome.dominance_violations is None and outcome.fit is None
+    assert (tmp_path / "mismatch_linear2x.csv").read_text() == ",".join(harness.CSV_HEADER) + "\n"
     report = json.loads((tmp_path / "mismatch_linear2x_report.json").read_text())
-    assert 0 in report["divergent_js"]
+    assert sorted(report) == ["checks", "config_hash", "detail", "divergent_js",
+                              "experiment_id", "seed", "status"]
+    assert report["divergent_js"] == list(range(32))
+    assert report["checks"] == ["rejected, expect_rejected true: ok"]
+    assert (tmp_path / "mismatch_linear2x_summary.txt").read_text().splitlines() == [
+        "experiment mismatch_linear2x", "status FAILED-PRECONDITION", REJECTION,
+        "rejected, expect_rejected true: ok"]
 
 
 def test_matched_deployment_runs(tmp_path):
@@ -282,19 +303,25 @@ def test_cli_run_and_check_conditions(tmp_path):
 
 @pytest.mark.parametrize("name, expect_rejected, status, code", [
     ("mismatch_linear2x", True, "FAILED-PRECONDITION", 0),
+    ("mismatch_linear2x", False, "FAILED-PRECONDITION", 1),
+    ("mismatch_linear2x", None, "FAILED-PRECONDITION", 1),
     ("mismatch_affine_floor", False, "PASS", 0),
     ("mismatch_affine_floor", True, "FAIL", 1)])
 def test_cli_run_holds_expect_rejected(tmp_path, capsys, name, expect_rejected, status, code):
     """A declared rejection that happens is exit 0 and keeps its status; one
-    that does not happen is exit 1, like an undeclared rejection."""
+    that does not happen is exit 1, like a rejection declared false or not
+    declared at all (None drops the key)."""
     doc = _shipped_doc(name)
     doc["acceptance"]["expect_rejected"] = expect_rejected
+    if expect_rejected is None:
+        del doc["acceptance"]["expect_rejected"]
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(doc))
     assert cli.main(["run", str(config_path), "--out", str(tmp_path / "out")]) == code
     out = capsys.readouterr().out
     assert f"{name}: {status}\n" in out
-    assert f"expect_rejected {json.dumps(expect_rejected)}: {'VIOLATED' if code else 'ok'}" in out
+    declared = json.dumps(bool(expect_rejected))
+    assert f"expect_rejected {declared}: {'VIOLATED' if code else 'ok'}" in out
 
 
 @pytest.mark.parametrize("command", ["run", "suite"])
@@ -443,10 +470,17 @@ def test_a_non_finite_number_anywhere_is_a_config_error(name, path, bad):
     ("trials", [12, 12, 12.5, 12], "trials[2]: expected an integer, got float 12.5"),
     ("seed", 1.5, "seed: expected an integer, got float 1.5"),
     ("seed", -1, "seed: must be >= 0"),
-    ("seed", "99", "seed: expected an integer, got str '99'")],
+    ("seed", "99", "seed: expected an integer, got str '99'"),
+    *[("experiment_id", eid, "experiment_id: names the artifact files, so it may not be '.' "
+                             f"or '..' or hold '/' or NUL; got {eid!r}")
+      for eid in ("sub/x", "../escaped", ".", "..", "a\0b")]],
     ids=["n_grid_fraction", "trials_fraction", "trials_entry_fraction", "seed_fraction",
-         "seed_negative", "seed_string"])
+         "seed_negative", "seed_string", "id_subdir", "id_escapes", "id_dot", "id_dotdot",
+         "id_nul"])
 def test_counts_must_be_integral_and_the_seed_nonnegative(key, value, problem):
+    """An experiment_id names the files a run writes, so "sub/x" ran its
+    whole sweep before it failed to open them and "../escaped" wrote
+    outside the output directory."""
     with pytest.raises(ConfigValidationError) as err:
         parse_experiment_config(dict(MINI_CONFIG, **{key: value}))
     assert problem in err.value.problems
@@ -836,6 +870,48 @@ def test_acceptance_values_are_checked_at_parse_time(key, value, problem):
     with pytest.raises(ConfigValidationError) as err:
         parse_experiment_config(dict(MINI_CONFIG, acceptance={key: value}))
     assert err.value.problems == [problem]
+
+
+_FIT = analysis.RateFitResult(slope=-0.5, intercept=0.0, r_squared=0.99, n_grid=(),
+                              mse_values=())
+_TRACE = types.SimpleNamespace(sup_error=(0.4, 0.1), sup_ratio=0.25)
+_JUDGED = {"slope_range": ("slope -0.5000 in [-0.65, -0.35]", True),
+           "r2_min": ("r2 0.99000 >= 0.995", False),
+           "bound_dominance": ("bound dominance violations 1", False),
+           "expect_rejected": ("ran, expect_rejected false", True),
+           "trace_ratio_max": ("sup|S| 4.0000e-01 -> 1.0000e-01 (ratio 0.2500 < 0.3)", True)}
+
+
+@pytest.mark.parametrize("declared, judged", [
+    ({}, []),
+    ({"slope_range": [-0.65, -0.35]}, ["slope_range"]),
+    ({"r2_min": 0.995}, ["r2_min"]),
+    ({"bound_dominance": True}, ["bound_dominance"]),
+    ({"bound_dominance": False}, []),
+    ({"expect_rejected": False}, ["expect_rejected"]),
+    ({"trace_ratio_max": 0.3}, ["trace_ratio_max"]),
+    ({"trace_ratio_max": 0.3, "expect_rejected": False, "bound_dominance": True,
+      "r2_min": 0.995, "slope_range": [-0.65, -0.35]}, list(_JUDGED))],
+    ids=["none", "slope_range", "r2_min", "bound_dominance", "bound_dominance_false",
+         "expect_rejected", "trace_ratio_max", "all"])
+def test_judge_judges_a_tolerance_only_where_it_is_declared(declared, judged):
+    """Each declared tolerance gives one check, in declaration order, on the
+    evidence of a sweep that went ahead and of a trace; none without it."""
+    accept = harness.Acceptance(**declared)
+    verdicts = accept.judge(fit=_FIT, violations=1, rejected=False, trace=_TRACE)
+    assert list(verdicts.items()) == [(key, _JUDGED[key]) for key in judged]
+    assert accept.judge() == {}
+
+
+@pytest.mark.parametrize("declared, ok", [
+    ({"expect_rejected": True}, True),
+    ({"expect_rejected": False}, False),
+    ({}, False),
+    ({"slope_range": [-0.65, -0.35], "r2_min": 0.9, "bound_dominance": True}, False)],
+    ids=["expected", "declared_false", "undeclared", "rate_tolerances_only"])
+def test_judge_passes_a_rejection_only_under_expect_rejected_true(declared, ok):
+    verdicts = harness.Acceptance(**declared).judge(rejected=True)
+    assert verdicts == {"expect_rejected": (f"rejected, expect_rejected {json.dumps(ok)}", ok)}
 
 
 def test_a_parsed_config_holds_no_list():

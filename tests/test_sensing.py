@@ -1,3 +1,6 @@
+import warnings
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -43,6 +46,24 @@ def test_sampler_matches_cdf(deploy):
     cdf = deploy.cdf(xs)
     ks = max(np.max(np.abs(ecdf_hi - cdf)), np.max(np.abs(cdf - ecdf_lo)))
     assert ks < 0.01
+
+
+@pytest.mark.parametrize("values", [[0.5, 1.5], [1.0, 0.0, 2.0, 0.5], [0.0, 0.0, 1.0, 1.0]],
+                         ids=lambda v: "_".join(map(str, v)))
+def test_tabulated_cdf_integrates_the_pdf_and_sample_inverts_it(values):
+    """On coarse tables, where the interpolated density is far from its cell
+    averages: the cdf is the integral of the pdf the weights divide by, and
+    sampling inverts it. Both used to interpolate the cdf linearly, so
+    [0.5, 1.5] sampled uniformly and E[1/p(X)] read ln 3, not 1."""
+    deploy = TabulatedDeployment(np.asarray(values))
+    nodes = np.linspace(0.0, 1.0, len(values))
+    x = np.linspace(0.0, 1.0, 41)
+    integral = [quad(lambda t: float(deploy.pdf(t)), 0.0, end, epsabs=1e-15, epsrel=1e-13,
+                     points=[node for node in nodes if 0.0 < node < end] or None)[0]
+                for end in x]
+    assert np.allclose(deploy.cdf(x), integral, rtol=0.0, atol=1e-12)
+    u = np.concatenate([np.linspace(0.0, 1.0, 4001)[:-1], [1.0 - 2.0 ** -53]])
+    assert np.allclose(deploy.cdf(deploy.sample(u)), u, rtol=0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("deploy", DEPLOYMENTS, ids=lambda d: d.kind)
@@ -125,6 +146,23 @@ def test_affine_inverse_integral_with_a_vanishing_floor_stays_finite(nu):
     expected = 0.5 * (np.log(2.0) - np.log(nu))
     assert AffineFloorDeployment(nu=nu).inverse_integral(0.0, 1.0) == \
         pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("values", [[5e-324, 2.0], [1e-310, 2.0], [2.0, 5e-324], [1.0, 1e-17],
+                                    [1.0, 1e-10]], ids=lambda v: "_".join(map(str, v)))
+def test_tabulated_inverse_integral_beside_a_tiny_node_stays_finite(values):
+    """log(p1/p0) / (p1 - p0) on the one linear piece, in 30-digit decimal
+    from the exact normalized node values. A subnormal left node gave NaN
+    (p1/p0 overflowed); a right node far below the left lost eight digits at
+    1e-10 and read inf below 1.1e-16 (p1/p0 - 1 rounded toward -1)."""
+    p0, p1 = map(Decimal, TabulatedDeployment(np.asarray(values)).pdf_values.tolist())
+    with localcontext() as ctx:
+        ctx.prec = 30
+        expected = float((p1.ln() - p0.ln()) / (p1 - p0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = TabulatedDeployment(np.asarray(values)).inverse_integral(0.0, 1.0)
+    assert got == pytest.approx(expected, rel=1e-13)
 
 
 @given(sub_intervals(lo_min=1e-3))
