@@ -8,8 +8,7 @@ import sys
 
 from .analysis import WORKERS_MAX, check_consistency_conditions
 from .harness import (SUITE_NAMES, ConfigValidationError,
-                      load_experiment_config, run_as_trace, run_experiment,
-                      run_suite)
+                      load_experiment_config, run_experiment, run_suite)
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -40,19 +39,13 @@ def main(argv=None) -> int:
                                   "for a config's schedule/basis/deployment")
     p_check.add_argument("config")
 
-    p_trace = sub.add_parser("trace-as",
-                             help="record one nested-sample-path error trace")
-    p_trace.add_argument("config")
-    p_trace.add_argument("--seed", type=int, default=None)
-    p_trace.add_argument("--out", default="out", help="output directory")
-
     args = parser.parse_args(argv)
 
     if args.command in ("run", "suite") and not 1 <= args.workers <= WORKERS_MAX:
         print(f"{args.command}: --workers must be in [1, {WORKERS_MAX}]", file=sys.stderr)
         return 2  # before any run starts or any file is written
 
-    if args.command in ("run", "check-conditions", "trace-as"):
+    if args.command in ("run", "check-conditions"):
         try:
             config = load_experiment_config(args.config,
                                             seed_override=getattr(args, "seed", None))
@@ -89,22 +82,6 @@ def main(argv=None) -> int:
               f"(values {[f'{v:.3e}' for v in report.variance_condition_values]})")
         print(f"overall: {'PASS' if report.all_pass else 'FAIL'}")
         return 0 if report.all_pass else 1
-
-    if args.command == "trace-as":
-        try:
-            trace, path = run_as_trace(config, args.out)
-        except ConfigValidationError as exc:
-            print(f"trace-as: {exc}", file=sys.stderr)
-            return 2
-        for n, m, s in zip(trace.checkpoints, trace.m_values, trace.sup_error):
-            print(f"n={n} m={m} sup|S_n|={s:.6e}")
-        print(f"first-to-last ratio {trace.sup_ratio:.4f} "
-              "(single-path regression, not a proof of convergence)")
-        print(f"wrote {path}")
-        verdicts = config.acceptance.judge(trace=trace)
-        for key, (detail, ok) in verdicts.items():
-            print(f"{'PASS' if ok else 'FAIL'}  {key}  [{detail}]")
-        return 0 if all(ok for _, ok in verdicts.values()) else 1
 
     return 2
 

@@ -288,16 +288,21 @@ def parse_experiment_config(doc: dict, seed_override: int | None = None) -> Expe
     if not isinstance(doc, dict):
         raise ConfigValidationError([f"config must be a JSON object, got {type(doc).__name__}"])
     doc = dict(doc)
-    if seed_override is not None:
-        doc["seed"] = int(seed_override)
+    if seed_override is not None:  # read as the document's own seed is
+        doc["seed"] = _convert(int, seed_override, "seed")
     args, problems = _arguments(ExperimentConfig, doc, "", "experiment config")
 
     # the checks across keys, on the keys that converted
     n_grid, trials = args.get("n_grid", ()), args.get("trials", ())
     counts = (trials,) * max(len(n_grid), 1) if isinstance(trials, int) else trials
     seed, accept, eid = args.get("seed", 0), args["acceptance"], args.get("experiment_id", "")
+    schedule, basis = args.get("schedule"), args["basis"]
     fitted = [key for key, value in (("r2_min", accept.r2_min),
                                      ("slope_range", accept.slope_range)) if value is not None]
+    # a declared trace_ratio_max runs one trace in place of the sweep
+    traced = accept.trace_ratio_max is not None
+    swept = [f"acceptance.{key}" for key in ("slope_range", "r2_min", "bound_dominance")
+             if getattr(accept, key) is not None]
     problems += [f"{key}: {message}" for key, message, violated in [
         ("experiment_id", "must not be empty", args.get("experiment_id") == ""),
         ("experiment_id", f"names the artifact files, so it may not be '.' or '..' or hold "
@@ -317,9 +322,16 @@ def parse_experiment_config(doc: dict, seed_override: int | None = None) -> Expe
                        f"{RATE_FIT_MIN_POINTS} n_grid points",
          fitted and 0 < len(n_grid) < RATE_FIT_MIN_POINTS),
         ("seed", "must be >= 0", seed < 0),
-        ("seed", f"must be at most {SEED_MAX}", seed > SEED_MAX)] if violated]
+        ("seed", f"must be at most {SEED_MAX}", seed > SEED_MAX),
+        ("schedule", "a trace (acceptance.trace_ratio_max) grows m(n) = n^psi, so it needs "
+                     "a power schedule with psi < 1",
+         traced and schedule is not None
+         and not (schedule.schedule_kind == "power" and schedule.param < 1.0)),
+        ("basis", f"a trace (acceptance.trace_ratio_max) runs on the fourier basis, "
+                  f"not the {basis.kind} one", traced and basis.kind != "fourier"),
+        (", ".join(swept), "a trace (acceptance.trace_ratio_max) runs in place of the "
+                           "sweep these judge", traced and swept)] if violated]
 
-    schedule, basis = args.get("schedule"), args["basis"]
     if schedule is not None and n_grid and min(n_grid) >= 1:
         m_values = [schedule.resolve(n) for n in n_grid]
         if basis.size is not None and max(m_values) > basis.size:
@@ -365,6 +377,7 @@ class ExperimentOutcome:
     artifacts: tuple[str, ...]
     verdicts: dict  # acceptance key (or "finite") -> whether the run meets it
     divergent_js: tuple[int, ...] = ()
+    trace: ASTraceResult | None = None  # where the config declares trace_ratio_max
 
     @property
     def passed(self) -> bool:
@@ -392,8 +405,10 @@ def _write_json(path: Path, doc: dict) -> None:
 
 def run_experiment(config: ExperimentConfig, out_dir, workers: int = 1) -> ExperimentOutcome:
     """Monte-Carlo sweep + bound table + rate fit for one experiment config,
-    judged by its `Acceptance`; writes `<experiment_id>.csv`, `_report.json`
-    and `_summary.txt`.
+    or, where it declares `trace_ratio_max`, one sample-path trace in place
+    of the sweep (in this process, whatever `workers` says), judged by its
+    `Acceptance`; writes `<experiment_id>.csv`, `_report.json` and
+    `_summary.txt`.
 
     A deployment/basis pair whose variance integrals diverge is rejected
     up front (FAILED-PRECONDITION) — the distortion bound is useless there.
@@ -408,8 +423,9 @@ def run_experiment(config: ExperimentConfig, out_dir, workers: int = 1) -> Exper
                                    n, m, config.c)
                    for n, m in zip(config.n_grid, m_values))
     divergent = list(max(bounds, key=lambda b: b.m).divergent_js)
-    fit = violations = None
-    non_finite, rejection = [], []
+    fit = violations = trace = None
+    rows, reported, rejection = [], {}, []
+    lines = [f"seed {config.seed}", f"config sha {config.config_hash}"]
     if divergent:
         rejection = [
             f"rejected: the variance side of the distortion bound diverges — "
@@ -418,8 +434,18 @@ def run_experiment(config: ExperimentConfig, out_dir, workers: int = 1) -> Exper
             f"domain, so the inverse-density weights are unintegrable and the "
             f"bound is useless; match the basis to the deployment or use a "
             f"density with a strictly positive floor."]
-        rows, lines = [], rejection
+        lines = rejection
         report = {"detail": rejection[0], "divergent_js": divergent}
+    elif config.acceptance.trace_ratio_max is not None:
+        # the parser holds a trace to a power schedule with psi < 1 and the Fourier basis
+        trace = as_error_trace(config.field, config.deployment, config.noise,
+                               psi=config.schedule.param, seed=config.seed,
+                               n_checkpoints=config.n_grid)
+        reported = {"trace": (trace.sup_error + trace.sup_estimate_error
+                              + trace.sup_estimate_error_interior)}
+        lines += [f"n={n} m={m} sup|S_n|={s:.6e}"
+                  for n, m, s in zip(trace.checkpoints, trace.m_values, trace.sup_error)]
+        report = trace.to_json()
     else:
         sweep = monte_carlo_mse(config.field, config.deployment, config.noise,
                                 config.basis, config.schedule, config.n_grid,
@@ -429,14 +455,10 @@ def run_experiment(config: ExperimentConfig, out_dir, workers: int = 1) -> Exper
                          if not mean <= b.total + 3.0 * ci)
         fit = (rate_fit(config.n_grid, sweep.means)
                if len(config.n_grid) >= RATE_FIT_MIN_POINTS else None)
-        # a NaN or infinite number is no evidence, whatever the declared tolerances
         reported = {"mse": sweep.means + sweep.stds, "ci": sweep.ci_half,
                     "bound": tuple(v for b in bounds
                                    for v in (b.total, b.variance_term, b.bias_term)),
                     "fit": (fit.slope, fit.intercept, fit.r_squared) if fit else ()}
-        non_finite = [name for name, values in reported.items()
-                      if not all(math.isfinite(v) for v in values)]
-        rows, lines = [], [f"seed {config.seed}", f"config sha {config.config_hash}"]
         for n, m, trials, mean, std, ci, b in zip(config.n_grid, m_values, sweep.trials,
                                                   sweep.means, sweep.stds, sweep.ci_half, bounds):
             rows.append([eid, n, m, trials, repr(mean), repr(std), repr(mean - ci),
@@ -452,7 +474,10 @@ def run_experiment(config: ExperimentConfig, out_dir, workers: int = 1) -> Exper
                   "rate_fit": fit.to_json() if fit else None}
 
     verdicts = config.acceptance.judge(fit=fit, violations=violations,
-                                       rejected=bool(divergent))
+                                       rejected=bool(divergent), trace=trace)
+    # a NaN or infinite number is no evidence, whatever the declared tolerances
+    non_finite = [name for name, values in reported.items()
+                  if not all(math.isfinite(v) for v in values)]
     if non_finite:
         verdicts["finite"] = (f"non-finite {', '.join(non_finite)} values", False)
     checks = [f"{text}: {'ok' if ok else 'VIOLATED'}" for text, ok in verdicts.values()]
@@ -468,24 +493,7 @@ def run_experiment(config: ExperimentConfig, out_dir, workers: int = 1) -> Exper
                              fit=fit, dominance_violations=violations,
                              artifacts=(str(csv_path), str(report_path), str(summary_path)),
                              verdicts={key: ok for key, (_, ok) in verdicts.items()},
-                             divergent_js=tuple(divergent))
-
-
-def run_as_trace(config: ExperimentConfig, out_dir) -> tuple[ASTraceResult, Path]:
-    """One sample-path trace at the config's n_grid, growing m(n) = n^psi by
-    its power schedule; writes `<experiment_id>_trace.json`."""
-    if config.schedule.schedule_kind != "power" or not config.schedule.param < 1.0:
-        raise ConfigValidationError(["schedule: a sample-path trace needs a power "
-                                     "schedule with psi < 1 (its exponent is the "
-                                     "truncation growth rate)"])
-    trace = as_error_trace(config.field, config.deployment, config.noise,
-                           psi=config.schedule.param, seed=config.seed,
-                           n_checkpoints=config.n_grid)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / f"{config.experiment_id}_trace.json"
-    _write_json(path, trace.to_json())
-    return trace, path
+                             divergent_js=tuple(divergent), trace=trace)
 
 
 # ---------------------------------------------------------------------------
@@ -607,9 +615,9 @@ def run_lemma_battery(n: int = 1000, trials: int = 10_000, j_count: int = 8,
 # suites: one run each, which the acceptance table judges
 # ---------------------------------------------------------------------------
 
-def _run_rates(out: Path, workers: int) -> dict:
+def _run_configs(names: Sequence[str], out: Path, workers: int) -> dict:
     return {name: run_experiment(load_shipped_config(name), out, workers=workers)
-            for name in _RATE_CONFIGS}
+            for name in names}
 
 
 def _run_lemma1(out: Path, workers: int, trials: int = 10_000) -> LemmaBatteryResult:
@@ -620,15 +628,9 @@ def _run_lemma1(out: Path, workers: int, trials: int = 10_000) -> LemmaBatteryRe
     return battery
 
 
-def _run_traces(out: Path, workers: int) -> dict:
-    return {name: (config, run_as_trace(config, out)[0])
-            for name in _TRACE_CONFIGS for config in [load_shipped_config(name)]}
-
-
 def _run_conditions(out: Path, workers: int) -> dict:
     basis, uniform = FourierBasis(), UniformDeployment()
-    mismatch = {name: run_experiment(load_shipped_config(name), out, workers=workers)
-                for name in _MISMATCH_CONFIGS}
+    mismatch = _run_configs(_MISMATCH_CONFIGS, out, workers)
     grid = (100, 1000, 10_000, 100_000, 1_000_000)
     reports = {name: check_consistency_conditions(schedule, basis, uniform, grid)
                for name, schedule in (("bv", TruncationSchedule.bv()),
@@ -647,8 +649,9 @@ def _run_conditions(out: Path, workers: int) -> dict:
                           "c1": good.c1, "c2": good.c2}}
 
 
-_SUITE_RUNS = {"rates": _run_rates, "lemma1": _run_lemma1,
-               "as_traces": _run_traces, "conditions": _run_conditions}
+_SUITE_RUNS = {"rates": functools.partial(_run_configs, _RATE_CONFIGS), "lemma1": _run_lemma1,
+               "as_traces": functools.partial(_run_configs, _TRACE_CONFIGS),
+               "conditions": _run_conditions}
 SUITE_NAMES = (*_SUITE_RUNS, "all")
 
 
@@ -747,11 +750,11 @@ ACCEPTANCE = (
                        "c1": 1.0, "c2": 1.0},
               lambda run, bound: run["schedules"] == bound),
     Criterion(10, "sup error shrinks along one sample path", "as_traces",
-              lambda run: {name: trace.sup_ratio for name, (_, trace) in run.items()},
+              lambda run: {name: o.trace.sup_ratio for name, o in run.items()},
               lambda: {name: load_shipped_config(name).acceptance.trace_ratio_max
                        for name in _TRACE_CONFIGS},
-              lambda run, bound: all(config.acceptance.judge(trace=trace)["trace_ratio_max"][1]
-                                     for config, trace in run.values())),
+              lambda run, bound: all(o.verdicts.get("trace_ratio_max", False)
+                                     for o in run.values())),
 )
 
 

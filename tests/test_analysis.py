@@ -389,6 +389,18 @@ def test_sweep_scores_each_trial_as_its_own_row(sawtooth, m):
     assert np.array_equal(sweep.trial_values[0], per_row)
 
 
+def test_the_sweep_reports_the_sample_std_and_a_95_percent_ci(sawtooth, monkeypatch):
+    """Hand-built errors 1, 2, 3, 4 of one cell: mean 2.5, sample standard
+    deviation sqrt(5/3) (ddof = 1) and CI half-width 1.96 sqrt(5/3) / sqrt(4)."""
+    monkeypatch.setattr(analysis, "integrated_squared_error",
+                        lambda *args: np.array([1.0, 2.0, 3.0, 4.0]))
+    sweep = monte_carlo_mse(sawtooth, UniformDeployment(), ZeroNoise(), FourierBasis(),
+                            TruncationSchedule.fixed(1), [8], trials=4, seed=0)
+    assert sweep.means == (2.5,)
+    assert sweep.stds == pytest.approx((math.sqrt(5.0 / 3.0),), rel=1e-15)
+    assert sweep.ci_half == pytest.approx((0.98 * math.sqrt(5.0 / 3.0),), rel=1e-15)
+
+
 def test_zero_field_mse_tracks_the_variance_bound():
     # with m = 1 the distortion is Var[alpha_hat_0] <= c^2 / n
     field, deploy, noise = zero_field(1.0), UniformDeployment(), ZeroNoise()

@@ -99,8 +99,19 @@ def test_unknown_config_keys_are_rejected(doc, path, what):
 def test_seed_override_changes_the_hash():
     a = parse_experiment_config(MINI_CONFIG)
     b = parse_experiment_config(MINI_CONFIG, seed_override=1234)
-    assert b.seed == 1234
+    assert b.seed == 1234 and type(b.seed) is int
     assert a.config_hash != b.config_hash
+    assert b.config_hash == parse_experiment_config(dict(MINI_CONFIG, seed=1234)).config_hash
+
+
+@pytest.mark.parametrize("override, got", [(True, "bool True"), (7.9, "float 7.9"),
+                                           ("12", "str '12'")])
+def test_a_seed_override_is_read_as_the_documents_seed(override, got):
+    """An override used to go through int(): True parsed as seed 1, 7.9 as
+    7 and "12" as 12, where the document's own seed rejects all three."""
+    with pytest.raises(ConfigValidationError) as err:
+        load_shipped_config("mismatch_linear2x", seed_override=override)
+    assert err.value.problems == [f"seed: expected an integer, got {got}"]
 
 
 def test_run_experiment_artifacts_and_determinism(tmp_path):
@@ -339,57 +350,84 @@ def test_cli_rejects_a_worker_count_out_of_range(tmp_path, capsys, command, work
     assert not out.exists()
 
 
-def test_cli_trace(tmp_path):
-    doc = dict(MINI_CONFIG)
-    doc.update({"experiment_id": "mini_trace",
-                "schedule": {"kind": "power", "psi": 0.4},
-                "n_grid": [500, 5000]})
+TRACE_CONFIG = dict(MINI_CONFIG, experiment_id="mini_trace",
+                    schedule={"kind": "power", "psi": 0.4}, n_grid=[500, 5000],
+                    acceptance={"trace_ratio_max": 0.9})
+
+
+def test_a_declared_trace_ratio_runs_a_trace_in_place_of_the_sweep(tmp_path):
+    """The one write of a run holds the trace: its fields in the report
+    beside status, seed, hash and checks, a header-only CSV, and the sup
+    error per checkpoint in the summary."""
+    config = parse_experiment_config(TRACE_CONFIG)
+    outcome = run_experiment(config, tmp_path, workers=2)
+    trace = analysis.as_error_trace(config.field, config.deployment, config.noise, psi=0.4,
+                                    seed=99, n_checkpoints=(500, 5000))
+    assert outcome.trace.to_json() == trace.to_json() and outcome.fit is None
+    assert outcome.status == "PASS" and outcome.verdicts == {"trace_ratio_max": True}
+    check = (f"sup|S| {trace.sup_error[0]:.4e} -> {trace.sup_error[1]:.4e} "
+             f"(ratio {trace.sup_ratio:.4f} < 0.9): ok")
+    assert outcome.detail == check
+    assert (tmp_path / "mini_trace.csv").read_text() == ",".join(harness.CSV_HEADER) + "\n"
+    report = json.loads((tmp_path / "mini_trace_report.json").read_text())
+    assert report == json.loads(json.dumps(
+        {"experiment_id": "mini_trace", "status": "PASS", "seed": 99,
+         "config_hash": config.config_hash, "checks": [check], **trace.to_json()}))
+    assert (tmp_path / "mini_trace_summary.txt").read_text().splitlines() == [
+        "experiment mini_trace", "status PASS", "seed 99", f"config sha {config.config_hash}",
+        *[f"n={n} m={m} sup|S_n|={s:.6e}" for n, m, s in zip((500, 5000), trace.m_values,
+                                                              trace.sup_error)], check]
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "mini_trace.csv", "mini_trace_report.json", "mini_trace_summary.txt"]
+
+
+@pytest.mark.parametrize("name, ratio", [("as_trace_zero", "0.2126"),
+                                         ("as_trace_sawtooth", "0.1387")])
+def test_cli_run_judges_a_shipped_trace(tmp_path, capsys, name, ratio):
+    """`run` on a trace config judges its declared trace_ratio_max, which
+    its 2-trial sweep used to leave unjudged (PASS, no declared tolerances)."""
+    path = resources.files("ditherfield") / "configs" / f"{name}.json"
+    assert cli.main(["run", str(path), "--out", str(tmp_path)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == f"{name}: PASS"
+    assert re.fullmatch(rf"sup\|S\| \S+ -> \S+ \(ratio {ratio} < 0\.3\): ok", out[1]), out
+
+
+def test_cli_run_exits_1_when_the_declared_trace_ratio_is_missed(tmp_path, capsys):
+    """A miss is a FAIL verdict (exit 1), and the trace is still written."""
     config_path = tmp_path / "trace.json"
-    config_path.write_text(json.dumps(doc))
-    proc = subprocess.run(
-        [sys.executable, "-m", "ditherfield.cli", "trace-as", str(config_path),
-         "--out", str(tmp_path / "out")],
-        capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert (tmp_path / "out" / "mini_trace_trace.json").exists()
+    config_path.write_text(json.dumps(dict(TRACE_CONFIG, acceptance={"trace_ratio_max": 1e-9})))
+    assert cli.main(["run", str(config_path), "--out", str(tmp_path / "out")]) == 1
+    out = capsys.readouterr().out
+    assert "mini_trace: FAIL\n" in out
+    assert re.search(r"\(ratio [0-9.]+ >= 1e-09\): VIOLATED", out), out
+    report = json.loads((tmp_path / "out" / "mini_trace_report.json").read_text())
+    assert report["status"] == "FAIL" and len(report["sup_error"]) == 2
 
 
-def test_cli_trace_exits_1_when_the_declared_ratio_is_missed(tmp_path):
-    """trace-as holds a declared trace_ratio_max like the as_traces suite:
-    a miss is a FAIL verdict (exit 1), and the trace is still written."""
-    doc = dict(MINI_CONFIG)
-    doc.update({"experiment_id": "mini_trace",
-                "schedule": {"kind": "power", "psi": 0.4},
-                "n_grid": [500, 5000],
-                "acceptance": {"trace_ratio_max": 1e-9}})
+@pytest.mark.parametrize("change, named", [
+    ({"schedule": {"kind": "bv"}}, "schedule: a trace (acceptance.trace_ratio_max) grows "
+                                   "m(n) = n^psi, so it needs a power schedule with psi < 1"),
+    ({"schedule": {"kind": "power", "psi": 1.0}}, "schedule: a trace"),
+    ({"basis": {"kind": "step", "cells": 64}},
+     "basis: a trace (acceptance.trace_ratio_max) runs on the fourier basis, not the step one"),
+    ({"acceptance": {"trace_ratio_max": 0.9, "bound_dominance": False}},
+     "acceptance.bound_dominance: a trace (acceptance.trace_ratio_max) runs in place of "
+     "the sweep these judge"),
+    ({"acceptance": {"trace_ratio_max": 0.9, "slope_range": [-1, 0], "r2_min": 0.9},
+      "n_grid": [500, 1000, 2000, 5000]}, "acceptance.slope_range, acceptance.r2_min: a trace")],
+    ids=["bv_schedule", "psi_1", "step_basis", "bound_dominance", "rate_fit"])
+def test_cli_run_rejects_a_trace_it_cannot_judge(tmp_path, capsys, change, named):
+    """A trace grows m(n) = n^psi, psi < 1, on the Fourier basis, and
+    judges no sweep tolerance: anything else is a config error (exit 2,
+    one stderr line naming the key) before any file is written."""
     config_path = tmp_path / "trace.json"
-    config_path.write_text(json.dumps(doc))
-    proc = subprocess.run(
-        [sys.executable, "-m", "ditherfield.cli", "trace-as", str(config_path),
-         "--out", str(tmp_path / "out")],
-        capture_output=True, text=True)
-    assert proc.returncode == 1, proc.stderr
-    assert "FAIL  trace_ratio_max" in proc.stdout
-    assert re.search(r"\(ratio [0-9.]+ >= 1e-09\)", proc.stdout), proc.stdout
-    assert (tmp_path / "out" / "mini_trace_trace.json").exists()
-
-
-@pytest.mark.parametrize("schedule", [None, {"kind": "power", "psi": 1.0}])
-def test_cli_trace_rejects_a_non_power_schedule(tmp_path, schedule):
-    """A trace needs a power schedule with psi < 1; anything else is a config
-    error (exit 2), not a traceback."""
-    doc = dict(MINI_CONFIG)
-    if schedule is not None:
-        doc["schedule"] = schedule
-    config_path = tmp_path / "mini.json"
-    config_path.write_text(json.dumps(doc))
-    proc = subprocess.run(
-        [sys.executable, "-m", "ditherfield.cli", "trace-as", str(config_path),
-         "--out", str(tmp_path / "out")],
-        capture_output=True, text=True)
-    assert proc.returncode == 2, proc.stderr
-    assert "power schedule" in proc.stderr
-    assert "Traceback" not in proc.stderr
+    config_path.write_text(json.dumps(dict(TRACE_CONFIG, **change)))
+    assert cli.main(["run", str(config_path), "--out", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith("run: invalid experiment config: ")
+    assert f"config: {named}" in captured.err, captured.err
     assert not (tmp_path / "out").exists()
 
 
@@ -641,7 +679,7 @@ def test_import_leaves_scipy_integrate_unloaded():
     assert not after_noise["scipy.integrate"]
 
 
-@pytest.mark.parametrize("command", ["run", "check-conditions", "trace-as"])
+@pytest.mark.parametrize("command", ["run", "check-conditions"])
 @pytest.mark.parametrize("change", [{"seed": -1}, {"n_grid": [256, 1e18]}],
                          ids=["negative_seed", "huge_n"])
 def test_cli_config_errors_exit_2_without_a_traceback(tmp_path, command, change):
@@ -912,6 +950,13 @@ def test_judge_judges_a_tolerance_only_where_it_is_declared(declared, judged):
 def test_judge_passes_a_rejection_only_under_expect_rejected_true(declared, ok):
     verdicts = harness.Acceptance(**declared).judge(rejected=True)
     assert verdicts == {"expect_rejected": (f"rejected, expect_rejected {json.dumps(ok)}", ok)}
+
+
+def test_a_trace_ratio_equal_to_its_bound_fails():
+    """The ratio must lie strictly below trace_ratio_max."""
+    verdicts = harness.Acceptance(trace_ratio_max=0.25).judge(trace=_TRACE)
+    assert verdicts == {"trace_ratio_max": (
+        "sup|S| 4.0000e-01 -> 1.0000e-01 (ratio 0.2500 >= 0.25)", False)}
 
 
 def test_a_parsed_config_holds_no_list():
