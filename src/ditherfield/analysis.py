@@ -14,11 +14,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import spectral
 from .estimator import TruncationSchedule, add_sensors, finish_estimates
 from .fields import (Basis, FieldSpec, FourierBasis, ReconstructionCoefficients,
                      m_term_error, make_bv_field, synthesize, true_coefficients)
 from .sensing import Deployment, Noise, simulate_batch, stream_keys
-from .spectral import BLOCK_POINTS
 
 # ---------------------------------------------------------------------------
 # distortion upper bound
@@ -38,10 +38,6 @@ class BoundReport:
     @property
     def total(self) -> float:
         return self.variance_term + self.bias_term
-
-    @property
-    def divergent(self) -> bool:
-        return bool(self.divergent_js)
 
 
 def mse_upper_bound(field: FieldSpec, basis: Basis, deploy: Deployment,
@@ -158,11 +154,11 @@ class TrialCell:
     trials: int
 
 
-# sensors per simulate -> estimate tile: a block of max(1, BLOCK_SENSORS // n)
-# trials shares the per-call costs, and a trial of more sensors runs in
-# tiles of BLOCK_SENSORS, so every tile's arrays stay cache-sized and no
-# array of n sensors exists; the type-1 sums' point block, as they need.
-BLOCK_SENSORS = BLOCK_POINTS
+# sensors per simulate -> estimate tile: spectral.BLOCK_POINTS, the type-1
+# sums' point block, as they need, read through the module so that one patch
+# reaches both layers. A block of max(1, BLOCK_POINTS // n) trials shares the
+# per-call costs, and a trial of more sensors runs in tiles of BLOCK_POINTS,
+# so every tile's arrays stay cache-sized and no array of n sensors exists.
 # sensors per pool task: a chunk of max(1, TASK_SENSORS // n) trials, 16 tiles
 TASK_SENSORS = 1 << 18
 # a pool forks all its workers at its first task (fork start method), so
@@ -174,10 +170,11 @@ def _add_tiles(sums, field: FieldSpec, deploy: Deployment, noise: Noise,
                keys: np.ndarray, start: int, stop: int) -> None:
     """Add sensors [start, stop) of every realization of the `stream_keys`
     rows `keys` to running sums: one windowed `simulate_batch` call and
-    one `add_sensors` call per tile of at most BLOCK_SENSORS sensors,
+    one `add_sensors` call per tile of at most BLOCK_POINTS sensors,
     whose weights read the p_X of the deployment that placed them."""
-    for lo in range(start, stop, BLOCK_SENSORS):
-        tile = simulate_batch(field, deploy, noise, min(BLOCK_SENSORS, stop - lo), keys, lo)
+    block = spectral.BLOCK_POINTS
+    for lo in range(start, stop, block):
+        tile = simulate_batch(field, deploy, noise, min(block, stop - lo), keys, lo)
         add_sensors(sums, tile, deploy)
 
 
@@ -187,7 +184,7 @@ def _trial_chunk(payload) -> np.ndarray:
     # the range `simulate_batch` draws the thresholds from
     c = cell.field.amplitude_bound + cell.noise.b
     out = np.empty((t1 - t0, cell.m), dtype=np.complex128)
-    size = max(1, BLOCK_SENSORS // cell.n)
+    size = max(1, spectral.BLOCK_POINTS // cell.n)
     for lo in range(0, t1 - t0, size):
         block = keys[lo:lo + size]
         sums = cell.basis.running_sums(cell.m, (len(block),), cell.n)
@@ -208,7 +205,7 @@ def map_trials(cells: Sequence[TrialCell], seed: int,
     No estimate outlives its chunk unless `take` keeps it. Trial t of cell
     i draws from trial_seed(seed, i, t), whose stream words each chunk
     lays out in one array (`stream_keys`); the chunk runs in blocks of
-    trials, and each block in tiles of at most BLOCK_SENSORS sensors per
+    trials, and each block in tiles of at most BLOCK_POINTS sensors per
     trial: one windowed `simulate_batch` call and one `add_sensors` call
     per tile feed running sums, finished once per block. A tile equals the
     slice of the whole draw, and the sums add up as one pass over whole
@@ -241,8 +238,6 @@ def map_trials(cells: Sequence[TrialCell], seed: int,
 
 @dataclass(frozen=True, eq=False)
 class MseSweep:
-    n_grid: tuple[int, ...]
-    m_values: tuple[int, ...]
     trials: tuple[int, ...]
     means: tuple[float, ...]
     stds: tuple[float, ...]
@@ -285,8 +280,7 @@ def monte_carlo_mse(field: FieldSpec, deploy: Deployment, noise: Noise,
     means = tuple(float(np.mean(v)) for v in per_n)
     stds = tuple(float(np.std(v, ddof=1)) for v in per_n)
     ci = tuple(1.96 * s / math.sqrt(t) for s, t in zip(stds, trials_per_n))
-    return MseSweep(n_grid=n_grid, m_values=m_values, trials=trials_per_n,
-                    means=means, stds=stds, ci_half=ci,
+    return MseSweep(trials=trials_per_n, means=means, stds=stds, ci_half=ci,
                     trial_values=per_n)
 
 
@@ -361,21 +355,11 @@ class ScheduleValidation:
         return self.uniformly_bounded and self.infimum > 0.0
 
     @property
-    def kernel_check_ok(self) -> bool | None:
-        if self.kernel_ratio_max is None:
-            return None
-        return self.kernel_ratio_max <= 1.0 + 1e-9
-
-    @property
-    def projection_check_ok(self) -> bool | None:
-        if self.projection_ratio_max is None:
-            return None
-        return self.projection_ratio_max <= 1.0 + 1e-9
-
-    @property
     def accepted(self) -> bool:
+        # the ratios are None exactly where the bounded route is unavailable
         return bool(self.gamma_in_range and self.bounded_route_available
-                    and self.kernel_check_ok and self.projection_check_ok)
+                    and self.kernel_ratio_max <= 1.0 + 1e-9
+                    and self.projection_ratio_max <= 1.0 + 1e-9)
 
     def to_json(self) -> dict:
         return {**asdict(self), "accepted": self.accepted}
@@ -386,16 +370,17 @@ def _shipped_field_menu() -> list[FieldSpec]:
             make_bv_field("staircase")]
 
 
-def validate_as_schedule(psi: float, gamma: float, basis: Basis,
-                         deploy: Deployment,
+def validate_as_schedule(psi: float, gamma: float, deploy: Deployment,
                          fields: Sequence[FieldSpec] | None = None) -> ScheduleValidation:
-    """Validate (m(n) = n^psi, envelope m^(gamma/2)) for pathwise convergence,
-    and numerically exercise the bounded-basis kernel/projection bounds
-    with envelope m and constants beta^2/nu and a*beta, a the largest
-    amplitude bound of `fields` (default: the shipped BV menu)."""
+    """Validate (m(n) = n^psi, envelope m^(gamma/2)) for pathwise convergence
+    on the Fourier basis, and numerically exercise the bounded-basis
+    kernel/projection bounds with envelope m and constants beta^2/nu and
+    a*beta, a the largest amplitude bound of `fields` (default: the shipped
+    BV menu)."""
     if not 0.0 < psi < 1.0:
         raise ValueError("growth exponent must lie in (0, 1)")
     gamma_ok = 1.0 < gamma < 1.0 / psi
+    basis = FourierBasis()
     nu = float(deploy.infimum)
     bounded = bool(basis.is_uniformly_bounded)
 
@@ -409,22 +394,19 @@ def validate_as_schedule(psi: float, gamma: float, basis: Basis,
         c2 = a * beta  # * sqrt(vol([0,1])) == 1
 
         xg = np.linspace(0.0, 1.0, SCHEDULE_GRID_POINTS)
-        m_grid = SCHEDULE_M_GRID
-        if basis.size is not None:
-            m_grid = tuple(m for m in m_grid if m <= basis.size) or (basis.size,)
-        m_max = max(m_grid)
+        m_max = max(SCHEDULE_M_GRID)
         phi = np.column_stack([basis.eval(j, xg) for j in range(m_max)])
         inv_p = 1.0 / np.asarray(deploy.pdf(xg), dtype=float)
 
         kernel_ratio = 0.0
-        for m in m_grid:
+        for m in SCHEDULE_M_GRID:
             kernel = np.abs(phi[:, :m] @ phi[:, :m].conj().T) * inv_p[None, :]
             kernel_ratio = max(kernel_ratio, float(kernel.max()) / (c1 * m))
 
         projection_ratio = 0.0
         for f in menu:
             coeffs = true_coefficients(f, basis, m_max).values
-            for m in m_grid:
+            for m in SCHEDULE_M_GRID:
                 fm = np.abs(phi[:, :m] @ coeffs[:m])
                 projection_ratio = max(projection_ratio, float(fm.max()) / (c2 * m))
 
@@ -518,7 +500,7 @@ def as_error_trace(field: FieldSpec, deploy: Deployment, noise: Noise,
         sup_est.append(float(np.max(est_err)))
         sup_est_int.append(float(np.max(est_err[interior])))
 
-    condition = validate_as_schedule(psi, gamma, basis, deploy, fields=[field])
+    condition = validate_as_schedule(psi, gamma, deploy, fields=[field])
     return ASTraceResult(checkpoints=checkpoints, m_values=m_values, psi=psi,
                          gamma=gamma, sup_error=tuple(sup_s),
                          sup_estimate_error=tuple(sup_est),

@@ -298,10 +298,6 @@ class FiniteDimField(FieldSpec):
         object.__setattr__(self, "values", vals)
 
     @property
-    def k(self) -> int:
-        return len(self.values)
-
-    @property
     def norm_sq(self) -> float:
         return float(np.sum(np.abs(self.values) ** 2))
 

@@ -264,8 +264,8 @@ class ExperimentConfig:
     noise: Noise
     schedule: TruncationSchedule
     n_grid: Sequence[int]
-    trials: int | Sequence[int]
     seed: int
+    trials: int | Sequence[int] | None = None  # a sweep's; a trace runs none
     basis: Basis = FourierBasis()
     acceptance: Acceptance = Acceptance()
     raw: dict = dataclasses.field(init=False)
@@ -293,8 +293,8 @@ def parse_experiment_config(doc: dict, seed_override: int | None = None) -> Expe
     args, problems = _arguments(ExperimentConfig, doc, "", "experiment config")
 
     # the checks across keys, on the keys that converted
-    n_grid, trials = args.get("n_grid", ()), args.get("trials", ())
-    counts = (trials,) * max(len(n_grid), 1) if isinstance(trials, int) else trials
+    n_grid, trials = args.get("n_grid", ()), args["trials"]
+    counts = (trials,) * max(len(n_grid), 1) if isinstance(trials, int) else trials or ()
     seed, accept, eid = args.get("seed", 0), args["acceptance"], args.get("experiment_id", "")
     schedule, basis = args.get("schedule"), args["basis"]
     fitted = [key for key, value in (("r2_min", accept.r2_min),
@@ -313,8 +313,10 @@ def parse_experiment_config(doc: dict, seed_override: int | None = None) -> Expe
         ("n_grid", f"entries must be at most {N_GRID_MAX}", any(n > N_GRID_MAX for n in n_grid)),
         ("n_grid", "must be strictly increasing",
          any(b <= a for a, b in zip(n_grid, n_grid[1:]))),
+        ("trials", "required; only a trace (acceptance.trace_ratio_max) runs without "
+                   "a trial count", not traced and doc.get("trials") is None),
         ("trials", "need one count per n_grid entry",
-         "trials" in args and n_grid and len(counts) != len(n_grid)),
+         trials is not None and n_grid and len(counts) != len(n_grid)),
         ("trials", "every count must be >= 2", any(t < 2 for t in counts)),
         ("trials", f"every count must be at most {TRIALS_MAX}",
          any(t > TRIALS_MAX for t in counts)),
@@ -620,8 +622,8 @@ def _run_configs(names: Sequence[str], out: Path, workers: int) -> dict:
             for name in names}
 
 
-def _run_lemma1(out: Path, workers: int, trials: int = 10_000) -> LemmaBatteryResult:
-    battery = run_lemma_battery(trials=trials, workers=workers)
+def _run_lemma1(out: Path, workers: int) -> LemmaBatteryResult:
+    battery = run_lemma_battery(workers=workers)
     _write_csv(out / "lemma1_cells.csv", LEMMA_CELL_HEADER,
                [[repr(r[k]) if isinstance(r[k], float) else r[k] for k in LEMMA_CELL_HEADER]
                 for r in battery.rows])
@@ -637,7 +639,7 @@ def _run_conditions(out: Path, workers: int) -> dict:
                                       ("sobolev_s1", TruncationSchedule.sobolev(1.0)),
                                       ("power_psi1", TruncationSchedule.power(1.0)),
                                       ("fixed_m5", TruncationSchedule.fixed(5)))}
-    good, bad = (validate_as_schedule(0.5, gamma, basis, uniform)
+    good, bad = (validate_as_schedule(0.5, gamma, uniform)
                  for gamma in (1.5, 2.5))
     affine = mismatch["mismatch_affine_floor"].config.deployment
     return {"mismatch": mismatch,

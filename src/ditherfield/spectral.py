@@ -1,7 +1,7 @@
 """Nonuniform Fourier sums on [0, 1]: one analysis/synthesis kernel pair.
 
-`conj_sums` is the type-1 sum  S_k = sum_i w_i exp(-2 pi i k x_i),  k = 0..K,
-which the estimator needs; `series` is the real type-2 sum
+`ConjSums` accumulates the type-1 sum  S_k = sum_i w_i exp(-2 pi i k x_i),
+k = 0..K, which the estimator needs; `series` is the real type-2 sum
 a0 + 2 Re sum_{k=1..K} pos_k exp(2 pi i k x),  which field synthesis needs.
 
 Both rest on one cell expansion: a point x lies in cell c = rint(x M) mod M
@@ -34,8 +34,8 @@ exp(2 pi i k x) = exp(2 pi i k c / M) sum_q (2 pi i k u / M)^q / q!
   value. A cost model fitted to both paths picks one from (n, K).
   Either path is one additive accumulator, `ConjSums`, which holds the
   direct sums or the cell moments, takes the points in tiles of whole
-  blocks and is finished once; `conj_sums` is one pass of it. The
-  gridded path takes finite points only, any of them by periodicity.
+  blocks and is finished once. The gridded path takes finite points
+  only, any of them by periodicity.
 
 Both sums work on blocks of 16384 points. The table and moment sums are
 within about 1e-16 of |a0| + 2 sum|pos_k| (type 2) or sum|w_i| (type 1)
@@ -165,21 +165,6 @@ def _rotate(cur: np.ndarray, step: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # type 1: S_k = sum_i w_i exp(-2 pi i k x_i)
 # ---------------------------------------------------------------------------
-
-def conj_sums(x: np.ndarray, w: np.ndarray, K: int) -> np.ndarray:
-    """S_k = sum_i w_i exp(-2 pi i k x_i) for k = 0..K (K + 1 values), over
-    the last axis: an (R, n) input gives one row of sums per row. One pass
-    of `ConjSums` over the input.
-
-    Real or complex weights; complex ones are split into their real and
-    imaginary parts (the sum is linear in w)."""
-    x = np.asarray(x, dtype=float)
-    if np.iscomplexobj(w):
-        return conj_sums(x, np.real(w), K) + 1j * conj_sums(x, np.imag(w), K)
-    sums = ConjSums(x.shape[:-1], x.shape[-1], K)
-    sums.add(x, np.asarray(w, dtype=float))
-    return sums.result()
-
 
 class ConjSums:
     """Running type-1 sums S_k, k = 0..K, of rows of n points each, fed

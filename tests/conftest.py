@@ -7,6 +7,7 @@ from ditherfield import (AffineFloorDeployment, FiniteDimField, FourierBasis,
                          SensorBatch, StepBasis, TabulatedDeployment,
                          UniformDeployment, make_bv_field,
                          make_finite_dim_field, make_sobolev_field)
+from ditherfield import spectral
 from ditherfield.analysis import map_trials
 from ditherfield.sensing import (STREAM_LOCATIONS, STREAM_NOISE,
                                  STREAM_THRESHOLDS)
@@ -48,6 +49,21 @@ def basis_sums(basis, m: int, x: np.ndarray, w: np.ndarray) -> np.ndarray:
     weights: one pass of the basis's running sums."""
     sums = basis.running_sums(m, x.shape[:-1], x.shape[-1])
     sums.add(x, w)
+    return sums.result()
+
+
+def conj_sums(x, w, K: int) -> np.ndarray:
+    """S_k = sum_i w_i exp(-2 pi i k x_i) for k = 0..K (K + 1 values), over
+    the last axis: an (R, n) input gives one row of sums per row. One pass
+    of `spectral.ConjSums` over the input, on the path its cost model picks.
+
+    Real or complex weights; complex ones are split into their real and
+    imaginary parts (the sum is linear in w)."""
+    x = np.asarray(x, dtype=float)
+    if np.iscomplexobj(w):
+        return conj_sums(x, np.real(w), K) + 1j * conj_sums(x, np.imag(w), K)
+    sums = spectral.ConjSums(x.shape[:-1], x.shape[-1], K)
+    sums.add(x, np.asarray(w, dtype=float))
     return sums.result()
 
 

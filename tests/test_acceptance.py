@@ -3,17 +3,23 @@ run of each suite, the same rows `ditherfield suite all` writes; every bound
 of the table pinned as a literal; and the three checks that are not
 deterministic outcomes or stay off the CLI's import path: criterion 1's
 runtime, criterion 11 (the quadrature oracle) and criterion 12 (byte identity).
+Below them: the sha256 of every file the four suites write, and each derived
+number of those files recomputed from the file's own columns.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the criterion lines.
 """
 
+import csv
+import hashlib
+import json
+import math
 import time
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from ditherfield import (FourierBasis, ReconstructionCoefficients, harness,
+from ditherfield import (FourierBasis, ReconstructionCoefficients, analysis, harness,
                          integrated_squared_error, load_shipped_config,
                          make_finite_dim_field, run_experiment, run_suite,
                          true_coefficients)
@@ -41,6 +47,11 @@ BOUNDS = {
 def criterion(number: int, passed: bool, detail: str) -> None:
     print(f"\nCRITERION {number}: {'PASS' if passed else 'FAIL'} — {detail}")
     assert passed, f"criterion {number}: {detail}"
+
+
+def _row(result, number: int):
+    [row] = [r for r in result.rows if r.criterion == number]
+    return row
 
 
 def _run(tmp_path_factory, suite):
@@ -77,7 +88,7 @@ def test_the_table_holds_the_pinned_bounds():
 @pytest.mark.parametrize("entry", harness.ACCEPTANCE, ids=lambda c: f"criterion_{c.number}")
 def test_the_table_passes_each_criterion(request, entry):
     result, _, _ = request.getfixturevalue(entry.suite)
-    [row] = [r for r in result.rows if r.criterion == entry.number]
+    row = _row(result, entry.number)
     assert row.bound == BOUNDS[entry.number]
     criterion(entry.number, row.passed, row.line)
 
@@ -132,3 +143,186 @@ def test_criterion_12_byte_identical_reruns(rates, conditions, tmp_path):
     criterion(12, csv_same and suite_same and rerun.all_pass,
               "rate CSV identical across worker counts 1 vs 2; conditions "
               "suite rerun byte-identical (report, summary, experiment CSVs)")
+
+
+# ---------------------------------------------------------------------------
+# every artifact byte: golden digests, and derived numbers against their columns
+# ---------------------------------------------------------------------------
+
+# sha256 of each file a suite fixture writes at WORKERS = 2, under numpy 2.4.6
+# and scipy 1.17.1. A change that moves a value on purpose updates its
+# literal here, in the same change, and says so.
+ARTIFACT_SHA256 = {
+    "rates": {
+        "finite_dim_k5.csv": "c81bc1f6d827207658e18b01fb8248d3fec8d3fc190153bf9d175d1323daa6fc",
+        "finite_dim_k5_report.json":
+            "9032b0fc61abe7225c8282743dc8436497eac27c87cd23c75e26c700d5b479e7",
+        "finite_dim_k5_summary.txt":
+            "1da373315a0ecccfe1ba6ddba63643b02e87fc6f5e2ced3632bcc45547603e88",
+        "bv_sawtooth.csv": "8aa8261522e4ed0313ed839e2fd15a67466d4d5303f234a51e2d4fa76b8bfce1",
+        "bv_sawtooth_report.json":
+            "2c9ffb1e5f5d5fd07f024f41f78a72ecdd5b2a982b7148100a63d8e9513a0282",
+        "bv_sawtooth_summary.txt":
+            "26becf782c7032de41a792d55e227894970ad7fc366fd0372143b368474ebb61",
+        "sobolev_s1.csv": "350d96e8b9204e05a28278bc35a306dea59ccb62c51044c392c07c7d66754597",
+        "sobolev_s1_report.json":
+            "1f126481e3c03ebc8d65f32c1e835b0b8a0aaf620adb30eb8c04958df6c9fc59",
+        "sobolev_s1_summary.txt":
+            "318b3f6bef7ee02ecc978ccc18edfc6950b64220e6b01f8e8e29f504de5a5193",
+        "rates_report.json": "a2d9a6291f73f131fbe1900193982abc18a1128cb9deb7bf87e59241aa198f75",
+        "rates_summary.txt": "8b22bb1f0073d6e9f908ec9ce9585197cdd6f152000688be0797ebdc449f8bc3",
+    },
+    "lemma1": {
+        "lemma1_cells.csv": "e82f6b10e3b222d42a415630d040acdd1865cc0df71d2ac072882744211c4d93",
+        "lemma1_report.json": "684564c552961c47f6aabd99e69cbd8805f03bf3ee23ceb8ce89c7838224343c",
+        "lemma1_summary.txt": "3b8bfdba78ebbc0d9c4745b7cac71ae15e0c9743762793bf7b19814091f7eeef",
+    },
+    "conditions": {
+        "mismatch_linear2x.csv":
+            "9a29ff74269ce85aa68bce5ce7e2134fc7e98b89a05db006258f1d8982260c23",
+        "mismatch_linear2x_report.json":
+            "aecc5b42586dea442d758f31566abe47d1508d9ec356310d469d08aae1e339a2",
+        "mismatch_linear2x_summary.txt":
+            "bf87400e4d21beb8e36e8b21e51449e3351e25e604fa960d7d5c6e2a947cdb74",
+        "mismatch_affine_floor.csv":
+            "60362dbd51c2ecfa71aa273ef8ac263faa37fe90d419823885925f4d54ec56c3",
+        "mismatch_affine_floor_report.json":
+            "79fb6ff564953780b28175038d95c2e81b4055d9dad695a0f74ff3f38c083970",
+        "mismatch_affine_floor_summary.txt":
+            "feb98419f8a0213ecfac8c30c0e7d7201e9a0daf4902456c5f7fdf8b9a0ae193",
+        "conditions_report.json":
+            "d06091647f058557784665227ec33438c881cbf79bf51680b89ab4047ddc9962",
+        "conditions_summary.txt":
+            "26eab5a47bcd1d5b3d0c54dbf322eb3452d90889201e54c30ce34fce5b6df06f",
+    },
+    "as_traces": {
+        "as_trace_zero.csv": "9a29ff74269ce85aa68bce5ce7e2134fc7e98b89a05db006258f1d8982260c23",
+        "as_trace_zero_report.json":
+            "bde55c81a84059673860920da5ab2caf8cf85dfef5b05e724c3d50fe46be4edd",
+        "as_trace_zero_summary.txt":
+            "c7279557c3b66b764e558009f8df954eff92a2015baf679de5779c7dc8e2ccd2",
+        "as_trace_sawtooth.csv":
+            "9a29ff74269ce85aa68bce5ce7e2134fc7e98b89a05db006258f1d8982260c23",
+        "as_trace_sawtooth_report.json":
+            "e12261c24b23dbc6ca75af56671a100a1e9224674ee9dc846788899f360d41f3",
+        "as_trace_sawtooth_summary.txt":
+            "71ce5e04756dee0a3ed2c216c0dbd5cb6b6bf2bffab13baeaf6480ef460913bf",
+        "as_traces_report.json":
+            "94c973db31ba61847e66ef09778d88baf00faeb80722734788133672b731bd00",
+        "as_traces_summary.txt":
+            "c60d3e1b36df26fb5d5faae1f33b95e195d8871f2f1856b4466dc0f6601f593d",
+    },
+}
+
+
+@pytest.mark.parametrize("suite", ARTIFACT_SHA256)
+def test_each_suite_writes_the_pinned_files(request, suite):
+    _, out, _ = request.getfixturevalue(suite)
+    assert sorted(path.name for path in out.iterdir()) == sorted(ARTIFACT_SHA256[suite])
+
+
+@pytest.mark.parametrize("suite, name", [(suite, name) for suite, files in ARTIFACT_SHA256.items()
+                                         for name in files])
+def test_each_artifact_holds_its_pinned_bytes(request, suite, name):
+    _, out, _ = request.getfixturevalue(suite)
+    assert hashlib.sha256((out / name).read_bytes()).hexdigest() == ARTIFACT_SHA256[suite][name]
+
+
+def _columns(path) -> dict[str, list[str]]:
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    return {key: [row[key] for row in rows] for key in rows[0]}
+
+
+@pytest.mark.parametrize("name", harness._RATE_CONFIGS)
+def test_a_sweep_artifact_agrees_with_its_own_columns(rates, name):
+    """The CSV's interval ends, bound totals and the report's numbers, each
+    recomputed from the CSV's columns, and the rate fit by its own
+    least-squares line of log mse on log n."""
+    _, out, _ = rates
+    cols = _columns(out / f"{name}.csv")
+    report = json.loads((out / f"{name}_report.json").read_text())
+    n, m, trials = ([int(v) for v in cols[key]] for key in ("n", "m", "trials"))
+    mean, std, ci_lo, ci_hi, total, var_term, bias_term = (
+        [float(v) for v in cols[key]] for key in ("mse_mean", "mse_std", "ci_lo", "ci_hi",
+                                                  "bound_total", "bound_var_term",
+                                                  "bound_bias_term"))
+    config = load_shipped_config(name)
+    assert n == list(config.n_grid) == report["n_grid"]
+    assert m == [config.schedule.resolve(k) for k in n] == report["m_values"]
+    assert trials == report["trials"]
+    assert set(cols["seed"]) == {str(config.seed)} and report["seed"] == config.seed
+    assert set(cols["config_hash"]) == {config.config_hash} == {report["config_hash"]}
+    assert mean == report["mse_means"] and std == report["mse_stds"]
+    # the 95% normal-approximation half-width of each mean, and its interval
+    ci = [1.96 * s / math.sqrt(t) for s, t in zip(std, trials)]
+    assert report["ci_half"] == ci
+    assert ci_lo == [a - h for a, h in zip(mean, ci)]
+    assert ci_hi == [a + h for a, h in zip(mean, ci)]
+    assert total == [v + b for v, b in zip(var_term, bias_term)]
+    assert report["bound_totals"] == total
+    assert report["dominance_violations"] == sum(
+        not a <= b + 3.0 * h for a, b, h in zip(mean, total, ci))
+    lx, ly = np.log(n), np.log(mean)
+    slope, intercept = np.polyfit(lx, ly, 1)
+    r2 = 1.0 - np.sum((ly - (slope * lx + intercept)) ** 2) / np.sum((ly - ly.mean()) ** 2)
+    fit = report["rate_fit"]
+    assert fit["n_grid"] == n and fit["mse_values"] == mean
+    assert [fit["slope"], fit["intercept"], fit["r_squared"]] == pytest.approx(
+        [slope, intercept, r2], rel=1e-12, abs=0.0)
+
+
+def test_the_battery_cells_agree_with_their_own_columns(lemma1):
+    """Each cell's exact coefficient is `true_coefficients` of its field, its
+    variance ratio is its two variances' quotient, and criteria 5 and 6
+    read their statistics off the CSV's columns."""
+    result, out, _ = lemma1
+    cols = _columns(out / "lemma1_cells.csv")
+    j = [int(v) for v in cols["j"]]
+    fields = dict(harness.lemma_battery_menu())
+    alphas = {name: true_coefficients(field, FourierBasis(), max(j) + 1).values
+              for name, field in fields.items()}
+    assert set(cols["field"]) == set(fields)
+    alpha = [alphas[name][k] for name, k in zip(cols["field"], j)]
+    assert [float(v) for v in cols["alpha_re"]] == [a.real for a in alpha]
+    assert [float(v) for v in cols["alpha_im"]] == [a.imag for a in alpha]
+    assert cols["cell"] == [f"{f}/{d}/{z}" for f, d, z in
+                            zip(cols["field"], cols["deployment"], cols["noise"])]
+    var_emp, var_bound, var_ratio, dev = ([float(v) for v in cols[key]] for key in
+                                          ("var_emp", "var_bound", "var_ratio", "dev_sigmas"))
+    assert var_ratio == [e / b for e, b in zip(var_emp, var_bound)]
+    assert _row(result, 5).statistic == {
+        "frac_within_4sigma": float(np.mean(np.array(dev) <= 4.0)), "max_dev_sigmas": max(dev)}
+    assert _row(result, 6).statistic == {"max_var_ratio": max(var_ratio)}
+
+
+@pytest.mark.parametrize("name", harness._TRACE_CONFIGS)
+def test_a_trace_artifact_agrees_with_its_sups_on_the_grid(as_traces, monkeypatch, name):
+    """The trace's three sups, recomputed from its two syntheses at each
+    checkpoint on the grid: the interior one leaves out every grid point
+    within 0.02 of a jump of the field."""
+    _, out, _ = as_traces
+    report = json.loads((out / f"{name}_report.json").read_text())
+    config = load_shipped_config(name)
+    synthesized = []
+
+    def recorded(basis, values, x):
+        synthesized.append((x, synthesize(basis, values, x)))
+        return synthesized[-1][1]
+
+    monkeypatch.setattr(analysis, "synthesize", recorded)
+    analysis.as_error_trace(config.field, config.deployment, config.noise,
+                            psi=config.schedule.param, seed=config.seed,
+                            n_checkpoints=config.n_grid)
+    # per checkpoint: the estimate's deviation from f_m, then f_m itself
+    assert len(synthesized) == 2 * len(report["checkpoints"])
+    sups = {"sup_error": [], "sup_estimate_error": [], "sup_estimate_error_interior": []}
+    for (grid, deviation), (_, truncated) in zip(synthesized[::2], synthesized[1::2]):
+        error = np.abs(deviation + truncated - config.field.eval(grid))
+        interior = np.ones(grid.shape, dtype=bool)
+        for jump in config.field.jump_points:
+            interior &= np.abs(grid - jump) > 0.02
+        sups["sup_error"].append(float(np.max(np.abs(deviation))))
+        sups["sup_estimate_error"].append(float(np.max(error)))
+        sups["sup_estimate_error_interior"].append(float(np.max(error[interior])))
+    assert {key: report[key] for key in sups} == sups

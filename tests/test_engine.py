@@ -18,13 +18,13 @@ from ditherfield import (AffineFloorDeployment, EstimationError, EstimatorConfig
                          make_sobolev_field, simulate_batch, stream_keys,
                          trial_seed)
 from ditherfield import analysis, sensing, spectral
-from ditherfield.analysis import BLOCK_SENSORS, TrialCell, as_error_trace
+from ditherfield.analysis import TrialCell, as_error_trace
 from ditherfield.harness import load_shipped_config, run_lemma_battery
 from ditherfield.sensing import SPAWN_MAX
-from ditherfield.spectral import ConjSums, conj_sums
+from ditherfield.spectral import BLOCK_POINTS, ConjSums
 
-from conftest import (SHIPPED_K5_COEFFS, basis_sums, collect_trials, reference_batch,
-                      substream, tabulate_deployment, traced_peak_mb)
+from conftest import (SHIPPED_K5_COEFFS, basis_sums, collect_trials, conj_sums,
+                      reference_batch, substream, tabulate_deployment, traced_peak_mb)
 
 DEPLOYMENTS = [UniformDeployment(), Linear2xDeployment(),
                AffineFloorDeployment(nu=0.5),
@@ -241,12 +241,12 @@ def test_real_weight_estimates_are_conjugate_symmetric(seed, n, m):
 
 
 # ---------------------------------------------------------------------------
-# tiles: trials of more than BLOCK_SENSORS sensors
+# tiles: trials of more than BLOCK_POINTS sensors
 # ---------------------------------------------------------------------------
 
 # m = 4 (frequencies up to 2) keeps the type-1 sum direct at these n, m = 64
 # (up to 32) makes it gridded
-TILED_COUNTS = (2 * BLOCK_SENSORS + 3, 3 * BLOCK_SENSORS)
+TILED_COUNTS = (2 * BLOCK_POINTS + 3, 3 * BLOCK_POINTS)
 
 
 @pytest.mark.parametrize("n", TILED_COUNTS)
@@ -255,7 +255,7 @@ TILED_COUNTS = (2 * BLOCK_SENSORS + 3, 3 * BLOCK_SENSORS)
                                                (StepBasis(cells=64), 64, None)],
                          ids=["direct", "gridded", "step"])
 def test_tiled_rows_equal_the_one_trial_oracle(n, basis, m, gridded):
-    """A trial cut into tiles of BLOCK_SENSORS sensors gives, bit for bit,
+    """A trial cut into tiles of BLOCK_POINTS sensors gives, bit for bit,
     the estimate of its whole batch in one pass."""
     if gridded is not None:
         assert spectral._gridded(n, m // 2) is gridded
@@ -297,7 +297,7 @@ def test_tiled_rows_do_not_depend_on_the_worker_count(monkeypatch):
     """One-trial pool tasks, which two workers run out of order."""
     monkeypatch.setattr(analysis, "TASK_SENSORS", 1)
     cell = cell_for(FIELDS["sawtooth"], UniformDeployment(), UniformSymNoise(b=1.0),
-                    FourierBasis(), BLOCK_SENSORS + 3616, 3)
+                    FourierBasis(), BLOCK_POINTS + 3616, 3)
     one = collect_trials([cell], seed=12, workers=1)[0]
     two = collect_trials([cell], seed=12, workers=2)[0]
     assert np.array_equal(one, two)
@@ -307,8 +307,8 @@ def test_a_bad_sensor_in_a_later_tile_is_named_by_its_index(sawtooth, monkeypatc
     """The index is the sensor's place in its realization, not in its tile."""
     deploy, noise = UniformDeployment(), ZeroNoise()
     cfg = cfg_for(sawtooth, deploy, noise, FourierBasis())
-    window = simulate_batch(sawtooth, deploy, noise, 20_000 - BLOCK_SENSORS, 4, BLOCK_SENSORS)
-    window.bits[17_000 - BLOCK_SENSORS] = 0.0
+    window = simulate_batch(sawtooth, deploy, noise, 20_000 - BLOCK_POINTS, 4, BLOCK_POINTS)
+    window.bits[17_000 - BLOCK_POINTS] = 0.0
     with pytest.raises(EstimationError, match=r"bits\[17000\]=0.0"):
         estimate_coefficients(window, cfg, M)
 
@@ -336,10 +336,10 @@ def test_running_sums_take_whole_blocks_and_every_point(gridded):
         with pytest.raises(ValueError, match="partial block"):
             sums.add(x[20_000:], w[20_000:])
         sums = ConjSums((), 40_000, 20)
-        sums.add(x[:BLOCK_SENSORS], w[:BLOCK_SENSORS])
+        sums.add(x[:BLOCK_POINTS], w[:BLOCK_POINTS])
         with pytest.raises(ValueError, match="fed 16384 of 40000"):
             sums.result()
-        sums.add(x[BLOCK_SENSORS:], w[BLOCK_SENSORS:])
+        sums.add(x[BLOCK_POINTS:], w[BLOCK_POINTS:])
         assert np.array_equal(sums.result(), conj_sums(x, w, 20))
 
 
@@ -359,7 +359,7 @@ def test_the_lemma_battery_holds_no_array_of_all_its_trials():
     estimates: the 3072 more trials of 18 cells at 8 coefficients take
     7 MB. From 1024 trials on, a block of 16 sensors per trial is full
     size, so what grows is one chunk's estimates and stream words."""
-    assert BLOCK_SENSORS // 16 == 1024
+    assert BLOCK_POINTS // 16 == 1024
     small, large = (traced_peak_mb(lambda: run_lemma_battery(n=16, trials=trials, j_count=8))
                     for trials in (1024, 4096))
     assert large - small < 1.0

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import json
 import math
 import re
@@ -280,9 +281,11 @@ def test_numpy_adds_the_rows_of_a_mean_in_order(m):
     assert np.array_equal(total / 5000, mat.mean(axis=0))
 
 
-def test_lemma_cells_csv_holds_plain_numbers(tmp_path):
+def test_lemma_cells_csv_holds_plain_numbers(tmp_path, monkeypatch):
     # numpy scalars would print as np.float64(...) under repr()
-    harness._run_lemma1(tmp_path, workers=1, trials=20)
+    monkeypatch.setattr(harness, "run_lemma_battery",
+                        functools.partial(harness.run_lemma_battery, trials=20))
+    harness._run_lemma1(tmp_path, workers=1)
     lines = (tmp_path / "lemma1_cells.csv").read_text().splitlines()
     header = lines[0].split(",")
     assert header == harness.LEMMA_CELL_HEADER and len(lines) == 1 + 18 * 8
@@ -379,6 +382,31 @@ def test_a_declared_trace_ratio_runs_a_trace_in_place_of_the_sweep(tmp_path):
                                                               trace.sup_error)], check]
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "mini_trace.csv", "mini_trace_report.json", "mini_trace_summary.txt"]
+
+
+def _without_trials(doc: dict, trials) -> dict:
+    """`doc` with its trial count left out, or set to null where `trials` is None."""
+    doc = {key: value for key, value in doc.items() if key != "trials"}
+    return doc if trials == "<left out>" else dict(doc, trials=None)
+
+
+@pytest.mark.parametrize("trials", ["<left out>", None])
+def test_a_trace_document_need_not_carry_trials(tmp_path, trials):
+    """A trace runs no trials, so its document may leave the count out or
+    null; it runs the trace of the same document with a count."""
+    config = parse_experiment_config(_without_trials(TRACE_CONFIG, trials))
+    assert config.trials is None
+    counted = run_experiment(parse_experiment_config(TRACE_CONFIG), tmp_path / "counted")
+    outcome = run_experiment(config, tmp_path / "uncounted")
+    assert outcome.status == "PASS" and outcome.trace.to_json() == counted.trace.to_json()
+
+
+@pytest.mark.parametrize("trials", ["<left out>", None])
+def test_a_sweep_document_must_carry_trials(trials):
+    with pytest.raises(ConfigValidationError) as err:
+        parse_experiment_config(_without_trials(MINI_CONFIG, trials))
+    assert err.value.problems == [
+        "trials: required; only a trace (acceptance.trace_ratio_max) runs without a trial count"]
 
 
 @pytest.mark.parametrize("name, ratio", [("as_trace_zero", "0.2126"),

@@ -14,7 +14,7 @@ from ditherfield import (AffineFloorDeployment, EstimatorConfig, FourierBasis,
                          UniformSymNoise, estimate_coefficients, make_bv_field,
                          make_sobolev_field, simulate_batch, stream_keys,
                          trial_seed)
-from ditherfield import analysis, spectral
+from ditherfield import spectral
 from ditherfield.analysis import TrialCell
 from ditherfield.estimator import add_sensors, finish_estimates
 
@@ -49,7 +49,6 @@ def test_block_rows_and_tile_cuts_are_one_pass_of_one_trial(ingredients, basis, 
     field, deploy, noise = ingredients
     start %= n
     with mock.patch.object(spectral, "BLOCK_POINTS", BLOCK), \
-            mock.patch.object(analysis, "BLOCK_SENSORS", BLOCK), \
             mock.patch.object(spectral, "_gridded", lambda n, K: gridded):
         keys = stream_keys(seed, [(0, t) for t in range(trials)])
         whole = simulate_batch(field, deploy, noise, n, keys)

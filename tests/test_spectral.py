@@ -19,7 +19,7 @@ from ditherfield import FourierBasis, StepBasis, spectral
 from ditherfield.fields import FiniteDimField, synthesize
 from ditherfield.harness import _RATE_CONFIGS, _TRACE_CONFIGS, load_shipped_config
 
-from conftest import basis_sums
+from conftest import basis_sums, conj_sums
 
 RTOL = 1e-10
 # small K (M = 64 to 1024 cells) as often as large K (up to M = 16384)
@@ -101,8 +101,8 @@ def test_type1_paths_agree(n, K, seed, pinned, complex_weights):
     w = rng.uniform(0.0, 1.0, n)
     if complex_weights:
         w = w + 1j * rng.uniform(0.0, 1.0, n)
-    direct = _on_path(False, spectral.conj_sums, x, w, K)
-    gridded = _on_path(True, spectral.conj_sums, x, w, K)
+    direct = _on_path(False, conj_sums, x, w, K)
+    gridded = _on_path(True, conj_sums, x, w, K)
     assert direct.shape == gridded.shape == (K + 1,)
     assert _rel_err(gridded, direct) <= RTOL
     if n * (K + 1) <= 200_000:
@@ -150,8 +150,8 @@ def test_gridded_error_is_bounded_by_the_l1_norm(x, w, coeffs, K):
     held to the extended-precision sum."""
     x = np.array(x)
     w = np.array(w[:len(x)])
-    diff = (_on_path(True, spectral.conj_sums, x, w, K)
-            - _on_path(False, spectral.conj_sums, x, w, K))
+    diff = (_on_path(True, conj_sums, x, w, K)
+            - _on_path(False, conj_sums, x, w, K))
     assert np.max(np.abs(diff)) <= 1e-11 * np.sum(np.abs(w)) + UNDERFLOW_FLOOR
     a0, pos = coeffs[0], np.array(coeffs[1:]) * (1.0 - 0.5j)
     diff = spectral.series(a0, pos, x) - _long_series(a0, pos, x)
@@ -164,8 +164,8 @@ def test_points_outside_the_unit_interval_use_periodicity():
     x = rng.uniform(-2.0, 3.0, 3000)
     w = rng.uniform(-1.0, 1.0, 3000)
     pos = rng.uniform(-1.0, 1.0, 40) + 1j * rng.uniform(-1.0, 1.0, 40)
-    assert _rel_err(_on_path(True, spectral.conj_sums, x, w, 100),
-                    _on_path(False, spectral.conj_sums, x, w, 100)) <= RTOL
+    assert _rel_err(_on_path(True, conj_sums, x, w, 100),
+                    _on_path(False, conj_sums, x, w, 100)) <= RTOL
     assert _rel_err(spectral.series(0.2, pos, x), _exp_series(0.2, pos, x)) <= RTOL
 
 
@@ -176,7 +176,7 @@ def test_non_finite_points_propagate_on_every_path():
     x = np.array([0.25, np.nan, 0.5])
     values = spectral.series(1.0, np.ones(64, dtype=np.complex128), x)
     assert np.isnan(values[1]) and np.all(np.isfinite(values[[0, 2]]))
-    sums = _on_path(False, spectral.conj_sums, x, np.ones(3), 64)
+    sums = _on_path(False, conj_sums, x, np.ones(3), 64)
     assert np.all(np.isnan(sums[1:]))
 
 
@@ -195,7 +195,7 @@ def test_full_size_type1_against_exponential_sums():
     rng = np.random.default_rng(11)
     x = rng.random(n)
     w = np.where(rng.random(n) < 0.5, -1.0, 1.0) / (0.5 + x)
-    assert _rel_err(spectral.conj_sums(x, w, K), _exp_sums(x, w, K)) <= RTOL
+    assert _rel_err(conj_sums(x, w, K), _exp_sums(x, w, K)) <= RTOL
 
 
 @pytest.mark.parametrize("kind, K", [(1, 256), (2, 128), (2, 256)])
@@ -210,7 +210,7 @@ def test_full_size_gridded_paths_within_1e13_of_the_l1_norm(kind, K):
     x = rng.random(n)
     if kind == 1:
         w = rng.standard_normal(n)
-        args, scale = (spectral.conj_sums, x, w, K), np.sum(np.abs(w))
+        args, scale = (conj_sums, x, w, K), np.sum(np.abs(w))
         diff = _on_path(True, *args) - _on_path(False, *args)
     else:
         pos = (rng.standard_normal(K) + 1j * rng.standard_normal(K)) / np.arange(1, K + 1)
@@ -264,7 +264,7 @@ def test_public_functions_match_exponential_sums(n, K):
     x = rng.random(n)
     w = rng.uniform(-1.0, 1.0, n)
     pos = (rng.standard_normal(K) + 1j * rng.standard_normal(K)) / np.arange(1, K + 1) ** 1.5
-    assert _rel_err(spectral.conj_sums(x, w, K), _exp_sums(x, w, K)) <= RTOL
+    assert _rel_err(conj_sums(x, w, K), _exp_sums(x, w, K)) <= RTOL
     assert _rel_err(spectral.series(0.3, pos, x), _exp_series(0.3, pos, x)) <= RTOL
     # complex coefficients, no conjugate pairs; odd and even lengths, K = 0
     # to 129, every one read from its tables (64 cells up to K = 2)
@@ -347,11 +347,11 @@ def test_one_point_equals_that_point_inside_a_long_call(K, non_finite):
     x = np.concatenate([rng.uniform(-2.0, 3.0, 10_000 - 7), [0.0, 1.0], tail])
     w = rng.standard_normal(10_000)
     # a (10^4, 1) call: one phase pass over all points, one row per point
-    rows = spectral.conj_sums(x[:, None], w[:, None], K)
+    rows = conj_sums(x[:, None], w[:, None], K)
     values = spectral.series(0.4, pos, x)
     assert np.isnan(values).sum() == 3 * non_finite
     for i in rng.choice(10_000, 40, replace=False).tolist() + list(range(9993, 10_000)):
-        assert np.array_equal(spectral.conj_sums(x[i:i + 1], w[i:i + 1], K), rows[i],
+        assert np.array_equal(conj_sums(x[i:i + 1], w[i:i + 1], K), rows[i],
                               equal_nan=True)
         assert np.array_equal(spectral.series(0.4, pos, x[i:i + 1]), values[i:i + 1],
                               equal_nan=True)
@@ -379,7 +379,7 @@ def test_direct_paths_take_no_complex_exponential():
     rng = np.random.default_rng(4)
     x, w = rng.random((3, 700)), rng.standard_normal((3, 700))
     with mock.patch.object(np, "exp", real_only):
-        sums = _on_path(False, spectral.conj_sums, x, w + 1j * w, 20)
+        sums = _on_path(False, conj_sums, x, w + 1j * w, 20)
     assert sums.shape == (3, 21)
 
 
