@@ -18,7 +18,7 @@ from . import spectral
 from .estimator import TruncationSchedule, add_sensors, finish_estimates
 from .fields import (Basis, FieldSpec, FourierBasis, ReconstructionCoefficients,
                      m_term_error, make_bv_field, synthesize, true_coefficients)
-from .sensing import Deployment, Noise, simulate_batch, stream_keys
+from .sensing import Deployment, Noise, dynamic_range, simulate_batch, stream_keys
 
 # ---------------------------------------------------------------------------
 # distortion upper bound
@@ -28,9 +28,7 @@ from .sensing import Deployment, Noise, simulate_batch, stream_keys
 class BoundReport:
     """Two-term distortion bound: coefficient variance plus truncation bias."""
 
-    n: int
     m: int
-    c: float
     variance_term: float
     bias_term: float
     divergent_js: tuple[int, ...]
@@ -54,8 +52,7 @@ def mse_upper_bound(field: FieldSpec, basis: Basis, deploy: Deployment,
     else:
         bias = m_term_error(true_coefficients(field, basis, m), field, m)
     variance = math.inf if divergent else (c * c / n) * float(np.sum(integrals))
-    return BoundReport(n=n, m=m, c=c, variance_term=variance, bias_term=bias,
-                       divergent_js=divergent)
+    return BoundReport(m=m, variance_term=variance, bias_term=bias, divergent_js=divergent)
 
 
 # ---------------------------------------------------------------------------
@@ -181,8 +178,7 @@ def _add_tiles(sums, field: FieldSpec, deploy: Deployment, noise: Noise,
 def _trial_chunk(payload) -> np.ndarray:
     cell, seed, cell_index, t0, t1 = payload
     keys = stream_keys(seed, [(cell_index, t) for t in range(t0, t1)])
-    # the range `simulate_batch` draws the thresholds from
-    c = cell.field.amplitude_bound + cell.noise.b
+    c = dynamic_range(cell.field, cell.noise)
     out = np.empty((t1 - t0, cell.m), dtype=np.complex128)
     size = max(1, spectral.BLOCK_POINTS // cell.n)
     for lo in range(0, t1 - t0, size):
@@ -203,7 +199,7 @@ def map_trials(cells: Sequence[TrialCell], seed: int,
     of max(1, TASK_SENSORS // n), and the chunks reach `take` as they
     arrive, in payload order: cell by cell, each cell's in trial order.
     No estimate outlives its chunk unless `take` keeps it. Trial t of cell
-    i draws from trial_seed(seed, i, t), whose stream words each chunk
+    i draws from the stream words trial_seed(seed, i, t), which each chunk
     lays out in one array (`stream_keys`); the chunk runs in blocks of
     trials, and each block in tiles of at most BLOCK_POINTS sensors per
     trial: one windowed `simulate_batch` call and one `add_sensors` call
@@ -273,7 +269,7 @@ def monte_carlo_mse(field: FieldSpec, deploy: Deployment, noise: Noise,
     def score(i: int, t0: int, rows: np.ndarray) -> None:
         # each row is scored on its own, so chunking changes no error
         per_n[i][t0:t0 + len(rows)] = integrated_squared_error(
-            ReconstructionCoefficients(rows, n_grid[i]), true_cvs[i], field)
+            ReconstructionCoefficients(rows), true_cvs[i], field)
 
     map_trials(cells, seed, score, workers=workers)
 
@@ -343,7 +339,6 @@ class ScheduleValidation:
     gamma: float
     gamma_in_range: bool
     series_exponent: float
-    uniformly_bounded: bool
     infimum: float
     c1: float | None
     c2: float | None
@@ -351,13 +346,9 @@ class ScheduleValidation:
     projection_ratio_max: float | None   # max over grid of |f_m| / (c2 * m)
 
     @property
-    def bounded_route_available(self) -> bool:
-        return self.uniformly_bounded and self.infimum > 0.0
-
-    @property
     def accepted(self) -> bool:
-        # the ratios are None exactly where the bounded route is unavailable
-        return bool(self.gamma_in_range and self.bounded_route_available
+        # the ratios are None exactly where the infimum is 0
+        return bool(self.gamma_in_range and self.infimum > 0.0
                     and self.kernel_ratio_max <= 1.0 + 1e-9
                     and self.projection_ratio_max <= 1.0 + 1e-9)
 
@@ -382,11 +373,10 @@ def validate_as_schedule(psi: float, gamma: float, deploy: Deployment,
     gamma_ok = 1.0 < gamma < 1.0 / psi
     basis = FourierBasis()
     nu = float(deploy.infimum)
-    bounded = bool(basis.is_uniformly_bounded)
 
     c1 = c2 = None
     kernel_ratio = projection_ratio = None
-    if bounded and nu > 0.0:
+    if nu > 0.0:
         beta = float(basis.bound)
         menu = list(fields) if fields is not None else _shipped_field_menu()
         a = max(f.amplitude_bound for f in menu)
@@ -411,9 +401,8 @@ def validate_as_schedule(psi: float, gamma: float, deploy: Deployment,
                 projection_ratio = max(projection_ratio, float(fm.max()) / (c2 * m))
 
     return ScheduleValidation(psi=psi, gamma=gamma, gamma_in_range=gamma_ok,
-                              series_exponent=gamma * psi,
-                              uniformly_bounded=bounded, infimum=nu,
-                              c1=c1, c2=c2, kernel_ratio_max=kernel_ratio,
+                              series_exponent=gamma * psi, infimum=nu, c1=c1, c2=c2,
+                              kernel_ratio_max=kernel_ratio,
                               projection_ratio_max=projection_ratio)
 
 
@@ -473,7 +462,7 @@ def as_error_trace(field: FieldSpec, deploy: Deployment, noise: Noise,
     m_max = max(m_values)
 
     keys = stream_keys(seed, [()])
-    c = field.amplitude_bound + noise.b
+    c = dynamic_range(field, noise)
 
     true_cv = true_coefficients(field, basis, m_max)
     f_grid = np.asarray(field.eval(grid), dtype=float)

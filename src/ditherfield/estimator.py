@@ -158,7 +158,7 @@ def add_sensors(sums, batch: SensorBatch, density: Deployment) -> None:
 def finish_estimates(sums, c: float, n: int) -> ReconstructionCoefficients:
     """The coefficient estimates (c/n) * sums from the running sums of n
     sensors per realization, c the range their thresholds were drawn from."""
-    return ReconstructionCoefficients(values=(c / n) * sums.result(), n_used=n)
+    return ReconstructionCoefficients(values=(c / n) * sums.result())
 
 
 def estimate_coefficients(batch: SensorBatch, cfg: EstimatorConfig,

@@ -50,7 +50,6 @@ class FourierBasis:
     """
 
     kind: ClassVar[str] = "fourier"
-    is_uniformly_bounded: ClassVar[bool] = True
     bound: ClassVar[float] = 1.0
     size: ClassVar[int | None] = None
 
@@ -108,7 +107,6 @@ class StepBasis:
     cells: int = 64
 
     kind: ClassVar[str] = "step"
-    is_uniformly_bounded: ClassVar[bool] = True
 
     def __post_init__(self):
         if not isinstance(self.cells, numbers.Integral) or not 1 <= self.cells <= STEP_CELLS_MAX:
@@ -179,12 +177,11 @@ Basis = FourierBasis | StepBasis
 
 @dataclass(frozen=True, eq=False)
 class ReconstructionCoefficients:
-    """Leading expansion coefficients alpha_j, j < m: exact ones
-    (`n_used` 0) or estimates from `n_used` sensors. `values` is one
-    vector of length m, or a (trials, m) array holding one per row."""
+    """Leading expansion coefficients alpha_j, j < m, exact or estimated:
+    `values` is one vector of length m, or a (trials, m) array holding one
+    per row."""
 
     values: np.ndarray
-    n_used: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "values", np.asarray(self.values, dtype=np.complex128))

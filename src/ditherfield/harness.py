@@ -32,7 +32,8 @@ from .estimator import TruncationSchedule
 from .fields import (Basis, FieldSpec, FourierBasis, make_bv_field,
                      make_finite_dim_field, make_sobolev_field,
                      true_coefficients)
-from .sensing import SEED_MAX, Deployment, Noise, UniformDeployment
+from .sensing import (SEED_MAX, Deployment, Noise, UniformDeployment,
+                      dynamic_range)
 
 CSV_HEADER = ["experiment_id", "n", "m", "trials", "mse_mean", "mse_std",
               "ci_lo", "ci_hi", "bound_total", "bound_var_term",
@@ -276,7 +277,7 @@ class ExperimentConfig:
 
     @property
     def c(self) -> float:
-        return self.field.amplitude_bound + self.noise.b
+        return dynamic_range(self.field, self.noise)
 
     @property
     def config_hash(self) -> str:
@@ -344,7 +345,7 @@ def parse_experiment_config(doc: dict, seed_override: int | None = None) -> Expe
             problems.append(f"schedule: m(n) must not exceed n, but m({over[0][0]}) "
                             f"= {over[0][1]:.6g}")
     if "field" in args and "noise" in args:
-        c = args["field"].amplitude_bound + args["noise"].b
+        c = dynamic_range(args["field"], args["noise"])
         if not c <= DYNAMIC_RANGE_MAX:
             problems.append(f"field, noise: the dynamic range c = amplitude bound + "
                             f"noise b = {c:g} must be at most {DYNAMIC_RANGE_MAX:g}")
@@ -587,7 +588,7 @@ def run_lemma_battery(n: int = 1000, trials: int = 10_000, j_count: int = 8,
 
     rows: list[dict] = []
     for (fname, f, dname, d, zname, z), alpha, total, shifted in zip(cells, alphas, s1, s2):
-        c = f.amplitude_bound + z.b
+        c = dynamic_range(f, z)
         bounds = (c * c / n) * basis.deployment_integrals(d, j_count)
         mean = total / trials
         var_emp = (shifted - trials * np.abs(mean - alpha) ** 2) / (trials - 1)

@@ -68,10 +68,11 @@ def stream_keys(seed, spawn_keys) -> np.ndarray:
     return words
 
 
-def trial_seed(master_seed: int, *indices: int) -> np.random.SeedSequence:
-    """Per-trial seed: the (entropy, spawn_key) record of the experiment
-    seed and trial coordinates that `simulate_batch` reads."""
-    return np.random.SeedSequence(entropy=master_seed, spawn_key=tuple(indices))
+def trial_seed(master_seed: int, *indices: int) -> np.ndarray:
+    """The (STREAMS, 4) uint64 words of one realization, the experiment
+    seed's with spawn key `indices`: `stream_keys(master_seed,
+    [indices])[0]`, which `simulate_batch` reads as one realization."""
+    return stream_keys(master_seed, [indices])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -308,10 +309,18 @@ class TwoPointNoise:
             raise ValueError("amplitude bound must be positive and finite")
 
     def sample(self, u: np.ndarray) -> np.ndarray:
-        return np.where(u < 0.5, -self.b, self.b)
+        # -b below 1/2 and +b from 1/2 on: u - 0.5 keeps the side of u,
+        # and is +0 at the tie
+        return np.copysign(self.b, u - 0.5)
 
 
 Noise = ZeroNoise | UniformSymNoise | TruncGaussNoise | TwoPointNoise
+
+
+def dynamic_range(field: FieldSpec, noise: Noise) -> float:
+    """c = amplitude bound + noise b: |f + Z| stays within c, the range
+    the thresholds are drawn from and the estimates are scaled by."""
+    return field.amplitude_bound + noise.b
 
 
 # ---------------------------------------------------------------------------
@@ -374,12 +383,13 @@ def simulate_batch(field: FieldSpec, deploy: Deployment, noise: Noise,
     """Draw locations, noise, and thresholds from independent streams,
     sample the field, and quantize against the dithered thresholds.
 
-    `seed` seeds one realization (an int, or a SeedSequence read as its
-    int entropy and spawn key, such as `trial_seed`'s; the batch holds 1-D
-    arrays), or is an (R, STREAMS, 4) uint64 array of `stream_keys`
-    seeding a block of R realizations (the batch holds (R, n) arrays, row r
-    drawn from keys[r]). Every step is elementwise or per row, so a block
-    row equals, bit for bit, the batch of the realization alone.
+    `seed` seeds one realization, as an int (read through `trial_seed`)
+    or as its (STREAMS, 4) uint64 words, such as `trial_seed`'s (the batch
+    holds 1-D arrays), or is an (R, STREAMS, 4) uint64 array of
+    `stream_keys` seeding a block of R realizations (the batch holds
+    (R, n) arrays, row r drawn from keys[r]). Every step is elementwise or
+    per row, so a block row equals, bit for bit, the batch of the
+    realization alone.
     Deterministic in `seed`; extending to n' > n with the same seed
     reproduces the first n sensors exactly.
 
@@ -391,16 +401,12 @@ def simulate_batch(field: FieldSpec, deploy: Deployment, noise: Noise,
         raise ValueError("need at least one sensor")
     if start < 0:
         raise ValueError(f"window start must be nonnegative, got {start}")
-    block = isinstance(seed, np.ndarray)
-    if block:
-        keys = seed
-        if keys.dtype != np.uint64 or keys.ndim != 3 or keys.shape[1:] != (STREAMS, 4):
-            raise ValueError(f"stream keys must be an (R, {STREAMS}, 4) uint64 array")
-    elif isinstance(seed, np.random.SeedSequence):
-        keys = stream_keys(seed.entropy, [seed.spawn_key])
-    else:
-        keys = stream_keys(seed, [()])
-    c = field.amplitude_bound + noise.b
+    words = seed if isinstance(seed, np.ndarray) else trial_seed(seed)
+    if words.dtype != np.uint64 or words.ndim not in (2, 3) or words.shape[-2:] != (STREAMS, 4):
+        raise ValueError(f"stream keys must be a ({STREAMS}, 4) or (R, {STREAMS}, 4) "
+                         "uint64 array")
+    keys = words.reshape(-1, STREAMS, 4)
+    c = dynamic_range(field, noise)
     gen = np.random.Generator(np.random.Philox(0))
     shape = (len(keys), n)
     x = deploy.sample(_fill_uniforms(gen, keys[:, STREAM_LOCATIONS], np.empty(shape), start))
@@ -414,6 +420,6 @@ def simulate_batch(field: FieldSpec, deploy: Deployment, noise: Noise,
     t -= 1.0
     t *= c
     bits = _quantize(y, t)
-    if not block:
+    if words.ndim == 2:
         x, y, t, bits = x[0], y[0], t[0], bits[0]
     return SensorBatch(x=x, y=y, t=t, bits=bits, c=c, start=start)

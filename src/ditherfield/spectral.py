@@ -182,7 +182,7 @@ class ConjSums:
     def __init__(self, lead: tuple, n: int, K: int):
         lead = tuple(lead)
         self.n, self.K, self.fed = n, K, 0
-        self.gridded = bool(n) and _gridded(n, K)
+        self.gridded = _gridded(n, K)
         if self.gridded:
             self.moments = np.zeros(lead + (_TERMS, _cells(K)))
         else:

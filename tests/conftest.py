@@ -21,25 +21,25 @@ def zero_field(amplitude_bound: float = 1.0) -> FiniteDimField:
                           amplitude_bound=amplitude_bound)
 
 
-def substream(seed, label: int) -> np.random.Generator:
-    """Stream `label` of a realization, built afresh: a Philox keyed by
-    (seed, label), its counter at (0, i0 + 1, i1 + 1, 0) for the spawn key
-    (i0, i1), a missing entry giving 0. The oracle for the engine's stream
-    words and reused generator."""
-    entropy, key = ((seed.entropy, seed.spawn_key)
-                    if isinstance(seed, np.random.SeedSequence) else (seed, ()))
+def substream(seed: int, label: int, key: tuple = ()) -> np.random.Generator:
+    """Stream `label` of the realization with this seed and spawn key,
+    built afresh: a Philox keyed by (seed, label), its counter at
+    (0, i0 + 1, i1 + 1, 0) for the spawn key (i0, i1), a missing entry
+    giving 0. The oracle for the engine's stream words and reused
+    generator."""
     i0, i1 = ([k + 1 for k in key] + [0, 0])[:2]
-    return np.random.Generator(np.random.Philox(key=entropy | label << 64,
+    return np.random.Generator(np.random.Philox(key=seed | label << 64,
                                                 counter=i0 << 64 | i1 << 128))
 
 
-def reference_batch(field, deploy, noise, n: int, seed) -> SensorBatch:
-    """One realization simulated from `substream` generators, one trial at
-    a time: what a block row of `simulate_batch` must equal, bit for bit."""
+def reference_batch(field, deploy, noise, n: int, seed: int, key: tuple = ()) -> SensorBatch:
+    """One realization (seed, spawn key) simulated from `substream`
+    generators, one trial at a time: what a block row of `simulate_batch`
+    must equal, bit for bit."""
     c = field.amplitude_bound + noise.b
-    x = deploy.sample(substream(seed, STREAM_LOCATIONS).random(n))
-    z = noise.sample(substream(seed, STREAM_NOISE).random(n))
-    t = (2.0 * substream(seed, STREAM_THRESHOLDS).random(n) - 1.0) * c
+    x = deploy.sample(substream(seed, STREAM_LOCATIONS, key).random(n))
+    z = noise.sample(substream(seed, STREAM_NOISE, key).random(n))
+    t = (2.0 * substream(seed, STREAM_THRESHOLDS, key).random(n) - 1.0) * c
     y = field.eval(x) + z
     return SensorBatch(x=x, y=y, t=t, bits=np.where(y > t, 1.0, -1.0), c=c)
 

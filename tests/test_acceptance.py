@@ -111,7 +111,7 @@ def test_criterion_11_parseval_oracle_equivalence():
         field = make_finite_dim_field(values, amplitude_bound=5.0, basis=basis)
         m = int(rng.integers(1, len(values) + 1))
         hat_vals = rng.uniform(-0.7, 0.7, m) + 1j * rng.uniform(-0.7, 0.7, m)
-        hat = ReconstructionCoefficients(values=hat_vals, n_used=1)
+        hat = ReconstructionCoefficients(values=hat_vals)
         cv = true_coefficients(field, basis, len(values))
         fast = integrated_squared_error(hat, cv, field)
 
@@ -198,13 +198,13 @@ ARTIFACT_SHA256 = {
     "as_traces": {
         "as_trace_zero.csv": "9a29ff74269ce85aa68bce5ce7e2134fc7e98b89a05db006258f1d8982260c23",
         "as_trace_zero_report.json":
-            "bde55c81a84059673860920da5ab2caf8cf85dfef5b05e724c3d50fe46be4edd",
+            "7559209eb145810b5119700dd20d9303980a42db2fc4aa9f76c2aeccbaa2e78d",
         "as_trace_zero_summary.txt":
             "c7279557c3b66b764e558009f8df954eff92a2015baf679de5779c7dc8e2ccd2",
         "as_trace_sawtooth.csv":
             "9a29ff74269ce85aa68bce5ce7e2134fc7e98b89a05db006258f1d8982260c23",
         "as_trace_sawtooth_report.json":
-            "e12261c24b23dbc6ca75af56671a100a1e9224674ee9dc846788899f360d41f3",
+            "2dee33daa9212478889ed1ded840ab41c4f10dd8a5d169c9916cb3ebe7a7e98a",
         "as_trace_sawtooth_summary.txt":
             "71ce5e04756dee0a3ed2c216c0dbd5cb6b6bf2bffab13baeaf6480ef460913bf",
         "as_traces_report.json":

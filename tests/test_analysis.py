@@ -211,13 +211,13 @@ def test_an_empty_grid_is_rejected(fourier):
 
 def test_exact_coefficients_give_zero_error(fourier, finite_dim_k5):
     cv = true_coefficients(finite_dim_k5, fourier, 5)
-    hat = ReconstructionCoefficients(values=cv.values.copy(), n_used=1)
+    hat = ReconstructionCoefficients(values=cv.values.copy())
     assert integrated_squared_error(hat, cv, finite_dim_k5) == 0.0
 
 
 def test_zero_estimate_gives_full_energy(fourier, sawtooth):
     cv = true_coefficients(sawtooth, fourier, 8)
-    hat = ReconstructionCoefficients(values=np.zeros(8, complex), n_used=1)
+    hat = ReconstructionCoefficients(values=np.zeros(8, complex))
     assert integrated_squared_error(hat, cv, sawtooth) == \
         pytest.approx(sawtooth.norm_sq, abs=1e-12)
 
@@ -228,8 +228,7 @@ def test_hand_worked_case():
     # ||f||^2 = 0.25 + 0.25 + 0.25 = 0.75; use the first two coefficients:
     # |1 - 0.5|^2 + |0 - 0.5j|^2 = 0.5, tail = 0.25
     cv = true_coefficients(field, FourierBasis(), 2)
-    hat = ReconstructionCoefficients(values=np.array([1.0, 0.0], dtype=complex),
-                                     n_used=1)
+    hat = ReconstructionCoefficients(values=np.array([1.0, 0.0], dtype=complex))
     assert integrated_squared_error(hat, cv, field) == pytest.approx(0.75, abs=1e-12)
 
 
@@ -244,7 +243,7 @@ def test_parseval_error_matches_direct_quadrature(fourier):
         field = make_finite_dim_field(values, amplitude_bound=4.0, basis=fourier)
         m = int(rng.integers(1, len(values) + 1))
         hat_vals = rng.uniform(-0.5, 0.5, m) + 1j * rng.uniform(-0.5, 0.5, m)
-        hat = ReconstructionCoefficients(values=hat_vals, n_used=1)
+        hat = ReconstructionCoefficients(values=hat_vals)
         cv = true_coefficients(field, fourier, len(values))
         fast = integrated_squared_error(hat, cv, field)
 
@@ -258,7 +257,7 @@ def test_parseval_error_matches_direct_quadrature(fourier):
 
 def test_error_requires_enough_true_coefficients(fourier, sawtooth):
     cv = true_coefficients(sawtooth, fourier, 2)
-    hat = ReconstructionCoefficients(values=np.zeros(4, complex), n_used=1)
+    hat = ReconstructionCoefficients(values=np.zeros(4, complex))
     with pytest.raises(ValueError):
         integrated_squared_error(hat, cv, sawtooth)
 
@@ -383,7 +382,7 @@ def test_sweep_scores_each_trial_as_its_own_row(sawtooth, m):
     rows = collect_trials([TrialCell(sawtooth, deploy, noise, FourierBasis(), 1024, m, 12)],
                           seed=41)[0]
     true_cv = true_coefficients(sawtooth, FourierBasis(), m)
-    per_row = [integrated_squared_error(ReconstructionCoefficients(row, 1024),
+    per_row = [integrated_squared_error(ReconstructionCoefficients(row),
                                         true_cv, sawtooth) for row in rows]
     assert np.array_equal(sweep.trial_values[0], per_row)
 

@@ -67,8 +67,23 @@ def test_spawn_keys_of_every_length_read_distinct_streams():
     gen = np.random.Generator(np.random.Philox(0))
     first = sensing._fill_uniforms(gen, words, np.empty((12, 1)), 0)[:, 0]
     assert len(set(first)) == 12
-    assert np.array_equal(first, [substream(trial_seed(seed, *key), label).random()
+    assert np.array_equal(first, [substream(seed, label, key).random()
                                   for key in keys for label in range(3)])
+
+
+def test_an_int_seed_and_its_words_seed_the_same_realization(sawtooth):
+    """`trial_seed` returns one realization's stream words, which
+    `simulate_batch` reads as a 1-D batch: that of the int seed, and that
+    of the one-trial oracle."""
+    assert np.array_equal(trial_seed(7, 2, 3), stream_keys(7, [(2, 3)])[0])
+    deploy, noise = UniformDeployment(), UniformSymNoise(b=1.0)
+    for words, want in ((trial_seed(5), simulate_batch(sawtooth, deploy, noise, 100, 5)),
+                        (trial_seed(5, 2, 3),
+                         reference_batch(sawtooth, deploy, noise, 100, 5, (2, 3)))):
+        got = simulate_batch(sawtooth, deploy, noise, 100, words)
+        for name in ("x", "y", "t", "bits"):
+            assert getattr(got, name).shape == (100,)
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
 @pytest.mark.parametrize("seed", [np.random.SeedSequence(), np.random.SeedSequence([1, 2]),
@@ -126,7 +141,7 @@ def test_block_rows_equal_the_one_trial_oracle(deploy, noise):
                 cell = cell_for(field, deploy, noise, basis, n, trials)
                 rows = collect_trials([cell], seed)[0]
                 for t in range(trials):
-                    batch = reference_batch(field, deploy, noise, n, trial_seed(seed, 0, t))
+                    batch = reference_batch(field, deploy, noise, n, seed, (0, t))
                     want = estimate_coefficients(
                         batch, cfg_for(field, deploy, noise, basis), M).values
                     assert np.array_equal(rows[t], want), (field.kind, basis.kind, n, t)
@@ -266,7 +281,7 @@ def test_tiled_rows_equal_the_one_trial_oracle(n, basis, m, gridded):
         cell = cell_for(field, deploy, noise, basis, n, trials, m)
         rows = collect_trials([cell], seed)[0]
         for t in range(trials):
-            batch = reference_batch(field, deploy, noise, n, trial_seed(seed, 0, t))
+            batch = reference_batch(field, deploy, noise, n, seed, (0, t))
             want = estimate_coefficients(batch, cfg_for(field, deploy, noise, basis, m),
                                          m).values
             assert np.array_equal(rows[t], want), (field.kind, t)

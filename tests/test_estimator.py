@@ -81,7 +81,6 @@ def test_single_sensor_arithmetic():
                         t=np.array([0.1]), bits=np.array([1.0]), c=2.0)
     hat = estimate_coefficients(batch, make_cfg(c=2.0), 1)
     assert hat.values[0] == pytest.approx(2.0 + 0.0j, abs=1e-15)
-    assert hat.n_used == 1
 
 
 def test_zero_field_estimates_are_unbiased():
@@ -203,9 +202,9 @@ def test_reconstruct_zero_and_constant():
     from ditherfield import ReconstructionCoefficients
 
     x = np.linspace(0.0, 1.0, 33)
-    zero = ReconstructionCoefficients(values=np.zeros(4, dtype=complex), n_used=10)
+    zero = ReconstructionCoefficients(values=np.zeros(4, dtype=complex))
     assert np.array_equal(reconstruct(zero, FourierBasis(), x), np.zeros(33, complex))
-    const = ReconstructionCoefficients(values=np.array([2.5 + 0j]), n_used=10)
+    const = ReconstructionCoefficients(values=np.array([2.5 + 0j]))
     assert np.allclose(reconstruct(const, FourierBasis(), x), 2.5)
 
 
@@ -213,7 +212,7 @@ def test_reconstruct_from_true_coefficients_is_synthesis(finite_dim_k5):
     from ditherfield import ReconstructionCoefficients
 
     cv = true_coefficients(finite_dim_k5, FourierBasis(), 5)
-    coeffs = ReconstructionCoefficients(values=cv.values, n_used=1)
+    coeffs = ReconstructionCoefficients(values=cv.values)
     x = np.linspace(0.0, 1.0, 257)
     assert np.max(np.abs(reconstruct(coeffs, FourierBasis(), x)
                          - finite_dim_k5.eval(x))) < 1e-10

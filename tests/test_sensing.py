@@ -191,6 +191,19 @@ def test_noise_bounded_and_zero_mean(noise):
     assert abs(z.mean()) <= 4.0 * max(noise.b, 1e-12) / 1000.0
 
 
+def test_two_point_noise_is_minus_b_below_one_half_and_plus_b_from_it():
+    """The tie u = 1/2 gives +b; its two float neighbours and the ends of
+    [0, 1) fall on their own sides."""
+    half = 0.5
+    u = np.array([0.0, 5e-324, np.nextafter(half, 0.0), half, np.nextafter(half, 1.0),
+                  np.nextafter(1.0, 0.0)])
+    z = TwoPointNoise(b=0.7).sample(u)
+    assert z.tolist() == [-0.7, -0.7, -0.7, 0.7, 0.7, 0.7]
+    draws = substream(808, STREAM_NOISE).random(10_000)
+    assert np.array_equal(TwoPointNoise(b=0.7).sample(draws),
+                          np.where(draws < 0.5, -0.7, 0.7))
+
+
 def test_noise_prefix_stability():
     for noise in NOISES:
         short = noise.sample(substream(99, STREAM_NOISE).random(1000))
