@@ -16,7 +16,7 @@ import numpy as np
 
 from . import spectral
 from .estimator import TruncationSchedule, add_sensors, finish_estimates
-from .fields import (Basis, FieldSpec, FourierBasis, ReconstructionCoefficients,
+from .fields import (FieldSpec, FourierBasis, ReconstructionCoefficients,
                      m_term_error, make_bv_field, synthesize, true_coefficients)
 from .sensing import Deployment, Noise, dynamic_range, simulate_batch, stream_keys
 
@@ -38,7 +38,7 @@ class BoundReport:
         return self.variance_term + self.bias_term
 
 
-def mse_upper_bound(field: FieldSpec, basis: Basis, deploy: Deployment,
+def mse_upper_bound(field: FieldSpec, basis: FourierBasis, deploy: Deployment,
                     n: int, m: int, c: float) -> BoundReport:
     """Bound E||f - f_hat||^2 <= (c^2/n) * sum_{j<m} int |phi_j|^2/p_X + tail(m)."""
     if n < 1:
@@ -89,7 +89,7 @@ class ConsistencyReport:
         return self.truncation_ok and self.infimum_positive and self.variance_ok
 
 
-def check_consistency_conditions(schedule: TruncationSchedule, basis: Basis,
+def check_consistency_conditions(schedule: TruncationSchedule, basis: FourierBasis,
                                  deploy: Deployment,
                                  n_grid: Sequence[int]) -> ConsistencyReport:
     n_grid = tuple(int(n) for n in n_grid)
@@ -145,7 +145,7 @@ class TrialCell:
     field: FieldSpec
     deploy: Deployment
     noise: Noise
-    basis: Basis
+    basis: FourierBasis
     n: int
     m: int
     trials: int
@@ -242,7 +242,7 @@ class MseSweep:
 
 
 def monte_carlo_mse(field: FieldSpec, deploy: Deployment, noise: Noise,
-                    basis: Basis, schedule: TruncationSchedule,
+                    basis: FourierBasis, schedule: TruncationSchedule,
                     n_grid: Sequence[int], trials: int | Sequence[int], seed: int,
                     workers: int = 1) -> MseSweep:
     """Mean integrated squared error (with normal-approximation 95% CI)
@@ -384,20 +384,19 @@ def validate_as_schedule(psi: float, gamma: float, deploy: Deployment,
         c2 = a * beta  # * sqrt(vol([0,1])) == 1
 
         xg = np.linspace(0.0, 1.0, SCHEDULE_GRID_POINTS)
-        m_max = max(SCHEDULE_M_GRID)
-        phi = np.column_stack([basis.eval(j, xg) for j in range(m_max)])
         inv_p = 1.0 / np.asarray(deploy.pdf(xg), dtype=float)
 
+        # sum_{j<m} phi_j(x) conj phi_j(y) = sum_{j<m} phi_j(x - y)
         kernel_ratio = 0.0
         for m in SCHEDULE_M_GRID:
-            kernel = np.abs(phi[:, :m] @ phi[:, :m].conj().T) * inv_p[None, :]
+            kernel = np.abs(synthesize(basis, np.ones(m), xg[:, None] - xg)) * inv_p[None, :]
             kernel_ratio = max(kernel_ratio, float(kernel.max()) / (c1 * m))
 
         projection_ratio = 0.0
         for f in menu:
-            coeffs = true_coefficients(f, basis, m_max).values
+            coeffs = true_coefficients(f, basis, max(SCHEDULE_M_GRID)).values
             for m in SCHEDULE_M_GRID:
-                fm = np.abs(phi[:, :m] @ coeffs[:m])
+                fm = np.abs(synthesize(basis, coeffs[:m], xg))
                 projection_ratio = max(projection_ratio, float(fm.max()) / (c2 * m))
 
     return ScheduleValidation(psi=psi, gamma=gamma, gamma_in_range=gamma_ok,

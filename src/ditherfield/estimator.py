@@ -14,7 +14,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .fields import Basis, ReconstructionCoefficients, synthesize
+from .fields import FourierBasis, ReconstructionCoefficients, synthesize
 from .sensing import Deployment, SensorBatch
 
 class EstimationError(RuntimeError):
@@ -100,7 +100,7 @@ class EstimatorConfig:
     """Everything the fusion center knows: basis, deployment density
     evaluator, dynamic range, and the truncation rule."""
 
-    basis: Basis
+    basis: FourierBasis
     density: Deployment
     c: float
     schedule: TruncationSchedule
@@ -174,6 +174,6 @@ def estimate_coefficients(batch: SensorBatch, cfg: EstimatorConfig,
     return finish_estimates(sums, cfg.c, batch.n)
 
 
-def reconstruct(coeffs: ReconstructionCoefficients, basis: Basis, x):
+def reconstruct(coeffs: ReconstructionCoefficients, basis: FourierBasis, x):
     """Field estimate sum_{j<m} alpha_hat_j phi_j(x); complex-valued."""
     return synthesize(basis, coeffs.values, np.asarray(x, dtype=float))

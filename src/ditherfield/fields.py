@@ -1,9 +1,9 @@
-"""Orthonormal bases on [0,1], concrete test fields, and series truncation error.
+"""The orthonormal Fourier basis on [0,1], concrete test fields, and series truncation error.
 
 Everything here is exact by construction: every field carries closed-form
-inner products against the complex exponential system and closed-form cell
-integrals, so coefficient horizons of 10^4+ terms cost microseconds and the
-truncation error is evaluated through Parseval, never by quadrature.
+inner products against the complex exponential system, so coefficient
+horizons of 10^4+ terms cost microseconds and the truncation error is
+evaluated through Parseval, never by quadrature.
 """
 
 from __future__ import annotations
@@ -24,10 +24,6 @@ from .spectral import ConjSums, RealSeries, series
 J_TAIL = 16384
 TAIL_REL_TOL = 1e-4
 AMPLITUDE_CHECK_POINTS = 20_001  # grid of the finite-dim sup-norm check
-# Largest cell count of a step basis: 16x the default 64. A block of trial
-# rows keeps one total per cell per row, and at n = 1 a block holds
-# BLOCK_POINTS rows, so its totals stay within 128 MiB at the cap.
-STEP_CELLS_MAX = 1 << 10
 # Largest frequency-pair count of a sobolev field: 64x the shipped 128. Its
 # synthesis peaks near 40 MB at the cap, and the series tables its every
 # evaluation reads grow as 9 x 32 x n_freqs doubles.
@@ -51,7 +47,6 @@ class FourierBasis:
 
     kind: ClassVar[str] = "fourier"
     bound: ClassVar[float] = 1.0
-    size: ClassVar[int | None] = None
 
     @staticmethod
     def frequency(j: int) -> int:
@@ -63,10 +58,6 @@ class FourierBasis:
         freqs = (np.arange(count) + 1) // 2
         freqs[1::2] *= -1
         return freqs
-
-    def eval(self, j: int, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return np.exp(2j * np.pi * self.frequency(j) * x)
 
     def deployment_integrals(self, deploy, count: int) -> np.ndarray:
         """int |phi_j|^2 / p_X over [0,1] for j < count, +inf where it
@@ -94,81 +85,6 @@ class _FourierSums(ConjSums):
         out[..., 0::2] = s_pos[..., :(self.count + 1) // 2]
         out[..., 1::2] = np.conj(s_pos[..., 1:self.K + 1])
         return out
-
-
-@dataclass(frozen=True)
-class StepBasis:
-    """Normalized indicators of a uniform grid of `cells` intervals.
-
-    An orthonormal system (not a full basis of L^2): only j < cells exists.
-    Used for the finite-dimensional experiments.
-    """
-
-    cells: int = 64
-
-    kind: ClassVar[str] = "step"
-
-    def __post_init__(self):
-        if not isinstance(self.cells, numbers.Integral) or not 1 <= self.cells <= STEP_CELLS_MAX:
-            raise ValueError(f"cells must be a positive integer of at most {STEP_CELLS_MAX}, "
-                             f"got {self.cells!r}")
-
-    @property
-    def bound(self) -> float:
-        return math.sqrt(self.cells)
-
-    @property
-    def size(self) -> int:
-        return self.cells
-
-    def _cell_index(self, x: np.ndarray) -> np.ndarray:
-        """Cell of each point; x < 0 reads the first cell, x >= 1 the last."""
-        return np.clip((x * self.cells).astype(np.int64), 0, self.cells - 1)
-
-    def eval(self, j: int, x) -> np.ndarray:
-        if not 0 <= j < self.cells:
-            raise IndexError(f"step basis has {self.cells} functions, got j={j}")
-        x = np.asarray(x, dtype=float)
-        return np.where(self._cell_index(x) == j, self.bound, 0.0).astype(np.complex128)
-
-    def deployment_integrals(self, deploy, count: int) -> np.ndarray:
-        """int |phi_j|^2 / p_X over [0,1] for j < count, +inf where it
-        diverges; |phi_j|^2 is `cells` on cell j and 0 elsewhere."""
-        k = self.cells
-        if count > k:
-            raise ValueError(f"basis has only {k} functions")
-        return k * np.array([deploy.inverse_integral(j / k, (j + 1) / k) for j in range(count)])
-
-    def running_sums(self, count: int, lead: tuple, n: int) -> "_CellTotals":
-        """Running per-cell totals of rows of points with real weights, fed
-        tile by tile."""
-        return _CellTotals(self, count, lead)
-
-
-class _CellTotals:
-    """Per-cell weight totals over the last axis, scaled by the indicator
-    height at the end. Rows go to disjoint bins, and `np.add.at` adds each
-    bin's weights in input order, as one `bincount` over whole rows does:
-    the totals are those of one pass, bit for bit, however the rows are
-    cut into tiles, and a row's equal those of the row alone."""
-
-    def __init__(self, basis: StepBasis, count: int, lead: tuple):
-        if count > basis.cells:
-            raise IndexError(f"step basis has {basis.cells} functions, got count={count}")
-        self.basis, self.count = basis, count
-        self.totals = np.zeros(tuple(lead) + (basis.cells,))
-        self.offsets = basis.cells * np.arange(math.prod(lead)).reshape(tuple(lead) + (1,))
-
-    def add(self, x: np.ndarray, w: np.ndarray) -> None:
-        idx = self.basis._cell_index(x)
-        idx += self.offsets
-        np.add.at(self.totals.reshape(-1), idx.ravel(), np.ravel(w))
-
-    def result(self) -> np.ndarray:
-        return self.basis.bound * self.totals[..., :self.count].astype(np.complex128)
-
-
-Basis = FourierBasis | StepBasis
 
 
 # ---------------------------------------------------------------------------
@@ -199,8 +115,8 @@ class FieldSpec:
 
     Subclasses provide `eval`, exact `norm_sq`, `amplitude_bound`, the
     locations of discontinuities (`jump_points`, including periodic-wrap
-    jumps at 0/1), and the closed-form integrals behind the true
-    coefficients: `fourier_coefficients` and `integral`.
+    jumps at 0/1), and the closed-form `fourier_coefficients` behind the
+    true coefficients.
     """
 
     kind: str = "abstract"
@@ -215,29 +131,18 @@ class FieldSpec:
         """<f, e^{2*pi*i*w*x}> for signed integer frequencies w."""
         raise NotImplementedError
 
-    def integral(self, lo: float, hi: float) -> float:
-        """The plain integral of f over [lo, hi]."""
-        raise NotImplementedError
 
-
-def synthesize(basis: Basis, values: np.ndarray, x) -> np.ndarray:
+def synthesize(basis: FourierBasis, values: np.ndarray, x) -> np.ndarray:
     """sum_j values[j] * phi_j(x), shaped like x (a scalar for a scalar x).
 
-    Step basis: one table lookup per point. Fourier basis: with P_k and N_k
-    the coefficients of frequencies +k and -k, the sum is  S(A) + i S(B)
-    for the halves A = (P + conj N) / 2 and B = (P - conj N) / 2i, where
-    S(A) = Re v_0 + 2 Re sum_k A_k e^{2 pi i k x} is one `spectral.series`
-    call (and S(B) likewise, with Im v_0): the one table path at any
-    length of values, where a non-finite x reads NaN.
+    With P_k and N_k the coefficients of frequencies +k and -k, the sum is
+    S(A) + i S(B) for the halves A = (P + conj N) / 2 and
+    B = (P - conj N) / 2i, where S(A) = Re v_0 + 2 Re sum_k A_k e^{2 pi i k x}
+    is one `spectral.series` call (and S(B) likewise, with Im v_0): the one
+    table path at any length of values, where a non-finite x reads NaN.
     """
     values = np.asarray(values, dtype=np.complex128)
     x = np.asarray(x, dtype=float)
-    if isinstance(basis, StepBasis):
-        if len(values) > basis.cells:
-            raise IndexError(f"step basis has {basis.cells} functions, got {len(values)}")
-        table = np.zeros(basis.cells, dtype=np.complex128)
-        table[:len(values)] = basis.bound * values
-        return table[basis._cell_index(x)][()]
     # v_0, then (N_k, P_k) for k = 1..K, zero-padded to 2K + 1 entries
     v = np.zeros(len(values) // 2 * 2 + 1, dtype=np.complex128)
     v[:len(values)] = values
@@ -249,20 +154,13 @@ def synthesize(basis: Basis, values: np.ndarray, x) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class FiniteDimField(FieldSpec):
     """Exact k-term combination of the leading basis functions, real by
-    construction: Fourier coefficients come in conjugate pairs, step-basis
-    ones are real."""
+    construction: its coefficients come in conjugate pairs."""
 
-    basis: Basis
+    basis: FourierBasis
     values: np.ndarray
     amplitude_bound: float
 
     kind: ClassVar[str] = "finite_dim"
-
-    @property
-    def jump_points(self) -> tuple[float, ...]:
-        if isinstance(self.basis, StepBasis):
-            return tuple(k / self.basis.cells for k in range(1, self.basis.cells))
-        return ()
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=np.complex128)
@@ -272,26 +170,20 @@ class FiniteDimField(FieldSpec):
             raise ValueError("coefficients must be finite")
         if not 0.0 < self.amplitude_bound < math.inf:
             raise ValueError("amplitude bound must be positive and finite")
-        if isinstance(self.basis, FourierBasis):
-            if abs(vals[0].imag) > 1e-12:
-                raise ValueError("coefficient of the constant function must be real")
-            # odd j pairs with j + 1, so the synthesis is real; an unpaired
-            # trailing odd j pairs with 0
-            mates = np.zeros(len(vals) // 2, dtype=np.complex128)
-            mates[:(len(vals) - 1) // 2] = vals[2::2]
-            broken = np.abs(np.conj(vals[1::2]) - mates) > 1e-12
-            if broken.any():
-                j = 2 * int(np.argmax(broken)) + 1
-                raise ValueError(f"coefficients {j} and {j + 1} are not conjugate partners")
-            # conjugate pairs: the positive-frequency half gives the whole
-            # sum; its synthesis tables are built here, once per field, and
-            # travel with the field when it is pickled to a pool worker
-            object.__setattr__(self, "_series", RealSeries(vals[0].real, vals[2::2]))
-        else:
-            if np.max(np.abs(vals.imag)) > 1e-12:
-                raise ValueError("step-basis coefficients must be real")
-            if len(vals) > self.basis.cells:
-                raise ValueError("more coefficients than basis functions")
+        if abs(vals[0].imag) > 1e-12:
+            raise ValueError("coefficient of the constant function must be real")
+        # odd j pairs with j + 1, so the synthesis is real; an unpaired
+        # trailing odd j pairs with 0
+        mates = np.zeros(len(vals) // 2, dtype=np.complex128)
+        mates[:(len(vals) - 1) // 2] = vals[2::2]
+        broken = np.abs(np.conj(vals[1::2]) - mates) > 1e-12
+        if broken.any():
+            j = 2 * int(np.argmax(broken)) + 1
+            raise ValueError(f"coefficients {j} and {j + 1} are not conjugate partners")
+        # conjugate pairs: the positive-frequency half gives the whole sum;
+        # its synthesis tables are built here, once per field, and travel
+        # with the field when it is pickled to a pool worker
+        object.__setattr__(self, "_series", RealSeries(vals[0].real, vals[2::2]))
         object.__setattr__(self, "values", vals)
 
     @property
@@ -299,33 +191,11 @@ class FiniteDimField(FieldSpec):
         return float(np.sum(np.abs(self.values) ** 2))
 
     def eval(self, x) -> np.ndarray:
-        if isinstance(self.basis, StepBasis):
-            return np.real(synthesize(self.basis, self.values, x))
         return self._series(x)[()]
 
-    def _piecewise(self) -> PiecewiseConstantField:
-        """A step-basis field as levels bound * v_j on the basis cells."""
-        levels = np.zeros(self.basis.cells)
-        levels[:len(self.values)] = self.basis.bound * self.values.real
-        return PiecewiseConstantField(
-            edges=tuple(np.linspace(0.0, 1.0, self.basis.cells + 1)),
-            levels=tuple(levels))
-
     def fourier_coefficients(self, freqs: np.ndarray) -> np.ndarray:
-        if isinstance(self.basis, StepBasis):
-            return self._piecewise().fourier_coefficients(freqs)
         by_freq = {FourierBasis.frequency(j): v for j, v in enumerate(self.values)}
         return np.array([by_freq.get(int(w), 0.0) for w in freqs], dtype=np.complex128)
-
-    def integral(self, lo: float, hi: float) -> float:
-        if isinstance(self.basis, StepBasis):
-            return self._piecewise().integral(lo, hi)
-        # a0 (hi - lo) + 2 Re sum_k pos_k (e^{2 pi i k hi} - e^{2 pi i k lo}) / (2 pi i k)
-        pos = self.values[2::2]
-        k = np.arange(1, len(pos) + 1)
-        rise = np.exp(2j * np.pi * k * hi) - np.exp(2j * np.pi * k * lo)
-        return float(self.values[0].real * (hi - lo)
-                     + 2.0 * np.sum(pos * rise / (2j * np.pi * k)).real)
 
 
 @dataclass(frozen=True)
@@ -346,9 +216,6 @@ class SawtoothField(FieldSpec):
         nz = w != 0
         out[nz] = 1j / (_TWO_PI * w[nz])
         return out
-
-    def integral(self, lo: float, hi: float) -> float:
-        return 0.5 * (hi * hi - lo * lo) - 0.5 * (hi - lo)
 
 
 @dataclass(frozen=True, eq=False)
@@ -408,11 +275,6 @@ class PiecewiseConstantField(FieldSpec):
             out[~zero] = (np.diff(e, axis=1) @ levels) / (-2j * np.pi * wn)
         return out
 
-    def integral(self, lo: float, hi: float) -> float:
-        a = np.maximum(np.asarray(self.edges[:-1]), lo)
-        b = np.minimum(np.asarray(self.edges[1:]), hi)
-        return float(np.sum(np.asarray(self.levels) * np.clip(b - a, 0.0, None)))
-
 
 @dataclass(frozen=True, eq=False)
 class SobolevField(FiniteDimField):
@@ -421,7 +283,7 @@ class SobolevField(FiniteDimField):
 
     s: float
     seed: int
-    basis: Basis = dataclasses.field(default=FourierBasis(), init=False)
+    basis: FourierBasis = dataclasses.field(default=FourierBasis(), init=False)
 
     kind: ClassVar[str] = "sobolev"
 
@@ -455,7 +317,7 @@ def _check_tail_residual(field: FieldSpec) -> None:
 
 
 def make_finite_dim_field(coefficients: Sequence[complex], amplitude_bound: float,
-                          basis: Basis = FourierBasis()) -> FiniteDimField:
+                          basis: FourierBasis = FourierBasis()) -> FiniteDimField:
     """A `FiniteDimField` whose synthesis stays within its amplitude bound."""
     field = FiniteDimField(basis=basis, values=coefficients,
                            amplitude_bound=amplitude_bound)
@@ -536,21 +398,13 @@ def make_sobolev_field(s: float, seed: int, amplitude_bound: float = 1.0,
 # operations
 # ---------------------------------------------------------------------------
 
-def true_coefficients(field: FieldSpec, basis: Basis,
+def true_coefficients(field: FieldSpec, basis: FourierBasis,
                       count: int) -> ReconstructionCoefficients:
     """<f, phi_j> for j < count, in closed form: the field's Fourier
-    coefficients, or its integral over cell j scaled by the step height."""
+    coefficients."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    if basis.size is not None and count > basis.size:
-        raise ValueError(f"basis has only {basis.size} functions")
-    if isinstance(basis, FourierBasis):
-        values = field.fourier_coefficients(basis.frequencies(count))
-    else:
-        cell = 1.0 / basis.cells
-        values = basis.bound * np.array(
-            [field.integral(j * cell, (j + 1) * cell) for j in range(count)],
-            dtype=np.complex128)
+    values = field.fourier_coefficients(basis.frequencies(count))
     return ReconstructionCoefficients(values=values)
 
 

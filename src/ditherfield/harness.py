@@ -29,7 +29,7 @@ from .analysis import (RATE_FIT_MIN_POINTS, ASTraceResult, RateFitResult,
                        map_trials, monte_carlo_mse, mse_upper_bound, rate_fit,
                        validate_as_schedule)
 from .estimator import TruncationSchedule
-from .fields import (Basis, FieldSpec, FourierBasis, make_bv_field,
+from .fields import (FieldSpec, FourierBasis, make_bv_field,
                      make_finite_dim_field, make_sobolev_field,
                      true_coefficients)
 from .sensing import (SEED_MAX, Deployment, Noise, UniformDeployment,
@@ -126,7 +126,7 @@ class Acceptance:
 _SECTIONS: dict[object, tuple[str, str, dict[str, Callable]]] = {
     Deployment: ("deployment", "kind", {cls.kind: cls for cls in get_args(Deployment)}),
     Noise: ("noise", "kind", {cls.kind: cls for cls in get_args(Noise)}),
-    Basis: ("basis", "kind", {cls.kind: cls for cls in get_args(Basis)}),
+    FourierBasis: ("basis", "kind", {FourierBasis.kind: FourierBasis}),
     TruncationSchedule: ("schedule", "kind", {kind: getattr(TruncationSchedule, kind)
                                               for kind in TruncationSchedule.KINDS}),
     FieldSpec: ("field", "class", {"finite_dim": make_finite_dim_field, "bv": make_bv_field,
@@ -233,7 +233,7 @@ def _build_section(hint, doc, path: str):
     `Acceptance`, any other's names its constructor by its kind key (a
     basis may be its kind alone). A constructor's own range check is
     reported under `path`."""
-    if hint == Basis and isinstance(doc, str):
+    if hint is FourierBasis and isinstance(doc, str):
         doc = {"kind": doc}
     if not isinstance(doc, dict):
         raise _problem(path, f"expected an object, got {_got(doc)}")
@@ -267,7 +267,7 @@ class ExperimentConfig:
     n_grid: Sequence[int]
     seed: int
     trials: int | Sequence[int] | None = None  # a sweep's; a trace runs none
-    basis: Basis = FourierBasis()
+    basis: FourierBasis = FourierBasis()
     acceptance: Acceptance = Acceptance()
     raw: dict = dataclasses.field(init=False)
 
@@ -297,7 +297,7 @@ def parse_experiment_config(doc: dict, seed_override: int | None = None) -> Expe
     n_grid, trials = args.get("n_grid", ()), args["trials"]
     counts = (trials,) * max(len(n_grid), 1) if isinstance(trials, int) else trials or ()
     seed, accept, eid = args.get("seed", 0), args["acceptance"], args.get("experiment_id", "")
-    schedule, basis = args.get("schedule"), args["basis"]
+    schedule = args.get("schedule")
     fitted = [key for key, value in (("r2_min", accept.r2_min),
                                      ("slope_range", accept.slope_range)) if value is not None]
     # a declared trace_ratio_max runs one trace in place of the sweep
@@ -330,16 +330,11 @@ def parse_experiment_config(doc: dict, seed_override: int | None = None) -> Expe
                      "a power schedule with psi < 1",
          traced and schedule is not None
          and not (schedule.schedule_kind == "power" and schedule.param < 1.0)),
-        ("basis", f"a trace (acceptance.trace_ratio_max) runs on the fourier basis, "
-                  f"not the {basis.kind} one", traced and basis.kind != "fourier"),
         (", ".join(swept), "a trace (acceptance.trace_ratio_max) runs in place of the "
                            "sweep these judge", traced and swept)] if violated]
 
     if schedule is not None and n_grid and min(n_grid) >= 1:
         m_values = [schedule.resolve(n) for n in n_grid]
-        if basis.size is not None and max(m_values) > basis.size:
-            problems.append(f"schedule: m(n) reaches {max(m_values)} on n_grid, but the "
-                            f"{basis.kind} basis has only {basis.size} functions")
         over = [(n, m) for n, m in zip(n_grid, m_values) if m > n]
         if over:
             problems.append(f"schedule: m(n) must not exceed n, but m({over[0][0]}) "
@@ -440,7 +435,7 @@ def run_experiment(config: ExperimentConfig, out_dir, workers: int = 1) -> Exper
         lines = rejection
         report = {"detail": rejection[0], "divergent_js": divergent}
     elif config.acceptance.trace_ratio_max is not None:
-        # the parser holds a trace to a power schedule with psi < 1 and the Fourier basis
+        # the parser holds a trace to a power schedule with psi < 1
         trace = as_error_trace(config.field, config.deployment, config.noise,
                                psi=config.schedule.param, seed=config.seed,
                                n_checkpoints=config.n_grid)

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from ditherfield import (AffineFloorDeployment, FiniteDimField, FourierBasis,
-                         SensorBatch, StepBasis, TabulatedDeployment,
-                         UniformDeployment, make_bv_field,
+                         SensorBatch, TabulatedDeployment, UniformDeployment, make_bv_field,
                          make_finite_dim_field, make_sobolev_field)
 from ditherfield import spectral
 from ditherfield.analysis import map_trials
@@ -42,6 +41,12 @@ def reference_batch(field, deploy, noise, n: int, seed: int, key: tuple = ()) ->
     t = (2.0 * substream(seed, STREAM_THRESHOLDS, key).random(n) - 1.0) * c
     y = field.eval(x) + z
     return SensorBatch(x=x, y=y, t=t, bits=np.where(y > t, 1.0, -1.0), c=c)
+
+
+def fourier_eval(j: int, x) -> np.ndarray:
+    """phi_j(x) of the Fourier basis, one complex exponential per point:
+    the oracle that synthesis is compared against."""
+    return np.exp(2j * np.pi * FourierBasis.frequency(j) * np.asarray(x, dtype=float))
 
 
 def basis_sums(basis, m: int, x: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -99,11 +104,6 @@ def tabulate_deployment(pdf, cells: int = TABULATION_CELLS) -> TabulatedDeployme
 @pytest.fixture(scope="session")
 def fourier():
     return FourierBasis()
-
-
-@pytest.fixture(scope="session")
-def step64():
-    return StepBasis(cells=64)
 
 
 @pytest.fixture(scope="session")

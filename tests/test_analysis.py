@@ -7,7 +7,7 @@ from scipy.integrate import quad
 
 from ditherfield import (AffineFloorDeployment, EstimatorConfig, FourierBasis,
                          Linear2xDeployment, ReconstructionCoefficients,
-                         StepBasis, TabulatedDeployment, TruncGaussNoise,
+                         SawtoothField, TabulatedDeployment, TruncGaussNoise,
                          TruncationSchedule, UniformDeployment,
                          UniformSymNoise, ZeroNoise,
                          as_error_trace, check_consistency_conditions,
@@ -20,7 +20,7 @@ from ditherfield import analysis
 from ditherfield.analysis import WORKERS_MAX, TrialCell, map_trials
 from ditherfield.fields import synthesize
 
-from conftest import collect_trials, tabulate_deployment, zero_field
+from conftest import collect_trials, fourier_eval, tabulate_deployment, zero_field
 
 LN3 = 1.0986122886681098
 
@@ -46,23 +46,11 @@ def test_affine_floor_integral_is_log3(fourier):
     assert value == pytest.approx(LN3, abs=1e-9)
 
 
-def test_step_basis_integral_picks_up_its_cell(step64):
-    # cells away from the vanishing endpoint stay finite under p(x) = 2x
-    deploy = Linear2xDeployment()
-    integrals = step64.deployment_integrals(deploy, 64)
-    lo, hi = 32 / 64, 33 / 64
-    expected = 64 * (np.log(hi) - np.log(lo)) / 2.0
-    assert integrals[32] == pytest.approx(expected, rel=1e-9)
-    assert math.isinf(integrals[0])
-
-
 @pytest.mark.parametrize("pdf_values", [[1, 0, 1], [0, 0, 1, 1], [1, 0, 0, 1]])
-def test_tabulated_density_with_a_zero_diverges(fourier, step64, pdf_values):
+def test_tabulated_density_with_a_zero_diverges(fourier, pdf_values):
     # p_X is linear between nodes, so a zero node makes 1/p_X unintegrable
     deploy = TabulatedDeployment(np.asarray(pdf_values, dtype=float))
     assert math.isinf(fourier.deployment_integrals(deploy, 1)[0])
-    zero_cell = 10 if pdf_values == [0, 0, 1, 1] else 32
-    assert math.isinf(step64.deployment_integrals(deploy, 64)[zero_cell])
 
 
 def node_by_node_inverse_integral(pdf_values) -> float:
@@ -190,13 +178,6 @@ def test_the_checker_reads_the_variance_sum_of_the_bound(fourier):
     assert report.m_values == (10, 32, 100, 317, 1000)
     for q, m, n in zip(report.variance_condition_values, report.m_values, grid):
         assert q == float(np.sum(fourier.deployment_integrals(deploy, m))) / n
-
-
-def test_the_checker_stops_at_the_last_step_function(step64):
-    """A schedule past the step basis's cells has no functions to sum over."""
-    with pytest.raises(ValueError, match="only 64 functions"):
-        check_consistency_conditions(TruncationSchedule.fixed(65), step64,
-                                     UniformDeployment(), (100, 1000))
 
 
 def test_an_empty_grid_is_rejected(fourier):
@@ -350,17 +331,24 @@ def test_chunks_reach_take_in_payload_order(sawtooth, monkeypatch):
                          (1, 0, (2, 4)), (1, 2, (2, 4)), (1, 4, (1, 4))]
 
 
+class UnevaluableField(SawtoothField):
+    """A sawtooth whose evaluation raises, in whatever process runs it."""
+
+    def eval(self, x):
+        raise ArithmeticError("this field cannot be evaluated")
+
+
 def test_no_pool_outlives_a_raise(sawtooth, monkeypatch):
-    """A chunk that raises in a worker (four step functions asked for
-    eight) and a `take` that raises both leave no worker process behind."""
+    """A chunk that raises in a worker (its field cannot be evaluated) and
+    a `take` that raises both leave no worker process behind."""
     monkeypatch.setattr(analysis, "TASK_SENSORS", 100)
     deploy, noise = UniformDeployment(), ZeroNoise()
 
-    def cell(basis):
-        return TrialCell(sawtooth, deploy, noise, basis, 100, 8, 6)
+    def cell(field):
+        return TrialCell(field, deploy, noise, FourierBasis(), 100, 8, 6)
 
-    with pytest.raises(IndexError, match="step basis has 4 functions"):
-        map_trials([cell(FourierBasis()), cell(StepBasis(cells=4))], seed=2,
+    with pytest.raises(ArithmeticError, match="cannot be evaluated"):
+        map_trials([cell(sawtooth), cell(UnevaluableField())], seed=2,
                    take=lambda *chunk: None, workers=2)
     assert multiprocessing.active_children() == []
 
@@ -368,7 +356,7 @@ def test_no_pool_outlives_a_raise(sawtooth, monkeypatch):
         raise RuntimeError("consumer failed")
 
     with pytest.raises(RuntimeError, match="consumer failed"):
-        map_trials([cell(FourierBasis())], seed=2, take=take, workers=2)
+        map_trials([cell(sawtooth)], seed=2, take=take, workers=2)
     assert multiprocessing.active_children() == []
 
 
@@ -483,6 +471,24 @@ def test_bounded_basis_route_constants_and_kernel_equality():
     # the summed kernel attains c1 * m on the diagonal, so the max ratio is 1
     assert val.kernel_ratio_max == pytest.approx(1.0, abs=1e-9)
     assert val.projection_ratio_max <= 1.0 + 1e-9
+
+
+@pytest.mark.parametrize("m", analysis.SCHEDULE_M_GRID)
+def test_the_schedule_check_reads_the_dense_kernel_and_projections(monkeypatch, m):
+    """At each truncation point, the kernel synthesized at x - y and the
+    projections synthesized from the true coefficients give the ratios of
+    the dense sums of phi_j(x) conj phi_j(y) and alpha_j phi_j(x), to
+    rounding."""
+    monkeypatch.setattr(analysis, "SCHEDULE_M_GRID", (m,))
+    deploy = tabulate_deployment(lambda x: 1.0 + 0.5 * np.sin(2 * np.pi * x))
+    val = validate_as_schedule(0.5, 1.5, deploy)
+    xg = np.linspace(0.0, 1.0, analysis.SCHEDULE_GRID_POINTS)
+    phi = np.column_stack([fourier_eval(j, xg) for j in range(m)])
+    kernel = np.abs(phi @ phi.conj().T) / np.asarray(deploy.pdf(xg))[None, :]
+    assert val.kernel_ratio_max == pytest.approx(kernel.max() / (val.c1 * m), rel=1e-12)
+    projection = max(np.abs(phi @ true_coefficients(f, FourierBasis(), m).values).max()
+                     for f in analysis._shipped_field_menu())
+    assert val.projection_ratio_max == pytest.approx(projection / (val.c2 * m), rel=1e-12)
 
 
 def test_unbounded_weights_disable_the_bounded_route():

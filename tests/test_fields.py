@@ -7,14 +7,14 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from ditherfield import (ConfigValidationError, FiniteDimField, FourierBasis,
-                         PiecewiseConstantField, SobolevField, StepBasis,
+                         PiecewiseConstantField, SobolevField,
                          m_term_error, make_bv_field, make_finite_dim_field,
                          make_sobolev_field, parse_experiment_config,
                          true_coefficients)
 from ditherfield.fields import J_TAIL, synthesize
 from ditherfield.spectral import series
 
-from conftest import SHIPPED_K5_COEFFS, midpoint_grid, zero_field
+from conftest import SHIPPED_K5_COEFFS, fourier_eval, midpoint_grid, zero_field
 
 # oracle values from independent Gauss-Kronrod quadrature at 1e-12
 SAWTOOTH_ALPHA_2 = 0.15915494309189535j          # <x - 1/2, e^{2 pi i x}>
@@ -27,53 +27,49 @@ LN3 = 1.0986122886681098
 # bases
 # ---------------------------------------------------------------------------
 
-def test_fourier_indexing_matches_the_interleaved_convention(fourier):
+def test_fourier_indexing_matches_the_interleaved_convention():
     x = np.linspace(0.0, 1.0, 17)
-    assert np.allclose(fourier.eval(0, x), 1.0)
+    assert np.allclose(fourier_eval(0, x), 1.0)
     for j in range(1, 9):
         if j % 2 == 0:
             expected = np.exp(1j * np.pi * j * x)
         else:
             expected = np.exp(-1j * np.pi * (j + 1) * x)
-        assert np.allclose(fourier.eval(j, x), expected, atol=1e-14)
+        assert np.allclose(fourier_eval(j, x), expected, atol=1e-14)
 
 
-@pytest.mark.parametrize("basis_name", ["fourier", "step"])
-def test_orthonormality_up_to_64(basis_name):
-    basis = FourierBasis() if basis_name == "fourier" else StepBasis(cells=128)
+def test_orthonormality_up_to_64():
     xg = midpoint_grid()
-    block = np.column_stack([basis.eval(j, xg) for j in range(65)])
+    block = np.column_stack([fourier_eval(j, xg) for j in range(65)])
     gram = block.conj().T @ block / len(xg)
     assert np.max(np.abs(gram - np.eye(65))) < 1e-8
 
 
-def test_uniform_amplitude_bounds(fourier, step64):
+def test_uniform_amplitude_bounds(fourier):
     x = np.linspace(0.0, 1.0, 4097)
     for j in range(0, 40, 7):
-        assert np.max(np.abs(fourier.eval(j, x))) <= 1.0 + 1e-12
-    for j in range(0, 64, 9):
-        assert np.max(np.abs(step64.eval(j, x))) <= step64.bound + 1e-12
+        assert np.max(np.abs(fourier_eval(j, x))) <= fourier.bound + 1e-12
     assert fourier.bound == 1.0
-    assert step64.bound == pytest.approx(8.0)
 
 
-def test_unit_vector_synthesis_matches_scalar_eval(fourier, step64):
+def test_unit_vector_synthesis_matches_scalar_eval(fourier):
     x = np.linspace(0.0, 1.0, 101)
-    for basis, count in ((fourier, 12), (step64, 10)):
-        for j in range(count):
-            unit = np.zeros(count)
-            unit[j] = 1.0
-            assert np.allclose(synthesize(basis, unit, x), basis.eval(j, x),
-                               rtol=0.0, atol=1e-12)
-            assert synthesize(basis, unit, 0.3) == pytest.approx(
-                complex(basis.eval(j, 0.3)), abs=1e-12)
+    for j in range(12):
+        unit = np.zeros(12)
+        unit[j] = 1.0
+        assert np.allclose(synthesize(fourier, unit, x), fourier_eval(j, x),
+                           rtol=0.0, atol=1e-12)
+        assert synthesize(fourier, unit, 0.3) == pytest.approx(
+            complex(fourier_eval(j, 0.3)), abs=1e-12)
 
 
-def test_step_synthesis_matches_eval_outside_the_unit_interval():
-    basis, values = StepBasis(4), np.array([1.0, 2.0, 3.0, 4.0])
-    for x in (-0.3, -1e-9, 0.0, 1.0, 1.3):
-        direct = sum(v * basis.eval(j, x) for j, v in enumerate(values))
-        assert synthesize(basis, values, x) == direct, x
+@pytest.mark.parametrize("x", [-0.3, -1e-9, 0.0, 1.0, 1.3])
+def test_synthesis_matches_eval_outside_the_unit_interval(fourier, x):
+    """Off [0, 1) the synthesis reads the periodic basis, as the
+    exponentials themselves do."""
+    values = np.array([1.0, 2.0 - 1.0j, 3.0, 4.0j, -0.5])
+    direct = sum(v * fourier_eval(j, x) for j, v in enumerate(values))
+    assert synthesize(fourier, values, x) == pytest.approx(complex(direct), abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -109,14 +105,6 @@ def test_step_and_staircase_coefficients(step_field, staircase, fourier):
     cv2 = true_coefficients(staircase, fourier, 6)
     assert cv2.values[0] == pytest.approx(0.0, abs=1e-12)
     assert cv2.values[3] == pytest.approx(STAIRCASE_ALPHA_3, abs=1e-12)
-
-
-def test_step_basis_coefficients_are_scaled_cell_averages(step64, sawtooth):
-    cv = true_coefficients(sawtooth, step64, 8)
-    # cell j has midpoint (j + 0.5)/64; the field is linear, so the cell
-    # average is exact there
-    mids = (np.arange(8) + 0.5) / 64
-    assert np.allclose(cv.values, (mids - 0.5) / 8.0, atol=1e-12)
 
 
 def test_conjugate_pairing_for_real_fields(fourier, shipped_fields):
@@ -245,12 +233,6 @@ def test_piecewise_field_rejects_non_finite_edges_or_levels(which, bad):
         PiecewiseConstantField(edges=tuple(doc["edges"]), levels=tuple(doc["levels"]))
 
 
-@pytest.mark.parametrize("cells", [0, 2.5, 16.0, np.nan, np.inf])
-def test_step_basis_needs_a_positive_integer_cell_count(cells):
-    with pytest.raises(ValueError, match="positive integer"):
-        StepBasis(cells=cells)
-
-
 def test_finite_dim_rejects_broken_conjugate_pairs(fourier):
     with pytest.raises(ValueError):
         make_finite_dim_field([0.1, 0.2 + 0.1j, 0.5], amplitude_bound=1.0, basis=fourier)
@@ -265,13 +247,6 @@ def test_directly_built_fields_reject_broken_pairs(fourier, values):
         FiniteDimField(fourier, values, 1.0)
     with pytest.raises(ValueError):
         SobolevField(s=1.0, seed=0, amplitude_bound=1.0, values=values)
-
-
-def test_step_field_rejects_complex_or_surplus_coefficients():
-    with pytest.raises(ValueError, match="real"):
-        FiniteDimField(StepBasis(cells=4), [0.5, 0.5j], 1.0)
-    with pytest.raises(ValueError, match="more coefficients"):
-        FiniteDimField(StepBasis(cells=4), np.ones(5), 1.0)
 
 
 def test_sobolev_field_is_a_fourier_finite_dim_field():
@@ -396,41 +371,23 @@ def test_synthesis_analysis_round_trip_randomized(values):
     assert np.allclose(cv.values, np.asarray(values, dtype=complex), atol=1e-12)
 
 
-@st.composite
-def real_finite_dim_fields(draw):
-    """A real field on the Fourier basis or on a step basis of 1-16 cells."""
-    if draw(st.booleans()):
-        values = draw(conjugate_symmetric_coeffs())
-        basis = FourierBasis()
-    else:
-        basis = StepBasis(draw(st.integers(min_value=1, max_value=16)))
-        values = draw(st.lists(st.floats(min_value=-1.0, max_value=1.0),
-                               min_size=1, max_size=basis.cells))
-    bound = basis.bound * sum(abs(v) for v in values) + 1.0
-    return FiniteDimField(basis=basis, values=values, amplitude_bound=bound)
+def quad_parts(fn):
+    """The integral of a complex fn over [0, 1], part by part."""
+    kw = dict(epsabs=1e-13, epsrel=0.0, limit=400)
+    return complex(quad(lambda x: fn(x).real, 0.0, 1.0, **kw)[0],
+                   quad(lambda x: fn(x).imag, 0.0, 1.0, **kw)[0])
 
 
-def quad_parts(fn, lo, hi, points):
-    inner = sorted(p for p in points if lo < p < hi) or None
-    kw = dict(points=inner, epsabs=1e-13, epsrel=0.0, limit=400)
-    return complex(quad(lambda x: fn(x).real, lo, hi, **kw)[0],
-                   quad(lambda x: fn(x).imag, lo, hi, **kw)[0])
-
-
-@given(real_finite_dim_fields(),
-       st.floats(min_value=0.0, max_value=1.0), st.floats(min_value=0.0, max_value=1.0))
+@given(conjugate_symmetric_coeffs())
 @settings(max_examples=40, deadline=None)
-def test_finite_dim_closed_forms_match_quad(field, a, b):
-    lo, hi = min(a, b), max(a, b)
-    edges = ([j / field.basis.cells for j in range(1, field.basis.cells)]
-             if isinstance(field.basis, StepBasis) else [])
+def test_finite_dim_closed_forms_match_quad(values):
+    field = FiniteDimField(basis=FourierBasis(), values=values,
+                           amplitude_bound=sum(abs(v) for v in values) + 1.0)
     f = lambda x: complex(field.eval(x))
-    assert field.integral(lo, hi) == pytest.approx(
-        quad_parts(f, lo, hi, edges).real, rel=0.0, abs=1e-12)
     freqs = np.arange(-4, 5)
     coeffs = field.fourier_coefficients(freqs)
     for w, c in zip(freqs, coeffs):
-        direct = quad_parts(lambda x: f(x) * np.exp(-2j * np.pi * w * x), 0.0, 1.0, edges)
+        direct = quad_parts(lambda x: f(x) * np.exp(-2j * np.pi * w * x))
         assert abs(c - direct) <= 1e-12, w
 
 

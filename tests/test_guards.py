@@ -9,18 +9,17 @@ import pytest
 
 from ditherfield import (EstimatorConfig, FieldSpec, FiniteDimField,
                          FourierBasis, PiecewiseConstantField, SensorBatch,
-                         StepBasis, TabulatedDeployment, TruncationSchedule,
+                         TabulatedDeployment, TruncationSchedule,
                          UniformDeployment, ZeroNoise, as_error_trace,
                          check_consistency_conditions, estimate_coefficients,
                          m_term_error, make_bv_field, monte_carlo_mse,
                          mse_upper_bound, simulate_batch, stream_keys,
                          trial_seed, true_coefficients, validate_as_schedule)
 from ditherfield.estimator import sensor_weights
-from ditherfield.fields import synthesize
 from ditherfield.spectral import ConjSums
 
 SAWTOOTH = make_bv_field("sawtooth")
-UNIFORM, FOURIER, STEP4 = UniformDeployment(), FourierBasis(), StepBasis(cells=4)
+UNIFORM, FOURIER = UniformDeployment(), FourierBasis()
 BATCH = simulate_batch(SAWTOOTH, UNIFORM, ZeroNoise(), 8, 1)
 CFG = EstimatorConfig(basis=FOURIER, density=UNIFORM, c=BATCH.c,
                       schedule=TruncationSchedule.bv())
@@ -46,16 +45,9 @@ GUARDS = [
                                             trial_seed(1).astype(np.int64)), ValueError,
      "stream keys must be a (3, 4) or (R, 3, 4) uint64 array"),
     # fields
-    ("step_eval_index", lambda: STEP4.eval(4, 0.5), IndexError,
-     "step basis has 4 functions, got j=4"),
-    ("step_sums_count", lambda: STEP4.running_sums(5, (), 10), IndexError,
-     "step basis has 4 functions, got count=5"),
     ("abstract_eval", lambda: FieldSpec().eval(0.5), NotImplementedError, ""),
     ("abstract_fourier", lambda: FieldSpec().fourier_coefficients(np.arange(3)),
      NotImplementedError, ""),
-    ("abstract_integral", lambda: FieldSpec().integral(0.0, 1.0), NotImplementedError, ""),
-    ("step_synthesis_length", lambda: synthesize(STEP4, np.ones(5), 0.5), IndexError,
-     "step basis has 4 functions, got 5"),
     ("no_coefficient", lambda: FiniteDimField(basis=FOURIER, values=np.zeros(0),
                                               amplitude_bound=1.0), ValueError,
      "need at least one coefficient"),
@@ -68,8 +60,6 @@ GUARDS = [
      ValueError, "edges must be strictly increasing"),
     ("true_count_zero", lambda: true_coefficients(SAWTOOTH, FOURIER, 0), ValueError,
      "count must be >= 1"),
-    ("true_count_past_basis", lambda: true_coefficients(SAWTOOTH, STEP4, 5), ValueError,
-     "basis has only 4 functions"),
     ("tail_negative_m", lambda: m_term_error(true_coefficients(SAWTOOTH, FOURIER, 2),
                                              SAWTOOTH, -1), ValueError, "m must be >= 0"),
     # estimator

@@ -21,7 +21,7 @@ from ditherfield import (AffineFloorDeployment, ConfigValidationError, FourierBa
                          run_experiment, run_lemma_battery, run_suite, true_coefficients)
 from ditherfield import analysis
 from ditherfield.analysis import WORKERS_MAX, map_trials
-from ditherfield.fields import SOBOLEV_FREQS_MAX, STEP_CELLS_MAX
+from ditherfield.fields import SOBOLEV_FREQS_MAX
 from ditherfield.harness import _MISMATCH_CONFIGS, _RATE_CONFIGS, _TRACE_CONFIGS
 
 from conftest import collect_trials
@@ -74,14 +74,6 @@ def test_schedule_takes_only_its_own_parameter_key(schedule, key):
                        match=rf"schedule\.{key}: unexpected key; {schedule['kind']} "
                              rf"schedule takes \['kind'"):
         parse_experiment_config(dict(MINI_CONFIG, schedule=schedule))
-
-
-def test_step_basis_smaller_than_the_schedule_is_rejected_at_parse():
-    doc = dict(MINI_CONFIG, basis={"kind": "step", "cells": 16},
-               n_grid=[100, 1000], acceptance={})
-    with pytest.raises(ConfigValidationError,
-                       match="reaches 32 on n_grid, but the step basis has only 16"):
-        parse_experiment_config(doc)
 
 
 @pytest.mark.parametrize("doc, path, what", [
@@ -187,26 +179,6 @@ def test_the_conditions_suite_holds_the_affine_floor_integral_at_ln3(tmp_path, m
 def test_unknown_suite_rejected(tmp_path):
     with pytest.raises(ValueError):
         run_suite("nope", tmp_path)
-
-
-def test_step_basis_experiment_end_to_end(tmp_path):
-    doc = {
-        "experiment_id": "step_finite_dim",
-        "field": {"class": "finite_dim", "basis": {"kind": "step", "cells": 16},
-                  "coefficients": [[0.2, 0.0], [-0.1, 0.0], [0.05, 0.0]],
-                  "amplitude_bound": 1.0},
-        "basis": {"kind": "step", "cells": 16},
-        "deployment": {"kind": "uniform"},
-        "noise": {"kind": "uniform_sym", "b": 0.5},
-        "schedule": {"kind": "finite_dim", "k": 3},
-        "n_grid": [500, 1000, 2000, 4000],
-        "trials": 40,
-        "seed": 510,
-        "acceptance": {"slope_range": [-1.6, -0.4], "r2_min": 0.8,
-                       "bound_dominance": True},
-    }
-    outcome = run_experiment(parse_experiment_config(doc), tmp_path)
-    assert outcome.status == "PASS", outcome.detail
 
 
 def test_lemma_battery_smoke():
@@ -437,18 +409,16 @@ def test_cli_run_exits_1_when_the_declared_trace_ratio_is_missed(tmp_path, capsy
     ({"schedule": {"kind": "bv"}}, "schedule: a trace (acceptance.trace_ratio_max) grows "
                                    "m(n) = n^psi, so it needs a power schedule with psi < 1"),
     ({"schedule": {"kind": "power", "psi": 1.0}}, "schedule: a trace"),
-    ({"basis": {"kind": "step", "cells": 64}},
-     "basis: a trace (acceptance.trace_ratio_max) runs on the fourier basis, not the step one"),
     ({"acceptance": {"trace_ratio_max": 0.9, "bound_dominance": False}},
      "acceptance.bound_dominance: a trace (acceptance.trace_ratio_max) runs in place of "
      "the sweep these judge"),
     ({"acceptance": {"trace_ratio_max": 0.9, "slope_range": [-1, 0], "r2_min": 0.9},
       "n_grid": [500, 1000, 2000, 5000]}, "acceptance.slope_range, acceptance.r2_min: a trace")],
-    ids=["bv_schedule", "psi_1", "step_basis", "bound_dominance", "rate_fit"])
+    ids=["bv_schedule", "psi_1", "bound_dominance", "rate_fit"])
 def test_cli_run_rejects_a_trace_it_cannot_judge(tmp_path, capsys, change, named):
-    """A trace grows m(n) = n^psi, psi < 1, on the Fourier basis, and
-    judges no sweep tolerance: anything else is a config error (exit 2,
-    one stderr line naming the key) before any file is written."""
+    """A trace grows m(n) = n^psi, psi < 1, and judges no sweep tolerance:
+    anything else is a config error (exit 2, one stderr line naming the
+    key) before any file is written."""
     config_path = tmp_path / "trace.json"
     config_path.write_text(json.dumps(dict(TRACE_CONFIG, **change)))
     assert cli.main(["run", str(config_path), "--out", str(tmp_path / "out")]) == 2
@@ -460,12 +430,12 @@ def test_cli_run_rejects_a_trace_it_cannot_judge(tmp_path, capsys, change, named
 
 
 @pytest.mark.parametrize("pdf_values", [[1, 0, 1], [0, 0, 1, 1], [1, 0, 0, 1]])
-@pytest.mark.parametrize("basis", ["fourier", {"kind": "step", "cells": 64}],
-                         ids=["fourier", "step64"])
+@pytest.mark.parametrize("basis", ["fourier", {"kind": "fourier"}], ids=["fourier", "object"])
 def test_cli_rejects_a_tabulated_density_with_a_zero(tmp_path, pdf_values, basis):
     """A tabulated density with a zero node makes the variance integral
     infinite: `run` reports FAILED-PRECONDITION and
-    `check-conditions` fails, both without a traceback."""
+    `check-conditions` fails, both without a traceback, whichever way the
+    basis section is spelled."""
     doc = dict(MINI_CONFIG, basis=basis,
                deployment={"kind": "tabulated", "pdf_values": pdf_values})
     config_path = tmp_path / "mini.json"
@@ -573,6 +543,49 @@ def test_fourier_basis_takes_no_parameters():
         parse_experiment_config(dict(MINI_CONFIG, basis={"kind": "fourier", "cells": 16}))
 
 
+_STEP16 = {"kind": "step", "cells": 16}
+_STEP_FIELD = {"class": "finite_dim", "coefficients": [[0.2, 0.0], [-0.1, 0.0], [0.05, 0.0]],
+               "amplitude_bound": 1.0, "basis": _STEP16}
+
+
+# documents that named the step basis, which is gone, in the tests that ran,
+# capped or fuzzed it; each lists the sections that name it
+@pytest.mark.parametrize("doc, sections", [
+    (dict(MINI_CONFIG, basis=_STEP16), ["basis"]),
+    (dict(MINI_CONFIG, field=_STEP_FIELD), ["field.basis"]),
+    (dict(MINI_CONFIG, field=_STEP_FIELD, basis=_STEP16, schedule={"kind": "finite_dim", "k": 3}),
+     ["field.basis", "basis"]),
+    (dict(MINI_CONFIG, field=dict(_STEP_FIELD, basis={"kind": "step", "cells": "16"})),
+     ["field.basis"]),
+    (dict(MINI_CONFIG, basis="step"), ["basis"]),
+    (dict(MINI_CONFIG, field=dict(_STEP_FIELD, basis="step")), ["field.basis"]),
+    (dict(TRACE_CONFIG, basis={"kind": "step", "cells": 64}), ["basis"]),
+    (dict(MINI_CONFIG, basis={"kind": "step", "cells": 64},
+          deployment={"kind": "tabulated", "pdf_values": [1, 0, 1]}), ["basis"]),
+    (dict(MINI_CONFIG, basis={"kind": "step", "cells": 64},
+          field={"class": "sobolev", "s": 1.0, "seed": 7, "n_freqs": 32}), ["basis"]),
+    *[(dict(MINI_CONFIG, basis={"kind": "step", "cells": cells}), ["basis"])
+      for cells in (1024, -1, 0, 1025, 1 << 40)]],
+    ids=["top", "field", "both", "nested_cells_string", "top_kind_alone", "field_kind_alone",
+         "trace", "tabulated_zero",
+         "fuzz_sized", "cells_1024", "cells_-1", "cells_0", "cells_1025", "cells_2^40"])
+def test_a_removed_basis_fails_at_the_boundary(tmp_path, capsys, doc, sections):
+    """The step basis is gone: a document that names it, at the top level
+    or in a finite_dim field, by an object or by its kind alone, is a
+    config error naming the one basis kind left, and `run` exits 2 before
+    any file is written."""
+    problems = [f"{section}.kind: unknown basis kind 'step'; expected one of ['fourier']"
+                for section in sections]
+    with pytest.raises(ConfigValidationError) as err:
+        parse_experiment_config(doc)
+    assert err.value.problems == problems
+    config_path = tmp_path / "removed.json"
+    config_path.write_text(json.dumps(doc))
+    assert cli.main(["run", str(config_path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"run: {err.value}\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("key, doc, named", [
     ("noise", {"kind": "zero", "b": 1.0}, r"noise\.b: unexpected key; zero noise takes "
                                           r"\['kind'\]"),
@@ -620,9 +633,6 @@ def test_a_kind_that_is_not_a_string_is_unknown(key, doc, message):
      r"field\.coefficients\[0\]: expected \[re, im\] of finite numbers, got \[0\.1\]"),
     ("field", {"class": "sobolev", "s": 1.0, "seed": 7.5},
      r"field\.seed: expected an integer, got float 7\.5"),
-    ("field", {"class": "finite_dim", "coefficients": [[0.1, 0.0]], "amplitude_bound": 1.0,
-               "basis": {"kind": "step", "cells": "16"}},
-     r"field\.basis\.cells: expected an integer, got str '16'"),
     ("schedule", {"m": 5}, r"schedule\.kind: unknown schedule kind None; expected one of "
                            r"\['fixed', 'finite_dim', 'bv', 'sobolev', 'power'\]"),
     ("basis", 5, r"basis: expected an object, got int 5"),
@@ -630,7 +640,7 @@ def test_a_kind_that_is_not_a_string_is_unknown(key, doc, message):
      r"field: seed must be a nonnegative integer, got -1")],
     ids=["noise_b_string", "sigma_null", "nu_list", "pdf_values_strings", "field_string",
          "no_coefficients", "coefficient_not_a_pair", "sobolev_seed_fraction",
-         "nested_basis_cells", "schedule_no_kind", "basis_number", "sobolev_seed_negative"])
+         "schedule_no_kind", "basis_number", "sobolev_seed_negative"])
 def test_a_value_of_the_wrong_type_is_named_by_its_key_path(key, doc, message):
     """These used to leak Python internals (`'<' not supported between
     instances`, `dictionary update sequence`, a private function's name,
@@ -766,17 +776,13 @@ _SOBOLEV = {"class": "sobolev", "s": 1.0, "seed": 7}
     ("trials", (1 << 32) - 1, True),
     ("trials", 1 << 32, False),
     ("trials", [12, 12, 12, 1 << 40], False),
-    ("basis", {"kind": "step", "cells": STEP_CELLS_MAX}, True),
-    *[("basis", {"kind": "step", "cells": cells}, False)
-      for cells in (-1, 0, STEP_CELLS_MAX + 1, 1 << 40)],
     ("field", dict(_SOBOLEV, n_freqs=SOBOLEV_FREQS_MAX), True),
     *[("field", dict(_SOBOLEV, n_freqs=n_freqs), False)
       for n_freqs in (-1, 0, SOBOLEV_FREQS_MAX + 1, 1 << 40)]])
 def test_counts_are_capped_at_parse_time(key, value, ok):
     """Parsed only: a config at a cap is never run here, and a section is
-    checked before anything of its size is allocated (2^40 step cells used
-    to parse and then fail mid-run allocating 16 TiB, and n_freqs = -1 read
-    numpy's negative dimensions)."""
+    checked before anything of its size is allocated (n_freqs = -1 used to
+    read numpy's negative dimensions)."""
     assert harness.N_GRID_MAX >= 10 ** 6  # the shipped trace checkpoints
     doc = dict(MINI_CONFIG, **{key: value})
     if ok:
@@ -840,10 +846,9 @@ def test_the_dynamic_range_is_capped_at_parse_time(key, change):
 _SHIPPED = _RATE_CONFIGS + _TRACE_CONFIGS + _MISMATCH_CONFIGS
 _DROP = "<drop the key>"
 _FUZZ_VALUES = (0, -1, 1e308, 1 << 40, 2.5, "text", None, "1", [0.5], {}, True, _DROP)
-# the shipped configs, and one that sets the size keys none of them sets
+# the shipped configs, and one that sets the size key none of them sets
 _FUZZ_DOCS = {**{name: _shipped_doc(name) for name in _SHIPPED},
-              "sized": dict(MINI_CONFIG, field=dict(_SOBOLEV, n_freqs=32),
-                            basis={"kind": "step", "cells": 64})}
+              "sized": dict(MINI_CONFIG, field=dict(_SOBOLEV, n_freqs=32))}
 
 
 def _every_path(doc, path=()):

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ditherfield import (AffineFloorDeployment, EstimatorConfig, FourierBasis,
-                         StepBasis, TruncationSchedule, TwoPointNoise,
+                         TruncationSchedule, TwoPointNoise,
                          UniformSymNoise, estimate_coefficients, make_bv_field,
                          make_sobolev_field, simulate_batch, stream_keys)
 from ditherfield import analysis, spectral
@@ -28,20 +28,19 @@ INGREDIENTS = [(make_sobolev_field(1.0, seed=7, n_freqs=32), AffineFloorDeployme
                (make_bv_field("staircase"),
                 tabulate_deployment(lambda x: 1.0 + 0.5 * np.sin(2 * np.pi * x)),
                 TwoPointNoise(b=0.7))]
-BASES = [FourierBasis(), StepBasis(cells=64)]
 
 
-@given(ingredients=st.sampled_from(INGREDIENTS), basis=st.sampled_from(BASES),
+@given(ingredients=st.sampled_from(INGREDIENTS),
        n=st.integers(min_value=1, max_value=6 * BLOCK), m=st.integers(min_value=1, max_value=64),
        trials=st.integers(min_value=1, max_value=5), start=st.integers(min_value=0),
        gridded=st.booleans(), seed=st.integers(min_value=0, max_value=2 ** 64 - 1))
 # three blocks summed on the direct path, and two-trial blocks on the gridded one
-@example(ingredients=INGREDIENTS[0], basis=BASES[0], n=3 * BLOCK + 5, m=9, trials=2,
+@example(ingredients=INGREDIENTS[0], n=3 * BLOCK + 5, m=9, trials=2,
          start=2 * BLOCK + 3, gridded=False, seed=5)
-@example(ingredients=INGREDIENTS[0], basis=BASES[0], n=BLOCK // 2, m=9, trials=3,
+@example(ingredients=INGREDIENTS[0], n=BLOCK // 2, m=9, trials=3,
          start=7, gridded=True, seed=5)
 @settings(max_examples=150, deadline=None)
-def test_block_rows_and_tile_cuts_are_one_pass_of_one_trial(ingredients, basis, n, m, trials,
+def test_block_rows_and_tile_cuts_are_one_pass_of_one_trial(ingredients, n, m, trials,
                                                             start, gridded, seed):
     """On either type-1 path: a window of sensors from any start is that
     slice of the whole draw; the engine's rows (tiles of BLOCK sensors,
@@ -49,6 +48,7 @@ def test_block_rows_and_tile_cuts_are_one_pass_of_one_trial(ingredients, basis, 
     trial alone; and one block of every trial, fed in two tiles cut at a
     whole block, gives those rows again."""
     field, deploy, noise = ingredients
+    basis = FourierBasis()
     start %= n
     with mock.patch.object(spectral, "BLOCK_POINTS", BLOCK), \
             mock.patch.object(spectral, "_gridded", lambda n, K: gridded):
@@ -73,28 +73,32 @@ def test_block_rows_and_tile_cuts_are_one_pass_of_one_trial(ingredients, basis, 
         assert np.array_equal(finish_estimates(sums, whole.c, n).values, rows)
 
 
-@given(ingredients=st.sampled_from(INGREDIENTS), basis=st.sampled_from(BASES),
+@given(ingredients=st.sampled_from(INGREDIENTS),
        shapes=st.lists(st.tuples(st.integers(min_value=1, max_value=3 * BLOCK),
                                  st.integers(min_value=1, max_value=16),
                                  st.integers(min_value=1, max_value=6)),
                        min_size=1, max_size=3),
-       task_sensors=st.integers(min_value=1, max_value=8 * BLOCK),
+       task_sensors=st.integers(min_value=1, max_value=8 * BLOCK), gridded=st.booleans(),
        seed=st.integers(min_value=0, max_value=2 ** 64 - 1), workers=st.just(1))
-# two workers take one-trial tasks, and tasks of several trials and blocks
-@example(ingredients=INGREDIENTS[0], basis=BASES[0], shapes=[(BLOCK + 5, 9, 4), (3, 4, 6)],
-         task_sensors=1, seed=11, workers=2)
-@example(ingredients=INGREDIENTS[1], basis=BASES[1], shapes=[(7, 16, 5), (2 * BLOCK, 3, 3)],
-         task_sensors=3 * BLOCK, seed=12, workers=2)
+# two workers take one-trial tasks on the direct path, and tasks of several
+# trials and blocks on the gridded one
+@example(ingredients=INGREDIENTS[0], shapes=[(BLOCK + 5, 9, 4), (3, 4, 6)],
+         task_sensors=1, gridded=False, seed=11, workers=2)
+@example(ingredients=INGREDIENTS[1], shapes=[(7, 16, 5), (2 * BLOCK, 3, 3)],
+         task_sensors=3 * BLOCK, gridded=True, seed=12, workers=2)
 @settings(max_examples=60, deadline=None)
-def test_a_task_size_changes_no_row_and_no_take_order(ingredients, basis, shapes, task_sensors,
-                                                     seed, workers):
-    """Whatever TASK_SENSORS is, `take` sees cell after cell, each cell's
-    trials in order, in chunks of max(1, TASK_SENSORS // n) trials, and
-    every row is that of one task per cell."""
+def test_a_task_size_changes_no_row_and_no_take_order(ingredients, shapes, task_sensors,
+                                                     gridded, seed, workers):
+    """On either type-1 path, whatever TASK_SENSORS is, `take` sees cell
+    after cell, each cell's trials in order, in chunks of
+    max(1, TASK_SENSORS // n) trials, and every row is that of one task
+    per cell."""
     field, deploy, noise = ingredients
-    cells = [TrialCell(field, deploy, noise, basis, n, m, trials) for n, m, trials in shapes]
+    cells = [TrialCell(field, deploy, noise, FourierBasis(), n, m, trials)
+             for n, m, trials in shapes]
     taken = []
-    with mock.patch.object(spectral, "BLOCK_POINTS", BLOCK):
+    with mock.patch.object(spectral, "BLOCK_POINTS", BLOCK), \
+            mock.patch.object(spectral, "_gridded", lambda n, K: gridded):
         whole = collect_trials(cells, seed)
         with mock.patch.object(analysis, "TASK_SENSORS", task_sensors):
             map_trials(cells, seed, lambda i, t0, rows: taken.append((i, t0, rows)),

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ditherfield import FourierBasis, StepBasis, spectral
+from ditherfield import FourierBasis, spectral
 from ditherfield.fields import FiniteDimField, synthesize
 from ditherfield.harness import _RATE_CONFIGS, _TRACE_CONFIGS, load_shipped_config
 
@@ -277,13 +277,12 @@ def test_public_functions_match_exponential_sums(n, K):
                         _exp_synthesis(values, xs)) <= RTOL
 
 
-@given(n=st.integers(1, 3000), m=st.integers(1, 300), seed=st.integers(0, 2 ** 32 - 1),
-       step=st.booleans())
+@given(n=st.integers(1, 3000), m=st.integers(1, 300), seed=st.integers(0, 2 ** 32 - 1))
 @settings(max_examples=40, deadline=None)
-def test_synthesis_is_the_adjoint_of_the_weighted_sums(n, m, seed, step):
+def test_synthesis_is_the_adjoint_of_the_weighted_sums(n, m, seed):
     """sum_i w_i f_v(x_i) = sum_j v_j conj(sum_i w_i conj(phi_j(x_i))) for real w:
     the synthesis and analysis kernels are one pair."""
-    basis = StepBasis(cells=m) if step else FourierBasis()
+    basis = FourierBasis()
     rng = np.random.default_rng(seed)
     x = _points(n, m // 2, seed, 4)
     w = rng.uniform(-1.0, 1.0, n)
