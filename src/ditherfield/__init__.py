@@ -19,8 +19,7 @@ from .harness import (ConfigValidationError, ExperimentConfig,
                       load_shipped_config, parse_experiment_config,
                       run_experiment, run_lemma_battery, run_suite)
 from .sensing import (AffineFloorDeployment, Linear2xDeployment, SensorBatch,
-                      TabulatedDeployment, TruncGaussNoise, TwoPointNoise,
-                      UniformDeployment, UniformSymNoise, ZeroNoise,
-                      simulate_batch, stream_keys, trial_seed)
+                      TwoPointNoise, UniformDeployment, UniformSymNoise,
+                      ZeroNoise, simulate_batch, stream_keys, trial_seed)
 
 __version__ = "0.1.0"

@@ -247,14 +247,17 @@ def monte_carlo_mse(field: FieldSpec, deploy: Deployment, noise: Noise,
                     workers: int = 1) -> MseSweep:
     """Mean integrated squared error (with normal-approximation 95% CI)
     over independent simulate -> estimate -> error pipelines, m(n) =
-    `schedule.resolve(n)` coefficients of `basis` at each n.
+    `schedule.resolve(n)` coefficients of `basis` at each n, `trials` of
+    them at each n, or `trials[i]` at `n_grid[i]` for a list or 1-D array.
 
     Deterministic in `seed`; the per-trial seeds are derived from
     (seed, n-index, trial-index), so the worker count never changes results.
     """
     n_grid = tuple(int(n) for n in n_grid)
-    trials_per_n = (tuple(int(t) for t in trials) if isinstance(trials, (list, tuple))
-                    else (int(trials),) * len(n_grid))
+    if np.ndim(trials) > 1:
+        raise ValueError("need one trial count, or one per n")
+    trials_per_n = ((int(trials),) * len(n_grid) if np.ndim(trials) == 0
+                    else tuple(int(t) for t in trials))
     if len(trials_per_n) != len(n_grid):
         raise ValueError("need one trial count per n")
     if any(t < 2 for t in trials_per_n):
@@ -370,6 +373,8 @@ def validate_as_schedule(psi: float, gamma: float, deploy: Deployment,
     BV menu)."""
     if not 0.0 < psi < 1.0:
         raise ValueError("growth exponent must lie in (0, 1)")
+    if fields is not None and len(fields) == 0:
+        raise ValueError("fields must hold at least one field, or be None for the shipped menu")
     gamma_ok = 1.0 < gamma < 1.0 / psi
     basis = FourierBasis()
     nu = float(deploy.infimum)

@@ -18,11 +18,6 @@ import numpy as np
 
 from .spectral import ConjSums, RealSeries, series
 
-# Coefficient horizon standing in for the infinite expansion of a
-# non-synthesized field. Must keep the Parseval residual of every shipped
-# shape under TAIL_REL_TOL * ||f||^2 (the sawtooth is the binding case).
-J_TAIL = 16384
-TAIL_REL_TOL = 1e-4
 AMPLITUDE_CHECK_POINTS = 20_001  # grid of the finite-dim sup-norm check
 # Largest frequency-pair count of a sobolev field: 64x the shipped 128. Its
 # synthesis peaks near 40 MB at the cap, and the series tables its every
@@ -306,16 +301,6 @@ def _check_amplitude(field: FieldSpec) -> None:
             f"> a = {field.amplitude_bound:.6g}")
 
 
-def _check_tail_residual(field: FieldSpec) -> None:
-    """Reject fields whose energy is not captured by the J_TAIL horizon."""
-    coeffs = field.fourier_coefficients(FourierBasis.frequencies(J_TAIL))
-    residual = field.norm_sq - float(np.sum(np.abs(coeffs) ** 2))
-    if residual > TAIL_REL_TOL * field.norm_sq:
-        raise ValueError(
-            f"Parseval residual {residual:.3e} beyond {J_TAIL} coefficients "
-            f"exceeds {TAIL_REL_TOL:g} * ||f||^2 = {TAIL_REL_TOL * field.norm_sq:.3e}")
-
-
 def make_finite_dim_field(coefficients: Sequence[complex], amplitude_bound: float,
                           basis: FourierBasis = FourierBasis()) -> FiniteDimField:
     """A `FiniteDimField` whose synthesis stays within its amplitude bound."""
@@ -335,22 +320,12 @@ _BV_SHAPES: dict[str, Callable[[], FieldSpec]] = {
 }
 
 
-def make_bv_field(shape: str, edges: Sequence[float] | None = None,
-                  levels: Sequence[float] | None = None) -> FieldSpec:
-    """One of the shipped bounded-variation shapes, which take no edges or
-    levels, or a custom piecewise field."""
-    if shape in _BV_SHAPES:
-        if edges is not None or levels is not None:
-            raise ValueError(f"the shipped {shape!r} shape takes no edges or levels")
-        field = _BV_SHAPES[shape]()
-    elif edges is None or levels is None:
-        raise ValueError(f"unknown bounded-variation shape {shape!r}; a custom "
-                         "shape needs both edges and levels")
-    else:
-        field = PiecewiseConstantField(edges=tuple(edges), levels=tuple(levels),
-                                       shape=shape)
-    _check_tail_residual(field)
-    return field
+def make_bv_field(shape: str) -> FieldSpec:
+    """One of the shipped bounded-variation shapes."""
+    if shape not in _BV_SHAPES:
+        raise ValueError(f"unknown bounded-variation shape {shape!r}; "
+                         f"expected one of {list(_BV_SHAPES)}")
+    return _BV_SHAPES[shape]()
 
 
 SOBOLEV_DECAY_MARGIN = 0.05   # excess decay keeping the smoothness energy finite

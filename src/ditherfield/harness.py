@@ -170,14 +170,14 @@ _SCALARS: dict[type, tuple[str, Callable, Callable]] = {
 
 
 def _is_list(hint) -> bool:
-    return hint is np.ndarray or get_origin(hint) is collections.abc.Sequence
+    return get_origin(hint) is collections.abc.Sequence
 
 
 def _convert(hint, value, path: str):
     """`value` checked and converted by the one converter its annotation
-    picks: a section is a section document, a sequence or an array of
-    floats is a list (held as a tuple), and a union takes null where it
-    admits None, a list by its sequence arm and any other value by its other."""
+    picks: a section is a section document, a sequence is a list (held
+    as a tuple), and a union takes null where it admits None, a list by
+    its sequence arm and any other value by its other."""
     if hint in _SCALARS:
         expected, test, cast = _SCALARS[hint]
         if not test(value):
@@ -186,10 +186,9 @@ def _convert(hint, value, path: str):
     if hint in _SECTIONS or hint is Acceptance:
         return _build_section(hint, value, path)
     if _is_list(hint):
-        item = float if hint is np.ndarray else get_args(hint)[0]
         if not isinstance(value, (list, tuple)):
             raise _problem(path, f"expected a list, got {_got(value)}")
-        return tuple(_convert(item, v, f"{path}[{i}]") for i, v in enumerate(value))
+        return tuple(_convert(get_args(hint)[0], v, f"{path}[{i}]") for i, v in enumerate(value))
     arms = [arm for arm in get_args(hint) if arm is not type(None)]
     if value is None and len(arms) < len(get_args(hint)):
         return None
@@ -553,6 +552,8 @@ def run_lemma_battery(n: int = 1000, trials: int = 10_000, j_count: int = 8,
         raise ValueError("need at least two trials per cell")
     if n < 1:
         raise ValueError("sensor count must be >= 1")
+    if j_count < 1:
+        raise ValueError("j_count must be >= 1")
     from .sensing import (AffineFloorDeployment, TwoPointNoise, UniformSymNoise,
                           ZeroNoise)
 

@@ -89,9 +89,6 @@ class UniformDeployment:
     def pdf(self, x) -> np.ndarray:
         return np.ones_like(np.asarray(x, dtype=float))
 
-    def cdf(self, x) -> np.ndarray:
-        return np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
-
     def sample(self, u: np.ndarray) -> np.ndarray:
         return u
 
@@ -108,10 +105,6 @@ class Linear2xDeployment:
 
     def pdf(self, x) -> np.ndarray:
         return 2.0 * np.asarray(x, dtype=float)
-
-    def cdf(self, x) -> np.ndarray:
-        x = np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
-        return x * x
 
     def sample(self, u: np.ndarray) -> np.ndarray:
         return np.sqrt(u)
@@ -140,10 +133,6 @@ class AffineFloorDeployment:
     def pdf(self, x) -> np.ndarray:
         return self.nu + 2.0 * (1.0 - self.nu) * np.asarray(x, dtype=float)
 
-    def cdf(self, x) -> np.ndarray:
-        x = np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
-        return self.nu * x + (1.0 - self.nu) * x * x
-
     def sample(self, u: np.ndarray) -> np.ndarray:
         if self.nu == 1.0:
             return u
@@ -161,89 +150,7 @@ class AffineFloorDeployment:
         return math.log1p(rise / p_lo) / slope
 
 
-@dataclass(frozen=True, eq=False)
-class TabulatedDeployment:
-    """Density given by values on a uniform node grid, linearly interpolated.
-
-    `cdf` is the exact integral of that piecewise-linear density, quadratic
-    on each cell, and `sample` is its exact inverse, so the sensors are
-    drawn from the density the estimator's weights divide by.
-    """
-
-    pdf_values: np.ndarray
-
-    kind: ClassVar[str] = "tabulated"
-
-    def __post_init__(self):
-        vals = np.asarray(self.pdf_values, dtype=float)
-        if vals.ndim != 1 or len(vals) < 2:
-            raise ValueError("need densities on at least two nodes")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("density values must be finite")
-        if np.any(vals < 0):
-            raise ValueError("density values must be nonnegative")
-        nodes = np.linspace(0.0, 1.0, len(vals))
-        raw_cdf = np.concatenate(
-            [[0.0], np.cumsum(0.5 * (vals[1:] + vals[:-1]) * np.diff(nodes))])
-        if raw_cdf[-1] <= 0:
-            raise ValueError("density integrates to zero")
-        vals = vals / raw_cdf[-1]
-        object.__setattr__(self, "pdf_values", vals)
-        object.__setattr__(self, "_nodes", nodes)
-        object.__setattr__(self, "_cdf_values", raw_cdf / raw_cdf[-1])
-        object.__setattr__(self, "_slopes", np.diff(vals) / np.diff(nodes))
-
-    @property
-    def infimum(self) -> float:
-        return float(np.min(self.pdf_values))
-
-    def pdf(self, x) -> np.ndarray:
-        return np.interp(np.asarray(x, dtype=float), self._nodes, self.pdf_values)
-
-    def cdf(self, x) -> np.ndarray:
-        """F(node i) + p0 t + d t^2 / 2 at t = x - node i, p0 and d the
-        cell's left density and slope."""
-        x = np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
-        i = np.clip(np.searchsorted(self._nodes, x, side="right") - 1, 0, len(self._nodes) - 2)
-        t = x - self._nodes[i]
-        return self._cdf_values[i] + t * (self.pdf_values[i] + 0.5 * self._slopes[i] * t)
-
-    def sample(self, u: np.ndarray) -> np.ndarray:
-        """The root t = 2r / (p0 + sqrt(p0^2 + 2 d r)) of p0 t + d t^2 / 2 = r,
-        r = u - F(node i): free of cancellation, and t = r / p0 on a flat
-        cell. A cell of no mass holds no u, so a zero denominator means r = 0."""
-        i = np.clip(np.searchsorted(self._cdf_values, u, side="right") - 1, 0,
-                    len(self._nodes) - 2)
-        r = u - self._cdf_values[i]
-        p0, d = self.pdf_values[i], self._slopes[i]
-        root = p0 + np.sqrt(np.maximum(p0 * p0 + 2.0 * d * r, 0.0))
-        t = np.divide(2.0 * r, root, out=np.zeros_like(r), where=root > 0.0)
-        return np.minimum(self._nodes[i] + t, self._nodes[i + 1])
-
-    def inverse_integral(self, lo: float, hi: float) -> float:
-        """Integral of 1/p over [lo, hi], exact on each linear piece:
-        h log(p1/p0) / (p1 - p0), which is h log1p(d) / (d p0) with
-        d = p1/p0 - 1 where |d| < 1/2 (a flat piece, d = 0, gives h / p0).
-        Elsewhere the log splits into log p1 - log p0, since p1/p0 leaves
-        the float range beside a subnormal node. A zero of p at any
-        breakpoint makes 1/p unintegrable (+inf)."""
-        inner = self._nodes[np.searchsorted(self._nodes, lo, side="right"):
-                            np.searchsorted(self._nodes, hi, side="left")]
-        x = np.concatenate([[lo], inner, [hi]])
-        p = self.pdf(x)
-        if np.any(p <= 0.0):
-            return math.inf
-        p0, p1 = p[:-1], p[1:]
-        # p1/p0 may overflow, and np.where evaluates each arm where it discards it too
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            d = p1 / p0 - 1.0
-            per_piece = np.where(np.abs(d) < 0.5,
-                                 np.where(d == 0.0, 1.0, np.log1p(d) / d) / p0,
-                                 (np.log(p1) - np.log(p0)) / (p1 - p0))
-        return float(np.sum(np.diff(x) * per_piece))
-
-
-Deployment = UniformDeployment | Linear2xDeployment | AffineFloorDeployment | TabulatedDeployment
+Deployment = UniformDeployment | Linear2xDeployment | AffineFloorDeployment
 
 
 # ---------------------------------------------------------------------------
@@ -274,31 +181,6 @@ class UniformSymNoise:
 
 
 @dataclass(frozen=True)
-class TruncGaussNoise:
-    """Gaussian truncated to [-b, +b]; symmetric, hence zero-mean."""
-
-    sigma: float = 0.5
-    b: float = 1.0
-
-    kind: ClassVar[str] = "trunc_gauss"
-
-    def __post_init__(self):
-        if not (0.0 < self.sigma < math.inf and 0.0 < self.b < math.inf):
-            raise ValueError("sigma and amplitude bound must be positive and finite")
-        # scipy is loaded when the first such noise is built, not when the
-        # package is imported; a pool forked afterwards inherits it
-        import scipy.special  # noqa: F401
-
-    def sample(self, u: np.ndarray) -> np.ndarray:
-        # an unpickled noise skips __post_init__, so sample imports too
-        from scipy.special import ndtr, ndtri
-        lo = ndtr(-self.b / self.sigma)
-        hi = ndtr(self.b / self.sigma)
-        z = self.sigma * ndtri(lo + (hi - lo) * u)
-        return np.clip(z, -self.b, self.b)
-
-
-@dataclass(frozen=True)
 class TwoPointNoise:
     b: float = 1.0
 
@@ -314,7 +196,7 @@ class TwoPointNoise:
         return np.copysign(self.b, u - 0.5)
 
 
-Noise = ZeroNoise | UniformSymNoise | TruncGaussNoise | TwoPointNoise
+Noise = ZeroNoise | UniformSymNoise | TwoPointNoise
 
 
 def dynamic_range(field: FieldSpec, noise: Noise) -> float:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ditherfield import (AffineFloorDeployment, FiniteDimField, FourierBasis,
-                         SensorBatch, TabulatedDeployment, UniformDeployment, make_bv_field,
+                         SensorBatch, UniformDeployment, make_bv_field,
                          make_finite_dim_field, make_sobolev_field)
 from ditherfield import spectral
 from ditherfield.analysis import map_trials
@@ -12,7 +12,6 @@ from ditherfield.sensing import (STREAM_LOCATIONS, STREAM_NOISE,
                                  STREAM_THRESHOLDS)
 
 SHIPPED_K5_COEFFS = [0.2, 0.15 + 0.1j, 0.15 - 0.1j, -0.1 + 0.05j, -0.1 - 0.05j]
-TABULATION_CELLS = 1 << 12
 
 
 def zero_field(amplitude_bound: float = 1.0) -> FiniteDimField:
@@ -93,12 +92,6 @@ def traced_peak_mb(fn) -> float:
         return tracemalloc.get_traced_memory()[1] / 2 ** 20
     finally:
         tracemalloc.stop()
-
-
-def tabulate_deployment(pdf, cells: int = TABULATION_CELLS) -> TabulatedDeployment:
-    """A tabulated deployment holding `pdf` on a uniform grid of cells + 1 nodes."""
-    nodes = np.linspace(0.0, 1.0, cells + 1)
-    return TabulatedDeployment(np.asarray(pdf(nodes), dtype=float))
 
 
 @pytest.fixture(scope="session")

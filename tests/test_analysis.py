@@ -7,9 +7,8 @@ from scipy.integrate import quad
 
 from ditherfield import (AffineFloorDeployment, EstimatorConfig, FourierBasis,
                          Linear2xDeployment, ReconstructionCoefficients,
-                         SawtoothField, TabulatedDeployment, TruncGaussNoise,
-                         TruncationSchedule, UniformDeployment,
-                         UniformSymNoise, ZeroNoise,
+                         SawtoothField, TruncationSchedule, TwoPointNoise,
+                         UniformDeployment, UniformSymNoise, ZeroNoise,
                          as_error_trace, check_consistency_conditions,
                          estimate_coefficients, integrated_squared_error,
                          make_finite_dim_field, make_sobolev_field,
@@ -20,7 +19,7 @@ from ditherfield import analysis
 from ditherfield.analysis import WORKERS_MAX, TrialCell, map_trials
 from ditherfield.fields import synthesize
 
-from conftest import collect_trials, fourier_eval, tabulate_deployment, zero_field
+from conftest import collect_trials, fourier_eval, zero_field
 
 LN3 = 1.0986122886681098
 
@@ -44,38 +43,6 @@ def test_vanishing_linear_density_diverges(fourier):
 def test_affine_floor_integral_is_log3(fourier):
     value = fourier.deployment_integrals(AffineFloorDeployment(nu=0.5), 1)[0]
     assert value == pytest.approx(LN3, abs=1e-9)
-
-
-@pytest.mark.parametrize("pdf_values", [[1, 0, 1], [0, 0, 1, 1], [1, 0, 0, 1]])
-def test_tabulated_density_with_a_zero_diverges(fourier, pdf_values):
-    # p_X is linear between nodes, so a zero node makes 1/p_X unintegrable
-    deploy = TabulatedDeployment(np.asarray(pdf_values, dtype=float))
-    assert math.isinf(fourier.deployment_integrals(deploy, 1)[0])
-
-
-def node_by_node_inverse_integral(pdf_values) -> float:
-    """Sum over the linear pieces of h (log p1 - log p0) / (p1 - p0), with a
-    Taylor series in d = p1/p0 - 1 where the log difference would cancel."""
-    p = np.asarray(pdf_values, dtype=float)
-    h = 1.0 / (len(p) - 1)
-    pieces = []
-    for p0, p1 in zip(p[:-1], p[1:]):
-        d = (p1 - p0) / p0
-        if abs(d) < 1e-3:
-            ratio = sum((-d) ** k / (k + 1) for k in range(6))
-            pieces.append(h * ratio / p0)
-        else:
-            pieces.append(h * (math.log(p1) - math.log(p0)) / (p1 - p0))
-    return math.fsum(pieces)
-
-
-@pytest.mark.parametrize("pdf", [lambda x: 1.0 + 0.5 * np.sin(2 * np.pi * x),
-                                 lambda x: 0.01 + x * x], ids=["sine", "quadratic"])
-def test_tabulated_integral_is_exact_on_a_4096_node_table(fourier, pdf):
-    deploy = tabulate_deployment(pdf)
-    expected = node_by_node_inverse_integral(deploy.pdf_values)
-    assert fourier.deployment_integrals(deploy, 1)[0] == \
-        pytest.approx(expected, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -269,16 +236,30 @@ def test_worker_count_does_not_change_results(sawtooth):
                for x, y in zip(serial.trial_values, parallel.trial_values))
 
 
-def test_worker_count_does_not_change_trunc_gauss_results(sawtooth):
-    """The pool workers sample the truncated Gaussian with the scipy that
-    the parent loaded when it built the noise."""
-    deploy, noise = UniformDeployment(), TruncGaussNoise(sigma=0.5, b=1.0)
+@pytest.mark.parametrize("deploy, noise", [(AffineFloorDeployment(nu=0.5), TwoPointNoise(b=0.7)),
+                                           (Linear2xDeployment(), ZeroNoise())],
+                         ids=["affine_floor-two_point", "linear_2x-zero"])
+def test_worker_count_does_not_change_results_on_other_inputs(sawtooth, deploy, noise):
+    """The pool workers rebuild the deployment and noise they are sent and
+    draw from them what the parent draws."""
     serial, parallel = (monte_carlo_mse(sawtooth, deploy, noise, FourierBasis(),
                                         TruncationSchedule.bv(), [300, 900],
                                         trials=30, seed=37, workers=workers)
                         for workers in (1, 2))
     assert all(np.array_equal(x, y)
                for x, y in zip(serial.trial_values, parallel.trial_values))
+
+
+def test_an_array_of_trial_counts_is_one_count_per_n(sawtooth):
+    """A 1-D array of counts reads as a list does; it used to fail as a
+    conversion of the whole array to one Python int."""
+    args = (sawtooth, UniformDeployment(), ZeroNoise(), FourierBasis(),
+            TruncationSchedule.bv(), [64, 128])
+    from_array = monte_carlo_mse(*args, trials=np.array([2, 3]), seed=5)
+    from_list = monte_carlo_mse(*args, trials=[2, 3], seed=5)
+    assert from_array.trials == from_list.trials == (2, 3)
+    assert all(np.array_equal(a, b)
+               for a, b in zip(from_array.trial_values, from_list.trial_values))
 
 
 def test_chunk_size_does_not_change_trial_estimates(sawtooth, monkeypatch):
@@ -480,7 +461,7 @@ def test_the_schedule_check_reads_the_dense_kernel_and_projections(monkeypatch, 
     the dense sums of phi_j(x) conj phi_j(y) and alpha_j phi_j(x), to
     rounding."""
     monkeypatch.setattr(analysis, "SCHEDULE_M_GRID", (m,))
-    deploy = tabulate_deployment(lambda x: 1.0 + 0.5 * np.sin(2 * np.pi * x))
+    deploy = AffineFloorDeployment(nu=0.5)
     val = validate_as_schedule(0.5, 1.5, deploy)
     xg = np.linspace(0.0, 1.0, analysis.SCHEDULE_GRID_POINTS)
     phi = np.column_stack([fourier_eval(j, xg) for j in range(m)])

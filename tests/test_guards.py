@@ -1,5 +1,5 @@
-"""Every argument guard of the sensor, field, estimator, analysis and
-kernel layers, reached in process with its message: a bad argument fails
+"""Every argument guard of the sensor, field, estimator, analysis, harness
+and kernel layers, reached in process with its message: a bad argument fails
 at the boundary with a clear error, never mid-sweep or as a silent number."""
 
 import re
@@ -9,12 +9,14 @@ import pytest
 
 from ditherfield import (EstimatorConfig, FieldSpec, FiniteDimField,
                          FourierBasis, PiecewiseConstantField, SensorBatch,
-                         TabulatedDeployment, TruncationSchedule,
-                         UniformDeployment, ZeroNoise, as_error_trace,
-                         check_consistency_conditions, estimate_coefficients,
-                         m_term_error, make_bv_field, monte_carlo_mse,
-                         mse_upper_bound, simulate_batch, stream_keys,
-                         trial_seed, true_coefficients, validate_as_schedule)
+                         TruncationSchedule, UniformDeployment, ZeroNoise,
+                         as_error_trace, check_consistency_conditions,
+                         estimate_coefficients, integrated_squared_error,
+                         m_term_error, make_bv_field, make_finite_dim_field,
+                         make_sobolev_field, monte_carlo_mse, mse_upper_bound,
+                         rate_fit, run_lemma_battery, run_suite,
+                         simulate_batch, stream_keys, trial_seed,
+                         true_coefficients, validate_as_schedule)
 from ditherfield.estimator import sensor_weights
 from ditherfield.spectral import ConjSums
 
@@ -31,14 +33,6 @@ GUARDS = [
     # sensing
     ("spawn_keys_not_2d", lambda: stream_keys(1, [1, 2]), ValueError,
      "spawn keys must be an (R, L) array"),
-    ("tabulated_one_node", lambda: TabulatedDeployment(np.array([1.0])), ValueError,
-     "need densities on at least two nodes"),
-    ("tabulated_nan", lambda: TabulatedDeployment(np.array([1.0, np.nan])), ValueError,
-     "density values must be finite"),
-    ("tabulated_negative", lambda: TabulatedDeployment(np.array([1.0, -1.0])), ValueError,
-     "density values must be nonnegative"),
-    ("tabulated_zero_mass", lambda: TabulatedDeployment(np.zeros(3)), ValueError,
-     "density integrates to zero"),
     ("no_sensor", lambda: simulate_batch(SAWTOOTH, UNIFORM, ZeroNoise(), 0, 1), ValueError,
      "need at least one sensor"),
     ("signed_words", lambda: simulate_batch(SAWTOOTH, UNIFORM, ZeroNoise(), 4,
@@ -51,6 +45,27 @@ GUARDS = [
     ("no_coefficient", lambda: FiniteDimField(basis=FOURIER, values=np.zeros(0),
                                               amplitude_bound=1.0), ValueError,
      "need at least one coefficient"),
+    ("coefficient_nan", lambda: FiniteDimField(basis=FOURIER, values=np.array([np.nan]),
+                                               amplitude_bound=1.0), ValueError,
+     "coefficients must be finite"),
+    ("amplitude_zero", lambda: FiniteDimField(basis=FOURIER, values=np.array([0.1]),
+                                              amplitude_bound=0.0), ValueError,
+     "amplitude bound must be positive and finite"),
+    ("constant_not_real", lambda: FiniteDimField(basis=FOURIER, values=np.array([0.5j]),
+                                                 amplitude_bound=1.0), ValueError,
+     "coefficient of the constant function must be real"),
+    ("broken_conjugates", lambda: FiniteDimField(basis=FOURIER,
+                                                 values=np.array([0.0, 0.1 + 0.1j, 0.2]),
+                                                 amplitude_bound=1.0), ValueError,
+     "coefficients 1 and 2 are not conjugate partners"),
+    ("amplitude_exceeded", lambda: make_finite_dim_field([1.0], amplitude_bound=0.5),
+     ValueError, "field exceeds its amplitude bound: sup|f| = 1 > a = 0.5"),
+    ("sobolev_smoothness", lambda: make_sobolev_field(0.5, seed=1), ValueError,
+     "smoothness order must be finite and exceed 1/2"),
+    ("sobolev_no_frequency", lambda: make_sobolev_field(1.0, seed=1, n_freqs=0), ValueError,
+     "n_freqs must be a positive integer of at most"),
+    ("sobolev_negative_seed", lambda: make_sobolev_field(1.0, seed=-1), ValueError,
+     "seed must be a nonnegative integer, got -1"),
     ("edges_levels_count", lambda: PiecewiseConstantField(edges=(0.0, 1.0), levels=(1.0, 2.0)),
      ValueError, "need len(edges) == len(levels) + 1"),
     ("edges_span", lambda: PiecewiseConstantField(edges=(0.1, 1.0), levels=(1.0,)),
@@ -58,6 +73,8 @@ GUARDS = [
     ("edges_increasing", lambda: PiecewiseConstantField(edges=(0.0, 0.5, 0.5, 1.0),
                                                         levels=(1.0, 2.0, 3.0)),
      ValueError, "edges must be strictly increasing"),
+    ("edges_nan", lambda: PiecewiseConstantField(edges=(0.0, np.nan, 1.0), levels=(1.0, 2.0)),
+     ValueError, "edges and levels must be finite"),
     ("true_count_zero", lambda: true_coefficients(SAWTOOTH, FOURIER, 0), ValueError,
      "count must be >= 1"),
     ("tail_negative_m", lambda: m_term_error(true_coefficients(SAWTOOTH, FOURIER, 2),
@@ -67,6 +84,18 @@ GUARDS = [
      "unknown schedule kind 'cubic'"),
     ("bv_parameter", lambda: TruncationSchedule("bv", 1.0), ValueError,
      "bv schedule takes no parameter"),
+    ("schedule_nan", lambda: TruncationSchedule("power", np.nan), ValueError,
+     "power schedule parameter must be finite"),
+    ("fixed_zero", lambda: TruncationSchedule.fixed(0), ValueError,
+     "need a positive integer parameter"),
+    ("fixed_fraction", lambda: TruncationSchedule("fixed", 2.5), ValueError,
+     "need a positive integer parameter"),
+    ("sobolev_schedule_half", lambda: TruncationSchedule.sobolev(0.5), ValueError,
+     "smoothness order must exceed 1/2"),
+    ("power_zero", lambda: TruncationSchedule.power(0.0), ValueError,
+     "exponent must lie in (0, 1]"),
+    ("power_above_one", lambda: TruncationSchedule.power(1.5), ValueError,
+     "exponent must lie in (0, 1]"),
     ("resolve_zero", lambda: TruncationSchedule.bv().resolve(0), ValueError,
      "sensor count must be >= 1"),
     ("range_zero", lambda: EstimatorConfig(basis=FOURIER, density=UNIFORM, c=0.0,
@@ -80,24 +109,52 @@ GUARDS = [
      ValueError, "sensor count must be >= 1"),
     ("bound_negative_m", lambda: mse_upper_bound(SAWTOOTH, FOURIER, UNIFORM, 10, -1, 1.0),
      ValueError, "truncation point must be >= 0"),
+    ("conditions_empty_grid",
+     lambda: check_consistency_conditions(TruncationSchedule.bv(), FOURIER, UNIFORM, []),
+     ValueError, "n_grid must hold at least one sensor count"),
     ("conditions_grid_order",
      lambda: check_consistency_conditions(TruncationSchedule.bv(), FOURIER, UNIFORM, [10, 10]),
      ValueError, "n_grid must be strictly increasing"),
+    ("error_short_truth",
+     lambda: integrated_squared_error(estimate_coefficients(BATCH, CFG, 3),
+                                      true_coefficients(SAWTOOTH, FOURIER, 2), SAWTOOTH),
+     ValueError, "need at least 3 true coefficients, got 2"),
+    ("fit_three_points", lambda: rate_fit([10, 20, 40], [1.0, 0.5, 0.25]), ValueError,
+     "need at least 4 (n, mse) points"),
+    ("fit_zero_mse", lambda: rate_fit([10, 20, 40, 80], [1.0, 0.5, 0.0, 0.1]), ValueError,
+     "mse values must be positive for a log-log fit"),
     ("sweep_trial_counts",
      lambda: monte_carlo_mse(SAWTOOTH, UNIFORM, ZeroNoise(), FOURIER, TruncationSchedule.bv(),
                              [10, 20], [5], seed=1), ValueError, "need one trial count per n"),
+    ("sweep_trial_count_table",
+     lambda: monte_carlo_mse(SAWTOOTH, UNIFORM, ZeroNoise(), FOURIER, TruncationSchedule.bv(),
+                             [10, 20], np.array([[2], [3]]), seed=1), ValueError,
+     "need one trial count, or one per n"),
     ("sweep_one_trial",
      lambda: monte_carlo_mse(SAWTOOTH, UNIFORM, ZeroNoise(), FOURIER, TruncationSchedule.bv(),
                              [10], 1, seed=1), ValueError, "need at least two trials per n"),
     ("schedule_psi", lambda: validate_as_schedule(1.0, 1.5, UNIFORM), ValueError,
      "growth exponent must lie in (0, 1)"),
+    ("schedule_no_field", lambda: validate_as_schedule(0.5, 1.5, UNIFORM, fields=[]), ValueError,
+     "fields must hold at least one field"),
     ("trace_psi", lambda: as_error_trace(SAWTOOTH, UNIFORM, ZeroNoise(), 1.0, 1, [10]),
      ValueError, "growth exponent must lie in (0, 1)"),
     ("trace_no_checkpoint", lambda: as_error_trace(SAWTOOTH, UNIFORM, ZeroNoise(), 0.5, 1, []),
      ValueError, "checkpoints must be strictly increasing and nonempty"),
+    # harness
+    ("battery_one_trial", lambda: run_lemma_battery(trials=1), ValueError,
+     "need at least two trials per cell"),
+    ("battery_j_count_zero", lambda: run_lemma_battery(j_count=0), ValueError,
+     "j_count must be >= 1"),
+    ("battery_j_count_negative", lambda: run_lemma_battery(j_count=-1), ValueError,
+     "j_count must be >= 1"),
+    ("unknown_suite", lambda: run_suite("nope", "unwritten"), ValueError,
+     "unknown suite 'nope'; choose from"),
     # spectral
     ("sums_past_n", lambda: ConjSums((), 10, 3).add(np.zeros(11), np.zeros(11)), ValueError,
      "more than the declared 10 points per row"),
+    ("sums_unfed", lambda: ConjSums((), 10, 3).result(), ValueError,
+     "fed 0 of 10 points per row"),
 ]
 
 

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ditherfield import (AffineFloorDeployment, ConfigValidationError, FourierBasis,
-                         Linear2xDeployment, UniformDeployment,
+                         Linear2xDeployment, TwoPointNoise, UniformDeployment,
                          UniformSymNoise, ZeroNoise, cli, harness, load_shipped_config,
                          monte_carlo_mse, parse_experiment_config,
                          run_experiment, run_lemma_battery, run_suite, true_coefficients)
@@ -429,15 +429,12 @@ def test_cli_run_rejects_a_trace_it_cannot_judge(tmp_path, capsys, change, named
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("pdf_values", [[1, 0, 1], [0, 0, 1, 1], [1, 0, 0, 1]])
 @pytest.mark.parametrize("basis", ["fourier", {"kind": "fourier"}], ids=["fourier", "object"])
-def test_cli_rejects_a_tabulated_density_with_a_zero(tmp_path, pdf_values, basis):
-    """A tabulated density with a zero node makes the variance integral
-    infinite: `run` reports FAILED-PRECONDITION and
-    `check-conditions` fails, both without a traceback, whichever way the
-    basis section is spelled."""
-    doc = dict(MINI_CONFIG, basis=basis,
-               deployment={"kind": "tabulated", "pdf_values": pdf_values})
+def test_cli_rejects_a_density_with_a_zero(tmp_path, basis):
+    """A density with a zero makes the variance integral infinite: `run`
+    reports FAILED-PRECONDITION and `check-conditions` fails, both without
+    a traceback, whichever way the basis section is spelled."""
+    doc = dict(MINI_CONFIG, basis=basis, deployment={"kind": "linear_2x"})
     config_path = tmp_path / "mini.json"
     config_path.write_text(json.dumps(doc))
     for command, expected in ((["run", "--out", str(tmp_path / "out")],
@@ -449,15 +446,6 @@ def test_cli_rejects_a_tabulated_density_with_a_zero(tmp_path, pdf_values, basis
         assert proc.returncode == 1, proc.stderr
         assert expected in proc.stdout
         assert "Traceback" not in proc.stderr
-
-
-@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
-def test_a_non_finite_tabulated_density_is_a_config_error(bad):
-    doc = dict(MINI_CONFIG, deployment={"kind": "tabulated", "pdf_values": [1.0, bad, 1.0]})
-    with pytest.raises(ConfigValidationError,
-                       match=rf"deployment\.pdf_values\[1\]: expected a finite number, "
-                             rf"got float {bad!r}"):
-        parse_experiment_config(doc)
 
 
 def _numeric_leaves(doc, path=()):
@@ -561,21 +549,46 @@ _STEP_FIELD = {"class": "finite_dim", "coefficients": [[0.2, 0.0], [-0.1, 0.0], 
     (dict(MINI_CONFIG, field=dict(_STEP_FIELD, basis="step")), ["field.basis"]),
     (dict(TRACE_CONFIG, basis={"kind": "step", "cells": 64}), ["basis"]),
     (dict(MINI_CONFIG, basis={"kind": "step", "cells": 64},
-          deployment={"kind": "tabulated", "pdf_values": [1, 0, 1]}), ["basis"]),
+          deployment={"kind": "linear_2x"}), ["basis"]),
     (dict(MINI_CONFIG, basis={"kind": "step", "cells": 64},
           field={"class": "sobolev", "s": 1.0, "seed": 7, "n_freqs": 32}), ["basis"]),
     *[(dict(MINI_CONFIG, basis={"kind": "step", "cells": cells}), ["basis"])
       for cells in (1024, -1, 0, 1025, 1 << 40)]],
     ids=["top", "field", "both", "nested_cells_string", "top_kind_alone", "field_kind_alone",
-         "trace", "tabulated_zero",
+         "trace", "zero_density",
          "fuzz_sized", "cells_1024", "cells_-1", "cells_0", "cells_1025", "cells_2^40"])
 def test_a_removed_basis_fails_at_the_boundary(tmp_path, capsys, doc, sections):
     """The step basis is gone: a document that names it, at the top level
     or in a finite_dim field, by an object or by its kind alone, is a
     config error naming the one basis kind left, and `run` exits 2 before
     any file is written."""
-    problems = [f"{section}.kind: unknown basis kind 'step'; expected one of ['fourier']"
-                for section in sections]
+    fails_at_the_boundary(tmp_path, capsys, doc, [
+        f"{section}.kind: unknown basis kind 'step'; expected one of ['fourier']"
+        for section in sections])
+
+
+@pytest.mark.parametrize("doc, problems", [
+    (dict(MINI_CONFIG, deployment={"kind": "tabulated", "pdf_values": [1, 0, 1]}),
+     ["deployment.kind: unknown deployment kind 'tabulated'; "
+      "expected one of ['uniform', 'linear_2x', 'affine_floor']"]),
+    (dict(MINI_CONFIG, noise={"kind": "trunc_gauss", "sigma": 0.5, "b": 1.0}),
+     ["noise.kind: unknown noise kind 'trunc_gauss'; "
+      "expected one of ['zero', 'uniform_sym', 'two_point']"]),
+    (dict(MINI_CONFIG, field={"class": "bv", "shape": "piecewise", "edges": [0.0, 0.25, 1.0],
+                              "levels": [0.5, -0.25]}),
+     ["field.edges: unexpected key; bv field takes ['class', 'shape']",
+      "field.levels: unexpected key; bv field takes ['class', 'shape']"])],
+    ids=["tabulated_deployment", "trunc_gauss_noise", "bv_edges_levels"])
+def test_a_removed_input_fails_at_the_boundary(tmp_path, capsys, doc, problems):
+    """The tabulated density, the truncated-Gaussian noise and the custom
+    piecewise field are gone: a document that names one is a config error
+    naming what is left, and `run` exits 2 before any file is written."""
+    fails_at_the_boundary(tmp_path, capsys, doc, problems)
+
+
+def fails_at_the_boundary(tmp_path, capsys, doc, problems):
+    """Parsing `doc` raises exactly `problems`, and `run` on it exits 2 with
+    that error as its one stderr line and writes no output directory."""
     with pytest.raises(ConfigValidationError) as err:
         parse_experiment_config(doc)
     assert err.value.problems == problems
@@ -591,17 +604,51 @@ def test_a_removed_basis_fails_at_the_boundary(tmp_path, capsys, doc, sections):
                                           r"\['kind'\]"),
     ("deployment", {"kind": "uniform", "nu": 0.5},
      r"deployment\.nu: unexpected key; uniform deployment takes \['kind'\]"),
-    ("deployment", {"kind": "tabulated", "pdf_values": [1, 1], "foo": 1},
-     r"deployment\.foo: unexpected key; tabulated deployment takes "
-     r"\['kind', 'pdf_values'\]"),
+    ("deployment", {"kind": "affine_floor", "nu": 0.5, "foo": 1},
+     r"deployment\.foo: unexpected key; affine_floor deployment takes \['kind', 'nu'\]"),
+    ("deployment", {"kind": "linear_2x", "nu": 0.5},
+     r"deployment\.nu: unexpected key; linear_2x deployment takes \['kind'\]"),
+    ("noise", {"kind": "uniform_sym", "b": 1.0, "sigma": 0.5},
+     r"noise\.sigma: unexpected key; uniform_sym noise takes \['kind', 'b'\]"),
+    ("noise", {"kind": "two_point", "b": 0.7, "sigma": 0.5},
+     r"noise\.sigma: unexpected key; two_point noise takes \['kind', 'b'\]"),
     ("deployment", {"type": "uniform"}, r"deployment\.kind: unknown deployment kind None")],
-    ids=["zero_noise_b", "uniform_nu", "tabulated_stray", "no_kind"])
+    ids=["zero_noise_b", "uniform_nu", "affine_floor_stray", "linear_2x_nu", "uniform_sym_sigma",
+         "two_point_sigma", "no_kind"])
 def test_a_deployment_or_noise_takes_only_its_own_keys(key, doc, named):
     """Zero noise with b = 1 used to parse as c = a, not a + 1, the stray
-    keys of the uniform and tabulated deployments went unread, and a
-    missing kind raised a bare KeyError."""
+    keys of a deployment went unread, and a missing kind raised a bare
+    KeyError."""
     with pytest.raises(ConfigValidationError, match=named):
         parse_experiment_config(dict(MINI_CONFIG, **{key: doc}))
+
+
+@pytest.mark.parametrize("key, doc, built", [
+    ("deployment", {"kind": "uniform"}, UniformDeployment()),
+    ("deployment", {"kind": "linear_2x"}, Linear2xDeployment()),
+    ("deployment", {"kind": "affine_floor", "nu": 0.25}, AffineFloorDeployment(nu=0.25)),
+    ("noise", {"kind": "zero"}, ZeroNoise()),
+    ("noise", {"kind": "uniform_sym", "b": 0.5}, UniformSymNoise(b=0.5)),
+    ("noise", {"kind": "two_point", "b": 0.7}, TwoPointNoise(b=0.7))],
+    ids=["uniform", "linear_2x", "affine_floor", "zero", "uniform_sym", "two_point"])
+def test_each_deployment_and_noise_kind_parses_to_its_input(key, doc, built):
+    assert getattr(parse_experiment_config(dict(MINI_CONFIG, **{key: doc})), key) == built
+
+
+@pytest.mark.parametrize("key, doc, problem", [
+    ("deployment", {"kind": "affine_floor", "nu": 0.0}, "deployment: floor must lie in (0, 1]"),
+    ("deployment", {"kind": "affine_floor", "nu": 1.5}, "deployment: floor must lie in (0, 1]"),
+    ("noise", {"kind": "uniform_sym", "b": 0.0},
+     "noise: amplitude bound must be positive and finite"),
+    ("noise", {"kind": "two_point", "b": -1.0},
+     "noise: amplitude bound must be positive and finite")],
+    ids=["floor_zero", "floor_above_one", "uniform_sym_zero", "two_point_negative"])
+def test_an_input_parameter_out_of_range_is_a_config_error(key, doc, problem):
+    """The constructor's guard reaches the user as a config problem under
+    the section's name, not as a traceback."""
+    with pytest.raises(ConfigValidationError) as err:
+        parse_experiment_config(dict(MINI_CONFIG, **{key: doc}))
+    assert err.value.problems == [problem]
 
 
 @pytest.mark.parametrize("key, doc, message", [
@@ -619,12 +666,11 @@ def test_a_kind_that_is_not_a_string_is_unknown(key, doc, message):
 @pytest.mark.parametrize("key, doc, message", [
     ("noise", {"kind": "uniform_sym", "b": "1"},
      r"noise\.b: expected a finite number, got str '1'"),
-    ("noise", {"kind": "trunc_gauss", "sigma": None},
-     r"noise\.sigma: expected a finite number, got null"),
+    ("noise", {"kind": "two_point", "b": None},
+     r"noise\.b: expected a finite number, got null"),
     ("deployment", {"kind": "affine_floor", "nu": [0.5]},
      r"deployment\.nu: expected a finite number, got \[0\.5\]"),
-    ("deployment", {"kind": "tabulated", "pdf_values": ["1", "2"]},
-     r"deployment\.pdf_values\[0\]: expected a finite number, got str '1'"),
+    ("n_grid", ["256", "512"], r"n_grid\[0\]: expected an integer, got str '256'"),
     ("field", "sawtooth", r"field: expected an object, got str 'sawtooth'"),
     ("field", {"class": "finite_dim", "amplitude_bound": 1.0},
      r"field\.coefficients: required; finite_dim field takes "
@@ -638,13 +684,13 @@ def test_a_kind_that_is_not_a_string_is_unknown(key, doc, message):
     ("basis", 5, r"basis: expected an object, got int 5"),
     ("field", {"class": "sobolev", "s": 1.0, "seed": -1},
      r"field: seed must be a nonnegative integer, got -1")],
-    ids=["noise_b_string", "sigma_null", "nu_list", "pdf_values_strings", "field_string",
+    ids=["noise_b_string", "noise_b_null", "nu_list", "n_grid_strings", "field_string",
          "no_coefficients", "coefficient_not_a_pair", "sobolev_seed_fraction",
          "schedule_no_kind", "basis_number", "sobolev_seed_negative"])
 def test_a_value_of_the_wrong_type_is_named_by_its_key_path(key, doc, message):
     """These used to leak Python internals (`'<' not supported between
     instances`, `dictionary update sequence`, a private function's name,
-    a bare KeyError), or, for strings as densities, to parse."""
+    a bare KeyError)."""
     with pytest.raises(ConfigValidationError) as err:
         parse_experiment_config(dict(MINI_CONFIG, **{key: doc}))
     assert any(re.fullmatch(message, line) for line in err.value.problems), err.value.problems
@@ -698,23 +744,26 @@ def test_dominance_forgives_a_mean_up_to_three_ci_above_the_bound(tmp_path, monk
     assert outcome.dominance_violations == violations
 
 
-def test_import_leaves_scipy_integrate_unloaded():
-    """A fresh import loads neither scipy nor the process pool; building a
-    truncated-Gaussian noise loads scipy.special."""
-    probe = ("import json, sys, ditherfield\n"
-             "names = ['scipy', 'scipy.integrate', 'scipy.special',\n"
-             "         'concurrent.futures.process', 'multiprocessing']\n"
-             "loaded = [{m: m in sys.modules for m in names}]\n"
-             "ditherfield.TruncGaussNoise(sigma=0.5, b=1.0)\n"
-             "loaded.append({m: m in sys.modules for m in names})\n"
+def test_no_run_needs_scipy(tmp_path):
+    """With scipy unimportable, the package imports, runs a sweep, and runs
+    a battery at one and at two workers; the process pool loads only for
+    two workers."""
+    probe = ("import json, sys\n"
+             "sys.modules['scipy'] = None  # every import of scipy now fails\n"
+             "import ditherfield\n"
+             "pool = ['concurrent.futures.process', 'multiprocessing']\n"
+             "loaded = [[m in sys.modules for m in pool]]\n"
+             "config = ditherfield.parse_experiment_config(json.loads(sys.argv[1]))\n"
+             "assert ditherfield.run_experiment(config, sys.argv[2]).status == 'PASS'\n"
+             "loaded.append([m in sys.modules for m in pool])\n"
+             "for workers in (1, 2):\n"
+             "    ditherfield.run_lemma_battery(trials=2, workers=workers)\n"
+             "    loaded.append([m in sys.modules for m in pool])\n"
              "print(json.dumps(loaded))\n")
-    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", probe, json.dumps(MINI_CONFIG), str(tmp_path)],
+                          capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    at_import, after_noise = json.loads(proc.stdout)
-    assert not at_import["scipy.integrate"]
-    assert not any(at_import.values()), at_import
-    assert after_noise["scipy.special"]
-    assert not after_noise["scipy.integrate"]
+    assert json.loads(proc.stdout) == [[False, False]] * 3 + [[True, True]]
 
 
 @pytest.mark.parametrize("command", ["run", "check-conditions"])

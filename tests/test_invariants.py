@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ditherfield import (AffineFloorDeployment, EstimatorConfig, FourierBasis,
-                         TruncationSchedule, TwoPointNoise,
+                         TruncationSchedule, TwoPointNoise, UniformDeployment,
                          UniformSymNoise, estimate_coefficients, make_bv_field,
                          make_sobolev_field, simulate_batch, stream_keys)
 from ditherfield import analysis, spectral
@@ -20,14 +20,12 @@ from ditherfield.analysis import TrialCell, as_error_trace, map_trials
 from ditherfield.estimator import add_sensors, finish_estimates
 from ditherfield.fields import synthesize, true_coefficients
 
-from conftest import basis_sums, collect_trials, reference_batch, tabulate_deployment
+from conftest import basis_sums, collect_trials, reference_batch
 
 BLOCK = 64
 INGREDIENTS = [(make_sobolev_field(1.0, seed=7, n_freqs=32), AffineFloorDeployment(nu=0.5),
                 UniformSymNoise(b=1.0)),
-               (make_bv_field("staircase"),
-                tabulate_deployment(lambda x: 1.0 + 0.5 * np.sin(2 * np.pi * x)),
-                TwoPointNoise(b=0.7))]
+               (make_bv_field("staircase"), UniformDeployment(), TwoPointNoise(b=0.7))]
 
 
 @given(ingredients=st.sampled_from(INGREDIENTS),

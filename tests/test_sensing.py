@@ -1,28 +1,29 @@
-import warnings
-from decimal import Decimal, localcontext
-
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
-from scipy.special import ndtr, ndtri
 
-from ditherfield import (AffineFloorDeployment, Linear2xDeployment,
-                         TabulatedDeployment, TruncGaussNoise, TwoPointNoise,
+from ditherfield import (AffineFloorDeployment, Linear2xDeployment, TwoPointNoise,
                          UniformDeployment, UniformSymNoise, ZeroNoise,
                          simulate_batch, stream_keys)
 from ditherfield.sensing import (STREAM_LOCATIONS, STREAM_NOISE,
                                  STREAM_THRESHOLDS, _quantize)
 
-from conftest import substream, tabulate_deployment, zero_field
+from conftest import substream, zero_field
 
+# nu = 1 is the flat floor, which samples and integrates by its own branches
 DEPLOYMENTS = [UniformDeployment(), Linear2xDeployment(),
                AffineFloorDeployment(nu=0.5), AffineFloorDeployment(nu=0.9),
-               tabulate_deployment(lambda x: 1.0 + 0.5 * np.sin(2 * np.pi * x))]
+               AffineFloorDeployment(nu=1.0)]
 
-NOISES = [ZeroNoise(), UniformSymNoise(b=1.0), TruncGaussNoise(sigma=0.5, b=1.0),
-          TwoPointNoise(b=0.7)]
+NOISES = [ZeroNoise(), UniformSymNoise(b=1.0), TwoPointNoise(b=0.7)]
+
+
+# each deployment's cdf on [0, 1], the integral of its density: the sampler's oracle
+CDFS = {"uniform": lambda deploy, x: x,
+        "linear_2x": lambda deploy, x: x * x,
+        "affine_floor": lambda deploy, x: deploy.nu * x + (1.0 - deploy.nu) * x * x}
 
 
 # ---------------------------------------------------------------------------
@@ -43,27 +44,9 @@ def test_sampler_matches_cdf(deploy):
     xs = np.sort(x)
     ecdf_hi = np.arange(1, len(xs) + 1) / len(xs)
     ecdf_lo = np.arange(0, len(xs)) / len(xs)
-    cdf = deploy.cdf(xs)
+    cdf = CDFS[deploy.kind](deploy, xs)
     ks = max(np.max(np.abs(ecdf_hi - cdf)), np.max(np.abs(cdf - ecdf_lo)))
     assert ks < 0.01
-
-
-@pytest.mark.parametrize("values", [[0.5, 1.5], [1.0, 0.0, 2.0, 0.5], [0.0, 0.0, 1.0, 1.0]],
-                         ids=lambda v: "_".join(map(str, v)))
-def test_tabulated_cdf_integrates_the_pdf_and_sample_inverts_it(values):
-    """On coarse tables, where the interpolated density is far from its cell
-    averages: the cdf is the integral of the pdf the weights divide by, and
-    sampling inverts it. Both used to interpolate the cdf linearly, so
-    [0.5, 1.5] sampled uniformly and E[1/p(X)] read ln 3, not 1."""
-    deploy = TabulatedDeployment(np.asarray(values))
-    nodes = np.linspace(0.0, 1.0, len(values))
-    x = np.linspace(0.0, 1.0, 41)
-    integral = [quad(lambda t: float(deploy.pdf(t)), 0.0, end, epsabs=1e-15, epsrel=1e-13,
-                     points=[node for node in nodes if 0.0 < node < end] or None)[0]
-                for end in x]
-    assert np.allclose(deploy.cdf(x), integral, rtol=0.0, atol=1e-12)
-    u = np.concatenate([np.linspace(0.0, 1.0, 4001)[:-1], [1.0 - 2.0 ** -53]])
-    assert np.allclose(deploy.cdf(deploy.sample(u)), u, rtol=0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("deploy", DEPLOYMENTS, ids=lambda d: d.kind)
@@ -77,36 +60,41 @@ def test_affine_floor_requires_positive_floor():
         AffineFloorDeployment(nu=0.0)
 
 
+@pytest.mark.parametrize("nu", [0.0, -0.5, np.nextafter(1.0, 2.0), 1.5, np.nan, np.inf,
+                                -np.inf])
+def test_affine_floor_must_lie_in_the_unit_interval(nu):
+    """A floor above 1 would give a negative density at the right edge."""
+    with pytest.raises(ValueError, match=r"floor must lie in \(0, 1\]"):
+        AffineFloorDeployment(nu=nu)
+
+
+def test_the_flat_affine_floor_is_the_uniform_deployment():
+    """At nu = 1 the slope is 0: sampling and the inverse-density integral
+    take their own branches, and give the uniform deployment's numbers."""
+    flat, uniform = AffineFloorDeployment(nu=1.0), UniformDeployment()
+    u = substream(55, STREAM_LOCATIONS).random(1000)
+    assert np.array_equal(flat.sample(u), uniform.sample(u))
+    assert np.array_equal(flat.pdf(u), uniform.pdf(u))
+    assert flat.infimum == uniform.infimum == 1.0
+    for lo, hi in ((0.0, 1.0), (0.25, 0.75), (0.0, 1e-300)):
+        assert flat.inverse_integral(lo, hi) == uniform.inverse_integral(lo, hi)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -1.0])
 @pytest.mark.parametrize("make", [lambda v: UniformSymNoise(b=v),
-                                  lambda v: TwoPointNoise(b=v),
-                                  lambda v: TruncGaussNoise(sigma=0.5, b=v),
-                                  lambda v: TruncGaussNoise(sigma=v, b=1.0)],
-                         ids=["uniform_sym_b", "two_point_b", "trunc_gauss_b",
-                              "trunc_gauss_sigma"])
+                                  lambda v: TwoPointNoise(b=v)],
+                         ids=["uniform_sym_b", "two_point_b"])
 def test_noise_scales_must_be_positive_and_finite(make, bad):
     with pytest.raises(ValueError, match="positive and finite"):
         make(bad)
-
-
-@pytest.mark.parametrize("sigma, b", [(0.5, 1.0), (2.0, 0.3), (1e-3, 1.0)])
-def test_trunc_gauss_samples_are_the_clipped_inverse_cdf(sigma, b):
-    """Bitwise: clip(sigma ndtri(lo + (hi - lo) u), -b, b), lo and hi the
-    normal cdf at -b / sigma and b / sigma, computed here with scipy."""
-    u = substream(808, STREAM_NOISE).random(10_000)
-    u[:3] = [0.0, 0.5, 1.0 - 2.0 ** -53]
-    lo, hi = ndtr(-b / sigma), ndtr(b / sigma)
-    want = np.clip(sigma * ndtri(lo + (hi - lo) * u), -b, b)
-    assert np.array_equal(TruncGaussNoise(sigma=sigma, b=b).sample(u), want)
 
 
 # ---------------------------------------------------------------------------
 # closed-form inverse-density integrals, against scipy quad
 # ---------------------------------------------------------------------------
 
-def quad_inverse(deploy, lo, hi, points=None):
-    inner = sorted(p for p in (() if points is None else points) if lo < p < hi)
-    value, _ = quad(lambda x: 1.0 / float(deploy.pdf(x)), lo, hi, points=inner or None,
+def quad_inverse(deploy, lo, hi):
+    value, _ = quad(lambda x: 1.0 / float(deploy.pdf(x)), lo, hi,
                     epsabs=0.0, epsrel=1e-13, limit=1000)
     return value
 
@@ -117,17 +105,6 @@ def sub_intervals(draw, lo_min=0.0):
     b = draw(st.floats(min_value=lo_min, max_value=1.0))
     assume(abs(b - a) > 1e-6)
     return min(a, b), max(a, b)
-
-
-@given(st.lists(st.floats(min_value=0.01, max_value=10.0), min_size=2, max_size=33),
-       sub_intervals())
-@settings(max_examples=60, deadline=None)
-def test_tabulated_inverse_integral_matches_quad(values, interval):
-    deploy = TabulatedDeployment(np.asarray(values))
-    nodes = np.linspace(0.0, 1.0, len(values))
-    for lo, hi in (interval, (0.0, 1.0)):
-        assert deploy.inverse_integral(lo, hi) == pytest.approx(
-            quad_inverse(deploy, lo, hi, points=nodes), rel=1e-10)
 
 
 @given(st.floats(min_value=1e-6, max_value=1.0), sub_intervals())
@@ -146,23 +123,6 @@ def test_affine_inverse_integral_with_a_vanishing_floor_stays_finite(nu):
     expected = 0.5 * (np.log(2.0) - np.log(nu))
     assert AffineFloorDeployment(nu=nu).inverse_integral(0.0, 1.0) == \
         pytest.approx(expected, rel=1e-12)
-
-
-@pytest.mark.parametrize("values", [[5e-324, 2.0], [1e-310, 2.0], [2.0, 5e-324], [1.0, 1e-17],
-                                    [1.0, 1e-10]], ids=lambda v: "_".join(map(str, v)))
-def test_tabulated_inverse_integral_beside_a_tiny_node_stays_finite(values):
-    """log(p1/p0) / (p1 - p0) on the one linear piece, in 30-digit decimal
-    from the exact normalized node values. A subnormal left node gave NaN
-    (p1/p0 overflowed); a right node far below the left lost eight digits at
-    1e-10 and read inf below 1.1e-16 (p1/p0 - 1 rounded toward -1)."""
-    p0, p1 = map(Decimal, TabulatedDeployment(np.asarray(values)).pdf_values.tolist())
-    with localcontext() as ctx:
-        ctx.prec = 30
-        expected = float((p1.ln() - p0.ln()) / (p1 - p0))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        got = TabulatedDeployment(np.asarray(values)).inverse_integral(0.0, 1.0)
-    assert got == pytest.approx(expected, rel=1e-13)
 
 
 @given(sub_intervals(lo_min=1e-3))
