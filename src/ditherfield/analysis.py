@@ -8,6 +8,7 @@ orthonormality), so the Monte-Carlo loops never need quadrature.
 from __future__ import annotations
 
 import math
+import numbers
 from contextlib import closing, nullcontext
 from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
@@ -19,6 +20,15 @@ from .estimator import TruncationSchedule, add_sensors, finish_estimates
 from .fields import (FieldSpec, FourierBasis, ReconstructionCoefficients,
                      m_term_error, make_bv_field, synthesize, true_coefficients)
 from .sensing import Deployment, Noise, dynamic_range, simulate_batch, stream_keys
+
+
+def _count(value, what: str) -> int:
+    """`value` as an int: an integer, or an integral float such as 500.0."""
+    if not (isinstance(value, numbers.Integral)
+            or isinstance(value, numbers.Real) and float(value).is_integer()):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
 
 # ---------------------------------------------------------------------------
 # distortion upper bound
@@ -38,19 +48,19 @@ class BoundReport:
         return self.variance_term + self.bias_term
 
 
-def mse_upper_bound(field: FieldSpec, basis: FourierBasis, deploy: Deployment,
+def mse_upper_bound(field: FieldSpec, deploy: Deployment,
                     n: int, m: int, c: float) -> BoundReport:
     """Bound E||f - f_hat||^2 <= (c^2/n) * sum_{j<m} int |phi_j|^2/p_X + tail(m)."""
     if n < 1:
         raise ValueError("sensor count must be >= 1")
     if m < 0:
         raise ValueError("truncation point must be >= 0")
-    integrals = basis.deployment_integrals(deploy, m)
+    integrals = FourierBasis.deployment_integrals(deploy, m)
     divergent = tuple(np.flatnonzero(np.isinf(integrals)).tolist())
     if m == 0:
         bias = field.norm_sq
     else:
-        bias = m_term_error(true_coefficients(field, basis, m), field, m)
+        bias = m_term_error(true_coefficients(field, m), field, m)
     variance = math.inf if divergent else (c * c / n) * float(np.sum(integrals))
     return BoundReport(m=m, variance_term=variance, bias_term=bias, divergent_js=divergent)
 
@@ -61,7 +71,7 @@ def mse_upper_bound(field: FieldSpec, basis: FourierBasis, deploy: Deployment,
 
 @dataclass(frozen=True)
 class ConsistencyReport:
-    """Whether a (schedule, basis, deployment) triple drives the bound to zero."""
+    """Whether a (schedule, deployment) pair drives the bound to zero."""
 
     n_grid: tuple[int, ...]
     m_values: tuple[int, ...]
@@ -89,10 +99,9 @@ class ConsistencyReport:
         return self.truncation_ok and self.infimum_positive and self.variance_ok
 
 
-def check_consistency_conditions(schedule: TruncationSchedule, basis: FourierBasis,
-                                 deploy: Deployment,
+def check_consistency_conditions(schedule: TruncationSchedule, deploy: Deployment,
                                  n_grid: Sequence[int]) -> ConsistencyReport:
-    n_grid = tuple(int(n) for n in n_grid)
+    n_grid = tuple(_count(n, "each n_grid entry") for n in n_grid)
     if not n_grid:
         raise ValueError("n_grid must hold at least one sensor count")
     if any(b <= a for a, b in zip(n_grid, n_grid[1:])):
@@ -100,7 +109,7 @@ def check_consistency_conditions(schedule: TruncationSchedule, basis: FourierBas
     m_values = tuple(schedule.resolve(n) for n in n_grid)
 
     # the variance side of the bound, summed as `mse_upper_bound` sums it
-    integrals = basis.deployment_integrals(deploy, max(m_values))
+    integrals = FourierBasis.deployment_integrals(deploy, max(m_values))
     q = tuple(float(np.sum(integrals[:m])) / n for m, n in zip(m_values, n_grid))
 
     decreasing = all(b < a for a, b in zip(q, q[1:]))
@@ -139,13 +148,11 @@ def integrated_squared_error(coeffs_hat: ReconstructionCoefficients,
 
 @dataclass(frozen=True, eq=False)
 class TrialCell:
-    """`trials` independent simulate -> estimate pipelines: n sensors
-    placed by `deploy`, m coefficients of `basis`."""
+    """`trials` independent simulate -> estimate pipelines: n sensors, m coefficients."""
 
     field: FieldSpec
     deploy: Deployment
     noise: Noise
-    basis: FourierBasis
     n: int
     m: int
     trials: int
@@ -183,7 +190,7 @@ def _trial_chunk(payload) -> np.ndarray:
     size = max(1, spectral.BLOCK_POINTS // cell.n)
     for lo in range(0, t1 - t0, size):
         block = keys[lo:lo + size]
-        sums = cell.basis.running_sums(cell.m, (len(block),), cell.n)
+        sums = FourierBasis.running_sums(cell.m, (len(block),), cell.n)
         _add_tiles(sums, cell.field, cell.deploy, cell.noise, block, 0, cell.n)
         out[lo:lo + size] = finish_estimates(sums, c, cell.n).values
     return out
@@ -242,31 +249,30 @@ class MseSweep:
 
 
 def monte_carlo_mse(field: FieldSpec, deploy: Deployment, noise: Noise,
-                    basis: FourierBasis, schedule: TruncationSchedule,
-                    n_grid: Sequence[int], trials: int | Sequence[int], seed: int,
-                    workers: int = 1) -> MseSweep:
+                    schedule: TruncationSchedule, n_grid: Sequence[int],
+                    trials: int | Sequence[int], seed: int, workers: int = 1) -> MseSweep:
     """Mean integrated squared error (with normal-approximation 95% CI)
     over independent simulate -> estimate -> error pipelines, m(n) =
-    `schedule.resolve(n)` coefficients of `basis` at each n, `trials` of
+    `schedule.resolve(n)` Fourier coefficients at each n, `trials` of
     them at each n, or `trials[i]` at `n_grid[i]` for a list or 1-D array.
 
     Deterministic in `seed`; the per-trial seeds are derived from
     (seed, n-index, trial-index), so the worker count never changes results.
     """
-    n_grid = tuple(int(n) for n in n_grid)
+    n_grid = tuple(_count(n, "each n_grid entry") for n in n_grid)
     if np.ndim(trials) > 1:
         raise ValueError("need one trial count, or one per n")
-    trials_per_n = ((int(trials),) * len(n_grid) if np.ndim(trials) == 0
-                    else tuple(int(t) for t in trials))
+    trials_per_n = ((_count(trials, "trials"),) * len(n_grid) if np.ndim(trials) == 0
+                    else tuple(_count(t, "each trials entry") for t in trials))
     if len(trials_per_n) != len(n_grid):
         raise ValueError("need one trial count per n")
     if any(t < 2 for t in trials_per_n):
         raise ValueError("need at least two trials per n")
 
     m_values = tuple(schedule.resolve(n) for n in n_grid)
-    cells = [TrialCell(field, deploy, noise, basis, n, m, t)
+    cells = [TrialCell(field, deploy, noise, n, m, t)
              for n, m, t in zip(n_grid, m_values, trials_per_n)]
-    true_cvs = [true_coefficients(field, basis, m) for m in m_values]
+    true_cvs = [true_coefficients(field, m) for m in m_values]
     per_n = tuple(np.empty(t) for t in trials_per_n)
 
     def score(i: int, t0: int, rows: np.ndarray) -> None:
@@ -304,7 +310,7 @@ RATE_FIT_MIN_POINTS = 4
 
 def rate_fit(n_grid: Sequence[int], mse_values: Sequence[float]) -> RateFitResult:
     """Ordinary least squares of log(mse) on log(n)."""
-    n_grid = tuple(int(n) for n in n_grid)
+    n_grid = tuple(_count(n, "each n_grid entry") for n in n_grid)
     mse_values = tuple(float(v) for v in mse_values)
     if len(n_grid) != len(mse_values) or len(n_grid) < RATE_FIT_MIN_POINTS:
         raise ValueError(f"need at least {RATE_FIT_MIN_POINTS} (n, mse) points")
@@ -376,13 +382,11 @@ def validate_as_schedule(psi: float, gamma: float, deploy: Deployment,
     if fields is not None and len(fields) == 0:
         raise ValueError("fields must hold at least one field, or be None for the shipped menu")
     gamma_ok = 1.0 < gamma < 1.0 / psi
-    basis = FourierBasis()
     nu = float(deploy.infimum)
 
-    c1 = c2 = None
-    kernel_ratio = projection_ratio = None
+    c1 = c2 = kernel_ratio = projection_ratio = None
     if nu > 0.0:
-        beta = float(basis.bound)
+        beta = float(FourierBasis.bound)
         menu = list(fields) if fields is not None else _shipped_field_menu()
         a = max(f.amplitude_bound for f in menu)
         c1 = beta * beta / nu
@@ -394,14 +398,14 @@ def validate_as_schedule(psi: float, gamma: float, deploy: Deployment,
         # sum_{j<m} phi_j(x) conj phi_j(y) = sum_{j<m} phi_j(x - y)
         kernel_ratio = 0.0
         for m in SCHEDULE_M_GRID:
-            kernel = np.abs(synthesize(basis, np.ones(m), xg[:, None] - xg)) * inv_p[None, :]
+            kernel = np.abs(synthesize(np.ones(m), xg[:, None] - xg)) * inv_p[None, :]
             kernel_ratio = max(kernel_ratio, float(kernel.max()) / (c1 * m))
 
         projection_ratio = 0.0
         for f in menu:
-            coeffs = true_coefficients(f, basis, max(SCHEDULE_M_GRID)).values
+            coeffs = true_coefficients(f, max(SCHEDULE_M_GRID)).values
             for m in SCHEDULE_M_GRID:
-                fm = np.abs(synthesize(basis, coeffs[:m], xg))
+                fm = np.abs(synthesize(coeffs[:m], xg))
                 projection_ratio = max(projection_ratio, float(fm.max()) / (c2 * m))
 
     return ScheduleValidation(psi=psi, gamma=gamma, gamma_in_range=gamma_ok,
@@ -455,10 +459,9 @@ def as_error_trace(field: FieldSpec, deploy: Deployment, noise: Noise,
     """
     if not 0.0 < psi < 1.0:
         raise ValueError("growth exponent must lie in (0, 1)")
-    checkpoints = tuple(int(n) for n in n_checkpoints)
+    checkpoints = tuple(_count(n, "each n_checkpoints entry") for n in n_checkpoints)
     if any(b <= a for a, b in zip(checkpoints, checkpoints[1:])) or not checkpoints:
         raise ValueError("checkpoints must be strictly increasing and nonempty")
-    basis = FourierBasis()
     gamma = 0.5 * (1.0 + 1.0 / psi)
     grid = np.linspace(0.0, 1.0, TRACE_GRID_POINTS)
 
@@ -468,7 +471,7 @@ def as_error_trace(field: FieldSpec, deploy: Deployment, noise: Noise,
     keys = stream_keys(seed, [()])
     c = dynamic_range(field, noise)
 
-    true_cv = true_coefficients(field, basis, m_max)
+    true_cv = true_coefficients(field, m_max)
     f_grid = np.asarray(field.eval(grid), dtype=float)
     interior = np.ones(grid.shape, dtype=bool)
     for pt in field.jump_points:
@@ -480,14 +483,14 @@ def as_error_trace(field: FieldSpec, deploy: Deployment, noise: Noise,
     prev = 0
     sup_s, sup_est, sup_est_int = [], [], []
     for ckpt, m in zip(checkpoints, m_values):
-        sums = basis.running_sums(m_max, (1,), ckpt - prev)
+        sums = FourierBasis.running_sums(m_max, (1,), ckpt - prev)
         _add_tiles(sums, field, deploy, noise, keys, prev, ckpt)
         totals = totals + sums.result()[0]
         prev = ckpt
         alpha_hat = (c / ckpt) * totals
         delta = alpha_hat[:m] - true_cv.values[:m]
-        s_grid = synthesize(basis, delta, grid)
-        fm_grid = synthesize(basis, true_cv.values[:m], grid)
+        s_grid = synthesize(delta, grid)
+        fm_grid = synthesize(true_cv.values[:m], grid)
         est_err = np.abs(s_grid + fm_grid - f_grid)
         sup_s.append(float(np.max(np.abs(s_grid))))
         sup_est.append(float(np.max(est_err)))

@@ -36,7 +36,7 @@ def main(argv=None) -> int:
 
     p_check = sub.add_parser("check-conditions",
                              help="evaluate the distortion-consistency conditions "
-                                  "for a config's schedule/basis/deployment")
+                                  "for a config's schedule/deployment")
     p_check.add_argument("config")
 
     args = parser.parse_args(argv)
@@ -70,8 +70,7 @@ def main(argv=None) -> int:
         return 0 if result.all_pass else 1
 
     if args.command == "check-conditions":
-        report = check_consistency_conditions(config.schedule, config.basis,
-                                              config.deployment, config.n_grid)
+        report = check_consistency_conditions(config.schedule, config.deployment, config.n_grid)
         print(f"truncation grows: {'ok' if report.truncation_ok else 'FAIL'} "
               f"(m: {report.m_values[0]} -> {report.m_values[-1]})")
         print(f"deployment floor positive: "

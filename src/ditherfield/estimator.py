@@ -174,6 +174,6 @@ def estimate_coefficients(batch: SensorBatch, cfg: EstimatorConfig,
     return finish_estimates(sums, cfg.c, batch.n)
 
 
-def reconstruct(coeffs: ReconstructionCoefficients, basis: FourierBasis, x):
+def reconstruct(coeffs: ReconstructionCoefficients, x):
     """Field estimate sum_{j<m} alpha_hat_j phi_j(x); complex-valued."""
-    return synthesize(basis, coeffs.values, np.asarray(x, dtype=float))
+    return synthesize(coeffs.values, np.asarray(x, dtype=float))

@@ -54,12 +54,14 @@ class FourierBasis:
         freqs[1::2] *= -1
         return freqs
 
-    def deployment_integrals(self, deploy, count: int) -> np.ndarray:
+    @staticmethod
+    def deployment_integrals(deploy, count: int) -> np.ndarray:
         """int |phi_j|^2 / p_X over [0,1] for j < count, +inf where it
         diverges; |phi_j| == 1, so every j reads the integral of 1/p_X."""
         return np.full(count, deploy.inverse_integral(0.0, 1.0))
 
-    def running_sums(self, count: int, lead: tuple, n: int) -> "_FourierSums":
+    @staticmethod
+    def running_sums(count: int, lead: tuple, n: int) -> "_FourierSums":
         """Running sum_i w_i * conj(phi_j(x_i)), j < count, of rows of n
         points with real weights, fed tile by tile (`ConjSums`)."""
         return _FourierSums(count, lead, n)
@@ -127,7 +129,7 @@ class FieldSpec:
         raise NotImplementedError
 
 
-def synthesize(basis: FourierBasis, values: np.ndarray, x) -> np.ndarray:
+def synthesize(values: np.ndarray, x) -> np.ndarray:
     """sum_j values[j] * phi_j(x), shaped like x (a scalar for a scalar x).
 
     With P_k and N_k the coefficients of frequencies +k and -k, the sum is
@@ -219,7 +221,6 @@ class PiecewiseConstantField(FieldSpec):
 
     edges: tuple[float, ...]
     levels: tuple[float, ...]
-    shape: str = "piecewise"
 
     kind: ClassVar[str] = "piecewise"
 
@@ -312,11 +313,9 @@ def make_finite_dim_field(coefficients: Sequence[complex], amplitude_bound: floa
 
 _BV_SHAPES: dict[str, Callable[[], FieldSpec]] = {
     "sawtooth": SawtoothField,
-    "step": lambda: PiecewiseConstantField(edges=(0.0, 0.5, 1.0),
-                                           levels=(0.0, 1.0), shape="step"),
-    "staircase": lambda: PiecewiseConstantField(
-        edges=(0.0, 0.25, 0.5, 0.75, 1.0),
-        levels=(-0.75, -0.25, 0.25, 0.75), shape="staircase"),
+    "step": lambda: PiecewiseConstantField(edges=(0.0, 0.5, 1.0), levels=(0.0, 1.0)),
+    "staircase": lambda: PiecewiseConstantField(edges=(0.0, 0.25, 0.5, 0.75, 1.0),
+                                                levels=(-0.75, -0.25, 0.25, 0.75)),
 }
 
 
@@ -373,13 +372,12 @@ def make_sobolev_field(s: float, seed: int, amplitude_bound: float = 1.0,
 # operations
 # ---------------------------------------------------------------------------
 
-def true_coefficients(field: FieldSpec, basis: FourierBasis,
-                      count: int) -> ReconstructionCoefficients:
+def true_coefficients(field: FieldSpec, count: int) -> ReconstructionCoefficients:
     """<f, phi_j> for j < count, in closed form: the field's Fourier
     coefficients."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    values = field.fourier_coefficients(basis.frequencies(count))
+    values = field.fourier_coefficients(FourierBasis.frequencies(count))
     return ReconstructionCoefficients(values=values)
 
 

@@ -25,7 +25,7 @@ from typing import (Callable, ClassVar, Sequence, get_args, get_origin,
 import numpy as np
 
 from .analysis import (RATE_FIT_MIN_POINTS, ASTraceResult, RateFitResult,
-                       TrialCell, as_error_trace, check_consistency_conditions,
+                       TrialCell, _count, as_error_trace, check_consistency_conditions,
                        map_trials, monte_carlo_mse, mse_upper_bound, rate_fit,
                        validate_as_schedule)
 from .estimator import TruncationSchedule
@@ -407,7 +407,7 @@ def run_experiment(config: ExperimentConfig, out_dir, workers: int = 1) -> Exper
     `Acceptance`; writes `<experiment_id>.csv`, `_report.json` and
     `_summary.txt`.
 
-    A deployment/basis pair whose variance integrals diverge is rejected
+    A deployment whose variance integrals diverge is rejected
     up front (FAILED-PRECONDITION) — the distortion bound is useless there.
     """
     eid = config.experiment_id
@@ -416,8 +416,7 @@ def run_experiment(config: ExperimentConfig, out_dir, workers: int = 1) -> Exper
     csv_path, report_path, summary_path = (out / f"{eid}{suffix}" for suffix in
                                            (".csv", "_report.json", "_summary.txt"))
     m_values = [config.schedule.resolve(n) for n in config.n_grid]
-    bounds = tuple(mse_upper_bound(config.field, config.basis, config.deployment,
-                                   n, m, config.c)
+    bounds = tuple(mse_upper_bound(config.field, config.deployment, n, m, config.c)
                    for n, m in zip(config.n_grid, m_values))
     divergent = list(max(bounds, key=lambda b: b.m).divergent_js)
     fit = violations = trace = None
@@ -445,8 +444,8 @@ def run_experiment(config: ExperimentConfig, out_dir, workers: int = 1) -> Exper
         report = trace.to_json()
     else:
         sweep = monte_carlo_mse(config.field, config.deployment, config.noise,
-                                config.basis, config.schedule, config.n_grid,
-                                config.trials, seed=config.seed, workers=workers)
+                                config.schedule, config.n_grid, config.trials,
+                                seed=config.seed, workers=workers)
         # a NaN mean or bound is a violation: dominance must be shown, not assumed
         violations = sum(1 for mean, ci, b in zip(sweep.means, sweep.ci_half, bounds)
                          if not mean <= b.total + 3.0 * ci)
@@ -548,6 +547,7 @@ def run_lemma_battery(n: int = 1000, trials: int = 10_000, j_count: int = 8,
     """Across-trials mean and variance of the coefficient estimates versus
     their exact values and variance bounds, over the shipped field /
     deployment / noise menu."""
+    n, trials, j_count = _count(n, "n"), _count(trials, "trials"), _count(j_count, "j_count")
     if trials < 2:
         raise ValueError("need at least two trials per cell")
     if n < 1:
@@ -561,16 +561,15 @@ def run_lemma_battery(n: int = 1000, trials: int = 10_000, j_count: int = 8,
                    ("affine_floor_0.5", AffineFloorDeployment(nu=0.5))]
     noises = [("zero", ZeroNoise()), ("uniform_sym_1", UniformSymNoise(b=1.0)),
               ("two_point_1", TwoPointNoise(b=1.0))]
-    basis = FourierBasis()
 
     cells = [(fname, f, dname, d, zname, z)
              for fname, f in lemma_battery_menu()
              for dname, d in deployments
              for zname, z in noises]
 
-    trial_cells = [TrialCell(f, d, z, basis, n, j_count, trials)
+    trial_cells = [TrialCell(f, d, z, n, j_count, trials)
                    for _, f, _, d, _, z in cells]
-    alphas = [true_coefficients(f, basis, j_count).values for _, f, *_ in cells]
+    alphas = [true_coefficients(f, j_count).values for _, f, *_ in cells]
     # per cell, S1 = sum of alpha_hat and S2 = sum of |alpha_hat - alpha|^2,
     # shifted by the exact alpha (Chan, Golub & LeVeque, Am. Stat. 1983):
     # O(m) numbers at any trial count
@@ -585,7 +584,7 @@ def run_lemma_battery(n: int = 1000, trials: int = 10_000, j_count: int = 8,
     rows: list[dict] = []
     for (fname, f, dname, d, zname, z), alpha, total, shifted in zip(cells, alphas, s1, s2):
         c = dynamic_range(f, z)
-        bounds = (c * c / n) * basis.deployment_integrals(d, j_count)
+        bounds = (c * c / n) * FourierBasis.deployment_integrals(d, j_count)
         mean = total / trials
         var_emp = (shifted - trials * np.abs(mean - alpha) ** 2) / (trials - 1)
         sigma_mean = np.sqrt(var_emp / trials)
@@ -628,10 +627,10 @@ def _run_lemma1(out: Path, workers: int) -> LemmaBatteryResult:
 
 
 def _run_conditions(out: Path, workers: int) -> dict:
-    basis, uniform = FourierBasis(), UniformDeployment()
+    uniform = UniformDeployment()
     mismatch = _run_configs(_MISMATCH_CONFIGS, out, workers)
     grid = (100, 1000, 10_000, 100_000, 1_000_000)
-    reports = {name: check_consistency_conditions(schedule, basis, uniform, grid)
+    reports = {name: check_consistency_conditions(schedule, uniform, grid)
                for name, schedule in (("bv", TruncationSchedule.bv()),
                                       ("sobolev_s1", TruncationSchedule.sobolev(1.0)),
                                       ("power_psi1", TruncationSchedule.power(1.0)),
@@ -641,7 +640,7 @@ def _run_conditions(out: Path, workers: int) -> dict:
     affine = mismatch["mismatch_affine_floor"].config.deployment
     return {"mismatch": mismatch,
             "linear2x_js": mismatch["mismatch_linear2x"].divergent_js,
-            "integral_j0": float(basis.deployment_integrals(affine, 1)[0]),
+            "integral_j0": float(FourierBasis.deployment_integrals(affine, 1)[0]),
             "consistency": {**{name: bool(r.all_pass) for name, r in reports.items()},
                             "power_psi1 variance_ok": bool(reports["power_psi1"].variance_ok)},
             "schedules": {"gamma1.5 accepted": good.accepted, "gamma2.5 accepted": bad.accepted,

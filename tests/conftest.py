@@ -48,10 +48,10 @@ def fourier_eval(j: int, x) -> np.ndarray:
     return np.exp(2j * np.pi * FourierBasis.frequency(j) * np.asarray(x, dtype=float))
 
 
-def basis_sums(basis, m: int, x: np.ndarray, w: np.ndarray) -> np.ndarray:
+def basis_sums(m: int, x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """sum_i w_i * conj(phi_j(x_i)) for j < m over the last axis, for real
-    weights: one pass of the basis's running sums."""
-    sums = basis.running_sums(m, x.shape[:-1], x.shape[-1])
+    weights: one pass of the Fourier basis's running sums."""
+    sums = FourierBasis.running_sums(m, x.shape[:-1], x.shape[-1])
     sums.add(x, w)
     return sums.result()
 

@@ -112,11 +112,11 @@ def test_criterion_11_parseval_oracle_equivalence():
         m = int(rng.integers(1, len(values) + 1))
         hat_vals = rng.uniform(-0.7, 0.7, m) + 1j * rng.uniform(-0.7, 0.7, m)
         hat = ReconstructionCoefficients(values=hat_vals)
-        cv = true_coefficients(field, basis, len(values))
+        cv = true_coefficients(field, len(values))
         fast = integrated_squared_error(hat, cv, field)
 
         def integrand(x):
-            f_hat = complex(synthesize(basis, hat_vals, np.array([x]))[0])
+            f_hat = complex(synthesize(hat_vals, np.array([x]))[0])
             return abs(field.eval(x) - f_hat) ** 2
 
         direct, _ = quad(integrand, 0.0, 1.0, epsabs=1e-13, limit=400)
@@ -280,7 +280,7 @@ def test_the_battery_cells_agree_with_their_own_columns(lemma1):
     cols = _columns(out / "lemma1_cells.csv")
     j = [int(v) for v in cols["j"]]
     fields = dict(harness.lemma_battery_menu())
-    alphas = {name: true_coefficients(field, FourierBasis(), max(j) + 1).values
+    alphas = {name: true_coefficients(field, max(j) + 1).values
               for name, field in fields.items()}
     assert set(cols["field"]) == set(fields)
     alpha = [alphas[name][k] for name, k in zip(cols["field"], j)]
@@ -306,8 +306,8 @@ def test_a_trace_artifact_agrees_with_its_sups_on_the_grid(as_traces, monkeypatc
     config = load_shipped_config(name)
     synthesized = []
 
-    def recorded(basis, values, x):
-        synthesized.append((x, synthesize(basis, values, x)))
+    def recorded(values, x):
+        synthesized.append((x, synthesize(values, x)))
         return synthesized[-1][1]
 
     monkeypatch.setattr(analysis, "synthesize", recorded)

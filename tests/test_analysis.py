@@ -28,20 +28,20 @@ LN3 = 1.0986122886681098
 # deployment integrals
 # ---------------------------------------------------------------------------
 
-def test_uniform_integrals_are_exactly_one(fourier):
-    integrals = fourier.deployment_integrals(UniformDeployment(), 31)
+def test_uniform_integrals_are_exactly_one():
+    integrals = FourierBasis.deployment_integrals(UniformDeployment(), 31)
     for j in (0, 1, 5, 30):
         assert integrals[j] == pytest.approx(1.0, abs=1e-9)
 
 
-def test_vanishing_linear_density_diverges(fourier):
-    integrals = fourier.deployment_integrals(Linear2xDeployment(), 4)
+def test_vanishing_linear_density_diverges():
+    integrals = FourierBasis.deployment_integrals(Linear2xDeployment(), 4)
     assert math.isinf(integrals[0])
     assert math.isinf(integrals[3])
 
 
-def test_affine_floor_integral_is_log3(fourier):
-    value = fourier.deployment_integrals(AffineFloorDeployment(nu=0.5), 1)[0]
+def test_affine_floor_integral_is_log3():
+    value = FourierBasis.deployment_integrals(AffineFloorDeployment(nu=0.5), 1)[0]
     assert value == pytest.approx(LN3, abs=1e-9)
 
 
@@ -49,34 +49,34 @@ def test_affine_floor_integral_is_log3(fourier):
 # distortion bound
 # ---------------------------------------------------------------------------
 
-def test_finite_dim_bound_arithmetic(fourier, finite_dim_k5):
-    report = mse_upper_bound(finite_dim_k5, fourier, UniformDeployment(),
+def test_finite_dim_bound_arithmetic(finite_dim_k5):
+    report = mse_upper_bound(finite_dim_k5, UniformDeployment(),
                              n=1000, m=5, c=2.0)
     assert report.bias_term == 0.0
     assert report.total == pytest.approx(0.02, abs=1e-9)
-    assert fourier.deployment_integrals(UniformDeployment(), 5) == \
+    assert FourierBasis.deployment_integrals(UniformDeployment(), 5) == \
         pytest.approx([1.0] * 5, abs=1e-9)
 
 
-def test_bound_at_m_zero_is_the_field_energy(fourier, sawtooth):
-    report = mse_upper_bound(sawtooth, fourier, UniformDeployment(),
+def test_bound_at_m_zero_is_the_field_energy(sawtooth):
+    report = mse_upper_bound(sawtooth, UniformDeployment(),
                              n=10, m=0, c=1.5)
     assert report.variance_term == 0.0
     assert report.total == pytest.approx(sawtooth.norm_sq)
 
 
-def test_bound_flags_divergent_deployment(fourier, sawtooth):
-    report = mse_upper_bound(sawtooth, fourier, Linear2xDeployment(),
+def test_bound_flags_divergent_deployment(sawtooth):
+    report = mse_upper_bound(sawtooth, Linear2xDeployment(),
                              n=100, m=3, c=1.5)
     assert 0 in report.divergent_js
     assert math.isinf(report.total)
 
 
-def test_bound_decomposition_and_monotone_bias(fourier, sawtooth):
+def test_bound_decomposition_and_monotone_bias(sawtooth):
     deploy = AffineFloorDeployment(nu=0.5)
     previous_bias = math.inf
     for m in (1, 2, 4, 8, 16):
-        report = mse_upper_bound(sawtooth, fourier, deploy, n=500, m=m, c=1.5)
+        report = mse_upper_bound(sawtooth, deploy, n=500, m=m, c=1.5)
         assert report.total == report.variance_term + report.bias_term
         assert report.variance_term <= (1.5 ** 2) * m / (500 * 0.5) + 1e-12
         assert report.bias_term <= previous_bias
@@ -84,12 +84,12 @@ def test_bound_decomposition_and_monotone_bias(fourier, sawtooth):
 
 
 @pytest.mark.parametrize("m", [5, 33, 101])
-def test_the_sawtooth_bias_term_is_its_closed_form_tail(fourier, sawtooth, m):
+def test_the_sawtooth_bias_term_is_its_closed_form_tail(sawtooth, m):
     """|<f, phi_j>|^2 = 1/(4 pi^2 k^2) at frequency +-k, so the tail past
     m = 2K + 1 is 2 sum_{k>K} 1/(4 pi^2 k^2) = psi_1(K + 1) / (2 pi^2)."""
     from scipy.special import polygamma
 
-    report = mse_upper_bound(sawtooth, fourier, UniformDeployment(), 1000, m, 1.5)
+    report = mse_upper_bound(sawtooth, UniformDeployment(), 1000, m, 1.5)
     k = (m - 1) // 2
     assert report.bias_term == pytest.approx(polygamma(1, k + 1) / (2.0 * math.pi ** 2),
                                              rel=1e-13, abs=0.0)
@@ -99,18 +99,16 @@ def test_the_sawtooth_bias_term_is_its_closed_form_tail(fourier, sawtooth, m):
 # consistency conditions
 # ---------------------------------------------------------------------------
 
-def test_bv_schedule_passes_all_conditions(fourier):
+def test_bv_schedule_passes_all_conditions():
     grid = (100, 1000, 10_000, 100_000, 1_000_000)
-    report = check_consistency_conditions(TruncationSchedule.bv(), fourier,
-                                          UniformDeployment(), grid)
+    report = check_consistency_conditions(TruncationSchedule.bv(), UniformDeployment(), grid)
     assert report.all_pass
     expected = tuple(math.ceil(math.sqrt(n)) / n for n in grid)
     assert report.variance_condition_values == pytest.approx(expected, rel=1e-12)
 
 
-def test_fixed_schedule_fails_growth(fourier):
-    report = check_consistency_conditions(TruncationSchedule.fixed(5), fourier,
-                                          UniformDeployment(),
+def test_fixed_schedule_fails_growth():
+    report = check_consistency_conditions(TruncationSchedule.fixed(5), UniformDeployment(),
                                           (100, 1000, 10_000))
     assert not report.truncation_grows
     assert not report.all_pass
@@ -119,16 +117,14 @@ def test_fixed_schedule_fails_growth(fourier):
 
 @pytest.mark.parametrize("grid, vanishing", [((100, 166), False), ((100, 250), True)],
                          ids=["ratio_0.602", "ratio_0.400"])
-def test_the_variance_condition_vanishes_at_half_its_first_value(fourier, grid, vanishing):
+def test_the_variance_condition_vanishes_at_half_its_first_value(grid, vanishing):
     """A fixed m = 5 gives q_n = 5/n: the last q must be at most half the first."""
-    report = check_consistency_conditions(TruncationSchedule.fixed(5), fourier,
-                                          UniformDeployment(), grid)
+    report = check_consistency_conditions(TruncationSchedule.fixed(5), UniformDeployment(), grid)
     assert report.variance_condition_vanishing is vanishing
 
 
-def test_linear_truncation_fails_the_variance_condition(fourier):
-    report = check_consistency_conditions(TruncationSchedule.power(1.0), fourier,
-                                          UniformDeployment(),
+def test_linear_truncation_fails_the_variance_condition():
+    report = check_consistency_conditions(TruncationSchedule.power(1.0), UniformDeployment(),
                                           (100, 1000, 10_000))
     assert report.truncation_ok
     assert not report.variance_ok
@@ -136,35 +132,34 @@ def test_linear_truncation_fails_the_variance_condition(fourier):
     assert report.variance_condition_values == pytest.approx((1.0, 1.0, 1.0))
 
 
-def test_the_checker_reads_the_variance_sum_of_the_bound(fourier):
+def test_the_checker_reads_the_variance_sum_of_the_bound():
     """q_n is the bound's sum over j < m of the deployment integrals, over n,
     to the last bit (m * integral differs from that sum at m = 100, 317, 1000)."""
     deploy = AffineFloorDeployment(nu=0.5)
     grid = (100, 1000, 10_000, 100_000, 1_000_000)
-    report = check_consistency_conditions(TruncationSchedule.bv(), fourier, deploy, grid)
+    report = check_consistency_conditions(TruncationSchedule.bv(), deploy, grid)
     assert report.m_values == (10, 32, 100, 317, 1000)
     for q, m, n in zip(report.variance_condition_values, report.m_values, grid):
-        assert q == float(np.sum(fourier.deployment_integrals(deploy, m))) / n
+        assert q == float(np.sum(FourierBasis.deployment_integrals(deploy, m))) / n
 
 
-def test_an_empty_grid_is_rejected(fourier):
+def test_an_empty_grid_is_rejected():
     with pytest.raises(ValueError, match="n_grid"):
-        check_consistency_conditions(TruncationSchedule.bv(), fourier,
-                                     UniformDeployment(), [])
+        check_consistency_conditions(TruncationSchedule.bv(), UniformDeployment(), [])
 
 
 # ---------------------------------------------------------------------------
 # integrated squared error
 # ---------------------------------------------------------------------------
 
-def test_exact_coefficients_give_zero_error(fourier, finite_dim_k5):
-    cv = true_coefficients(finite_dim_k5, fourier, 5)
+def test_exact_coefficients_give_zero_error(finite_dim_k5):
+    cv = true_coefficients(finite_dim_k5, 5)
     hat = ReconstructionCoefficients(values=cv.values.copy())
     assert integrated_squared_error(hat, cv, finite_dim_k5) == 0.0
 
 
-def test_zero_estimate_gives_full_energy(fourier, sawtooth):
-    cv = true_coefficients(sawtooth, fourier, 8)
+def test_zero_estimate_gives_full_energy(sawtooth):
+    cv = true_coefficients(sawtooth, 8)
     hat = ReconstructionCoefficients(values=np.zeros(8, complex))
     assert integrated_squared_error(hat, cv, sawtooth) == \
         pytest.approx(sawtooth.norm_sq, abs=1e-12)
@@ -175,7 +170,7 @@ def test_hand_worked_case():
                                   basis=FourierBasis())
     # ||f||^2 = 0.25 + 0.25 + 0.25 = 0.75; use the first two coefficients:
     # |1 - 0.5|^2 + |0 - 0.5j|^2 = 0.5, tail = 0.25
-    cv = true_coefficients(field, FourierBasis(), 2)
+    cv = true_coefficients(field, 2)
     hat = ReconstructionCoefficients(values=np.array([1.0, 0.0], dtype=complex))
     assert integrated_squared_error(hat, cv, field) == pytest.approx(0.75, abs=1e-12)
 
@@ -192,19 +187,19 @@ def test_parseval_error_matches_direct_quadrature(fourier):
         m = int(rng.integers(1, len(values) + 1))
         hat_vals = rng.uniform(-0.5, 0.5, m) + 1j * rng.uniform(-0.5, 0.5, m)
         hat = ReconstructionCoefficients(values=hat_vals)
-        cv = true_coefficients(field, fourier, len(values))
+        cv = true_coefficients(field, len(values))
         fast = integrated_squared_error(hat, cv, field)
 
         def integrand(x):
-            f_hat = complex(synthesize(fourier, hat_vals, np.array([x]))[0])
+            f_hat = complex(synthesize(hat_vals, np.array([x]))[0])
             return abs(field.eval(x) - f_hat) ** 2
 
         direct, _ = quad(integrand, 0.0, 1.0, epsabs=1e-12, limit=300)
         assert abs(fast - direct) <= 1e-6 * max(direct, 1e-12)
 
 
-def test_error_requires_enough_true_coefficients(fourier, sawtooth):
-    cv = true_coefficients(sawtooth, fourier, 2)
+def test_error_requires_enough_true_coefficients(sawtooth):
+    cv = true_coefficients(sawtooth, 2)
     hat = ReconstructionCoefficients(values=np.zeros(4, complex))
     with pytest.raises(ValueError):
         integrated_squared_error(hat, cv, sawtooth)
@@ -216,20 +211,18 @@ def test_error_requires_enough_true_coefficients(fourier, sawtooth):
 
 def test_monte_carlo_is_deterministic(sawtooth):
     deploy, noise = UniformDeployment(), UniformSymNoise(b=1.0)
-    basis, schedule = FourierBasis(), TruncationSchedule.bv()
-    a = monte_carlo_mse(sawtooth, deploy, noise, basis, schedule, [500, 2000], trials=2,
-                        seed=21)
-    b = monte_carlo_mse(sawtooth, deploy, noise, basis, schedule, [500, 2000], trials=2,
-                        seed=21)
+    schedule = TruncationSchedule.bv()
+    a = monte_carlo_mse(sawtooth, deploy, noise, schedule, [500, 2000], trials=2, seed=21)
+    b = monte_carlo_mse(sawtooth, deploy, noise, schedule, [500, 2000], trials=2, seed=21)
     assert a.means == b.means and a.stds == b.stds
 
 
 def test_worker_count_does_not_change_results(sawtooth):
     deploy, noise = UniformDeployment(), UniformSymNoise(b=1.0)
-    basis, schedule = FourierBasis(), TruncationSchedule.bv()
-    serial = monte_carlo_mse(sawtooth, deploy, noise, basis, schedule, [400, 1600],
+    schedule = TruncationSchedule.bv()
+    serial = monte_carlo_mse(sawtooth, deploy, noise, schedule, [400, 1600],
                              trials=60, seed=31, workers=1)
-    parallel = monte_carlo_mse(sawtooth, deploy, noise, basis, schedule, [400, 1600],
+    parallel = monte_carlo_mse(sawtooth, deploy, noise, schedule, [400, 1600],
                                trials=60, seed=31, workers=2)
     assert serial.means == parallel.means
     assert all(np.array_equal(x, y)
@@ -242,9 +235,8 @@ def test_worker_count_does_not_change_results(sawtooth):
 def test_worker_count_does_not_change_results_on_other_inputs(sawtooth, deploy, noise):
     """The pool workers rebuild the deployment and noise they are sent and
     draw from them what the parent draws."""
-    serial, parallel = (monte_carlo_mse(sawtooth, deploy, noise, FourierBasis(),
-                                        TruncationSchedule.bv(), [300, 900],
-                                        trials=30, seed=37, workers=workers)
+    serial, parallel = (monte_carlo_mse(sawtooth, deploy, noise, TruncationSchedule.bv(),
+                                        [300, 900], trials=30, seed=37, workers=workers)
                         for workers in (1, 2))
     assert all(np.array_equal(x, y)
                for x, y in zip(serial.trial_values, parallel.trial_values))
@@ -253,13 +245,28 @@ def test_worker_count_does_not_change_results_on_other_inputs(sawtooth, deploy, 
 def test_an_array_of_trial_counts_is_one_count_per_n(sawtooth):
     """A 1-D array of counts reads as a list does; it used to fail as a
     conversion of the whole array to one Python int."""
-    args = (sawtooth, UniformDeployment(), ZeroNoise(), FourierBasis(),
-            TruncationSchedule.bv(), [64, 128])
+    args = (sawtooth, UniformDeployment(), ZeroNoise(), TruncationSchedule.bv(), [64, 128])
     from_array = monte_carlo_mse(*args, trials=np.array([2, 3]), seed=5)
     from_list = monte_carlo_mse(*args, trials=[2, 3], seed=5)
     assert from_array.trials == from_list.trials == (2, 3)
     assert all(np.array_equal(a, b)
                for a, b in zip(from_array.trial_values, from_list.trial_values))
+
+
+def test_integral_floats_and_numpy_ints_are_counts(sawtooth):
+    """500.0 and np.int64(500) read as the int 500 wherever a count is
+    taken; a fractional count is refused (`test_guards`)."""
+    args = (sawtooth, UniformDeployment(), ZeroNoise(), TruncationSchedule.bv())
+    as_floats = monte_carlo_mse(*args, [64.0, np.int64(128)], trials=[2.0, np.int64(3)], seed=5)
+    as_ints = monte_carlo_mse(*args, [64, 128], trials=[2, 3], seed=5)
+    assert all(np.array_equal(a, b) for a, b in zip(as_floats.trial_values, as_ints.trial_values))
+    assert monte_carlo_mse(*args, [64], trials=2.0, seed=5).trials == (2,)
+    counts = [as_floats.trials,
+              check_consistency_conditions(TruncationSchedule.bv(), UniformDeployment(),
+                                           [100.0, np.int64(1000)]).n_grid,
+              rate_fit([10.0, 20, 40, np.int64(80)], [1.0, 0.5, 0.25, 0.125]).n_grid]
+    assert counts == [(2, 3), (100, 1000), (10, 20, 40, 80)]
+    assert all(type(n) is int for values in counts for n in values)
 
 
 def test_chunk_size_does_not_change_trial_estimates(sawtooth, monkeypatch):
@@ -269,7 +276,7 @@ def test_chunk_size_does_not_change_trial_estimates(sawtooth, monkeypatch):
     out of order."""
     deploy, noise = AffineFloorDeployment(nu=0.5), UniformSymNoise(b=1.0)
     sobolev = make_sobolev_field(1.0, seed=7, n_freqs=32)
-    cells = [TrialCell(f, deploy, noise, FourierBasis(), n, m, trials)
+    cells = [TrialCell(f, deploy, noise, n, m, trials)
              for f, n, m, trials in ((sawtooth, 300, 5, 123), (sobolev, 700, 8, 9),
                                      (sobolev, 1, 8, 12))]
     runs = []
@@ -293,7 +300,7 @@ def test_the_worker_count_is_checked_before_any_trial_runs(sawtooth, workers):
     deploy, noise = UniformDeployment(), ZeroNoise()
     taken = []
     with pytest.raises(ValueError, match=rf"workers must be in \[1, {WORKERS_MAX}\]"):
-        map_trials([TrialCell(sawtooth, deploy, noise, FourierBasis(), 100, 4, 2)], seed=1,
+        map_trials([TrialCell(sawtooth, deploy, noise, 100, 4, 2)], seed=1,
                    take=lambda *chunk: taken.append(chunk), workers=workers)
     assert taken == []
 
@@ -302,7 +309,7 @@ def test_chunks_reach_take_in_payload_order(sawtooth, monkeypatch):
     """Cell by cell, each cell's chunks in trial order, at either worker count."""
     monkeypatch.setattr(analysis, "TASK_SENSORS", 500)
     deploy, noise = UniformDeployment(), UniformSymNoise(b=1.0)
-    cells = [TrialCell(sawtooth, deploy, noise, FourierBasis(), n, 4, trials)
+    cells = [TrialCell(sawtooth, deploy, noise, n, 4, trials)
              for n, trials in ((100, 12), (200, 5))]
     for workers in (1, 2):
         order = []
@@ -326,7 +333,7 @@ def test_no_pool_outlives_a_raise(sawtooth, monkeypatch):
     deploy, noise = UniformDeployment(), ZeroNoise()
 
     def cell(field):
-        return TrialCell(field, deploy, noise, FourierBasis(), 100, 8, 6)
+        return TrialCell(field, deploy, noise, 100, 8, 6)
 
     with pytest.raises(ArithmeticError, match="cannot be evaluated"):
         map_trials([cell(sawtooth), cell(UnevaluableField())], seed=2,
@@ -346,11 +353,10 @@ def test_sweep_scores_each_trial_as_its_own_row(sawtooth, m):
     """Scoring the (trials, m) array at once gives, bitwise, the error of
     each trial scored on its own."""
     deploy, noise = UniformDeployment(), UniformSymNoise(b=1.0)
-    sweep = monte_carlo_mse(sawtooth, deploy, noise, FourierBasis(),
-                            TruncationSchedule.fixed(m), [1024], trials=12, seed=41)
-    rows = collect_trials([TrialCell(sawtooth, deploy, noise, FourierBasis(), 1024, m, 12)],
-                          seed=41)[0]
-    true_cv = true_coefficients(sawtooth, FourierBasis(), m)
+    sweep = monte_carlo_mse(sawtooth, deploy, noise, TruncationSchedule.fixed(m), [1024],
+                            trials=12, seed=41)
+    rows = collect_trials([TrialCell(sawtooth, deploy, noise, 1024, m, 12)], seed=41)[0]
+    true_cv = true_coefficients(sawtooth, m)
     per_row = [integrated_squared_error(ReconstructionCoefficients(row),
                                         true_cv, sawtooth) for row in rows]
     assert np.array_equal(sweep.trial_values[0], per_row)
@@ -361,7 +367,7 @@ def test_the_sweep_reports_the_sample_std_and_a_95_percent_ci(sawtooth, monkeypa
     deviation sqrt(5/3) (ddof = 1) and CI half-width 1.96 sqrt(5/3) / sqrt(4)."""
     monkeypatch.setattr(analysis, "integrated_squared_error",
                         lambda *args: np.array([1.0, 2.0, 3.0, 4.0]))
-    sweep = monte_carlo_mse(sawtooth, UniformDeployment(), ZeroNoise(), FourierBasis(),
+    sweep = monte_carlo_mse(sawtooth, UniformDeployment(), ZeroNoise(),
                             TruncationSchedule.fixed(1), [8], trials=4, seed=0)
     assert sweep.means == (2.5,)
     assert sweep.stds == pytest.approx((math.sqrt(5.0 / 3.0),), rel=1e-15)
@@ -371,16 +377,15 @@ def test_the_sweep_reports_the_sample_std_and_a_95_percent_ci(sawtooth, monkeypa
 def test_zero_field_mse_tracks_the_variance_bound():
     # with m = 1 the distortion is Var[alpha_hat_0] <= c^2 / n
     field, deploy, noise = zero_field(1.0), UniformDeployment(), ZeroNoise()
-    sweep = monte_carlo_mse(field, deploy, noise, FourierBasis(), TruncationSchedule.fixed(1),
+    sweep = monte_carlo_mse(field, deploy, noise, TruncationSchedule.fixed(1),
                             [10_000], trials=200, seed=41)
     assert sweep.means[0] <= 1.2 * 1.0 / 10_000
 
 
 def test_finite_dim_mse_scales_inversely_with_n(finite_dim_k5):
     deploy, noise = UniformDeployment(), UniformSymNoise(b=1.0)
-    sweep = monte_carlo_mse(finite_dim_k5, deploy, noise, FourierBasis(),
-                            TruncationSchedule.finite_dim(5), [1000, 10_000],
-                            trials=150, seed=51)
+    sweep = monte_carlo_mse(finite_dim_k5, deploy, noise, TruncationSchedule.finite_dim(5),
+                            [1000, 10_000], trials=150, seed=51)
     ratio = sweep.means[0] / sweep.means[1]
     assert 6.0 <= ratio <= 14.0
 
@@ -393,7 +398,7 @@ def test_variance_bias_trade_off_is_not_monotone(sawtooth):
                           schedule=TruncationSchedule.fixed(1024))
     n, trials = 100_000, 12
     ms = [2 ** k for k in range(1, 11)]
-    cv = true_coefficients(sawtooth, FourierBasis(), 1024)
+    cv = true_coefficients(sawtooth, 1024)
     from ditherfield import estimate_coefficients, trial_seed
 
     curves = np.zeros((trials, len(ms)))
@@ -467,7 +472,7 @@ def test_the_schedule_check_reads_the_dense_kernel_and_projections(monkeypatch, 
     phi = np.column_stack([fourier_eval(j, xg) for j in range(m)])
     kernel = np.abs(phi @ phi.conj().T) / np.asarray(deploy.pdf(xg))[None, :]
     assert val.kernel_ratio_max == pytest.approx(kernel.max() / (val.c1 * m), rel=1e-12)
-    projection = max(np.abs(phi @ true_coefficients(f, FourierBasis(), m).values).max()
+    projection = max(np.abs(phi @ true_coefficients(f, m).values).max()
                      for f in analysis._shipped_field_menu())
     assert val.projection_ratio_max == pytest.approx(projection / (val.c2 * m), rel=1e-12)
 
@@ -500,7 +505,7 @@ def test_trace_checkpoints_equal_the_whole_path_estimates():
         for i, n in enumerate(checkpoints):
             batch = simulate_batch(field, deploy, noise, n, seed=23)
             alpha = estimate_coefficients(batch, cfg, trace.m_values[i]).values
-            sup = np.max(np.abs(synthesize(cfg.basis, alpha, grid)))
+            sup = np.max(np.abs(synthesize(alpha, grid)))
             assert trace.sup_error[i] == pytest.approx(sup, rel=1e-12), n
 
 

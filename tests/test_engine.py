@@ -42,14 +42,14 @@ SENSOR_COUNTS = (1, 7, 1000, 20_000)
 M = 64
 
 
-def cell_for(field, deploy, noise, basis, n, trials, m=M):
-    return TrialCell(field, deploy, noise, basis, n, m, trials)
+def cell_for(field, deploy, noise, n, trials, m=M):
+    return TrialCell(field, deploy, noise, n, m, trials)
 
 
-def cfg_for(field, deploy, noise, basis, m=M):
+def cfg_for(field, deploy, noise, m=M):
     """The oracle's estimator config for a cell of these ingredients."""
-    return EstimatorConfig(basis=basis, density=deploy, c=field.amplitude_bound + noise.b,
-                           schedule=TruncationSchedule.fixed(m))
+    return EstimatorConfig(basis=FourierBasis(), density=deploy,
+                           c=field.amplitude_bound + noise.b, schedule=TruncationSchedule.fixed(m))
 
 
 # ---------------------------------------------------------------------------
@@ -135,12 +135,12 @@ def test_block_rows_equal_the_one_trial_oracle(deploy, noise):
     seed, trials = 515, 3
     for field in FIELDS.values():
         for n in SENSOR_COUNTS:
-            cell = cell_for(field, deploy, noise, FourierBasis(), n, trials)
+            cell = cell_for(field, deploy, noise, n, trials)
             rows = collect_trials([cell], seed)[0]
             for t in range(trials):
                 batch = reference_batch(field, deploy, noise, n, seed, (0, t))
                 want = estimate_coefficients(
-                    batch, cfg_for(field, deploy, noise, FourierBasis()), M).values
+                    batch, cfg_for(field, deploy, noise), M).values
                 assert np.array_equal(rows[t], want), (field.kind, n, t)
 
 
@@ -152,7 +152,7 @@ def test_block_batch_rows_equal_single_batches(n):
     keys = stream_keys(88, [(2, t) for t in range(3)])
     block = simulate_batch(field, deploy, noise, n, keys)
     assert block.x.shape == (3, n) and block.n == n
-    cfg = cfg_for(field, deploy, noise, FourierBasis())
+    cfg = cfg_for(field, deploy, noise)
     estimates = estimate_coefficients(block, cfg, M).values
     for t in range(3):
         single = simulate_batch(field, deploy, noise, n, trial_seed(88, 2, t))
@@ -177,7 +177,7 @@ def test_a_bad_sensor_in_a_block_is_named_by_row_and_column(sawtooth):
     block = simulate_batch(sawtooth, UniformDeployment(), ZeroNoise(), 5,
                            stream_keys(1, [(0,), (1,)]))
     block.bits[1, 3] = 0.0
-    cfg = cfg_for(sawtooth, UniformDeployment(), ZeroNoise(), FourierBasis())
+    cfg = cfg_for(sawtooth, UniformDeployment(), ZeroNoise())
     with pytest.raises(EstimationError, match=r"bits\[1, 3\]=0.0"):
         estimate_coefficients(block, cfg, 4)
 
@@ -190,9 +190,9 @@ def test_the_engine_is_prefix_stable(sawtooth):
     """More trials keep the first trials' rows; more sensors keep the first
     sensors of every row of a block."""
     deploy, noise = UniformDeployment(), UniformSymNoise(b=1.0)
-    short = collect_trials([cell_for(sawtooth, deploy, noise, FourierBasis(), 500, 40)],
+    short = collect_trials([cell_for(sawtooth, deploy, noise, 500, 40)],
                            seed=9)[0]
-    long = collect_trials([cell_for(sawtooth, deploy, noise, FourierBasis(), 500, 90)],
+    long = collect_trials([cell_for(sawtooth, deploy, noise, 500, 90)],
                           seed=9)[0]
     assert np.array_equal(short, long[:40])
 
@@ -220,10 +220,9 @@ def test_the_estimate_is_linear_in_the_bits(seed, n, m, a, b):
     x = rng.random(n)
     bits1, bits2 = (np.where(rng.random(n) < 0.5, -1.0, 1.0) for _ in range(2))
     p = AffineFloorDeployment(nu=0.5).pdf(x)
-    basis = FourierBasis()
-    s1, s2 = (basis_sums(basis, m, x, bits / p) for bits in (bits1, bits2))
-    mixed = basis_sums(basis, m, x, (a * bits1 + b * bits2) / p)
-    scale = (abs(a) + abs(b)) * np.sum(1.0 / p) * basis.bound
+    s1, s2 = (basis_sums(m, x, bits / p) for bits in (bits1, bits2))
+    mixed = basis_sums(m, x, (a * bits1 + b * bits2) / p)
+    scale = (abs(a) + abs(b)) * np.sum(1.0 / p) * FourierBasis.bound
     assert np.max(np.abs(mixed - (a * s1 + b * s2))) <= 1e-12 * scale
 
 
@@ -232,7 +231,7 @@ def test_the_estimate_is_linear_in_the_bits(seed, n, m, a, b):
 def test_flipping_every_bit_negates_the_estimate(seed):
     field, deploy, noise = FIELDS["sawtooth"], UniformDeployment(), UniformSymNoise(b=1.0)
     batch = simulate_batch(field, deploy, noise, 700, stream_keys(seed, [(0,), (1,)]))
-    cfg = cfg_for(field, deploy, noise, FourierBasis())
+    cfg = cfg_for(field, deploy, noise)
     flipped = SensorBatch(x=batch.x, y=batch.y, t=batch.t, bits=-batch.bits, c=batch.c)
     assert np.array_equal(estimate_coefficients(flipped, cfg, M).values,
                           -estimate_coefficients(batch, cfg, M).values)
@@ -246,7 +245,7 @@ def test_real_weight_estimates_are_conjugate_symmetric(seed, n, m):
     conj(alpha_{2k}), row by row."""
     rng = np.random.default_rng(seed)
     x, w = rng.random((2, n)), rng.standard_normal((2, n))
-    sums = basis_sums(FourierBasis(), m, x, w)
+    sums = basis_sums(m, x, w)
     pairs = (m - 1) // 2
     assert np.array_equal(sums[:, 1:1 + 2 * pairs:2], np.conj(sums[:, 2:2 + 2 * pairs:2]))
     assert np.all(sums[:, 0].imag == 0.0)
@@ -269,16 +268,15 @@ def test_tiled_rows_equal_the_one_trial_oracle(n, m, gridded):
     """A trial cut into tiles of BLOCK_POINTS sensors gives, bit for bit,
     the estimate of its whole batch in one pass."""
     assert spectral._gridded(n, m // 2) is gridded
-    basis = FourierBasis()
     seed, trials = 616, 2
     for field, deploy, noise in [(FIELDS["sobolev"], AffineFloorDeployment(nu=0.5),
                                   UniformSymNoise(b=1.0)),
                                  (FIELDS["piecewise"], UniformDeployment(), TwoPointNoise(b=0.7))]:
-        cell = cell_for(field, deploy, noise, basis, n, trials, m)
+        cell = cell_for(field, deploy, noise, n, trials, m)
         rows = collect_trials([cell], seed)[0]
         for t in range(trials):
             batch = reference_batch(field, deploy, noise, n, seed, (0, t))
-            want = estimate_coefficients(batch, cfg_for(field, deploy, noise, basis, m),
+            want = estimate_coefficients(batch, cfg_for(field, deploy, noise, m),
                                          m).values
             assert np.array_equal(rows[t], want), (field.kind, t)
 
@@ -308,7 +306,7 @@ def test_tiled_rows_do_not_depend_on_the_worker_count(monkeypatch):
     """One-trial pool tasks, which two workers run out of order."""
     monkeypatch.setattr(analysis, "TASK_SENSORS", 1)
     cell = cell_for(FIELDS["sawtooth"], UniformDeployment(), UniformSymNoise(b=1.0),
-                    FourierBasis(), BLOCK_POINTS + 3616, 3)
+                    BLOCK_POINTS + 3616, 3)
     one = collect_trials([cell], seed=12, workers=1)[0]
     two = collect_trials([cell], seed=12, workers=2)[0]
     assert np.array_equal(one, two)
@@ -317,7 +315,7 @@ def test_tiled_rows_do_not_depend_on_the_worker_count(monkeypatch):
 def test_a_bad_sensor_in_a_later_tile_is_named_by_its_index(sawtooth, monkeypatch):
     """The index is the sensor's place in its realization, not in its tile."""
     deploy, noise = UniformDeployment(), ZeroNoise()
-    cfg = cfg_for(sawtooth, deploy, noise, FourierBasis())
+    cfg = cfg_for(sawtooth, deploy, noise)
     window = simulate_batch(sawtooth, deploy, noise, 20_000 - BLOCK_POINTS, 4, BLOCK_POINTS)
     window.bits[17_000 - BLOCK_POINTS] = 0.0
     with pytest.raises(EstimationError, match=r"bits\[17000\]=0.0"):
@@ -330,7 +328,7 @@ def test_a_bad_sensor_in_a_later_tile_is_named_by_its_index(sawtooth, monkeypatc
         return tile
 
     monkeypatch.setattr(analysis, "simulate_batch", corrupted)
-    cell = cell_for(sawtooth, deploy, noise, FourierBasis(), 20_000, 1)
+    cell = cell_for(sawtooth, deploy, noise, 20_000, 1)
     with pytest.raises(EstimationError, match=r"bits\[0, 17000\]=0.0"):
         collect_trials([cell], seed=4)
 
@@ -361,7 +359,7 @@ def test_a_tiled_trial_holds_no_row_of_all_its_sensors():
     n = 1 << 18
     m = TruncationSchedule.bv().resolve(n)
     assert m == 512
-    cell = cell_for(field, deploy, noise, FourierBasis(), n, 2, m)
+    cell = cell_for(field, deploy, noise, n, 2, m)
     assert traced_peak_mb(lambda: collect_trials([cell], seed=3)) < 4.0
 
 

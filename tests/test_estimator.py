@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,8 +15,8 @@ from ditherfield import (EstimationError, EstimatorConfig, FourierBasis,
 from conftest import zero_field
 
 
-def make_cfg(c, schedule=None, density=None, basis=None):
-    return EstimatorConfig(basis=basis or FourierBasis(),
+def make_cfg(c, schedule=None, density=None):
+    return EstimatorConfig(basis=FourierBasis(),
                            density=density or UniformDeployment(), c=c,
                            schedule=schedule or TruncationSchedule.fixed(8))
 
@@ -106,7 +109,7 @@ def test_sawtooth_estimate_matches_quadrature_coefficient(sawtooth):
     for t in range(trials):
         batch = simulate_batch(sawtooth, deploy, noise, n, trial_seed(606, t))
         values[t] = estimate_coefficients(batch, cfg, 2).values[1]
-    alpha_1 = true_coefficients(sawtooth, FourierBasis(), 2).values[1]
+    alpha_1 = true_coefficients(sawtooth, 2).values[1]
     sigma_mean = np.sqrt(np.mean(np.abs(values - values.mean()) ** 2) / trials)
     assert abs(values.mean() - alpha_1) <= 4.0 * sigma_mean
 
@@ -158,7 +161,7 @@ def test_coefficients_converge_along_one_sample_path(sawtooth):
     deploy, noise = UniformDeployment(), UniformSymNoise(b=1.0)
     cfg = make_cfg(c=sawtooth.amplitude_bound + noise.b)
     big = simulate_batch(sawtooth, deploy, noise, 1_000_000, seed=909)
-    alpha = true_coefficients(sawtooth, FourierBasis(), 4).values
+    alpha = true_coefficients(sawtooth, 4).values
     small = simulate_batch(sawtooth, deploy, noise, 1000, seed=909)
     early = estimate_coefficients(small, cfg, 4).values
     late = estimate_coefficients(big, cfg, 4).values
@@ -203,16 +206,29 @@ def test_reconstruct_zero_and_constant():
 
     x = np.linspace(0.0, 1.0, 33)
     zero = ReconstructionCoefficients(values=np.zeros(4, dtype=complex))
-    assert np.array_equal(reconstruct(zero, FourierBasis(), x), np.zeros(33, complex))
+    assert np.array_equal(reconstruct(zero, x), np.zeros(33, complex))
     const = ReconstructionCoefficients(values=np.array([2.5 + 0j]))
-    assert np.allclose(reconstruct(const, FourierBasis(), x), 2.5)
+    assert np.allclose(reconstruct(const, x), 2.5)
 
 
 def test_reconstruct_from_true_coefficients_is_synthesis(finite_dim_k5):
     from ditherfield import ReconstructionCoefficients
 
-    cv = true_coefficients(finite_dim_k5, FourierBasis(), 5)
+    cv = true_coefficients(finite_dim_k5, 5)
     coeffs = ReconstructionCoefficients(values=cv.values)
     x = np.linspace(0.0, 1.0, 257)
-    assert np.max(np.abs(reconstruct(coeffs, FourierBasis(), x)
+    assert np.max(np.abs(reconstruct(coeffs, x)
                          - finite_dim_k5.eval(x))) < 1e-10
+
+
+def test_the_readme_quick_start_runs_as_written():
+    """The README's one `python` block, run as it stands, so that its
+    signatures cannot go stale."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme, flags=re.M | re.S)
+    assert len(blocks) == 1
+    names = {}
+    exec(blocks[0], names)
+    assert names["m"] == 317 and len(names["alpha_hat"]) == 317
+    assert 0.0 < names["err"] < 0.05
+    assert names["estimate_on_grid"].shape == (513,)

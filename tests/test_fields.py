@@ -56,32 +56,32 @@ def test_uniform_amplitude_bounds(fourier):
     assert fourier.bound == 1.0
 
 
-def test_unit_vector_synthesis_matches_scalar_eval(fourier):
+def test_unit_vector_synthesis_matches_scalar_eval():
     x = np.linspace(0.0, 1.0, 101)
     for j in range(12):
         unit = np.zeros(12)
         unit[j] = 1.0
-        assert np.allclose(synthesize(fourier, unit, x), fourier_eval(j, x),
+        assert np.allclose(synthesize(unit, x), fourier_eval(j, x),
                            rtol=0.0, atol=1e-12)
-        assert synthesize(fourier, unit, 0.3) == pytest.approx(
+        assert synthesize(unit, 0.3) == pytest.approx(
             complex(fourier_eval(j, 0.3)), abs=1e-12)
 
 
 @pytest.mark.parametrize("x", [-0.3, -1e-9, 0.0, 1.0, 1.3])
-def test_synthesis_matches_eval_outside_the_unit_interval(fourier, x):
+def test_synthesis_matches_eval_outside_the_unit_interval(x):
     """Off [0, 1) the synthesis reads the periodic basis, as the
     exponentials themselves do."""
     values = np.array([1.0, 2.0 - 1.0j, 3.0, 4.0j, -0.5])
     direct = sum(v * fourier_eval(j, x) for j, v in enumerate(values))
-    assert synthesize(fourier, values, x) == pytest.approx(complex(direct), abs=1e-12)
+    assert synthesize(values, x) == pytest.approx(complex(direct), abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
 # true coefficients
 # ---------------------------------------------------------------------------
 
-def test_zero_field_coefficients(fourier):
-    cv = true_coefficients(zero_field(), fourier, 4)
+def test_zero_field_coefficients():
+    cv = true_coefficients(zero_field(), 4)
     assert np.array_equal(cv.values, np.zeros(4, dtype=complex))
 
 
@@ -90,30 +90,30 @@ def test_cosine_synthesis_analysis_round_trip(fourier):
     field = make_finite_dim_field([0.0, 0.5, 0.5], amplitude_bound=1.0, basis=fourier)
     x = np.linspace(0.0, 1.0, 101)
     assert np.allclose(field.eval(x), np.cos(2 * np.pi * x), atol=1e-12)
-    cv = true_coefficients(field, fourier, 4)
+    cv = true_coefficients(field, 4)
     assert np.allclose(cv.values, [0.0, 0.5, 0.5, 0.0], atol=1e-12)
 
 
-def test_sawtooth_coefficient_against_quadrature_oracle(sawtooth, fourier):
-    cv = true_coefficients(sawtooth, fourier, 4)
+def test_sawtooth_coefficient_against_quadrature_oracle(sawtooth):
+    cv = true_coefficients(sawtooth, 4)
     assert cv.values[2] == pytest.approx(SAWTOOTH_ALPHA_2, abs=1e-12)
     assert cv.values[1] == pytest.approx(np.conj(SAWTOOTH_ALPHA_2), abs=1e-12)
     assert cv.values[0] == pytest.approx(0.0, abs=1e-12)
 
 
-def test_step_and_staircase_coefficients(step_field, staircase, fourier):
-    cv = true_coefficients(step_field, fourier, 6)
+def test_step_and_staircase_coefficients(step_field, staircase):
+    cv = true_coefficients(step_field, 6)
     assert cv.values[0] == pytest.approx(0.5, abs=1e-12)
     assert cv.values[2] == pytest.approx(STEP_ALPHA_2, abs=1e-12)
     assert cv.values[4] == pytest.approx(0.0, abs=1e-12)  # even frequencies vanish
-    cv2 = true_coefficients(staircase, fourier, 6)
+    cv2 = true_coefficients(staircase, 6)
     assert cv2.values[0] == pytest.approx(0.0, abs=1e-12)
     assert cv2.values[3] == pytest.approx(STAIRCASE_ALPHA_3, abs=1e-12)
 
 
-def test_conjugate_pairing_for_real_fields(fourier, shipped_fields):
+def test_conjugate_pairing_for_real_fields(shipped_fields):
     for field in shipped_fields.values():
-        cv = true_coefficients(field, fourier, 12)
+        cv = true_coefficients(field, 12)
         assert abs(cv.values[0].imag) < 1e-10
         for j in range(2, 12, 2):
             assert cv.values[j] == pytest.approx(np.conj(cv.values[j - 1]), abs=1e-10)
@@ -123,52 +123,52 @@ def test_conjugate_pairing_for_real_fields(fourier, shipped_fields):
 # m-term approximation and error
 # ---------------------------------------------------------------------------
 
-def test_m_zero_is_the_empty_sum(fourier, sawtooth):
-    cv = true_coefficients(sawtooth, fourier, 8)
+def test_m_zero_is_the_empty_sum(sawtooth):
+    cv = true_coefficients(sawtooth, 8)
     x = np.linspace(0.0, 1.0, 11)
-    assert np.array_equal(synthesize(fourier, cv.values[:0], x),
+    assert np.array_equal(synthesize(cv.values[:0], x),
                           np.zeros(11, dtype=complex))
 
 
-def test_finite_dim_truncation_is_exact_at_k(fourier, finite_dim_k5):
-    cv = true_coefficients(finite_dim_k5, fourier, 5)
+def test_finite_dim_truncation_is_exact_at_k(finite_dim_k5):
+    cv = true_coefficients(finite_dim_k5, 5)
     x = np.linspace(0.0, 1.0, 2001)
-    approx = synthesize(fourier, cv.values[:5], x)
+    approx = synthesize(cv.values[:5], x)
     assert np.max(np.abs(approx - finite_dim_k5.eval(x))) < 1e-10
     assert m_term_error(cv, finite_dim_k5, 5) == 0.0
 
 
-def test_approximation_improves_with_m(fourier, sawtooth):
-    cv = true_coefficients(sawtooth, fourier, 64)
+def test_approximation_improves_with_m(sawtooth):
+    cv = true_coefficients(sawtooth, 64)
     x = 0.25
-    err2 = abs(synthesize(fourier, cv.values[:2], x) - sawtooth.eval(x))
-    err64 = abs(synthesize(fourier, cv.values[:64], x) - sawtooth.eval(x))
+    err2 = abs(synthesize(cv.values[:2], x) - sawtooth.eval(x))
+    err64 = abs(synthesize(cv.values[:64], x) - sawtooth.eval(x))
     assert err64 < err2
 
 
-def test_error_sequence_full_energy_at_zero_and_nonincreasing(fourier, sawtooth):
-    cv = true_coefficients(sawtooth, fourier, 1024)
+def test_error_sequence_full_energy_at_zero_and_nonincreasing(sawtooth):
+    cv = true_coefficients(sawtooth, 1024)
     assert m_term_error(cv, sawtooth, 0) == pytest.approx(sawtooth.norm_sq)
     errors = [m_term_error(cv, sawtooth, m) for m in (1, 2, 4, 8, 16, 64, 256, 1024)]
     assert all(b <= a + 1e-15 for a, b in zip(errors, errors[1:]))
     assert errors[-1] < 1e-4
 
 
-def test_bv_tail_scales_like_one_over_m(fourier, sawtooth, step_field, staircase):
+def test_bv_tail_scales_like_one_over_m(sawtooth, step_field, staircase):
     # the tail-bound constant is a fit, never pinned: assert boundedness only
     ms = np.array([4, 8, 16, 32, 64, 128, 256, 512])
     for field in (sawtooth, step_field, staircase):
-        cv = true_coefficients(field, fourier, 512)
+        cv = true_coefficients(field, 512)
         scaled = [m * m_term_error(cv, field, m) for m in ms]
         sigma = max(scaled)
         assert sigma < 10.0 * field.norm_sq
         assert scaled[-1] < 2.0 * scaled[0] + 1e-12
 
 
-def test_sobolev_tail_scales_like_m_to_minus_2s(fourier):
+def test_sobolev_tail_scales_like_m_to_minus_2s():
     for s in (1.0, 2.0):
         field = make_sobolev_field(s, seed=1)
-        cv = true_coefficients(field, fourier, 257)
+        cv = true_coefficients(field, 257)
         ms = [4, 8, 16, 32, 64, 128, 256]
         scaled = [m ** (2 * s) * m_term_error(cv, field, m) for m in ms]
         assert max(scaled) < 50.0 * field.norm_sq
@@ -184,12 +184,12 @@ def test_amplitude_bound_on_dense_grid(shipped_fields):
         assert np.max(np.abs(field.eval(x))) <= field.amplitude_bound + 1e-12, name
 
 
-def test_parseval_within_tail_tolerance(fourier, shipped_fields):
+def test_parseval_within_tail_tolerance(shipped_fields):
     # independent route: grid quadrature of f^2 versus the coefficient energy
     xg = midpoint_grid()
     for name, field in shipped_fields.items():
         norm_quad = float(np.mean(field.eval(xg) ** 2))
-        cv = true_coefficients(field, fourier, J_TAIL)
+        cv = true_coefficients(field, J_TAIL)
         energy = float(np.sum(np.abs(cv.values) ** 2))
         assert abs(norm_quad - energy) <= 1e-4 * field.norm_sq, name
         assert abs(norm_quad - field.norm_sq) <= 1e-4 * field.norm_sq, name
@@ -259,7 +259,7 @@ def test_sobolev_field_is_a_fourier_finite_dim_field():
     assert field.basis == FourierBasis()
     assert "eval" not in vars(SobolevField)
     x = np.linspace(0.0, 1.0, 257)
-    assert np.allclose(field.eval(x), synthesize(FourierBasis(), field.values, x).real,
+    assert np.allclose(field.eval(x), synthesize(field.values, x).real,
                        rtol=0.0, atol=1e-12)
 
 
@@ -349,7 +349,7 @@ def conjugate_symmetric_coeffs(draw):
 def test_error_is_nonincreasing_in_m_for_any_coefficients(values):
     field = make_finite_dim_field(values, basis=FourierBasis(),
                                   amplitude_bound=2.0 * sum(abs(v) for v in values) + 1.0)
-    cv = true_coefficients(field, FourierBasis(), len(values) + 2)
+    cv = true_coefficients(field, len(values) + 2)
     errors = [m_term_error(cv, field, m) for m in range(len(cv) + 1)]
     assert all(b <= a + 1e-12 for a, b in zip(errors, errors[1:]))
     assert errors[-1] == pytest.approx(0.0, abs=1e-12)
@@ -360,7 +360,7 @@ def test_error_is_nonincreasing_in_m_for_any_coefficients(values):
 def test_synthesis_analysis_round_trip_randomized(values):
     field = make_finite_dim_field(values, basis=FourierBasis(),
                                   amplitude_bound=2.0 * sum(abs(v) for v in values) + 1.0)
-    cv = true_coefficients(field, FourierBasis(), len(values))
+    cv = true_coefficients(field, len(values))
     assert np.allclose(cv.values, np.asarray(values, dtype=complex), atol=1e-12)
 
 

@@ -75,9 +75,9 @@ GUARDS = [
      ValueError, "edges must be strictly increasing"),
     ("edges_nan", lambda: PiecewiseConstantField(edges=(0.0, np.nan, 1.0), levels=(1.0, 2.0)),
      ValueError, "edges and levels must be finite"),
-    ("true_count_zero", lambda: true_coefficients(SAWTOOTH, FOURIER, 0), ValueError,
+    ("true_count_zero", lambda: true_coefficients(SAWTOOTH, 0), ValueError,
      "count must be >= 1"),
-    ("tail_negative_m", lambda: m_term_error(true_coefficients(SAWTOOTH, FOURIER, 2),
+    ("tail_negative_m", lambda: m_term_error(true_coefficients(SAWTOOTH, 2),
                                              SAWTOOTH, -1), ValueError, "m must be >= 0"),
     # estimator
     ("schedule_kind", lambda: TruncationSchedule("cubic"), ValueError,
@@ -105,34 +105,51 @@ GUARDS = [
     ("no_estimate", lambda: estimate_coefficients(BATCH, CFG, 0), ValueError,
      "need at least one coefficient"),
     # analysis
-    ("bound_no_sensor", lambda: mse_upper_bound(SAWTOOTH, FOURIER, UNIFORM, 0, 1, 1.0),
+    ("bound_no_sensor", lambda: mse_upper_bound(SAWTOOTH, UNIFORM, 0, 1, 1.0),
      ValueError, "sensor count must be >= 1"),
-    ("bound_negative_m", lambda: mse_upper_bound(SAWTOOTH, FOURIER, UNIFORM, 10, -1, 1.0),
+    ("bound_negative_m", lambda: mse_upper_bound(SAWTOOTH, UNIFORM, 10, -1, 1.0),
      ValueError, "truncation point must be >= 0"),
     ("conditions_empty_grid",
-     lambda: check_consistency_conditions(TruncationSchedule.bv(), FOURIER, UNIFORM, []),
+     lambda: check_consistency_conditions(TruncationSchedule.bv(), UNIFORM, []),
      ValueError, "n_grid must hold at least one sensor count"),
     ("conditions_grid_order",
-     lambda: check_consistency_conditions(TruncationSchedule.bv(), FOURIER, UNIFORM, [10, 10]),
+     lambda: check_consistency_conditions(TruncationSchedule.bv(), UNIFORM, [10, 10]),
      ValueError, "n_grid must be strictly increasing"),
+    ("conditions_fractional_n",
+     lambda: check_consistency_conditions(TruncationSchedule.bv(), UNIFORM, [100.5, 1000]),
+     ValueError, "each n_grid entry must be an integer, got 100.5"),
     ("error_short_truth",
      lambda: integrated_squared_error(estimate_coefficients(BATCH, CFG, 3),
-                                      true_coefficients(SAWTOOTH, FOURIER, 2), SAWTOOTH),
+                                      true_coefficients(SAWTOOTH, 2), SAWTOOTH),
      ValueError, "need at least 3 true coefficients, got 2"),
     ("fit_three_points", lambda: rate_fit([10, 20, 40], [1.0, 0.5, 0.25]), ValueError,
      "need at least 4 (n, mse) points"),
     ("fit_zero_mse", lambda: rate_fit([10, 20, 40, 80], [1.0, 0.5, 0.0, 0.1]), ValueError,
      "mse values must be positive for a log-log fit"),
+    ("fit_fractional_n", lambda: rate_fit([10.5, 20, 40, 80], [1.0, 0.5, 0.25, 0.125]),
+     ValueError, "each n_grid entry must be an integer, got 10.5"),
     ("sweep_trial_counts",
-     lambda: monte_carlo_mse(SAWTOOTH, UNIFORM, ZeroNoise(), FOURIER, TruncationSchedule.bv(),
+     lambda: monte_carlo_mse(SAWTOOTH, UNIFORM, ZeroNoise(), TruncationSchedule.bv(),
                              [10, 20], [5], seed=1), ValueError, "need one trial count per n"),
     ("sweep_trial_count_table",
-     lambda: monte_carlo_mse(SAWTOOTH, UNIFORM, ZeroNoise(), FOURIER, TruncationSchedule.bv(),
+     lambda: monte_carlo_mse(SAWTOOTH, UNIFORM, ZeroNoise(), TruncationSchedule.bv(),
                              [10, 20], np.array([[2], [3]]), seed=1), ValueError,
      "need one trial count, or one per n"),
     ("sweep_one_trial",
-     lambda: monte_carlo_mse(SAWTOOTH, UNIFORM, ZeroNoise(), FOURIER, TruncationSchedule.bv(),
+     lambda: monte_carlo_mse(SAWTOOTH, UNIFORM, ZeroNoise(), TruncationSchedule.bv(),
                              [10], 1, seed=1), ValueError, "need at least two trials per n"),
+    ("sweep_fractional_n",
+     lambda: monte_carlo_mse(SAWTOOTH, UNIFORM, ZeroNoise(), TruncationSchedule.bv(),
+                             [500.5, 2000], 2, seed=1), ValueError,
+     "each n_grid entry must be an integer, got 500.5"),
+    ("sweep_fractional_trials",
+     lambda: monte_carlo_mse(SAWTOOTH, UNIFORM, ZeroNoise(), TruncationSchedule.bv(),
+                             [500, 2000], 2.5, seed=1), ValueError,
+     "trials must be an integer, got 2.5"),
+    ("sweep_fractional_trial_counts",
+     lambda: monte_carlo_mse(SAWTOOTH, UNIFORM, ZeroNoise(), TruncationSchedule.bv(),
+                             [500, 2000], [2.7, 3.2], seed=1), ValueError,
+     "each trials entry must be an integer, got 2.7"),
     ("schedule_psi", lambda: validate_as_schedule(1.0, 1.5, UNIFORM), ValueError,
      "growth exponent must lie in (0, 1)"),
     ("schedule_no_field", lambda: validate_as_schedule(0.5, 1.5, UNIFORM, fields=[]), ValueError,
@@ -141,6 +158,9 @@ GUARDS = [
      ValueError, "growth exponent must lie in (0, 1)"),
     ("trace_no_checkpoint", lambda: as_error_trace(SAWTOOTH, UNIFORM, ZeroNoise(), 0.5, 1, []),
      ValueError, "checkpoints must be strictly increasing and nonempty"),
+    ("trace_fractional_checkpoint",
+     lambda: as_error_trace(SAWTOOTH, UNIFORM, ZeroNoise(), 0.5, 1, [10, 20.5]), ValueError,
+     "each n_checkpoints entry must be an integer, got 20.5"),
     # harness
     ("battery_one_trial", lambda: run_lemma_battery(trials=1), ValueError,
      "need at least two trials per cell"),
@@ -148,6 +168,12 @@ GUARDS = [
      "j_count must be >= 1"),
     ("battery_j_count_negative", lambda: run_lemma_battery(j_count=-1), ValueError,
      "j_count must be >= 1"),
+    ("battery_fractional_n", lambda: run_lemma_battery(n=100.5), ValueError,
+     "n must be an integer, got 100.5"),
+    ("battery_fractional_trials", lambda: run_lemma_battery(trials=2.5), ValueError,
+     "trials must be an integer, got 2.5"),
+    ("battery_fractional_j_count", lambda: run_lemma_battery(j_count=2.5), ValueError,
+     "j_count must be an integer, got 2.5"),
     ("unknown_suite", lambda: run_suite("nope", "unwritten"), ValueError,
      "unknown suite 'nope'; choose from"),
     # spectral

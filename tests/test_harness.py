@@ -164,13 +164,13 @@ def test_the_conditions_suite_holds_the_affine_floor_integral_at_ln3(tmp_path, m
     more than 1e-6."""
     real = FourierBasis.deployment_integrals
 
-    def shifted(basis, deploy, count):
-        integrals = real(basis, deploy, count)
+    def shifted(deploy, count):
+        integrals = real(deploy, count)
         if deploy.kind == "affine_floor":
             integrals[:1] += 2e-6
         return integrals
 
-    monkeypatch.setattr(FourierBasis, "deployment_integrals", shifted)
+    monkeypatch.setattr(FourierBasis, "deployment_integrals", staticmethod(shifted))
     result = run_suite("conditions", tmp_path)
     verdicts = [(row.criterion, row.passed) for row in result.rows]
     assert verdicts == [(7, False), (8, True), (9, True)] and not result.all_pass
@@ -201,6 +201,11 @@ def test_lemma_battery_needs_two_trials(n, trials, message):
         run_lemma_battery(n=n, trials=trials, j_count=2)
 
 
+def test_lemma_battery_reads_integral_floats_and_numpy_ints_as_counts():
+    assert (run_lemma_battery(n=50.0, trials=np.int64(2), j_count=2.0).rows
+            == run_lemma_battery(n=50, trials=2, j_count=2).rows)
+
+
 def test_lemma_battery_rows_do_not_depend_on_the_worker_count(monkeypatch):
     """Chunks of 7 trials, so each cell folds 29 of them into its sums."""
     monkeypatch.setattr(analysis, "TASK_SENSORS", 7 * 500)
@@ -226,9 +231,9 @@ def test_streamed_battery_moments_equal_the_two_pass_moments(monkeypatch):
     battery = run_lemma_battery(n=n, trials=trials, j_count=j_count)
     assert len(kept) == len(cells) == 18
     for c, (cell, mat) in enumerate(zip(cells, kept)):
-        alpha = true_coefficients(cell.field, cell.basis, j_count).values
+        alpha = true_coefficients(cell.field, j_count).values
         scale = (cell.field.amplitude_bound + cell.noise.b) ** 2 / n
-        var_bound = scale * cell.basis.deployment_integrals(cell.deploy, j_count)
+        var_bound = scale * FourierBasis.deployment_integrals(cell.deploy, j_count)
         mean = mat.mean(axis=0)
         var_emp = np.sum(np.abs(mat - mean) ** 2, axis=0) / (trials - 1)
         dev_sigmas = np.abs(mean - alpha) / np.sqrt(var_emp / trials)
@@ -285,6 +290,40 @@ def test_cli_run_and_check_conditions(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert "overall: PASS" in proc.stdout
+
+
+_OK_FLOOR = "deployment floor positive: ok (infimum 1.0)"
+# (shipped config, exit code, the four verdict lines of `check-conditions`)
+_CONDITIONS = [
+    ("bv_sawtooth", 0, ["truncation grows: ok (m: 32 -> 512)", _OK_FLOOR,
+                        "variance share vanishes: ok (values ['3.125e-02', '1.562e-02', "
+                        "'7.812e-03', '3.906e-03', '1.953e-03'])", "overall: PASS"]),
+    ("sobolev_s1", 0, ["truncation grows: ok (m: 11 -> 64)", _OK_FLOOR,
+                       "variance share vanishes: ok (values ['1.074e-02', '3.906e-03', "
+                       "'1.587e-03', '6.256e-04', '2.441e-04'])", "overall: PASS"]),
+    ("mismatch_affine_floor", 0, ["truncation grows: ok (m: 16 -> 32)",
+                                  "deployment floor positive: ok (infimum 0.5)",
+                                  "variance share vanishes: ok (values ['6.866e-02', "
+                                  "'3.433e-02'])", "overall: PASS"]),
+    *[(name, 0, ["truncation grows: ok (m: 16 -> 252)", _OK_FLOOR,
+                 "variance share vanishes: ok (values ['1.600e-02', '4.000e-03', "
+                 "'1.000e-03', '2.520e-04'])", "overall: PASS"])
+      for name in ("as_trace_zero", "as_trace_sawtooth")],
+    # a fixed m does not grow, and the linear-2x density has infimum 0
+    ("finite_dim_k5", 1, ["truncation grows: FAIL (m: 5 -> 5)", _OK_FLOOR,
+                          "variance share vanishes: ok (values ['4.883e-03', '1.221e-03', "
+                          "'3.052e-04', '7.629e-05', '1.907e-05'])", "overall: FAIL"]),
+    ("mismatch_linear2x", 1, ["truncation grows: ok (m: 16 -> 32)",
+                              "deployment floor positive: FAIL (infimum 0.0)",
+                              "variance share vanishes: FAIL (values ['inf', 'inf'])",
+                              "overall: FAIL"])]
+
+
+@pytest.mark.parametrize("name, code, lines", _CONDITIONS, ids=[case[0] for case in _CONDITIONS])
+def test_check_conditions_gives_each_shipped_config_its_verdict(capsys, name, code, lines):
+    path = resources.files("ditherfield") / "configs" / f"{name}.json"
+    assert cli.main(["check-conditions", str(path)]) == code
+    assert capsys.readouterr().out.splitlines() == lines
 
 
 @pytest.mark.parametrize("name, expect_rejected, status, code", [
@@ -729,8 +768,7 @@ def test_dominance_forgives_a_mean_up_to_three_ci_above_the_bound(tmp_path, monk
     of its CI half-width; the others stay where the sweep put them."""
     config = parse_experiment_config(MINI_CONFIG)
     n, m = config.n_grid[1], config.schedule.resolve(config.n_grid[1])
-    total = harness.mse_upper_bound(config.field, config.basis, config.deployment,
-                                    n, m, config.c).total
+    total = harness.mse_upper_bound(config.field, config.deployment, n, m, config.c).total
     real = harness.monte_carlo_mse
 
     def lifted(*args, **kwargs):
@@ -952,8 +990,8 @@ def test_a_fuzzed_config_is_rejected_or_runs_to_finite_errors(target, value):
         outcome = run_experiment(small, out)
     assert "finite" not in outcome.verdicts, outcome.detail
     # the sweep alone, which a run of a rejected deployment never reaches
-    sweep = monte_carlo_mse(config.field, config.deployment, config.noise, config.basis,
-                            config.schedule, grid, 2, seed=config.seed)
+    sweep = monte_carlo_mse(config.field, config.deployment, config.noise, config.schedule,
+                            grid, 2, seed=config.seed)
     assert np.all(np.isfinite(sweep.means)) and np.all(np.isfinite(sweep.stds))
 
 

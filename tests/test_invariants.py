@@ -46,7 +46,6 @@ def test_block_rows_and_tile_cuts_are_one_pass_of_one_trial(ingredients, n, m, t
     trial alone; and one block of every trial, fed in two tiles cut at a
     whole block, gives those rows again."""
     field, deploy, noise = ingredients
-    basis = FourierBasis()
     start %= n
     with mock.patch.object(spectral, "BLOCK_POINTS", BLOCK), \
             mock.patch.object(spectral, "_gridded", lambda n, K: gridded):
@@ -56,15 +55,15 @@ def test_block_rows_and_tile_cuts_are_one_pass_of_one_trial(ingredients, n, m, t
         for name in ("x", "y", "t", "bits"):
             assert np.array_equal(getattr(window, name), getattr(whole, name)[:, start:]), name
 
-        rows = collect_trials([TrialCell(field, deploy, noise, basis, n, m, trials)], seed)[0]
-        cfg = EstimatorConfig(basis=basis, density=deploy, c=whole.c,
+        rows = collect_trials([TrialCell(field, deploy, noise, n, m, trials)], seed)[0]
+        cfg = EstimatorConfig(basis=FourierBasis(), density=deploy, c=whole.c,
                               schedule=TruncationSchedule.fixed(m))
         for t in range(trials):
             alone = reference_batch(field, deploy, noise, n, seed, (0, t))
             assert np.array_equal(rows[t], estimate_coefficients(alone, cfg, m).values), t
 
         cut = start - start % BLOCK
-        sums = basis.running_sums(m, (trials,), n)
+        sums = FourierBasis.running_sums(m, (trials,), n)
         for lo, hi in ((0, cut), (cut, n)):
             if hi > lo:
                 add_sensors(sums, simulate_batch(field, deploy, noise, hi - lo, keys, lo), deploy)
@@ -92,7 +91,7 @@ def test_a_task_size_changes_no_row_and_no_take_order(ingredients, shapes, task_
     max(1, TASK_SENSORS // n) trials, and every row is that of one task
     per cell."""
     field, deploy, noise = ingredients
-    cells = [TrialCell(field, deploy, noise, FourierBasis(), n, m, trials)
+    cells = [TrialCell(field, deploy, noise, n, m, trials)
              for n, m, trials in shapes]
     taken = []
     with mock.patch.object(spectral, "BLOCK_POINTS", BLOCK), \
@@ -127,7 +126,6 @@ def test_a_traces_segments_are_one_pass_over_each_segment(ingredients, cuts, psi
     sup error is that of the segments' running total."""
     field, deploy, noise = ingredients
     checkpoints = tuple(np.cumsum(cuts).tolist())
-    fourier = FourierBasis()
     # the schedule check reads no sensor and costs most of a short trace
     with mock.patch.object(spectral, "BLOCK_POINTS", BLOCK), \
             mock.patch.object(spectral, "_gridded", lambda n, K: gridded), \
@@ -136,13 +134,12 @@ def test_a_traces_segments_are_one_pass_over_each_segment(ingredients, cuts, psi
         m_max = max(trace.m_values)
         path = reference_batch(field, deploy, noise, checkpoints[-1], seed)
         w = path.bits / deploy.pdf(path.x)
-        true = true_coefficients(field, fourier, m_max).values
+        true = true_coefficients(field, m_max).values
         grid = np.linspace(0.0, 1.0, analysis.TRACE_GRID_POINTS)
         totals, prev = np.zeros(m_max, dtype=np.complex128), 0
         for ckpt, m, sup in zip(checkpoints, trace.m_values, trace.sup_error):
             segment = slice(prev, ckpt)
-            totals = totals + basis_sums(fourier, m_max, path.x[None, segment],
-                                         w[None, segment])[0]
+            totals = totals + basis_sums(m_max, path.x[None, segment], w[None, segment])[0]
             prev = ckpt
             delta = (path.c / ckpt) * totals[:m] - true[:m]
-            assert np.max(np.abs(synthesize(fourier, delta, grid))) == sup, ckpt
+            assert np.max(np.abs(synthesize(delta, grid))) == sup, ckpt
