@@ -8,7 +8,6 @@ orthonormality), so the Monte-Carlo loops never need quadrature.
 from __future__ import annotations
 
 import math
-import numbers
 from contextlib import closing, nullcontext
 from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
@@ -17,17 +16,9 @@ import numpy as np
 
 from . import spectral
 from .estimator import TruncationSchedule, add_sensors, finish_estimates
-from .fields import (FieldSpec, FourierBasis, ReconstructionCoefficients,
+from .fields import (FieldSpec, FourierBasis, ReconstructionCoefficients, as_count,
                      m_term_error, make_bv_field, synthesize, true_coefficients)
 from .sensing import Deployment, Noise, dynamic_range, simulate_batch, stream_keys
-
-
-def _count(value, what: str) -> int:
-    """`value` as an int: an integer, or an integral float such as 500.0."""
-    if not (isinstance(value, numbers.Integral)
-            or isinstance(value, numbers.Real) and float(value).is_integer()):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    return int(value)
 
 
 # ---------------------------------------------------------------------------
@@ -51,6 +42,7 @@ class BoundReport:
 def mse_upper_bound(field: FieldSpec, deploy: Deployment,
                     n: int, m: int, c: float) -> BoundReport:
     """Bound E||f - f_hat||^2 <= (c^2/n) * sum_{j<m} int |phi_j|^2/p_X + tail(m)."""
+    n, m = as_count(n, "n"), as_count(m, "m")
     if n < 1:
         raise ValueError("sensor count must be >= 1")
     if m < 0:
@@ -101,7 +93,7 @@ class ConsistencyReport:
 
 def check_consistency_conditions(schedule: TruncationSchedule, deploy: Deployment,
                                  n_grid: Sequence[int]) -> ConsistencyReport:
-    n_grid = tuple(_count(n, "each n_grid entry") for n in n_grid)
+    n_grid = tuple(as_count(n, "each n_grid entry") for n in n_grid)
     if not n_grid:
         raise ValueError("n_grid must hold at least one sensor count")
     if any(b <= a for a, b in zip(n_grid, n_grid[1:])):
@@ -217,7 +209,7 @@ def map_trials(cells: Sequence[TrialCell], seed: int,
     change a byte. The call returns once every chunk is taken, and no pool
     outlives it, also when a chunk or `take` raises.
     """
-    if not 1 <= workers <= WORKERS_MAX:
+    if not 1 <= as_count(workers, "workers") <= WORKERS_MAX:
         raise ValueError(f"workers must be in [1, {WORKERS_MAX}], got {workers}")
     payloads = [(cell, seed, i, t0, min(t0 + chunk, cell.trials))
                 for i, cell in enumerate(cells)
@@ -259,11 +251,11 @@ def monte_carlo_mse(field: FieldSpec, deploy: Deployment, noise: Noise,
     Deterministic in `seed`; the per-trial seeds are derived from
     (seed, n-index, trial-index), so the worker count never changes results.
     """
-    n_grid = tuple(_count(n, "each n_grid entry") for n in n_grid)
+    n_grid = tuple(as_count(n, "each n_grid entry") for n in n_grid)
     if np.ndim(trials) > 1:
         raise ValueError("need one trial count, or one per n")
-    trials_per_n = ((_count(trials, "trials"),) * len(n_grid) if np.ndim(trials) == 0
-                    else tuple(_count(t, "each trials entry") for t in trials))
+    trials_per_n = ((as_count(trials, "trials"),) * len(n_grid) if np.ndim(trials) == 0
+                    else tuple(as_count(t, "each trials entry") for t in trials))
     if len(trials_per_n) != len(n_grid):
         raise ValueError("need one trial count per n")
     if any(t < 2 for t in trials_per_n):
@@ -310,12 +302,12 @@ RATE_FIT_MIN_POINTS = 4
 
 def rate_fit(n_grid: Sequence[int], mse_values: Sequence[float]) -> RateFitResult:
     """Ordinary least squares of log(mse) on log(n)."""
-    n_grid = tuple(_count(n, "each n_grid entry") for n in n_grid)
+    n_grid = tuple(as_count(n, "each n_grid entry") for n in n_grid)
     mse_values = tuple(float(v) for v in mse_values)
     if len(n_grid) != len(mse_values) or len(n_grid) < RATE_FIT_MIN_POINTS:
         raise ValueError(f"need at least {RATE_FIT_MIN_POINTS} (n, mse) points")
-    if any(v <= 0 for v in mse_values):
-        raise ValueError("mse values must be positive for a log-log fit")
+    if any(v <= 0 for v in n_grid + mse_values):
+        raise ValueError("n_grid entries and mse values must be positive for a log-log fit")
     lx = np.log(np.asarray(n_grid, dtype=float))
     ly = np.log(np.asarray(mse_values, dtype=float))
     slope, intercept = np.polyfit(lx, ly, 1)
@@ -459,7 +451,7 @@ def as_error_trace(field: FieldSpec, deploy: Deployment, noise: Noise,
     """
     if not 0.0 < psi < 1.0:
         raise ValueError("growth exponent must lie in (0, 1)")
-    checkpoints = tuple(_count(n, "each n_checkpoints entry") for n in n_checkpoints)
+    checkpoints = tuple(as_count(n, "each n_checkpoints entry") for n in n_checkpoints)
     if any(b <= a for a, b in zip(checkpoints, checkpoints[1:])) or not checkpoints:
         raise ValueError("checkpoints must be strictly increasing and nonempty")
     gamma = 0.5 * (1.0 + 1.0 / psi)

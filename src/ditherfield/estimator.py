@@ -14,7 +14,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .fields import FourierBasis, ReconstructionCoefficients, synthesize
+from .fields import FourierBasis, ReconstructionCoefficients, as_count, synthesize
 from .sensing import Deployment, SensorBatch
 
 class EstimationError(RuntimeError):
@@ -47,7 +47,9 @@ class TruncationSchedule:
             if self.param is not None:
                 raise ValueError("bv schedule takes no parameter")
         elif self.schedule_kind in ("fixed", "finite_dim"):
-            if self.param is None or self.param < 1 or self.param != int(self.param):
+            object.__setattr__(self, "param", as_count(
+                self.param, f"{self.schedule_kind} schedule parameter"))
+            if self.param < 1:
                 raise ValueError("need a positive integer parameter")
         elif self.schedule_kind == "sobolev":
             if self.param is None or self.param <= 0.5:
@@ -77,10 +79,11 @@ class TruncationSchedule:
         return cls("power", psi)
 
     def resolve(self, n: int) -> int:
+        n = as_count(n, "n")
         if n < 1:
             raise ValueError("sensor count must be >= 1")
         if self.schedule_kind in ("fixed", "finite_dim"):
-            return int(self.param)
+            return self.param
         if self.schedule_kind == "bv":
             exponent = 0.5
         elif self.schedule_kind == "sobolev":
@@ -167,6 +170,7 @@ def estimate_coefficients(batch: SensorBatch, cfg: EstimatorConfig,
     (R, m) array for a batch of R realizations. One pass of the running
     sums that the trial engine feeds tile by tile. Raises EstimationError
     where `sensor_weights` does."""
+    m = as_count(m, "m")
     if m < 1:
         raise ValueError("need at least one coefficient")
     sums = cfg.basis.running_sums(m, batch.x.shape[:-1], batch.n)

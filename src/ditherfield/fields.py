@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Callable, ClassVar, Sequence
 
@@ -25,6 +24,15 @@ AMPLITUDE_CHECK_POINTS = 20_001  # grid of the finite-dim sup-norm check
 SOBOLEV_FREQS_MAX = 1 << 13
 
 _TWO_PI = 2.0 * np.pi
+
+
+def as_count(value, what: str) -> int:
+    """`value` as an int by the count rule of every public boundary: an int, a numpy
+    integer or an integral float such as 500.0, never a bool; else a ValueError naming `what`."""
+    if (type(value) is int or isinstance(value, np.integer)  # the common case first
+            or isinstance(value, (float, np.floating)) and value.is_integer()):
+        return int(value)
+    raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -344,10 +352,11 @@ def make_sobolev_field(s: float, seed: int, amplitude_bound: float = 1.0,
         raise ValueError("smoothness order must be finite and exceed 1/2")
     if not 0.0 < amplitude_bound < math.inf:
         raise ValueError("amplitude bound must be positive and finite")
-    if not (isinstance(n_freqs, numbers.Integral) and 1 <= n_freqs <= SOBOLEV_FREQS_MAX):
+    n_freqs, seed = as_count(n_freqs, "n_freqs"), as_count(seed, "seed")
+    if not 1 <= n_freqs <= SOBOLEV_FREQS_MAX:
         raise ValueError(f"n_freqs must be a positive integer of at most {SOBOLEV_FREQS_MAX}, "
                          f"got {n_freqs!r}")
-    if not (isinstance(seed, numbers.Integral) and not isinstance(seed, bool) and seed >= 0):
+    if seed < 0:
         raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
     rng = np.random.default_rng(seed)
     decay = s + 0.5 + SOBOLEV_DECAY_MARGIN
@@ -375,6 +384,7 @@ def make_sobolev_field(s: float, seed: int, amplitude_bound: float = 1.0,
 def true_coefficients(field: FieldSpec, count: int) -> ReconstructionCoefficients:
     """<f, phi_j> for j < count, in closed form: the field's Fourier
     coefficients."""
+    count = as_count(count, "count")
     if count < 1:
         raise ValueError("count must be >= 1")
     values = field.fourier_coefficients(FourierBasis.frequencies(count))
@@ -383,6 +393,7 @@ def true_coefficients(field: FieldSpec, count: int) -> ReconstructionCoefficient
 
 def m_term_error(coeffs: ReconstructionCoefficients, field: FieldSpec, m: int) -> float:
     """Energy past the first m coefficients, via Parseval; clamped at 0."""
+    m = as_count(m, "m")
     if m < 0:
         raise ValueError("m must be >= 0")
     head = float(np.sum(np.abs(coeffs.values[:m]) ** 2))

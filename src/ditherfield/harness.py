@@ -25,11 +25,11 @@ from typing import (Callable, ClassVar, Sequence, get_args, get_origin,
 import numpy as np
 
 from .analysis import (RATE_FIT_MIN_POINTS, ASTraceResult, RateFitResult,
-                       TrialCell, _count, as_error_trace, check_consistency_conditions,
+                       TrialCell, as_error_trace, check_consistency_conditions,
                        map_trials, monte_carlo_mse, mse_upper_bound, rate_fit,
                        validate_as_schedule)
 from .estimator import TruncationSchedule
-from .fields import (FieldSpec, FourierBasis, make_bv_field,
+from .fields import (FieldSpec, FourierBasis, as_count, make_bv_field,
                      make_finite_dim_field, make_sobolev_field,
                      true_coefficients)
 from .sensing import (SEED_MAX, Deployment, Noise, UniformDeployment,
@@ -150,16 +150,9 @@ def _finite_number(value) -> bool:
             and abs(value) <= sys.float_info.max)
 
 
-def _integral(value) -> bool:
-    """Whether `value` is an integer and not a bool, or an integral float such as 64.0."""
-    return ((isinstance(value, numbers.Integral) and not isinstance(value, bool))
-            or (isinstance(value, float) and value.is_integer()))
-
-
 # annotation -> (what a value must be, the test it must pass, the value it gives)
 _SCALARS: dict[type, tuple[str, Callable, Callable]] = {
     float: ("a finite number", _finite_number, float),
-    int: ("an integer", _integral, int),
     bool: ("true or false", lambda value: isinstance(value, bool), bool),
     str: ("a string", lambda value: isinstance(value, str), str),
     complex: ("[re, im] of finite numbers",
@@ -178,6 +171,11 @@ def _convert(hint, value, path: str):
     picks: a section is a section document, a sequence is a list (held
     as a tuple), and a union takes null where it admits None, a list by
     its sequence arm and any other value by its other."""
+    if hint is int:  # the one count rule, under the parser's own message
+        try:
+            return as_count(value, path)
+        except ValueError:
+            raise _problem(path, f"expected an integer, got {_got(value)}") from None
     if hint in _SCALARS:
         expected, test, cast = _SCALARS[hint]
         if not test(value):
@@ -547,7 +545,7 @@ def run_lemma_battery(n: int = 1000, trials: int = 10_000, j_count: int = 8,
     """Across-trials mean and variance of the coefficient estimates versus
     their exact values and variance bounds, over the shipped field /
     deployment / noise menu."""
-    n, trials, j_count = _count(n, "n"), _count(trials, "trials"), _count(j_count, "j_count")
+    n, trials, j_count = as_count(n, "n"), as_count(trials, "trials"), as_count(j_count, "j_count")
     if trials < 2:
         raise ValueError("need at least two trials per cell")
     if n < 1:

@@ -21,7 +21,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .fields import FieldSpec
+from .fields import FieldSpec, as_count
 
 STREAM_LOCATIONS = 0
 STREAM_NOISE = 1
@@ -33,34 +33,28 @@ SEED_MAX = (1 << 64) - 1
 SPAWN_MAX = SEED_MAX - 1
 
 
-def _is_word(value, top: int) -> bool:
-    """Whether `value` is an int in [0, top]; a bool is not, since True
-    would alias the word 1."""
-    return (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-            and 0 <= value <= top)
-
-
 def stream_keys(seed, spawn_keys) -> np.ndarray:
     """Words of the three labeled streams of every realization, as an
     (R, STREAMS, 4) uint64 array: row r, stream `label` holds [seed, label,
     i0 + 1, i1 + 1] for spawn_keys[r] = (i0, i1), a missing entry giving
     the word 0, so a lone seed `()`, a key `(a,)` and a key `(a, b)` never
     share a stream. The first two words are the Philox key, the last two
-    counter words 1 and 2. `seed` must be one int in [0, 2^64) (a list or
-    OS-drawn entropy has no word to go in); a spawn key holds at most two
-    entries, each an int in [0, 2^64 - 2] so that its word fits."""
-    if not _is_word(seed, SEED_MAX):
+    counter words 1 and 2. `seed` is one count (`as_count`) in [0, 2^64); a
+    spawn key holds at most two, each in [0, 2^64 - 2] so that its word fits."""
+    seed = as_count(seed, "seed")
+    if not 0 <= seed <= SEED_MAX:
         raise ValueError(f"seed must be one int in [0, 2^64), got {seed!r}")
     spawn = np.asarray(spawn_keys, dtype=object)
     if spawn.ndim != 2:
         raise ValueError("spawn keys must be an (R, L) array")
     if spawn.shape[1] > 2:  # counter words 1 and 2
         raise ValueError(f"spawn keys may have at most 2 entries, got {spawn.shape[1]}")
-    for i in spawn.flat:
-        if not _is_word(i, SPAWN_MAX):
-            raise ValueError("spawn-key entries must be nonnegative ints of at most "
-                             f"2^64 - 2 (the stream word is entry + 1), got {i!r}")
-    spawn = spawn.astype(np.uint64)
+    entries = [as_count(i, "each spawn-key entry") for i in spawn.flat]
+    if entries and not (min(entries) >= 0 and max(entries) <= SPAWN_MAX):
+        bad = next(i for i in entries if not 0 <= i <= SPAWN_MAX)
+        raise ValueError("spawn-key entries must be nonnegative ints of at most "
+                         f"2^64 - 2 (the stream word is entry + 1), got {bad!r}")
+    spawn = np.array(entries, dtype=np.uint64).reshape(spawn.shape)
     words = np.zeros((len(spawn), STREAMS, 4), dtype=np.uint64)
     words[:, :, 0] = seed
     words[:, :, 1] = np.arange(STREAMS, dtype=np.uint64)
@@ -279,6 +273,7 @@ def simulate_batch(field: FieldSpec, deploy: Deployment, noise: Noise,
     from the streams through the Philox counter, so it equals that slice
     of the batch of start + n sensors, bit for bit.
     """
+    n, start = as_count(n, "n"), as_count(start, "start")
     if n < 1:
         raise ValueError("need at least one sensor")
     if start < 0:

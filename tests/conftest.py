@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from ditherfield import (AffineFloorDeployment, FiniteDimField, FourierBasis,
-                         SensorBatch, UniformDeployment, make_bv_field,
-                         make_finite_dim_field, make_sobolev_field)
+                         SensorBatch, UniformDeployment, m_term_error, make_bv_field,
+                         make_finite_dim_field, make_sobolev_field, true_coefficients)
 from ditherfield import spectral
 from ditherfield.analysis import map_trials
 from ditherfield.sensing import (STREAM_LOCATIONS, STREAM_NOISE,
@@ -81,6 +81,27 @@ def collect_trials(cells, seed, workers: int = 1) -> list[np.ndarray]:
 
     map_trials(cells, seed, take, workers=workers)
     return out
+
+
+def exact_coefficient_variance(field, deploy, c: float, n: int, count: int) -> np.ndarray:
+    """Var alpha_hat_j = (c^2 I_j - |alpha_j|^2) / n for j < count, exactly.
+
+    With T uniform on [-c, c] and independent of Y = f(X) + Z, |Y| <= c,
+    E[B | X, Z] = Y / c and B^2 = 1. So one sensor's term c conj(phi_j(X))
+    B / p_X(X) has mean alpha_j (Z has mean zero) and second moment c^2 I_j,
+    I_j = int |phi_j|^2 / p_X (`FourierBasis.deployment_integrals`), and
+    alpha_hat_j is the mean of n such independent terms."""
+    alpha = true_coefficients(field, count).values
+    integrals = FourierBasis.deployment_integrals(deploy, count)
+    return (c * c * integrals - np.abs(alpha) ** 2) / n
+
+
+def exact_mse(field, deploy, c: float, n: int, m: int) -> float:
+    """E||f - f_hat||^2 = (c^2 sum_{j<m} I_j - sum_{j<m} |alpha_j|^2) / n
+    + tail(m): the coefficient variances plus the energy past m. The
+    shipped bound `mse_upper_bound` is this plus ||f_m||^2 / n."""
+    variances = exact_coefficient_variance(field, deploy, c, n, m)
+    return float(np.sum(variances)) + m_term_error(true_coefficients(field, m), field, m)
 
 
 def traced_peak_mb(fn) -> float:

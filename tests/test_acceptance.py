@@ -11,6 +11,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the criterion lines.
 
 import csv
 import hashlib
+import inspect
 import json
 import math
 import time
@@ -19,11 +20,15 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from ditherfield import (FourierBasis, ReconstructionCoefficients, analysis, harness,
-                         integrated_squared_error, load_shipped_config,
+from ditherfield import (AffineFloorDeployment, FourierBasis, ReconstructionCoefficients,
+                         TwoPointNoise, UniformDeployment, UniformSymNoise, ZeroNoise,
+                         analysis, harness, integrated_squared_error, load_shipped_config,
                          make_finite_dim_field, run_experiment, run_suite,
                          true_coefficients)
 from ditherfield.fields import synthesize
+from ditherfield.sensing import dynamic_range
+
+from conftest import exact_coefficient_variance, exact_mse
 
 WORKERS = 2
 
@@ -294,6 +299,60 @@ def test_the_battery_cells_agree_with_their_own_columns(lemma1):
     assert _row(result, 5).statistic == {
         "frac_within_4sigma": float(np.mean(np.array(dev) <= 4.0)), "max_dev_sigmas": max(dev)}
     assert _row(result, 6).statistic == {"max_var_ratio": max(var_ratio)}
+
+
+# Tolerances of the exact-moment checks below, apart from the bounds of
+# criteria 1-12. A sweep row's z = (mean - E) / (std / sqrt(trials)) against
+# its exact expectation E: under normality |z| > 4 has probability 6.3e-5
+# per row and 1.1e-3 over the 17 rows (for the 8-trial mismatch rows, read
+# as t on 7 degrees of freedom, 5.2e-3 per row).
+SWEEP_Z_MAX = 4.0
+# A battery row's var_emp / Var alpha_hat_j must lie within 1 +- k / sqrt(trials).
+# The ratio's sd is at most sqrt(2 / (trials - 1)), reached by a real
+# coefficient such as j = 0, so k = 6 is at least 4.24 sd: under normality
+# at most 2.2e-5 per row and 3.2e-3 over the 144 rows.
+VAR_RATIO_K = 6.0
+
+
+@pytest.mark.parametrize("suite, name", [("rates", name) for name in harness._RATE_CONFIGS]
+                         + [("conditions", "mismatch_affine_floor")])
+def test_each_sweep_mean_matches_its_exact_expectation(request, suite, name):
+    """Each Monte-Carlo mean against the closed-form E||f - f_hat||^2 of its
+    row (`exact_mse`): a two-sided test of the law of the draws, where
+    criterion 4 only asks each mean to stay under the bound plus 3 CI."""
+    _, out, _ = request.getfixturevalue(suite)
+    cols = _columns(out / f"{name}.csv")
+    config = load_shipped_config(name)
+    z = [(float(mean) - exact_mse(config.field, config.deployment, config.c, int(n), int(m)))
+         / (float(std) / math.sqrt(int(trials)))
+         for n, m, trials, mean, std in zip(cols["n"], cols["m"], cols["trials"],
+                                            cols["mse_mean"], cols["mse_std"])]
+    assert len(z) == len(config.n_grid)
+    assert max(map(abs, z)) <= SWEEP_Z_MAX, z
+
+
+def test_each_battery_variance_matches_its_exact_value(lemma1):
+    """Each battery cell's across-trials variance against the closed-form
+    Var alpha_hat_j (`exact_coefficient_variance`): two-sided, where
+    criterion 6 only bounds the variance from above."""
+    _, out, _ = lemma1
+    cols = _columns(out / "lemma1_cells.csv")
+    defaults = inspect.signature(harness.run_lemma_battery).parameters
+    n, trials = defaults["n"].default, defaults["trials"].default
+    fields = dict(harness.lemma_battery_menu())
+    deployments = {"uniform": UniformDeployment(),
+                   "affine_floor_0.5": AffineFloorDeployment(nu=0.5)}
+    noises = {"zero": ZeroNoise(), "uniform_sym_1": UniformSymNoise(b=1.0),
+              "two_point_1": TwoPointNoise(b=1.0)}
+    ratios = []
+    for f, d, z, j, var_emp in zip(cols["field"], cols["deployment"], cols["noise"],
+                                   cols["j"], cols["var_emp"]):
+        c = dynamic_range(fields[f], noises[z])
+        exact = exact_coefficient_variance(fields[f], deployments[d], c, n, int(j) + 1)
+        ratios.append(float(var_emp) / exact[int(j)])
+    assert len(ratios) == 144
+    worst = max(ratios, key=lambda r: abs(r - 1.0))
+    assert abs(worst - 1.0) <= VAR_RATIO_K / math.sqrt(trials), worst
 
 
 @pytest.mark.parametrize("name", harness._TRACE_CONFIGS)

@@ -84,11 +84,19 @@ def test_an_int_seed_and_its_words_seed_the_same_realization(sawtooth):
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
-@pytest.mark.parametrize("seed", [np.random.SeedSequence(), np.random.SeedSequence([1, 2]),
-                                  2 ** 64, -1, True],
+NOT_A_COUNT = "seed must be an integer, got"
+OUT_OF_RANGE = r"seed must be one int in \[0, 2\^64\)"
+
+
+@pytest.mark.parametrize("seed, message", [(np.random.SeedSequence(), NOT_A_COUNT),
+                                           (np.random.SeedSequence([1, 2]), NOT_A_COUNT),
+                                           (2 ** 64, OUT_OF_RANGE), (-1, OUT_OF_RANGE),
+                                           (True, NOT_A_COUNT)],
                          ids=["os_entropy", "list_entropy", "above_u64", "negative", "bool"])
-def test_a_seed_must_be_one_u64(sawtooth, seed):
-    with pytest.raises(ValueError, match=r"seed must be one int in \[0, 2\^64\)"):
+def test_a_seed_must_be_one_u64(sawtooth, seed, message):
+    """A seed is a count (`as_count`) whose word fits: entropy objects and
+    bools fail the count rule, and a count outside [0, 2^64) names the range."""
+    with pytest.raises(ValueError, match=message):
         simulate_batch(sawtooth, UniformDeployment(), ZeroNoise(), 10, seed)
 
 
@@ -97,14 +105,26 @@ def test_spawn_key_entries_must_be_nonnegative():
         stream_keys(1, [(0, 3), (2, -1)])
 
 
-@pytest.mark.parametrize("entry", [1.5, SPAWN_MAX + 1, 2 ** 64, True, False])
-def test_spawn_key_entries_are_ints_whose_word_fits(entry):
+@pytest.mark.parametrize("entry, message", [
+    (1.5, "each spawn-key entry must be an integer, got 1.5"),
+    (SPAWN_MAX + 1, r"spawn-key entries must be nonnegative ints of at most 2\^64 - 2"),
+    (2 ** 64, r"spawn-key entries must be nonnegative ints of at most 2\^64 - 2"),
+    (True, "each spawn-key entry must be an integer, got True"),
+    (False, "each spawn-key entry must be an integer, got False")],
+    ids=["1.5", str(SPAWN_MAX + 1), str(2 ** 64), "True", "False"])
+def test_spawn_key_entries_are_ints_whose_word_fits(entry, message):
     """A fractional entry is not truncated into another key's stream, a
-    bool does not alias the int 0 or 1, and an entry whose word entry + 1
-    passes 2^64 - 1 names the rule."""
-    with pytest.raises(ValueError, match=r"spawn-key entries must be nonnegative ints "
-                                         r"of at most 2\^64 - 2"):
+    bool does not alias the int 0 or 1 (both by the count rule), and an
+    entry whose word entry + 1 passes 2^64 - 1 names the rule."""
+    with pytest.raises(ValueError, match=message):
         stream_keys(1, [(0, 3), (2, entry)])
+
+
+def test_integral_float_and_numpy_stream_words_are_their_ints():
+    """The count rule reads 7.0 and numpy integers as the ints they hold."""
+    want = stream_keys(7, [(1, 2)])
+    assert np.array_equal(stream_keys(7.0, [(1.0, np.uint64(2))]), want)
+    assert np.array_equal(stream_keys(np.int64(7), np.array([[1, 2]])), want)
 
 
 def test_the_largest_spawn_key_entry_is_accepted():
