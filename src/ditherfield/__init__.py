@@ -8,7 +8,7 @@ from .analysis import (ASTraceResult, BoundReport, ConsistencyReport,
                        integrated_squared_error, monte_carlo_mse,
                        mse_upper_bound, rate_fit, validate_as_schedule)
 from .estimator import (EstimationError, EstimatorConfig, TruncationSchedule,
-                        estimate_coefficients, reconstruct)
+                        estimate_coefficients)
 from .fields import (FieldSpec, FiniteDimField, FourierBasis,
                      PiecewiseConstantField, ReconstructionCoefficients,
                      SawtoothField, SobolevField, m_term_error,

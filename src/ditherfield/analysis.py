@@ -17,7 +17,7 @@ import numpy as np
 from . import spectral
 from .estimator import TruncationSchedule, add_sensors, finish_estimates
 from .fields import (FieldSpec, FourierBasis, ReconstructionCoefficients, as_count,
-                     m_term_error, make_bv_field, synthesize, true_coefficients)
+                     as_real, m_term_error, make_bv_field, synthesize, true_coefficients)
 from .sensing import Deployment, Noise, dynamic_range, simulate_batch, stream_keys
 
 
@@ -42,11 +42,9 @@ class BoundReport:
 def mse_upper_bound(field: FieldSpec, deploy: Deployment,
                     n: int, m: int, c: float) -> BoundReport:
     """Bound E||f - f_hat||^2 <= (c^2/n) * sum_{j<m} int |phi_j|^2/p_X + tail(m)."""
-    n, m = as_count(n, "n"), as_count(m, "m")
-    if n < 1:
-        raise ValueError("sensor count must be >= 1")
-    if m < 0:
-        raise ValueError("truncation point must be >= 0")
+    n, m, c = as_count(n, "n", 1), as_count(m, "m", 0), as_real(c, "c")
+    if c <= 0.0:
+        raise ValueError(f"dynamic range c must be positive, got {c!r}")
     integrals = FourierBasis.deployment_integrals(deploy, m)
     divergent = tuple(np.flatnonzero(np.isinf(integrals)).tolist())
     if m == 0:
@@ -93,7 +91,7 @@ class ConsistencyReport:
 
 def check_consistency_conditions(schedule: TruncationSchedule, deploy: Deployment,
                                  n_grid: Sequence[int]) -> ConsistencyReport:
-    n_grid = tuple(as_count(n, "each n_grid entry") for n in n_grid)
+    n_grid = tuple(as_count(n, "each n_grid entry", 1) for n in n_grid)
     if not n_grid:
         raise ValueError("n_grid must hold at least one sensor count")
     if any(b <= a for a, b in zip(n_grid, n_grid[1:])):
@@ -209,8 +207,7 @@ def map_trials(cells: Sequence[TrialCell], seed: int,
     change a byte. The call returns once every chunk is taken, and no pool
     outlives it, also when a chunk or `take` raises.
     """
-    if not 1 <= as_count(workers, "workers") <= WORKERS_MAX:
-        raise ValueError(f"workers must be in [1, {WORKERS_MAX}], got {workers}")
+    workers = as_count(workers, "workers", 1, WORKERS_MAX)
     payloads = [(cell, seed, i, t0, min(t0 + chunk, cell.trials))
                 for i, cell in enumerate(cells)
                 for chunk in [max(1, TASK_SENSORS // cell.n)]
@@ -251,15 +248,13 @@ def monte_carlo_mse(field: FieldSpec, deploy: Deployment, noise: Noise,
     Deterministic in `seed`; the per-trial seeds are derived from
     (seed, n-index, trial-index), so the worker count never changes results.
     """
-    n_grid = tuple(as_count(n, "each n_grid entry") for n in n_grid)
+    n_grid = tuple(as_count(n, "each n_grid entry", 1) for n in n_grid)
     if np.ndim(trials) > 1:
         raise ValueError("need one trial count, or one per n")
-    trials_per_n = ((as_count(trials, "trials"),) * len(n_grid) if np.ndim(trials) == 0
-                    else tuple(as_count(t, "each trials entry") for t in trials))
+    trials_per_n = ((as_count(trials, "trials", 2),) * len(n_grid) if np.ndim(trials) == 0
+                    else tuple(as_count(t, "each trials entry", 2) for t in trials))
     if len(trials_per_n) != len(n_grid):
         raise ValueError("need one trial count per n")
-    if any(t < 2 for t in trials_per_n):
-        raise ValueError("need at least two trials per n")
 
     m_values = tuple(schedule.resolve(n) for n in n_grid)
     cells = [TrialCell(field, deploy, noise, n, m, t)
@@ -302,12 +297,12 @@ RATE_FIT_MIN_POINTS = 4
 
 def rate_fit(n_grid: Sequence[int], mse_values: Sequence[float]) -> RateFitResult:
     """Ordinary least squares of log(mse) on log(n)."""
-    n_grid = tuple(as_count(n, "each n_grid entry") for n in n_grid)
+    n_grid = tuple(as_count(n, "each n_grid entry", 1) for n in n_grid)
     mse_values = tuple(float(v) for v in mse_values)
     if len(n_grid) != len(mse_values) or len(n_grid) < RATE_FIT_MIN_POINTS:
         raise ValueError(f"need at least {RATE_FIT_MIN_POINTS} (n, mse) points")
-    if any(v <= 0 for v in n_grid + mse_values):
-        raise ValueError("n_grid entries and mse values must be positive for a log-log fit")
+    if any(v <= 0 for v in mse_values):
+        raise ValueError("mse values must be positive for a log-log fit")
     lx = np.log(np.asarray(n_grid, dtype=float))
     ly = np.log(np.asarray(mse_values, dtype=float))
     slope, intercept = np.polyfit(lx, ly, 1)
@@ -369,6 +364,7 @@ def validate_as_schedule(psi: float, gamma: float, deploy: Deployment,
     kernel/projection bounds with envelope m and constants beta^2/nu and
     a*beta, a the largest amplitude bound of `fields` (default: the shipped
     BV menu)."""
+    psi, gamma = as_real(psi, "psi"), as_real(gamma, "gamma")
     if not 0.0 < psi < 1.0:
         raise ValueError("growth exponent must lie in (0, 1)")
     if fields is not None and len(fields) == 0:
@@ -449,9 +445,10 @@ def as_error_trace(field: FieldSpec, deploy: Deployment, noise: Noise,
     Fourier basis and validates the schedule with gamma = (1 + 1/psi) / 2,
     the middle of the summability range (1, 1/psi).
     """
+    psi = as_real(psi, "psi")
     if not 0.0 < psi < 1.0:
         raise ValueError("growth exponent must lie in (0, 1)")
-    checkpoints = tuple(as_count(n, "each n_checkpoints entry") for n in n_checkpoints)
+    checkpoints = tuple(as_count(n, "each n_checkpoints entry", 1) for n in n_checkpoints)
     if any(b <= a for a, b in zip(checkpoints, checkpoints[1:])) or not checkpoints:
         raise ValueError("checkpoints must be strictly increasing and nonempty")
     gamma = 0.5 * (1.0 + 1.0 / psi)

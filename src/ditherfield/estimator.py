@@ -14,7 +14,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .fields import FourierBasis, ReconstructionCoefficients, as_count, synthesize
+from .fields import FourierBasis, ReconstructionCoefficients, as_count, as_real
 from .sensing import Deployment, SensorBatch
 
 class EstimationError(RuntimeError):
@@ -41,21 +41,17 @@ class TruncationSchedule:
     def __post_init__(self):
         if self.schedule_kind not in self.KINDS:
             raise ValueError(f"unknown schedule kind {self.schedule_kind!r}")
-        if self.param is not None and not math.isfinite(self.param):
-            raise ValueError(f"{self.schedule_kind} schedule parameter must be finite")
+        what = f"{self.schedule_kind} schedule parameter"
         if self.schedule_kind == "bv":
             if self.param is not None:
                 raise ValueError("bv schedule takes no parameter")
         elif self.schedule_kind in ("fixed", "finite_dim"):
-            object.__setattr__(self, "param", as_count(
-                self.param, f"{self.schedule_kind} schedule parameter"))
-            if self.param < 1:
-                raise ValueError("need a positive integer parameter")
-        elif self.schedule_kind == "sobolev":
-            if self.param is None or self.param <= 0.5:
+            object.__setattr__(self, "param", as_count(self.param, what, 1))
+        else:
+            object.__setattr__(self, "param", as_real(self.param, what))
+            if self.schedule_kind == "sobolev" and self.param <= 0.5:
                 raise ValueError("smoothness order must exceed 1/2")
-        elif self.schedule_kind == "power":
-            if self.param is None or not 0.0 < self.param <= 1.0:
+            if self.schedule_kind == "power" and not 0.0 < self.param <= 1.0:
                 raise ValueError("exponent must lie in (0, 1]")
 
     @classmethod
@@ -79,9 +75,7 @@ class TruncationSchedule:
         return cls("power", psi)
 
     def resolve(self, n: int) -> int:
-        n = as_count(n, "n")
-        if n < 1:
-            raise ValueError("sensor count must be >= 1")
+        n = as_count(n, "n", 1)
         if self.schedule_kind in ("fixed", "finite_dim"):
             return self.param
         if self.schedule_kind == "bv":
@@ -95,7 +89,7 @@ class TruncationSchedule:
 
 
 # ---------------------------------------------------------------------------
-# coefficient estimation and synthesis
+# coefficient estimation
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -109,7 +103,8 @@ class EstimatorConfig:
     schedule: TruncationSchedule
 
     def __post_init__(self):
-        if self.c <= 0:
+        object.__setattr__(self, "c", as_real(self.c, "c"))
+        if self.c <= 0.0:
             raise ValueError("dynamic range must be positive")
 
 
@@ -170,14 +165,8 @@ def estimate_coefficients(batch: SensorBatch, cfg: EstimatorConfig,
     (R, m) array for a batch of R realizations. One pass of the running
     sums that the trial engine feeds tile by tile. Raises EstimationError
     where `sensor_weights` does."""
-    m = as_count(m, "m")
-    if m < 1:
-        raise ValueError("need at least one coefficient")
+    m = as_count(m, "m", 1)
     sums = cfg.basis.running_sums(m, batch.x.shape[:-1], batch.n)
     add_sensors(sums, batch, cfg.density)
     return finish_estimates(sums, cfg.c, batch.n)
 
-
-def reconstruct(coeffs: ReconstructionCoefficients, x):
-    """Field estimate sum_{j<m} alpha_hat_j phi_j(x); complex-valued."""
-    return synthesize(coeffs.values, np.asarray(x, dtype=float))

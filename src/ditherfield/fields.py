@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, ClassVar, Sequence
 
@@ -26,13 +27,28 @@ SOBOLEV_FREQS_MAX = 1 << 13
 _TWO_PI = 2.0 * np.pi
 
 
-def as_count(value, what: str) -> int:
+def as_count(value, what: str, lo: int | None = None, hi: int | None = None) -> int:
     """`value` as an int by the count rule of every public boundary: an int, a numpy
-    integer or an integral float such as 500.0, never a bool; else a ValueError naming `what`."""
+    integer or an integral float such as 500.0, never a bool, in the inclusive range
+    [lo, hi] (no range without lo, no upper end without hi); else a ValueError naming
+    `what` and the range."""
     if (type(value) is int or isinstance(value, np.integer)  # the common case first
             or isinstance(value, (float, np.floating)) and value.is_integer()):
-        return int(value)
-    raise ValueError(f"{what} must be an integer, got {value!r}")
+        count = int(value)
+        if lo is None or lo <= count and (hi is None or count <= hi):
+            return count
+    span = "" if lo is None else f" >= {lo}" if hi is None else f" in [{lo}, {hi}]"
+    raise ValueError(f"{what} must be an integer{span}, got {value!r}")
+
+
+def as_real(value, what: str) -> float:
+    """`value` as a float by the real rule of every public boundary: an int, a
+    float or a numpy real that a float holds finitely, never a bool, NaN or
+    infinity; else a ValueError naming `what`."""
+    if (type(value) is int and abs(value) <= sys.float_info.max
+            or isinstance(value, (float, np.integer, np.floating)) and math.isfinite(value)):
+        return float(value)
+    raise ValueError(f"{what} must be a finite number, got {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +189,9 @@ class FiniteDimField(FieldSpec):
             raise ValueError("need at least one coefficient")
         if not np.all(np.isfinite(vals)):
             raise ValueError("coefficients must be finite")
-        if not 0.0 < self.amplitude_bound < math.inf:
+        object.__setattr__(self, "amplitude_bound",
+                           as_real(self.amplitude_bound, "amplitude_bound"))
+        if self.amplitude_bound <= 0.0:
             raise ValueError("amplitude bound must be positive and finite")
         if abs(vals[0].imag) > 1e-12:
             raise ValueError("coefficient of the constant function must be real")
@@ -292,7 +310,8 @@ class SobolevField(FiniteDimField):
     kind: ClassVar[str] = "sobolev"
 
     def __post_init__(self):
-        if not 0.5 < self.s < math.inf:
+        object.__setattr__(self, "s", as_real(self.s, "s"))
+        if self.s <= 0.5:
             raise ValueError("smoothness order must be finite and exceed 1/2")
         super().__post_init__()
 
@@ -348,16 +367,13 @@ def make_sobolev_field(s: float, seed: int, amplitude_bound: float = 1.0,
     synthesis real. Deterministic in `seed`; rescaled so sup|f| stays
     just under the amplitude bound.
     """
-    if not 0.5 < s < math.inf:
+    s, amplitude_bound = as_real(s, "s"), as_real(amplitude_bound, "amplitude_bound")
+    if s <= 0.5:
         raise ValueError("smoothness order must be finite and exceed 1/2")
-    if not 0.0 < amplitude_bound < math.inf:
+    if amplitude_bound <= 0.0:
         raise ValueError("amplitude bound must be positive and finite")
-    n_freqs, seed = as_count(n_freqs, "n_freqs"), as_count(seed, "seed")
-    if not 1 <= n_freqs <= SOBOLEV_FREQS_MAX:
-        raise ValueError(f"n_freqs must be a positive integer of at most {SOBOLEV_FREQS_MAX}, "
-                         f"got {n_freqs!r}")
-    if seed < 0:
-        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
+    n_freqs = as_count(n_freqs, "n_freqs", 1, SOBOLEV_FREQS_MAX)
+    seed = as_count(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     decay = s + 0.5 + SOBOLEV_DECAY_MARGIN
     mags = (1.0 + np.arange(1, n_freqs + 1)) ** (-decay)
@@ -384,17 +400,13 @@ def make_sobolev_field(s: float, seed: int, amplitude_bound: float = 1.0,
 def true_coefficients(field: FieldSpec, count: int) -> ReconstructionCoefficients:
     """<f, phi_j> for j < count, in closed form: the field's Fourier
     coefficients."""
-    count = as_count(count, "count")
-    if count < 1:
-        raise ValueError("count must be >= 1")
+    count = as_count(count, "count", 1)
     values = field.fourier_coefficients(FourierBasis.frequencies(count))
     return ReconstructionCoefficients(values=values)
 
 
 def m_term_error(coeffs: ReconstructionCoefficients, field: FieldSpec, m: int) -> float:
     """Energy past the first m coefficients, via Parseval; clamped at 0."""
-    m = as_count(m, "m")
-    if m < 0:
-        raise ValueError("m must be >= 0")
+    m = as_count(m, "m", 0)
     head = float(np.sum(np.abs(coeffs.values[:m]) ** 2))
     return max(field.norm_sq - head, 0.0)

@@ -14,8 +14,6 @@ import hashlib
 import inspect
 import json
 import math
-import numbers
-import sys
 from dataclasses import asdict, dataclass
 from importlib import resources
 from pathlib import Path
@@ -29,7 +27,7 @@ from .analysis import (RATE_FIT_MIN_POINTS, ASTraceResult, RateFitResult,
                        map_trials, monte_carlo_mse, mse_upper_bound, rate_fit,
                        validate_as_schedule)
 from .estimator import TruncationSchedule
-from .fields import (FieldSpec, FourierBasis, as_count, make_bv_field,
+from .fields import (FieldSpec, FourierBasis, as_count, as_real, make_bv_field,
                      make_finite_dim_field, make_sobolev_field,
                      true_coefficients)
 from .sensing import (SEED_MAX, Deployment, Noise, UniformDeployment,
@@ -144,21 +142,28 @@ def _problem(path: str, message: str) -> ConfigValidationError:
     return ConfigValidationError([f"{path}: {message}"])
 
 
-def _finite_number(value) -> bool:
-    """A real number a float holds finitely; a bool, which Python counts as 0 or 1, is not."""
-    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and abs(value) <= sys.float_info.max)
+def _of_type(kind: type) -> Callable:
+    def read(value, path: str):
+        if not isinstance(value, kind):
+            raise ValueError(path)
+        return value
+    return read
 
 
-# annotation -> (what a value must be, the test it must pass, the value it gives)
-_SCALARS: dict[type, tuple[str, Callable, Callable]] = {
-    float: ("a finite number", _finite_number, float),
-    bool: ("true or false", lambda value: isinstance(value, bool), bool),
-    str: ("a string", lambda value: isinstance(value, str), str),
-    complex: ("[re, im] of finite numbers",
-              lambda value: (isinstance(value, (list, tuple)) and len(value) == 2
-                             and all(map(_finite_number, value))),
-              lambda value: complex(*value)),
+def _pair(value, path: str) -> complex:
+    if not (isinstance(value, (list, tuple)) and len(value) == 2):
+        raise ValueError(path)
+    return complex(as_real(value[0], path), as_real(value[1], path))
+
+
+# annotation -> (what a value must be, its reader: the count and real rules for
+# counts and numbers, which raise a ValueError for any other value)
+_SCALARS: dict[type, tuple[str, Callable]] = {
+    int: ("an integer", as_count),
+    float: ("a finite number", as_real),
+    bool: ("true or false", _of_type(bool)),
+    str: ("a string", _of_type(str)),
+    complex: ("[re, im] of finite numbers", _pair),
 }
 
 
@@ -171,16 +176,12 @@ def _convert(hint, value, path: str):
     picks: a section is a section document, a sequence is a list (held
     as a tuple), and a union takes null where it admits None, a list by
     its sequence arm and any other value by its other."""
-    if hint is int:  # the one count rule, under the parser's own message
+    if hint in _SCALARS:  # under the parser's own message
+        expected, read = _SCALARS[hint]
         try:
-            return as_count(value, path)
+            return read(value, path)
         except ValueError:
-            raise _problem(path, f"expected an integer, got {_got(value)}") from None
-    if hint in _SCALARS:
-        expected, test, cast = _SCALARS[hint]
-        if not test(value):
-            raise _problem(path, f"expected {expected}, got {_got(value)}")
-        return cast(value)
+            raise _problem(path, f"expected {expected}, got {_got(value)}") from None
     if hint in _SECTIONS or hint is Acceptance:
         return _build_section(hint, value, path)
     if _is_list(hint):
@@ -545,13 +546,8 @@ def run_lemma_battery(n: int = 1000, trials: int = 10_000, j_count: int = 8,
     """Across-trials mean and variance of the coefficient estimates versus
     their exact values and variance bounds, over the shipped field /
     deployment / noise menu."""
-    n, trials, j_count = as_count(n, "n"), as_count(trials, "trials"), as_count(j_count, "j_count")
-    if trials < 2:
-        raise ValueError("need at least two trials per cell")
-    if n < 1:
-        raise ValueError("sensor count must be >= 1")
-    if j_count < 1:
-        raise ValueError("j_count must be >= 1")
+    n, trials = as_count(n, "n", 1), as_count(trials, "trials", 2)
+    j_count = as_count(j_count, "j_count", 1)
     from .sensing import (AffineFloorDeployment, TwoPointNoise, UniformSymNoise,
                           ZeroNoise)
 

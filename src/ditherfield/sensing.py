@@ -21,7 +21,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .fields import FieldSpec, as_count
+from .fields import FieldSpec, as_count, as_real
 
 STREAM_LOCATIONS = 0
 STREAM_NOISE = 1
@@ -41,20 +41,22 @@ def stream_keys(seed, spawn_keys) -> np.ndarray:
     share a stream. The first two words are the Philox key, the last two
     counter words 1 and 2. `seed` is one count (`as_count`) in [0, 2^64); a
     spawn key holds at most two, each in [0, 2^64 - 2] so that its word fits."""
-    seed = as_count(seed, "seed")
-    if not 0 <= seed <= SEED_MAX:
-        raise ValueError(f"seed must be one int in [0, 2^64), got {seed!r}")
+    seed = as_count(seed, "seed", 0, SEED_MAX)
     spawn = np.asarray(spawn_keys, dtype=object)
     if spawn.ndim != 2:
         raise ValueError("spawn keys must be an (R, L) array")
     if spawn.shape[1] > 2:  # counter words 1 and 2
         raise ValueError(f"spawn keys may have at most 2 entries, got {spawn.shape[1]}")
     entries = [as_count(i, "each spawn-key entry") for i in spawn.flat]
-    if entries and not (min(entries) >= 0 and max(entries) <= SPAWN_MAX):
+    try:  # a negative entry, or one past 2^64 - 1, overflows the uint64 array
+        spawn = np.array(entries, dtype=np.uint64).reshape(spawn.shape)
+        fits = not (spawn > SPAWN_MAX).any()
+    except OverflowError:
+        fits = False
+    if not fits:
         bad = next(i for i in entries if not 0 <= i <= SPAWN_MAX)
         raise ValueError("spawn-key entries must be nonnegative ints of at most "
                          f"2^64 - 2 (the stream word is entry + 1), got {bad!r}")
-    spawn = np.array(entries, dtype=np.uint64).reshape(spawn.shape)
     words = np.zeros((len(spawn), STREAMS, 4), dtype=np.uint64)
     words[:, :, 0] = seed
     words[:, :, 1] = np.arange(STREAMS, dtype=np.uint64)
@@ -117,6 +119,7 @@ class AffineFloorDeployment:
     kind: ClassVar[str] = "affine_floor"
 
     def __post_init__(self):
+        object.__setattr__(self, "nu", as_real(self.nu, "nu"))
         if not 0.0 < self.nu <= 1.0:
             raise ValueError("floor must lie in (0, 1]")
 
@@ -167,7 +170,8 @@ class UniformSymNoise:
     kind: ClassVar[str] = "uniform_sym"
 
     def __post_init__(self):
-        if not 0.0 < self.b < math.inf:
+        object.__setattr__(self, "b", as_real(self.b, "b"))
+        if self.b <= 0.0:
             raise ValueError("amplitude bound must be positive and finite")
 
     def sample(self, u: np.ndarray) -> np.ndarray:
@@ -181,7 +185,8 @@ class TwoPointNoise:
     kind: ClassVar[str] = "two_point"
 
     def __post_init__(self):
-        if not 0.0 < self.b < math.inf:
+        object.__setattr__(self, "b", as_real(self.b, "b"))
+        if self.b <= 0.0:
             raise ValueError("amplitude bound must be positive and finite")
 
     def sample(self, u: np.ndarray) -> np.ndarray:
@@ -205,6 +210,7 @@ def dynamic_range(field: FieldSpec, noise: Noise) -> float:
 
 def _quantize(y: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Sign of y - t with ties (and NaN) going to -1: 2 [y > t] - 1."""
+    # four passes, not np.where(y > t, 1.0, -1.0): ~21 against ~75 us a 16384-sensor tile
     bits = np.greater(y, t).astype(float)
     bits *= 2.0
     bits -= 1.0
@@ -273,11 +279,7 @@ def simulate_batch(field: FieldSpec, deploy: Deployment, noise: Noise,
     from the streams through the Philox counter, so it equals that slice
     of the batch of start + n sensors, bit for bit.
     """
-    n, start = as_count(n, "n"), as_count(start, "start")
-    if n < 1:
-        raise ValueError("need at least one sensor")
-    if start < 0:
-        raise ValueError(f"window start must be nonnegative, got {start}")
+    n, start = as_count(n, "n", 1), as_count(start, "start", 0)
     words = seed if isinstance(seed, np.ndarray) else trial_seed(seed)
     if words.dtype != np.uint64 or words.ndim not in (2, 3) or words.shape[-2:] != (STREAMS, 4):
         raise ValueError(f"stream keys must be a ({STREAMS}, 4) or (R, {STREAMS}, 4) "

@@ -299,7 +299,7 @@ def test_chunk_size_does_not_change_trial_estimates(sawtooth, monkeypatch):
 def test_the_worker_count_is_checked_before_any_trial_runs(sawtooth, workers):
     deploy, noise = UniformDeployment(), ZeroNoise()
     taken = []
-    with pytest.raises(ValueError, match=rf"workers must be in \[1, {WORKERS_MAX}\]"):
+    with pytest.raises(ValueError, match=rf"workers must be an integer in \[1, {WORKERS_MAX}\]"):
         map_trials([TrialCell(sawtooth, deploy, noise, 100, 4, 2)], seed=1,
                    take=lambda *chunk: taken.append(chunk), workers=workers)
     assert taken == []

@@ -67,6 +67,12 @@ def test_unit_vector_synthesis_matches_scalar_eval():
             complex(fourier_eval(j, 0.3)), abs=1e-12)
 
 
+def test_synthesis_of_zero_and_constant_vectors():
+    x = np.linspace(0.0, 1.0, 33)
+    assert np.array_equal(synthesize(np.zeros(4, dtype=complex), x), np.zeros(33, complex))
+    assert np.allclose(synthesize(np.array([2.5 + 0j]), x), 2.5)
+
+
 @pytest.mark.parametrize("x", [-0.3, -1e-9, 0.0, 1.0, 1.3])
 def test_synthesis_matches_eval_outside_the_unit_interval(x):
     """Off [0, 1) the synthesis reads the periodic basis, as the
@@ -212,19 +218,19 @@ def test_sobolev_rejects_low_smoothness():
 
 @pytest.mark.parametrize("s", [np.inf, np.nan])
 def test_sobolev_rejects_non_finite_smoothness(s):
-    with pytest.raises(ValueError, match="smoothness"):
+    with pytest.raises(ValueError, match="^s must be a finite number, got"):
         make_sobolev_field(s, seed=1)
-    with pytest.raises(ValueError, match="smoothness"):
+    with pytest.raises(ValueError, match="^s must be a finite number, got"):
         SobolevField(s=s, seed=1, amplitude_bound=1.0, values=[0.1])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_amplitude_bound_must_be_finite(fourier, bad):
-    with pytest.raises(ValueError, match="amplitude bound"):
+    with pytest.raises(ValueError, match="^amplitude_bound must be a finite number, got"):
         FiniteDimField(fourier, [0.1], bad)
-    with pytest.raises(ValueError, match="amplitude bound"):
+    with pytest.raises(ValueError, match="^amplitude_bound must be a finite number, got"):
         SobolevField(s=1.0, seed=1, amplitude_bound=bad, values=[0.1])
-    with pytest.raises(ValueError, match="amplitude bound"):
+    with pytest.raises(ValueError, match="^amplitude_bound must be a finite number, got"):
         make_sobolev_field(1.0, seed=1, amplitude_bound=bad)
 
 

@@ -9,10 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ditherfield import (EstimatorConfig, FieldSpec, FiniteDimField,
-                         FourierBasis, PiecewiseConstantField, SensorBatch,
-                         TruncationSchedule, UniformDeployment, ZeroNoise,
-                         as_error_trace, check_consistency_conditions,
+from ditherfield import (AffineFloorDeployment, EstimatorConfig, FieldSpec,
+                         FiniteDimField, FourierBasis, PiecewiseConstantField,
+                         SensorBatch, SobolevField, TruncationSchedule,
+                         TwoPointNoise, UniformDeployment, UniformSymNoise,
+                         ZeroNoise, as_error_trace, check_consistency_conditions,
                          estimate_coefficients, integrated_squared_error,
                          m_term_error, make_bv_field, make_finite_dim_field,
                          make_sobolev_field, monte_carlo_mse, mse_upper_bound,
@@ -36,21 +37,27 @@ GUARDS = [
     ("spawn_keys_not_2d", lambda: stream_keys(1, [1, 2]), ValueError,
      "spawn keys must be an (R, L) array"),
     ("no_sensor", lambda: simulate_batch(SAWTOOTH, UNIFORM, ZeroNoise(), 0, 1), ValueError,
-     "need at least one sensor"),
+     "n must be an integer >= 1, got 0"),
     ("signed_words", lambda: simulate_batch(SAWTOOTH, UNIFORM, ZeroNoise(), 4,
                                             trial_seed(1).astype(np.int64)), ValueError,
      "stream keys must be a (3, 4) or (R, 3, 4) uint64 array"),
     ("simulate_fractional_n", lambda: simulate_batch(SAWTOOTH, UNIFORM, ZeroNoise(), 2.5, 1),
-     ValueError, "n must be an integer, got 2.5"),
+     ValueError, "n must be an integer >= 1, got 2.5"),
     ("simulate_bool_n", lambda: simulate_batch(SAWTOOTH, UNIFORM, ZeroNoise(), True, 1),
-     ValueError, "n must be an integer, got True"),
+     ValueError, "n must be an integer >= 1, got True"),
     ("simulate_fractional_start",
      lambda: simulate_batch(SAWTOOTH, UNIFORM, ZeroNoise(), 4, 1, 1.5), ValueError,
-     "start must be an integer, got 1.5"),
+     "start must be an integer >= 0, got 1.5"),
     ("seed_fraction", lambda: stream_keys(1.5, [()]), ValueError,
-     "seed must be an integer, got 1.5"),
+     "seed must be an integer in [0, 18446744073709551615], got 1.5"),
     ("spawn_entry_fraction", lambda: stream_keys(1, [(0.5,)]), ValueError,
      "each spawn-key entry must be an integer, got 0.5"),
+    ("floor_bool", lambda: AffineFloorDeployment(nu=True), ValueError,
+     "nu must be a finite number, got True"),
+    ("uniform_noise_bool", lambda: UniformSymNoise(b=True), ValueError,
+     "b must be a finite number, got True"),
+    ("two_point_noise_bool", lambda: TwoPointNoise(b=True), ValueError,
+     "b must be a finite number, got True"),
     # fields
     ("abstract_eval", lambda: FieldSpec().eval(0.5), NotImplementedError, ""),
     ("abstract_fourier", lambda: FieldSpec().fourier_coefficients(np.arange(3)),
@@ -76,13 +83,17 @@ GUARDS = [
     ("sobolev_smoothness", lambda: make_sobolev_field(0.5, seed=1), ValueError,
      "smoothness order must be finite and exceed 1/2"),
     ("sobolev_no_frequency", lambda: make_sobolev_field(1.0, seed=1, n_freqs=0), ValueError,
-     "n_freqs must be a positive integer of at most"),
+     "n_freqs must be an integer in [1, 8192], got 0"),
+    ("sobolev_bool_smoothness", lambda: make_sobolev_field(True, 7), ValueError,
+     "s must be a finite number, got True"),
+    ("finite_dim_bool_amplitude", lambda: make_finite_dim_field([0.1], True), ValueError,
+     "amplitude_bound must be a finite number, got True"),
     ("sobolev_negative_seed", lambda: make_sobolev_field(1.0, seed=-1), ValueError,
-     "seed must be a nonnegative integer, got -1"),
+     "seed must be an integer >= 0, got -1"),
     ("sobolev_bool_freqs", lambda: make_sobolev_field(1.0, 7, n_freqs=True), ValueError,
-     "n_freqs must be an integer, got True"),
+     "n_freqs must be an integer in [1, 8192], got True"),
     ("sobolev_fractional_seed", lambda: make_sobolev_field(1.0, seed=7.5), ValueError,
-     "seed must be an integer, got 7.5"),
+     "seed must be an integer >= 0, got 7.5"),
     ("edges_levels_count", lambda: PiecewiseConstantField(edges=(0.0, 1.0), levels=(1.0, 2.0)),
      ValueError, "need len(edges) == len(levels) + 1"),
     ("edges_span", lambda: PiecewiseConstantField(edges=(0.1, 1.0), levels=(1.0,)),
@@ -93,63 +104,77 @@ GUARDS = [
     ("edges_nan", lambda: PiecewiseConstantField(edges=(0.0, np.nan, 1.0), levels=(1.0, 2.0)),
      ValueError, "edges and levels must be finite"),
     ("true_count_zero", lambda: true_coefficients(SAWTOOTH, 0), ValueError,
-     "count must be >= 1"),
+     "count must be an integer >= 1, got 0"),
     ("true_count_fraction", lambda: true_coefficients(SAWTOOTH, 2.5), ValueError,
-     "count must be an integer, got 2.5"),
+     "count must be an integer >= 1, got 2.5"),
     ("true_count_bool", lambda: true_coefficients(SAWTOOTH, True), ValueError,
-     "count must be an integer, got True"),
+     "count must be an integer >= 1, got True"),
     ("tail_negative_m", lambda: m_term_error(true_coefficients(SAWTOOTH, 2),
-                                             SAWTOOTH, -1), ValueError, "m must be >= 0"),
+                                             SAWTOOTH, -1), ValueError,
+     "m must be an integer >= 0, got -1"),
     ("tail_fractional_m", lambda: m_term_error(true_coefficients(SAWTOOTH, 3), SAWTOOTH, 2.5),
-     ValueError, "m must be an integer, got 2.5"),
+     ValueError, "m must be an integer >= 0, got 2.5"),
     # estimator
     ("schedule_kind", lambda: TruncationSchedule("cubic"), ValueError,
      "unknown schedule kind 'cubic'"),
     ("bv_parameter", lambda: TruncationSchedule("bv", 1.0), ValueError,
      "bv schedule takes no parameter"),
     ("schedule_nan", lambda: TruncationSchedule("power", np.nan), ValueError,
-     "power schedule parameter must be finite"),
+     "power schedule parameter must be a finite number, got nan"),
     ("fixed_zero", lambda: TruncationSchedule.fixed(0), ValueError,
-     "need a positive integer parameter"),
+     "fixed schedule parameter must be an integer >= 1, got 0"),
     ("fixed_fraction", lambda: TruncationSchedule("fixed", 2.5), ValueError,
-     "fixed schedule parameter must be an integer, got 2.5"),
+     "fixed schedule parameter must be an integer >= 1, got 2.5"),
     ("fixed_bool", lambda: TruncationSchedule.fixed(True), ValueError,
-     "fixed schedule parameter must be an integer, got True"),
+     "fixed schedule parameter must be an integer >= 1, got True"),
     ("fixed_missing", lambda: TruncationSchedule("fixed"), ValueError,
-     "fixed schedule parameter must be an integer, got None"),
+     "fixed schedule parameter must be an integer >= 1, got None"),
     ("finite_dim_fraction", lambda: TruncationSchedule.finite_dim(4.5), ValueError,
-     "finite_dim schedule parameter must be an integer, got 4.5"),
+     "finite_dim schedule parameter must be an integer >= 1, got 4.5"),
     ("sobolev_schedule_half", lambda: TruncationSchedule.sobolev(0.5), ValueError,
      "smoothness order must exceed 1/2"),
+    ("sobolev_schedule_bool", lambda: TruncationSchedule.sobolev(True), ValueError,
+     "sobolev schedule parameter must be a finite number, got True"),
+    ("power_bool", lambda: TruncationSchedule.power(True), ValueError,
+     "power schedule parameter must be a finite number, got True"),
     ("power_zero", lambda: TruncationSchedule.power(0.0), ValueError,
      "exponent must lie in (0, 1]"),
     ("power_above_one", lambda: TruncationSchedule.power(1.5), ValueError,
      "exponent must lie in (0, 1]"),
     ("resolve_zero", lambda: TruncationSchedule.bv().resolve(0), ValueError,
-     "sensor count must be >= 1"),
+     "n must be an integer >= 1, got 0"),
     ("resolve_fractional_n", lambda: TruncationSchedule.bv().resolve(100.5), ValueError,
-     "n must be an integer, got 100.5"),
+     "n must be an integer >= 1, got 100.5"),
     ("resolve_bool_n", lambda: TruncationSchedule.bv().resolve(True), ValueError,
-     "n must be an integer, got True"),
+     "n must be an integer >= 1, got True"),
     ("range_zero", lambda: EstimatorConfig(basis=FOURIER, density=UNIFORM, c=0.0,
                                            schedule=TruncationSchedule.bv()), ValueError,
      "dynamic range must be positive"),
+    ("range_nan", lambda: EstimatorConfig(basis=FOURIER, density=UNIFORM, c=float("nan"),
+                                          schedule=TruncationSchedule.bv()), ValueError,
+     "c must be a finite number, got nan"),
     ("empty_batch", lambda: sensor_weights(EMPTY, UNIFORM), ValueError, "empty batch"),
     ("no_estimate", lambda: estimate_coefficients(BATCH, CFG, 0), ValueError,
-     "need at least one coefficient"),
+     "m must be an integer >= 1, got 0"),
     ("estimate_fractional_m", lambda: estimate_coefficients(BATCH, CFG, 2.5), ValueError,
-     "m must be an integer, got 2.5"),
+     "m must be an integer >= 1, got 2.5"),
     ("estimate_bool_m", lambda: estimate_coefficients(BATCH, CFG, True), ValueError,
-     "m must be an integer, got True"),
+     "m must be an integer >= 1, got True"),
     # analysis
     ("bound_no_sensor", lambda: mse_upper_bound(SAWTOOTH, UNIFORM, 0, 1, 1.0),
-     ValueError, "sensor count must be >= 1"),
+     ValueError, "n must be an integer >= 1, got 0"),
     ("bound_negative_m", lambda: mse_upper_bound(SAWTOOTH, UNIFORM, 10, -1, 1.0),
-     ValueError, "truncation point must be >= 0"),
+     ValueError, "m must be an integer >= 0, got -1"),
     ("bound_fractional_n", lambda: mse_upper_bound(SAWTOOTH, UNIFORM, 100.5, 3, 1.5),
-     ValueError, "n must be an integer, got 100.5"),
+     ValueError, "n must be an integer >= 1, got 100.5"),
     ("bound_fractional_m", lambda: mse_upper_bound(SAWTOOTH, UNIFORM, 100, 3.5, 1.5),
-     ValueError, "m must be an integer, got 3.5"),
+     ValueError, "m must be an integer >= 0, got 3.5"),
+    ("bound_nan_range", lambda: mse_upper_bound(SAWTOOTH, UNIFORM, 10, 3, float("nan")),
+     ValueError, "c must be a finite number, got nan"),
+    ("bound_negative_range", lambda: mse_upper_bound(SAWTOOTH, UNIFORM, 10, 3, -1.5),
+     ValueError, "dynamic range c must be positive, got -1.5"),
+    ("bound_zero_range", lambda: mse_upper_bound(SAWTOOTH, UNIFORM, 10, 3, 0),
+     ValueError, "dynamic range c must be positive, got 0.0"),
     ("conditions_empty_grid",
      lambda: check_consistency_conditions(TruncationSchedule.bv(), UNIFORM, []),
      ValueError, "n_grid must hold at least one sensor count"),
@@ -158,10 +183,10 @@ GUARDS = [
      ValueError, "n_grid must be strictly increasing"),
     ("conditions_fractional_n",
      lambda: check_consistency_conditions(TruncationSchedule.bv(), UNIFORM, [100.5, 1000]),
-     ValueError, "each n_grid entry must be an integer, got 100.5"),
+     ValueError, "each n_grid entry must be an integer >= 1, got 100.5"),
     ("conditions_bool_n",
      lambda: check_consistency_conditions(TruncationSchedule.bv(), UNIFORM, [True, 4]),
-     ValueError, "each n_grid entry must be an integer, got True"),
+     ValueError, "each n_grid entry must be an integer >= 1, got True"),
     ("error_short_truth",
      lambda: integrated_squared_error(estimate_coefficients(BATCH, CFG, 3),
                                       true_coefficients(SAWTOOTH, 2), SAWTOOTH),
@@ -169,11 +194,11 @@ GUARDS = [
     ("fit_three_points", lambda: rate_fit([10, 20, 40], [1.0, 0.5, 0.25]), ValueError,
      "need at least 4 (n, mse) points"),
     ("fit_zero_mse", lambda: rate_fit([10, 20, 40, 80], [1.0, 0.5, 0.0, 0.1]), ValueError,
-     "n_grid entries and mse values must be positive for a log-log fit"),
+     "mse values must be positive for a log-log fit"),
     ("fit_negative_n", lambda: rate_fit([-10, 20, 40, 80], [1.0, 0.5, 0.25, 0.125]),
-     ValueError, "n_grid entries and mse values must be positive for a log-log fit"),
+     ValueError, "each n_grid entry must be an integer >= 1, got -10"),
     ("fit_fractional_n", lambda: rate_fit([10.5, 20, 40, 80], [1.0, 0.5, 0.25, 0.125]),
-     ValueError, "each n_grid entry must be an integer, got 10.5"),
+     ValueError, "each n_grid entry must be an integer >= 1, got 10.5"),
     ("sweep_trial_counts",
      lambda: monte_carlo_mse(SAWTOOTH, UNIFORM, ZeroNoise(), TruncationSchedule.bv(),
                              [10, 20], [5], seed=1), ValueError, "need one trial count per n"),
@@ -183,29 +208,32 @@ GUARDS = [
      "need one trial count, or one per n"),
     ("sweep_one_trial",
      lambda: monte_carlo_mse(SAWTOOTH, UNIFORM, ZeroNoise(), TruncationSchedule.bv(),
-                             [10], 1, seed=1), ValueError, "need at least two trials per n"),
+                             [10], 1, seed=1), ValueError,
+     "trials must be an integer >= 2, got 1"),
     ("sweep_fractional_n",
      lambda: monte_carlo_mse(SAWTOOTH, UNIFORM, ZeroNoise(), TruncationSchedule.bv(),
                              [500.5, 2000], 2, seed=1), ValueError,
-     "each n_grid entry must be an integer, got 500.5"),
+     "each n_grid entry must be an integer >= 1, got 500.5"),
     ("sweep_fractional_trials",
      lambda: monte_carlo_mse(SAWTOOTH, UNIFORM, ZeroNoise(), TruncationSchedule.bv(),
                              [500, 2000], 2.5, seed=1), ValueError,
-     "trials must be an integer, got 2.5"),
+     "trials must be an integer >= 2, got 2.5"),
     ("sweep_fractional_trial_counts",
      lambda: monte_carlo_mse(SAWTOOTH, UNIFORM, ZeroNoise(), TruncationSchedule.bv(),
                              [500, 2000], [2.7, 3.2], seed=1), ValueError,
-     "each trials entry must be an integer, got 2.7"),
+     "each trials entry must be an integer >= 2, got 2.7"),
     ("sweep_fractional_workers",
      lambda: monte_carlo_mse(SAWTOOTH, UNIFORM, ZeroNoise(), TruncationSchedule.bv(),
                              [10], 2, seed=1, workers=1.5), ValueError,
-     "workers must be an integer, got 1.5"),
+     "workers must be an integer in [1, 64], got 1.5"),
     ("sweep_bool_workers",
      lambda: monte_carlo_mse(SAWTOOTH, UNIFORM, ZeroNoise(), TruncationSchedule.bv(),
                              [10], 2, seed=1, workers=True), ValueError,
-     "workers must be an integer, got True"),
+     "workers must be an integer in [1, 64], got True"),
     ("schedule_psi", lambda: validate_as_schedule(1.0, 1.5, UNIFORM), ValueError,
      "growth exponent must lie in (0, 1)"),
+    ("schedule_bool_gamma", lambda: validate_as_schedule(0.5, True, UNIFORM), ValueError,
+     "gamma must be a finite number, got True"),
     ("schedule_no_field", lambda: validate_as_schedule(0.5, 1.5, UNIFORM, fields=[]), ValueError,
      "fields must hold at least one field"),
     ("trace_psi", lambda: as_error_trace(SAWTOOTH, UNIFORM, ZeroNoise(), 1.0, 1, [10]),
@@ -214,22 +242,22 @@ GUARDS = [
      ValueError, "checkpoints must be strictly increasing and nonempty"),
     ("trace_fractional_checkpoint",
      lambda: as_error_trace(SAWTOOTH, UNIFORM, ZeroNoise(), 0.5, 1, [10, 20.5]), ValueError,
-     "each n_checkpoints entry must be an integer, got 20.5"),
+     "each n_checkpoints entry must be an integer >= 1, got 20.5"),
     # harness
     ("battery_one_trial", lambda: run_lemma_battery(trials=1), ValueError,
-     "need at least two trials per cell"),
+     "trials must be an integer >= 2, got 1"),
     ("battery_j_count_zero", lambda: run_lemma_battery(j_count=0), ValueError,
-     "j_count must be >= 1"),
+     "j_count must be an integer >= 1, got 0"),
     ("battery_j_count_negative", lambda: run_lemma_battery(j_count=-1), ValueError,
-     "j_count must be >= 1"),
+     "j_count must be an integer >= 1, got -1"),
     ("battery_fractional_n", lambda: run_lemma_battery(n=100.5), ValueError,
-     "n must be an integer, got 100.5"),
+     "n must be an integer >= 1, got 100.5"),
     ("battery_fractional_trials", lambda: run_lemma_battery(trials=2.5), ValueError,
-     "trials must be an integer, got 2.5"),
+     "trials must be an integer >= 2, got 2.5"),
     ("battery_fractional_j_count", lambda: run_lemma_battery(j_count=2.5), ValueError,
-     "j_count must be an integer, got 2.5"),
+     "j_count must be an integer >= 1, got 2.5"),
     ("battery_bool_n", lambda: run_lemma_battery(n=True), ValueError,
-     "n must be an integer, got True"),
+     "n must be an integer >= 1, got True"),
     ("unknown_suite", lambda: run_suite("nope", "unwritten"), ValueError,
      "unknown suite 'nope'; choose from"),
     # spectral
@@ -252,9 +280,10 @@ def test_each_guard_raises_its_message(call, kind, message):
         assert str(caught.value) == ""
 
 
-# Every count argument of the public entry points, as (id, the name its
-# message gives it, a valid value, the call with that argument set to a
-# value); the other arguments are tiny, so that a call takes milliseconds.
+# Every count argument of the public entry points, as (id, the rule's message
+# for it up to ", got <value>": its name and its range, a valid value, the
+# call with that argument set to a value); the other arguments are tiny, so
+# that a call takes milliseconds.
 BV, TAIL_COEFFS = TruncationSchedule.bv(), true_coefficients(SAWTOOTH, 4)
 
 
@@ -263,39 +292,54 @@ def _sweep(n_grid=(4,), trials=2, workers=1):
                            workers=workers).means
 
 
+AT_LEAST_1 = "must be an integer >= 1"
 COUNT_ARGUMENTS = [
-    ("true_coefficients.count", "count", 3, lambda v: true_coefficients(SAWTOOTH, v).values),
-    ("m_term_error.m", "m", 2, lambda v: m_term_error(TAIL_COEFFS, SAWTOOTH, v)),
-    ("mse_upper_bound.n", "n", 10, lambda v: mse_upper_bound(SAWTOOTH, UNIFORM, v, 3, 1.5)),
-    ("mse_upper_bound.m", "m", 3, lambda v: mse_upper_bound(SAWTOOTH, UNIFORM, 10, v, 1.5)),
-    ("resolve.n", "n", 10, BV.resolve),
-    ("fixed.m", "fixed schedule parameter", 3, TruncationSchedule.fixed),
-    ("finite_dim.k", "finite_dim schedule parameter", 3, TruncationSchedule.finite_dim),
-    ("simulate_batch.n", "n", 4,
+    ("true_coefficients.count", f"count {AT_LEAST_1}", 3,
+     lambda v: true_coefficients(SAWTOOTH, v).values),
+    ("m_term_error.m", "m must be an integer >= 0", 2,
+     lambda v: m_term_error(TAIL_COEFFS, SAWTOOTH, v)),
+    ("mse_upper_bound.n", f"n {AT_LEAST_1}", 10,
+     lambda v: mse_upper_bound(SAWTOOTH, UNIFORM, v, 3, 1.5)),
+    ("mse_upper_bound.m", "m must be an integer >= 0", 3,
+     lambda v: mse_upper_bound(SAWTOOTH, UNIFORM, 10, v, 1.5)),
+    ("resolve.n", f"n {AT_LEAST_1}", 10, BV.resolve),
+    ("fixed.m", f"fixed schedule parameter {AT_LEAST_1}", 3, TruncationSchedule.fixed),
+    ("finite_dim.k", f"finite_dim schedule parameter {AT_LEAST_1}", 3,
+     TruncationSchedule.finite_dim),
+    ("simulate_batch.n", f"n {AT_LEAST_1}", 4,
      lambda v: simulate_batch(SAWTOOTH, UNIFORM, ZeroNoise(), v, 1).bits),
-    ("simulate_batch.start", "start", 2,
+    ("simulate_batch.start", "start must be an integer >= 0", 2,
      lambda v: simulate_batch(SAWTOOTH, UNIFORM, ZeroNoise(), 4, 1, v).bits),
-    ("estimate_coefficients.m", "m", 3, lambda v: estimate_coefficients(BATCH, CFG, v).values),
-    ("make_sobolev_field.n_freqs", "n_freqs", 2,
+    ("estimate_coefficients.m", f"m {AT_LEAST_1}", 3,
+     lambda v: estimate_coefficients(BATCH, CFG, v).values),
+    ("make_sobolev_field.n_freqs", "n_freqs must be an integer in [1, 8192]", 2,
      lambda v: make_sobolev_field(1.0, 7, n_freqs=v).values),
-    ("make_sobolev_field.seed", "seed", 7,
+    ("make_sobolev_field.seed", "seed must be an integer >= 0", 7,
      lambda v: make_sobolev_field(1.0, v, n_freqs=2).values),
-    ("stream_keys.seed", "seed", 7, lambda v: stream_keys(v, [(1, 2)])),
-    ("stream_keys.entry", "each spawn-key entry", 1, lambda v: stream_keys(7, [(v, 2)])),
-    ("check_consistency_conditions.n", "each n_grid entry", 10,
+    ("stream_keys.seed", "seed must be an integer in [0, 18446744073709551615]", 7,
+     lambda v: stream_keys(v, [(1, 2)])),
+    ("stream_keys.entry", "each spawn-key entry must be an integer", 1,
+     lambda v: stream_keys(7, [(v, 2)])),
+    ("check_consistency_conditions.n", f"each n_grid entry {AT_LEAST_1}", 10,
      lambda v: check_consistency_conditions(BV, UNIFORM, [v, 1000])),
-    ("rate_fit.n", "each n_grid entry", 10,
+    ("rate_fit.n", f"each n_grid entry {AT_LEAST_1}", 10,
      lambda v: rate_fit([v, 20, 40, 80], [1.0, 0.5, 0.25, 0.125])),
-    ("monte_carlo_mse.n", "each n_grid entry", 4, lambda v: _sweep(n_grid=[v])),
-    ("monte_carlo_mse.trials", "trials", 2, lambda v: _sweep(trials=v)),
-    ("monte_carlo_mse.trials_entry", "each trials entry", 2, lambda v: _sweep(trials=[v])),
-    ("monte_carlo_mse.workers", "workers", 1, lambda v: _sweep(workers=v)),
-    ("run_lemma_battery.n", "n", 4, lambda v: run_lemma_battery(n=v, trials=2, j_count=1).rows),
-    ("run_lemma_battery.trials", "trials", 2,
+    ("monte_carlo_mse.n", f"each n_grid entry {AT_LEAST_1}", 4, lambda v: _sweep(n_grid=[v])),
+    ("monte_carlo_mse.trials", "trials must be an integer >= 2", 2, lambda v: _sweep(trials=v)),
+    ("monte_carlo_mse.trials_entry", "each trials entry must be an integer >= 2", 2,
+     lambda v: _sweep(trials=[v])),
+    ("monte_carlo_mse.workers", "workers must be an integer in [1, 64]", 1,
+     lambda v: _sweep(workers=v)),
+    ("run_lemma_battery.n", f"n {AT_LEAST_1}", 4,
+     lambda v: run_lemma_battery(n=v, trials=2, j_count=1).rows),
+    ("run_lemma_battery.trials", "trials must be an integer >= 2", 2,
      lambda v: run_lemma_battery(n=4, trials=v, j_count=1).rows),
-    ("run_lemma_battery.j_count", "j_count", 1,
+    ("run_lemma_battery.j_count", f"j_count {AT_LEAST_1}", 1,
      lambda v: run_lemma_battery(n=4, trials=2, j_count=v).rows),
 ]
+# the one range refusal that keeps a message of its own, for the reason it gives
+OWN_RANGE_MESSAGES = {"stream_keys.entry": "spawn-key entries must be nonnegative ints of "
+                                           "at most 2^64 - 2 (the stream word is entry + 1)"}
 
 NUMPY_INTS = [np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64]
 
@@ -321,16 +365,83 @@ def _count_argument(draw):
 @settings(max_examples=150, deadline=None)
 @given(_count_argument())
 def test_every_count_argument_keeps_the_one_count_rule(case):
-    """Each entry point reads each kind of value alike: a fraction or a bool
-    is refused with the argument's name, a negative count is refused, and a
-    numpy int or an integral float gives, repr for repr, what the int gives."""
-    (_, name, valid, call), kind, value = case
-    if kind in ("fraction", "bool"):
+    """Each entry point reads each kind of value alike: a fraction, a bool or a
+    negative count is refused with the rule's message, which names the argument
+    and its range, and a numpy int or an integral float gives, repr for repr,
+    what the int gives."""
+    (row_id, rule, valid, call), kind, value = case
+    if kind in ("fraction", "bool", "negative"):
         with pytest.raises(ValueError) as caught:
             call(value)
-        assert str(caught.value) == f"{name} must be an integer, got {value!r}"
-    elif kind == "negative":
-        with pytest.raises(ValueError):
+        if kind == "negative" and row_id in OWN_RANGE_MESSAGES:
+            assert str(caught.value).startswith(OWN_RANGE_MESSAGES[row_id] + ", got ")
+        else:
+            assert str(caught.value) == f"{rule}, got {value!r}"
+    else:
+        assert repr(call(value)) == repr(call(valid))
+
+
+# Every real parameter of an exported constructor or function, as (id, the name
+# the real rule's message gives it, a valid value that float32 holds exactly,
+# the call with that parameter set to a value).
+REAL_ARGUMENTS = [
+    ("TruncationSchedule.sobolev.s", "sobolev schedule parameter", 1.5,
+     TruncationSchedule.sobolev),
+    ("TruncationSchedule.power.psi", "power schedule parameter", 1.0,
+     TruncationSchedule.power),
+    ("AffineFloorDeployment.nu", "nu", 0.5, lambda v: AffineFloorDeployment(nu=v)),
+    ("UniformSymNoise.b", "b", 1.0, lambda v: UniformSymNoise(b=v)),
+    ("TwoPointNoise.b", "b", 2.0, lambda v: TwoPointNoise(b=v)),
+    ("FiniteDimField.amplitude_bound", "amplitude_bound", 1.0,
+     lambda v: FiniteDimField(basis=FOURIER, values=np.array([0.5]), amplitude_bound=v)),
+    ("make_finite_dim_field.amplitude_bound", "amplitude_bound", 1.0,
+     lambda v: make_finite_dim_field([0.1], v)),
+    ("SobolevField.s", "s", 1.0,
+     lambda v: SobolevField(s=v, seed=7, amplitude_bound=1.0, values=np.array([0.5]))),
+    ("make_sobolev_field.s", "s", 1.0, lambda v: make_sobolev_field(v, 7, n_freqs=2)),
+    ("make_sobolev_field.amplitude_bound", "amplitude_bound", 2.0,
+     lambda v: make_sobolev_field(1.0, 7, amplitude_bound=v, n_freqs=2)),
+    ("EstimatorConfig.c", "c", 1.5,
+     lambda v: EstimatorConfig(basis=FOURIER, density=UNIFORM, c=v, schedule=BV)),
+    ("mse_upper_bound.c", "c", 1.5, lambda v: mse_upper_bound(SAWTOOTH, UNIFORM, 10, 3, v)),
+    ("validate_as_schedule.psi", "psi", 0.5, lambda v: validate_as_schedule(v, 1.5, UNIFORM)),
+    ("validate_as_schedule.gamma", "gamma", 3.0,
+     lambda v: validate_as_schedule(0.5, v, UNIFORM)),
+    ("as_error_trace.psi", "psi", 0.5,
+     lambda v: as_error_trace(SAWTOOTH, UNIFORM, ZeroNoise(), v, 1, [4, 8]).to_json()),
+]
+
+
+@st.composite
+def _real_argument(draw):
+    """(row, kind, value): a value of one kind for one real argument; an int
+    (where the valid value is integral) and numpy floats hold the valid value."""
+    row = draw(st.sampled_from(REAL_ARGUMENTS))
+    valid = row[2]
+    kinds = ["bool", "nan", "inf", "float32", "float64"] + ["int"] * valid.is_integer()
+    value = {
+        "bool": lambda: draw(st.booleans()),
+        "nan": lambda: draw(st.sampled_from([float, np.float64, np.float32]))("nan"),
+        "inf": lambda: draw(st.sampled_from([float, np.float64, np.float32]))(
+            draw(st.sampled_from(["inf", "-inf"]))),
+        "float32": lambda: np.float32(valid),
+        "float64": lambda: np.float64(valid),
+        "int": lambda: int(valid),
+    }[draw(st.sampled_from(kinds))]()
+    return row, value
+
+
+@settings(max_examples=150, deadline=None)
+@given(_real_argument())
+def test_every_real_argument_keeps_the_one_real_rule(case):
+    """Each entry point reads each kind of value alike: a bool, a NaN or an
+    infinity is refused with the real rule's message naming the argument, and
+    an int, a float32 or a float64 holding a valid value gives, repr for repr,
+    what the Python float gives."""
+    (_, name, valid, call), value = case
+    if isinstance(value, bool) or not np.isfinite(value):
+        with pytest.raises(ValueError) as caught:
             call(value)
+        assert str(caught.value) == f"{name} must be a finite number, got {value!r}"
     else:
         assert repr(call(value)) == repr(call(valid))

@@ -192,8 +192,8 @@ def test_lemma_battery_smoke():
     assert len(cells) == 18
 
 
-@pytest.mark.parametrize("n, trials, message", [(100, 1, "two trials"),
-                                                 (0, 10, "sensor count must be >= 1")])
+@pytest.mark.parametrize("n, trials, message", [(100, 1, "trials must be an integer >= 2"),
+                                                 (0, 10, "n must be an integer >= 1")])
 def test_lemma_battery_needs_two_trials(n, trials, message):
     # one trial has no sample variance (it divided by zero into NaN rows);
     # no sensors divided by zero in the pool-task size
@@ -722,7 +722,7 @@ def test_a_kind_that_is_not_a_string_is_unknown(key, doc, message):
                            r"\['fixed', 'finite_dim', 'bv', 'sobolev', 'power'\]"),
     ("basis", 5, r"basis: expected an object, got int 5"),
     ("field", {"class": "sobolev", "s": 1.0, "seed": -1},
-     r"field: seed must be a nonnegative integer, got -1")],
+     r"field: seed must be an integer >= 0, got -1")],
     ids=["noise_b_string", "noise_b_null", "nu_list", "n_grid_strings", "field_string",
          "no_coefficients", "coefficient_not_a_pair", "sobolev_seed_fraction",
          "schedule_no_kind", "basis_number", "sobolev_seed_negative"])
@@ -875,7 +875,9 @@ def test_counts_are_capped_at_parse_time(key, value, ok):
     if ok:
         assert parse_experiment_config(doc) is not None
     else:
-        with pytest.raises(ConfigValidationError, match=f"{key}: .* at most"):
+        # a sobolev section's count range comes from its constructor's count rule
+        cap = rf"in \[1, {SOBOLEV_FREQS_MAX}\]" if key == "field" else "at most"
+        with pytest.raises(ConfigValidationError, match=f"{key}: .* {cap}"):
             parse_experiment_config(doc)
 
 

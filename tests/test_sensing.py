@@ -63,8 +63,10 @@ def test_affine_floor_requires_positive_floor():
 @pytest.mark.parametrize("nu", [0.0, -0.5, np.nextafter(1.0, 2.0), 1.5, np.nan, np.inf,
                                 -np.inf])
 def test_affine_floor_must_lie_in_the_unit_interval(nu):
-    """A floor above 1 would give a negative density at the right edge."""
-    with pytest.raises(ValueError, match=r"floor must lie in \(0, 1\]"):
+    """A floor above 1 would give a negative density at the right edge; a
+    non-finite floor fails the real rule before the range is tested."""
+    message = r"floor must lie in \(0, 1\]" if np.isfinite(nu) else "^nu must be a finite number"
+    with pytest.raises(ValueError, match=message):
         AffineFloorDeployment(nu=nu)
 
 
@@ -85,7 +87,8 @@ def test_the_flat_affine_floor_is_the_uniform_deployment():
                                   lambda v: TwoPointNoise(b=v)],
                          ids=["uniform_sym_b", "two_point_b"])
 def test_noise_scales_must_be_positive_and_finite(make, bad):
-    with pytest.raises(ValueError, match="positive and finite"):
+    message = "positive and finite" if np.isfinite(bad) else "^b must be a finite number"
+    with pytest.raises(ValueError, match=message):
         make(bad)
 
 
