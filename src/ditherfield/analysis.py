@@ -16,8 +16,9 @@ import numpy as np
 
 from . import spectral
 from .estimator import TruncationSchedule, add_sensors, finish_estimates
-from .fields import (FieldSpec, FourierBasis, ReconstructionCoefficients, as_count,
-                     as_real, m_term_error, make_bv_field, synthesize, true_coefficients)
+from .fields import (FieldSpec, FourierBasis, FourierSums, ReconstructionCoefficients,
+                     as_count, as_real, m_term_error, make_bv_field, synthesize,
+                     true_coefficients)
 from .sensing import Deployment, Noise, dynamic_range, simulate_batch, stream_keys
 
 
@@ -41,17 +42,19 @@ class BoundReport:
 
 def mse_upper_bound(field: FieldSpec, deploy: Deployment,
                     n: int, m: int, c: float) -> BoundReport:
-    """Bound E||f - f_hat||^2 <= (c^2/n) * sum_{j<m} int |phi_j|^2/p_X + tail(m)."""
+    """Bound E||f - f_hat||^2 <= (c^2/n) * sum_{j<m} int |phi_j|^2/p_X + tail(m)
+    = (c^2/n) * m * I + tail(m), as |phi_j| = 1: I is the integral of 1/p_X,
+    and every j < m diverges where it is infinite."""
     n, m, c = as_count(n, "n", 1), as_count(m, "m", 0), as_real(c, "c")
     if c <= 0.0:
         raise ValueError(f"dynamic range c must be positive, got {c!r}")
-    integrals = FourierBasis.deployment_integrals(deploy, m)
-    divergent = tuple(np.flatnonzero(np.isinf(integrals)).tolist())
-    if m == 0:
-        bias = field.norm_sq
+    integral = deploy.inverse_integral(0.0, 1.0)
+    divergent = tuple(range(m)) if math.isinf(integral) else ()
+    if m == 0:  # no term, and no 0 * inf
+        bias, variance = field.norm_sq, 0.0
     else:
         bias = m_term_error(true_coefficients(field, m), field, m)
-    variance = math.inf if divergent else (c * c / n) * float(np.sum(integrals))
+        variance = math.inf if divergent else (c * c / n) * (m * integral)
     return BoundReport(m=m, variance_term=variance, bias_term=bias, divergent_js=divergent)
 
 
@@ -98,9 +101,9 @@ def check_consistency_conditions(schedule: TruncationSchedule, deploy: Deploymen
         raise ValueError("n_grid must be strictly increasing")
     m_values = tuple(schedule.resolve(n) for n in n_grid)
 
-    # the variance side of the bound, summed as `mse_upper_bound` sums it
-    integrals = FourierBasis.deployment_integrals(deploy, max(m_values))
-    q = tuple(float(np.sum(integrals[:m])) / n for m, n in zip(m_values, n_grid))
+    # the variance side of the bound, m * I as `mse_upper_bound` takes it
+    integral = deploy.inverse_integral(0.0, 1.0)
+    q = tuple(m * integral / n for m, n in zip(m_values, n_grid))
 
     decreasing = all(b < a for a, b in zip(q, q[1:]))
     vanishing = math.isfinite(q[-1]) and q[-1] <= 0.5 * q[0]
@@ -180,9 +183,9 @@ def _trial_chunk(payload) -> np.ndarray:
     size = max(1, spectral.BLOCK_POINTS // cell.n)
     for lo in range(0, t1 - t0, size):
         block = keys[lo:lo + size]
-        sums = FourierBasis.running_sums(cell.m, (len(block),), cell.n)
+        sums = FourierSums(cell.m, (len(block),), cell.n)
         _add_tiles(sums, cell.field, cell.deploy, cell.noise, block, 0, cell.n)
-        out[lo:lo + size] = finish_estimates(sums, c, cell.n).values
+        out[lo:lo + size] = finish_estimates(sums, c).values
     return out
 
 
@@ -298,7 +301,7 @@ RATE_FIT_MIN_POINTS = 4
 def rate_fit(n_grid: Sequence[int], mse_values: Sequence[float]) -> RateFitResult:
     """Ordinary least squares of log(mse) on log(n)."""
     n_grid = tuple(as_count(n, "each n_grid entry", 1) for n in n_grid)
-    mse_values = tuple(float(v) for v in mse_values)
+    mse_values = tuple(as_real(v, "each mse value") for v in mse_values)
     if len(n_grid) != len(mse_values) or len(n_grid) < RATE_FIT_MIN_POINTS:
         raise ValueError(f"need at least {RATE_FIT_MIN_POINTS} (n, mse) points")
     if any(v <= 0 for v in mse_values):
@@ -472,7 +475,7 @@ def as_error_trace(field: FieldSpec, deploy: Deployment, noise: Noise,
     prev = 0
     sup_s, sup_est, sup_est_int = [], [], []
     for ckpt, m in zip(checkpoints, m_values):
-        sums = FourierBasis.running_sums(m_max, (1,), ckpt - prev)
+        sums = FourierSums(m_max, (1,), ckpt - prev)
         _add_tiles(sums, field, deploy, noise, keys, prev, ckpt)
         totals = totals + sums.result()[0]
         prev = ckpt

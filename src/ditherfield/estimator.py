@@ -14,7 +14,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .fields import FourierBasis, ReconstructionCoefficients, as_count, as_real
+from .fields import FourierBasis, FourierSums, ReconstructionCoefficients, as_count, as_real
 from .sensing import Deployment, SensorBatch
 
 class EstimationError(RuntimeError):
@@ -95,7 +95,8 @@ class TruncationSchedule:
 @dataclass(frozen=True)
 class EstimatorConfig:
     """Everything the fusion center knows: basis, deployment density
-    evaluator, dynamic range, and the truncation rule."""
+    evaluator, dynamic range, and the truncation rule. `estimate_coefficients`
+    reads the density and c, which must be the c of the batch it estimates."""
 
     basis: FourierBasis
     density: Deployment
@@ -147,26 +148,31 @@ def sensor_weights(batch: SensorBatch, density: Deployment) -> np.ndarray:
 
 
 def add_sensors(sums, batch: SensorBatch, density: Deployment) -> None:
-    """Add one tile of sensors to running basis sums (`running_sums` of
-    the estimator's basis): their weights, from `sensor_weights`, which
-    raises EstimationError on a bad sensor."""
+    """Add one tile of sensors to running basis sums (`FourierSums`):
+    their weights, from `sensor_weights`, which raises EstimationError on
+    a bad sensor."""
     sums.add(batch.x, sensor_weights(batch, density))
 
 
-def finish_estimates(sums, c: float, n: int) -> ReconstructionCoefficients:
-    """The coefficient estimates (c/n) * sums from the running sums of n
-    sensors per realization, c the range their thresholds were drawn from."""
-    return ReconstructionCoefficients(values=(c / n) * sums.result())
+def finish_estimates(sums: FourierSums, c: float) -> ReconstructionCoefficients:
+    """The coefficient estimates (c/n) * sums from the running sums of
+    sums.n sensors per realization, c the range their thresholds were
+    drawn from."""
+    return ReconstructionCoefficients(values=(c / sums.n) * sums.result())
 
 
 def estimate_coefficients(batch: SensorBatch, cfg: EstimatorConfig,
                           m: int) -> ReconstructionCoefficients:
     """First m coefficient estimates from one sensor batch: a vector, or a
     (R, m) array for a batch of R realizations. One pass of the running
-    sums that the trial engine feeds tile by tile. Raises EstimationError
-    where `sensor_weights` does."""
+    sums that the trial engine feeds tile by tile. Raises ValueError when
+    cfg.c is not the batch's c, and EstimationError where
+    `sensor_weights` does."""
     m = as_count(m, "m", 1)
-    sums = cfg.basis.running_sums(m, batch.x.shape[:-1], batch.n)
+    if cfg.c != batch.c:
+        raise ValueError(f"estimator c = {cfg.c!r} is not the batch's c = {batch.c!r}, "
+                         f"the range its thresholds were drawn from")
+    sums = FourierSums(m, batch.x.shape[:-1], batch.n)
     add_sensors(sums, batch, cfg.density)
-    return finish_estimates(sums, cfg.c, batch.n)
+    return finish_estimates(sums, batch.c)
 

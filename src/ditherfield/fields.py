@@ -57,7 +57,8 @@ def as_real(value, what: str) -> float:
 
 @dataclass(frozen=True)
 class FourierBasis:
-    """Complex exponential system, interleaved by sign of the frequency.
+    """Complex exponential system, interleaved by sign of the frequency
+    (`frequencies`).
 
     phi_0 = 1; even j >= 2 carries frequency +j/2 cycles, odd j carries
     frequency -(j+1)/2, i.e. phi_j(x) = exp(+i*pi*j*x) for even j and
@@ -67,34 +68,21 @@ class FourierBasis:
     kind: ClassVar[str] = "fourier"
     bound: ClassVar[float] = 1.0
 
-    @staticmethod
-    def frequency(j: int) -> int:
-        return j // 2 if j % 2 == 0 else -(j + 1) // 2
 
-    @staticmethod
-    def frequencies(count: int) -> np.ndarray:
-        """frequency(j) for j < count, as one integer array."""
-        freqs = (np.arange(count) + 1) // 2
-        freqs[1::2] *= -1
-        return freqs
-
-    @staticmethod
-    def deployment_integrals(deploy, count: int) -> np.ndarray:
-        """int |phi_j|^2 / p_X over [0,1] for j < count, +inf where it
-        diverges; |phi_j| == 1, so every j reads the integral of 1/p_X."""
-        return np.full(count, deploy.inverse_integral(0.0, 1.0))
-
-    @staticmethod
-    def running_sums(count: int, lead: tuple, n: int) -> "_FourierSums":
-        """Running sum_i w_i * conj(phi_j(x_i)), j < count, of rows of n
-        points with real weights, fed tile by tile (`ConjSums`)."""
-        return _FourierSums(count, lead, n)
+def frequencies(count: int) -> np.ndarray:
+    """The signed frequency of phi_j for j < count, as one integer array:
+    0, -1, +1, -2, +2, ..."""
+    freqs = (np.arange(count) + 1) // 2
+    freqs[1::2] *= -1
+    return freqs
 
 
-class _FourierSums(ConjSums):
-    """One type-1 accumulator over frequencies 0..count//2: for real
-    weights the odd-index (negative-frequency) sums are the conjugates of
-    the even-index ones, so only the positive-frequency sums are taken."""
+class FourierSums(ConjSums):
+    """Running sums sum_i w_i * conj(phi_j(x_i)), j < count, of rows of n
+    points with real weights, fed tile by tile (`ConjSums`): one type-1
+    accumulator over frequencies 0..count//2, since for real weights the
+    odd-index (negative-frequency) sums are the conjugates of the
+    even-index ones."""
 
     def __init__(self, count: int, lead: tuple, n: int):
         super().__init__(lead, n, count // 2)
@@ -175,7 +163,9 @@ def synthesize(values: np.ndarray, x) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class FiniteDimField(FieldSpec):
     """Exact k-term combination of the leading basis functions, real by
-    construction: its coefficients come in conjugate pairs."""
+    construction: its coefficients come in conjugate pairs. Its synthesis
+    must stay within its amplitude bound on a grid of
+    AMPLITUDE_CHECK_POINTS points."""
 
     basis: FourierBasis
     values: np.ndarray
@@ -208,6 +198,13 @@ class FiniteDimField(FieldSpec):
         # with the field when it is pickled to a pool worker
         object.__setattr__(self, "_series", RealSeries(vals[0].real, vals[2::2]))
         object.__setattr__(self, "values", vals)
+        # c = a + b covers |f + Z| only while sup|f| <= a
+        grid = np.linspace(0.0, 1.0, AMPLITUDE_CHECK_POINTS)
+        worst = float(np.max(np.abs(self.eval(grid))))
+        if worst > self.amplitude_bound * (1 + 1e-12):
+            raise ValueError(
+                f"field exceeds its amplitude bound: sup|f| = {worst:.6g} "
+                f"> a = {self.amplitude_bound:.6g}")
 
     @property
     def norm_sq(self) -> float:
@@ -217,7 +214,7 @@ class FiniteDimField(FieldSpec):
         return self._series(x)[()]
 
     def fourier_coefficients(self, freqs: np.ndarray) -> np.ndarray:
-        by_freq = {FourierBasis.frequency(j): v for j, v in enumerate(self.values)}
+        by_freq = dict(zip(frequencies(len(self.values)).tolist(), self.values))
         return np.array([by_freq.get(int(w), 0.0) for w in freqs], dtype=np.complex128)
 
 
@@ -320,22 +317,10 @@ class SobolevField(FiniteDimField):
 # constructors / factories
 # ---------------------------------------------------------------------------
 
-def _check_amplitude(field: FieldSpec) -> None:
-    x = np.linspace(0.0, 1.0, AMPLITUDE_CHECK_POINTS)
-    worst = float(np.max(np.abs(field.eval(x))))
-    if worst > field.amplitude_bound * (1 + 1e-12):
-        raise ValueError(
-            f"field exceeds its amplitude bound: sup|f| = {worst:.6g} "
-            f"> a = {field.amplitude_bound:.6g}")
-
-
 def make_finite_dim_field(coefficients: Sequence[complex], amplitude_bound: float,
                           basis: FourierBasis = FourierBasis()) -> FiniteDimField:
-    """A `FiniteDimField` whose synthesis stays within its amplitude bound."""
-    field = FiniteDimField(basis=basis, values=coefficients,
-                           amplitude_bound=amplitude_bound)
-    _check_amplitude(field)
-    return field
+    """A `FiniteDimField`, built from the keyword names of its config section."""
+    return FiniteDimField(basis=basis, values=coefficients, amplitude_bound=amplitude_bound)
 
 
 _BV_SHAPES: dict[str, Callable[[], FieldSpec]] = {
@@ -401,7 +386,7 @@ def true_coefficients(field: FieldSpec, count: int) -> ReconstructionCoefficient
     """<f, phi_j> for j < count, in closed form: the field's Fourier
     coefficients."""
     count = as_count(count, "count", 1)
-    values = field.fourier_coefficients(FourierBasis.frequencies(count))
+    values = field.fourier_coefficients(frequencies(count))
     return ReconstructionCoefficients(values=values)
 
 

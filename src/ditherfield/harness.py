@@ -448,8 +448,10 @@ def run_experiment(config: ExperimentConfig, out_dir, workers: int = 1) -> Exper
         # a NaN mean or bound is a violation: dominance must be shown, not assumed
         violations = sum(1 for mean, ci, b in zip(sweep.means, sweep.ci_half, bounds)
                          if not mean <= b.total + 3.0 * ci)
+        # a non-finite mean fails the `finite` verdict below, unfitted
         fit = (rate_fit(config.n_grid, sweep.means)
-               if len(config.n_grid) >= RATE_FIT_MIN_POINTS else None)
+               if len(config.n_grid) >= RATE_FIT_MIN_POINTS
+               and all(map(math.isfinite, sweep.means)) else None)
         reported = {"mse": sweep.means + sweep.stds, "ci": sweep.ci_half,
                     "bound": tuple(v for b in bounds
                                    for v in (b.total, b.variance_term, b.bias_term)),
@@ -578,11 +580,11 @@ def run_lemma_battery(n: int = 1000, trials: int = 10_000, j_count: int = 8,
     rows: list[dict] = []
     for (fname, f, dname, d, zname, z), alpha, total, shifted in zip(cells, alphas, s1, s2):
         c = dynamic_range(f, z)
-        bounds = (c * c / n) * FourierBasis.deployment_integrals(d, j_count)
+        bound = (c * c / n) * d.inverse_integral(0.0, 1.0)  # every j's: |phi_j| = 1
         mean = total / trials
         var_emp = (shifted - trials * np.abs(mean - alpha) ** 2) / (trials - 1)
         sigma_mean = np.sqrt(var_emp / trials)
-        for j, bound in enumerate(bounds):
+        for j in range(j_count):
             dev = (abs(mean[j] - alpha[j]) / sigma_mean[j]
                    if sigma_mean[j] > 0 else 0.0)
             rows.append({
@@ -634,7 +636,7 @@ def _run_conditions(out: Path, workers: int) -> dict:
     affine = mismatch["mismatch_affine_floor"].config.deployment
     return {"mismatch": mismatch,
             "linear2x_js": mismatch["mismatch_linear2x"].divergent_js,
-            "integral_j0": float(FourierBasis.deployment_integrals(affine, 1)[0]),
+            "integral_j0": affine.inverse_integral(0.0, 1.0),
             "consistency": {**{name: bool(r.all_pass) for name, r in reports.items()},
                             "power_psi1 variance_ok": bool(reports["power_psi1"].variance_ok)},
             "schedules": {"gamma1.5 accepted": good.accepted, "gamma2.5 accepted": bad.accepted,
@@ -690,10 +692,12 @@ def _rate(number: int, name: str, config: str) -> Criterion:
         accept = load_shipped_config(config).acceptance
         return {"slope_range": list(accept.slope_range), "r2_min": accept.r2_min}
 
-    return Criterion(number, name, "rates",
-                     lambda run: {"slope": run[config].fit.slope,
-                                  "r_squared": run[config].fit.r_squared},
-                     bound, lambda run, bound: run[config].passed)
+    def statistic(run) -> dict | None:
+        fit = run[config].fit  # None where a non-finite mean left the sweep unfitted
+        return None if fit is None else {"slope": fit.slope, "r_squared": fit.r_squared}
+
+    return Criterion(number, name, "rates", statistic, bound,
+                     lambda run, bound: run[config].passed)
 
 
 _BATTERY = LemmaBatteryResult

@@ -7,6 +7,7 @@ from ditherfield import (AffineFloorDeployment, FiniteDimField, FourierBasis,
                          SensorBatch, UniformDeployment, m_term_error, make_bv_field,
                          make_finite_dim_field, make_sobolev_field, true_coefficients)
 from ditherfield import spectral
+from ditherfield.fields import FourierSums, frequencies
 from ditherfield.analysis import map_trials
 from ditherfield.sensing import (STREAM_LOCATIONS, STREAM_NOISE,
                                  STREAM_THRESHOLDS)
@@ -45,13 +46,13 @@ def reference_batch(field, deploy, noise, n: int, seed: int, key: tuple = ()) ->
 def fourier_eval(j: int, x) -> np.ndarray:
     """phi_j(x) of the Fourier basis, one complex exponential per point:
     the oracle that synthesis is compared against."""
-    return np.exp(2j * np.pi * FourierBasis.frequency(j) * np.asarray(x, dtype=float))
+    return np.exp(2j * np.pi * frequencies(j + 1)[j] * np.asarray(x, dtype=float))
 
 
 def basis_sums(m: int, x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """sum_i w_i * conj(phi_j(x_i)) for j < m over the last axis, for real
     weights: one pass of the Fourier basis's running sums."""
-    sums = FourierBasis.running_sums(m, x.shape[:-1], x.shape[-1])
+    sums = FourierSums(m, x.shape[:-1], x.shape[-1])
     sums.add(x, w)
     return sums.result()
 
@@ -89,11 +90,12 @@ def exact_coefficient_variance(field, deploy, c: float, n: int, count: int) -> n
     With T uniform on [-c, c] and independent of Y = f(X) + Z, |Y| <= c,
     E[B | X, Z] = Y / c and B^2 = 1. So one sensor's term c conj(phi_j(X))
     B / p_X(X) has mean alpha_j (Z has mean zero) and second moment c^2 I_j,
-    I_j = int |phi_j|^2 / p_X (`FourierBasis.deployment_integrals`), and
-    alpha_hat_j is the mean of n such independent terms."""
+    I_j = int |phi_j|^2 / p_X = int 1 / p_X (`inverse_integral` over
+    [0, 1]) for every j, and alpha_hat_j is the mean of n such independent
+    terms."""
     alpha = true_coefficients(field, count).values
-    integrals = FourierBasis.deployment_integrals(deploy, count)
-    return (c * c * integrals - np.abs(alpha) ** 2) / n
+    integral = deploy.inverse_integral(0.0, 1.0)
+    return (c * c * integral - np.abs(alpha) ** 2) / n
 
 
 def exact_mse(field, deploy, c: float, n: int, m: int) -> float:

@@ -28,20 +28,20 @@ LN3 = 1.0986122886681098
 # deployment integrals
 # ---------------------------------------------------------------------------
 
-def test_uniform_integrals_are_exactly_one():
-    integrals = FourierBasis.deployment_integrals(UniformDeployment(), 31)
-    for j in (0, 1, 5, 30):
-        assert integrals[j] == pytest.approx(1.0, abs=1e-9)
+def test_uniform_integrals_are_exactly_one(sawtooth):
+    """Each of the m = 31 terms of the variance side adds c^2/n * 1."""
+    report = mse_upper_bound(sawtooth, UniformDeployment(), n=1, m=31, c=1.0)
+    assert report.variance_term == pytest.approx(31.0, abs=1e-9)
 
 
-def test_vanishing_linear_density_diverges():
-    integrals = FourierBasis.deployment_integrals(Linear2xDeployment(), 4)
-    assert math.isinf(integrals[0])
-    assert math.isinf(integrals[3])
+def test_vanishing_linear_density_diverges(sawtooth):
+    report = mse_upper_bound(sawtooth, Linear2xDeployment(), n=1, m=4, c=1.0)
+    assert report.divergent_js == (0, 1, 2, 3)
+    assert math.isinf(report.variance_term)
 
 
 def test_affine_floor_integral_is_log3():
-    value = FourierBasis.deployment_integrals(AffineFloorDeployment(nu=0.5), 1)[0]
+    value = AffineFloorDeployment(nu=0.5).inverse_integral(0.0, 1.0)
     assert value == pytest.approx(LN3, abs=1e-9)
 
 
@@ -54,14 +54,18 @@ def test_finite_dim_bound_arithmetic(finite_dim_k5):
                              n=1000, m=5, c=2.0)
     assert report.bias_term == 0.0
     assert report.total == pytest.approx(0.02, abs=1e-9)
-    assert FourierBasis.deployment_integrals(UniformDeployment(), 5) == \
-        pytest.approx([1.0] * 5, abs=1e-9)
+    assert report.variance_term == pytest.approx(0.02, abs=1e-9)
+    assert report.divergent_js == ()
 
 
-def test_bound_at_m_zero_is_the_field_energy(sawtooth):
-    report = mse_upper_bound(sawtooth, UniformDeployment(),
-                             n=10, m=0, c=1.5)
+@pytest.mark.parametrize("deploy", [UniformDeployment(), Linear2xDeployment()],
+                         ids=["uniform", "linear_2x"])
+def test_bound_at_m_zero_is_the_field_energy(sawtooth, deploy):
+    """No term, so no divergent j and no 0 * inf where the integral of 1/p_X
+    diverges."""
+    report = mse_upper_bound(sawtooth, deploy, n=10, m=0, c=1.5)
     assert report.variance_term == 0.0
+    assert report.divergent_js == ()
     assert report.total == pytest.approx(sawtooth.norm_sq)
 
 
@@ -133,14 +137,16 @@ def test_linear_truncation_fails_the_variance_condition():
 
 
 def test_the_checker_reads_the_variance_sum_of_the_bound():
-    """q_n is the bound's sum over j < m of the deployment integrals, over n,
-    to the last bit (m * integral differs from that sum at m = 100, 317, 1000)."""
+    """q_n is the bound's m * I over n, I the deployment's integral of
+    1/p_X, to the last bit (a pairwise sum of m copies of I differs from it
+    at m = 100, 317, 1000)."""
     deploy = AffineFloorDeployment(nu=0.5)
     grid = (100, 1000, 10_000, 100_000, 1_000_000)
     report = check_consistency_conditions(TruncationSchedule.bv(), deploy, grid)
     assert report.m_values == (10, 32, 100, 317, 1000)
+    integral = deploy.inverse_integral(0.0, 1.0)
     for q, m, n in zip(report.variance_condition_values, report.m_values, grid):
-        assert q == float(np.sum(FourierBasis.deployment_integrals(deploy, m))) / n
+        assert q == m * integral / n
 
 
 def test_an_empty_grid_is_rejected():

@@ -130,9 +130,9 @@ def test_empirical_variance_respects_the_bound(sawtooth, nu):
         mat[t] = estimate_coefficients(batch, cfg, j_count).values
     var_emp = np.mean(np.abs(mat - mat.mean(axis=0)) ** 2, axis=0)
     slack = 1.0 + 5.0 / np.sqrt(trials)
-    bounds = (c * c / n) * FourierBasis().deployment_integrals(deploy, j_count)
+    bound = (c * c / n) * deploy.inverse_integral(0.0, 1.0)  # every j's: |phi_j| = 1
     for j in range(j_count):
-        assert var_emp[j] <= bounds[j] * slack
+        assert var_emp[j] <= bound * slack
 
 
 def test_estimator_is_noise_law_blind(sawtooth):

@@ -11,7 +11,7 @@ from ditherfield import (ConfigValidationError, FiniteDimField, FourierBasis,
                          m_term_error, make_bv_field, make_finite_dim_field,
                          make_sobolev_field, parse_experiment_config,
                          true_coefficients)
-from ditherfield.fields import synthesize
+from ditherfield.fields import frequencies, synthesize
 from ditherfield.spectral import series
 
 from conftest import SHIPPED_K5_COEFFS, fourier_eval, midpoint_grid, zero_field
@@ -206,7 +206,7 @@ def test_sobolev_field_is_deterministic_and_real():
     f2 = make_sobolev_field(1.5, seed=11)
     assert np.array_equal(f1.values, f2.values)
     x = np.linspace(0.0, 1.0, 4096)
-    freqs = [FourierBasis.frequency(j) for j in range(len(f1.values))]
+    freqs = frequencies(len(f1.values))
     full = np.exp(2j * np.pi * np.outer(x, freqs)) @ f1.values
     assert np.max(np.abs(full.imag)) < 1e-12
 
@@ -412,8 +412,8 @@ def table_probe_points() -> np.ndarray:
 
 def test_fourier_frequencies_follow_the_interleave_rule():
     for count in (1, 2, 7, 64, J_TAIL):
-        assert np.array_equal(FourierBasis.frequencies(count),
-                              [FourierBasis.frequency(j) for j in range(count)])
+        assert np.array_equal(frequencies(count), [j // 2 if j % 2 == 0 else -(j + 1) // 2
+                                                   for j in range(count)])
 
 
 @pytest.mark.parametrize("K", [2, 32, 128])

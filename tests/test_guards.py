@@ -28,6 +28,10 @@ UNIFORM, FOURIER = UniformDeployment(), FourierBasis()
 BATCH = simulate_batch(SAWTOOTH, UNIFORM, ZeroNoise(), 8, 1)
 CFG = EstimatorConfig(basis=FOURIER, density=UNIFORM, c=BATCH.c,
                       schedule=TruncationSchedule.bv())
+# a batch drawn with c = 0.5 + 1.0, and a config with twice its range
+NOISY_BATCH = simulate_batch(SAWTOOTH, UNIFORM, UniformSymNoise(b=1.0), 8, 1)
+WIDE_CFG = EstimatorConfig(basis=FOURIER, density=UNIFORM, c=3.0,
+                           schedule=TruncationSchedule.bv())
 EMPTY = SensorBatch(x=np.empty(0), y=np.empty(0), t=np.empty(0), bits=np.empty(0), c=1.0)
 
 # (id, call, exception type, message: the whole text for an empty one,
@@ -80,6 +84,9 @@ GUARDS = [
      "coefficients 1 and 2 are not conjugate partners"),
     ("amplitude_exceeded", lambda: make_finite_dim_field([1.0], amplitude_bound=0.5),
      ValueError, "field exceeds its amplitude bound: sup|f| = 1 > a = 0.5"),
+    ("finite_dim_amplitude_exceeded",
+     lambda: FiniteDimField(basis=FOURIER, values=[0, 2, 2], amplitude_bound=0.5),
+     ValueError, "field exceeds its amplitude bound: sup|f| = 4 > a = 0.5"),
     ("sobolev_smoothness", lambda: make_sobolev_field(0.5, seed=1), ValueError,
      "smoothness order must be finite and exceed 1/2"),
     ("sobolev_no_frequency", lambda: make_sobolev_field(1.0, seed=1, n_freqs=0), ValueError,
@@ -160,6 +167,9 @@ GUARDS = [
      "m must be an integer >= 1, got 2.5"),
     ("estimate_bool_m", lambda: estimate_coefficients(BATCH, CFG, True), ValueError,
      "m must be an integer >= 1, got True"),
+    ("estimate_other_range", lambda: estimate_coefficients(NOISY_BATCH, WIDE_CFG, 4),
+     ValueError, "estimator c = 3.0 is not the batch's c = 1.5, the range its "
+                 "thresholds were drawn from"),
     # analysis
     ("bound_no_sensor", lambda: mse_upper_bound(SAWTOOTH, UNIFORM, 0, 1, 1.0),
      ValueError, "n must be an integer >= 1, got 0"),
@@ -195,6 +205,12 @@ GUARDS = [
      "need at least 4 (n, mse) points"),
     ("fit_zero_mse", lambda: rate_fit([10, 20, 40, 80], [1.0, 0.5, 0.0, 0.1]), ValueError,
      "mse values must be positive for a log-log fit"),
+    ("fit_nan_mse", lambda: rate_fit([10, 20, 40, 80], [1, np.nan, 0.25, 0.125]),
+     ValueError, "each mse value must be a finite number, got nan"),
+    ("fit_inf_mse", lambda: rate_fit([10, 20, 40, 80], [1, 0.5, np.inf, 0.125]),
+     ValueError, "each mse value must be a finite number, got inf"),
+    ("fit_negative_inf_mse", lambda: rate_fit([10, 20, 40, 80], [1, 0.5, 0.25, -np.inf]),
+     ValueError, "each mse value must be a finite number, got -inf"),
     ("fit_negative_n", lambda: rate_fit([-10, 20, 40, 80], [1.0, 0.5, 0.25, 0.125]),
      ValueError, "each n_grid entry must be an integer >= 1, got -10"),
     ("fit_fractional_n", lambda: rate_fit([10.5, 20, 40, 80], [1.0, 0.5, 0.25, 0.125]),

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ditherfield import (AffineFloorDeployment, ConfigValidationError, FourierBasis,
+from ditherfield import (AffineFloorDeployment, ConfigValidationError,
                          Linear2xDeployment, TwoPointNoise, UniformDeployment,
                          UniformSymNoise, ZeroNoise, cli, harness, load_shipped_config,
                          monte_carlo_mse, parse_experiment_config,
@@ -160,17 +160,12 @@ def test_matched_deployment_runs(tmp_path):
 
 
 def test_the_conditions_suite_holds_the_affine_floor_integral_at_ln3(tmp_path, monkeypatch):
-    """Criterion 7 fails when the affine-floor j = 0 integral misses ln 3 by
-    more than 1e-6."""
-    real = FourierBasis.deployment_integrals
-
-    def shifted(deploy, count):
-        integrals = real(deploy, count)
-        if deploy.kind == "affine_floor":
-            integrals[:1] += 2e-6
-        return integrals
-
-    monkeypatch.setattr(FourierBasis, "deployment_integrals", staticmethod(shifted))
+    """Criterion 7 fails when the affine-floor integral of 1/p_X misses ln 3
+    by more than 1e-6: the conditions suite reads the deployment's own
+    integral, the one the bound reads."""
+    real = AffineFloorDeployment.inverse_integral
+    monkeypatch.setattr(AffineFloorDeployment, "inverse_integral",
+                        lambda self, lo, hi: real(self, lo, hi) + 2e-6)
     result = run_suite("conditions", tmp_path)
     verdicts = [(row.criterion, row.passed) for row in result.rows]
     assert verdicts == [(7, False), (8, True), (9, True)] and not result.all_pass
@@ -233,7 +228,7 @@ def test_streamed_battery_moments_equal_the_two_pass_moments(monkeypatch):
     for c, (cell, mat) in enumerate(zip(cells, kept)):
         alpha = true_coefficients(cell.field, j_count).values
         scale = (cell.field.amplitude_bound + cell.noise.b) ** 2 / n
-        var_bound = scale * FourierBasis.deployment_integrals(cell.deploy, j_count)
+        var_bound = scale * cell.deploy.inverse_integral(0.0, 1.0)
         mean = mat.mean(axis=0)
         var_emp = np.sum(np.abs(mat - mean) ** 2, axis=0) / (trials - 1)
         dev_sigmas = np.abs(mean - alpha) / np.sqrt(var_emp / trials)
@@ -241,7 +236,7 @@ def test_streamed_battery_moments_equal_the_two_pass_moments(monkeypatch):
             assert (row["mean_re"], row["mean_im"]) == (mean[j].real, mean[j].imag)
             assert row["var_emp"] == pytest.approx(var_emp[j], rel=1e-13, abs=0.0)
             assert row["dev_sigmas"] == pytest.approx(dev_sigmas[j], rel=1e-13, abs=0.0)
-            assert row["var_ratio"] == pytest.approx(var_emp[j] / var_bound[j], rel=1e-13,
+            assert row["var_ratio"] == pytest.approx(var_emp[j] / var_bound, rel=1e-13,
                                                      abs=0.0)
 
 
@@ -901,6 +896,25 @@ def test_a_non_finite_rate_fit_fails(tmp_path, monkeypatch):
     assert "non-finite fit values: VIOLATED" in outcome.detail
     report = json.loads((tmp_path / "mini_report.json").read_text())
     assert report["status"] == "FAIL"
+
+
+def test_a_non_finite_sweep_fails_unfitted(tmp_path, monkeypatch):
+    """A NaN mean reaches the `finite` verdict and a null fit, not a traceback
+    in `rate_fit` or in the rate criterion that reads the fit."""
+    real = harness.monte_carlo_mse
+
+    def nan_first(*args, **kwargs):
+        sweep = real(*args, **kwargs)
+        return dataclasses.replace(sweep, means=(math.nan,) + sweep.means[1:])
+
+    monkeypatch.setattr(harness, "monte_carlo_mse", nan_first)
+    outcome = run_experiment(parse_experiment_config(MINI_CONFIG), tmp_path)
+    assert outcome.status == "FAIL" and outcome.fit is None
+    assert "non-finite mse values: VIOLATED" in outcome.detail
+    report = json.loads((tmp_path / "mini_report.json").read_text())
+    assert report["status"] == "FAIL" and report["rate_fit"] is None
+    row = harness.ACCEPTANCE[1].judge({"bv_sawtooth": outcome})
+    assert row.statistic is None and not row.passed
 
 
 def test_a_schedule_may_not_ask_for_more_coefficients_than_sensors():

@@ -18,7 +18,7 @@ from ditherfield import (AffineFloorDeployment, EstimatorConfig, FourierBasis,
 from ditherfield import analysis, spectral
 from ditherfield.analysis import TrialCell, as_error_trace, map_trials
 from ditherfield.estimator import add_sensors, finish_estimates
-from ditherfield.fields import synthesize, true_coefficients
+from ditherfield.fields import FourierSums, synthesize, true_coefficients
 
 from conftest import basis_sums, collect_trials, reference_batch
 
@@ -63,11 +63,11 @@ def test_block_rows_and_tile_cuts_are_one_pass_of_one_trial(ingredients, n, m, t
             assert np.array_equal(rows[t], estimate_coefficients(alone, cfg, m).values), t
 
         cut = start - start % BLOCK
-        sums = FourierBasis.running_sums(m, (trials,), n)
+        sums = FourierSums(m, (trials,), n)
         for lo, hi in ((0, cut), (cut, n)):
             if hi > lo:
                 add_sensors(sums, simulate_batch(field, deploy, noise, hi - lo, keys, lo), deploy)
-        assert np.array_equal(finish_estimates(sums, whole.c, n).values, rows)
+        assert np.array_equal(finish_estimates(sums, whole.c).values, rows)
 
 
 @given(ingredients=st.sampled_from(INGREDIENTS),

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ditherfield import FourierBasis, spectral
-from ditherfield.fields import FiniteDimField, synthesize
+from ditherfield.fields import FiniteDimField, frequencies, synthesize
 from ditherfield.harness import _RATE_CONFIGS, _TRACE_CONFIGS, load_shipped_config
 
 from conftest import basis_sums, conj_sums
@@ -81,7 +81,7 @@ def _long_series(a0, pos, x) -> np.ndarray:
 
 def _exp_synthesis(values, x) -> np.ndarray:
     """sum_j values_j phi_j(x) over interleaved frequencies, one exponential per term."""
-    freqs = [FourierBasis.frequency(j) for j in range(len(values))]
+    freqs = frequencies(len(values))
     out = np.empty(len(x), dtype=np.complex128)
     for lo in range(0, len(x), 2048):
         out[lo:lo + 2048] = np.exp(2j * np.pi * np.outer(x[lo:lo + 2048], freqs)) @ values
