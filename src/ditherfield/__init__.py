@@ -11,7 +11,7 @@ from .estimator import (EstimationError, EstimatorConfig, TruncationSchedule,
                         estimate_coefficients)
 from .fields import (FieldSpec, FiniteDimField, FourierBasis,
                      PiecewiseConstantField, ReconstructionCoefficients,
-                     SawtoothField, SobolevField, m_term_error,
+                     SawtoothField, m_term_error,
                      make_bv_field, make_finite_dim_field, make_sobolev_field,
                      true_coefficients)
 from .harness import (ConfigValidationError, ExperimentConfig,

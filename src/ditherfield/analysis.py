@@ -301,6 +301,8 @@ RATE_FIT_MIN_POINTS = 4
 def rate_fit(n_grid: Sequence[int], mse_values: Sequence[float]) -> RateFitResult:
     """Ordinary least squares of log(mse) on log(n)."""
     n_grid = tuple(as_count(n, "each n_grid entry", 1) for n in n_grid)
+    if any(b <= a for a, b in zip(n_grid, n_grid[1:])):
+        raise ValueError("n_grid must be strictly increasing")
     mse_values = tuple(as_real(v, "each mse value") for v in mse_values)
     if len(n_grid) != len(mse_values) or len(n_grid) < RATE_FIT_MIN_POINTS:
         raise ValueError(f"need at least {RATE_FIT_MIN_POINTS} (n, mse) points")

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import ClassVar
 
 import numpy as np
 
@@ -27,65 +26,55 @@ class EstimationError(RuntimeError):
 
 @dataclass(frozen=True)
 class TruncationSchedule:
-    """Rule m(n) mapping sensor count to reconstruction dimension.
+    """Rule m(n) mapping sensor count to reconstruction dimension: a
+    constant `m`, or m = ceil(n^psi) for a growth exponent `psi` in (0, 1],
+    exactly one of them. The named constructors are the schedules a config
+    document names: fixed (m), finite_dim (m = k), bv (psi = 1/2), sobolev
+    (psi = 1/(2s+1)) and power (psi)."""
 
-    kinds: fixed (constant m), finite_dim (m = k), bv (m = ceil(sqrt(n))),
-    sobolev (m = ceil(n^(1/(2s+1)))), power (m = ceil(n^psi)).
-    """
-
-    schedule_kind: str
-    param: float | None = None
-
-    KINDS: ClassVar[tuple[str, ...]] = ("fixed", "finite_dim", "bv", "sobolev", "power")
+    m: int | None = None
+    psi: float | None = None
 
     def __post_init__(self):
-        if self.schedule_kind not in self.KINDS:
-            raise ValueError(f"unknown schedule kind {self.schedule_kind!r}")
-        what = f"{self.schedule_kind} schedule parameter"
-        if self.schedule_kind == "bv":
-            if self.param is not None:
-                raise ValueError("bv schedule takes no parameter")
-        elif self.schedule_kind in ("fixed", "finite_dim"):
-            object.__setattr__(self, "param", as_count(self.param, what, 1))
+        if (self.m is None) == (self.psi is None):
+            raise ValueError(f"a truncation schedule holds exactly one of m and psi, "
+                             f"got m={self.m!r}, psi={self.psi!r}")
+        if self.psi is None:
+            object.__setattr__(self, "m", as_count(self.m, "m", 1))
         else:
-            object.__setattr__(self, "param", as_real(self.param, what))
-            if self.schedule_kind == "sobolev" and self.param <= 0.5:
-                raise ValueError("smoothness order must exceed 1/2")
-            if self.schedule_kind == "power" and not 0.0 < self.param <= 1.0:
-                raise ValueError("exponent must lie in (0, 1]")
+            object.__setattr__(self, "psi", as_real(self.psi, "psi"))
+            if not 0.0 < self.psi <= 1.0:
+                raise ValueError(f"psi must lie in (0, 1], got {self.psi!r}")
 
     @classmethod
     def fixed(cls, m: int) -> "TruncationSchedule":
-        return cls("fixed", m)
+        return cls(m=m)
 
     @classmethod
     def finite_dim(cls, k: int) -> "TruncationSchedule":
-        return cls("finite_dim", k)
+        return cls(m=as_count(k, "k", 1))
 
     @classmethod
     def bv(cls) -> "TruncationSchedule":
-        return cls("bv")
+        return cls(psi=0.5)
 
     @classmethod
     def sobolev(cls, s: float) -> "TruncationSchedule":
-        return cls("sobolev", s)
+        s = as_real(s, "s")
+        if s <= 0.5:
+            raise ValueError(f"smoothness order s must exceed 1/2, got {s!r}")
+        return cls(psi=1.0 / (2.0 * s + 1.0))
 
     @classmethod
     def power(cls, psi: float) -> "TruncationSchedule":
-        return cls("power", psi)
+        return cls(psi=psi)
 
     def resolve(self, n: int) -> int:
         n = as_count(n, "n", 1)
-        if self.schedule_kind in ("fixed", "finite_dim"):
-            return self.param
-        if self.schedule_kind == "bv":
-            exponent = 0.5
-        elif self.schedule_kind == "sobolev":
-            exponent = 1.0 / (2.0 * self.param + 1.0)
-        else:
-            exponent = self.param
+        if self.psi is None:
+            return self.m
         # round before ceil: n**(1/3) can land at 3.0000000000000004
-        return max(1, math.ceil(round(n ** exponent, 9)))
+        return max(1, math.ceil(round(n ** self.psi, 9)))
 
 
 # ---------------------------------------------------------------------------

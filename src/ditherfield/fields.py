@@ -8,7 +8,6 @@ evaluated through Parseval, never by quadrature.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import sys
 from dataclasses import dataclass
@@ -250,8 +249,9 @@ class PiecewiseConstantField(FieldSpec):
     def __post_init__(self):
         if len(self.edges) != len(self.levels) + 1:
             raise ValueError("need len(edges) == len(levels) + 1")
-        if not (np.all(np.isfinite(self.edges)) and np.all(np.isfinite(self.levels))):
-            raise ValueError("edges and levels must be finite")
+        for name in ("edges", "levels"):
+            object.__setattr__(self, name, tuple(as_real(v, f"each {name} entry")
+                                                 for v in getattr(self, name)))
         if self.edges[0] != 0.0 or self.edges[-1] != 1.0:
             raise ValueError("edges must span [0, 1]")
         if any(b <= a for a, b in zip(self.edges, self.edges[1:])):
@@ -295,24 +295,6 @@ class PiecewiseConstantField(FieldSpec):
         return out
 
 
-@dataclass(frozen=True, eq=False)
-class SobolevField(FiniteDimField):
-    """Fourier-basis field with power-law coefficient decay, synthesized by
-    `make_sobolev_field`."""
-
-    s: float
-    seed: int
-    basis: FourierBasis = dataclasses.field(default=FourierBasis(), init=False)
-
-    kind: ClassVar[str] = "sobolev"
-
-    def __post_init__(self):
-        object.__setattr__(self, "s", as_real(self.s, "s"))
-        if self.s <= 0.5:
-            raise ValueError("smoothness order must be finite and exceed 1/2")
-        super().__post_init__()
-
-
 # ---------------------------------------------------------------------------
 # constructors / factories
 # ---------------------------------------------------------------------------
@@ -344,8 +326,9 @@ SOBOLEV_SUP_HEADROOM = 0.98   # rescale target, guards grid-resolution undershoo
 
 
 def make_sobolev_field(s: float, seed: int, amplitude_bound: float = 1.0,
-                       n_freqs: int = 128) -> SobolevField:
-    """Random real field with |alpha| ~ (1+|w|)^-(s+1/2+0.05) per frequency pair.
+                       n_freqs: int = 128) -> FiniteDimField:
+    """Random real Fourier field with |alpha| ~ (1+|w|)^-(s+1/2+0.05) per
+    frequency pair: a `FiniteDimField` of 2 * n_freqs + 1 coefficients.
 
     The magnitude law is applied to the positive-frequency (even) indices;
     negative-frequency partners are their conjugates, which keeps the
@@ -355,8 +338,6 @@ def make_sobolev_field(s: float, seed: int, amplitude_bound: float = 1.0,
     s, amplitude_bound = as_real(s, "s"), as_real(amplitude_bound, "amplitude_bound")
     if s <= 0.5:
         raise ValueError("smoothness order must be finite and exceed 1/2")
-    if amplitude_bound <= 0.0:
-        raise ValueError("amplitude bound must be positive and finite")
     n_freqs = as_count(n_freqs, "n_freqs", 1, SOBOLEV_FREQS_MAX)
     seed = as_count(seed, "seed", 0)
     rng = np.random.default_rng(seed)
@@ -374,8 +355,8 @@ def make_sobolev_field(s: float, seed: int, amplitude_bound: float = 1.0,
     probe = np.linspace(0.0, 1.0, (1 << 16) + 1)
     sup = float(np.max(np.abs(series(values[0].real, pos, probe))))
     values *= amplitude_bound * SOBOLEV_SUP_HEADROOM / sup
-    return SobolevField(s=s, seed=seed, amplitude_bound=amplitude_bound,
-                        values=values)
+    return FiniteDimField(basis=FourierBasis(), values=values,
+                          amplitude_bound=amplitude_bound)
 
 
 # ---------------------------------------------------------------------------

@@ -125,8 +125,9 @@ _SECTIONS: dict[object, tuple[str, str, dict[str, Callable]]] = {
     Deployment: ("deployment", "kind", {cls.kind: cls for cls in get_args(Deployment)}),
     Noise: ("noise", "kind", {cls.kind: cls for cls in get_args(Noise)}),
     FourierBasis: ("basis", "kind", {FourierBasis.kind: FourierBasis}),
-    TruncationSchedule: ("schedule", "kind", {kind: getattr(TruncationSchedule, kind)
-                                              for kind in TruncationSchedule.KINDS}),
+    TruncationSchedule: ("schedule", "kind", {
+        kind: getattr(TruncationSchedule, kind)
+        for kind in ("fixed", "finite_dim", "bv", "sobolev", "power")}),
     FieldSpec: ("field", "class", {"finite_dim": make_finite_dim_field, "bv": make_bv_field,
                                    "sobolev": make_sobolev_field}),
 }
@@ -325,9 +326,9 @@ def parse_experiment_config(doc: dict, seed_override: int | None = None) -> Expe
         ("seed", "must be >= 0", seed < 0),
         ("seed", f"must be at most {SEED_MAX}", seed > SEED_MAX),
         ("schedule", "a trace (acceptance.trace_ratio_max) grows m(n) = n^psi, so it needs "
-                     "a power schedule with psi < 1",
+                     "a schedule with psi < 1",
          traced and schedule is not None
-         and not (schedule.schedule_kind == "power" and schedule.param < 1.0)),
+         and (schedule.psi is None or schedule.psi >= 1.0)),
         (", ".join(swept), "a trace (acceptance.trace_ratio_max) runs in place of the "
                            "sweep these judge", traced and swept)] if violated]
 
@@ -432,9 +433,9 @@ def run_experiment(config: ExperimentConfig, out_dir, workers: int = 1) -> Exper
         lines = rejection
         report = {"detail": rejection[0], "divergent_js": divergent}
     elif config.acceptance.trace_ratio_max is not None:
-        # the parser holds a trace to a power schedule with psi < 1
+        # the parser holds a trace to a schedule with psi < 1
         trace = as_error_trace(config.field, config.deployment, config.noise,
-                               psi=config.schedule.param, seed=config.seed,
+                               psi=config.schedule.psi, seed=config.seed,
                                n_checkpoints=config.n_grid)
         reported = {"trace": (trace.sup_error + trace.sup_estimate_error
                               + trace.sup_estimate_error_interior)}

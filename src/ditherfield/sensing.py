@@ -31,6 +31,8 @@ STREAMS = 3
 # a seed is one Philox key word; a spawn-key entry i is the counter word i + 1
 SEED_MAX = (1 << 64) - 1
 SPAWN_MAX = SEED_MAX - 1
+# sensor i is draw i % 4 of counter word 0 = i // 4, four draws per 64-bit word
+SENSORS_MAX = 1 << 66
 
 
 def stream_keys(seed, spawn_keys) -> np.ndarray:
@@ -172,7 +174,7 @@ class UniformSymNoise:
     def __post_init__(self):
         object.__setattr__(self, "b", as_real(self.b, "b"))
         if self.b <= 0.0:
-            raise ValueError("amplitude bound must be positive and finite")
+            raise ValueError(f"noise bound b must be positive, got {self.b!r}")
 
     def sample(self, u: np.ndarray) -> np.ndarray:
         return (2.0 * u - 1.0) * self.b
@@ -187,7 +189,7 @@ class TwoPointNoise:
     def __post_init__(self):
         object.__setattr__(self, "b", as_real(self.b, "b"))
         if self.b <= 0.0:
-            raise ValueError("amplitude bound must be positive and finite")
+            raise ValueError(f"noise bound b must be positive, got {self.b!r}")
 
     def sample(self, u: np.ndarray) -> np.ndarray:
         # -b below 1/2 and +b from 1/2 on: u - 0.5 keeps the side of u,
@@ -277,9 +279,14 @@ def simulate_batch(field: FieldSpec, deploy: Deployment, noise: Noise,
 
     The batch holds sensors [start, start + n) of each realization, read
     from the streams through the Philox counter, so it equals that slice
-    of the batch of start + n sensors, bit for bit.
+    of the batch of start + n sensors, bit for bit; start + n is at most
+    SENSORS_MAX = 2^66, the sensors one counter word holds.
     """
     n, start = as_count(n, "n", 1), as_count(start, "start", 0)
+    if start + n > SENSORS_MAX:
+        raise ValueError(f"start + n must be at most 2^66: sensor i is drawn at Philox "
+                         f"counter word i // 4, which past 2^64 carries into the spawn-key "
+                         f"word; got {start + n}")
     words = seed if isinstance(seed, np.ndarray) else trial_seed(seed)
     if words.dtype != np.uint64 or words.ndim not in (2, 3) or words.shape[-2:] != (STREAMS, 4):
         raise ValueError(f"stream keys must be a ({STREAMS}, 4) or (R, {STREAMS}, 4) "

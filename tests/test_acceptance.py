@@ -373,7 +373,7 @@ def test_a_trace_artifact_agrees_with_its_sups_on_the_grid(as_traces, monkeypatc
     # the schedule check synthesizes on grids of its own and reads no sensor
     monkeypatch.setattr(analysis, "validate_as_schedule", lambda *args, **kwargs: None)
     analysis.as_error_trace(config.field, config.deployment, config.noise,
-                            psi=config.schedule.param, seed=config.seed,
+                            psi=config.schedule.psi, seed=config.seed,
                             n_checkpoints=config.n_grid)
     # per checkpoint: the estimate's deviation from f_m, then f_m itself
     assert len(synthesized) == 2 * len(report["checkpoints"])

@@ -396,6 +396,6 @@ def test_a_trace_holds_no_array_of_its_whole_path():
     config = load_shipped_config("as_trace_sawtooth")
     assert config.n_grid[-1] == 1_000_000
     peak = traced_peak_mb(lambda: as_error_trace(
-        config.field, config.deployment, config.noise, psi=config.schedule.param,
+        config.field, config.deployment, config.noise, psi=config.schedule.psi,
         seed=config.seed, n_checkpoints=config.n_grid))
     assert peak < 8.0

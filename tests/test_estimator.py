@@ -1,3 +1,4 @@
+import math
 import re
 from pathlib import Path
 
@@ -67,11 +68,44 @@ def test_invalid_schedules_rejected():
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-@pytest.mark.parametrize("kind", ["fixed", "finite_dim", "sobolev", "power"])
-def test_non_finite_schedule_parameters_rejected(kind, bad):
-    """Refused by the count rule (fixed, finite_dim) or the real rule."""
-    with pytest.raises(ValueError, match=f"^{kind} schedule parameter must be "):
-        TruncationSchedule(kind, bad)
+@pytest.mark.parametrize("make, keyword", [
+    (TruncationSchedule.fixed, "m"), (TruncationSchedule.finite_dim, "k"),
+    (TruncationSchedule.sobolev, "s"), (TruncationSchedule.power, "psi"),
+    (lambda v: TruncationSchedule(m=v), "m"), (lambda v: TruncationSchedule(psi=v), "psi")],
+    ids=["fixed", "finite_dim", "sobolev", "power", "direct_m", "direct_psi"])
+def test_non_finite_schedule_parameters_rejected(make, keyword, bad):
+    """Refused by the count rule (m, k) or the real rule (s, psi), under the
+    keyword the caller passed."""
+    with pytest.raises(ValueError, match=f"^{keyword} must be an? "):
+        make(bad)
+
+
+def _kind_ladder(kind: str, param, n: int) -> int:
+    """m(n) by the five-way kind ladder the schedule once held: the oracle."""
+    if kind in ("fixed", "finite_dim"):
+        return param
+    if kind == "bv":
+        exponent = 0.5
+    elif kind == "sobolev":
+        exponent = 1.0 / (2.0 * param + 1.0)
+    else:
+        exponent = param
+    return max(1, math.ceil(round(n ** exponent, 9)))
+
+
+@given(st.sampled_from(["fixed", "finite_dim", "bv", "sobolev", "power"]),
+       st.integers(min_value=1, max_value=1 << 24),
+       st.integers(min_value=1, max_value=1 << 10),
+       st.floats(min_value=0.5, max_value=20.0, exclude_min=True),
+       st.floats(min_value=0.0, max_value=1.0, exclude_min=True))
+@settings(max_examples=300, deadline=None)
+def test_each_schedule_resolves_as_its_kind_ladder(kind, n, m, s, psi):
+    """A constant m or ceil(n^psi) gives, for every shipped kind, the m(n)
+    of the kind ladder, with psi = 1/2 for bv and 1/(2s+1) for sobolev."""
+    param = {"fixed": m, "finite_dim": m, "bv": None, "sobolev": s, "power": psi}[kind]
+    make = getattr(TruncationSchedule, kind)
+    schedule = make() if param is None else make(param)
+    assert schedule.resolve(n) == _kind_ladder(kind, param, n)
 
 
 # ---------------------------------------------------------------------------

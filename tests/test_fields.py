@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from ditherfield import (ConfigValidationError, FiniteDimField, FourierBasis,
-                         PiecewiseConstantField, SobolevField,
+                         PiecewiseConstantField,
                          m_term_error, make_bv_field, make_finite_dim_field,
                          make_sobolev_field, parse_experiment_config,
                          true_coefficients)
@@ -220,16 +220,12 @@ def test_sobolev_rejects_low_smoothness():
 def test_sobolev_rejects_non_finite_smoothness(s):
     with pytest.raises(ValueError, match="^s must be a finite number, got"):
         make_sobolev_field(s, seed=1)
-    with pytest.raises(ValueError, match="^s must be a finite number, got"):
-        SobolevField(s=s, seed=1, amplitude_bound=1.0, values=[0.1])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_amplitude_bound_must_be_finite(fourier, bad):
     with pytest.raises(ValueError, match="^amplitude_bound must be a finite number, got"):
         FiniteDimField(fourier, [0.1], bad)
-    with pytest.raises(ValueError, match="^amplitude_bound must be a finite number, got"):
-        SobolevField(s=1.0, seed=1, amplitude_bound=bad, values=[0.1])
     with pytest.raises(ValueError, match="^amplitude_bound must be a finite number, got"):
         make_sobolev_field(1.0, seed=1, amplitude_bound=bad)
 
@@ -239,8 +235,18 @@ def test_amplitude_bound_must_be_finite(fourier, bad):
 def test_piecewise_field_rejects_non_finite_edges_or_levels(which, bad):
     doc = {"edges": [0.0, 0.25, 0.5, 1.0], "levels": [0.1, -0.2, 0.3]}
     doc[which][1] = bad
-    with pytest.raises(ValueError, match="finite"):
+    with pytest.raises(ValueError, match=rf"^each {which} entry must be a finite number, "
+                                         rf"got {bad!r}$"):
         PiecewiseConstantField(edges=tuple(doc["edges"]), levels=tuple(doc["levels"]))
+
+
+def test_piecewise_field_holds_its_edges_and_levels_as_floats():
+    """Ints and numpy reals are read as Python floats, so the amplitude
+    bound is a float too."""
+    field = PiecewiseConstantField(edges=(0, np.float32(0.5), 1), levels=(np.int64(-2), 1))
+    assert field.edges == (0.0, 0.5, 1.0) and field.levels == (-2.0, 1.0)
+    assert all(type(v) is float for v in field.edges + field.levels)
+    assert type(field.amplitude_bound) is float and field.amplitude_bound == 2.0
 
 
 def test_finite_dim_rejects_broken_conjugate_pairs(fourier):
@@ -255,15 +261,12 @@ def test_finite_dim_rejects_broken_conjugate_pairs(fourier):
 def test_directly_built_fields_reject_broken_pairs(fourier, values):
     with pytest.raises(ValueError):
         FiniteDimField(fourier, values, 1.0)
-    with pytest.raises(ValueError):
-        SobolevField(s=1.0, seed=0, amplitude_bound=1.0, values=values)
 
 
 def test_sobolev_field_is_a_fourier_finite_dim_field():
     field = make_sobolev_field(1.0, seed=7, n_freqs=32)
-    assert isinstance(field, FiniteDimField) and field.kind == "sobolev"
-    assert field.basis == FourierBasis()
-    assert "eval" not in vars(SobolevField)
+    assert type(field) is FiniteDimField and field.kind == "finite_dim"
+    assert field.basis == FourierBasis() and len(field.values) == 2 * 32 + 1
     x = np.linspace(0.0, 1.0, 257)
     assert np.allclose(field.eval(x), synthesize(field.values, x).real,
                        rtol=0.0, atol=1e-12)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from ditherfield import (AffineFloorDeployment, EstimatorConfig, FieldSpec,
                          FiniteDimField, FourierBasis, PiecewiseConstantField,
-                         SensorBatch, SobolevField, TruncationSchedule,
+                         SensorBatch, TruncationSchedule,
                          TwoPointNoise, UniformDeployment, UniformSymNoise,
                          ZeroNoise, as_error_trace, check_consistency_conditions,
                          estimate_coefficients, integrated_squared_error,
@@ -62,6 +62,21 @@ GUARDS = [
      "b must be a finite number, got True"),
     ("two_point_noise_bool", lambda: TwoPointNoise(b=True), ValueError,
      "b must be a finite number, got True"),
+    ("uniform_noise_negative", lambda: UniformSymNoise(b=-1), ValueError,
+     "noise bound b must be positive, got -1.0"),
+    ("two_point_noise_negative", lambda: TwoPointNoise(b=-2), ValueError,
+     "noise bound b must be positive, got -2.0"),
+    # sensors 2^66 on would carry the counter into the spawn-key word and read
+    # another realization's draws
+    ("sensor_window_past_2_66",
+     lambda: simulate_batch(SAWTOOTH, UNIFORM, ZeroNoise(), 8, stream_keys(7, [(0,)]),
+                            (1 << 66) - 4), ValueError,
+     "start + n must be at most 2^66: sensor i is drawn at Philox counter word i // 4, "
+     "which past 2^64 carries into the spawn-key word; got 73786976294838206468"),
+    ("sensor_start_2_70", lambda: simulate_batch(SAWTOOTH, UNIFORM, ZeroNoise(), 4, 1, 2 ** 70),
+     ValueError, "start + n must be at most 2^66: sensor i is drawn at Philox counter word "
+                 "i // 4, which past 2^64 carries into the spawn-key word; got "
+                 "1180591620717411303428"),
     # fields
     ("abstract_eval", lambda: FieldSpec().eval(0.5), NotImplementedError, ""),
     ("abstract_fourier", lambda: FieldSpec().fourier_coefficients(np.arange(3)),
@@ -101,6 +116,9 @@ GUARDS = [
      "n_freqs must be an integer in [1, 8192], got True"),
     ("sobolev_fractional_seed", lambda: make_sobolev_field(1.0, seed=7.5), ValueError,
      "seed must be an integer >= 0, got 7.5"),
+    ("sobolev_negative_amplitude",
+     lambda: make_sobolev_field(1.0, seed=7, amplitude_bound=-1.0, n_freqs=2), ValueError,
+     "amplitude bound must be positive and finite"),
     ("edges_levels_count", lambda: PiecewiseConstantField(edges=(0.0, 1.0), levels=(1.0, 2.0)),
      ValueError, "need len(edges) == len(levels) + 1"),
     ("edges_span", lambda: PiecewiseConstantField(edges=(0.1, 1.0), levels=(1.0,)),
@@ -109,7 +127,11 @@ GUARDS = [
                                                         levels=(1.0, 2.0, 3.0)),
      ValueError, "edges must be strictly increasing"),
     ("edges_nan", lambda: PiecewiseConstantField(edges=(0.0, np.nan, 1.0), levels=(1.0, 2.0)),
-     ValueError, "edges and levels must be finite"),
+     ValueError, "each edges entry must be a finite number, got nan"),
+    ("levels_bool", lambda: PiecewiseConstantField(edges=(0.0, 0.5, 1.0), levels=(True, 1.0)),
+     ValueError, "each levels entry must be a finite number, got True"),
+    ("levels_string", lambda: PiecewiseConstantField(edges=(0.0, 0.5, 1.0), levels=("a", 1.0)),
+     ValueError, "each levels entry must be a finite number, got 'a'"),
     ("true_count_zero", lambda: true_coefficients(SAWTOOTH, 0), ValueError,
      "count must be an integer >= 1, got 0"),
     ("true_count_fraction", lambda: true_coefficients(SAWTOOTH, 2.5), ValueError,
@@ -122,32 +144,32 @@ GUARDS = [
     ("tail_fractional_m", lambda: m_term_error(true_coefficients(SAWTOOTH, 3), SAWTOOTH, 2.5),
      ValueError, "m must be an integer >= 0, got 2.5"),
     # estimator
-    ("schedule_kind", lambda: TruncationSchedule("cubic"), ValueError,
-     "unknown schedule kind 'cubic'"),
-    ("bv_parameter", lambda: TruncationSchedule("bv", 1.0), ValueError,
-     "bv schedule takes no parameter"),
-    ("schedule_nan", lambda: TruncationSchedule("power", np.nan), ValueError,
-     "power schedule parameter must be a finite number, got nan"),
+    ("schedule_empty", lambda: TruncationSchedule(), ValueError,
+     "a truncation schedule holds exactly one of m and psi, got m=None, psi=None"),
+    ("schedule_both", lambda: TruncationSchedule(m=3, psi=0.5), ValueError,
+     "a truncation schedule holds exactly one of m and psi, got m=3, psi=0.5"),
+    ("schedule_nan", lambda: TruncationSchedule(psi=np.nan), ValueError,
+     "psi must be a finite number, got nan"),
     ("fixed_zero", lambda: TruncationSchedule.fixed(0), ValueError,
-     "fixed schedule parameter must be an integer >= 1, got 0"),
-    ("fixed_fraction", lambda: TruncationSchedule("fixed", 2.5), ValueError,
-     "fixed schedule parameter must be an integer >= 1, got 2.5"),
+     "m must be an integer >= 1, got 0"),
+    ("fixed_fraction", lambda: TruncationSchedule(m=2.5), ValueError,
+     "m must be an integer >= 1, got 2.5"),
     ("fixed_bool", lambda: TruncationSchedule.fixed(True), ValueError,
-     "fixed schedule parameter must be an integer >= 1, got True"),
-    ("fixed_missing", lambda: TruncationSchedule("fixed"), ValueError,
-     "fixed schedule parameter must be an integer >= 1, got None"),
+     "m must be an integer >= 1, got True"),
     ("finite_dim_fraction", lambda: TruncationSchedule.finite_dim(4.5), ValueError,
-     "finite_dim schedule parameter must be an integer >= 1, got 4.5"),
+     "k must be an integer >= 1, got 4.5"),
     ("sobolev_schedule_half", lambda: TruncationSchedule.sobolev(0.5), ValueError,
-     "smoothness order must exceed 1/2"),
+     "smoothness order s must exceed 1/2, got 0.5"),
     ("sobolev_schedule_bool", lambda: TruncationSchedule.sobolev(True), ValueError,
-     "sobolev schedule parameter must be a finite number, got True"),
+     "s must be a finite number, got True"),
     ("power_bool", lambda: TruncationSchedule.power(True), ValueError,
-     "power schedule parameter must be a finite number, got True"),
+     "psi must be a finite number, got True"),
     ("power_zero", lambda: TruncationSchedule.power(0.0), ValueError,
-     "exponent must lie in (0, 1]"),
+     "psi must lie in (0, 1], got 0.0"),
     ("power_above_one", lambda: TruncationSchedule.power(1.5), ValueError,
-     "exponent must lie in (0, 1]"),
+     "psi must lie in (0, 1], got 1.5"),
+    ("direct_psi_negative", lambda: TruncationSchedule(psi=-0.5), ValueError,
+     "psi must lie in (0, 1], got -0.5"),
     ("resolve_zero", lambda: TruncationSchedule.bv().resolve(0), ValueError,
      "n must be an integer >= 1, got 0"),
     ("resolve_fractional_n", lambda: TruncationSchedule.bv().resolve(100.5), ValueError,
@@ -215,6 +237,8 @@ GUARDS = [
      ValueError, "each n_grid entry must be an integer >= 1, got -10"),
     ("fit_fractional_n", lambda: rate_fit([10.5, 20, 40, 80], [1.0, 0.5, 0.25, 0.125]),
      ValueError, "each n_grid entry must be an integer >= 1, got 10.5"),
+    ("fit_grid_order", lambda: rate_fit([10, 10, 10, 10], [1, 2, 3, 4]), ValueError,
+     "n_grid must be strictly increasing"),
     ("sweep_trial_counts",
      lambda: monte_carlo_mse(SAWTOOTH, UNIFORM, ZeroNoise(), TruncationSchedule.bv(),
                              [10, 20], [5], seed=1), ValueError, "need one trial count per n"),
@@ -319,9 +343,9 @@ COUNT_ARGUMENTS = [
     ("mse_upper_bound.m", "m must be an integer >= 0", 3,
      lambda v: mse_upper_bound(SAWTOOTH, UNIFORM, 10, v, 1.5)),
     ("resolve.n", f"n {AT_LEAST_1}", 10, BV.resolve),
-    ("fixed.m", f"fixed schedule parameter {AT_LEAST_1}", 3, TruncationSchedule.fixed),
-    ("finite_dim.k", f"finite_dim schedule parameter {AT_LEAST_1}", 3,
-     TruncationSchedule.finite_dim),
+    ("fixed.m", f"m {AT_LEAST_1}", 3, TruncationSchedule.fixed),
+    ("finite_dim.k", f"k {AT_LEAST_1}", 3, TruncationSchedule.finite_dim),
+    ("TruncationSchedule.m", f"m {AT_LEAST_1}", 3, lambda v: TruncationSchedule(m=v)),
     ("simulate_batch.n", f"n {AT_LEAST_1}", 4,
      lambda v: simulate_batch(SAWTOOTH, UNIFORM, ZeroNoise(), v, 1).bits),
     ("simulate_batch.start", "start must be an integer >= 0", 2,
@@ -401,19 +425,20 @@ def test_every_count_argument_keeps_the_one_count_rule(case):
 # the real rule's message gives it, a valid value that float32 holds exactly,
 # the call with that parameter set to a value).
 REAL_ARGUMENTS = [
-    ("TruncationSchedule.sobolev.s", "sobolev schedule parameter", 1.5,
-     TruncationSchedule.sobolev),
-    ("TruncationSchedule.power.psi", "power schedule parameter", 1.0,
-     TruncationSchedule.power),
+    ("TruncationSchedule.sobolev.s", "s", 1.5, TruncationSchedule.sobolev),
+    ("TruncationSchedule.power.psi", "psi", 1.0, TruncationSchedule.power),
+    ("TruncationSchedule.psi", "psi", 0.5, lambda v: TruncationSchedule(psi=v)),
     ("AffineFloorDeployment.nu", "nu", 0.5, lambda v: AffineFloorDeployment(nu=v)),
     ("UniformSymNoise.b", "b", 1.0, lambda v: UniformSymNoise(b=v)),
     ("TwoPointNoise.b", "b", 2.0, lambda v: TwoPointNoise(b=v)),
+    ("PiecewiseConstantField.edges", "each edges entry", 0.5,
+     lambda v: PiecewiseConstantField(edges=(0.0, v, 1.0), levels=(1.0, 2.0))),
+    ("PiecewiseConstantField.levels", "each levels entry", 2.0,
+     lambda v: PiecewiseConstantField(edges=(0.0, 0.5, 1.0), levels=(1.0, v))),
     ("FiniteDimField.amplitude_bound", "amplitude_bound", 1.0,
      lambda v: FiniteDimField(basis=FOURIER, values=np.array([0.5]), amplitude_bound=v)),
     ("make_finite_dim_field.amplitude_bound", "amplitude_bound", 1.0,
      lambda v: make_finite_dim_field([0.1], v)),
-    ("SobolevField.s", "s", 1.0,
-     lambda v: SobolevField(s=v, seed=7, amplitude_bound=1.0, values=np.array([0.5]))),
     ("make_sobolev_field.s", "s", 1.0, lambda v: make_sobolev_field(v, 7, n_freqs=2)),
     ("make_sobolev_field.amplitude_bound", "amplitude_bound", 2.0,
      lambda v: make_sobolev_field(1.0, 7, amplitude_bound=v, n_freqs=2)),

@@ -440,15 +440,17 @@ def test_cli_run_exits_1_when_the_declared_trace_ratio_is_missed(tmp_path, capsy
 
 
 @pytest.mark.parametrize("change, named", [
-    ({"schedule": {"kind": "bv"}}, "schedule: a trace (acceptance.trace_ratio_max) grows "
-                                   "m(n) = n^psi, so it needs a power schedule with psi < 1"),
+    ({"schedule": {"kind": "fixed", "m": 5}}, "schedule: a trace (acceptance.trace_ratio_max) "
+                                              "grows m(n) = n^psi, so it needs a schedule "
+                                              "with psi < 1"),
+    ({"schedule": {"kind": "finite_dim", "k": 5}}, "schedule: a trace"),
     ({"schedule": {"kind": "power", "psi": 1.0}}, "schedule: a trace"),
     ({"acceptance": {"trace_ratio_max": 0.9, "bound_dominance": False}},
      "acceptance.bound_dominance: a trace (acceptance.trace_ratio_max) runs in place of "
      "the sweep these judge"),
     ({"acceptance": {"trace_ratio_max": 0.9, "slope_range": [-1, 0], "r2_min": 0.9},
       "n_grid": [500, 1000, 2000, 5000]}, "acceptance.slope_range, acceptance.r2_min: a trace")],
-    ids=["bv_schedule", "psi_1", "bound_dominance", "rate_fit"])
+    ids=["fixed_schedule", "finite_dim_schedule", "psi_1", "bound_dominance", "rate_fit"])
 def test_cli_run_rejects_a_trace_it_cannot_judge(tmp_path, capsys, change, named):
     """A trace grows m(n) = n^psi, psi < 1, and judges no sweep tolerance:
     anything else is a config error (exit 2, one stderr line naming the
@@ -461,6 +463,27 @@ def test_cli_run_rejects_a_trace_it_cannot_judge(tmp_path, capsys, change, named
     assert captured.err.startswith("run: invalid experiment config: ")
     assert f"config: {named}" in captured.err, captured.err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("schedule, psi", [({"kind": "bv"}, 0.5),
+                                           ({"kind": "sobolev", "s": 1.0}, 1 / 3)],
+                         ids=["bv", "sobolev"])
+def test_cli_runs_a_trace_on_any_schedule_with_psi_below_1(tmp_path, capsys, schedule, psi):
+    """A bv or sobolev schedule grows m(n) = ceil(n^psi) with psi < 1, so its
+    trace document runs to a PASS report: the trace of its psi, as the
+    power schedule of that psi gives it."""
+    config_path = tmp_path / "trace.json"
+    config_path.write_text(json.dumps(dict(TRACE_CONFIG, schedule=schedule)))
+    assert cli.main(["run", str(config_path), "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "mini_trace: PASS"
+    report = json.loads((tmp_path / "out" / "mini_trace_report.json").read_text())
+    power = run_experiment(parse_experiment_config(
+        dict(TRACE_CONFIG, schedule={"kind": "power", "psi": psi})), tmp_path / "power")
+    assert report["status"] == "PASS" and report["psi"] == psi
+    assert report["m_values"] == [math.ceil(round(n ** psi, 9)) for n in (500, 5000)]
+    assert {k: v for k, v in report.items() if k != "config_hash"} == json.loads(
+        json.dumps({"experiment_id": "mini_trace", "status": "PASS", "seed": 99,
+                    "checks": [power.detail], **power.trace.to_json()}))
 
 
 @pytest.mark.parametrize("basis", ["fourier", {"kind": "fourier"}], ids=["fourier", "object"])
@@ -672,10 +695,8 @@ def test_each_deployment_and_noise_kind_parses_to_its_input(key, doc, built):
 @pytest.mark.parametrize("key, doc, problem", [
     ("deployment", {"kind": "affine_floor", "nu": 0.0}, "deployment: floor must lie in (0, 1]"),
     ("deployment", {"kind": "affine_floor", "nu": 1.5}, "deployment: floor must lie in (0, 1]"),
-    ("noise", {"kind": "uniform_sym", "b": 0.0},
-     "noise: amplitude bound must be positive and finite"),
-    ("noise", {"kind": "two_point", "b": -1.0},
-     "noise: amplitude bound must be positive and finite")],
+    ("noise", {"kind": "uniform_sym", "b": 0.0}, "noise: noise bound b must be positive, got 0.0"),
+    ("noise", {"kind": "two_point", "b": -1.0}, "noise: noise bound b must be positive, got -1.0")],
     ids=["floor_zero", "floor_above_one", "uniform_sym_zero", "two_point_negative"])
 def test_an_input_parameter_out_of_range_is_a_config_error(key, doc, problem):
     """The constructor's guard reaches the user as a config problem under

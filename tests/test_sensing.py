@@ -7,7 +7,7 @@ from scipy.integrate import quad
 from ditherfield import (AffineFloorDeployment, Linear2xDeployment, TwoPointNoise,
                          UniformDeployment, UniformSymNoise, ZeroNoise,
                          simulate_batch, stream_keys)
-from ditherfield.sensing import (STREAM_LOCATIONS, STREAM_NOISE,
+from ditherfield.sensing import (SENSORS_MAX, STREAM_LOCATIONS, STREAM_NOISE,
                                  STREAM_THRESHOLDS, _quantize)
 
 from conftest import substream, zero_field
@@ -87,7 +87,8 @@ def test_the_flat_affine_floor_is_the_uniform_deployment():
                                   lambda v: TwoPointNoise(b=v)],
                          ids=["uniform_sym_b", "two_point_b"])
 def test_noise_scales_must_be_positive_and_finite(make, bad):
-    message = "positive and finite" if np.isfinite(bad) else "^b must be a finite number"
+    message = ("^noise bound b must be positive, got " if np.isfinite(bad)
+               else "^b must be a finite number")
     with pytest.raises(ValueError, match=message):
         make(bad)
 
@@ -266,3 +267,16 @@ def test_substreams_are_labeled_and_independent():
     batch = simulate_batch(zero_field(1.0), UniformDeployment(), UniformSymNoise(b=1.0),
                            8, seed=40)
     assert np.array_equal(batch.x, substream(40, STREAM_LOCATIONS).random(8))
+
+
+def test_the_last_sensor_window_is_its_own_realizations(sawtooth):
+    """Sensors up to 2^66 - 1 sit on counter word 0 of their realization:
+    the last four differ from the first four of the next spawn key, which a
+    carry into the spawn-key word would read, and one sensor more is
+    refused."""
+    deploy, last = UniformDeployment(), SENSORS_MAX - 4
+    tail = simulate_batch(sawtooth, deploy, ZeroNoise(), 4, stream_keys(7, [(0,)]), last)
+    head = simulate_batch(sawtooth, deploy, ZeroNoise(), 4, stream_keys(7, [(1,)]))
+    assert tail.start == last and not np.array_equal(tail.x, head.x)
+    with pytest.raises(ValueError, match=r"^start \+ n must be at most 2\^66: "):
+        simulate_batch(sawtooth, deploy, ZeroNoise(), 5, stream_keys(7, [(0,)]), last)
