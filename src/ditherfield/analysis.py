@@ -19,7 +19,7 @@ from .estimator import TruncationSchedule, add_sensors, finish_estimates
 from .fields import (FieldSpec, FourierBasis, FourierSums, ReconstructionCoefficients,
                      as_count, as_real, m_term_error, make_bv_field, synthesize,
                      true_coefficients)
-from .sensing import Deployment, Noise, dynamic_range, simulate_batch, stream_keys
+from .sensing import SENSORS_MAX, Deployment, Noise, dynamic_range, simulate_batch, stream_keys
 
 
 # ---------------------------------------------------------------------------
@@ -45,7 +45,7 @@ def mse_upper_bound(field: FieldSpec, deploy: Deployment,
     """Bound E||f - f_hat||^2 <= (c^2/n) * sum_{j<m} int |phi_j|^2/p_X + tail(m)
     = (c^2/n) * m * I + tail(m), as |phi_j| = 1: I is the integral of 1/p_X,
     and every j < m diverges where it is infinite."""
-    n, m, c = as_count(n, "n", 1), as_count(m, "m", 0), as_real(c, "c")
+    n, m, c = as_count(n, "n", 1, SENSORS_MAX), as_count(m, "m", 0), as_real(c, "c")
     if c <= 0.0:
         raise ValueError(f"dynamic range c must be positive, got {c!r}")
     integral = deploy.inverse_integral(0.0, 1.0)
@@ -94,7 +94,7 @@ class ConsistencyReport:
 
 def check_consistency_conditions(schedule: TruncationSchedule, deploy: Deployment,
                                  n_grid: Sequence[int]) -> ConsistencyReport:
-    n_grid = tuple(as_count(n, "each n_grid entry", 1) for n in n_grid)
+    n_grid = tuple(as_count(n, "each n_grid entry", 1, SENSORS_MAX) for n in n_grid)
     if not n_grid:
         raise ValueError("n_grid must hold at least one sensor count")
     if any(b <= a for a, b in zip(n_grid, n_grid[1:])):
@@ -251,7 +251,7 @@ def monte_carlo_mse(field: FieldSpec, deploy: Deployment, noise: Noise,
     Deterministic in `seed`; the per-trial seeds are derived from
     (seed, n-index, trial-index), so the worker count never changes results.
     """
-    n_grid = tuple(as_count(n, "each n_grid entry", 1) for n in n_grid)
+    n_grid = tuple(as_count(n, "each n_grid entry", 1, SENSORS_MAX) for n in n_grid)
     if np.ndim(trials) > 1:
         raise ValueError("need one trial count, or one per n")
     trials_per_n = ((as_count(trials, "trials", 2),) * len(n_grid) if np.ndim(trials) == 0
@@ -300,7 +300,7 @@ RATE_FIT_MIN_POINTS = 4
 
 def rate_fit(n_grid: Sequence[int], mse_values: Sequence[float]) -> RateFitResult:
     """Ordinary least squares of log(mse) on log(n)."""
-    n_grid = tuple(as_count(n, "each n_grid entry", 1) for n in n_grid)
+    n_grid = tuple(as_count(n, "each n_grid entry", 1, SENSORS_MAX) for n in n_grid)
     if any(b <= a for a, b in zip(n_grid, n_grid[1:])):
         raise ValueError("n_grid must be strictly increasing")
     mse_values = tuple(as_real(v, "each mse value") for v in mse_values)
@@ -453,7 +453,8 @@ def as_error_trace(field: FieldSpec, deploy: Deployment, noise: Noise,
     psi = as_real(psi, "psi")
     if not 0.0 < psi < 1.0:
         raise ValueError("growth exponent must lie in (0, 1)")
-    checkpoints = tuple(as_count(n, "each n_checkpoints entry", 1) for n in n_checkpoints)
+    checkpoints = tuple(as_count(n, "each n_checkpoints entry", 1, SENSORS_MAX)
+                        for n in n_checkpoints)
     if any(b <= a for a, b in zip(checkpoints, checkpoints[1:])) or not checkpoints:
         raise ValueError("checkpoints must be strictly increasing and nonempty")
     gamma = 0.5 * (1.0 + 1.0 / psi)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import FourierBasis, FourierSums, ReconstructionCoefficients, as_count, as_real
-from .sensing import Deployment, SensorBatch
+from .sensing import SENSORS_MAX, Deployment, SensorBatch
 
 class EstimationError(RuntimeError):
     pass
@@ -70,7 +70,7 @@ class TruncationSchedule:
         return cls(psi=psi)
 
     def resolve(self, n: int) -> int:
-        n = as_count(n, "n", 1)
+        n = as_count(n, "n", 1, SENSORS_MAX)
         if self.psi is None:
             return self.m
         # round before ceil: n**(1/3) can land at 3.0000000000000004

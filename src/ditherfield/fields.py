@@ -64,7 +64,6 @@ class FourierBasis:
     exp(-i*pi*(j+1)*x) for odd j. Conjugate pairs are (odd j, j+1).
     """
 
-    kind: ClassVar[str] = "fourier"
     bound: ClassVar[float] = 1.0
 
 
@@ -166,11 +165,12 @@ class FiniteDimField(FieldSpec):
     must stay within its amplitude bound on a grid of
     AMPLITUDE_CHECK_POINTS points."""
 
-    basis: FourierBasis
     values: np.ndarray
     amplitude_bound: float
 
     kind: ClassVar[str] = "finite_dim"
+    # read only by benchmarks/child.py; goes with EstimatorConfig (ROADMAP item 4)
+    basis: ClassVar[FourierBasis] = FourierBasis()
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=np.complex128)
@@ -181,7 +181,7 @@ class FiniteDimField(FieldSpec):
         object.__setattr__(self, "amplitude_bound",
                            as_real(self.amplitude_bound, "amplitude_bound"))
         if self.amplitude_bound <= 0.0:
-            raise ValueError("amplitude bound must be positive and finite")
+            raise ValueError(f"amplitude_bound must be positive, got {self.amplitude_bound!r}")
         if abs(vals[0].imag) > 1e-12:
             raise ValueError("coefficient of the constant function must be real")
         # odd j pairs with j + 1, so the synthesis is real; an unpaired
@@ -239,7 +239,7 @@ class SawtoothField(FieldSpec):
 
 @dataclass(frozen=True, eq=False)
 class PiecewiseConstantField(FieldSpec):
-    """Levels on consecutive intervals; covers the step and staircase shapes."""
+    """Levels on consecutive intervals, NaN at a non-finite point: the step and staircase."""
 
     edges: tuple[float, ...]
     levels: tuple[float, ...]
@@ -278,7 +278,7 @@ class PiecewiseConstantField(FieldSpec):
         x = np.asarray(x, dtype=float)
         idx = np.clip(np.searchsorted(self.edges, x, side="right") - 1,
                       0, len(self.levels) - 1)
-        return np.asarray(self.levels, dtype=float)[idx]
+        return np.where(np.isfinite(x), np.asarray(self.levels, dtype=float)[idx], np.nan)[()]
 
     def fourier_coefficients(self, freqs: np.ndarray) -> np.ndarray:
         w = np.asarray(freqs, dtype=float)
@@ -299,10 +299,10 @@ class PiecewiseConstantField(FieldSpec):
 # constructors / factories
 # ---------------------------------------------------------------------------
 
-def make_finite_dim_field(coefficients: Sequence[complex], amplitude_bound: float,
-                          basis: FourierBasis = FourierBasis()) -> FiniteDimField:
+def make_finite_dim_field(coefficients: Sequence[complex],
+                          amplitude_bound: float) -> FiniteDimField:
     """A `FiniteDimField`, built from the keyword names of its config section."""
-    return FiniteDimField(basis=basis, values=coefficients, amplitude_bound=amplitude_bound)
+    return FiniteDimField(values=coefficients, amplitude_bound=amplitude_bound)
 
 
 _BV_SHAPES: dict[str, Callable[[], FieldSpec]] = {
@@ -355,8 +355,7 @@ def make_sobolev_field(s: float, seed: int, amplitude_bound: float = 1.0,
     probe = np.linspace(0.0, 1.0, (1 << 16) + 1)
     sup = float(np.max(np.abs(series(values[0].real, pos, probe))))
     values *= amplitude_bound * SOBOLEV_SUP_HEADROOM / sup
-    return FiniteDimField(basis=FourierBasis(), values=values,
-                          amplitude_bound=amplitude_bound)
+    return FiniteDimField(values=values, amplitude_bound=amplitude_bound)
 
 
 # ---------------------------------------------------------------------------

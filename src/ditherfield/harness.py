@@ -30,7 +30,7 @@ from .estimator import TruncationSchedule
 from .fields import (FieldSpec, FourierBasis, as_count, as_real, make_bv_field,
                      make_finite_dim_field, make_sobolev_field,
                      true_coefficients)
-from .sensing import (SEED_MAX, Deployment, Noise, UniformDeployment,
+from .sensing import (SEED_MAX, SENSORS_MAX, Deployment, Noise, UniformDeployment,
                       dynamic_range)
 
 CSV_HEADER = ["experiment_id", "n", "m", "trials", "mse_mean", "mse_std",
@@ -124,7 +124,6 @@ class Acceptance:
 _SECTIONS: dict[object, tuple[str, str, dict[str, Callable]]] = {
     Deployment: ("deployment", "kind", {cls.kind: cls for cls in get_args(Deployment)}),
     Noise: ("noise", "kind", {cls.kind: cls for cls in get_args(Noise)}),
-    FourierBasis: ("basis", "kind", {FourierBasis.kind: FourierBasis}),
     TruncationSchedule: ("schedule", "kind", {
         kind: getattr(TruncationSchedule, kind)
         for kind in ("fixed", "finite_dim", "bv", "sobolev", "power")}),
@@ -229,11 +228,8 @@ def _arguments(build: Callable, doc: dict, prefix: str, what: str,
 
 def _build_section(hint, doc, path: str):
     """The object a section document names: the acceptance block's is an
-    `Acceptance`, any other's names its constructor by its kind key (a
-    basis may be its kind alone). A constructor's own range check is
-    reported under `path`."""
-    if hint is FourierBasis and isinstance(doc, str):
-        doc = {"kind": doc}
+    `Acceptance`, any other's names its constructor by its kind key. A
+    constructor's own range check is reported under `path`."""
     if not isinstance(doc, dict):
         raise _problem(path, f"expected an object, got {_got(doc)}")
     if hint is Acceptance:
@@ -266,9 +262,10 @@ class ExperimentConfig:
     n_grid: Sequence[int]
     seed: int
     trials: int | Sequence[int] | None = None  # a sweep's; a trace runs none
-    basis: FourierBasis = FourierBasis()
     acceptance: Acceptance = Acceptance()
     raw: dict = dataclasses.field(init=False)
+    # read only by benchmarks/child.py; goes with EstimatorConfig (ROADMAP item 4)
+    basis: ClassVar[FourierBasis] = FourierBasis()
 
     def __post_init__(self):  # sequences convert to tuples; one trial count is one per n
         if isinstance(self.trials, int):
@@ -332,7 +329,7 @@ def parse_experiment_config(doc: dict, seed_override: int | None = None) -> Expe
         (", ".join(swept), "a trace (acceptance.trace_ratio_max) runs in place of the "
                            "sweep these judge", traced and swept)] if violated]
 
-    if schedule is not None and n_grid and min(n_grid) >= 1:
+    if schedule is not None and n_grid and 1 <= min(n_grid) and max(n_grid) <= N_GRID_MAX:
         m_values = [schedule.resolve(n) for n in n_grid]
         over = [(n, m) for n, m in zip(n_grid, m_values) if m > n]
         if over:
@@ -549,7 +546,7 @@ def run_lemma_battery(n: int = 1000, trials: int = 10_000, j_count: int = 8,
     """Across-trials mean and variance of the coefficient estimates versus
     their exact values and variance bounds, over the shipped field /
     deployment / noise menu."""
-    n, trials = as_count(n, "n", 1), as_count(trials, "trials", 2)
+    n, trials = as_count(n, "n", 1, SENSORS_MAX), as_count(trials, "trials", 2)
     j_count = as_count(j_count, "j_count", 1)
     from .sensing import (AffineFloorDeployment, TwoPointNoise, UniformSymNoise,
                           ZeroNoise)

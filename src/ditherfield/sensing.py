@@ -31,7 +31,8 @@ STREAMS = 3
 # a seed is one Philox key word; a spawn-key entry i is the counter word i + 1
 SEED_MAX = (1 << 64) - 1
 SPAWN_MAX = SEED_MAX - 1
-# sensor i is draw i % 4 of counter word 0 = i // 4, four draws per 64-bit word
+# sensor i is draw i % 4 of counter word 0 = i // 4, four draws per 64-bit word;
+# every sensor count is at most this, so a float holds its powers and reciprocal
 SENSORS_MAX = 1 << 66
 
 

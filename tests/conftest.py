@@ -16,7 +16,7 @@ SHIPPED_K5_COEFFS = [0.2, 0.15 + 0.1j, 0.15 - 0.1j, -0.1 + 0.05j, -0.1 - 0.05j]
 
 
 def zero_field(amplitude_bound: float = 1.0) -> FiniteDimField:
-    return FiniteDimField(basis=FourierBasis(), values=np.zeros(1),
+    return FiniteDimField(values=np.zeros(1),
                           amplitude_bound=amplitude_bound)
 
 
@@ -123,8 +123,8 @@ def fourier():
 
 
 @pytest.fixture(scope="session")
-def finite_dim_k5(fourier):
-    return make_finite_dim_field(SHIPPED_K5_COEFFS, amplitude_bound=0.8, basis=fourier)
+def finite_dim_k5():
+    return make_finite_dim_field(SHIPPED_K5_COEFFS, amplitude_bound=0.8)
 
 
 @pytest.fixture(scope="session")

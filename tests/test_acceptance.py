@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from ditherfield import (AffineFloorDeployment, FourierBasis, ReconstructionCoefficients,
+from ditherfield import (AffineFloorDeployment, ReconstructionCoefficients,
                          TwoPointNoise, UniformDeployment, UniformSymNoise, ZeroNoise,
                          analysis, harness, integrated_squared_error, load_shipped_config,
                          make_finite_dim_field, run_experiment, run_suite,
@@ -105,7 +105,6 @@ def test_criterion_1_runtime(rates):
 
 def test_criterion_11_parseval_oracle_equivalence():
     rng = np.random.default_rng(1234)
-    basis = FourierBasis()
     worst = 0.0
     for _ in range(20):
         n_pairs = int(rng.integers(1, 4))
@@ -113,7 +112,7 @@ def test_criterion_11_parseval_oracle_equivalence():
         for _ in range(n_pairs):
             re, im = rng.uniform(-0.6, 0.6, 2)
             values.extend([complex(re, -im), complex(re, im)])
-        field = make_finite_dim_field(values, amplitude_bound=5.0, basis=basis)
+        field = make_finite_dim_field(values, amplitude_bound=5.0)
         m = int(rng.integers(1, len(values) + 1))
         hat_vals = rng.uniform(-0.7, 0.7, m) + 1j * rng.uniform(-0.7, 0.7, m)
         hat = ReconstructionCoefficients(values=hat_vals)
@@ -159,21 +158,21 @@ def test_criterion_12_byte_identical_reruns(rates, conditions, tmp_path):
 # literal here, in the same change, and says so.
 ARTIFACT_SHA256 = {
     "rates": {
-        "finite_dim_k5.csv": "c81bc1f6d827207658e18b01fb8248d3fec8d3fc190153bf9d175d1323daa6fc",
+        "finite_dim_k5.csv": "77d22b341ced826a47dd26ebb863f31c16dff121b41b3001313f3a45205850c0",
         "finite_dim_k5_report.json":
-            "9032b0fc61abe7225c8282743dc8436497eac27c87cd23c75e26c700d5b479e7",
+            "b6433d269e69117c0baad5b246154b8c438d68a30d1a247b64ef7f88867c76ca",
         "finite_dim_k5_summary.txt":
-            "1da373315a0ecccfe1ba6ddba63643b02e87fc6f5e2ced3632bcc45547603e88",
-        "bv_sawtooth.csv": "8aa8261522e4ed0313ed839e2fd15a67466d4d5303f234a51e2d4fa76b8bfce1",
+            "9f9c1f5755cc2cfb04ad4719575fd8356713fdc8bd11572f0b557eb1d9d2d162",
+        "bv_sawtooth.csv": "5a50a09c6529327c94210ae2a1e44d7d03171617a3c0705363a37988d2bd49e6",
         "bv_sawtooth_report.json":
-            "2c9ffb1e5f5d5fd07f024f41f78a72ecdd5b2a982b7148100a63d8e9513a0282",
+            "60f692813d6843536d6777000f7080c4209d59cdfdaf8c1bc7f58b5de09722e0",
         "bv_sawtooth_summary.txt":
-            "26becf782c7032de41a792d55e227894970ad7fc366fd0372143b368474ebb61",
-        "sobolev_s1.csv": "350d96e8b9204e05a28278bc35a306dea59ccb62c51044c392c07c7d66754597",
+            "a30f36fbbecdbf0ac1e0daa1a03daae0a1b1787d797171930923cc80a3882ce2",
+        "sobolev_s1.csv": "a72805a391789e4e5f09431b0c5e3396386cfe10cb9438fe745769eb28ad48e9",
         "sobolev_s1_report.json":
-            "1f126481e3c03ebc8d65f32c1e835b0b8a0aaf620adb30eb8c04958df6c9fc59",
+            "96517d43d10e2a3084973fef2ddef1c8d9e83c47759e5253f55b977032dbdcec",
         "sobolev_s1_summary.txt":
-            "318b3f6bef7ee02ecc978ccc18edfc6950b64220e6b01f8e8e29f504de5a5193",
+            "0e4c05cc73bff90796ff93bef8eac41d698f9aabdee86d399a008e179493b782",
         "rates_report.json": "a2d9a6291f73f131fbe1900193982abc18a1128cb9deb7bf87e59241aa198f75",
         "rates_summary.txt": "8b22bb1f0073d6e9f908ec9ce9585197cdd6f152000688be0797ebdc449f8bc3",
     },
@@ -186,15 +185,15 @@ ARTIFACT_SHA256 = {
         "mismatch_linear2x.csv":
             "9a29ff74269ce85aa68bce5ce7e2134fc7e98b89a05db006258f1d8982260c23",
         "mismatch_linear2x_report.json":
-            "aecc5b42586dea442d758f31566abe47d1508d9ec356310d469d08aae1e339a2",
+            "454a6a8858e2b53d26ae7631ed89c3e797739e7707d972a76b0b61a514761e12",
         "mismatch_linear2x_summary.txt":
             "bf87400e4d21beb8e36e8b21e51449e3351e25e604fa960d7d5c6e2a947cdb74",
         "mismatch_affine_floor.csv":
-            "60362dbd51c2ecfa71aa273ef8ac263faa37fe90d419823885925f4d54ec56c3",
+            "06286521980e917d5feb2f8f61fa613234164b308b9082e9aae8695b7ac74a69",
         "mismatch_affine_floor_report.json":
-            "79fb6ff564953780b28175038d95c2e81b4055d9dad695a0f74ff3f38c083970",
+            "d6414200cb1cdb7cf1c1d83e85e308a77d8d43f56ebcfb56e9629d3861f67207",
         "mismatch_affine_floor_summary.txt":
-            "feb98419f8a0213ecfac8c30c0e7d7201e9a0daf4902456c5f7fdf8b9a0ae193",
+            "e5ba5c7c0c572db4343aaf44ba473b9ac2becff18dc765db9ac0464b5f55f524",
         "conditions_report.json":
             "d06091647f058557784665227ec33438c881cbf79bf51680b89ab4047ddc9962",
         "conditions_summary.txt":
@@ -203,15 +202,15 @@ ARTIFACT_SHA256 = {
     "as_traces": {
         "as_trace_zero.csv": "9a29ff74269ce85aa68bce5ce7e2134fc7e98b89a05db006258f1d8982260c23",
         "as_trace_zero_report.json":
-            "ea5726e2f68416cedff6f957246367bf4389b1146469ca388e884125b392bb36",
+            "2480e9c9d2e0aad33977b007c896947cccb44e8b6c98d1cc2e2deedb47bfffb0",
         "as_trace_zero_summary.txt":
-            "c7279557c3b66b764e558009f8df954eff92a2015baf679de5779c7dc8e2ccd2",
+            "8dbe7e739855048ea3fc3086673da50aa0ef6c65d90a65b2561df527bfbf5075",
         "as_trace_sawtooth.csv":
             "9a29ff74269ce85aa68bce5ce7e2134fc7e98b89a05db006258f1d8982260c23",
         "as_trace_sawtooth_report.json":
-            "4068accff7de41666c8c1ad3c8d9af76400be4e77e3e12e0d0e309411e270b3d",
+            "a198d33c34381f94f645c15a6fa3638f20b9c7e4d43541e310a81d0a67c3afad",
         "as_trace_sawtooth_summary.txt":
-            "71ce5e04756dee0a3ed2c216c0dbd5cb6b6bf2bffab13baeaf6480ef460913bf",
+            "1198a8238958527cdcd5186ec7a948dc3a3fe175f338eb34e360c5bff6f74214",
         "as_traces_report.json":
             "94c973db31ba61847e66ef09778d88baf00faeb80722734788133672b731bd00",
         "as_traces_summary.txt":

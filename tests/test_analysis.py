@@ -172,8 +172,7 @@ def test_zero_estimate_gives_full_energy(sawtooth):
 
 
 def test_hand_worked_case():
-    field = make_finite_dim_field([0.5, 0.5j, -0.5j], amplitude_bound=2.0,
-                                  basis=FourierBasis())
+    field = make_finite_dim_field([0.5, 0.5j, -0.5j], amplitude_bound=2.0)
     # ||f||^2 = 0.25 + 0.25 + 0.25 = 0.75; use the first two coefficients:
     # |1 - 0.5|^2 + |0 - 0.5j|^2 = 0.5, tail = 0.25
     cv = true_coefficients(field, 2)
@@ -181,7 +180,7 @@ def test_hand_worked_case():
     assert integrated_squared_error(hat, cv, field) == pytest.approx(0.75, abs=1e-12)
 
 
-def test_parseval_error_matches_direct_quadrature(fourier):
+def test_parseval_error_matches_direct_quadrature():
     rng = np.random.default_rng(3)
     for case in range(5):
         n_pairs = int(rng.integers(1, 4))
@@ -189,7 +188,7 @@ def test_parseval_error_matches_direct_quadrature(fourier):
         for _ in range(n_pairs):
             re, im = rng.uniform(-0.5, 0.5, 2)
             values.extend([complex(re, -im), complex(re, im)])
-        field = make_finite_dim_field(values, amplitude_bound=4.0, basis=fourier)
+        field = make_finite_dim_field(values, amplitude_bound=4.0)
         m = int(rng.integers(1, len(values) + 1))
         hat_vals = rng.uniform(-0.5, 0.5, m) + 1j * rng.uniform(-0.5, 0.5, m)
         hat = ReconstructionCoefficients(values=hat_vals)

@@ -30,8 +30,7 @@ DEPLOYMENTS = [UniformDeployment(), Linear2xDeployment(), AffineFloorDeployment(
                AffineFloorDeployment(nu=1.0)]
 DEPLOYMENT_IDS = ["uniform", "linear_2x", "affine_floor", "affine_floor_flat"]
 NOISES = [ZeroNoise(), UniformSymNoise(b=1.0), TwoPointNoise(b=0.7)]
-FIELDS = {"finite_dim": make_finite_dim_field(SHIPPED_K5_COEFFS, amplitude_bound=0.8,
-                                              basis=FourierBasis()),
+FIELDS = {"finite_dim": make_finite_dim_field(SHIPPED_K5_COEFFS, amplitude_bound=0.8),
           "sobolev": make_sobolev_field(1.0, seed=7),
           "sawtooth": make_bv_field("sawtooth"),
           "piecewise": make_bv_field("staircase")}

@@ -93,7 +93,7 @@ def test_zero_field_coefficients():
 
 def test_cosine_synthesis_analysis_round_trip(fourier):
     # f = (phi_1 + phi_2) / 2 = cos(2 pi x)
-    field = make_finite_dim_field([0.0, 0.5, 0.5], amplitude_bound=1.0, basis=fourier)
+    field = make_finite_dim_field([0.0, 0.5, 0.5], amplitude_bound=1.0)
     x = np.linspace(0.0, 1.0, 101)
     assert np.allclose(field.eval(x), np.cos(2 * np.pi * x), atol=1e-12)
     cv = true_coefficients(field, 4)
@@ -223,9 +223,9 @@ def test_sobolev_rejects_non_finite_smoothness(s):
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_amplitude_bound_must_be_finite(fourier, bad):
+def test_amplitude_bound_must_be_finite(bad):
     with pytest.raises(ValueError, match="^amplitude_bound must be a finite number, got"):
-        FiniteDimField(fourier, [0.1], bad)
+        FiniteDimField([0.1], bad)
     with pytest.raises(ValueError, match="^amplitude_bound must be a finite number, got"):
         make_sobolev_field(1.0, seed=1, amplitude_bound=bad)
 
@@ -240,6 +240,18 @@ def test_piecewise_field_rejects_non_finite_edges_or_levels(which, bad):
         PiecewiseConstantField(edges=tuple(doc["edges"]), levels=tuple(doc["levels"]))
 
 
+@pytest.mark.parametrize("shape", ["step", "staircase"])
+def test_piecewise_field_reads_nan_off_the_finite_points(shape):
+    """A NaN or infinite point read the first or last level (the step gave
+    [1, 1, 0] at [nan, inf, -inf]); it reads NaN, as a Fourier field does."""
+    field = make_bv_field(shape)
+    got = field.eval(np.array([np.nan, np.inf, -np.inf, 0.25, 1.0]))
+    assert np.isnan(got[:3]).all()
+    assert np.array_equal(got[3:], [field.eval(0.25), field.levels[-1]])
+    assert np.isnan(field.eval(np.nan))
+    assert np.isnan(make_finite_dim_field([0.5], 1.0).eval(np.inf))
+
+
 def test_piecewise_field_holds_its_edges_and_levels_as_floats():
     """Ints and numpy reals are read as Python floats, so the amplitude
     bound is a float too."""
@@ -249,18 +261,18 @@ def test_piecewise_field_holds_its_edges_and_levels_as_floats():
     assert type(field.amplitude_bound) is float and field.amplitude_bound == 2.0
 
 
-def test_finite_dim_rejects_broken_conjugate_pairs(fourier):
+def test_finite_dim_rejects_broken_conjugate_pairs():
     with pytest.raises(ValueError):
-        make_finite_dim_field([0.1, 0.2 + 0.1j, 0.5], amplitude_bound=1.0, basis=fourier)
+        make_finite_dim_field([0.1, 0.2 + 0.1j, 0.5], amplitude_bound=1.0)
 
 
 @pytest.mark.parametrize("values", [[0.0, 1.0, 0.0],           # phi_1 without its partner
                                     [0.1j, 0.5, 0.5],           # complex constant
                                     [0.0, 0.5, 0.5, 0.25],      # unpaired trailing term
                                     [np.nan, 0.5, 0.5]])        # not finite
-def test_directly_built_fields_reject_broken_pairs(fourier, values):
+def test_directly_built_fields_reject_broken_pairs(values):
     with pytest.raises(ValueError):
-        FiniteDimField(fourier, values, 1.0)
+        FiniteDimField(values, 1.0)
 
 
 def test_sobolev_field_is_a_fourier_finite_dim_field():
@@ -272,9 +284,9 @@ def test_sobolev_field_is_a_fourier_finite_dim_field():
                        rtol=0.0, atol=1e-12)
 
 
-def test_finite_dim_rejects_amplitude_violation(fourier):
+def test_finite_dim_rejects_amplitude_violation():
     with pytest.raises(ValueError):
-        make_finite_dim_field(SHIPPED_K5_COEFFS, amplitude_bound=0.5, basis=fourier)
+        make_finite_dim_field(SHIPPED_K5_COEFFS, amplitude_bound=0.5)
 
 
 def field_from_document(doc):
@@ -293,11 +305,10 @@ def field_from_document(doc):
      make_sobolev_field(1.0, seed=7, n_freqs=32)),
     ({"class": "finite_dim", "coefficients": [[0.2, 0.0], [0.1, 0.1], [0.1, -0.1]],
       "amplitude_bound": 1.0},
-     make_finite_dim_field([0.2, 0.1 + 0.1j, 0.1 - 0.1j], amplitude_bound=1.0,
-                           basis=FourierBasis()))],
+     make_finite_dim_field([0.2, 0.1 + 0.1j, 0.1 - 0.1j], amplitude_bound=1.0))],
     ids=["step", "staircase", "sobolev_n_freqs", "finite_dim_no_basis"])
 def test_field_documents_build_their_fields(doc, field):
-    """A finite_dim document without a basis builds on the Fourier basis."""
+    """A finite_dim document, which names no basis, builds on the Fourier basis."""
     x = np.linspace(0.0, 1.0, 501)
     built = field_from_document(doc)
     assert type(built) is type(field)
@@ -356,8 +367,7 @@ def conjugate_symmetric_coeffs(draw):
 @given(conjugate_symmetric_coeffs())
 @settings(max_examples=40, deadline=None)
 def test_error_is_nonincreasing_in_m_for_any_coefficients(values):
-    field = make_finite_dim_field(values, basis=FourierBasis(),
-                                  amplitude_bound=2.0 * sum(abs(v) for v in values) + 1.0)
+    field = make_finite_dim_field(values, amplitude_bound=2.0 * sum(abs(v) for v in values) + 1.0)
     cv = true_coefficients(field, len(values) + 2)
     errors = [m_term_error(cv, field, m) for m in range(len(cv) + 1)]
     assert all(b <= a + 1e-12 for a, b in zip(errors, errors[1:]))
@@ -367,8 +377,7 @@ def test_error_is_nonincreasing_in_m_for_any_coefficients(values):
 @given(conjugate_symmetric_coeffs())
 @settings(max_examples=30, deadline=None)
 def test_synthesis_analysis_round_trip_randomized(values):
-    field = make_finite_dim_field(values, basis=FourierBasis(),
-                                  amplitude_bound=2.0 * sum(abs(v) for v in values) + 1.0)
+    field = make_finite_dim_field(values, amplitude_bound=2.0 * sum(abs(v) for v in values) + 1.0)
     cv = true_coefficients(field, len(values))
     assert np.allclose(cv.values, np.asarray(values, dtype=complex), atol=1e-12)
 
@@ -383,8 +392,7 @@ def quad_parts(fn):
 @given(conjugate_symmetric_coeffs())
 @settings(max_examples=40, deadline=None)
 def test_finite_dim_closed_forms_match_quad(values):
-    field = FiniteDimField(basis=FourierBasis(), values=values,
-                           amplitude_bound=sum(abs(v) for v in values) + 1.0)
+    field = FiniteDimField(values=values, amplitude_bound=sum(abs(v) for v in values) + 1.0)
     f = lambda x: complex(field.eval(x))
     freqs = np.arange(-4, 5)
     coeffs = field.fourier_coefficients(freqs)
@@ -404,8 +412,7 @@ def fourier_field(K: int, seed: int = 3) -> FiniteDimField:
     values = np.empty(2 * K + 1, dtype=np.complex128)
     values[0] = rng.uniform(-1, 1)
     values[2::2], values[1::2] = pos, np.conj(pos)
-    return FiniteDimField(basis=FourierBasis(), values=values,
-                          amplitude_bound=1.0 + 2.0 * np.sum(np.abs(values)))
+    return FiniteDimField(values=values, amplitude_bound=1.0 + 2.0 * np.sum(np.abs(values)))
 
 
 def table_probe_points() -> np.ndarray:

@@ -21,6 +21,7 @@ from ditherfield import (AffineFloorDeployment, EstimatorConfig, FieldSpec,
                          simulate_batch, stream_keys, trial_seed,
                          true_coefficients, validate_as_schedule)
 from ditherfield.estimator import sensor_weights
+from ditherfield.sensing import SENSORS_MAX
 from ditherfield.spectral import ConjSums
 
 SAWTOOTH = make_bv_field("sawtooth")
@@ -33,6 +34,8 @@ NOISY_BATCH = simulate_batch(SAWTOOTH, UNIFORM, UniformSymNoise(b=1.0), 8, 1)
 WIDE_CFG = EstimatorConfig(basis=FOURIER, density=UNIFORM, c=3.0,
                            schedule=TruncationSchedule.bv())
 EMPTY = SensorBatch(x=np.empty(0), y=np.empty(0), t=np.empty(0), bits=np.empty(0), c=1.0)
+# the range of a sensor count whose powers and reciprocals a float holds
+TO_SENSORS_MAX = f"must be an integer in [1, {SENSORS_MAX}]"
 
 # (id, call, exception type, message: the whole text for an empty one,
 # else a part of it)
@@ -81,26 +84,27 @@ GUARDS = [
     ("abstract_eval", lambda: FieldSpec().eval(0.5), NotImplementedError, ""),
     ("abstract_fourier", lambda: FieldSpec().fourier_coefficients(np.arange(3)),
      NotImplementedError, ""),
-    ("no_coefficient", lambda: FiniteDimField(basis=FOURIER, values=np.zeros(0),
+    ("no_coefficient", lambda: FiniteDimField(values=np.zeros(0),
                                               amplitude_bound=1.0), ValueError,
      "need at least one coefficient"),
-    ("coefficient_nan", lambda: FiniteDimField(basis=FOURIER, values=np.array([np.nan]),
+    ("coefficient_nan", lambda: FiniteDimField(values=np.array([np.nan]),
                                                amplitude_bound=1.0), ValueError,
      "coefficients must be finite"),
-    ("amplitude_zero", lambda: FiniteDimField(basis=FOURIER, values=np.array([0.1]),
+    ("amplitude_zero", lambda: FiniteDimField(values=np.array([0.1]),
                                               amplitude_bound=0.0), ValueError,
-     "amplitude bound must be positive and finite"),
-    ("constant_not_real", lambda: FiniteDimField(basis=FOURIER, values=np.array([0.5j]),
+     "amplitude_bound must be positive, got 0.0"),
+    ("finite_dim_negative_amplitude", lambda: make_finite_dim_field([0.1], amplitude_bound=-1.0),
+     ValueError, "amplitude_bound must be positive, got -1.0"),
+    ("constant_not_real", lambda: FiniteDimField(values=np.array([0.5j]),
                                                  amplitude_bound=1.0), ValueError,
      "coefficient of the constant function must be real"),
-    ("broken_conjugates", lambda: FiniteDimField(basis=FOURIER,
-                                                 values=np.array([0.0, 0.1 + 0.1j, 0.2]),
+    ("broken_conjugates", lambda: FiniteDimField(values=np.array([0.0, 0.1 + 0.1j, 0.2]),
                                                  amplitude_bound=1.0), ValueError,
      "coefficients 1 and 2 are not conjugate partners"),
     ("amplitude_exceeded", lambda: make_finite_dim_field([1.0], amplitude_bound=0.5),
      ValueError, "field exceeds its amplitude bound: sup|f| = 1 > a = 0.5"),
     ("finite_dim_amplitude_exceeded",
-     lambda: FiniteDimField(basis=FOURIER, values=[0, 2, 2], amplitude_bound=0.5),
+     lambda: FiniteDimField(values=[0, 2, 2], amplitude_bound=0.5),
      ValueError, "field exceeds its amplitude bound: sup|f| = 4 > a = 0.5"),
     ("sobolev_smoothness", lambda: make_sobolev_field(0.5, seed=1), ValueError,
      "smoothness order must be finite and exceed 1/2"),
@@ -118,7 +122,7 @@ GUARDS = [
      "seed must be an integer >= 0, got 7.5"),
     ("sobolev_negative_amplitude",
      lambda: make_sobolev_field(1.0, seed=7, amplitude_bound=-1.0, n_freqs=2), ValueError,
-     "amplitude bound must be positive and finite"),
+     "amplitude_bound must be positive, got -1.0"),
     ("edges_levels_count", lambda: PiecewiseConstantField(edges=(0.0, 1.0), levels=(1.0, 2.0)),
      ValueError, "need len(edges) == len(levels) + 1"),
     ("edges_span", lambda: PiecewiseConstantField(edges=(0.1, 1.0), levels=(1.0,)),
@@ -171,11 +175,14 @@ GUARDS = [
     ("direct_psi_negative", lambda: TruncationSchedule(psi=-0.5), ValueError,
      "psi must lie in (0, 1], got -0.5"),
     ("resolve_zero", lambda: TruncationSchedule.bv().resolve(0), ValueError,
-     "n must be an integer >= 1, got 0"),
+     f"n {TO_SENSORS_MAX}, got 0"),
     ("resolve_fractional_n", lambda: TruncationSchedule.bv().resolve(100.5), ValueError,
-     "n must be an integer >= 1, got 100.5"),
+     f"n {TO_SENSORS_MAX}, got 100.5"),
     ("resolve_bool_n", lambda: TruncationSchedule.bv().resolve(True), ValueError,
-     "n must be an integer >= 1, got True"),
+     f"n {TO_SENSORS_MAX}, got True"),
+    # n ** psi of an n past a float's range raised a bare OverflowError
+    ("resolve_n_past_floats", lambda: TruncationSchedule.bv().resolve(2 ** 1100), ValueError,
+     f"n {TO_SENSORS_MAX}, got {2 ** 1100}"),
     ("range_zero", lambda: EstimatorConfig(basis=FOURIER, density=UNIFORM, c=0.0,
                                            schedule=TruncationSchedule.bv()), ValueError,
      "dynamic range must be positive"),
@@ -194,11 +201,13 @@ GUARDS = [
                  "thresholds were drawn from"),
     # analysis
     ("bound_no_sensor", lambda: mse_upper_bound(SAWTOOTH, UNIFORM, 0, 1, 1.0),
-     ValueError, "n must be an integer >= 1, got 0"),
+     ValueError, f"n {TO_SENSORS_MAX}, got 0"),
+    ("bound_n_past_floats", lambda: mse_upper_bound(SAWTOOTH, UNIFORM, 2 ** 1100, 4, 1.5),
+     ValueError, f"n {TO_SENSORS_MAX}, got {2 ** 1100}"),
     ("bound_negative_m", lambda: mse_upper_bound(SAWTOOTH, UNIFORM, 10, -1, 1.0),
      ValueError, "m must be an integer >= 0, got -1"),
     ("bound_fractional_n", lambda: mse_upper_bound(SAWTOOTH, UNIFORM, 100.5, 3, 1.5),
-     ValueError, "n must be an integer >= 1, got 100.5"),
+     ValueError, f"n {TO_SENSORS_MAX}, got 100.5"),
     ("bound_fractional_m", lambda: mse_upper_bound(SAWTOOTH, UNIFORM, 100, 3.5, 1.5),
      ValueError, "m must be an integer >= 0, got 3.5"),
     ("bound_nan_range", lambda: mse_upper_bound(SAWTOOTH, UNIFORM, 10, 3, float("nan")),
@@ -215,10 +224,13 @@ GUARDS = [
      ValueError, "n_grid must be strictly increasing"),
     ("conditions_fractional_n",
      lambda: check_consistency_conditions(TruncationSchedule.bv(), UNIFORM, [100.5, 1000]),
-     ValueError, "each n_grid entry must be an integer >= 1, got 100.5"),
+     ValueError, f"each n_grid entry {TO_SENSORS_MAX}, got 100.5"),
     ("conditions_bool_n",
      lambda: check_consistency_conditions(TruncationSchedule.bv(), UNIFORM, [True, 4]),
-     ValueError, "each n_grid entry must be an integer >= 1, got True"),
+     ValueError, f"each n_grid entry {TO_SENSORS_MAX}, got True"),
+    ("conditions_n_past_floats",
+     lambda: check_consistency_conditions(TruncationSchedule.bv(), UNIFORM, [10, 2 ** 1100]),
+     ValueError, f"each n_grid entry {TO_SENSORS_MAX}, got {2 ** 1100}"),
     ("error_short_truth",
      lambda: integrated_squared_error(estimate_coefficients(BATCH, CFG, 3),
                                       true_coefficients(SAWTOOTH, 2), SAWTOOTH),
@@ -234,9 +246,11 @@ GUARDS = [
     ("fit_negative_inf_mse", lambda: rate_fit([10, 20, 40, 80], [1, 0.5, 0.25, -np.inf]),
      ValueError, "each mse value must be a finite number, got -inf"),
     ("fit_negative_n", lambda: rate_fit([-10, 20, 40, 80], [1.0, 0.5, 0.25, 0.125]),
-     ValueError, "each n_grid entry must be an integer >= 1, got -10"),
+     ValueError, f"each n_grid entry {TO_SENSORS_MAX}, got -10"),
     ("fit_fractional_n", lambda: rate_fit([10.5, 20, 40, 80], [1.0, 0.5, 0.25, 0.125]),
-     ValueError, "each n_grid entry must be an integer >= 1, got 10.5"),
+     ValueError, f"each n_grid entry {TO_SENSORS_MAX}, got 10.5"),
+    ("fit_n_past_floats", lambda: rate_fit([10, 20, 40, 2 ** 1100], [1.0, 0.5, 0.25, 0.125]),
+     ValueError, f"each n_grid entry {TO_SENSORS_MAX}, got {2 ** 1100}"),
     ("fit_grid_order", lambda: rate_fit([10, 10, 10, 10], [1, 2, 3, 4]), ValueError,
      "n_grid must be strictly increasing"),
     ("sweep_trial_counts",
@@ -253,7 +267,11 @@ GUARDS = [
     ("sweep_fractional_n",
      lambda: monte_carlo_mse(SAWTOOTH, UNIFORM, ZeroNoise(), TruncationSchedule.bv(),
                              [500.5, 2000], 2, seed=1), ValueError,
-     "each n_grid entry must be an integer >= 1, got 500.5"),
+     f"each n_grid entry {TO_SENSORS_MAX}, got 500.5"),
+    ("sweep_n_past_floats",
+     lambda: monte_carlo_mse(SAWTOOTH, UNIFORM, ZeroNoise(), TruncationSchedule.bv(),
+                             [2 ** 1100], 2, seed=1), ValueError,
+     f"each n_grid entry {TO_SENSORS_MAX}, got {2 ** 1100}"),
     ("sweep_fractional_trials",
      lambda: monte_carlo_mse(SAWTOOTH, UNIFORM, ZeroNoise(), TruncationSchedule.bv(),
                              [500, 2000], 2.5, seed=1), ValueError,
@@ -282,7 +300,10 @@ GUARDS = [
      ValueError, "checkpoints must be strictly increasing and nonempty"),
     ("trace_fractional_checkpoint",
      lambda: as_error_trace(SAWTOOTH, UNIFORM, ZeroNoise(), 0.5, 1, [10, 20.5]), ValueError,
-     "each n_checkpoints entry must be an integer >= 1, got 20.5"),
+     f"each n_checkpoints entry {TO_SENSORS_MAX}, got 20.5"),
+    ("trace_checkpoint_past_floats",
+     lambda: as_error_trace(SAWTOOTH, UNIFORM, ZeroNoise(), 0.5, 1, [10, 2 ** 1100]), ValueError,
+     f"each n_checkpoints entry {TO_SENSORS_MAX}, got {2 ** 1100}"),
     # harness
     ("battery_one_trial", lambda: run_lemma_battery(trials=1), ValueError,
      "trials must be an integer >= 2, got 1"),
@@ -291,13 +312,15 @@ GUARDS = [
     ("battery_j_count_negative", lambda: run_lemma_battery(j_count=-1), ValueError,
      "j_count must be an integer >= 1, got -1"),
     ("battery_fractional_n", lambda: run_lemma_battery(n=100.5), ValueError,
-     "n must be an integer >= 1, got 100.5"),
+     f"n {TO_SENSORS_MAX}, got 100.5"),
     ("battery_fractional_trials", lambda: run_lemma_battery(trials=2.5), ValueError,
      "trials must be an integer >= 2, got 2.5"),
     ("battery_fractional_j_count", lambda: run_lemma_battery(j_count=2.5), ValueError,
      "j_count must be an integer >= 1, got 2.5"),
     ("battery_bool_n", lambda: run_lemma_battery(n=True), ValueError,
-     "n must be an integer >= 1, got True"),
+     f"n {TO_SENSORS_MAX}, got True"),
+    ("battery_n_past_floats", lambda: run_lemma_battery(n=2 ** 1100), ValueError,
+     f"n {TO_SENSORS_MAX}, got {2 ** 1100}"),
     ("unknown_suite", lambda: run_suite("nope", "unwritten"), ValueError,
      "unknown suite 'nope'; choose from"),
     # spectral
@@ -338,11 +361,11 @@ COUNT_ARGUMENTS = [
      lambda v: true_coefficients(SAWTOOTH, v).values),
     ("m_term_error.m", "m must be an integer >= 0", 2,
      lambda v: m_term_error(TAIL_COEFFS, SAWTOOTH, v)),
-    ("mse_upper_bound.n", f"n {AT_LEAST_1}", 10,
+    ("mse_upper_bound.n", f"n {TO_SENSORS_MAX}", 10,
      lambda v: mse_upper_bound(SAWTOOTH, UNIFORM, v, 3, 1.5)),
     ("mse_upper_bound.m", "m must be an integer >= 0", 3,
      lambda v: mse_upper_bound(SAWTOOTH, UNIFORM, 10, v, 1.5)),
-    ("resolve.n", f"n {AT_LEAST_1}", 10, BV.resolve),
+    ("resolve.n", f"n {TO_SENSORS_MAX}", 10, BV.resolve),
     ("fixed.m", f"m {AT_LEAST_1}", 3, TruncationSchedule.fixed),
     ("finite_dim.k", f"k {AT_LEAST_1}", 3, TruncationSchedule.finite_dim),
     ("TruncationSchedule.m", f"m {AT_LEAST_1}", 3, lambda v: TruncationSchedule(m=v)),
@@ -360,17 +383,18 @@ COUNT_ARGUMENTS = [
      lambda v: stream_keys(v, [(1, 2)])),
     ("stream_keys.entry", "each spawn-key entry must be an integer", 1,
      lambda v: stream_keys(7, [(v, 2)])),
-    ("check_consistency_conditions.n", f"each n_grid entry {AT_LEAST_1}", 10,
+    ("check_consistency_conditions.n", f"each n_grid entry {TO_SENSORS_MAX}", 10,
      lambda v: check_consistency_conditions(BV, UNIFORM, [v, 1000])),
-    ("rate_fit.n", f"each n_grid entry {AT_LEAST_1}", 10,
+    ("rate_fit.n", f"each n_grid entry {TO_SENSORS_MAX}", 10,
      lambda v: rate_fit([v, 20, 40, 80], [1.0, 0.5, 0.25, 0.125])),
-    ("monte_carlo_mse.n", f"each n_grid entry {AT_LEAST_1}", 4, lambda v: _sweep(n_grid=[v])),
+    ("monte_carlo_mse.n", f"each n_grid entry {TO_SENSORS_MAX}", 4,
+     lambda v: _sweep(n_grid=[v])),
     ("monte_carlo_mse.trials", "trials must be an integer >= 2", 2, lambda v: _sweep(trials=v)),
     ("monte_carlo_mse.trials_entry", "each trials entry must be an integer >= 2", 2,
      lambda v: _sweep(trials=[v])),
     ("monte_carlo_mse.workers", "workers must be an integer in [1, 64]", 1,
      lambda v: _sweep(workers=v)),
-    ("run_lemma_battery.n", f"n {AT_LEAST_1}", 4,
+    ("run_lemma_battery.n", f"n {TO_SENSORS_MAX}", 4,
      lambda v: run_lemma_battery(n=v, trials=2, j_count=1).rows),
     ("run_lemma_battery.trials", "trials must be an integer >= 2", 2,
      lambda v: run_lemma_battery(n=4, trials=v, j_count=1).rows),
@@ -436,7 +460,7 @@ REAL_ARGUMENTS = [
     ("PiecewiseConstantField.levels", "each levels entry", 2.0,
      lambda v: PiecewiseConstantField(edges=(0.0, 0.5, 1.0), levels=(1.0, v))),
     ("FiniteDimField.amplitude_bound", "amplitude_bound", 1.0,
-     lambda v: FiniteDimField(basis=FOURIER, values=np.array([0.5]), amplitude_bound=v)),
+     lambda v: FiniteDimField(values=np.array([0.5]), amplitude_bound=v)),
     ("make_finite_dim_field.amplitude_bound", "amplitude_bound", 1.0,
      lambda v: make_finite_dim_field([0.1], v)),
     ("make_sobolev_field.s", "s", 1.0, lambda v: make_sobolev_field(v, 7, n_freqs=2)),

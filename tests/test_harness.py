@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import inspect
 import json
 import math
 import re
@@ -14,10 +15,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ditherfield import (AffineFloorDeployment, ConfigValidationError,
-                         Linear2xDeployment, TwoPointNoise, UniformDeployment,
+from ditherfield import (AffineFloorDeployment, ConfigValidationError, FiniteDimField,
+                         FourierBasis, Linear2xDeployment, TwoPointNoise, UniformDeployment,
                          UniformSymNoise, ZeroNoise, cli, harness, load_shipped_config,
-                         monte_carlo_mse, parse_experiment_config,
+                         make_finite_dim_field, monte_carlo_mse, parse_experiment_config,
                          run_experiment, run_lemma_battery, run_suite, true_coefficients)
 from ditherfield import analysis
 from ditherfield.analysis import WORKERS_MAX, map_trials
@@ -29,7 +30,6 @@ from conftest import collect_trials
 MINI_CONFIG = {
     "experiment_id": "mini",
     "field": {"class": "bv", "shape": "sawtooth"},
-    "basis": "fourier",
     "deployment": {"kind": "uniform"},
     "noise": {"kind": "uniform_sym", "b": 1.0},
     "schedule": {"kind": "bv"},
@@ -188,7 +188,7 @@ def test_lemma_battery_smoke():
 
 
 @pytest.mark.parametrize("n, trials, message", [(100, 1, "trials must be an integer >= 2"),
-                                                 (0, 10, "n must be an integer >= 1")])
+                                                 (0, 10, r"n must be an integer in \[1, ")])
 def test_lemma_battery_needs_two_trials(n, trials, message):
     # one trial has no sample variance (it divided by zero into NaN rows);
     # no sensors divided by zero in the pool-task size
@@ -486,12 +486,16 @@ def test_cli_runs_a_trace_on_any_schedule_with_psi_below_1(tmp_path, capsys, sch
                     "checks": [power.detail], **power.trace.to_json()}))
 
 
-@pytest.mark.parametrize("basis", ["fourier", {"kind": "fourier"}], ids=["fourier", "object"])
+@pytest.mark.parametrize("basis", [None, "fourier", {"kind": "fourier"}],
+                         ids=["unnamed", "fourier", "object"])
 def test_cli_rejects_a_density_with_a_zero(tmp_path, basis):
     """A density with a zero makes the variance integral infinite: `run`
     reports FAILED-PRECONDITION and `check-conditions` fails, both without
-    a traceback, whichever way the basis section is spelled."""
-    doc = dict(MINI_CONFIG, basis=basis, deployment={"kind": "linear_2x"})
+    a traceback. The same document naming the Fourier basis, the only
+    basis and no input, is a config error to both, however it is spelled."""
+    doc = dict(MINI_CONFIG, deployment={"kind": "linear_2x"})
+    if basis is not None:
+        doc["basis"] = basis
     config_path = tmp_path / "mini.json"
     config_path.write_text(json.dumps(doc))
     for command, expected in ((["run", "--out", str(tmp_path / "out")],
@@ -500,9 +504,13 @@ def test_cli_rejects_a_density_with_a_zero(tmp_path, basis):
         proc = subprocess.run(
             [sys.executable, "-m", "ditherfield.cli", command[0], str(config_path)]
             + command[1:], capture_output=True, text=True)
-        assert proc.returncode == 1, proc.stderr
-        assert expected in proc.stdout
         assert "Traceback" not in proc.stderr
+        if basis is None:
+            assert proc.returncode == 1 and expected in proc.stdout, proc.stderr
+        else:
+            assert proc.returncode == 2 and proc.stdout == ""
+            assert "basis: unexpected key; experiment config takes" in proc.stderr
+    assert (tmp_path / "out").exists() == (basis is None)
 
 
 def _numeric_leaves(doc, path=()):
@@ -582,24 +590,52 @@ def test_integral_floats_are_counts():
     assert config.seed == 99 and type(config.seed) is int
 
 
+_NAMED_BASIS = {
+    "basis": "basis: unexpected key; experiment config takes ['experiment_id', 'field', "
+             "'deployment', 'noise', 'schedule', 'n_grid', 'seed', 'trials', 'acceptance']",
+    "field.basis": "field.basis: unexpected key; finite_dim field takes "
+                   "['class', 'coefficients', 'amplitude_bound']"}
+
+
 def test_fourier_basis_takes_no_parameters():
-    with pytest.raises(ConfigValidationError,
-                       match=r"basis\.cells: unexpected key; fourier basis takes \['kind'\]"):
-        parse_experiment_config(dict(MINI_CONFIG, basis={"kind": "fourier", "cells": 16}))
+    """The Fourier basis is a constant of the program, not a section: a
+    document that names it, with parameters or without, is refused."""
+    for basis in ({"kind": "fourier", "cells": 16}, {"kind": "fourier"}):
+        with pytest.raises(ConfigValidationError) as err:
+            parse_experiment_config(dict(MINI_CONFIG, basis=basis))
+        assert err.value.problems == [_NAMED_BASIS["basis"]]
+
+
+@pytest.mark.parametrize("name", _RATE_CONFIGS + _TRACE_CONFIGS + _MISMATCH_CONFIGS)
+def test_the_basis_is_a_constant_no_constructor_takes(name):
+    """The benchmark reads `config.basis` and a finite-dim `field.basis`:
+    both are the Fourier basis, held by the class, not by any argument."""
+    config = load_shipped_config(name)
+    assert isinstance(config.basis, FourierBasis) and "basis" not in config.raw
+    if isinstance(config.field, FiniteDimField):
+        assert isinstance(config.field.basis, FourierBasis)
+    for build in (harness.ExperimentConfig, FiniteDimField, make_finite_dim_field):
+        assert "basis" not in inspect.signature(build).parameters
 
 
 _STEP16 = {"kind": "step", "cells": 16}
+_K5_DOC = _shipped_doc("finite_dim_k5")
 _STEP_FIELD = {"class": "finite_dim", "coefficients": [[0.2, 0.0], [-0.1, 0.0], [0.05, 0.0]],
                "amplitude_bound": 1.0, "basis": _STEP16}
 
 
-# documents that named the step basis, which is gone, in the tests that ran,
-# capped or fuzzed it; each lists the sections that name it
+# documents that name a basis, the Fourier basis or the step basis that is
+# gone, in the tests that ran, capped or fuzzed it; each lists the sections
+# that name it, in the order their problems are reported
 @pytest.mark.parametrize("doc, sections", [
+    (dict(MINI_CONFIG, basis="fourier"), ["basis"]),
+    (dict(MINI_CONFIG, field=dict(_STEP_FIELD, basis="fourier")), ["field.basis"]),
+    (dict(_K5_DOC, basis="fourier"), ["basis"]),
+    (dict(_K5_DOC, field=dict(_K5_DOC["field"], basis="fourier")), ["field.basis"]),
     (dict(MINI_CONFIG, basis=_STEP16), ["basis"]),
     (dict(MINI_CONFIG, field=_STEP_FIELD), ["field.basis"]),
     (dict(MINI_CONFIG, field=_STEP_FIELD, basis=_STEP16, schedule={"kind": "finite_dim", "k": 3}),
-     ["field.basis", "basis"]),
+     ["basis", "field.basis"]),
     (dict(MINI_CONFIG, field=dict(_STEP_FIELD, basis={"kind": "step", "cells": "16"})),
      ["field.basis"]),
     (dict(MINI_CONFIG, basis="step"), ["basis"]),
@@ -611,17 +647,16 @@ _STEP_FIELD = {"class": "finite_dim", "coefficients": [[0.2, 0.0], [-0.1, 0.0], 
           field={"class": "sobolev", "s": 1.0, "seed": 7, "n_freqs": 32}), ["basis"]),
     *[(dict(MINI_CONFIG, basis={"kind": "step", "cells": cells}), ["basis"])
       for cells in (1024, -1, 0, 1025, 1 << 40)]],
-    ids=["top", "field", "both", "nested_cells_string", "top_kind_alone", "field_kind_alone",
+    ids=["fourier_top", "fourier_field", "k5_fourier_top", "k5_fourier_field",
+         "top", "field", "both", "nested_cells_string", "top_kind_alone", "field_kind_alone",
          "trace", "zero_density",
          "fuzz_sized", "cells_1024", "cells_-1", "cells_0", "cells_1025", "cells_2^40"])
-def test_a_removed_basis_fails_at_the_boundary(tmp_path, capsys, doc, sections):
-    """The step basis is gone: a document that names it, at the top level
-    or in a finite_dim field, by an object or by its kind alone, is a
-    config error naming the one basis kind left, and `run` exits 2 before
-    any file is written."""
-    fails_at_the_boundary(tmp_path, capsys, doc, [
-        f"{section}.kind: unknown basis kind 'step'; expected one of ['fourier']"
-        for section in sections])
+def test_a_named_basis_fails_at_the_boundary(tmp_path, capsys, doc, sections):
+    """The Fourier basis is the only basis, so no document names one: a
+    document that does, at the top level or in a finite_dim field, by an
+    object or by its kind alone, is a config error listing the keys the
+    section takes, and `run` exits 2 before any file is written."""
+    fails_at_the_boundary(tmp_path, capsys, doc, [_NAMED_BASIS[section] for section in sections])
 
 
 @pytest.mark.parametrize("doc, problems", [
@@ -696,8 +731,13 @@ def test_each_deployment_and_noise_kind_parses_to_its_input(key, doc, built):
     ("deployment", {"kind": "affine_floor", "nu": 0.0}, "deployment: floor must lie in (0, 1]"),
     ("deployment", {"kind": "affine_floor", "nu": 1.5}, "deployment: floor must lie in (0, 1]"),
     ("noise", {"kind": "uniform_sym", "b": 0.0}, "noise: noise bound b must be positive, got 0.0"),
-    ("noise", {"kind": "two_point", "b": -1.0}, "noise: noise bound b must be positive, got -1.0")],
-    ids=["floor_zero", "floor_above_one", "uniform_sym_zero", "two_point_negative"])
+    ("noise", {"kind": "two_point", "b": -1.0}, "noise: noise bound b must be positive, got -1.0"),
+    ("field", {"class": "finite_dim", "coefficients": [[0.1, 0.0]], "amplitude_bound": -1.0},
+     "field: amplitude_bound must be positive, got -1.0"),
+    ("field", {"class": "sobolev", "s": 1.0, "seed": 7, "amplitude_bound": 0},
+     "field: amplitude_bound must be positive, got 0.0")],
+    ids=["floor_zero", "floor_above_one", "uniform_sym_zero", "two_point_negative",
+         "finite_dim_amplitude_negative", "sobolev_amplitude_zero"])
 def test_an_input_parameter_out_of_range_is_a_config_error(key, doc, problem):
     """The constructor's guard reaches the user as a config problem under
     the section's name, not as a traceback."""
@@ -709,9 +749,9 @@ def test_an_input_parameter_out_of_range_is_a_config_error(key, doc, problem):
 @pytest.mark.parametrize("key, doc, message", [
     ("deployment", {"kind": [1]}, "kind: unknown deployment kind"),
     ("noise", {"kind": [1]}, "kind: unknown noise kind"),
-    ("basis", {"kind": [1]}, "kind: unknown basis kind"),
+    ("schedule", {"kind": [1]}, "kind: unknown schedule kind"),
     ("field", {"class": [1]}, "class: unknown field class")],
-    ids=["deployment", "noise", "basis", "field"])
+    ids=["deployment", "noise", "schedule", "field"])
 def test_a_kind_that_is_not_a_string_is_unknown(key, doc, message):
     """A list kind used to fail the table lookup as an unhashable type."""
     with pytest.raises(ConfigValidationError, match=rf"{key}\.{message} \[1\]; expected one of"):
@@ -729,14 +769,16 @@ def test_a_kind_that_is_not_a_string_is_unknown(key, doc, message):
     ("field", "sawtooth", r"field: expected an object, got str 'sawtooth'"),
     ("field", {"class": "finite_dim", "amplitude_bound": 1.0},
      r"field\.coefficients: required; finite_dim field takes "
-     r"\['class', 'coefficients', 'amplitude_bound', 'basis'\]"),
+     r"\['class', 'coefficients', 'amplitude_bound'\]"),
     ("field", {"class": "finite_dim", "coefficients": [[0.1]], "amplitude_bound": 1.0},
      r"field\.coefficients\[0\]: expected \[re, im\] of finite numbers, got \[0\.1\]"),
     ("field", {"class": "sobolev", "s": 1.0, "seed": 7.5},
      r"field\.seed: expected an integer, got float 7\.5"),
     ("schedule", {"m": 5}, r"schedule\.kind: unknown schedule kind None; expected one of "
                            r"\['fixed', 'finite_dim', 'bv', 'sobolev', 'power'\]"),
-    ("basis", 5, r"basis: expected an object, got int 5"),
+    ("basis", 5, r"basis: unexpected key; experiment config takes \['experiment_id', "
+                 r"'field', 'deployment', 'noise', 'schedule', 'n_grid', 'seed', 'trials', "
+                 r"'acceptance'\]"),
     ("field", {"class": "sobolev", "s": 1.0, "seed": -1},
      r"field: seed must be an integer >= 0, got -1")],
     ids=["noise_b_string", "noise_b_null", "nu_list", "n_grid_strings", "field_string",
@@ -949,10 +991,19 @@ def test_a_schedule_may_not_ask_for_more_coefficients_than_sensors():
     assert parse_experiment_config(dict(doc, schedule={"kind": "fixed", "m": 256}))
 
 
+@pytest.mark.parametrize("schedule", [{"kind": "bv"}, {"kind": "finite_dim", "k": 5}])
+@pytest.mark.parametrize("n", [1e308, 2 ** 1100])
+def test_a_sensor_count_past_floats_is_a_config_error(schedule, n):
+    """m(n) of such an n raised a bare OverflowError out of the parser, or
+    a ValueError of the schedule's own count rule."""
+    with pytest.raises(ConfigValidationError) as err:
+        parse_experiment_config(dict(MINI_CONFIG, schedule=schedule, n_grid=[64, n]))
+    assert err.value.problems == [f"n_grid: entries must be at most {harness.N_GRID_MAX}"]
+
+
 @pytest.mark.parametrize("key, change", [
     ("noise", {"kind": "uniform_sym", "b": 1e308}),
-    ("field", {"class": "finite_dim", "basis": "fourier", "coefficients": [[0.1, 0.0]],
-               "amplitude_bound": 1e308}),
+    ("field", {"class": "finite_dim", "coefficients": [[0.1, 0.0]], "amplitude_bound": 1e308}),
     ("field", {"class": "sobolev", "s": 1.0, "seed": 7, "amplitude_bound": 1e101})])
 def test_the_dynamic_range_is_capped_at_parse_time(key, change):
     """c = 1e308 parsed, and every squared error overflowed to inf."""

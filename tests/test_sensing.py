@@ -225,10 +225,10 @@ def test_batches_are_deterministic(sawtooth):
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
 
-def test_constant_max_field_saturates_the_quantizer(fourier):
+def test_constant_max_field_saturates_the_quantizer():
     from ditherfield import make_finite_dim_field
 
-    field = make_finite_dim_field([1.0], amplitude_bound=1.0, basis=fourier)
+    field = make_finite_dim_field([1.0], amplitude_bound=1.0)
     batch = simulate_batch(field, UniformDeployment(), ZeroNoise(), 20_000, seed=5)
     assert batch.c == 1.0
     assert np.all(batch.bits == 1.0)

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ditherfield import FourierBasis, spectral
+from ditherfield import spectral
 from ditherfield.fields import FiniteDimField, frequencies, synthesize
 from ditherfield.harness import _RATE_CONFIGS, _TRACE_CONFIGS, load_shipped_config
 
@@ -395,5 +395,5 @@ def test_synthesis_never_reaches_the_unit_phase(monkeypatch):
         assert np.all(np.isfinite(spectral.series(0.2, pos, x[:3000])))
         assert np.isnan(spectral.series(0.2, pos, x)).sum() == 3
     values = np.array([0.5, 0.25 + 0.1j, 0.25 - 0.1j])  # K = 1, real
-    field = FiniteDimField(basis=FourierBasis(), values=values, amplitude_bound=2.0)
+    field = FiniteDimField(values=values, amplitude_bound=2.0)
     assert np.isnan(field.eval(x)).sum() == 3
