@@ -17,7 +17,7 @@ import numpy as np
 
 from .spectral import ConjSums, RealSeries, series
 
-AMPLITUDE_CHECK_POINTS = 20_001  # grid of the finite-dim sup-norm check
+AMPLITUDE_CHECK_POINTS = 20_001  # least grid of the finite-dim sup-norm check
 # Largest frequency-pair count of a sobolev field: 64x the shipped 128. Its
 # synthesis peaks near 40 MB at the cap, and the series tables its every
 # evaluation reads grow as 9 x 32 x n_freqs doubles.
@@ -161,9 +161,9 @@ def synthesize(values: np.ndarray, x) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class FiniteDimField(FieldSpec):
     """Exact k-term combination of the leading basis functions, real by
-    construction: its coefficients come in conjugate pairs. Its synthesis
-    must stay within its amplitude bound on a grid of
-    AMPLITUDE_CHECK_POINTS points."""
+    construction: its coefficients come in conjugate pairs. Its sup, bounded
+    by the sum of |coefficients| and from a grid of max(AMPLITUDE_CHECK_POINTS,
+    64 K + 1) points at top frequency K, must stay within its amplitude bound."""
 
     values: np.ndarray
     amplitude_bound: float
@@ -197,12 +197,19 @@ class FiniteDimField(FieldSpec):
         # with the field when it is pickled to a pool worker
         object.__setattr__(self, "_series", RealSeries(vals[0].real, vals[2::2]))
         object.__setattr__(self, "values", vals)
-        # c = a + b covers |f + Z| only while sup|f| <= a
-        grid = np.linspace(0.0, 1.0, AMPLITUDE_CHECK_POINTS)
-        worst = float(np.max(np.abs(self.eval(grid))))
+        # c = a + b covers |f + Z| only while sup|f| <= a. The sup is at most
+        # sum |alpha_j|, and at top frequency K it lies within h/2 of a point
+        # of a grid of spacing h; there f' = 0 and |f''| <= (2 pi K)^2 sup|f|
+        # (Bernstein), so that point reads at most a (pi K h)^2 / 2 share of
+        # the sup below it
+        k = len(vals) // 2
+        points = max(AMPLITUDE_CHECK_POINTS, 64 * k + 1)
+        share = (np.pi * k / (points - 1)) ** 2 / 2
+        grid_max = float(np.max(np.abs(self.eval(np.linspace(0.0, 1.0, points)))))
+        worst = min(float(np.sum(np.abs(vals))), grid_max / (1 - share))
         if worst > self.amplitude_bound * (1 + 1e-12):
             raise ValueError(
-                f"field exceeds its amplitude bound: sup|f| = {worst:.6g} "
+                f"field may exceed its amplitude bound: sup|f| is up to {worst:.6g} "
                 f"> a = {self.amplitude_bound:.6g}")
 
     @property

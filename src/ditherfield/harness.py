@@ -425,8 +425,7 @@ def run_experiment(config: ExperimentConfig, out_dir, workers: int = 1) -> Exper
             f"the integral of |phi_j|^2 / p_X over [0,1] is infinite for "
             f"j in {divergent[:8]}. The deployment density vanishes on the "
             f"domain, so the inverse-density weights are unintegrable and the "
-            f"bound is useless; match the basis to the deployment or use a "
-            f"density with a strictly positive floor."]
+            f"bound is useless; use a density with a strictly positive floor."]
         lines = rejection
         report = {"detail": rejection[0], "divergent_js": divergent}
     elif config.acceptance.trace_ratio_max is not None:

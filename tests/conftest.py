@@ -13,6 +13,10 @@ from ditherfield.sensing import (STREAM_LOCATIONS, STREAM_NOISE,
                                  STREAM_THRESHOLDS)
 
 SHIPPED_K5_COEFFS = [0.2, 0.15 + 0.1j, 0.15 - 0.1j, -0.1 + 0.05j, -0.1 - 0.05j]
+# cos(2 pi 2500 x + pi/8): its sup is 1, but it reads at most 0.924 on a
+# grid of 20001 points
+HIGH_PAIR = np.zeros(5001, dtype=np.complex128)
+HIGH_PAIR[4999:] = 0.5 * np.exp(-1j * np.pi / 8), 0.5 * np.exp(1j * np.pi / 8)
 
 
 def zero_field(amplitude_bound: float = 1.0) -> FiniteDimField:

@@ -185,9 +185,9 @@ ARTIFACT_SHA256 = {
         "mismatch_linear2x.csv":
             "9a29ff74269ce85aa68bce5ce7e2134fc7e98b89a05db006258f1d8982260c23",
         "mismatch_linear2x_report.json":
-            "454a6a8858e2b53d26ae7631ed89c3e797739e7707d972a76b0b61a514761e12",
+            "3167c2ea9033238117e1ffc39361d60c5f7fb78dff4431c29b24e5d660fcc487",
         "mismatch_linear2x_summary.txt":
-            "bf87400e4d21beb8e36e8b21e51449e3351e25e604fa960d7d5c6e2a947cdb74",
+            "aa8f4a638cda6f2ace15fef45e0e83c99179bc89f3c3349f4cbdc64c5c3c5496",
         "mismatch_affine_floor.csv":
             "06286521980e917d5feb2f8f61fa613234164b308b9082e9aae8695b7ac74a69",
         "mismatch_affine_floor_report.json":
@@ -202,13 +202,13 @@ ARTIFACT_SHA256 = {
     "as_traces": {
         "as_trace_zero.csv": "9a29ff74269ce85aa68bce5ce7e2134fc7e98b89a05db006258f1d8982260c23",
         "as_trace_zero_report.json":
-            "2480e9c9d2e0aad33977b007c896947cccb44e8b6c98d1cc2e2deedb47bfffb0",
+            "561e6ae5e7b976a0fcdb61f5b2d94bc5a927eb123d3f87247b9634d496be833a",
         "as_trace_zero_summary.txt":
             "8dbe7e739855048ea3fc3086673da50aa0ef6c65d90a65b2561df527bfbf5075",
         "as_trace_sawtooth.csv":
             "9a29ff74269ce85aa68bce5ce7e2134fc7e98b89a05db006258f1d8982260c23",
         "as_trace_sawtooth_report.json":
-            "a198d33c34381f94f645c15a6fa3638f20b9c7e4d43541e310a81d0a67c3afad",
+            "e0ed663e77ab8dc2394c0b7d6d5446b3be52179c82b34aec9c807ac4b7841479",
         "as_trace_sawtooth_summary.txt":
             "1198a8238958527cdcd5186ec7a948dc3a3fe175f338eb34e360c5bff6f74214",
         "as_traces_report.json":
@@ -369,8 +369,6 @@ def test_a_trace_artifact_agrees_with_its_sups_on_the_grid(as_traces, monkeypatc
         return synthesized[-1][1]
 
     monkeypatch.setattr(analysis, "synthesize", recorded)
-    # the schedule check synthesizes on grids of its own and reads no sensor
-    monkeypatch.setattr(analysis, "validate_as_schedule", lambda *args, **kwargs: None)
     analysis.as_error_trace(config.field, config.deployment, config.noise,
                             psi=config.schedule.psi, seed=config.seed,
                             n_checkpoints=config.n_grid)

@@ -14,7 +14,7 @@ from ditherfield import (ConfigValidationError, FiniteDimField, FourierBasis,
 from ditherfield.fields import frequencies, synthesize
 from ditherfield.spectral import series
 
-from conftest import SHIPPED_K5_COEFFS, fourier_eval, midpoint_grid, zero_field
+from conftest import HIGH_PAIR, SHIPPED_K5_COEFFS, fourier_eval, midpoint_grid, zero_field
 
 # a coefficient horizon that holds all but 1e-4 of every shipped shape's
 # energy (the sawtooth is the binding case)
@@ -287,6 +287,32 @@ def test_sobolev_field_is_a_fourier_finite_dim_field():
 def test_finite_dim_rejects_amplitude_violation():
     with pytest.raises(ValueError):
         make_finite_dim_field(SHIPPED_K5_COEFFS, amplitude_bound=0.5)
+
+
+def test_the_amplitude_check_bounds_the_sup_between_its_grid_points():
+    """The pair at frequency 2500 peaks between the points of a 20001-point
+    grid: the check's grid grows with the top frequency, and the bound it
+    reads between its points refuses a = 0.93. Its sum of |coefficients|
+    is 1, which admits a = 1."""
+    field = make_finite_dim_field(HIGH_PAIR, amplitude_bound=1.0)
+    assert np.max(np.abs(field.eval(np.linspace(0.0, 1.0, 20_001)))) < 0.93
+    assert np.max(np.abs(field.eval(np.linspace(0.0, 1.0, 400_001)))) == pytest.approx(1.0)
+    with pytest.raises(ValueError, match="may exceed its amplitude bound"):
+        make_finite_dim_field(HIGH_PAIR, amplitude_bound=0.93)
+
+
+@pytest.mark.parametrize("k, seed", [(313, 1), (700, 2), (1000, 3)])
+def test_the_amplitude_check_refuses_every_bound_below_the_sup(k, seed):
+    """A random real field of top frequency k is refused at an amplitude
+    bound just under its sup, read on a grid 16 times finer than the check's."""
+    rng = np.random.default_rng(seed)
+    values = np.zeros(2 * k + 1, dtype=np.complex128)
+    values[2::2] = rng.normal(size=k) + 1j * rng.normal(size=k)
+    values[1::2] = np.conj(values[2::2])
+    field = make_finite_dim_field(values, amplitude_bound=1e6)
+    sup = np.max(np.abs(field.eval(np.linspace(0.0, 1.0, 16 * 64 * k + 1))))
+    with pytest.raises(ValueError, match="may exceed its amplitude bound"):
+        make_finite_dim_field(values, amplitude_bound=sup * (1 - 1e-9))
 
 
 def field_from_document(doc):

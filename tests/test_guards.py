@@ -24,6 +24,8 @@ from ditherfield.estimator import sensor_weights
 from ditherfield.sensing import SENSORS_MAX
 from ditherfield.spectral import ConjSums
 
+from conftest import HIGH_PAIR
+
 SAWTOOTH = make_bv_field("sawtooth")
 UNIFORM, FOURIER = UniformDeployment(), FourierBasis()
 BATCH = simulate_batch(SAWTOOTH, UNIFORM, ZeroNoise(), 8, 1)
@@ -102,10 +104,14 @@ GUARDS = [
                                                  amplitude_bound=1.0), ValueError,
      "coefficients 1 and 2 are not conjugate partners"),
     ("amplitude_exceeded", lambda: make_finite_dim_field([1.0], amplitude_bound=0.5),
-     ValueError, "field exceeds its amplitude bound: sup|f| = 1 > a = 0.5"),
+     ValueError, "field may exceed its amplitude bound: sup|f| is up to 1 > a = 0.5"),
     ("finite_dim_amplitude_exceeded",
      lambda: FiniteDimField(values=[0, 2, 2], amplitude_bound=0.5),
-     ValueError, "field exceeds its amplitude bound: sup|f| = 4 > a = 0.5"),
+     ValueError, "field may exceed its amplitude bound: sup|f| is up to 4 > a = 0.5"),
+    # the pair at frequency 2500 peaks between the points of a 20001-point grid
+    ("finite_dim_high_frequency_amplitude_exceeded",
+     lambda: make_finite_dim_field(HIGH_PAIR, amplitude_bound=0.93), ValueError,
+     "field may exceed its amplitude bound: sup|f| is up to 1 > a = 0.93"),
     ("sobolev_smoothness", lambda: make_sobolev_field(0.5, seed=1), ValueError,
      "smoothness order must be finite and exceed 1/2"),
     ("sobolev_no_frequency", lambda: make_sobolev_field(1.0, seed=1, n_freqs=0), ValueError,

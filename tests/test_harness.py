@@ -130,8 +130,8 @@ def test_run_experiment_artifacts_and_determinism(tmp_path):
 REJECTION = ("rejected: the variance side of the distortion bound diverges — the integral "
              "of |phi_j|^2 / p_X over [0,1] is infinite for j in [0, 1, 2, 3, 4, 5, 6, 7]. "
              "The deployment density vanishes on the domain, so the inverse-density weights "
-             "are unintegrable and the bound is useless; match the basis to the deployment or "
-             "use a density with a strictly positive floor.")
+             "are unintegrable and the bound is useless; use a density with a strictly positive "
+             "floor.")
 
 
 def test_divergent_deployment_is_rejected_with_explanation(tmp_path):
