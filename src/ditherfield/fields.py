@@ -206,7 +206,9 @@ class FiniteDimField(FieldSpec):
         points = max(AMPLITUDE_CHECK_POINTS, 64 * k + 1)
         share = (np.pi * k / (points - 1)) ** 2 / 2
         grid_max = float(np.max(np.abs(self.eval(np.linspace(0.0, 1.0, points)))))
-        worst = min(float(np.sum(np.abs(vals))), grid_max / (1 - share))
+        with np.errstate(over="ignore"):  # the sum is inf where a nears the float max
+            coeff_sum = float(np.sum(np.abs(vals)))
+        worst = min(coeff_sum, grid_max / (1 - share))
         if worst > self.amplitude_bound * (1 + 1e-12):
             raise ValueError(
                 f"field may exceed its amplitude bound: sup|f| is up to {worst:.6g} "

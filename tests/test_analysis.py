@@ -19,7 +19,7 @@ from ditherfield import analysis, spectral
 from ditherfield.analysis import WORKERS_MAX, TrialCell, map_trials
 from ditherfield.fields import synthesize
 
-from conftest import collect_trials, zero_field
+from conftest import collect_trials, fourier_eval, zero_field
 
 LN3 = 1.0986122886681098
 
@@ -480,6 +480,29 @@ def test_bounded_basis_route_constants():
     val = validate_as_schedule(0.5, 1.5, UniformDeployment())
     assert val.c1 == pytest.approx(1.0)  # beta^2 / nu with beta = nu = 1
     assert val.c2 == pytest.approx(1.0)  # a * beta * sqrt(vol) with a = 1
+
+
+@pytest.mark.parametrize("m", [2, 16, 128])
+def test_the_stated_constants_bound_the_dense_kernel_and_projections(m):
+    """The dense sums of phi_j(x) conj phi_j(y) / p_X(y) and alpha_j phi_j(x)
+    over j < m stay within c1 * m and c2 * m, and the kernel attains c1 * m
+    on the diagonal where p_X = nu."""
+    deploy = AffineFloorDeployment(nu=0.5)
+    val = validate_as_schedule(0.5, 1.5, deploy)
+    assert (val.c1, val.c2) == (2.0, 1.0)
+    xg = np.linspace(0.0, 1.0, 193)
+    phi = np.column_stack([fourier_eval(j, xg) for j in range(m)])
+    kernel = np.abs(phi @ phi.conj().T) / np.asarray(deploy.pdf(xg))[None, :]
+    assert kernel.max() == pytest.approx(val.c1 * m, rel=1e-12)
+    for f in analysis._shipped_field_menu():
+        assert np.abs(phi @ true_coefficients(f, m).values).max() <= val.c2 * m
+
+
+def test_the_projection_constant_takes_the_largest_amplitude_bound_of_its_fields():
+    fields = [zero_field(0.25), make_finite_dim_field([0.2, 0.1, 0.1], amplitude_bound=0.8)]
+    val = validate_as_schedule(0.5, 1.5, AffineFloorDeployment(nu=0.25), fields=fields)
+    assert (val.c1, val.c2) == (4.0, 0.8)
+    assert val.accepted
 
 
 def test_unbounded_weights_disable_the_bounded_route():

@@ -289,6 +289,14 @@ def test_finite_dim_rejects_amplitude_violation():
         make_finite_dim_field(SHIPPED_K5_COEFFS, amplitude_bound=0.5)
 
 
+def test_the_amplitude_check_admits_a_bound_near_the_float_max():
+    """The sum of |coefficients| of a field scaled to a = 1e308 overflows;
+    the grid bound still admits it."""
+    field = make_sobolev_field(1.0, seed=7, amplitude_bound=1e308)
+    assert np.sum(np.abs(field.values) / 1e300) > np.finfo(float).max / 1e300
+    assert field.amplitude_bound == 1e308
+
+
 def test_the_amplitude_check_bounds_the_sup_between_its_grid_points():
     """The pair at frequency 2500 peaks between the points of a 20001-point
     grid: the check's grid grows with the top frequency, and the bound it
