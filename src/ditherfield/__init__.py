@@ -10,10 +10,8 @@ from .analysis import (ASTraceResult, BoundReport, ConsistencyReport,
 from .estimator import (EstimationError, EstimatorConfig, TruncationSchedule,
                         estimate_coefficients)
 from .fields import (FieldSpec, FiniteDimField, FourierBasis,
-                     PiecewiseConstantField, ReconstructionCoefficients,
-                     SawtoothField, m_term_error,
-                     make_bv_field, make_finite_dim_field, make_sobolev_field,
-                     true_coefficients)
+                     ReconstructionCoefficients, SawtoothField, m_term_error,
+                     make_finite_dim_field, make_sobolev_field, true_coefficients)
 from .harness import (ConfigValidationError, ExperimentConfig,
                       ExperimentOutcome, SuiteResult, load_experiment_config,
                       load_shipped_config, parse_experiment_config,

@@ -17,7 +17,7 @@ import numpy as np
 from . import spectral
 from .estimator import TruncationSchedule, add_sensors, finish_estimates
 from .fields import (FieldSpec, FourierBasis, FourierSums, ReconstructionCoefficients,
-                     as_count, as_real, m_term_error, make_bv_field, synthesize,
+                     as_count, as_real, m_term_error, synthesize,
                      true_coefficients)
 from .sensing import SENSORS_MAX, Deployment, Noise, dynamic_range, simulate_batch, stream_keys
 
@@ -348,31 +348,25 @@ class ScheduleValidation:
         return {**asdict(self), "accepted": self.accepted}
 
 
-def _shipped_field_menu() -> list[FieldSpec]:
-    return [make_bv_field("sawtooth"), make_bv_field("step"),
-            make_bv_field("staircase")]
-
-
 def validate_as_schedule(psi: float, gamma: float, deploy: Deployment,
-                         fields: Sequence[FieldSpec] | None = None) -> ScheduleValidation:
+                         fields: Sequence[FieldSpec]) -> ScheduleValidation:
     """Validate (m(n) = n^psi, envelope m^(gamma/2)) for pathwise convergence
     on the Fourier basis, and state the bounded-basis constants c1 =
-    beta^2/nu and c2 = a*beta, a the largest amplitude bound of `fields`
-    (default: the shipped BV menu). They hold with envelope m by the
-    triangle inequality alone, as |phi_j| = beta = 1, p_X >= nu and
-    |alpha_j| <= sup|f| <= a: the kernel sum_{j<m} |phi_j(x) conj phi_j(y)|
-    / p_X(y) is at most c1 * m, and |f_m| <= sum_{j<m} |alpha_j| <= c2 * m."""
+    beta^2/nu and c2 = a*beta, a the largest amplitude bound of `fields`.
+    They hold with envelope m by the triangle inequality alone, as |phi_j|
+    = beta = 1, p_X >= nu and |alpha_j| <= sup|f| <= a: the kernel
+    sum_{j<m} |phi_j(x) conj phi_j(y)| / p_X(y) is at most c1 * m, and
+    |f_m| <= sum_{j<m} |alpha_j| <= c2 * m."""
     psi, gamma = as_real(psi, "psi"), as_real(gamma, "gamma")
     if not 0.0 < psi < 1.0:
-        raise ValueError("growth exponent must lie in (0, 1)")
-    if fields is not None and len(fields) == 0:
-        raise ValueError("fields must hold at least one field, or be None for the shipped menu")
+        raise ValueError(f"psi must lie in (0, 1), got {psi!r}")
+    if len(fields) == 0:
+        raise ValueError("fields must hold at least one field")
     nu = float(deploy.infimum)
     c1 = c2 = None
     if nu > 0.0:
         beta = float(FourierBasis.bound)
-        menu = fields if fields is not None else _shipped_field_menu()
-        a = max(f.amplitude_bound for f in menu)
+        a = max(f.amplitude_bound for f in fields)
         c1 = beta * beta / nu
         c2 = a * beta  # * sqrt(vol([0,1])) == 1
     return ScheduleValidation(psi=psi, gamma=gamma, gamma_in_range=1.0 < gamma < 1.0 / psi,
@@ -424,7 +418,7 @@ def as_error_trace(field: FieldSpec, deploy: Deployment, noise: Noise,
     """
     psi = as_real(psi, "psi")
     if not 0.0 < psi < 1.0:
-        raise ValueError("growth exponent must lie in (0, 1)")
+        raise ValueError(f"psi must lie in (0, 1), got {psi!r}")
     checkpoints = tuple(as_count(n, "each n_checkpoints entry", 1, SENSORS_MAX)
                         for n in n_checkpoints)
     if any(b <= a for a, b in zip(checkpoints, checkpoints[1:])) or not checkpoints:
@@ -443,8 +437,6 @@ def as_error_trace(field: FieldSpec, deploy: Deployment, noise: Noise,
     interior = np.ones(grid.shape, dtype=bool)
     for pt in field.jump_points:
         interior &= np.abs(grid - pt) > JUMP_EXCLUSION_RADIUS
-    if not interior.any():
-        interior = np.ones(grid.shape, dtype=bool)
 
     totals = np.zeros(m_max, dtype=np.complex128)
     prev = 0

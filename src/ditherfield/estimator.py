@@ -95,7 +95,7 @@ class EstimatorConfig:
     def __post_init__(self):
         object.__setattr__(self, "c", as_real(self.c, "c"))
         if self.c <= 0.0:
-            raise ValueError("dynamic range must be positive")
+            raise ValueError(f"dynamic range c must be positive, got {self.c!r}")
 
 
 def _first(mask: np.ndarray) -> tuple:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable, ClassVar, Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
@@ -228,7 +228,8 @@ class FiniteDimField(FieldSpec):
 
 @dataclass(frozen=True)
 class SawtoothField(FieldSpec):
-    """f(x) = x - 1/2: continuous on [0,1], a jump under periodic extension."""
+    """f(x) = x - 1/2, the bounded-variation field: continuous on [0,1], a
+    jump under periodic extension."""
 
     kind: ClassVar[str] = "sawtooth"
     amplitude_bound: ClassVar[float] = 0.5
@@ -246,64 +247,6 @@ class SawtoothField(FieldSpec):
         return out
 
 
-@dataclass(frozen=True, eq=False)
-class PiecewiseConstantField(FieldSpec):
-    """Levels on consecutive intervals, NaN at a non-finite point: the step and staircase."""
-
-    edges: tuple[float, ...]
-    levels: tuple[float, ...]
-
-    kind: ClassVar[str] = "piecewise"
-
-    def __post_init__(self):
-        if len(self.edges) != len(self.levels) + 1:
-            raise ValueError("need len(edges) == len(levels) + 1")
-        for name in ("edges", "levels"):
-            object.__setattr__(self, name, tuple(as_real(v, f"each {name} entry")
-                                                 for v in getattr(self, name)))
-        if self.edges[0] != 0.0 or self.edges[-1] != 1.0:
-            raise ValueError("edges must span [0, 1]")
-        if any(b <= a for a, b in zip(self.edges, self.edges[1:])):
-            raise ValueError("edges must be strictly increasing")
-
-    @property
-    def amplitude_bound(self) -> float:
-        return max(abs(l) for l in self.levels)
-
-    @property
-    def norm_sq(self) -> float:
-        return sum(l * l * (b - a)
-                   for l, a, b in zip(self.levels, self.edges, self.edges[1:]))
-
-    @property
-    def jump_points(self) -> tuple[float, ...]:
-        pts = [e for e, l0, l1 in zip(self.edges[1:-1], self.levels, self.levels[1:])
-               if l0 != l1]
-        if self.levels[0] != self.levels[-1]:  # periodic-wrap jump
-            pts = [0.0] + pts + [1.0]
-        return tuple(pts)
-
-    def eval(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        idx = np.clip(np.searchsorted(self.edges, x, side="right") - 1,
-                      0, len(self.levels) - 1)
-        return np.where(np.isfinite(x), np.asarray(self.levels, dtype=float)[idx], np.nan)[()]
-
-    def fourier_coefficients(self, freqs: np.ndarray) -> np.ndarray:
-        w = np.asarray(freqs, dtype=float)
-        edges = np.asarray(self.edges)
-        levels = np.asarray(self.levels)
-        out = np.empty(w.shape, dtype=np.complex128)
-        zero = w == 0
-        out[zero] = np.sum(levels * np.diff(edges))
-        wn = w[~zero]
-        if wn.size:
-            # sum_q l_q * (E(e_{q+1}) - E(e_q)) / (-2*pi*i*w), E(t) = e^{-2*pi*i*w*t}
-            e = np.exp(-2j * np.pi * np.outer(wn, edges))
-            out[~zero] = (np.diff(e, axis=1) @ levels) / (-2j * np.pi * wn)
-        return out
-
-
 # ---------------------------------------------------------------------------
 # constructors / factories
 # ---------------------------------------------------------------------------
@@ -312,22 +255,6 @@ def make_finite_dim_field(coefficients: Sequence[complex],
                           amplitude_bound: float) -> FiniteDimField:
     """A `FiniteDimField`, built from the keyword names of its config section."""
     return FiniteDimField(values=coefficients, amplitude_bound=amplitude_bound)
-
-
-_BV_SHAPES: dict[str, Callable[[], FieldSpec]] = {
-    "sawtooth": SawtoothField,
-    "step": lambda: PiecewiseConstantField(edges=(0.0, 0.5, 1.0), levels=(0.0, 1.0)),
-    "staircase": lambda: PiecewiseConstantField(edges=(0.0, 0.25, 0.5, 0.75, 1.0),
-                                                levels=(-0.75, -0.25, 0.25, 0.75)),
-}
-
-
-def make_bv_field(shape: str) -> FieldSpec:
-    """One of the shipped bounded-variation shapes."""
-    if shape not in _BV_SHAPES:
-        raise ValueError(f"unknown bounded-variation shape {shape!r}; "
-                         f"expected one of {list(_BV_SHAPES)}")
-    return _BV_SHAPES[shape]()
 
 
 SOBOLEV_DECAY_MARGIN = 0.05   # excess decay keeping the smoothness energy finite
@@ -346,7 +273,7 @@ def make_sobolev_field(s: float, seed: int, amplitude_bound: float = 1.0,
     """
     s, amplitude_bound = as_real(s, "s"), as_real(amplitude_bound, "amplitude_bound")
     if s <= 0.5:
-        raise ValueError("smoothness order must be finite and exceed 1/2")
+        raise ValueError(f"smoothness order s must exceed 1/2, got {s!r}")
     n_freqs = as_count(n_freqs, "n_freqs", 1, SOBOLEV_FREQS_MAX)
     seed = as_count(seed, "seed", 0)
     rng = np.random.default_rng(seed)

@@ -27,9 +27,8 @@ from .analysis import (RATE_FIT_MIN_POINTS, ASTraceResult, RateFitResult,
                        map_trials, monte_carlo_mse, mse_upper_bound, rate_fit,
                        validate_as_schedule)
 from .estimator import TruncationSchedule
-from .fields import (FieldSpec, FourierBasis, as_count, as_real, make_bv_field,
-                     make_finite_dim_field, make_sobolev_field,
-                     true_coefficients)
+from .fields import (FieldSpec, FourierBasis, SawtoothField, as_count, as_real,
+                     make_finite_dim_field, make_sobolev_field, true_coefficients)
 from .sensing import (SEED_MAX, SENSORS_MAX, Deployment, Noise, UniformDeployment,
                       dynamic_range)
 
@@ -127,7 +126,7 @@ _SECTIONS: dict[object, tuple[str, str, dict[str, Callable]]] = {
     TruncationSchedule: ("schedule", "kind", {
         kind: getattr(TruncationSchedule, kind)
         for kind in ("fixed", "finite_dim", "bv", "sobolev", "power")}),
-    FieldSpec: ("field", "class", {"finite_dim": make_finite_dim_field, "bv": make_bv_field,
+    FieldSpec: ("field", "class", {"finite_dim": make_finite_dim_field, "bv": SawtoothField,
                                    "sobolev": make_sobolev_field}),
 }
 
@@ -505,7 +504,7 @@ def lemma_battery_menu() -> list[tuple[str, FieldSpec]]:
         [0.2, 0.15 + 0.1j, 0.15 - 0.1j, -0.1 + 0.05j, -0.1 - 0.05j],
         amplitude_bound=0.8)
     return [("finite_dim_k5", finite),
-            ("sawtooth", make_bv_field("sawtooth")),
+            ("sawtooth", SawtoothField()),
             ("sobolev_s1", make_sobolev_field(1.0, seed=7, n_freqs=32))]
 
 
@@ -628,7 +627,8 @@ def _run_conditions(out: Path, workers: int) -> dict:
                                       ("sobolev_s1", TruncationSchedule.sobolev(1.0)),
                                       ("power_psi1", TruncationSchedule.power(1.0)),
                                       ("fixed_m5", TruncationSchedule.fixed(5)))}
-    good, bad = (validate_as_schedule(0.5, gamma, uniform)
+    fields = [load_shipped_config(name).field for name in _RATE_CONFIGS]
+    good, bad = (validate_as_schedule(0.5, gamma, uniform, fields)
                  for gamma in (1.5, 2.5))
     affine = mismatch["mismatch_affine_floor"].config.deployment
     return {"mismatch": mismatch,

@@ -124,7 +124,7 @@ class AffineFloorDeployment:
     def __post_init__(self):
         object.__setattr__(self, "nu", as_real(self.nu, "nu"))
         if not 0.0 < self.nu <= 1.0:
-            raise ValueError("floor must lie in (0, 1]")
+            raise ValueError(f"nu must lie in (0, 1], got {self.nu!r}")
 
     @property
     def infimum(self) -> float:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ditherfield import (AffineFloorDeployment, FiniteDimField, FourierBasis,
-                         SensorBatch, UniformDeployment, m_term_error, make_bv_field,
+                         SawtoothField, SensorBatch, UniformDeployment, m_term_error,
                          make_finite_dim_field, make_sobolev_field, true_coefficients)
 from ditherfield import spectral
 from ditherfield.fields import FourierSums, frequencies
@@ -133,17 +133,7 @@ def finite_dim_k5():
 
 @pytest.fixture(scope="session")
 def sawtooth():
-    return make_bv_field("sawtooth")
-
-
-@pytest.fixture(scope="session")
-def step_field():
-    return make_bv_field("step")
-
-
-@pytest.fixture(scope="session")
-def staircase():
-    return make_bv_field("staircase")
+    return SawtoothField()
 
 
 @pytest.fixture(scope="session")
@@ -152,9 +142,8 @@ def sobolev_s1():
 
 
 @pytest.fixture(scope="session")
-def shipped_fields(finite_dim_k5, sawtooth, step_field, staircase, sobolev_s1):
-    return {"finite_dim_k5": finite_dim_k5, "sawtooth": sawtooth,
-            "step": step_field, "staircase": staircase, "sobolev_s1": sobolev_s1}
+def shipped_fields(finite_dim_k5, sawtooth, sobolev_s1):
+    return {"finite_dim_k5": finite_dim_k5, "sawtooth": sawtooth, "sobolev_s1": sobolev_s1}
 
 
 @pytest.fixture(scope="session")

@@ -163,11 +163,11 @@ ARTIFACT_SHA256 = {
             "b6433d269e69117c0baad5b246154b8c438d68a30d1a247b64ef7f88867c76ca",
         "finite_dim_k5_summary.txt":
             "9f9c1f5755cc2cfb04ad4719575fd8356713fdc8bd11572f0b557eb1d9d2d162",
-        "bv_sawtooth.csv": "5a50a09c6529327c94210ae2a1e44d7d03171617a3c0705363a37988d2bd49e6",
+        "bv_sawtooth.csv": "3b4a61eb36415a34f5959182d8bc7dc7cb32ab45c73a64fccb9f8f2ad601f467",
         "bv_sawtooth_report.json":
-            "60f692813d6843536d6777000f7080c4209d59cdfdaf8c1bc7f58b5de09722e0",
+            "e8d0ebb29d356df3858f40f5d8444869269173fd30bc63750187e38406656fbd",
         "bv_sawtooth_summary.txt":
-            "a30f36fbbecdbf0ac1e0daa1a03daae0a1b1787d797171930923cc80a3882ce2",
+            "c5c76699af2db260f352042980f0f43f76ce5614a47da5a55395e4f9ee627be9",
         "sobolev_s1.csv": "a72805a391789e4e5f09431b0c5e3396386cfe10cb9438fe745769eb28ad48e9",
         "sobolev_s1_report.json":
             "96517d43d10e2a3084973fef2ddef1c8d9e83c47759e5253f55b977032dbdcec",
@@ -185,15 +185,15 @@ ARTIFACT_SHA256 = {
         "mismatch_linear2x.csv":
             "9a29ff74269ce85aa68bce5ce7e2134fc7e98b89a05db006258f1d8982260c23",
         "mismatch_linear2x_report.json":
-            "3167c2ea9033238117e1ffc39361d60c5f7fb78dff4431c29b24e5d660fcc487",
+            "89c4c565d9e9e24607fb6af0949b40bafac1591b34c2c43545ebd600c712d03a",
         "mismatch_linear2x_summary.txt":
             "aa8f4a638cda6f2ace15fef45e0e83c99179bc89f3c3349f4cbdc64c5c3c5496",
         "mismatch_affine_floor.csv":
-            "06286521980e917d5feb2f8f61fa613234164b308b9082e9aae8695b7ac74a69",
+            "5d436ecfcf2bf5ba4025705c971f3ebe928a7bbb3cb59780359aa620a92b7612",
         "mismatch_affine_floor_report.json":
-            "d6414200cb1cdb7cf1c1d83e85e308a77d8d43f56ebcfb56e9629d3861f67207",
+            "5942fdf67ffad0d9a34b99f92407c23d8ab227dbe90c14f0fc7b49464142d54f",
         "mismatch_affine_floor_summary.txt":
-            "e5ba5c7c0c572db4343aaf44ba473b9ac2becff18dc765db9ac0464b5f55f524",
+            "7dd445efb2b5242fb792646140d9fa7ac0b9b9b034af604df1f60caeb59e7963",
         "conditions_report.json":
             "d06091647f058557784665227ec33438c881cbf79bf51680b89ab4047ddc9962",
         "conditions_summary.txt":
@@ -208,9 +208,9 @@ ARTIFACT_SHA256 = {
         "as_trace_sawtooth.csv":
             "9a29ff74269ce85aa68bce5ce7e2134fc7e98b89a05db006258f1d8982260c23",
         "as_trace_sawtooth_report.json":
-            "e0ed663e77ab8dc2394c0b7d6d5446b3be52179c82b34aec9c807ac4b7841479",
+            "d4a1679acdc0d762ba0555e11636b003727d50998f4d55e81f35a57f2974da35",
         "as_trace_sawtooth_summary.txt":
-            "1198a8238958527cdcd5186ec7a948dc3a3fe175f338eb34e360c5bff6f74214",
+            "e308a8ad65c7b2084ea8974a2503fc2e0e006dbf98f5fdcef12353a27cc8b0c2",
         "as_traces_report.json":
             "94c973db31ba61847e66ef09778d88baf00faeb80722734788133672b731bd00",
         "as_traces_summary.txt":
@@ -311,6 +311,15 @@ SWEEP_Z_MAX = 4.0
 # coefficient such as j = 0, so k = 6 is at least 4.24 sd: under normality
 # at most 2.2e-5 per row and 3.2e-3 over the 144 rows.
 VAR_RATIO_K = 6.0
+# The sum of dev_sigmas^2 over the 144 battery rows. With independent trials
+# each row's dev^2 has mean about 1, but the 8 rows of a cell share their
+# trials, so the null spread is simulated, not taken from chi^2: over 100
+# batteries, run_lemma_battery(trials=1000, seed=1000 + s, workers=2) for
+# s < 100, the sum read mean 143.1, sd 16.6 and at most 180.6. A scaled chi^2
+# with those two moments exceeds 220 with probability 2.8e-5 (2.2e-4 with the
+# sd 15% higher). Trials that share draws understate each sigma: with trials
+# 2k and 2k + 1 equal, the shipped battery reads 278.1 where it reads 163.6.
+BATTERY_DEV_SQ_MAX = 220.0
 
 
 @pytest.mark.parametrize("suite, name", [("rates", name) for name in harness._RATE_CONFIGS]
@@ -352,6 +361,17 @@ def test_each_battery_variance_matches_its_exact_value(lemma1):
     assert len(ratios) == 144
     worst = max(ratios, key=lambda r: abs(r - 1.0))
     assert abs(worst - 1.0) <= VAR_RATIO_K / math.sqrt(trials), worst
+
+
+def test_the_battery_deviations_disperse_as_independent_trials_do(lemma1):
+    """The battery's z-scores against their exact coefficients spread as
+    those of independent trials: criterion 5 bounds each one and the
+    exact-moment tests each mean and variance, and none of them sees trials
+    that share their draws."""
+    _, out, _ = lemma1
+    dev = [float(v) for v in _columns(out / "lemma1_cells.csv")["dev_sigmas"]]
+    assert len(dev) == 144
+    assert sum(d * d for d in dev) <= BATTERY_DEV_SQ_MAX
 
 
 @pytest.mark.parametrize("name", harness._TRACE_CONFIGS)

@@ -468,33 +468,33 @@ def test_rate_fit_input_validation():
 # pathwise-convergence machinery
 # ---------------------------------------------------------------------------
 
-def test_schedule_validation_accepts_and_rejects():
-    ok = validate_as_schedule(0.5, 1.5, UniformDeployment())
+def test_schedule_validation_accepts_and_rejects(sawtooth):
+    ok = validate_as_schedule(0.5, 1.5, UniformDeployment(), [sawtooth])
     assert ok.gamma_in_range and ok.accepted
     assert ok.series_exponent == pytest.approx(0.75)
-    bad = validate_as_schedule(0.5, 2.5, UniformDeployment())
+    bad = validate_as_schedule(0.5, 2.5, UniformDeployment(), [sawtooth])
     assert not bad.gamma_in_range and not bad.accepted
 
 
-def test_bounded_basis_route_constants():
-    val = validate_as_schedule(0.5, 1.5, UniformDeployment())
+def test_bounded_basis_route_constants(shipped_fields):
+    val = validate_as_schedule(0.5, 1.5, UniformDeployment(), list(shipped_fields.values()))
     assert val.c1 == pytest.approx(1.0)  # beta^2 / nu with beta = nu = 1
-    assert val.c2 == pytest.approx(1.0)  # a * beta * sqrt(vol) with a = 1
+    assert val.c2 == pytest.approx(1.0)  # a * beta * sqrt(vol), a = 1 of sobolev_s1
 
 
 @pytest.mark.parametrize("m", [2, 16, 128])
-def test_the_stated_constants_bound_the_dense_kernel_and_projections(m):
+def test_the_stated_constants_bound_the_dense_kernel_and_projections(m, shipped_fields):
     """The dense sums of phi_j(x) conj phi_j(y) / p_X(y) and alpha_j phi_j(x)
     over j < m stay within c1 * m and c2 * m, and the kernel attains c1 * m
     on the diagonal where p_X = nu."""
     deploy = AffineFloorDeployment(nu=0.5)
-    val = validate_as_schedule(0.5, 1.5, deploy)
+    val = validate_as_schedule(0.5, 1.5, deploy, list(shipped_fields.values()))
     assert (val.c1, val.c2) == (2.0, 1.0)
     xg = np.linspace(0.0, 1.0, 193)
     phi = np.column_stack([fourier_eval(j, xg) for j in range(m)])
     kernel = np.abs(phi @ phi.conj().T) / np.asarray(deploy.pdf(xg))[None, :]
     assert kernel.max() == pytest.approx(val.c1 * m, rel=1e-12)
-    for f in analysis._shipped_field_menu():
+    for f in shipped_fields.values():
         assert np.abs(phi @ true_coefficients(f, m).values).max() <= val.c2 * m
 
 
@@ -506,7 +506,7 @@ def test_the_projection_constant_takes_the_largest_amplitude_bound_of_its_fields
 
 
 def test_unbounded_weights_disable_the_bounded_route():
-    val = validate_as_schedule(0.5, 1.5, Linear2xDeployment())
+    val = validate_as_schedule(0.5, 1.5, Linear2xDeployment(), [zero_field()])
     assert val.c1 is None and not val.accepted
 
 
@@ -537,17 +537,11 @@ def test_trace_checkpoints_equal_the_whole_path_estimates():
             assert trace.sup_error[i] == pytest.approx(sup, rel=1e-12), n
 
 
-def test_interior_sup_excludes_jump_neighborhoods(step_field):
-    trace = as_error_trace(step_field, UniformDeployment(), UniformSymNoise(b=0.5),
-                           psi=0.4, seed=29, n_checkpoints=(2000, 200_000))
-    # the jump at 1/2 keeps the full-grid estimate error from collapsing,
-    # while the interior view improves along the path
-    assert trace.sup_estimate_error_interior[-1] < trace.sup_estimate_error[-1]
-    assert trace.sup_estimate_error_interior[-1] < trace.sup_estimate_error_interior[0]
-
-
 def test_sawtooth_pointwise_view_improves_away_from_the_wrap_jump(sawtooth):
     trace = as_error_trace(sawtooth, UniformDeployment(), UniformSymNoise(b=0.5),
                            psi=0.3, seed=37, n_checkpoints=(1000, 1_000_000))
+    # the wrap jump at 0/1 keeps the full-grid estimate error from
+    # collapsing, while the interior view improves along the path
+    assert trace.sup_estimate_error_interior[-1] < trace.sup_estimate_error[-1]
     assert trace.sup_estimate_error_interior[-1] < \
         trace.sup_estimate_error_interior[0]

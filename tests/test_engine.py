@@ -10,12 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ditherfield import (AffineFloorDeployment, EstimationError, EstimatorConfig,
-                         FourierBasis, Linear2xDeployment, SensorBatch,
+                         FourierBasis, Linear2xDeployment, SawtoothField, SensorBatch,
                          TruncationSchedule, TwoPointNoise, UniformDeployment,
                          UniformSymNoise, ZeroNoise, estimate_coefficients,
-                         make_bv_field, make_finite_dim_field,
-                         make_sobolev_field, simulate_batch, stream_keys,
-                         trial_seed)
+                         make_finite_dim_field, make_sobolev_field, simulate_batch,
+                         stream_keys, trial_seed)
 from ditherfield import analysis, sensing, spectral
 from ditherfield.analysis import TrialCell, as_error_trace
 from ditherfield.harness import load_shipped_config, run_lemma_battery
@@ -32,8 +31,7 @@ DEPLOYMENT_IDS = ["uniform", "linear_2x", "affine_floor", "affine_floor_flat"]
 NOISES = [ZeroNoise(), UniformSymNoise(b=1.0), TwoPointNoise(b=0.7)]
 FIELDS = {"finite_dim": make_finite_dim_field(SHIPPED_K5_COEFFS, amplitude_bound=0.8),
           "sobolev": make_sobolev_field(1.0, seed=7),
-          "sawtooth": make_bv_field("sawtooth"),
-          "piecewise": make_bv_field("staircase")}
+          "sawtooth": SawtoothField()}
 # 1 and 7 sensors make blocks of thousands of trials, 20000 a block of one;
 # with m = 64 (frequencies up to 32) the type-1 sum is direct up to n = 1000
 # and gridded at n = 20000
@@ -285,7 +283,7 @@ def test_tiled_rows_equal_the_one_trial_oracle(n, m, gridded):
     seed, trials = 616, 2
     for field, deploy, noise in [(FIELDS["sobolev"], AffineFloorDeployment(nu=0.5),
                                   UniformSymNoise(b=1.0)),
-                                 (FIELDS["piecewise"], UniformDeployment(), TwoPointNoise(b=0.7))]:
+                                 (FIELDS["sawtooth"], UniformDeployment(), TwoPointNoise(b=0.7))]:
         cell = cell_for(field, deploy, noise, n, trials, m)
         rows = collect_trials([cell], seed)[0]
         for t in range(trials):
@@ -369,7 +367,7 @@ def test_running_sums_take_whole_blocks_and_every_point(gridded):
 def test_a_tiled_trial_holds_no_row_of_all_its_sensors():
     """One n = 262144 cell of the bv sweep (m = 512) keeps its traced
     memory to a few tiles: full-row arrays take about 16 MB."""
-    field, deploy, noise = make_bv_field("sawtooth"), UniformDeployment(), UniformSymNoise(b=1.0)
+    field, deploy, noise = SawtoothField(), UniformDeployment(), UniformSymNoise(b=1.0)
     n = 1 << 18
     m = TruncationSchedule.bv().resolve(n)
     assert m == 512

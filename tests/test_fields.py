@@ -7,23 +7,19 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from ditherfield import (ConfigValidationError, FiniteDimField, FourierBasis,
-                         PiecewiseConstantField,
-                         m_term_error, make_bv_field, make_finite_dim_field,
-                         make_sobolev_field, parse_experiment_config,
-                         true_coefficients)
+                         m_term_error, make_finite_dim_field, make_sobolev_field,
+                         parse_experiment_config, true_coefficients)
 from ditherfield.fields import frequencies, synthesize
 from ditherfield.spectral import series
 
 from conftest import HIGH_PAIR, SHIPPED_K5_COEFFS, fourier_eval, midpoint_grid, zero_field
 
-# a coefficient horizon that holds all but 1e-4 of every shipped shape's
+# a coefficient horizon that holds all but 1e-4 of every shipped field's
 # energy (the sawtooth is the binding case)
 J_TAIL = 16384
 
 # oracle values from independent Gauss-Kronrod quadrature at 1e-12
 SAWTOOTH_ALPHA_2 = 0.15915494309189535j          # <x - 1/2, e^{2 pi i x}>
-STEP_ALPHA_2 = 0.3183098861837907j               # unit step at 1/2
-STAIRCASE_ALPHA_3 = -0.15915494309189535j
 LN3 = 1.0986122886681098
 
 
@@ -107,16 +103,6 @@ def test_sawtooth_coefficient_against_quadrature_oracle(sawtooth):
     assert cv.values[0] == pytest.approx(0.0, abs=1e-12)
 
 
-def test_step_and_staircase_coefficients(step_field, staircase):
-    cv = true_coefficients(step_field, 6)
-    assert cv.values[0] == pytest.approx(0.5, abs=1e-12)
-    assert cv.values[2] == pytest.approx(STEP_ALPHA_2, abs=1e-12)
-    assert cv.values[4] == pytest.approx(0.0, abs=1e-12)  # even frequencies vanish
-    cv2 = true_coefficients(staircase, 6)
-    assert cv2.values[0] == pytest.approx(0.0, abs=1e-12)
-    assert cv2.values[3] == pytest.approx(STAIRCASE_ALPHA_3, abs=1e-12)
-
-
 def test_conjugate_pairing_for_real_fields(shipped_fields):
     for field in shipped_fields.values():
         cv = true_coefficients(field, 12)
@@ -160,15 +146,13 @@ def test_error_sequence_full_energy_at_zero_and_nonincreasing(sawtooth):
     assert errors[-1] < 1e-4
 
 
-def test_bv_tail_scales_like_one_over_m(sawtooth, step_field, staircase):
+def test_bv_tail_scales_like_one_over_m(sawtooth):
     # the tail-bound constant is a fit, never pinned: assert boundedness only
     ms = np.array([4, 8, 16, 32, 64, 128, 256, 512])
-    for field in (sawtooth, step_field, staircase):
-        cv = true_coefficients(field, 512)
-        scaled = [m * m_term_error(cv, field, m) for m in ms]
-        sigma = max(scaled)
-        assert sigma < 10.0 * field.norm_sq
-        assert scaled[-1] < 2.0 * scaled[0] + 1e-12
+    cv = true_coefficients(sawtooth, 512)
+    scaled = [m * m_term_error(cv, sawtooth, m) for m in ms]
+    assert max(scaled) < 10.0 * sawtooth.norm_sq
+    assert scaled[-1] < 2.0 * scaled[0] + 1e-12
 
 
 def test_sobolev_tail_scales_like_m_to_minus_2s():
@@ -228,37 +212,6 @@ def test_amplitude_bound_must_be_finite(bad):
         FiniteDimField([0.1], bad)
     with pytest.raises(ValueError, match="^amplitude_bound must be a finite number, got"):
         make_sobolev_field(1.0, seed=1, amplitude_bound=bad)
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-@pytest.mark.parametrize("which", ["edges", "levels"])
-def test_piecewise_field_rejects_non_finite_edges_or_levels(which, bad):
-    doc = {"edges": [0.0, 0.25, 0.5, 1.0], "levels": [0.1, -0.2, 0.3]}
-    doc[which][1] = bad
-    with pytest.raises(ValueError, match=rf"^each {which} entry must be a finite number, "
-                                         rf"got {bad!r}$"):
-        PiecewiseConstantField(edges=tuple(doc["edges"]), levels=tuple(doc["levels"]))
-
-
-@pytest.mark.parametrize("shape", ["step", "staircase"])
-def test_piecewise_field_reads_nan_off_the_finite_points(shape):
-    """A NaN or infinite point read the first or last level (the step gave
-    [1, 1, 0] at [nan, inf, -inf]); it reads NaN, as a Fourier field does."""
-    field = make_bv_field(shape)
-    got = field.eval(np.array([np.nan, np.inf, -np.inf, 0.25, 1.0]))
-    assert np.isnan(got[:3]).all()
-    assert np.array_equal(got[3:], [field.eval(0.25), field.levels[-1]])
-    assert np.isnan(field.eval(np.nan))
-    assert np.isnan(make_finite_dim_field([0.5], 1.0).eval(np.inf))
-
-
-def test_piecewise_field_holds_its_edges_and_levels_as_floats():
-    """Ints and numpy reals are read as Python floats, so the amplitude
-    bound is a float too."""
-    field = PiecewiseConstantField(edges=(0, np.float32(0.5), 1), levels=(np.int64(-2), 1))
-    assert field.edges == (0.0, 0.5, 1.0) and field.levels == (-2.0, 1.0)
-    assert all(type(v) is float for v in field.edges + field.levels)
-    assert type(field.amplitude_bound) is float and field.amplitude_bound == 2.0
 
 
 def test_finite_dim_rejects_broken_conjugate_pairs():
@@ -333,14 +286,12 @@ def field_from_document(doc):
 
 # field documents of the kinds that no shipped config or parser test reads
 @pytest.mark.parametrize("doc, field", [
-    ({"class": "bv", "shape": "step"}, make_bv_field("step")),
-    ({"class": "bv", "shape": "staircase"}, make_bv_field("staircase")),
     ({"class": "sobolev", "s": 1.0, "seed": 7, "n_freqs": 32},
      make_sobolev_field(1.0, seed=7, n_freqs=32)),
     ({"class": "finite_dim", "coefficients": [[0.2, 0.0], [0.1, 0.1], [0.1, -0.1]],
       "amplitude_bound": 1.0},
      make_finite_dim_field([0.2, 0.1 + 0.1j, 0.1 - 0.1j], amplitude_bound=1.0))],
-    ids=["step", "staircase", "sobolev_n_freqs", "finite_dim_no_basis"])
+    ids=["sobolev_n_freqs", "finite_dim_no_basis"])
 def test_field_documents_build_their_fields(doc, field):
     """A finite_dim document, which names no basis, builds on the Fourier basis."""
     x = np.linspace(0.0, 1.0, 501)
@@ -353,7 +304,7 @@ def test_field_documents_build_their_fields(doc, field):
 
 @pytest.mark.parametrize("doc, extra", [
     ({"class": "sobolev", "s": 1, "seed": 7, "n_freq": 16}, "n_freq"),
-    ({"class": "bv", "shape": "sawtooth", "scale": 2.0}, "scale"),
+    ({"class": "bv", "scale": 2.0}, "scale"),
     ({"class": "finite_dim", "coefficients": [[0.5, 0.0]], "amplitude_bound": 1.0,
       "k": 1}, "k")],
     ids=["sobolev_n_freq", "bv_scale", "finite_dim_k"])
@@ -364,22 +315,15 @@ def test_a_field_document_takes_only_its_class_keys(doc, extra):
         field_from_document(doc)
 
 
-@pytest.mark.parametrize("shape", ["sawtooth", "step", "staircase"])
 @pytest.mark.parametrize("custom", [{"edges": [0, 0.3, 1], "levels": [0, 1]},
                                     {"edges": [0, 0.3, 1]}, {"levels": [0, 1]}],
                          ids=["both", "edges", "levels"])
-def test_a_shipped_shape_takes_no_edges_or_levels(shape, custom):
-    """The step shape with its own edges used to build the shipped step at 1/2."""
-    with pytest.raises(ConfigValidationError,
-                       match=r"field\.(edges|levels): unexpected key; bv field takes "
-                             r"\['class', 'shape'\]"):
-        field_from_document({"class": "bv", "shape": shape, **custom})
-
-
-def test_an_unknown_shape_names_the_shipped_shapes():
-    with pytest.raises(ValueError, match=r"unknown bounded-variation shape 'piecewise'; "
-                                         r"expected one of \['sawtooth', 'step', 'staircase'\]"):
-        make_bv_field("piecewise")
+def test_a_bv_field_takes_no_edges_or_levels(custom):
+    """The bv field is the sawtooth: a piecewise field's edges and levels are no keys of it."""
+    with pytest.raises(ConfigValidationError) as err:
+        field_from_document({"class": "bv", **custom})
+    assert err.value.problems == [f"field.{key}: unexpected key; bv field takes ['class']"
+                                  for key in custom]
 
 
 # ---------------------------------------------------------------------------

@@ -10,12 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ditherfield import (AffineFloorDeployment, EstimatorConfig, FieldSpec,
-                         FiniteDimField, FourierBasis, PiecewiseConstantField,
+                         FiniteDimField, FourierBasis, SawtoothField,
                          SensorBatch, TruncationSchedule,
                          TwoPointNoise, UniformDeployment, UniformSymNoise,
                          ZeroNoise, as_error_trace, check_consistency_conditions,
                          estimate_coefficients, integrated_squared_error,
-                         m_term_error, make_bv_field, make_finite_dim_field,
+                         m_term_error, make_finite_dim_field,
                          make_sobolev_field, monte_carlo_mse, mse_upper_bound,
                          rate_fit, run_lemma_battery, run_suite,
                          simulate_batch, stream_keys, trial_seed,
@@ -26,7 +26,7 @@ from ditherfield.spectral import ConjSums
 
 from conftest import HIGH_PAIR
 
-SAWTOOTH = make_bv_field("sawtooth")
+SAWTOOTH = SawtoothField()
 UNIFORM, FOURIER = UniformDeployment(), FourierBasis()
 BATCH = simulate_batch(SAWTOOTH, UNIFORM, ZeroNoise(), 8, 1)
 CFG = EstimatorConfig(basis=FOURIER, density=UNIFORM, c=BATCH.c,
@@ -113,7 +113,7 @@ GUARDS = [
      lambda: make_finite_dim_field(HIGH_PAIR, amplitude_bound=0.93), ValueError,
      "field may exceed its amplitude bound: sup|f| is up to 1 > a = 0.93"),
     ("sobolev_smoothness", lambda: make_sobolev_field(0.5, seed=1), ValueError,
-     "smoothness order must be finite and exceed 1/2"),
+     "smoothness order s must exceed 1/2, got 0.5"),
     ("sobolev_no_frequency", lambda: make_sobolev_field(1.0, seed=1, n_freqs=0), ValueError,
      "n_freqs must be an integer in [1, 8192], got 0"),
     ("sobolev_bool_smoothness", lambda: make_sobolev_field(True, 7), ValueError,
@@ -129,19 +129,6 @@ GUARDS = [
     ("sobolev_negative_amplitude",
      lambda: make_sobolev_field(1.0, seed=7, amplitude_bound=-1.0, n_freqs=2), ValueError,
      "amplitude_bound must be positive, got -1.0"),
-    ("edges_levels_count", lambda: PiecewiseConstantField(edges=(0.0, 1.0), levels=(1.0, 2.0)),
-     ValueError, "need len(edges) == len(levels) + 1"),
-    ("edges_span", lambda: PiecewiseConstantField(edges=(0.1, 1.0), levels=(1.0,)),
-     ValueError, "edges must span [0, 1]"),
-    ("edges_increasing", lambda: PiecewiseConstantField(edges=(0.0, 0.5, 0.5, 1.0),
-                                                        levels=(1.0, 2.0, 3.0)),
-     ValueError, "edges must be strictly increasing"),
-    ("edges_nan", lambda: PiecewiseConstantField(edges=(0.0, np.nan, 1.0), levels=(1.0, 2.0)),
-     ValueError, "each edges entry must be a finite number, got nan"),
-    ("levels_bool", lambda: PiecewiseConstantField(edges=(0.0, 0.5, 1.0), levels=(True, 1.0)),
-     ValueError, "each levels entry must be a finite number, got True"),
-    ("levels_string", lambda: PiecewiseConstantField(edges=(0.0, 0.5, 1.0), levels=("a", 1.0)),
-     ValueError, "each levels entry must be a finite number, got 'a'"),
     ("true_count_zero", lambda: true_coefficients(SAWTOOTH, 0), ValueError,
      "count must be an integer >= 1, got 0"),
     ("true_count_fraction", lambda: true_coefficients(SAWTOOTH, 2.5), ValueError,
@@ -191,7 +178,7 @@ GUARDS = [
      f"n {TO_SENSORS_MAX}, got {2 ** 1100}"),
     ("range_zero", lambda: EstimatorConfig(basis=FOURIER, density=UNIFORM, c=0.0,
                                            schedule=TruncationSchedule.bv()), ValueError,
-     "dynamic range must be positive"),
+     "dynamic range c must be positive, got 0.0"),
     ("range_nan", lambda: EstimatorConfig(basis=FOURIER, density=UNIFORM, c=float("nan"),
                                           schedule=TruncationSchedule.bv()), ValueError,
      "c must be a finite number, got nan"),
@@ -294,14 +281,15 @@ GUARDS = [
      lambda: monte_carlo_mse(SAWTOOTH, UNIFORM, ZeroNoise(), TruncationSchedule.bv(),
                              [10], 2, seed=1, workers=True), ValueError,
      "workers must be an integer in [1, 64], got True"),
-    ("schedule_psi", lambda: validate_as_schedule(1.0, 1.5, UNIFORM), ValueError,
-     "growth exponent must lie in (0, 1)"),
-    ("schedule_bool_gamma", lambda: validate_as_schedule(0.5, True, UNIFORM), ValueError,
+    ("schedule_psi", lambda: validate_as_schedule(1.0, 1.5, UNIFORM, [SAWTOOTH]), ValueError,
+     "psi must lie in (0, 1), got 1.0"),
+    ("schedule_bool_gamma", lambda: validate_as_schedule(0.5, True, UNIFORM, [SAWTOOTH]),
+     ValueError,
      "gamma must be a finite number, got True"),
     ("schedule_no_field", lambda: validate_as_schedule(0.5, 1.5, UNIFORM, fields=[]), ValueError,
      "fields must hold at least one field"),
     ("trace_psi", lambda: as_error_trace(SAWTOOTH, UNIFORM, ZeroNoise(), 1.0, 1, [10]),
-     ValueError, "growth exponent must lie in (0, 1)"),
+     ValueError, "psi must lie in (0, 1), got 1.0"),
     ("trace_no_checkpoint", lambda: as_error_trace(SAWTOOTH, UNIFORM, ZeroNoise(), 0.5, 1, []),
      ValueError, "checkpoints must be strictly increasing and nonempty"),
     ("trace_fractional_checkpoint",
@@ -461,10 +449,6 @@ REAL_ARGUMENTS = [
     ("AffineFloorDeployment.nu", "nu", 0.5, lambda v: AffineFloorDeployment(nu=v)),
     ("UniformSymNoise.b", "b", 1.0, lambda v: UniformSymNoise(b=v)),
     ("TwoPointNoise.b", "b", 2.0, lambda v: TwoPointNoise(b=v)),
-    ("PiecewiseConstantField.edges", "each edges entry", 0.5,
-     lambda v: PiecewiseConstantField(edges=(0.0, v, 1.0), levels=(1.0, 2.0))),
-    ("PiecewiseConstantField.levels", "each levels entry", 2.0,
-     lambda v: PiecewiseConstantField(edges=(0.0, 0.5, 1.0), levels=(1.0, v))),
     ("FiniteDimField.amplitude_bound", "amplitude_bound", 1.0,
      lambda v: FiniteDimField(values=np.array([0.5]), amplitude_bound=v)),
     ("make_finite_dim_field.amplitude_bound", "amplitude_bound", 1.0,
@@ -475,9 +459,10 @@ REAL_ARGUMENTS = [
     ("EstimatorConfig.c", "c", 1.5,
      lambda v: EstimatorConfig(basis=FOURIER, density=UNIFORM, c=v, schedule=BV)),
     ("mse_upper_bound.c", "c", 1.5, lambda v: mse_upper_bound(SAWTOOTH, UNIFORM, 10, 3, v)),
-    ("validate_as_schedule.psi", "psi", 0.5, lambda v: validate_as_schedule(v, 1.5, UNIFORM)),
+    ("validate_as_schedule.psi", "psi", 0.5,
+     lambda v: validate_as_schedule(v, 1.5, UNIFORM, [SAWTOOTH])),
     ("validate_as_schedule.gamma", "gamma", 3.0,
-     lambda v: validate_as_schedule(0.5, v, UNIFORM)),
+     lambda v: validate_as_schedule(0.5, v, UNIFORM, [SAWTOOTH])),
     ("as_error_trace.psi", "psi", 0.5,
      lambda v: as_error_trace(SAWTOOTH, UNIFORM, ZeroNoise(), v, 1, [4, 8]).to_json()),
 ]

@@ -29,7 +29,7 @@ from conftest import collect_trials
 
 MINI_CONFIG = {
     "experiment_id": "mini",
-    "field": {"class": "bv", "shape": "sawtooth"},
+    "field": {"class": "bv"},
     "deployment": {"kind": "uniform"},
     "noise": {"kind": "uniform_sym", "b": 1.0},
     "schedule": {"kind": "bv"},
@@ -666,15 +666,21 @@ def test_a_named_basis_fails_at_the_boundary(tmp_path, capsys, doc, sections):
     (dict(MINI_CONFIG, noise={"kind": "trunc_gauss", "sigma": 0.5, "b": 1.0}),
      ["noise.kind: unknown noise kind 'trunc_gauss'; "
       "expected one of ['zero', 'uniform_sym', 'two_point']"]),
+    *[(dict(MINI_CONFIG, field={"class": "bv", "shape": shape}),
+       ["field.shape: unexpected key; bv field takes ['class']"])
+      for shape in ("sawtooth", "step", "staircase")],
     (dict(MINI_CONFIG, field={"class": "bv", "shape": "piecewise", "edges": [0.0, 0.25, 1.0],
                               "levels": [0.5, -0.25]}),
-     ["field.edges: unexpected key; bv field takes ['class', 'shape']",
-      "field.levels: unexpected key; bv field takes ['class', 'shape']"])],
-    ids=["tabulated_deployment", "trunc_gauss_noise", "bv_edges_levels"])
+     [f"field.{key}: unexpected key; bv field takes ['class']"
+      for key in ("shape", "edges", "levels")])],
+    ids=["tabulated_deployment", "trunc_gauss_noise", "bv_shape_sawtooth", "bv_shape_step",
+         "bv_shape_staircase", "bv_edges_levels"])
 def test_a_removed_input_fails_at_the_boundary(tmp_path, capsys, doc, problems):
-    """The tabulated density, the truncated-Gaussian noise and the custom
-    piecewise field are gone: a document that names one is a config error
-    naming what is left, and `run` exits 2 before any file is written."""
+    """The tabulated density, the truncated-Gaussian noise, the step and
+    staircase shapes and the custom piecewise field are gone, and the bv
+    field is the sawtooth, which names no shape: a document that names one
+    is a config error naming what is left, and `run` exits 2 before any
+    file is written."""
     fails_at_the_boundary(tmp_path, capsys, doc, problems)
 
 
@@ -728,8 +734,10 @@ def test_each_deployment_and_noise_kind_parses_to_its_input(key, doc, built):
 
 
 @pytest.mark.parametrize("key, doc, problem", [
-    ("deployment", {"kind": "affine_floor", "nu": 0.0}, "deployment: floor must lie in (0, 1]"),
-    ("deployment", {"kind": "affine_floor", "nu": 1.5}, "deployment: floor must lie in (0, 1]"),
+    ("deployment", {"kind": "affine_floor", "nu": 0.0},
+     "deployment: nu must lie in (0, 1], got 0.0"),
+    ("deployment", {"kind": "affine_floor", "nu": 1.5},
+     "deployment: nu must lie in (0, 1], got 1.5"),
     ("noise", {"kind": "uniform_sym", "b": 0.0}, "noise: noise bound b must be positive, got 0.0"),
     ("noise", {"kind": "two_point", "b": -1.0}, "noise: noise bound b must be positive, got -1.0"),
     ("field", {"class": "finite_dim", "coefficients": [[0.1, 0.0]], "amplitude_bound": -1.0},

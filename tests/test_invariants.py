@@ -12,8 +12,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ditherfield import (AffineFloorDeployment, EstimatorConfig, FourierBasis,
-                         TruncationSchedule, TwoPointNoise, UniformDeployment,
-                         UniformSymNoise, estimate_coefficients, make_bv_field,
+                         SawtoothField, TruncationSchedule, TwoPointNoise,
+                         UniformDeployment, UniformSymNoise, estimate_coefficients,
                          make_sobolev_field, simulate_batch, stream_keys)
 from ditherfield import analysis, spectral
 from ditherfield.analysis import TrialCell, as_error_trace, map_trials
@@ -25,7 +25,7 @@ from conftest import basis_sums, collect_trials, reference_batch
 BLOCK = 64
 INGREDIENTS = [(make_sobolev_field(1.0, seed=7, n_freqs=32), AffineFloorDeployment(nu=0.5),
                 UniformSymNoise(b=1.0)),
-               (make_bv_field("staircase"), UniformDeployment(), TwoPointNoise(b=0.7))]
+               (SawtoothField(), UniformDeployment(), TwoPointNoise(b=0.7))]
 
 
 @given(ingredients=st.sampled_from(INGREDIENTS),

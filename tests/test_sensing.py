@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -65,7 +67,8 @@ def test_affine_floor_requires_positive_floor():
 def test_affine_floor_must_lie_in_the_unit_interval(nu):
     """A floor above 1 would give a negative density at the right edge; a
     non-finite floor fails the real rule before the range is tested."""
-    message = r"floor must lie in \(0, 1\]" if np.isfinite(nu) else "^nu must be a finite number"
+    message = (rf"^nu must lie in \(0, 1\], got {re.escape(repr(float(nu)))}$" if np.isfinite(nu)
+               else "^nu must be a finite number")
     with pytest.raises(ValueError, match=message):
         AffineFloorDeployment(nu=nu)
 
