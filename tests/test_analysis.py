@@ -537,6 +537,17 @@ def test_trace_checkpoints_equal_the_whole_path_estimates():
             assert trace.sup_error[i] == pytest.approx(sup, rel=1e-12), n
 
 
+def test_interior_sup_excludes_jump_neighborhoods(sawtooth):
+    trace = as_error_trace(sawtooth, UniformDeployment(), UniformSymNoise(b=0.5),
+                           psi=0.4, seed=29, n_checkpoints=(2000, 200_000))
+    # the interior view is a part of the grid, and past the first checkpoint
+    # the wrap jump at 0/1 holds the full-grid error near |f(0) - f_m(0)| = 1/2
+    assert all(i <= f for i, f in zip(trace.sup_estimate_error_interior,
+                                      trace.sup_estimate_error))
+    assert trace.sup_estimate_error[-1] > 0.4
+    assert trace.sup_estimate_error_interior[-1] < 0.5 * trace.sup_estimate_error[-1]
+
+
 def test_sawtooth_pointwise_view_improves_away_from_the_wrap_jump(sawtooth):
     trace = as_error_trace(sawtooth, UniformDeployment(), UniformSymNoise(b=0.5),
                            psi=0.3, seed=37, n_checkpoints=(1000, 1_000_000))

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import polygamma
 
 from ditherfield import (ConfigValidationError, FiniteDimField, FourierBasis,
-                         m_term_error, make_finite_dim_field, make_sobolev_field,
+                         SawtoothField, m_term_error, make_finite_dim_field, make_sobolev_field,
                          parse_experiment_config, true_coefficients)
 from ditherfield.fields import frequencies, synthesize
 from ditherfield.spectral import series
@@ -103,6 +104,17 @@ def test_sawtooth_coefficient_against_quadrature_oracle(sawtooth):
     assert cv.values[0] == pytest.approx(0.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("j", [3, 4, 9, 64])
+def test_sawtooth_coefficients_against_weighted_quadrature(sawtooth, j):
+    """alpha_j = <x - 1/2, e^{2 pi i w x}> at the signed frequency w of phi_j,
+    by QUADPACK's Fourier-weighted rule, past the indices the pinned oracle covers."""
+    w = 2.0 * np.pi * frequencies(j + 1)[j]
+    re_part = quad(sawtooth.eval, 0.0, 1.0, weight="cos", wvar=w, epsabs=1e-13)[0]
+    im_part = -quad(sawtooth.eval, 0.0, 1.0, weight="sin", wvar=w, epsabs=1e-13)[0]
+    assert true_coefficients(sawtooth, j + 1).values[j] == pytest.approx(
+        complex(re_part, im_part), abs=1e-12)
+
+
 def test_conjugate_pairing_for_real_fields(shipped_fields):
     for field in shipped_fields.values():
         cv = true_coefficients(field, 12)
@@ -153,6 +165,19 @@ def test_bv_tail_scales_like_one_over_m(sawtooth):
     scaled = [m * m_term_error(cv, sawtooth, m) for m in ms]
     assert max(scaled) < 10.0 * sawtooth.norm_sq
     assert scaled[-1] < 2.0 * scaled[0] + 1e-12
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 16, 17, 1000])
+def test_sawtooth_tail_is_the_trigamma_sum(sawtooth, m):
+    """Past the first m coefficients the sawtooth keeps sum 1/(4 pi^2 w^2)
+    over its dropped frequencies: psi_1(K + 1) / (2 pi^2) for |w| > K = m // 2,
+    plus the lone +K of an even m."""
+    k = m // 2
+    tail = polygamma(1, k + 1) / (2.0 * np.pi ** 2)
+    if m % 2 == 0:
+        tail += 1.0 / (4.0 * np.pi ** 2 * k ** 2)
+    cv = true_coefficients(sawtooth, m)
+    assert m_term_error(cv, sawtooth, m) == pytest.approx(tail, rel=1e-10)
 
 
 def test_sobolev_tail_scales_like_m_to_minus_2s():
@@ -284,14 +309,16 @@ def field_from_document(doc):
         "n_grid": [16], "trials": 2, "seed": 0}).field
 
 
-# field documents of the kinds that no shipped config or parser test reads
+# field documents and the fields they build; the bv document is the shipped
+# sawtooth's, the others no shipped config or parser test reads
 @pytest.mark.parametrize("doc, field", [
+    ({"class": "bv"}, SawtoothField()),
     ({"class": "sobolev", "s": 1.0, "seed": 7, "n_freqs": 32},
      make_sobolev_field(1.0, seed=7, n_freqs=32)),
     ({"class": "finite_dim", "coefficients": [[0.2, 0.0], [0.1, 0.1], [0.1, -0.1]],
       "amplitude_bound": 1.0},
      make_finite_dim_field([0.2, 0.1 + 0.1j, 0.1 - 0.1j], amplitude_bound=1.0))],
-    ids=["sobolev_n_freqs", "finite_dim_no_basis"])
+    ids=["bv", "sobolev_n_freqs", "finite_dim_no_basis"])
 def test_field_documents_build_their_fields(doc, field):
     """A finite_dim document, which names no basis, builds on the Fourier basis."""
     x = np.linspace(0.0, 1.0, 501)
@@ -324,6 +351,19 @@ def test_a_bv_field_takes_no_edges_or_levels(custom):
         field_from_document({"class": "bv", **custom})
     assert err.value.problems == [f"field.{key}: unexpected key; bv field takes ['class']"
                                   for key in custom]
+
+
+@pytest.mark.parametrize("shape", ["sawtooth", "step", "staircase"])
+@pytest.mark.parametrize("custom", [{"edges": [0, 0.3, 1], "levels": [0, 1]},
+                                    {"edges": [0, 0.3, 1]}, {"levels": [0, 1]}],
+                         ids=["both", "edges", "levels"])
+def test_a_shipped_shape_takes_no_edges_or_levels(shape, custom):
+    """A section written for a former shape with its own edges or levels is
+    refused naming every stale key, the shape first, never half-read."""
+    with pytest.raises(ConfigValidationError) as err:
+        field_from_document({"class": "bv", "shape": shape, **custom})
+    assert err.value.problems == [f"field.{key}: unexpected key; bv field takes ['class']"
+                                  for key in ("shape", *custom)]
 
 
 # ---------------------------------------------------------------------------

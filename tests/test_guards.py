@@ -63,6 +63,8 @@ GUARDS = [
      "each spawn-key entry must be an integer, got 0.5"),
     ("floor_bool", lambda: AffineFloorDeployment(nu=True), ValueError,
      "nu must be a finite number, got True"),
+    ("floor_zero", lambda: AffineFloorDeployment(nu=0.0), ValueError,
+     "nu must lie in (0, 1], got 0.0"),
     ("uniform_noise_bool", lambda: UniformSymNoise(b=True), ValueError,
      "b must be a finite number, got True"),
     ("two_point_noise_bool", lambda: TwoPointNoise(b=True), ValueError,
@@ -129,6 +131,8 @@ GUARDS = [
     ("sobolev_negative_amplitude",
      lambda: make_sobolev_field(1.0, seed=7, amplitude_bound=-1.0, n_freqs=2), ValueError,
      "amplitude_bound must be positive, got -1.0"),
+    ("sawtooth_takes_no_shape", lambda: SawtoothField(shape="step"), TypeError,
+     "unexpected keyword argument 'shape'"),
     ("true_count_zero", lambda: true_coefficients(SAWTOOTH, 0), ValueError,
      "count must be an integer >= 1, got 0"),
     ("true_count_fraction", lambda: true_coefficients(SAWTOOTH, 2.5), ValueError,
@@ -283,6 +287,10 @@ GUARDS = [
      "workers must be an integer in [1, 64], got True"),
     ("schedule_psi", lambda: validate_as_schedule(1.0, 1.5, UNIFORM, [SAWTOOTH]), ValueError,
      "psi must lie in (0, 1), got 1.0"),
+    ("schedule_psi_zero", lambda: validate_as_schedule(0.0, 1.5, UNIFORM, [SAWTOOTH]),
+     ValueError, "psi must lie in (0, 1), got 0.0"),
+    ("schedule_fields_required", lambda: validate_as_schedule(0.5, 1.5, UNIFORM), TypeError,
+     "missing 1 required positional argument: 'fields'"),
     ("schedule_bool_gamma", lambda: validate_as_schedule(0.5, True, UNIFORM, [SAWTOOTH]),
      ValueError,
      "gamma must be a finite number, got True"),
@@ -290,6 +298,8 @@ GUARDS = [
      "fields must hold at least one field"),
     ("trace_psi", lambda: as_error_trace(SAWTOOTH, UNIFORM, ZeroNoise(), 1.0, 1, [10]),
      ValueError, "psi must lie in (0, 1), got 1.0"),
+    ("trace_psi_zero", lambda: as_error_trace(SAWTOOTH, UNIFORM, ZeroNoise(), 0.0, 1, [10]),
+     ValueError, "psi must lie in (0, 1), got 0.0"),
     ("trace_no_checkpoint", lambda: as_error_trace(SAWTOOTH, UNIFORM, ZeroNoise(), 0.5, 1, []),
      ValueError, "checkpoints must be strictly increasing and nonempty"),
     ("trace_fractional_checkpoint",
