@@ -19,7 +19,8 @@ from .estimator import TruncationSchedule, add_sensors, finish_estimates
 from .fields import (FieldSpec, FourierBasis, FourierSums, ReconstructionCoefficients,
                      as_count, as_real, m_term_error, synthesize,
                      true_coefficients)
-from .sensing import SENSORS_MAX, Deployment, Noise, dynamic_range, simulate_batch, stream_keys
+from .sensing import (SENSORS_MAX, AffineFloorDeployment, Noise, dynamic_range, simulate_batch,
+                      stream_keys)
 
 
 # ---------------------------------------------------------------------------
@@ -40,7 +41,7 @@ class BoundReport:
         return self.variance_term + self.bias_term
 
 
-def mse_upper_bound(field: FieldSpec, deploy: Deployment,
+def mse_upper_bound(field: FieldSpec, deploy: AffineFloorDeployment,
                     n: int, m: int, c: float) -> BoundReport:
     """Bound E||f - f_hat||^2 <= (c^2/n) * sum_{j<m} int |phi_j|^2/p_X + tail(m)
     = (c^2/n) * m * I + tail(m), as |phi_j| = 1: I is the integral of 1/p_X,
@@ -48,7 +49,7 @@ def mse_upper_bound(field: FieldSpec, deploy: Deployment,
     n, m, c = as_count(n, "n", 1, SENSORS_MAX), as_count(m, "m", 0), as_real(c, "c")
     if c <= 0.0:
         raise ValueError(f"dynamic range c must be positive, got {c!r}")
-    integral = deploy.inverse_integral(0.0, 1.0)
+    integral = deploy.integral
     divergent = tuple(range(m)) if math.isinf(integral) else ()
     if m == 0:  # no term, and no 0 * inf
         bias, variance = field.norm_sq, 0.0
@@ -92,7 +93,7 @@ class ConsistencyReport:
         return self.truncation_ok and self.infimum_positive and self.variance_ok
 
 
-def check_consistency_conditions(schedule: TruncationSchedule, deploy: Deployment,
+def check_consistency_conditions(schedule: TruncationSchedule, deploy: AffineFloorDeployment,
                                  n_grid: Sequence[int]) -> ConsistencyReport:
     n_grid = tuple(as_count(n, "each n_grid entry", 1, SENSORS_MAX) for n in n_grid)
     if not n_grid:
@@ -102,8 +103,7 @@ def check_consistency_conditions(schedule: TruncationSchedule, deploy: Deploymen
     m_values = tuple(schedule.resolve(n) for n in n_grid)
 
     # the variance side of the bound, m * I as `mse_upper_bound` takes it
-    integral = deploy.inverse_integral(0.0, 1.0)
-    q = tuple(m * integral / n for m, n in zip(m_values, n_grid))
+    q = tuple(m * deploy.integral / n for m, n in zip(m_values, n_grid))
 
     decreasing = all(b < a for a, b in zip(q, q[1:]))
     vanishing = math.isfinite(q[-1]) and q[-1] <= 0.5 * q[0]
@@ -144,7 +144,7 @@ class TrialCell:
     """`trials` independent simulate -> estimate pipelines: n sensors, m coefficients."""
 
     field: FieldSpec
-    deploy: Deployment
+    deploy: AffineFloorDeployment
     noise: Noise
     n: int
     m: int
@@ -163,7 +163,7 @@ TASK_SENSORS = 1 << 18
 WORKERS_MAX = 64
 
 
-def _add_tiles(sums, field: FieldSpec, deploy: Deployment, noise: Noise,
+def _add_tiles(sums, field: FieldSpec, deploy: AffineFloorDeployment, noise: Noise,
                keys: np.ndarray, start: int, stop: int) -> None:
     """Add sensors [start, stop) of every realization of the `stream_keys`
     rows `keys` to running sums: one windowed `simulate_batch` call and
@@ -240,7 +240,7 @@ class MseSweep:
     trial_values: tuple[np.ndarray, ...]
 
 
-def monte_carlo_mse(field: FieldSpec, deploy: Deployment, noise: Noise,
+def monte_carlo_mse(field: FieldSpec, deploy: AffineFloorDeployment, noise: Noise,
                     schedule: TruncationSchedule, n_grid: Sequence[int],
                     trials: int | Sequence[int], seed: int, workers: int = 1) -> MseSweep:
     """Mean integrated squared error (with normal-approximation 95% CI)
@@ -348,7 +348,7 @@ class ScheduleValidation:
         return {**asdict(self), "accepted": self.accepted}
 
 
-def validate_as_schedule(psi: float, gamma: float, deploy: Deployment,
+def validate_as_schedule(psi: float, gamma: float, deploy: AffineFloorDeployment,
                          fields: Sequence[FieldSpec]) -> ScheduleValidation:
     """Validate (m(n) = n^psi, envelope m^(gamma/2)) for pathwise convergence
     on the Fourier basis, and state the bounded-basis constants c1 =
@@ -405,7 +405,7 @@ class ASTraceResult:
         return {**asdict(self), "condition": self.condition.to_json()}
 
 
-def as_error_trace(field: FieldSpec, deploy: Deployment, noise: Noise,
+def as_error_trace(field: FieldSpec, deploy: AffineFloorDeployment, noise: Noise,
                    psi: float, seed: int, n_checkpoints: Sequence[int]) -> ASTraceResult:
     """Grow one sample path of sensors and record sup-norm errors at the
     checkpoints. Each segment between checkpoints runs through the trial

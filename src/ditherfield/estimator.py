@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import FourierBasis, FourierSums, ReconstructionCoefficients, as_count, as_real
-from .sensing import SENSORS_MAX, Deployment, SensorBatch
+from .sensing import SENSORS_MAX, AffineFloorDeployment, SensorBatch
 
 class EstimationError(RuntimeError):
     pass
@@ -88,7 +88,7 @@ class EstimatorConfig:
     reads the density and c, which must be the c of the batch it estimates."""
 
     basis: FourierBasis
-    density: Deployment
+    density: AffineFloorDeployment
     c: float
     schedule: TruncationSchedule
 
@@ -109,7 +109,7 @@ def _subscript(batch: SensorBatch, index: tuple) -> str:
     return ", ".join(map(str, index[:-1] + (index[-1] + batch.start,)))
 
 
-def sensor_weights(batch: SensorBatch, density: Deployment) -> np.ndarray:
+def sensor_weights(batch: SensorBatch, density: AffineFloorDeployment) -> np.ndarray:
     """Importance weights B_i / p_X(X_i) of every sensor in the batch.
 
     Raises EstimationError, naming the first offending sensor by its index
@@ -136,7 +136,7 @@ def sensor_weights(batch: SensorBatch, density: Deployment) -> np.ndarray:
     return bits / p
 
 
-def add_sensors(sums, batch: SensorBatch, density: Deployment) -> None:
+def add_sensors(sums, batch: SensorBatch, density: AffineFloorDeployment) -> None:
     """Add one tile of sensors to running basis sums (`FourierSums`):
     their weights, from `sensor_weights`, which raises EstimationError on
     a bad sensor."""

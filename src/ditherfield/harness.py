@@ -29,8 +29,8 @@ from .analysis import (RATE_FIT_MIN_POINTS, ASTraceResult, RateFitResult,
 from .estimator import TruncationSchedule
 from .fields import (FieldSpec, FourierBasis, SawtoothField, as_count, as_real,
                      make_finite_dim_field, make_sobolev_field, true_coefficients)
-from .sensing import (SEED_MAX, SENSORS_MAX, Deployment, Noise, UniformDeployment,
-                      dynamic_range)
+from .sensing import (SEED_MAX, SENSORS_MAX, AffineFloorDeployment, Linear2xDeployment,
+                      Noise, UniformDeployment, dynamic_range)
 
 CSV_HEADER = ["experiment_id", "n", "m", "trials", "mse_mean", "mse_std",
               "ci_lo", "ci_hi", "bound_total", "bound_var_term",
@@ -121,7 +121,9 @@ class Acceptance:
 # document names its constructor by its kind key, and holds that
 # constructor's keywords and no other key
 _SECTIONS: dict[object, tuple[str, str, dict[str, Callable]]] = {
-    Deployment: ("deployment", "kind", {cls.kind: cls for cls in get_args(Deployment)}),
+    AffineFloorDeployment: ("deployment", "kind", {"uniform": UniformDeployment,
+                                                   "linear_2x": Linear2xDeployment,
+                                                   "affine_floor": AffineFloorDeployment}),
     Noise: ("noise", "kind", {cls.kind: cls for cls in get_args(Noise)}),
     TruncationSchedule: ("schedule", "kind", {
         kind: getattr(TruncationSchedule, kind)
@@ -255,7 +257,7 @@ class ExperimentConfig:
 
     experiment_id: str
     field: FieldSpec
-    deployment: Deployment
+    deployment: AffineFloorDeployment
     noise: Noise
     schedule: TruncationSchedule
     n_grid: Sequence[int]
@@ -546,8 +548,7 @@ def run_lemma_battery(n: int = 1000, trials: int = 10_000, j_count: int = 8,
     deployment / noise menu."""
     n, trials = as_count(n, "n", 1, SENSORS_MAX), as_count(trials, "trials", 2)
     j_count = as_count(j_count, "j_count", 1)
-    from .sensing import (AffineFloorDeployment, TwoPointNoise, UniformSymNoise,
-                          ZeroNoise)
+    from .sensing import TwoPointNoise, UniformSymNoise, ZeroNoise
 
     deployments = [("uniform", UniformDeployment()),
                    ("affine_floor_0.5", AffineFloorDeployment(nu=0.5))]
@@ -575,8 +576,8 @@ def run_lemma_battery(n: int = 1000, trials: int = 10_000, j_count: int = 8,
 
     rows: list[dict] = []
     for (fname, f, dname, d, zname, z), alpha, total, shifted in zip(cells, alphas, s1, s2):
-        c = dynamic_range(f, z)
-        bound = (c * c / n) * d.inverse_integral(0.0, 1.0)  # every j's: |phi_j| = 1
+        # the one-term bound's variance is every j's: |phi_j| = 1
+        bound = mse_upper_bound(f, d, n, 1, dynamic_range(f, z)).variance_term
         mean = total / trials
         var_emp = (shifted - trials * np.abs(mean - alpha) ** 2) / (trials - 1)
         sigma_mean = np.sqrt(var_emp / trials)
@@ -633,7 +634,7 @@ def _run_conditions(out: Path, workers: int) -> dict:
     affine = mismatch["mismatch_affine_floor"].config.deployment
     return {"mismatch": mismatch,
             "linear2x_js": mismatch["mismatch_linear2x"].divergent_js,
-            "integral_j0": affine.inverse_integral(0.0, 1.0),
+            "integral_j0": affine.integral,
             "consistency": {**{name: bool(r.all_pass) for name, r in reports.items()},
                             "power_psi1 variance_ok": bool(reports["power_psi1"].variance_ok)},
             "schedules": {"gamma1.5 accepted": good.accepted, "gamma2.5 accepted": bad.accepted,

@@ -81,41 +81,9 @@ def trial_seed(master_seed: int, *indices: int) -> np.ndarray:
 # (inverse CDF), shaped like u; so does a noise model's `sample(u)`.
 
 @dataclass(frozen=True)
-class UniformDeployment:
-    kind: ClassVar[str] = "uniform"
-    infimum: ClassVar[float] = 1.0
-
-    def pdf(self, x) -> np.ndarray:
-        return np.ones_like(np.asarray(x, dtype=float))
-
-    def sample(self, u: np.ndarray) -> np.ndarray:
-        return u
-
-    def inverse_integral(self, lo: float, hi: float) -> float:
-        return hi - lo
-
-
-@dataclass(frozen=True)
-class Linear2xDeployment:
-    """p(x) = 2x: vanishes at the left edge, so inverse-density weights blow up."""
-
-    kind: ClassVar[str] = "linear_2x"
-    infimum: ClassVar[float] = 0.0
-
-    def pdf(self, x) -> np.ndarray:
-        return 2.0 * np.asarray(x, dtype=float)
-
-    def sample(self, u: np.ndarray) -> np.ndarray:
-        return np.sqrt(u)
-
-    def inverse_integral(self, lo: float, hi: float) -> float:
-        """Integral of 1/p over [lo, hi]: (1/2) log(hi/lo), divergent from 0."""
-        return math.inf if lo <= 0.0 else 0.5 * math.log(hi / lo)
-
-
-@dataclass(frozen=True)
 class AffineFloorDeployment:
-    """p(x) = nu + 2(1-nu)x: strictly positive infimum nu at the left edge."""
+    """p(x) = nu + 2(1-nu)x with infimum nu at the left edge: uniform at
+    nu = 1, and p = 2x, which vanishes there, at nu = 0."""
 
     nu: float = 0.5
 
@@ -123,12 +91,24 @@ class AffineFloorDeployment:
 
     def __post_init__(self):
         object.__setattr__(self, "nu", as_real(self.nu, "nu"))
-        if not 0.0 < self.nu <= 1.0:
-            raise ValueError(f"nu must lie in (0, 1], got {self.nu!r}")
+        if not 0.0 <= self.nu <= 1.0:
+            raise ValueError(f"nu must lie in [0, 1], got {self.nu!r}")
 
     @property
     def infimum(self) -> float:
         return self.nu
+
+    @property
+    def integral(self) -> float:
+        """Integral of 1/p over [0, 1]: log(p(1)/p(0)) / slope, divergent at nu = 0."""
+        slope = 2.0 * (1.0 - self.nu)
+        if slope == 0.0:
+            return 1.0 / self.nu
+        if self.nu == 0.0:
+            return math.inf
+        if slope / self.nu == math.inf:  # subnormal p(0): log1p(r) is log(r) there
+            return (math.log(slope) - math.log(self.nu)) / slope
+        return math.log1p(slope / self.nu) / slope
 
     def pdf(self, x) -> np.ndarray:
         return self.nu + 2.0 * (1.0 - self.nu) * np.asarray(x, dtype=float)
@@ -139,18 +119,16 @@ class AffineFloorDeployment:
         a = 1.0 - self.nu
         return (-self.nu + np.sqrt(self.nu * self.nu + 4.0 * a * u)) / (2.0 * a)
 
-    def inverse_integral(self, lo: float, hi: float) -> float:
-        """Integral of 1/p over [lo, hi]: log(p(hi)/p(lo)) / slope."""
-        slope = 2.0 * (1.0 - self.nu)
-        if slope == 0.0:
-            return (hi - lo) / self.nu
-        p_lo, rise = self.nu + slope * lo, slope * (hi - lo)
-        if rise / p_lo == math.inf:  # subnormal p(lo): log1p(r) is log(r) there
-            return (math.log(rise) - math.log(p_lo)) / slope
-        return math.log1p(rise / p_lo) / slope
+
+def UniformDeployment() -> AffineFloorDeployment:
+    """The `uniform` deployment, p = 1: the affine density at nu = 1."""
+    return AffineFloorDeployment(nu=1.0)
 
 
-Deployment = UniformDeployment | Linear2xDeployment | AffineFloorDeployment
+def Linear2xDeployment() -> AffineFloorDeployment:
+    """The `linear_2x` deployment, p(x) = 2x: the affine density at nu = 0,
+    whose inverse-density weights blow up at the left edge."""
+    return AffineFloorDeployment(nu=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +241,7 @@ def _fill_uniforms(gen: np.random.Generator, words: np.ndarray,
     return out
 
 
-def simulate_batch(field: FieldSpec, deploy: Deployment, noise: Noise,
+def simulate_batch(field: FieldSpec, deploy: AffineFloorDeployment, noise: Noise,
                    n: int, seed, start: int = 0) -> SensorBatch:
     """Draw locations, noise, and thresholds from independent streams,
     sample the field, and quantize against the dithered thresholds.

@@ -94,12 +94,10 @@ def exact_coefficient_variance(field, deploy, c: float, n: int, count: int) -> n
     With T uniform on [-c, c] and independent of Y = f(X) + Z, |Y| <= c,
     E[B | X, Z] = Y / c and B^2 = 1. So one sensor's term c conj(phi_j(X))
     B / p_X(X) has mean alpha_j (Z has mean zero) and second moment c^2 I_j,
-    I_j = int |phi_j|^2 / p_X = int 1 / p_X (`inverse_integral` over
-    [0, 1]) for every j, and alpha_hat_j is the mean of n such independent
-    terms."""
+    I_j = int |phi_j|^2 / p_X = int 1 / p_X (the deployment's `integral`)
+    for every j, and alpha_hat_j is the mean of n such independent terms."""
     alpha = true_coefficients(field, count).values
-    integral = deploy.inverse_integral(0.0, 1.0)
-    return (c * c * integral - np.abs(alpha) ** 2) / n
+    return (c * c * deploy.integral - np.abs(alpha) ** 2) / n
 
 
 def exact_mse(field, deploy, c: float, n: int, m: int) -> float:

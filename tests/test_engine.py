@@ -24,10 +24,11 @@ from ditherfield.spectral import BLOCK_POINTS, ConjSums
 from conftest import (SHIPPED_K5_COEFFS, basis_sums, collect_trials, conj_sums,
                       reference_batch, substream, traced_peak_mb)
 
-# nu = 1 is the flat floor, which samples by its own branch
+# the affine density at nu = 1 (the flat floor, which samples by its own
+# branch), nu = 0, and two floors between, the last with weights up to 1000
 DEPLOYMENTS = [UniformDeployment(), Linear2xDeployment(), AffineFloorDeployment(nu=0.5),
-               AffineFloorDeployment(nu=1.0)]
-DEPLOYMENT_IDS = ["uniform", "linear_2x", "affine_floor", "affine_floor_flat"]
+               AffineFloorDeployment(nu=1e-3)]
+DEPLOYMENT_IDS = ["uniform", "linear_2x", "affine_floor_0.5", "affine_floor_0.001"]
 NOISES = [ZeroNoise(), UniformSymNoise(b=1.0), TwoPointNoise(b=0.7)]
 FIELDS = {"finite_dim": make_finite_dim_field(SHIPPED_K5_COEFFS, amplitude_bound=0.8),
           "sobolev": make_sobolev_field(1.0, seed=7),

@@ -153,7 +153,7 @@ def test_sawtooth_estimate_matches_quadrature_coefficient(sawtooth):
 def test_empirical_variance_respects_the_bound(sawtooth, nu):
     from ditherfield import AffineFloorDeployment
 
-    deploy = (UniformDeployment() if nu == 1.0 else AffineFloorDeployment(nu=nu))
+    deploy = AffineFloorDeployment(nu=nu)
     noise = UniformSymNoise(b=1.0)
     c = sawtooth.amplitude_bound + noise.b
     cfg = make_cfg(c=c, density=deploy)
@@ -164,7 +164,7 @@ def test_empirical_variance_respects_the_bound(sawtooth, nu):
         mat[t] = estimate_coefficients(batch, cfg, j_count).values
     var_emp = np.mean(np.abs(mat - mat.mean(axis=0)) ** 2, axis=0)
     slack = 1.0 + 5.0 / np.sqrt(trials)
-    bound = (c * c / n) * deploy.inverse_integral(0.0, 1.0)  # every j's: |phi_j| = 1
+    bound = (c * c / n) * deploy.integral  # every j's: |phi_j| = 1
     for j in range(j_count):
         assert var_emp[j] <= bound * slack
 

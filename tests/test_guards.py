@@ -63,8 +63,8 @@ GUARDS = [
      "each spawn-key entry must be an integer, got 0.5"),
     ("floor_bool", lambda: AffineFloorDeployment(nu=True), ValueError,
      "nu must be a finite number, got True"),
-    ("floor_zero", lambda: AffineFloorDeployment(nu=0.0), ValueError,
-     "nu must lie in (0, 1], got 0.0"),
+    ("floor_negative", lambda: AffineFloorDeployment(nu=-0.1), ValueError,
+     "nu must lie in [0, 1], got -0.1"),
     ("uniform_noise_bool", lambda: UniformSymNoise(b=True), ValueError,
      "b must be a finite number, got True"),
     ("two_point_noise_bool", lambda: TwoPointNoise(b=True), ValueError,

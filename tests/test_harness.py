@@ -153,6 +153,23 @@ def test_divergent_deployment_is_rejected_with_explanation(tmp_path):
         "rejected, expect_rejected true: ok"]
 
 
+def test_a_zero_floor_is_rejected_as_the_linear_2x_deployment_is(tmp_path):
+    """An `affine_floor` document at nu = 0 is p = 2x: it is rejected up
+    front, and writes the three files of mismatch_linear2x with its own
+    id and config hash in their place."""
+    shipped = load_shipped_config("mismatch_linear2x")
+    config = parse_experiment_config(dict(shipped.raw, experiment_id="floor_zero",
+                                          deployment={"kind": "affine_floor", "nu": 0}))
+    assert config.deployment == shipped.deployment
+    linear, floor = (run_experiment(c, tmp_path) for c in (shipped, config))
+    assert floor.status == linear.status == "FAILED-PRECONDITION"
+    assert floor.detail == linear.detail and floor.passed
+    for suffix in (".csv", "_report.json", "_summary.txt"):
+        want = (tmp_path / f"mismatch_linear2x{suffix}").read_text()
+        assert (tmp_path / f"floor_zero{suffix}").read_text() == want.replace(
+            "mismatch_linear2x", "floor_zero").replace(shipped.config_hash, config.config_hash)
+
+
 def test_matched_deployment_runs(tmp_path):
     config = load_shipped_config("mismatch_affine_floor")
     outcome = run_experiment(config, tmp_path)
@@ -163,9 +180,9 @@ def test_the_conditions_suite_holds_the_affine_floor_integral_at_ln3(tmp_path, m
     """Criterion 7 fails when the affine-floor integral of 1/p_X misses ln 3
     by more than 1e-6: the conditions suite reads the deployment's own
     integral, the one the bound reads."""
-    real = AffineFloorDeployment.inverse_integral
-    monkeypatch.setattr(AffineFloorDeployment, "inverse_integral",
-                        lambda self, lo, hi: real(self, lo, hi) + 2e-6)
+    real = AffineFloorDeployment.integral
+    monkeypatch.setattr(AffineFloorDeployment, "integral",
+                        property(lambda self: real.fget(self) + 2e-6))
     result = run_suite("conditions", tmp_path)
     verdicts = [(row.criterion, row.passed) for row in result.rows]
     assert verdicts == [(7, False), (8, True), (9, True)] and not result.all_pass
@@ -228,7 +245,7 @@ def test_streamed_battery_moments_equal_the_two_pass_moments(monkeypatch):
     for c, (cell, mat) in enumerate(zip(cells, kept)):
         alpha = true_coefficients(cell.field, j_count).values
         scale = (cell.field.amplitude_bound + cell.noise.b) ** 2 / n
-        var_bound = scale * cell.deploy.inverse_integral(0.0, 1.0)
+        var_bound = scale * cell.deploy.integral
         mean = mat.mean(axis=0)
         var_emp = np.sum(np.abs(mat - mean) ** 2, axis=0) / (trials - 1)
         dev_sigmas = np.abs(mean - alpha) / np.sqrt(var_emp / trials)
@@ -734,17 +751,17 @@ def test_each_deployment_and_noise_kind_parses_to_its_input(key, doc, built):
 
 
 @pytest.mark.parametrize("key, doc, problem", [
-    ("deployment", {"kind": "affine_floor", "nu": 0.0},
-     "deployment: nu must lie in (0, 1], got 0.0"),
+    ("deployment", {"kind": "affine_floor", "nu": -0.1},
+     "deployment: nu must lie in [0, 1], got -0.1"),
     ("deployment", {"kind": "affine_floor", "nu": 1.5},
-     "deployment: nu must lie in (0, 1], got 1.5"),
+     "deployment: nu must lie in [0, 1], got 1.5"),
     ("noise", {"kind": "uniform_sym", "b": 0.0}, "noise: noise bound b must be positive, got 0.0"),
     ("noise", {"kind": "two_point", "b": -1.0}, "noise: noise bound b must be positive, got -1.0"),
     ("field", {"class": "finite_dim", "coefficients": [[0.1, 0.0]], "amplitude_bound": -1.0},
      "field: amplitude_bound must be positive, got -1.0"),
     ("field", {"class": "sobolev", "s": 1.0, "seed": 7, "amplitude_bound": 0},
      "field: amplitude_bound must be positive, got 0.0")],
-    ids=["floor_zero", "floor_above_one", "uniform_sym_zero", "two_point_negative",
+    ids=["floor_negative", "floor_above_one", "uniform_sym_zero", "two_point_negative",
          "finite_dim_amplitude_negative", "sobolev_amplitude_zero"])
 def test_an_input_parameter_out_of_range_is_a_config_error(key, doc, problem):
     """The constructor's guard reaches the user as a config problem under

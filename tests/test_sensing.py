@@ -2,7 +2,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -14,31 +14,28 @@ from ditherfield.sensing import (SENSORS_MAX, STREAM_LOCATIONS, STREAM_NOISE,
 
 from conftest import substream, zero_field
 
-# nu = 1 is the flat floor, which samples and integrates by its own branches
+# every deployment is the affine density nu + 2(1 - nu)x: uniform at nu = 1,
+# which samples and integrates by its own branches, and 2x at nu = 0
 DEPLOYMENTS = [UniformDeployment(), Linear2xDeployment(),
                AffineFloorDeployment(nu=0.5), AffineFloorDeployment(nu=0.9),
-               AffineFloorDeployment(nu=1.0)]
+               AffineFloorDeployment(nu=1e-3)]
+DEPLOYMENT_IDS = ["uniform", "linear_2x", "affine_floor_0.5", "affine_floor_0.9",
+                  "affine_floor_0.001"]
 
 NOISES = [ZeroNoise(), UniformSymNoise(b=1.0), TwoPointNoise(b=0.7)]
-
-
-# each deployment's cdf on [0, 1], the integral of its density: the sampler's oracle
-CDFS = {"uniform": lambda deploy, x: x,
-        "linear_2x": lambda deploy, x: x * x,
-        "affine_floor": lambda deploy, x: deploy.nu * x + (1.0 - deploy.nu) * x * x}
 
 
 # ---------------------------------------------------------------------------
 # deployment densities
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("deploy", DEPLOYMENTS, ids=lambda d: d.kind)
+@pytest.mark.parametrize("deploy", DEPLOYMENTS, ids=DEPLOYMENT_IDS)
 def test_pdf_integrates_to_one(deploy):
     total, _ = quad(lambda x: float(deploy.pdf(x)), 0.0, 1.0, epsabs=1e-10, limit=200)
     assert total == pytest.approx(1.0, abs=1e-8)
 
 
-@pytest.mark.parametrize("deploy", DEPLOYMENTS, ids=lambda d: d.kind)
+@pytest.mark.parametrize("deploy", DEPLOYMENTS, ids=DEPLOYMENT_IDS)
 def test_sampler_matches_cdf(deploy):
     rng = substream(314, STREAM_LOCATIONS)
     x = deploy.sample(rng.random(100_000))
@@ -46,43 +43,44 @@ def test_sampler_matches_cdf(deploy):
     xs = np.sort(x)
     ecdf_hi = np.arange(1, len(xs) + 1) / len(xs)
     ecdf_lo = np.arange(0, len(xs)) / len(xs)
-    cdf = CDFS[deploy.kind](deploy, xs)
+    cdf = deploy.nu * xs + (1.0 - deploy.nu) * xs * xs  # the integral of the density
     ks = max(np.max(np.abs(ecdf_hi - cdf)), np.max(np.abs(cdf - ecdf_lo)))
     assert ks < 0.01
 
 
-@pytest.mark.parametrize("deploy", DEPLOYMENTS, ids=lambda d: d.kind)
+@pytest.mark.parametrize("deploy", DEPLOYMENTS, ids=DEPLOYMENT_IDS)
 def test_infimum_matches_dense_grid_minimum(deploy):
     grid = np.linspace(0.0, 1.0, 100_001)
     assert deploy.infimum == pytest.approx(float(np.min(deploy.pdf(grid))), abs=1e-6)
 
 
-def test_affine_floor_requires_positive_floor():
-    with pytest.raises(ValueError):
-        AffineFloorDeployment(nu=0.0)
-
-
-@pytest.mark.parametrize("nu", [0.0, -0.5, np.nextafter(1.0, 2.0), 1.5, np.nan, np.inf,
-                                -np.inf])
+@pytest.mark.parametrize("nu", [-np.nextafter(0.0, 1.0), -0.5, np.nextafter(1.0, 2.0), 1.5,
+                                np.nan, np.inf, -np.inf])
 def test_affine_floor_must_lie_in_the_unit_interval(nu):
-    """A floor above 1 would give a negative density at the right edge; a
-    non-finite floor fails the real rule before the range is tested."""
-    message = (rf"^nu must lie in \(0, 1\], got {re.escape(repr(float(nu)))}$" if np.isfinite(nu)
+    """A floor below 0 would give a negative density at the left edge and
+    one above 1 at the right edge; a non-finite floor fails the real rule
+    before the range is tested."""
+    message = (rf"^nu must lie in \[0, 1\], got {re.escape(repr(float(nu)))}$" if np.isfinite(nu)
                else "^nu must be a finite number")
     with pytest.raises(ValueError, match=message):
         AffineFloorDeployment(nu=nu)
 
 
-def test_the_flat_affine_floor_is_the_uniform_deployment():
-    """At nu = 1 the slope is 0: sampling and the inverse-density integral
-    take their own branches, and give the uniform deployment's numbers."""
-    flat, uniform = AffineFloorDeployment(nu=1.0), UniformDeployment()
+@pytest.mark.parametrize("deploy, nu, pdf, sample, integral", [
+    (UniformDeployment(), 1.0, np.ones_like, lambda u: u, 1.0),
+    (Linear2xDeployment(), 0.0, lambda x: 2.0 * x, np.sqrt, np.inf)],
+    ids=["uniform", "linear_2x"])
+def test_the_end_members_are_the_closed_forms_of_their_kinds(deploy, nu, pdf, sample, integral):
+    """The `uniform` and `linear_2x` kinds are the affine density at nu = 1
+    and nu = 0, and read p = 1 and p = 2x, sample u and sqrt(u), and
+    integrate 1/p to 1 and to infinity, bit for bit, subnormal draws
+    included."""
+    assert deploy == AffineFloorDeployment(nu=nu)
     u = substream(55, STREAM_LOCATIONS).random(1000)
-    assert np.array_equal(flat.sample(u), uniform.sample(u))
-    assert np.array_equal(flat.pdf(u), uniform.pdf(u))
-    assert flat.infimum == uniform.infimum == 1.0
-    for lo, hi in ((0.0, 1.0), (0.25, 0.75), (0.0, 1e-300)):
-        assert flat.inverse_integral(lo, hi) == uniform.inverse_integral(lo, hi)
+    u[:4] = 0.0, 5e-324, 2.2250738585072014e-308, np.nextafter(1.0, 0.0)
+    assert deploy.sample(u).tobytes() == sample(u).tobytes()
+    assert deploy.pdf(u).tobytes() == pdf(u).tobytes()
+    assert deploy.integral == integral and deploy.infimum == nu
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -1.0])
@@ -97,54 +95,35 @@ def test_noise_scales_must_be_positive_and_finite(make, bad):
 
 
 # ---------------------------------------------------------------------------
-# closed-form inverse-density integrals, against scipy quad
+# the closed-form integral of 1/p over [0, 1], against scipy quad
 # ---------------------------------------------------------------------------
 
-def quad_inverse(deploy, lo, hi):
-    value, _ = quad(lambda x: 1.0 / float(deploy.pdf(x)), lo, hi,
-                    epsabs=0.0, epsrel=1e-13, limit=1000)
-    return value
-
-
-@st.composite
-def sub_intervals(draw, lo_min=0.0):
-    a = draw(st.floats(min_value=lo_min, max_value=1.0))
-    b = draw(st.floats(min_value=lo_min, max_value=1.0))
-    assume(abs(b - a) > 1e-6)
-    return min(a, b), max(a, b)
-
-
-@given(st.floats(min_value=1e-6, max_value=1.0), sub_intervals())
+@given(st.floats(min_value=1e-6, max_value=1.0))
+@example(1.0)  # the flat floor, integrated by its own branch
+@example(1e-6)
 @settings(max_examples=60, deadline=None)
-def test_affine_inverse_integral_matches_quad(nu, interval):
+def test_affine_integral_matches_quad(nu):
     deploy = AffineFloorDeployment(nu=nu)
-    for lo, hi in (interval, (0.0, 1.0)):
-        assert deploy.inverse_integral(lo, hi) == pytest.approx(
-            quad_inverse(deploy, lo, hi), rel=1e-10)
+    value, _ = quad(lambda x: 1.0 / float(deploy.pdf(x)), 0.0, 1.0,
+                    epsabs=0.0, epsrel=1e-13, limit=1000)
+    assert deploy.integral == pytest.approx(value, rel=1e-10)
 
 
 @pytest.mark.parametrize("nu", [1e-300, 1e-310, 5e-324])
-def test_affine_inverse_integral_with_a_vanishing_floor_stays_finite(nu):
+def test_affine_integral_with_a_vanishing_floor_stays_finite(nu):
     # log(1 + 2(1 - nu)/nu) / (2(1 - nu)), where 2/nu overflows a float;
     # quad cannot resolve the near-singularity at 0, so it is no reference here
     expected = 0.5 * (np.log(2.0) - np.log(nu))
-    assert AffineFloorDeployment(nu=nu).inverse_integral(0.0, 1.0) == \
-        pytest.approx(expected, rel=1e-12)
+    assert AffineFloorDeployment(nu=nu).integral == pytest.approx(expected, rel=1e-12)
 
 
-@given(sub_intervals(lo_min=1e-3))
-@settings(max_examples=60, deadline=None)
-def test_linear_inverse_integral_matches_quad(interval):
-    lo, hi = interval
-    deploy = Linear2xDeployment()
-    assert deploy.inverse_integral(lo, hi) == pytest.approx(
-        quad_inverse(deploy, lo, hi), rel=1e-10)
-    assert deploy.inverse_integral(0.0, hi) == np.inf
-
-
-def test_uniform_inverse_integral_is_the_length():
-    assert UniformDeployment().inverse_integral(0.0, 1.0) == 1.0
-    assert UniformDeployment().inverse_integral(0.25, 0.75) == 0.5
+def test_the_integral_grows_without_bound_as_the_floor_vanishes():
+    """(1/2) log(1/nu) past any bound as nu falls to the least subnormal,
+    and infinite at nu = 0, where the integral of 1/(2x) diverges at 0."""
+    integrals = [AffineFloorDeployment(nu=10.0 ** -k).integral for k in range(0, 324, 4)]
+    integrals += [AffineFloorDeployment(nu=5e-324).integral, Linear2xDeployment().integral]
+    assert all(a < b for a, b in zip(integrals, integrals[1:]))
+    assert integrals[-2] > 372.0 and integrals[-1] == np.inf
 
 
 # ---------------------------------------------------------------------------
