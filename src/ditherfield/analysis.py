@@ -17,7 +17,7 @@ import numpy as np
 from . import spectral
 from .estimator import TruncationSchedule, add_sensors, finish_estimates
 from .fields import (FieldSpec, FourierBasis, FourierSums, ReconstructionCoefficients,
-                     as_count, as_real, m_term_error, synthesize,
+                     as_count, as_grid, as_real, m_term_error, synthesize,
                      true_coefficients)
 from .sensing import (SENSORS_MAX, AffineFloorDeployment, Noise, dynamic_range, simulate_batch,
                       stream_keys)
@@ -95,11 +95,11 @@ class ConsistencyReport:
 
 def check_consistency_conditions(schedule: TruncationSchedule, deploy: AffineFloorDeployment,
                                  n_grid: Sequence[int]) -> ConsistencyReport:
-    n_grid = tuple(as_count(n, "each n_grid entry", 1, SENSORS_MAX) for n in n_grid)
-    if not n_grid:
-        raise ValueError("n_grid must hold at least one sensor count")
-    if any(b <= a for a, b in zip(n_grid, n_grid[1:])):
-        raise ValueError("n_grid must be strictly increasing")
+    """Whether m(n) = `schedule.resolve(n)` and `deploy` drive the bound to zero
+    along `n_grid`: m nondecreasing and growing, inf p_X > 0, and m * I / n
+    decreasing to at most half its first value. Refuses, by `as_grid`, an
+    `n_grid` that is not a nonempty, strictly increasing list of counts in [1, SENSORS_MAX]."""
+    n_grid = as_grid(n_grid, "n_grid", SENSORS_MAX)
     m_values = tuple(schedule.resolve(n) for n in n_grid)
 
     # the variance side of the bound, m * I as `mse_upper_bound` takes it
@@ -246,12 +246,13 @@ def monte_carlo_mse(field: FieldSpec, deploy: AffineFloorDeployment, noise: Nois
     """Mean integrated squared error (with normal-approximation 95% CI)
     over independent simulate -> estimate -> error pipelines, m(n) =
     `schedule.resolve(n)` Fourier coefficients at each n, `trials` of
-    them at each n, or `trials[i]` at `n_grid[i]` for a list or 1-D array.
+    them at each n, or `trials[i]` at `n_grid[i]` for a list or 1-D array;
+    `n_grid` is a nonempty, strictly increasing grid of counts (`as_grid`).
 
     Deterministic in `seed`; the per-trial seeds are derived from
     (seed, n-index, trial-index), so the worker count never changes results.
     """
-    n_grid = tuple(as_count(n, "each n_grid entry", 1, SENSORS_MAX) for n in n_grid)
+    n_grid = as_grid(n_grid, "n_grid", SENSORS_MAX)
     if np.ndim(trials) > 1:
         raise ValueError("need one trial count, or one per n")
     trials_per_n = ((as_count(trials, "trials", 2),) * len(n_grid) if np.ndim(trials) == 0
@@ -300,9 +301,7 @@ RATE_FIT_MIN_POINTS = 4
 
 def rate_fit(n_grid: Sequence[int], mse_values: Sequence[float]) -> RateFitResult:
     """Ordinary least squares of log(mse) on log(n)."""
-    n_grid = tuple(as_count(n, "each n_grid entry", 1, SENSORS_MAX) for n in n_grid)
-    if any(b <= a for a, b in zip(n_grid, n_grid[1:])):
-        raise ValueError("n_grid must be strictly increasing")
+    n_grid = as_grid(n_grid, "n_grid", SENSORS_MAX)
     mse_values = tuple(as_real(v, "each mse value") for v in mse_values)
     if len(n_grid) != len(mse_values) or len(n_grid) < RATE_FIT_MIN_POINTS:
         raise ValueError(f"need at least {RATE_FIT_MIN_POINTS} (n, mse) points")
@@ -419,10 +418,7 @@ def as_error_trace(field: FieldSpec, deploy: AffineFloorDeployment, noise: Noise
     psi = as_real(psi, "psi")
     if not 0.0 < psi < 1.0:
         raise ValueError(f"psi must lie in (0, 1), got {psi!r}")
-    checkpoints = tuple(as_count(n, "each n_checkpoints entry", 1, SENSORS_MAX)
-                        for n in n_checkpoints)
-    if any(b <= a for a, b in zip(checkpoints, checkpoints[1:])) or not checkpoints:
-        raise ValueError("checkpoints must be strictly increasing and nonempty")
+    checkpoints = as_grid(n_checkpoints, "n_checkpoints", SENSORS_MAX)
     gamma = 0.5 * (1.0 + 1.0 / psi)
     grid = np.linspace(0.0, 1.0, TRACE_GRID_POINTS)
 

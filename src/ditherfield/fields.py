@@ -40,6 +40,27 @@ def as_count(value, what: str, lo: int | None = None, hi: int | None = None) -> 
     raise ValueError(f"{what} must be an integer{span}, got {value!r}")
 
 
+def as_grid(values, what: str, hi: int) -> tuple[int, ...]:
+    """`values` as a nonempty, strictly increasing tuple of counts in [1, hi], each
+    read by the count rule; else a ValueError naming `what` and the first entry it
+    refuses, as `n_grid[1]: expected an integer above n_grid[0] = 20, got 10`."""
+    grid = []
+    for i, value in enumerate(values):
+        try:
+            grid.append(as_count(value, what, 1, hi))
+        except ValueError:
+            raise ValueError(f"{what}[{i}]: expected an integer in [1, {hi}], "
+                             f"got {value!r}") from None
+    if not grid:
+        raise ValueError(f"{what}: expected at least one count, got none")
+    falls = [b <= a for a, b in zip(grid, grid[1:])]
+    if True in falls:
+        i = falls.index(True) + 1
+        raise ValueError(f"{what}[{i}]: expected an integer above {what}[{i - 1}] = "
+                         f"{grid[i - 1]}, got {grid[i]}")
+    return tuple(grid)
+
+
 def as_real(value, what: str) -> float:
     """`value` as a float by the real rule of every public boundary: an int, a
     float or a numpy real that a float holds finitely, never a bool, NaN or

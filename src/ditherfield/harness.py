@@ -17,7 +17,7 @@ import math
 from dataclasses import asdict, dataclass
 from importlib import resources
 from pathlib import Path
-from typing import (Callable, ClassVar, Sequence, get_args, get_origin,
+from typing import (Callable, ClassVar, NewType, Sequence, get_args, get_origin,
                     get_type_hints)
 
 import numpy as np
@@ -27,7 +27,7 @@ from .analysis import (RATE_FIT_MIN_POINTS, ASTraceResult, RateFitResult,
                        map_trials, monte_carlo_mse, mse_upper_bound, rate_fit,
                        validate_as_schedule)
 from .estimator import TruncationSchedule
-from .fields import (FieldSpec, FourierBasis, SawtoothField, as_count, as_real,
+from .fields import (FieldSpec, FourierBasis, SawtoothField, as_count, as_grid, as_real,
                      make_finite_dim_field, make_sobolev_field, true_coefficients)
 from .sensing import (SEED_MAX, SENSORS_MAX, AffineFloorDeployment, Linear2xDeployment,
                       Noise, UniformDeployment, dynamic_range)
@@ -143,12 +143,10 @@ def _problem(path: str, message: str) -> ConfigValidationError:
     return ConfigValidationError([f"{path}: {message}"])
 
 
-def _of_type(kind: type) -> Callable:
-    def read(value, path: str):
-        if not isinstance(value, kind):
-            raise ValueError(path)
-        return value
-    return read
+def _flag(value, path: str) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError(path)
+    return value
 
 
 def _pair(value, path: str) -> complex:
@@ -157,13 +155,29 @@ def _pair(value, path: str) -> complex:
     return complex(as_real(value[0], path), as_real(value[1], path))
 
 
+def _artifact_name(value, path: str) -> str:
+    if not isinstance(value, str) or value in ("", ".", "..") or "/" in value or "\0" in value:
+        raise ValueError(path)
+    return value
+
+
+# keys read by a range of their own: an experiment id names the artifact files,
+# a seed is one Philox key word, and a grid is read by `as_grid`
+ArtifactName = NewType("ArtifactName", str)
+Seed = NewType("Seed", int)
+Trials = NewType("Trials", int)
+Grid = NewType("Grid", tuple)
+
 # annotation -> (what a value must be, its reader: the count and real rules for
 # counts and numbers, which raise a ValueError for any other value)
 _SCALARS: dict[type, tuple[str, Callable]] = {
     int: ("an integer", as_count),
+    Seed: (f"an integer in [0, {SEED_MAX}]", lambda v, path: as_count(v, path, 0, SEED_MAX)),
+    Trials: (f"an integer in [2, {TRIALS_MAX}]",
+             lambda v, path: as_count(v, path, 2, TRIALS_MAX)),
+    ArtifactName: ("a file name other than '', '.' or '..', without '/' or NUL", _artifact_name),
     float: ("a finite number", as_real),
-    bool: ("true or false", _of_type(bool)),
-    str: ("a string", _of_type(str)),
+    bool: ("true or false", _flag),
     complex: ("[re, im] of finite numbers", _pair),
 }
 
@@ -174,9 +188,9 @@ def _is_list(hint) -> bool:
 
 def _convert(hint, value, path: str):
     """`value` checked and converted by the one converter its annotation
-    picks: a section is a section document, a sequence is a list (held
-    as a tuple), and a union takes null where it admits None, a list by
-    its sequence arm and any other value by its other."""
+    picks: a section is a section document, a sequence is a list (held as a
+    tuple), a grid a list that `as_grid` reads, and a union takes null where
+    it admits None, a list by its sequence arm and any other value by its other."""
     if hint in _SCALARS:  # under the parser's own message
         expected, read = _SCALARS[hint]
         try:
@@ -185,9 +199,14 @@ def _convert(hint, value, path: str):
             raise _problem(path, f"expected {expected}, got {_got(value)}") from None
     if hint in _SECTIONS or hint is Acceptance:
         return _build_section(hint, value, path)
-    if _is_list(hint):
+    if _is_list(hint) or hint is Grid:
         if not isinstance(value, (list, tuple)):
             raise _problem(path, f"expected a list, got {_got(value)}")
+        if hint is Grid:  # under as_grid's message, which names the entry
+            try:
+                return as_grid(value, path, N_GRID_MAX)
+            except ValueError as exc:
+                raise ConfigValidationError([str(exc)]) from None
         return tuple(_convert(get_args(hint)[0], v, f"{path}[{i}]") for i, v in enumerate(value))
     arms = [arm for arm in get_args(hint) if arm is not type(None)]
     if value is None and len(arms) < len(get_args(hint)):
@@ -255,14 +274,14 @@ def _build_section(hint, doc, path: str):
 class ExperimentConfig:
     """An experiment document `raw`, read through this signature like a section."""
 
-    experiment_id: str
+    experiment_id: ArtifactName
     field: FieldSpec
     deployment: AffineFloorDeployment
     noise: Noise
     schedule: TruncationSchedule
-    n_grid: Sequence[int]
-    seed: int
-    trials: int | Sequence[int] | None = None  # a sweep's; a trace runs none
+    n_grid: Grid
+    seed: Seed
+    trials: Trials | Sequence[Trials] | None = None  # a sweep's; a trace runs none
     acceptance: Acceptance = Acceptance()
     raw: dict = dataclasses.field(init=False)
     # read only by benchmarks/child.py; goes with EstimatorConfig (ROADMAP item 4)
@@ -283,46 +302,35 @@ class ExperimentConfig:
 
 
 def parse_experiment_config(doc: dict, seed_override: int | None = None) -> ExperimentConfig:
+    """The `ExperimentConfig` a document holds, its seed replaced by a `seed_override`
+    read as the document's own. Refuses with one `ConfigValidationError` listing
+    every problem, one per key: an unknown or missing key, a value its key's reader
+    refuses (a count out of its range, an `n_grid` that `as_grid` refuses, an
+    `experiment_id` that cannot name a file, a section its constructor refuses),
+    and each rule across keys below."""
     if not isinstance(doc, dict):
         raise ConfigValidationError([f"config must be a JSON object, got {type(doc).__name__}"])
     doc = dict(doc)
     if seed_override is not None:  # read as the document's own seed is
-        doc["seed"] = _convert(int, seed_override, "seed")
+        doc["seed"] = _convert(Seed, seed_override, "seed")
     args, problems = _arguments(ExperimentConfig, doc, "", "experiment config")
 
     # the checks across keys, on the keys that converted
-    n_grid, trials = args.get("n_grid", ()), args["trials"]
-    counts = (trials,) * max(len(n_grid), 1) if isinstance(trials, int) else trials or ()
-    seed, accept, eid = args.get("seed", 0), args["acceptance"], args.get("experiment_id", "")
+    n_grid, trials, accept = args.get("n_grid", ()), args["trials"], args["acceptance"]
     schedule = args.get("schedule")
-    fitted = [key for key, value in (("r2_min", accept.r2_min),
-                                     ("slope_range", accept.slope_range)) if value is not None]
+    fitted = [key for key in ("r2_min", "slope_range") if getattr(accept, key) is not None]
     # a declared trace_ratio_max runs one trace in place of the sweep
     traced = accept.trace_ratio_max is not None
     swept = [f"acceptance.{key}" for key in ("slope_range", "r2_min", "bound_dominance")
              if getattr(accept, key) is not None]
     problems += [f"{key}: {message}" for key, message, violated in [
-        ("experiment_id", "must not be empty", args.get("experiment_id") == ""),
-        ("experiment_id", f"names the artifact files, so it may not be '.' or '..' or hold "
-                          f"'/' or NUL; got {eid!r}",
-         eid in (".", "..") or "/" in eid or "\0" in eid),
-        ("n_grid", "must not be empty", "n_grid" in args and not n_grid),
-        ("n_grid", "entries must be positive", any(n < 1 for n in n_grid)),
-        ("n_grid", f"entries must be at most {N_GRID_MAX}", any(n > N_GRID_MAX for n in n_grid)),
-        ("n_grid", "must be strictly increasing",
-         any(b <= a for a, b in zip(n_grid, n_grid[1:]))),
         ("trials", "required; only a trace (acceptance.trace_ratio_max) runs without "
                    "a trial count", not traced and doc.get("trials") is None),
         ("trials", "need one count per n_grid entry",
-         trials is not None and n_grid and len(counts) != len(n_grid)),
-        ("trials", "every count must be >= 2", any(t < 2 for t in counts)),
-        ("trials", f"every count must be at most {TRIALS_MAX}",
-         any(t > TRIALS_MAX for t in counts)),
+         isinstance(trials, tuple) and n_grid and len(trials) != len(n_grid)),
         ("acceptance", f"{', '.join(fitted)} need a rate fit, which needs at least "
                        f"{RATE_FIT_MIN_POINTS} n_grid points",
          fitted and 0 < len(n_grid) < RATE_FIT_MIN_POINTS),
-        ("seed", "must be >= 0", seed < 0),
-        ("seed", f"must be at most {SEED_MAX}", seed > SEED_MAX),
         ("schedule", "a trace (acceptance.trace_ratio_max) grows m(n) = n^psi, so it needs "
                      "a schedule with psi < 1",
          traced and schedule is not None
@@ -330,7 +338,7 @@ def parse_experiment_config(doc: dict, seed_override: int | None = None) -> Expe
         (", ".join(swept), "a trace (acceptance.trace_ratio_max) runs in place of the "
                            "sweep these judge", traced and swept)] if violated]
 
-    if schedule is not None and n_grid and 1 <= min(n_grid) and max(n_grid) <= N_GRID_MAX:
+    if schedule is not None and n_grid:
         m_values = [schedule.resolve(n) for n in n_grid]
         over = [(n, m) for n, m in zip(n_grid, m_values) if m > n]
         if over:

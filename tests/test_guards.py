@@ -21,6 +21,8 @@ from ditherfield import (AffineFloorDeployment, EstimatorConfig, FieldSpec,
                          simulate_batch, stream_keys, trial_seed,
                          true_coefficients, validate_as_schedule)
 from ditherfield.estimator import sensor_weights
+from ditherfield.fields import as_grid
+from ditherfield.harness import N_GRID_MAX, ConfigValidationError, parse_experiment_config
 from ditherfield.sensing import SENSORS_MAX
 from ditherfield.spectral import ConjSums
 
@@ -36,8 +38,10 @@ NOISY_BATCH = simulate_batch(SAWTOOTH, UNIFORM, UniformSymNoise(b=1.0), 8, 1)
 WIDE_CFG = EstimatorConfig(basis=FOURIER, density=UNIFORM, c=3.0,
                            schedule=TruncationSchedule.bv())
 EMPTY = SensorBatch(x=np.empty(0), y=np.empty(0), t=np.empty(0), bits=np.empty(0), c=1.0)
-# the range of a sensor count whose powers and reciprocals a float holds
+# the range of a sensor count whose powers and reciprocals a float holds, as the
+# count rule and a grid's reader (`as_grid`) state it
 TO_SENSORS_MAX = f"must be an integer in [1, {SENSORS_MAX}]"
+IN_SENSORS_MAX = f"expected an integer in [1, {SENSORS_MAX}]"
 
 # (id, call, exception type, message: the whole text for an empty one,
 # else a part of it)
@@ -215,19 +219,19 @@ GUARDS = [
      ValueError, "dynamic range c must be positive, got 0.0"),
     ("conditions_empty_grid",
      lambda: check_consistency_conditions(TruncationSchedule.bv(), UNIFORM, []),
-     ValueError, "n_grid must hold at least one sensor count"),
+     ValueError, "n_grid: expected at least one count, got none"),
     ("conditions_grid_order",
      lambda: check_consistency_conditions(TruncationSchedule.bv(), UNIFORM, [10, 10]),
-     ValueError, "n_grid must be strictly increasing"),
+     ValueError, "n_grid[1]: expected an integer above n_grid[0] = 10, got 10"),
     ("conditions_fractional_n",
      lambda: check_consistency_conditions(TruncationSchedule.bv(), UNIFORM, [100.5, 1000]),
-     ValueError, f"each n_grid entry {TO_SENSORS_MAX}, got 100.5"),
+     ValueError, f"n_grid[0]: {IN_SENSORS_MAX}, got 100.5"),
     ("conditions_bool_n",
      lambda: check_consistency_conditions(TruncationSchedule.bv(), UNIFORM, [True, 4]),
-     ValueError, f"each n_grid entry {TO_SENSORS_MAX}, got True"),
+     ValueError, f"n_grid[0]: {IN_SENSORS_MAX}, got True"),
     ("conditions_n_past_floats",
      lambda: check_consistency_conditions(TruncationSchedule.bv(), UNIFORM, [10, 2 ** 1100]),
-     ValueError, f"each n_grid entry {TO_SENSORS_MAX}, got {2 ** 1100}"),
+     ValueError, f"n_grid[1]: {IN_SENSORS_MAX}, got {2 ** 1100}"),
     ("error_short_truth",
      lambda: integrated_squared_error(estimate_coefficients(BATCH, CFG, 3),
                                       true_coefficients(SAWTOOTH, 2), SAWTOOTH),
@@ -243,13 +247,13 @@ GUARDS = [
     ("fit_negative_inf_mse", lambda: rate_fit([10, 20, 40, 80], [1, 0.5, 0.25, -np.inf]),
      ValueError, "each mse value must be a finite number, got -inf"),
     ("fit_negative_n", lambda: rate_fit([-10, 20, 40, 80], [1.0, 0.5, 0.25, 0.125]),
-     ValueError, f"each n_grid entry {TO_SENSORS_MAX}, got -10"),
+     ValueError, f"n_grid[0]: {IN_SENSORS_MAX}, got -10"),
     ("fit_fractional_n", lambda: rate_fit([10.5, 20, 40, 80], [1.0, 0.5, 0.25, 0.125]),
-     ValueError, f"each n_grid entry {TO_SENSORS_MAX}, got 10.5"),
+     ValueError, f"n_grid[0]: {IN_SENSORS_MAX}, got 10.5"),
     ("fit_n_past_floats", lambda: rate_fit([10, 20, 40, 2 ** 1100], [1.0, 0.5, 0.25, 0.125]),
-     ValueError, f"each n_grid entry {TO_SENSORS_MAX}, got {2 ** 1100}"),
+     ValueError, f"n_grid[3]: {IN_SENSORS_MAX}, got {2 ** 1100}"),
     ("fit_grid_order", lambda: rate_fit([10, 10, 10, 10], [1, 2, 3, 4]), ValueError,
-     "n_grid must be strictly increasing"),
+     "n_grid[1]: expected an integer above n_grid[0] = 10, got 10"),
     ("sweep_trial_counts",
      lambda: monte_carlo_mse(SAWTOOTH, UNIFORM, ZeroNoise(), TruncationSchedule.bv(),
                              [10, 20], [5], seed=1), ValueError, "need one trial count per n"),
@@ -264,11 +268,11 @@ GUARDS = [
     ("sweep_fractional_n",
      lambda: monte_carlo_mse(SAWTOOTH, UNIFORM, ZeroNoise(), TruncationSchedule.bv(),
                              [500.5, 2000], 2, seed=1), ValueError,
-     f"each n_grid entry {TO_SENSORS_MAX}, got 500.5"),
+     f"n_grid[0]: {IN_SENSORS_MAX}, got 500.5"),
     ("sweep_n_past_floats",
      lambda: monte_carlo_mse(SAWTOOTH, UNIFORM, ZeroNoise(), TruncationSchedule.bv(),
                              [2 ** 1100], 2, seed=1), ValueError,
-     f"each n_grid entry {TO_SENSORS_MAX}, got {2 ** 1100}"),
+     f"n_grid[0]: {IN_SENSORS_MAX}, got {2 ** 1100}"),
     ("sweep_fractional_trials",
      lambda: monte_carlo_mse(SAWTOOTH, UNIFORM, ZeroNoise(), TruncationSchedule.bv(),
                              [500, 2000], 2.5, seed=1), ValueError,
@@ -301,13 +305,13 @@ GUARDS = [
     ("trace_psi_zero", lambda: as_error_trace(SAWTOOTH, UNIFORM, ZeroNoise(), 0.0, 1, [10]),
      ValueError, "psi must lie in (0, 1), got 0.0"),
     ("trace_no_checkpoint", lambda: as_error_trace(SAWTOOTH, UNIFORM, ZeroNoise(), 0.5, 1, []),
-     ValueError, "checkpoints must be strictly increasing and nonempty"),
+     ValueError, "n_checkpoints: expected at least one count, got none"),
     ("trace_fractional_checkpoint",
      lambda: as_error_trace(SAWTOOTH, UNIFORM, ZeroNoise(), 0.5, 1, [10, 20.5]), ValueError,
-     f"each n_checkpoints entry {TO_SENSORS_MAX}, got 20.5"),
+     f"n_checkpoints[1]: {IN_SENSORS_MAX}, got 20.5"),
     ("trace_checkpoint_past_floats",
      lambda: as_error_trace(SAWTOOTH, UNIFORM, ZeroNoise(), 0.5, 1, [10, 2 ** 1100]), ValueError,
-     f"each n_checkpoints entry {TO_SENSORS_MAX}, got {2 ** 1100}"),
+     f"n_checkpoints[1]: {IN_SENSORS_MAX}, got {2 ** 1100}"),
     # harness
     ("battery_one_trial", lambda: run_lemma_battery(trials=1), ValueError,
      "trials must be an integer >= 2, got 1"),
@@ -345,6 +349,92 @@ def test_each_guard_raises_its_message(call, kind, message):
         assert re.search(re.escape(message), str(caught.value))
     else:
         assert str(caught.value) == ""
+
+
+# The five readers of a grid of sensor counts, as (id, the name the grid goes
+# by, the grid's upper end, the call on a grid); the other arguments are tiny.
+GRID_DOC = {"experiment_id": "grid", "field": {"class": "bv"}, "deployment": {"kind": "uniform"},
+            "noise": {"kind": "zero"}, "schedule": {"kind": "fixed", "m": 1}, "seed": 1,
+            "trials": 2}
+GRID_READERS = [
+    ("document", "n_grid", N_GRID_MAX,
+     lambda grid: parse_experiment_config(dict(GRID_DOC, n_grid=grid))),
+    ("check_consistency_conditions", "n_grid", SENSORS_MAX,
+     lambda grid: check_consistency_conditions(TruncationSchedule.bv(), UNIFORM, grid)),
+    ("monte_carlo_mse", "n_grid", SENSORS_MAX,
+     lambda grid: monte_carlo_mse(SAWTOOTH, UNIFORM, ZeroNoise(), TruncationSchedule.bv(),
+                                  grid, 2, seed=1)),
+    ("rate_fit", "n_grid", SENSORS_MAX, lambda grid: rate_fit(grid, [1.0] * len(grid))),
+    ("as_error_trace", "n_checkpoints", SENSORS_MAX,
+     lambda grid: as_error_trace(SAWTOOTH, UNIFORM, ZeroNoise(), 0.5, 1, grid)),
+]
+# each bad grid, with the one message of `as_grid` for it
+BAD_GRIDS = [
+    ("empty", [], "{what}: expected at least one count, got none"),
+    ("repeat", [10, 10], "{what}[1]: expected an integer above {what}[0] = 10, got 10"),
+    ("falls", [20, 10], "{what}[1]: expected an integer above {what}[0] = 20, got 10"),
+    ("zero", [0, 5], "{what}[0]: expected an integer in [1, {hi}], got 0"),
+    ("fraction", [1.5, 4], "{what}[0]: expected an integer in [1, {hi}], got 1.5"),
+    ("bool", [True, 4], "{what}[0]: expected an integer in [1, {hi}], got True"),
+    ("past_floats", [4, 2 ** 1100], f"{{what}}[1]: expected an integer in [1, {{hi}}], "
+                                    f"got {2 ** 1100}"),
+]
+
+
+@pytest.mark.parametrize("grid, message", [case[1:] for case in BAD_GRIDS],
+                         ids=[case[0] for case in BAD_GRIDS])
+@pytest.mark.parametrize("what, hi, call", [case[1:] for case in GRID_READERS],
+                         ids=[case[0] for case in GRID_READERS])
+def test_every_grid_reader_refuses_a_bad_grid_with_the_one_message(what, hi, call, grid,
+                                                                   message):
+    """A document's n_grid, the consistency check, the sweep, the rate fit and
+    the trace read their grid through `as_grid`, so each refuses an empty, a
+    repeating, a falling or a non-count grid with its message, naming the
+    entry. The sweep used to run an empty grid and an unsorted one."""
+    message = message.format(what=what, hi=hi)
+    with pytest.raises(ValueError) as own:
+        as_grid(grid, what, hi)
+    assert str(own.value) == message
+    with pytest.raises(ValueError) as caught:
+        call(grid)
+    if isinstance(caught.value, ConfigValidationError):
+        assert caught.value.problems == [message]
+    else:
+        assert caught.type is ValueError and str(caught.value) == message
+
+
+def _entry(draw, n: int):
+    """`n` in one of the forms a count may take, or a fraction or a bool."""
+    return draw(st.sampled_from([n, float(n), np.int64(n), np.uint16(abs(n)), np.float32(n),
+                                 n + 0.5, n % 2 == 1]))
+
+
+@st.composite
+def _grid_candidate(draw):
+    """(values, hi): a list of count-like entries, sorted half of the time."""
+    counts = draw(st.lists(st.integers(-2, 40), max_size=6))
+    if draw(st.booleans()):
+        counts = sorted(counts)
+    return [_entry(draw, n) for n in counts], draw(st.integers(1, 40))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_grid_candidate())
+def test_as_grid_takes_exactly_the_increasing_count_lists(case):
+    """`as_grid` returns, as Python ints, exactly the nonempty, strictly
+    increasing lists of integral values (never a bool) in [1, hi], and refuses
+    every other list with a message that names the grid or one entry."""
+    values, hi = case
+    integral = [not isinstance(v, (bool, np.bool_)) and float(v).is_integer() for v in values]
+    ok = (bool(values) and all(integral) and all(1 <= v <= hi for v in values)
+          and all(a < b for a, b in zip(values, values[1:])))
+    if ok:
+        grid = as_grid(values, "g", hi)
+        assert grid == tuple(int(v) for v in values)
+        assert all(type(n) is int for n in grid)
+    else:
+        with pytest.raises(ValueError, match=r"^g(\[\d+\])?: expected "):
+            as_grid(values, "g", hi)
 
 
 # Every count argument of the public entry points, as (id, the rule's message
@@ -387,11 +477,11 @@ COUNT_ARGUMENTS = [
      lambda v: stream_keys(v, [(1, 2)])),
     ("stream_keys.entry", "each spawn-key entry must be an integer", 1,
      lambda v: stream_keys(7, [(v, 2)])),
-    ("check_consistency_conditions.n", f"each n_grid entry {TO_SENSORS_MAX}", 10,
+    ("check_consistency_conditions.n", f"n_grid[0]: {IN_SENSORS_MAX}", 10,
      lambda v: check_consistency_conditions(BV, UNIFORM, [v, 1000])),
-    ("rate_fit.n", f"each n_grid entry {TO_SENSORS_MAX}", 10,
+    ("rate_fit.n", f"n_grid[0]: {IN_SENSORS_MAX}", 10,
      lambda v: rate_fit([v, 20, 40, 80], [1.0, 0.5, 0.25, 0.125])),
-    ("monte_carlo_mse.n", f"each n_grid entry {TO_SENSORS_MAX}", 4,
+    ("monte_carlo_mse.n", f"n_grid[0]: {IN_SENSORS_MAX}", 4,
      lambda v: _sweep(n_grid=[v])),
     ("monte_carlo_mse.trials", "trials must be an integer >= 2", 2, lambda v: _sweep(trials=v)),
     ("monte_carlo_mse.trials_entry", "each trials entry must be an integer >= 2", 2,

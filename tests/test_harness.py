@@ -47,6 +47,10 @@ def test_shipped_configs_parse():
         assert config.seed is not None
 
 
+_SEED_RANGE = f"expected an integer in [0, {2 ** 64 - 1}]"
+_TRIALS_RANGE = f"expected an integer in [2, {harness.TRIALS_MAX}]"
+
+
 def test_validation_reports_every_problem():
     bad = {"experiment_id": "", "field": {"class": "nope"},
            "deployment": {"kind": "uniform"}, "noise": {"kind": "zero"},
@@ -56,6 +60,21 @@ def test_validation_reports_every_problem():
     text = str(err.value)
     for token in ("experiment_id", "field", "n_grid", "trials", "seed"):
         assert token in text
+
+
+@pytest.mark.parametrize("change, problems", [
+    ({"seed": -1, "experiment_id": "..", "trials": [12, 1, 12, 12]},
+     ["experiment_id: expected a file name other than '', '.' or '..', without '/' or NUL, "
+      "got str '..'", f"seed: {_SEED_RANGE}, got int -1",
+      f"trials[1]: {_TRIALS_RANGE}, got int 1"]),
+    ({"trials": [12, 12, 12]}, ["trials: need one count per n_grid entry"])],
+    ids=["three_keys", "trials_one_short"])
+def test_every_problem_is_listed_once_per_key(tmp_path, capsys, change, problems):
+    """Each key's own range is checked by the reader that converts it, and a
+    rule across keys reads only keys that converted: a document breaking three
+    keys lists three problems, and a valid trial list one entry short of a
+    valid grid lists the one cross-key problem."""
+    fails_at_the_boundary(tmp_path, capsys, dict(MINI_CONFIG, **change), problems)
 
 
 @pytest.mark.parametrize("keys", [{"slope_range": [-1.0, 0.0]}, {"r2_min": 0.9}])
@@ -104,7 +123,7 @@ def test_a_seed_override_is_read_as_the_documents_seed(override, got):
     7 and "12" as 12, where the document's own seed rejects all three."""
     with pytest.raises(ConfigValidationError) as err:
         load_shipped_config("mismatch_linear2x", seed_override=override)
-    assert err.value.problems == [f"seed: expected an integer, got {got}"]
+    assert err.value.problems == [f"seed: expected an integer in [0, {2 ** 64 - 1}], got {got}"]
 
 
 def test_run_experiment_artifacts_and_determinism(tmp_path):
@@ -571,18 +590,20 @@ def test_a_non_finite_number_anywhere_is_a_config_error(name, path, bad):
 
 
 @pytest.mark.parametrize("key, value, problem", [
-    ("n_grid", [256, 512.5, 1024, 2048], "n_grid[1]: expected an integer, got float 512.5"),
-    ("trials", 2.7, "trials: expected an integer, got float 2.7"),
-    ("trials", [12, 12, 12.5, 12], "trials[2]: expected an integer, got float 12.5"),
-    ("seed", 1.5, "seed: expected an integer, got float 1.5"),
-    ("seed", -1, "seed: must be >= 0"),
-    ("seed", "99", "seed: expected an integer, got str '99'"),
-    *[("experiment_id", eid, "experiment_id: names the artifact files, so it may not be '.' "
-                             f"or '..' or hold '/' or NUL; got {eid!r}")
-      for eid in ("sub/x", "../escaped", ".", "..", "a\0b")]],
-    ids=["n_grid_fraction", "trials_fraction", "trials_entry_fraction", "seed_fraction",
-         "seed_negative", "seed_string", "id_subdir", "id_escapes", "id_dot", "id_dotdot",
-         "id_nul"])
+    ("n_grid", [256, 512.5, 1024, 2048],
+     f"n_grid[1]: expected an integer in [1, {harness.N_GRID_MAX}], got 512.5"),
+    ("trials", 2.7, f"trials: {_TRIALS_RANGE}, got float 2.7"),
+    ("trials", [12, 12, 12.5, 12], f"trials[2]: {_TRIALS_RANGE}, got float 12.5"),
+    ("trials", [12, 1, 12, 12], f"trials[1]: {_TRIALS_RANGE}, got int 1"),
+    ("seed", 1.5, f"seed: {_SEED_RANGE}, got float 1.5"),
+    ("seed", -1, f"seed: {_SEED_RANGE}, got int -1"),
+    ("seed", "99", f"seed: {_SEED_RANGE}, got str '99'"),
+    *[("experiment_id", eid, "experiment_id: expected a file name other than '', '.' or '..', "
+                             f"without '/' or NUL, got str {eid!r}")
+      for eid in ("sub/x", "../escaped", ".", "..", "a\0b", "")]],
+    ids=["n_grid_fraction", "trials_fraction", "trials_entry_fraction", "trials_entry_one",
+         "seed_fraction", "seed_negative", "seed_string", "id_subdir", "id_escapes", "id_dot",
+         "id_dotdot", "id_nul", "id_empty"])
 def test_counts_must_be_integral_and_the_seed_nonnegative(key, value, problem):
     """An experiment_id names the files a run writes, so "sub/x" ran its
     whole sweep before it failed to open them and "../escaped" wrote
@@ -595,9 +616,9 @@ def test_counts_must_be_integral_and_the_seed_nonnegative(key, value, problem):
 def test_the_seed_is_one_u64():
     """A seed is one Philox key word: 2^64 - 1 parses, 2^64 does not."""
     assert parse_experiment_config(MINI_CONFIG, seed_override=2 ** 64 - 1).seed == 2 ** 64 - 1
-    with pytest.raises(ConfigValidationError,
-                       match="seed: must be at most 18446744073709551615"):
+    with pytest.raises(ConfigValidationError) as err:
         parse_experiment_config(dict(MINI_CONFIG, seed=2 ** 64))
+    assert err.value.problems == [f"seed: {_SEED_RANGE}, got int {2 ** 64}"]
 
 
 def test_integral_floats_are_counts():
@@ -790,7 +811,8 @@ def test_a_kind_that_is_not_a_string_is_unknown(key, doc, message):
      r"noise\.b: expected a finite number, got null"),
     ("deployment", {"kind": "affine_floor", "nu": [0.5]},
      r"deployment\.nu: expected a finite number, got \[0\.5\]"),
-    ("n_grid", ["256", "512"], r"n_grid\[0\]: expected an integer, got str '256'"),
+    ("n_grid", ["256", "512"],
+     rf"n_grid\[0\]: expected an integer in \[1, {harness.N_GRID_MAX}\], got '256'"),
     ("field", "sawtooth", r"field: expected an object, got str 'sawtooth'"),
     ("field", {"class": "finite_dim", "amplitude_bound": 1.0},
      r"field\.coefficients: required; finite_dim field takes "
@@ -916,7 +938,7 @@ def test_cli_seed_above_u64_exits_2(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.count("\n") == 1
-    assert "seed: must be at most 18446744073709551615" in proc.stderr
+    assert f"seed: {_SEED_RANGE}, got int {2 ** 64}" in proc.stderr
     assert not (tmp_path / "out").exists()
 
 
@@ -958,9 +980,12 @@ def test_counts_are_capped_at_parse_time(key, value, ok):
     if ok:
         assert parse_experiment_config(doc) is not None
     else:
-        # a sobolev section's count range comes from its constructor's count rule
-        cap = rf"in \[1, {SOBOLEV_FREQS_MAX}\]" if key == "field" else "at most"
-        with pytest.raises(ConfigValidationError, match=f"{key}: .* {cap}"):
+        # each range comes from the key's own reader: the count rule of a sobolev
+        # section's constructor, as_grid for the grid and the trial-count range
+        cap = {"field": rf"in \[1, {SOBOLEV_FREQS_MAX}\]",
+               "n_grid": rf"in \[1, {harness.N_GRID_MAX}\]",
+               "trials": rf"in \[2, {harness.TRIALS_MAX}\]"}[key]
+        with pytest.raises(ConfigValidationError, match=rf"{key}(\[\d+\])?: .* {cap}"):
             parse_experiment_config(doc)
 
 
@@ -1023,7 +1048,8 @@ def test_a_sensor_count_past_floats_is_a_config_error(schedule, n):
     a ValueError of the schedule's own count rule."""
     with pytest.raises(ConfigValidationError) as err:
         parse_experiment_config(dict(MINI_CONFIG, schedule=schedule, n_grid=[64, n]))
-    assert err.value.problems == [f"n_grid: entries must be at most {harness.N_GRID_MAX}"]
+    assert err.value.problems == [f"n_grid[1]: expected an integer in [1, {harness.N_GRID_MAX}], "
+                                  f"got {n!r}"]
 
 
 @pytest.mark.parametrize("key, change", [
