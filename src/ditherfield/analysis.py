@@ -16,7 +16,7 @@ import numpy as np
 
 from . import spectral
 from .estimator import TruncationSchedule, add_sensors, finish_estimates
-from .fields import (FieldSpec, FourierBasis, FourierSums, ReconstructionCoefficients,
+from .fields import (FieldSpec, FourierSums, ReconstructionCoefficients,
                      as_count, as_grid, as_real, m_term_error, synthesize,
                      true_coefficients)
 from .sensing import (SENSORS_MAX, AffineFloorDeployment, Noise, dynamic_range, simulate_batch,
@@ -34,7 +34,6 @@ class BoundReport:
     m: int
     variance_term: float
     bias_term: float
-    divergent_js: tuple[int, ...]
 
     @property
     def total(self) -> float:
@@ -45,18 +44,16 @@ def mse_upper_bound(field: FieldSpec, deploy: AffineFloorDeployment,
                     n: int, m: int, c: float) -> BoundReport:
     """Bound E||f - f_hat||^2 <= (c^2/n) * sum_{j<m} int |phi_j|^2/p_X + tail(m)
     = (c^2/n) * m * I + tail(m), as |phi_j| = 1: I is the integral of 1/p_X,
-    and every j < m diverges where it is infinite."""
+    and the variance term is infinite exactly where I is."""
     n, m, c = as_count(n, "n", 1, SENSORS_MAX), as_count(m, "m", 0), as_real(c, "c")
     if c <= 0.0:
         raise ValueError(f"dynamic range c must be positive, got {c!r}")
-    integral = deploy.integral
-    divergent = tuple(range(m)) if math.isinf(integral) else ()
     if m == 0:  # no term, and no 0 * inf
         bias, variance = field.norm_sq, 0.0
     else:
         bias = m_term_error(true_coefficients(field, m), field, m)
-        variance = math.inf if divergent else (c * c / n) * (m * integral)
-    return BoundReport(m=m, variance_term=variance, bias_term=bias, divergent_js=divergent)
+        variance = (c * c / n) * (m * deploy.integral)
+    return BoundReport(m=m, variance_term=variance, bias_term=bias)
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +109,7 @@ def check_consistency_conditions(schedule: TruncationSchedule, deploy: AffineFlo
         m_values=m_values,
         truncation_nondecreasing=all(b >= a for a, b in zip(m_values, m_values[1:])),
         truncation_grows=m_values[-1] > m_values[0],
-        infimum=float(deploy.infimum),
+        infimum=deploy.nu,
         variance_condition_values=q,
         variance_condition_decreasing=decreasing,
         variance_condition_vanishing=vanishing,
@@ -350,24 +347,22 @@ class ScheduleValidation:
 def validate_as_schedule(psi: float, gamma: float, deploy: AffineFloorDeployment,
                          fields: Sequence[FieldSpec]) -> ScheduleValidation:
     """Validate (m(n) = n^psi, envelope m^(gamma/2)) for pathwise convergence
-    on the Fourier basis, and state the bounded-basis constants c1 =
-    beta^2/nu and c2 = a*beta, a the largest amplitude bound of `fields`.
-    They hold with envelope m by the triangle inequality alone, as |phi_j|
-    = beta = 1, p_X >= nu and |alpha_j| <= sup|f| <= a: the kernel
-    sum_{j<m} |phi_j(x) conj phi_j(y)| / p_X(y) is at most c1 * m, and
-    |f_m| <= sum_{j<m} |alpha_j| <= c2 * m."""
+    on the Fourier basis, and state the bounded-basis constants c1 = 1/nu
+    and c2 = a, a the largest amplitude bound of `fields`. They hold with
+    envelope m by the triangle inequality alone, as |phi_j| = 1, p_X >= nu
+    and |alpha_j| <= sup|f| <= a: the kernel sum_{j<m} |phi_j(x) conj
+    phi_j(y)| / p_X(y) is at most c1 * m, and |f_m| <= sum_{j<m} |alpha_j|
+    <= c2 * m."""
     psi, gamma = as_real(psi, "psi"), as_real(gamma, "gamma")
     if not 0.0 < psi < 1.0:
         raise ValueError(f"psi must lie in (0, 1), got {psi!r}")
     if len(fields) == 0:
         raise ValueError("fields must hold at least one field")
-    nu = float(deploy.infimum)
+    nu = deploy.nu
     c1 = c2 = None
     if nu > 0.0:
-        beta = float(FourierBasis.bound)
-        a = max(f.amplitude_bound for f in fields)
-        c1 = beta * beta / nu
-        c2 = a * beta  # * sqrt(vol([0,1])) == 1
+        c1 = 1.0 / nu
+        c2 = max(f.amplitude_bound for f in fields)  # * sqrt(vol([0,1])) == 1
     return ScheduleValidation(psi=psi, gamma=gamma, gamma_in_range=1.0 < gamma < 1.0 / psi,
                               series_exponent=gamma * psi, infimum=nu, c1=c1, c2=c2)
 

@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .analysis import WORKERS_MAX, check_consistency_conditions
-from .harness import (SUITE_NAMES, ConfigValidationError,
-                      load_experiment_config, run_experiment, run_suite)
+from .fields import as_count
+from .harness import SUITE_NAMES, load_experiment_config, run_experiment, run_suite
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -41,18 +40,16 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
 
-    if args.command in ("run", "suite") and not 1 <= args.workers <= WORKERS_MAX:
-        print(f"{args.command}: --workers must be in [1, {WORKERS_MAX}]", file=sys.stderr)
-        return 2  # before any run starts or any file is written
-
-    if args.command in ("run", "check-conditions"):
-        try:
+    try:  # before any run starts or any file is written
+        if args.command in ("run", "suite"):
+            as_count(args.workers, "workers", 1, WORKERS_MAX)
+        if args.command in ("run", "check-conditions"):
             config = load_experiment_config(args.config,
                                             seed_override=getattr(args, "seed", None))
-        except (ConfigValidationError, OSError, json.JSONDecodeError) as exc:
-            # exit 1 is a FAIL verdict; a config that cannot run is a usage error
-            print(f"{args.command}: {exc}", file=sys.stderr)
-            return 2
+    except (ValueError, OSError) as exc:
+        # exit 1 is a FAIL verdict; a config that cannot run is a usage error
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return 2
 
     if args.command == "run":
         outcome = run_experiment(config, args.out, workers=args.workers)

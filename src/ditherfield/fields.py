@@ -82,10 +82,9 @@ class FourierBasis:
 
     phi_0 = 1; even j >= 2 carries frequency +j/2 cycles, odd j carries
     frequency -(j+1)/2, i.e. phi_j(x) = exp(+i*pi*j*x) for even j and
-    exp(-i*pi*(j+1)*x) for odd j. Conjugate pairs are (odd j, j+1).
+    exp(-i*pi*(j+1)*x) for odd j. Conjugate pairs are (odd j, j+1). Every
+    |phi_j| is 1.
     """
-
-    bound: ClassVar[float] = 1.0
 
 
 def frequencies(count: int) -> np.ndarray:

@@ -22,7 +22,7 @@ from typing import (Callable, ClassVar, NewType, Sequence, get_args, get_origin,
 
 import numpy as np
 
-from .analysis import (RATE_FIT_MIN_POINTS, ASTraceResult, RateFitResult,
+from .analysis import (RATE_FIT_MIN_POINTS, WORKERS_MAX, ASTraceResult, RateFitResult,
                        TrialCell, as_error_trace, check_consistency_conditions,
                        map_trials, monte_carlo_mse, mse_upper_bound, rate_fit,
                        validate_as_schedule)
@@ -379,7 +379,6 @@ class ExperimentOutcome:
     dominance_violations: int | None  # None where no sweep ran
     artifacts: tuple[str, ...]
     verdicts: dict  # acceptance key (or "finite") -> whether the run meets it
-    divergent_js: tuple[int, ...] = ()
     trace: ASTraceResult | None = None  # where the config declares trace_ratio_max
 
     @property
@@ -411,11 +410,13 @@ def run_experiment(config: ExperimentConfig, out_dir, workers: int = 1) -> Exper
     or, where it declares `trace_ratio_max`, one sample-path trace in place
     of the sweep (in this process, whatever `workers` says), judged by its
     `Acceptance`; writes `<experiment_id>.csv`, `_report.json` and
-    `_summary.txt`.
+    `_summary.txt`. `workers` is a count in [1, WORKERS_MAX], read before
+    anything is written, whatever the document runs.
 
-    A deployment whose variance integrals diverge is rejected
-    up front (FAILED-PRECONDITION) — the distortion bound is useless there.
+    A deployment whose integral of 1/p_X diverges is rejected up front
+    (FAILED-PRECONDITION) — the distortion bound is useless there.
     """
+    workers = as_count(workers, "workers", 1, WORKERS_MAX)
     eid = config.experiment_id
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -424,19 +425,20 @@ def run_experiment(config: ExperimentConfig, out_dir, workers: int = 1) -> Exper
     m_values = [config.schedule.resolve(n) for n in config.n_grid]
     bounds = tuple(mse_upper_bound(config.field, config.deployment, n, m, config.c)
                    for n, m in zip(config.n_grid, m_values))
-    divergent = list(max(bounds, key=lambda b: b.m).divergent_js)
+    divergent = math.isinf(config.deployment.integral)
     fit = violations = trace = None
     rows, reported, rejection = [], {}, []
     lines = [f"seed {config.seed}", f"config sha {config.config_hash}"]
     if divergent:
         rejection = [
-            f"rejected: the variance side of the distortion bound diverges — "
-            f"the integral of |phi_j|^2 / p_X over [0,1] is infinite for "
-            f"j in {divergent[:8]}. The deployment density vanishes on the "
-            f"domain, so the inverse-density weights are unintegrable and the "
-            f"bound is useless; use a density with a strictly positive floor."]
+            "rejected: the variance side of the distortion bound diverges — "
+            "the integral of 1/p_X over [0,1] is infinite, and with it every "
+            "coefficient's integral of |phi_j|^2 / p_X, as |phi_j| = 1. The "
+            "deployment density vanishes on the domain, so the inverse-density "
+            "weights are unintegrable and the bound is useless; use a density "
+            "with a strictly positive floor."]
         lines = rejection
-        report = {"detail": rejection[0], "divergent_js": divergent}
+        report = {"detail": rejection[0]}
     elif config.acceptance.trace_ratio_max is not None:
         # the parser holds a trace to a schedule with psi < 1
         trace = as_error_trace(config.field, config.deployment, config.noise,
@@ -477,7 +479,7 @@ def run_experiment(config: ExperimentConfig, out_dir, workers: int = 1) -> Exper
                   "rate_fit": fit.to_json() if fit else None}
 
     verdicts = config.acceptance.judge(fit=fit, violations=violations,
-                                       rejected=bool(divergent), trace=trace)
+                                       rejected=divergent, trace=trace)
     # a NaN or infinite number is no evidence, whatever the declared tolerances
     non_finite = [name for name, values in reported.items()
                   if not all(math.isfinite(v) for v in values)]
@@ -496,7 +498,7 @@ def run_experiment(config: ExperimentConfig, out_dir, workers: int = 1) -> Exper
                              fit=fit, dominance_violations=violations,
                              artifacts=(str(csv_path), str(report_path), str(summary_path)),
                              verdicts={key: ok for key, (_, ok) in verdicts.items()},
-                             divergent_js=tuple(divergent), trace=trace)
+                             trace=trace)
 
 
 # ---------------------------------------------------------------------------
@@ -640,8 +642,10 @@ def _run_conditions(out: Path, workers: int) -> dict:
     good, bad = (validate_as_schedule(0.5, gamma, uniform, fields)
                  for gamma in (1.5, 2.5))
     affine = mismatch["mismatch_affine_floor"].config.deployment
+    rejected = mismatch["mismatch_linear2x"].status == "FAILED-PRECONDITION"
     return {"mismatch": mismatch,
-            "linear2x_js": mismatch["mismatch_linear2x"].divergent_js,
+            # every j carries the one integral, so a rejection diverges from j = 0 on
+            "first_divergent_j": 0 if rejected else None,
             "integral_j0": affine.integral,
             "consistency": {**{name: bool(r.all_pass) for name, r in reports.items()},
                             "power_psi1 variance_ok": bool(reports["power_psi1"].variance_ok)},
@@ -732,12 +736,12 @@ ACCEPTANCE = (
     Criterion(7, "p(x)=2x rejected for its j=0 divergence, affine floor accepted",
               "conditions",
               lambda run: {"status": {name: o.status for name, o in run["mismatch"].items()},
-                           "first_divergent_j": next(iter(run["linear2x_js"]), None),
+                           "first_divergent_j": run["first_divergent_j"],
                            "integral_j0": run["integral_j0"]},
               lambda: {"first_divergent_j": 0, "integral_j0": math.log(3.0), "tolerance": 1e-6},
               lambda run, bound: (
                   all(o.passed for o in run["mismatch"].values())
-                  and run["linear2x_js"][:1] == (bound["first_divergent_j"],)
+                  and run["first_divergent_j"] == bound["first_divergent_j"]
                   and abs(run["integral_j0"] - bound["integral_j0"]) <= bound["tolerance"])),
     Criterion(8, "consistency: m(n)=n fails the variance check, sqrt(n) and n^(1/3) "
                  "pass", "conditions",
@@ -776,6 +780,7 @@ def run_suite(name: str, out_dir, workers: int = 1) -> SuiteResult:
     beside the runs' own artifacts under out_dir."""
     if name not in SUITE_NAMES:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
+    workers = as_count(workers, "workers", 1, WORKERS_MAX)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     if name == "all":

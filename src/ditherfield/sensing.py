@@ -95,10 +95,6 @@ class AffineFloorDeployment:
             raise ValueError(f"nu must lie in [0, 1], got {self.nu!r}")
 
     @property
-    def infimum(self) -> float:
-        return self.nu
-
-    @property
     def integral(self) -> float:
         """Integral of 1/p over [0, 1]: log(p(1)/p(0)) / slope, divergent at nu = 0."""
         slope = 2.0 * (1.0 - self.nu)

@@ -185,9 +185,9 @@ ARTIFACT_SHA256 = {
         "mismatch_linear2x.csv":
             "9a29ff74269ce85aa68bce5ce7e2134fc7e98b89a05db006258f1d8982260c23",
         "mismatch_linear2x_report.json":
-            "89c4c565d9e9e24607fb6af0949b40bafac1591b34c2c43545ebd600c712d03a",
+            "41a2d30e21e1c1a601aa95cabc0c13d3f8bcc0fbd395cbe668bf5132004e52ab",
         "mismatch_linear2x_summary.txt":
-            "aa8f4a638cda6f2ace15fef45e0e83c99179bc89f3c3349f4cbdc64c5c3c5496",
+            "afa8b58d36f4ce9dfe0f7dc8dca7f574e0e76af5ff6a83e637c459eab93f6d38",
         "mismatch_affine_floor.csv":
             "5d436ecfcf2bf5ba4025705c971f3ebe928a7bbb3cb59780359aa620a92b7612",
         "mismatch_affine_floor_report.json":

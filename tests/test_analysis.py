@@ -1,8 +1,11 @@
 import math
 import multiprocessing
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from ditherfield import (AffineFloorDeployment, EstimatorConfig, FourierBasis,
@@ -12,8 +15,8 @@ from ditherfield import (AffineFloorDeployment, EstimatorConfig, FourierBasis,
                          as_error_trace, check_consistency_conditions,
                          estimate_coefficients, integrated_squared_error,
                          make_finite_dim_field, make_sobolev_field,
-                         monte_carlo_mse, mse_upper_bound, rate_fit,
-                         simulate_batch, trial_seed,
+                         monte_carlo_mse, mse_upper_bound, parse_experiment_config,
+                         rate_fit, run_experiment, simulate_batch, trial_seed,
                          true_coefficients, validate_as_schedule)
 from ditherfield import analysis, spectral
 from ditherfield.analysis import WORKERS_MAX, TrialCell, map_trials
@@ -36,7 +39,6 @@ def test_uniform_integrals_are_exactly_one(sawtooth):
 
 def test_vanishing_linear_density_diverges(sawtooth):
     report = mse_upper_bound(sawtooth, Linear2xDeployment(), n=1, m=4, c=1.0)
-    assert report.divergent_js == (0, 1, 2, 3)
     assert math.isinf(report.variance_term)
 
 
@@ -55,25 +57,45 @@ def test_finite_dim_bound_arithmetic(finite_dim_k5):
     assert report.bias_term == 0.0
     assert report.total == pytest.approx(0.02, abs=1e-9)
     assert report.variance_term == pytest.approx(0.02, abs=1e-9)
-    assert report.divergent_js == ()
 
 
 @pytest.mark.parametrize("deploy", [UniformDeployment(), Linear2xDeployment()],
                          ids=["uniform", "linear_2x"])
 def test_bound_at_m_zero_is_the_field_energy(sawtooth, deploy):
-    """No term, so no divergent j and no 0 * inf where the integral of 1/p_X
-    diverges."""
+    """No term, so no 0 * inf where the integral of 1/p_X diverges."""
     report = mse_upper_bound(sawtooth, deploy, n=10, m=0, c=1.5)
     assert report.variance_term == 0.0
-    assert report.divergent_js == ()
     assert report.total == pytest.approx(sawtooth.norm_sq)
 
 
-def test_bound_flags_divergent_deployment(sawtooth):
-    report = mse_upper_bound(sawtooth, Linear2xDeployment(),
-                             n=100, m=3, c=1.5)
-    assert 0 in report.divergent_js
-    assert math.isinf(report.total)
+@settings(max_examples=25, deadline=None)
+@example(nu=0.0, n=100, m=3, c=1.5)
+@example(nu=5e-324, n=100, m=3, c=1.5)
+@example(nu=1.0, n=100, m=3, c=1.5)
+@given(nu=st.floats(0.0, 1.0), n=st.integers(1, 10 ** 6), m=st.integers(1, 64),
+       c=st.floats(0.01, 100.0))
+def test_the_integral_is_the_one_divergence_fact(nu, n, m, c):
+    """Every |phi_j|^2 / p_X integrates to the deployment's one integral of
+    1/p_X, so the variance term is (c^2/n) * m * integral, infinite exactly
+    where the integral is; no term at m = 0 is 0.0 whatever the integral;
+    and a document with that floor is rejected up front exactly where the
+    integral is infinite."""
+    field, deploy = SawtoothField(), AffineFloorDeployment(nu=nu)
+    integral = deploy.integral
+    report = mse_upper_bound(field, deploy, n=n, m=m, c=c)
+    assert math.isinf(report.variance_term) == math.isinf(integral)
+    assert math.isinf(report.total) == math.isinf(integral)
+    if not math.isinf(integral):
+        assert report.variance_term == (c * c / n) * (m * integral)
+    assert mse_upper_bound(field, deploy, n=n, m=0, c=c).variance_term == 0.0
+
+    config = parse_experiment_config({
+        "experiment_id": "floor", "field": {"class": "bv"},
+        "deployment": {"kind": "affine_floor", "nu": nu}, "noise": {"kind": "zero"},
+        "schedule": {"kind": "fixed", "m": 1}, "n_grid": [4], "trials": 2, "seed": 1})
+    with tempfile.TemporaryDirectory() as out:
+        outcome = run_experiment(config, out)
+    assert (outcome.status == "FAILED-PRECONDITION") == math.isinf(integral)
 
 
 def test_bound_decomposition_and_monotone_bias(sawtooth):

@@ -235,7 +235,7 @@ def test_the_estimate_is_linear_in_the_bits(seed, n, m, a, b):
     p = AffineFloorDeployment(nu=0.5).pdf(x)
     s1, s2 = (basis_sums(m, x, bits / p) for bits in (bits1, bits2))
     mixed = basis_sums(m, x, (a * bits1 + b * bits2) / p)
-    scale = (abs(a) + abs(b)) * np.sum(1.0 / p) * FourierBasis.bound
+    scale = (abs(a) + abs(b)) * np.sum(1.0 / p)  # |phi_j| = 1
     assert np.max(np.abs(mixed - (a * s1 + b * s2))) <= 1e-12 * scale
 
 

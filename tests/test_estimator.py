@@ -189,7 +189,7 @@ def test_coefficient_magnitudes_respect_the_weight_bound(sawtooth):
     cfg = make_cfg(c=c, density=deploy)
     batch = simulate_batch(sawtooth, deploy, noise, 10_000, seed=8)
     hat = estimate_coefficients(batch, cfg, 16)
-    assert np.max(np.abs(hat.values)) <= c * 1.0 / deploy.infimum + 1e-9
+    assert np.max(np.abs(hat.values)) <= c * 1.0 / deploy.nu + 1e-9
 
 
 def test_coefficients_converge_along_one_sample_path(sawtooth):

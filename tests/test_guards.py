@@ -15,11 +15,12 @@ from ditherfield import (AffineFloorDeployment, EstimatorConfig, FieldSpec,
                          TwoPointNoise, UniformDeployment, UniformSymNoise,
                          ZeroNoise, as_error_trace, check_consistency_conditions,
                          estimate_coefficients, integrated_squared_error,
-                         m_term_error, make_finite_dim_field,
+                         load_shipped_config, m_term_error, make_finite_dim_field,
                          make_sobolev_field, monte_carlo_mse, mse_upper_bound,
-                         rate_fit, run_lemma_battery, run_suite,
+                         rate_fit, run_experiment, run_lemma_battery, run_suite,
                          simulate_batch, stream_keys, trial_seed,
                          true_coefficients, validate_as_schedule)
+from ditherfield.analysis import WORKERS_MAX
 from ditherfield.estimator import sensor_weights
 from ditherfield.fields import as_grid
 from ditherfield.harness import N_GRID_MAX, ConfigValidationError, parse_experiment_config
@@ -401,6 +402,30 @@ def test_every_grid_reader_refuses_a_bad_grid_with_the_one_message(what, hi, cal
         assert caught.value.problems == [message]
     else:
         assert caught.type is ValueError and str(caught.value) == message
+
+
+# Every runner that writes a directory, as (id, the call on an out directory and a
+# worker count): a sweep, a trace and a rejected document, and a suite of traces.
+WORKER_RUNNERS = [
+    (f"run_experiment_{name}",
+     lambda out, workers, name=name: run_experiment(load_shipped_config(name), out,
+                                                    workers=workers))
+    for name in ("bv_sawtooth", "as_trace_zero", "mismatch_linear2x")] + [
+    ("run_suite_as_traces", lambda out, workers: run_suite("as_traces", out, workers=workers))]
+
+
+@pytest.mark.parametrize("workers", [0, WORKERS_MAX + 1])
+@pytest.mark.parametrize("run", [case[1] for case in WORKER_RUNNERS],
+                         ids=[case[0] for case in WORKER_RUNNERS])
+def test_every_runner_reads_the_worker_count_before_it_writes(tmp_path, run, workers):
+    """A trace runs in one process and a rejected document runs nothing, yet
+    each refuses the count by the count rule, as a sweep does, and leaves
+    no out directory."""
+    out = tmp_path / "out"
+    with pytest.raises(ValueError) as caught:
+        run(out, workers)
+    assert str(caught.value) == f"workers must be an integer in [1, {WORKERS_MAX}], got {workers}"
+    assert not out.exists()
 
 
 def _entry(draw, n: int):
